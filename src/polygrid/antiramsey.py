@@ -15,10 +15,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from random import Random
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .ordset import OrdSet
-from .trees import Node
 
 
 class TupleColor(NamedTuple):
@@ -83,17 +82,6 @@ class Arena:
         if self.mode == "identity":
             return alpha
         return self._tables[0][beta][alpha]
-
-    def embed_inverse(self, beta: int, value: int) -> int:
-        if self.mode == "identity":
-            if not 0 <= value < beta:
-                raise ValueError(f"{value} not in the image of the embedding at {beta}")
-            return value
-        row = self._tables[0][beta]
-        try:
-            return row.index(value)
-        except ValueError:
-            raise ValueError(f"{value} not in the image of the embedding at {beta}") from None
 
     def to_json(self) -> dict:
         data = {"size": self.size, "dim": self.dim, "mode": self.mode}
@@ -298,7 +286,7 @@ def verify_product_bound(
 
 
 # ---------------------------------------------------------------------------
-# difference property and branch-product colorings
+# difference property
 
 
 @dataclass
@@ -330,41 +318,3 @@ def check_difference_lemma(arena: Arena) -> DifferenceReport:
             if ca == cb:
                 report.violations.append((a, b, ca))
     return report
-
-
-class GridColoring:
-    """Compound coloring pulled back to a product of enumerated branch sets.
-
-    Each coordinate carries an injective enumeration of its branch set into
-    the arena; a branch tuple is colored by c_full of its index tuple.
-    """
-
-    def __init__(self, arena: Arena, enums: Sequence[Mapping[Node, int]]):
-        if len(enums) != arena.dim + 1:
-            raise ValueError(f"need {arena.dim + 1} coordinates")
-        self.arena = arena
-        self.enums = [dict(e) for e in enums]
-        for imap in self.enums:
-            vals = list(imap.values())
-            if len(set(vals)) != len(vals):
-                raise ValueError("enumeration must be injective")
-            if any(not 0 <= v < arena.size for v in vals):
-                raise ValueError("enumeration value outside the arena")
-
-    def branch_sets(self) -> list[list[Node]]:
-        return [list(e.keys()) for e in self.enums]
-
-    def color(self, branch_vec: Sequence[Node]) -> TupleColor:
-        vec = tuple(self.enums[i][y] for i, y in enumerate(branch_vec))
-        return c_full(self.arena, vec)
-
-    def census(self) -> Counter:
-        out: Counter = Counter()
-        for combo in itertools.product(*self.branch_sets()):
-            out[self.color(combo)] += 1
-        return out
-
-
-def grid_coloring(arena: Arena, enums: Sequence[Mapping[Node, int]]) -> GridColoring:
-    """Total coloring of the product of the enumerated branch sets."""
-    return GridColoring(arena, enums)

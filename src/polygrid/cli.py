@@ -37,102 +37,12 @@ class UsageError(Exception):
 
 _REQUIRED = object()
 
-# per-subcommand parameter schema: key -> (type, default)
-_COMMON = {
+Schema = dict[str, tuple[type, object]]  # key -> (type, default)
+
+_COMMON: Schema = {
     "config": (str, ""),
     "out": (str, ""),
     "seed": (int, 0),
-    "threads": (int, 1),
-}
-
-_SCHEMAS: dict[str, dict[str, tuple[type, object]]] = {
-    "ramsey": {
-        "n": (int, 1),
-        "k": (int, 2),
-        "budget": (int, antiramsey.DEFAULT_BUDGET),
-    },
-    "difference-check": {
-        "n": (int, 1),
-        "size": (int, 8),
-        "mode": (str, "identity"),
-    },
-    "product-bound": {
-        "n": (int, 1),
-        "k": (int, 1),
-        "size": (int, 10),
-        "samples": (int, 0),
-    },
-    "ph-refute": {
-        "entry-bound": (int, 64),
-        "n": (int, 1),
-        "spread": (int, 8),
-        "sample": (int, 1000),
-    },
-    "delta-verify": {
-        "family": (str, _REQUIRED),
-        "certificate": (str, ""),
-    },
-    "delta-extract": {
-        "num-indices": (int, 200),
-        "planted": (int, 12),
-        "n": (int, 2),
-        "h": (int, 6),
-        "budget": (int, 200_000),
-        "family": (str, ""),
-    },
-    "force-pipeline": {
-        "d": (int, 2),
-        "k": (int, 2),
-        "depth-oracle": (int, 2),
-        "density": (int, 3),
-        "branches": (int, 8),
-        "buffer": (int, 4),
-        "oracle": (str, "seeded"),
-        "colors": (int, 2),
-        "value": (int, 0),
-        "theta": (int, 64),
-        "theta-cap": (int, 2 ** 14),
-    },
-    "hl-derive": {
-        "d": (int, 1),
-        "k": (int, 2),
-        "depth": (int, 8),
-        "r": (int, 2),
-        "coloring": (str, "constant"),
-        "value": (int, 0),
-        "roots": (str, ""),
-        "table": (str, ""),
-        "density": (int, 3),
-        "height": (int, 2),
-    },
-    "grid-search": {
-        "d": (int, 1),
-        "k": (int, 2),
-        "depth": (int, 4),
-        "r": (int, 2),
-        "coloring": (str, "constant"),
-        "value": (int, 0),
-        "roots": (str, ""),
-        "table": (str, ""),
-        "density": (int, 2),
-        "cap": (int, 64),
-    },
-    "sideways-build": {
-        "d": (int, 1),
-        "k": (int, 2),
-        "depth": (int, 4),
-        "j-bound": (int, 2),
-        "jmap": (str, "constant"),
-        "value": (int, 0),
-    },
-    "ddf-check": {
-        "d": (int, 2),
-        "k": (int, 2),
-        "depth": (int, 2),
-        "density": (int, 2),
-        "mcap": (int, 2),
-        "zfile": (str, ""),
-    },
 }
 
 
@@ -142,17 +52,36 @@ class RunConfig:
     params: dict[str, object]
     outdir: Path
     seed: int
-    threads: int
+
+
+# subcommand -> (its parameter schema, its handler)
+_COMMANDS: dict[str, tuple[Schema, Callable[[RunConfig], int]]] = {}
+
+
+def _command(name: str, schema: Schema):
+    """Register the decorated handler as subcommand `name`."""
+    def register(handler: Callable[[RunConfig], int]):
+        _COMMANDS[name] = (schema, handler)
+        return handler
+    return register
 
 
 def _usage() -> str:
     lines = ["usage: polygrid <subcommand> [--key value ...]", "subcommands:"]
-    for name in sorted(_SCHEMAS):
-        keys = " ".join(f"--{k}" for k in sorted(_SCHEMAS[name]))
+    for name in sorted(_COMMANDS):
+        keys = " ".join(f"--{k}" for k in sorted(_COMMANDS[name][0]))
         lines.append(f"  {name}: {keys}")
-    lines.append("common flags: --config FILE --out DIR --seed N --threads N")
+    lines.append("common flags: --config FILE --out DIR --seed N")
     lines.append(f"default output directory: ${OUTDIR_ENV} or the cwd")
     return "\n".join(lines)
+
+
+def _read_input(raw: str, what: str) -> str:
+    """Text of an input file named on the command line."""
+    path = Path(raw)
+    if not path.is_file():
+        raise UsageError(f"{what} file {raw!r} not found")
+    return path.read_text()
 
 
 def parse_config(argv: Sequence[str]) -> Optional[RunConfig]:
@@ -165,9 +94,9 @@ def parse_config(argv: Sequence[str]) -> Optional[RunConfig]:
         print(_usage())
         return None
     cmd = argv[0]
-    if cmd not in _SCHEMAS:
+    if cmd not in _COMMANDS:
         raise UsageError(f"unknown subcommand {cmd!r}")
-    schema = {**_COMMON, **_SCHEMAS[cmd]}
+    schema = {**_COMMON, **_COMMANDS[cmd][0]}
 
     flags: dict[str, str] = {}
     i = 1
@@ -183,10 +112,7 @@ def parse_config(argv: Sequence[str]) -> Optional[RunConfig]:
     merged: dict[str, str] = {}
     cfg_file = flags.get("config", "")
     if cfg_file:
-        path = Path(cfg_file)
-        if not path.is_file():
-            raise UsageError(f"config file {cfg_file!r} not found")
-        for raw in path.read_text().splitlines():
+        for raw in _read_input(cfg_file, "config").splitlines():
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -218,34 +144,22 @@ def parse_config(argv: Sequence[str]) -> Optional[RunConfig]:
 
     outdir = Path(str(params.pop("out")) or os.environ.get(OUTDIR_ENV, "."))
     seed = int(params.pop("seed"))
-    threads = int(params.pop("threads"))
-    if threads < 1:
-        raise UsageError("--threads must be >= 1")
-    return RunConfig(cmd, params, outdir, seed, threads)
+    return RunConfig(cmd, params, outdir, seed)
 
 
-# ---------------------------------------------------------------------------
-# artifact writers
-
-
-def _write_json(cfg: RunConfig, name: str, obj) -> None:
+def _write_artifacts(cfg: RunConfig, payload: dict,
+                     rows: Sequence[dict] = (), suffix: str = "") -> None:
+    """Write payload to <command><suffix>.json and, when rows are given,
+    a CSV headed by the first row's keys to <command><suffix>.csv."""
     cfg.outdir.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(obj, sort_keys=True, indent=2, default=str) + "\n"
-    (cfg.outdir / name).write_text(text)
-
-
-def _write_text(cfg: RunConfig, name: str, text: str) -> None:
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
-    (cfg.outdir / name).write_text(text)
-
-
-def _write_csv(cfg: RunConfig, name: str, header: Sequence[str], rows) -> None:
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
-    with open(cfg.outdir / name, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+    stem = f"{cfg.command}{suffix}"
+    text = json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n"
+    (cfg.outdir / f"{stem}.json").write_text(text)
+    if rows:
+        with open(cfg.outdir / f"{stem}.csv", "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(rows[0])
+            writer.writerows(row.values() for row in rows)
 
 
 def _parse_words(raw: str, d: int) -> list[tuple[int, ...]]:
@@ -270,13 +184,18 @@ def _parse_words(raw: str, d: int) -> list[tuple[int, ...]]:
 # handlers
 
 
+@_command("ramsey", {
+    "n": (int, 1),
+    "k": (int, 2),
+    "budget": (int, antiramsey.DEFAULT_BUDGET),
+})
 def _run_ramsey(cfg: RunConfig) -> int:
     n, k, budget = cfg.params["n"], cfg.params["k"], cfg.params["budget"]
     try:
         m_star = antiramsey.ramsey_m_star(n, k, budget)
         m_k = antiramsey.m_seq(n, k, budget)
     except antiramsey.BudgetError as exc:
-        _write_json(cfg, "ramsey.json", {
+        _write_artifacts(cfg, {
             "n": n, "k": k, "seed": cfg.seed, "ok": False,
             "budget": {
                 "message": str(exc),
@@ -288,44 +207,53 @@ def _run_ramsey(cfg: RunConfig) -> int:
         print(f"ramsey: budget exhausted: {exc}")
         return EXIT_BUDGET
     bad = antiramsey.find_bad_coloring(n, m_star - 1, k, budget)
-    _write_json(cfg, "ramsey.json", {
+    _write_artifacts(cfg, {
         "n": n, "k": k, "seed": cfg.seed, "ok": True,
         "m_star": m_star, "m_k": m_k,
         "bad_coloring_at": m_star - 1,
         "bad_coloring": None if bad is None else {
             ",".join(map(str, key)): val for key, val in sorted(bad.items())
         },
-    })
-    _write_csv(cfg, "ramsey.csv", ["n", "k", "m_star", "m_k"],
-               [[n, k, m_star, m_k]])
+    }, [{"n": n, "k": k, "m_star": m_star, "m_k": m_k}])
     print(m_star)
     return EXIT_OK
 
 
+@_command("difference-check", {
+    "n": (int, 1),
+    "size": (int, 8),
+    "mode": (str, "identity"),
+})
 def _run_difference(cfg: RunConfig) -> int:
     p = cfg.params
     arena = antiramsey.Arena(size=p["size"], dim=p["n"], mode=p["mode"],
                              seed=cfg.seed)
     rep = antiramsey.check_difference_lemma(arena)
-    _write_json(cfg, "difference-check.json", {
+    _write_artifacts(cfg, {
         "n": p["n"], "size": p["size"], "mode": p["mode"], "seed": cfg.seed,
         "eligible_pairs": rep.eligible_pairs,
         "violations": [
             [list(a), list(b), list(c)] for a, b, c in rep.violations
         ],
-    })
-    _write_csv(cfg, "difference-check.csv",
-               ["mode", "seed", "n", "size", "eligible_pairs", "violations"],
-               [[p["mode"], cfg.seed, p["n"], p["size"],
-                 rep.eligible_pairs, len(rep.violations)]])
+    }, [{"mode": p["mode"], "seed": cfg.seed, "n": p["n"], "size": p["size"],
+         "eligible_pairs": rep.eligible_pairs,
+         "violations": len(rep.violations)}])
     print(f"difference-check: {rep.eligible_pairs} pairs, "
           f"{len(rep.violations)} violations")
     return EXIT_OK if rep.ok else EXIT_FAIL
 
 
+@_command("product-bound", {
+    "n": (int, 1),
+    "k": (int, 1),
+    "size": (int, 10),
+    "samples": (int, 0),
+})
 def _run_product_bound(cfg: RunConfig) -> int:
     p = cfg.params
     n, k, size, samples = p["n"], p["k"], p["size"], p["samples"]
+    if samples < 0:
+        raise UsageError("--samples must be >= 0 (0 enumerates every pair)")
     try:
         m = antiramsey.m_seq(n, k)
     except antiramsey.BudgetError as exc:
@@ -357,86 +285,86 @@ def _run_product_bound(cfg: RunConfig) -> int:
         if min_census is None or len(census) < min_census:
             min_census = len(census)
     mode = "exhaustive" if samples == 0 else f"seeded:{samples}"
-    _write_json(cfg, "product-bound.json", {
+    _write_artifacts(cfg, {
         "n": n, "k": k, "size": size, "mode": mode, "seed": cfg.seed,
         "side_size": m, "pairs": len(pairs), "violations": violations,
         "min_census": min_census,
-    })
-    _write_csv(cfg, "product-bound.csv",
-               ["n", "k", "size", "mode", "pairs", "violations", "min_census"],
-               [[n, k, size, mode, len(pairs), violations, min_census]])
+    }, [{"n": n, "k": k, "size": size, "mode": mode, "pairs": len(pairs),
+         "violations": violations, "min_census": min_census}])
     print(f"product-bound: {len(pairs)} products, min census {min_census}, "
           f"{violations} violations")
     return EXIT_OK if violations == 0 else EXIT_FAIL
 
 
+@_command("ph-refute", {
+    "entry-bound": (int, 64),
+    "n": (int, 1),
+    "spread": (int, 8),
+})
 def _run_ph_refute(cfg: RunConfig) -> int:
     p = cfg.params
     gen = ph.make_cofinal(p["entry-bound"], p["n"] + 1, cfg.seed,
                           spread=p["spread"])
     arena = antiramsey.Arena(size=p["entry-bound"], dim=p["n"],
                              mode="identity")
-    ref = ph.refute(gen.fn, arena, seed=cfg.seed, sample=p["sample"])
+    ref = ph.refute(gen.fn, arena)
     verified = ph.verify_refutation(gen.fn, arena, ref)
     payload = ref.to_json()
     payload.update({"seed": cfg.seed, "skips": gen.skips,
                     "verified": verified})
-    _write_json(cfg, "ph-refute.json", payload)
-    _write_csv(cfg, "ph-refute.csv",
-               ["n", "entry_bound", "seed", "method", "ok", "verified"],
-               [[p["n"], p["entry-bound"], cfg.seed, ref.method,
-                 ref.ok, verified]])
+    _write_artifacts(cfg, payload, [{
+        "n": p["n"], "entry_bound": p["entry-bound"], "seed": cfg.seed,
+        "method": ref.method, "ok": ref.ok, "verified": verified}])
     print(f"ph-refute: method {ref.method}, verified {verified}")
     return EXIT_OK if ref.ok and verified else EXIT_FAIL
 
 
+@_command("delta-verify", {
+    "family": (str, _REQUIRED),
+    "certificate": (str, ""),
+})
 def _run_delta_verify(cfg: RunConfig) -> int:
     p = cfg.params
-    path = Path(str(p["family"]))
-    if not path.is_file():
-        raise UsageError(f"family file {p['family']!r} not found")
-    data = json.loads(path.read_text())
+    data = json.loads(_read_input(str(p["family"]), "family"))
     fam = deltasys.Family.from_json(data.get("family", data))
     outcome = deltasys.verify_uniform(fam)
     if isinstance(outcome, deltasys.Violation):
-        _write_json(cfg, "delta-verify.json", {
+        _write_artifacts(cfg, {
             "uniform": False, "seed": cfg.seed,
             "violation": outcome.to_json(),
-        })
-        _write_csv(cfg, "delta-verify.csv",
-                   ["uniform", "kind"], [[False, outcome.kind]])
+        }, [{"uniform": False, "kind": outcome.kind}])
         print(f"delta-verify: violation ({outcome.kind})")
         return EXIT_FAIL
     matches = None
     cert_file = str(p["certificate"])
     if cert_file:
-        cpath = Path(cert_file)
-        if not cpath.is_file():
-            raise UsageError(f"certificate file {cert_file!r} not found")
         stored = deltasys.UniformCertificate.from_json(
-            json.loads(cpath.read_text()))
+            json.loads(_read_input(cert_file, "certificate")))
         matches = (stored.dim == outcome.dim and stored.rho == outcome.rho
                    and stored.patterns == outcome.patterns)
-    _write_json(cfg, "delta-verify.json", {
+    _write_artifacts(cfg, {
         "uniform": True, "seed": cfg.seed,
         "certificate": outcome.to_json(),
         "matches_stored": matches,
-    })
-    _write_csv(cfg, "delta-verify.csv", ["uniform", "kind"],
-               [[True, "certificate"]])
+    }, [{"uniform": True, "kind": "certificate"}])
     print("delta-verify: uniform"
           + ("" if matches is None else f", matches stored: {matches}"))
     return EXIT_OK if matches in (None, True) else EXIT_FAIL
 
 
+@_command("delta-extract", {
+    "num-indices": (int, 200),
+    "planted": (int, 12),
+    "n": (int, 2),
+    "h": (int, 6),
+    "budget": (int, 200_000),
+    "family": (str, ""),
+})
 def _run_delta_extract(cfg: RunConfig) -> int:
     p = cfg.params
     fam_file = str(p["family"])
     if fam_file:
-        fpath = Path(fam_file)
-        if not fpath.is_file():
-            raise UsageError(f"family file {fam_file!r} not found")
-        data = json.loads(fpath.read_text())
+        data = json.loads(_read_input(fam_file, "family"))
         fam = deltasys.Family.from_json(data.get("family", data))
         labels = {
             deltasys._key_from_str(key): val
@@ -447,36 +375,44 @@ def _run_delta_extract(cfg: RunConfig) -> int:
             p["num-indices"], p["planted"], p["n"], cfg.seed)
     res = deltasys.extract_uniform(fam, p["h"], labels, budget=p["budget"])
     if not res.ok:
-        _write_json(cfg, "delta-extract.json", {
+        reason = (res.failure or {}).get("reason", "")
+        _write_artifacts(cfg, {
             "ok": False, "seed": cfg.seed, "method": res.method,
             "nodes_used": res.nodes_used, "failure": res.failure,
-        })
-        _write_csv(cfg, "delta-extract.csv",
-                   ["ok", "method", "h", "reason"],
-                   [[False, res.method, p["h"],
-                     (res.failure or {}).get("reason", "")]])
-        reason = (res.failure or {}).get("reason", "")
+        }, [{"ok": False, "method": res.method, "h": p["h"],
+             "reason": reason}])
         print(f"delta-extract: failed ({reason})")
         return EXIT_BUDGET if reason == "budget" else EXIT_FAIL
     sub = deltasys.restrict(fam, res.indices)
     recheck = deltasys.verify_uniform(sub)
     sound = (isinstance(recheck, deltasys.UniformCertificate)
              and recheck.patterns == res.certificate.patterns)
-    _write_json(cfg, "delta-extract.json", {
+    _write_artifacts(cfg, {
         "ok": True, "seed": cfg.seed, "method": res.method,
         "nodes_used": res.nodes_used,
         "indices": list(res.indices.elems),
         "g_value": res.g_value,
         "certificate": res.certificate.to_json(),
         "revalidated": sound,
-    })
-    _write_csv(cfg, "delta-extract.csv", ["ok", "method", "h", "reason"],
-               [[True, res.method, p["h"], ""]])
+    }, [{"ok": True, "method": res.method, "h": p["h"], "reason": ""}])
     print(f"delta-extract: |H'| = {res.indices.otp} via {res.method}, "
           f"revalidated {sound}")
     return EXIT_OK if sound else EXIT_FAIL
 
 
+@_command("force-pipeline", {
+    "d": (int, 2),
+    "k": (int, 2),
+    "depth-oracle": (int, 2),
+    "density": (int, 3),
+    "branches": (int, 8),
+    "buffer": (int, 4),
+    "oracle": (str, "seeded"),
+    "colors": (int, 2),
+    "value": (int, 0),
+    "theta": (int, 64),
+    "theta-cap": (int, 2 ** 14),
+})
 def _run_force_pipeline(cfg: RunConfig) -> int:
     p = cfg.params
     oracle = forcing.ColoringOracle(
@@ -489,13 +425,12 @@ def _run_force_pipeline(cfg: RunConfig) -> int:
         theta_start=p["theta"], theta_cap=p["theta-cap"],
     )
     res.transcript["seed"] = cfg.seed
-    _write_text(cfg, "force-pipeline.json", res.transcript_json())
+    _write_artifacts(cfg, res.transcript, [{
+        "d": p["d"], "k": p["k"], "seed": cfg.seed, "ok": res.ok,
+        "theta": res.theta, "color": res.color,
+        "failure": res.failure or ""}])
     if res.witness is not None:
-        _write_json(cfg, "force-pipeline-witness.json", res.witness.to_json())
-    _write_csv(cfg, "force-pipeline.csv",
-               ["d", "k", "seed", "ok", "theta", "color", "failure"],
-               [[p["d"], p["k"], cfg.seed, res.ok, res.theta,
-                 res.color, res.failure or ""]])
+        _write_artifacts(cfg, res.witness.to_json(), suffix="-witness")
     print(f"force-pipeline: ok={res.ok} theta={res.theta} color={res.color}"
           + (f" failure={res.failure}" if res.failure else ""))
     if res.ok:
@@ -504,37 +439,54 @@ def _run_force_pipeline(cfg: RunConfig) -> int:
 
 
 def _coloring_from(cfg: RunConfig) -> hl.LevelColoring:
+    """The --coloring named on the command line, --density checked against it."""
     p = cfg.params
     kind = str(p["coloring"])
-    table = {}
     if kind == "table":
         tfile = str(p["table"])
         if not tfile:
             raise UsageError("--table FILE is required for the table kind")
-        tpath = Path(tfile)
-        if not tpath.is_file():
-            raise UsageError(f"table file {tfile!r} not found")
-        return hl.LevelColoring.from_json(json.loads(tpath.read_text()))
-    roots: tuple[tuple[int, ...], ...] = ()
-    if kind == "planted-grid":
-        raw = str(p["roots"])
-        if not raw:
-            raise UsageError("--roots is required for planted-grid")
-        roots = tuple(_parse_words(raw, p["d"]))
-    try:
-        return hl.LevelColoring(
-            k=p["k"], d=p["d"], depth=p["depth"], r=p["r"], kind=kind,
-            value=p["value"], seed=cfg.seed, roots=roots, table=table,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc))
+        gamma = hl.LevelColoring.from_json(
+            json.loads(_read_input(tfile, "table")))
+    else:
+        roots: tuple[tuple[int, ...], ...] = ()
+        if kind == "planted-grid":
+            raw = str(p["roots"])
+            if not raw:
+                raise UsageError("--roots is required for planted-grid")
+            roots = tuple(_parse_words(raw, p["d"]))
+        try:
+            gamma = hl.LevelColoring(
+                k=p["k"], d=p["d"], depth=p["depth"], r=p["r"], kind=kind,
+                value=p["value"], seed=cfg.seed, roots=roots,
+            )
+        except ValueError as exc:
+            raise UsageError(str(exc))
+    if not 1 <= p["density"] <= gamma.depth:
+        raise UsageError("--density must lie between 1 and --depth")
+    return gamma
 
 
+_COLORING_SCHEMA: Schema = {
+    "d": (int, 1),
+    "k": (int, 2),
+    "r": (int, 2),
+    "coloring": (str, "constant"),
+    "value": (int, 0),
+    "roots": (str, ""),
+    "table": (str, ""),
+}
+
+
+@_command("hl-derive", {
+    **_COLORING_SCHEMA,
+    "depth": (int, 8),
+    "density": (int, 3),
+    "height": (int, 2),
+})
 def _run_hl_derive(cfg: RunConfig) -> int:
     p = cfg.params
     gamma = _coloring_from(cfg)
-    if not 1 <= p["density"] <= gamma.depth:
-        raise UsageError("--density must lie between 1 and --depth")
     if str(p["roots"]):
         roots = [tuple(w) for w in _parse_words(str(p["roots"]), gamma.d)]
     elif gamma.kind == "planted-grid":
@@ -545,7 +497,7 @@ def _run_hl_derive(cfg: RunConfig) -> int:
         raise UsageError("roots must not exceed the density depth")
     grid = hl.cone_grid(gamma, roots, p["density"])
     if grid is None:
-        _write_json(cfg, "hl-derive.json", {
+        _write_artifacts(cfg, {
             "ok": False, "seed": cfg.seed, "coloring": gamma.to_json(),
             "reason": "no constant-color cone grid at the given roots",
         })
@@ -555,46 +507,54 @@ def _run_hl_derive(cfg: RunConfig) -> int:
     payload = res.to_json()
     payload.update({"seed": cfg.seed, "coloring": gamma.to_json(),
                     "grid": grid.to_json()})
-    _write_json(cfg, "hl-derive.json", payload)
-    _write_csv(cfg, "hl-derive.csv",
-               ["kind", "d", "k", "depth", "height", "full", "failed_stage"],
-               [[gamma.kind, gamma.d, gamma.k, gamma.depth, res.height,
-                 res.full, "" if res.failed_stage is None else res.failed_stage]])
+    _write_artifacts(cfg, payload, [{
+        "kind": gamma.kind, "d": gamma.d, "k": gamma.k, "depth": gamma.depth,
+        "height": res.height, "full": res.full,
+        "failed_stage": "" if res.failed_stage is None else res.failed_stage}])
     print(f"hl-derive: full={res.full} height={res.height}"
           + (f" reason={res.reason}" if res.reason else ""))
     return EXIT_OK if res.full else EXIT_FAIL
 
 
+@_command("grid-search", {
+    **_COLORING_SCHEMA,
+    "depth": (int, 4),
+    "density": (int, 2),
+    "cap": (int, 64),
+})
 def _run_grid_search(cfg: RunConfig) -> int:
     p = cfg.params
     gamma = _coloring_from(cfg)
-    if not 1 <= p["density"] <= gamma.depth:
-        raise UsageError("--density must lie between 1 and --depth")
     shapes = [trees.TreeShape(gamma.k, gamma.depth, index=i)
               for i in range(gamma.d)]
     fn = hl.surrogate_fn(gamma)
     witness = hl.search_grid(fn, shapes, p["density"], p["cap"])
     if witness is None:
-        _write_json(cfg, "grid-search.json", {
+        _write_artifacts(cfg, {
             "found": False, "seed": cfg.seed, "coloring": gamma.to_json(),
         })
         print("grid-search: no monochromatic grid")
         return EXIT_FAIL
     ok, report = trees.validate_grid_witness(witness, fn)
-    _write_json(cfg, "grid-search.json", {
+    _write_artifacts(cfg, {
         "found": True, "seed": cfg.seed, "coloring": gamma.to_json(),
         "witness": witness.to_json(),
         "validation": {"ok": ok, "tuples": report["tuples"],
                        "color_failures": report["color_failures"]},
-    })
-    _write_csv(cfg, "grid-search.csv",
-               ["kind", "d", "density", "cap", "color", "validated"],
-               [[gamma.kind, gamma.d, p["density"], p["cap"],
-                 witness.color, ok]])
+    }, [{"kind": gamma.kind, "d": gamma.d, "density": p["density"],
+         "cap": p["cap"], "color": witness.color, "validated": ok}])
     print(f"grid-search: found color {witness.color}, validated {ok}")
     return EXIT_OK if ok else EXIT_FAIL
 
 
+@_command("sideways-build", {
+    "d": (int, 1),
+    "k": (int, 2),
+    "depth": (int, 4),
+    "j-bound": (int, 2),
+    "jmap": (str, "constant"),
+    "value": (int, 0),
+})
 def _run_sideways(cfg: RunConfig) -> int:
     p = cfg.params
     d, k, depth, j_bound = p["d"], p["k"], p["depth"], p["j-bound"]
@@ -619,64 +579,52 @@ def _run_sideways(cfg: RunConfig) -> int:
         color = fn(combo)
         table[key] = color
         census[color] += 1
-    _write_json(cfg, "sideways-build.json", {
+    _write_artifacts(cfg, {
         "d": d, "k": k, "depth": depth, "j_bound": j_bound,
         "jmap": kind, "seed": cfg.seed, "table": table,
-    })
-    _write_csv(cfg, "sideways-build.csv", ["color", "count"],
-               [[c, census[c]] for c in sorted(census)])
+    }, [{"color": c, "count": census[c]} for c in sorted(census)])
     print(f"sideways-build: {len(table)} tuples, census "
           + ", ".join(f"{c}:{census[c]}" for c in sorted(census)))
     return EXIT_OK
 
 
+@_command("ddf-check", {
+    "d": (int, 2),
+    "k": (int, 2),
+    "depth": (int, 2),
+    "density": (int, 2),
+    "mcap": (int, 2),
+    "zfile": (str, ""),
+})
 def _run_ddf_check(cfg: RunConfig) -> int:
     p = cfg.params
+    if p["d"] < 1:
+        raise UsageError("--d must be >= 1")
+    if not 0 <= p["density"] <= p["depth"]:
+        raise UsageError("--density must lie between 0 and --depth")
+    if p["mcap"] < 1:
+        raise UsageError("--mcap must be >= 1")
     shapes = [trees.TreeShape(p["k"], p["depth"], index=i)
               for i in range(p["d"])]
     zfile = str(p["zfile"])
     if zfile:
-        zpath = Path(zfile)
-        if not zpath.is_file():
-            raise UsageError(f"z file {zfile!r} not found")
         Z = [
             tuple(trees.Node(i, trees.word_from_str(s))
                   for i, s in enumerate(entry))
-            for entry in json.loads(zpath.read_text())
+            for entry in json.loads(_read_input(zfile, "z"))
         ]
     else:
         Z = list(itertools.product(*(trees.branches(s) for s in shapes)))
     ok = trees.is_ddf_to_depth(shapes, Z, p["density"], p["mcap"])
-    _write_json(cfg, "ddf-check.json", {
+    _write_artifacts(cfg, {
         "d": p["d"], "k": p["k"], "depth": p["depth"],
         "density": p["density"], "mcap": p["mcap"], "seed": cfg.seed,
         "size": len(Z), "ok": ok,
-    })
-    _write_csv(cfg, "ddf-check.csv",
-               ["d", "k", "depth", "density", "mcap", "size", "ok"],
-               [[p["d"], p["k"], p["depth"], p["density"], p["mcap"],
-                 len(Z), ok]])
+    }, [{"d": p["d"], "k": p["k"], "depth": p["depth"],
+         "density": p["density"], "mcap": p["mcap"], "size": len(Z),
+         "ok": ok}])
     print(f"ddf-check: {len(Z)} tuples, ok={ok}")
     return EXIT_OK if ok else EXIT_FAIL
-
-
-_HANDLERS: dict[str, Callable[[RunConfig], int]] = {
-    "ramsey": _run_ramsey,
-    "difference-check": _run_difference,
-    "product-bound": _run_product_bound,
-    "ph-refute": _run_ph_refute,
-    "delta-verify": _run_delta_verify,
-    "delta-extract": _run_delta_extract,
-    "force-pipeline": _run_force_pipeline,
-    "hl-derive": _run_hl_derive,
-    "grid-search": _run_grid_search,
-    "sideways-build": _run_sideways,
-    "ddf-check": _run_ddf_check,
-}
-
-
-def dispatch(cfg: RunConfig) -> int:
-    return _HANDLERS[cfg.command](cfg)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -689,7 +637,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if cfg is None:
         return EXIT_OK
     try:
-        return dispatch(cfg)
+        return _COMMANDS[cfg.command][1](cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

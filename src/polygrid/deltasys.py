@@ -109,14 +109,7 @@ class UniformCertificate:
         return sorted(m for m, v in self.patterns.items() if v is None)
 
     def lattice_ok(self) -> bool:
-        det = {m: v for m, v in self.patterns.items() if v is not None}
-        for m0, m1 in itertools.combinations_with_replacement(sorted(det), 2):
-            meet = tuple(sorted(set(m0) & set(m1)))
-            if meet in det:
-                want = set(det[m0].elems) & set(det[m1].elems)
-                if set(det[meet].elems) != want:
-                    return False
-        return True
+        return _lattice_failure(self.patterns) is None
 
     def to_json(self) -> dict:
         return {
@@ -151,6 +144,20 @@ class Violation:
 VerifyOutcome = Union[UniformCertificate, Violation]
 
 
+def _lattice_failure(
+    patterns: Mapping[Key, Optional[OrdSet]],
+) -> Optional[tuple[Key, Key, Key]]:
+    """First (m0, m1, meet) among determined patterns whose determined meet
+    is not the intersection of their position sets; None if there is none."""
+    det = {m: v for m, v in patterns.items() if v is not None}
+    for m0, m1 in itertools.combinations_with_replacement(sorted(det), 2):
+        meet = tuple(sorted(set(m0) & set(m1)))
+        if meet in det and set(det[meet].elems) != (
+                set(det[m0].elems) & set(det[m1].elems)):
+            return m0, m1, meet
+    return None
+
+
 def _all_patterns(dim: int) -> list[Key]:
     out = []
     for r in range(dim + 1):
@@ -178,8 +185,7 @@ def verify_uniform(fam: Family) -> VerifyOutcome:
     witnesses: dict[Key, tuple[Key, Key]] = {}
     full = tuple(range(fam.dim))
     patterns[full] = OrdSet(tuple(range(rho)))
-    if keys:
-        witnesses[full] = (keys[0], keys[0])
+    witnesses[full] = (keys[0], keys[0])
     for a, b in itertools.combinations(keys, 2):
         oa, ob = OrdSet(a), OrdSet(b)
         if not aligned(oa, ob):
@@ -197,16 +203,12 @@ def verify_uniform(fam: Family) -> VerifyOutcome:
             return Violation("pattern-mismatch", (a, b),
                              {"pattern": m, "expected": patterns[m].elems,
                               "got": r.elems, "first_witness": witnesses[m]})
-    cert = UniformCertificate(fam.dim, rho, patterns, witnesses)
-    if not cert.lattice_ok():
-        det = {m: v for m, v in patterns.items() if v is not None}
-        for m0, m1 in itertools.combinations_with_replacement(sorted(det), 2):
-            meet = tuple(sorted(set(m0) & set(m1)))
-            if meet in det and set(det[meet].elems) != (
-                    set(det[m0].elems) & set(det[m1].elems)):
-                return Violation("lattice", (m0, m1),
-                                 {"meet": meet, "r_meet": det[meet].elems})
-    return cert
+    bad = _lattice_failure(patterns)
+    if bad is not None:
+        m0, m1, meet = bad
+        return Violation("lattice", (m0, m1),
+                         {"meet": meet, "r_meet": patterns[meet].elems})
+    return UniformCertificate(fam.dim, rho, patterns, witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +336,6 @@ def extract_uniform(fam: Family, h: int, g, budget: int = 200_000) -> ExtractRes
                              {"reason": "candidate pool smaller than h",
                               "pool": n_idx, "h": h})
 
-    import math
     if math.comb(n_idx, h) <= EXHAUSTIVE_LIMIT:
         return _exhaustive(fam, h, labels, budget)
 

@@ -11,7 +11,6 @@ monochromatic grid witness that is re-validated from scratch.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Optional, Sequence
@@ -263,7 +262,7 @@ def decide_color(
 
 
 # ---------------------------------------------------------------------------
-# dense steps and predensity
+# dense steps
 
 
 @dataclass
@@ -288,58 +287,6 @@ def meet_dense(schedule: Sequence[DenseStep], start: Condition) -> list[Conditio
             raise ValueError(f"step {step.name!r} missed its dense set")
         chain.append(r)
     return chain
-
-
-@dataclass
-class PredenseReport:
-    verdict: str  # "predense" | "counterexample" | "budget"
-    examined: int
-    counterexample: Optional[Condition] = None
-
-
-def predense_check(
-    members: Sequence[Condition],
-    q: Condition,
-    window: Sequence[int],
-    depth_bound: int,
-    budget: int = 100_000,
-) -> PredenseReport:
-    """Search the truncated extension space below q for a condition
-    incompatible with every member.
-
-    Only maximal extensions need checking: incompatibility survives
-    deepening, so any counterexample is caught at the bound.  Rows stay
-    inside window, words inside depth_bound.  Exhausting the budget gives
-    the indeterminate verdict, distinct from a counterexample.
-    """
-    window = sorted(set(window))
-    if not set(q.domain()) <= set(window):
-        raise ValueError("window must contain the domain of q")
-    qd = q.as_dict()
-    slot_choices: list[list[Word]] = []
-    slots: list[tuple[int, int]] = []
-    for alpha in window:
-        base = qd.get(alpha, ((),) * q.d)
-        for i in range(q.d):
-            w = base[i]
-            slots.append((alpha, i))
-            if len(w) >= depth_bound:
-                slot_choices.append([w])
-            else:
-                exts = itertools.product(range(q.k), repeat=depth_bound - len(w))
-                slot_choices.append([w + e for e in exts])
-    examined = 0
-    for pick in itertools.product(*slot_choices):
-        examined += 1
-        if examined > budget:
-            return PredenseReport("budget", examined - 1)
-        assign: dict[int, list[Word]] = {a: [()] * q.d for a in window}
-        for (alpha, i), w in zip(slots, pick):
-            assign[alpha][i] = w
-        r = Condition.of(q.k, q.d, {a: tuple(v) for a, v in assign.items()})
-        if not any(compatible(r, m) for m in members):
-            return PredenseReport("counterexample", examined, r)
-    return PredenseReport("predense", examined)
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +322,6 @@ class PipelineResult:
     transcript: dict
     failure: Optional[str] = None
 
-    def transcript_json(self) -> str:
-        return json.dumps(self.transcript, sort_keys=True, indent=2) + "\n"
-
 
 def run_pipeline(
     oracle: ColoringOracle,
@@ -387,7 +331,6 @@ def run_pipeline(
     theta_start: int = 64,
     theta_cap: int = 2 ** 14,
     extract_budget: int = 400_000,
-    keep_chain: bool = True,
 ) -> PipelineResult:
     """Drive the full forcing argument at desk scale.
 
@@ -587,8 +530,7 @@ def run_pipeline(
                 )
     transcript["matrix"] = matrix
     transcript["stages"] = stage_log
-    if keep_chain:
-        transcript["chain"] = [c.to_json() for c in chain]
+    transcript["chain"] = [c.to_json() for c in chain]
 
     full_depth = max(density_depth, oracle.depth + max(len(t) for t in tags))
     branch_sets = []

@@ -1,6 +1,6 @@
 """Level colorings, the grid search, and the grid-to-strong-subtree step.
 
-A LevelColoring colors same-height node tuples.  Branch tuples get a
+A LevelColoring colors same-height node tuples.  Tuples of branches get a
 surrogate color by majority vote over their level truncations, the search
 hunts for a monochromatic somewhere-dense grid under a branch coloring,
 and the derivation replays the subtree construction stage by stage against
@@ -526,24 +526,6 @@ def derive_strong_subtrees(
     assert witness is not None and witness.height == h
     assert verify_hl_witness(gamma, witness)
     return DeriveResult(True, witness, h)
-
-
-def grid_for(
-    gamma: LevelColoring, density_depth: int, cap: int
-) -> Optional[GridWitness]:
-    """Search for a grid under the surrogate branch coloring and validate it.
-
-    Exhaustive, so only sensible for small trees; structured colorings
-    whose cone is known should use cone_grid instead.
-    """
-    shapes = [TreeShape(gamma.k, gamma.depth, index=i) for i in range(gamma.d)]
-    fn = surrogate_fn(gamma)
-    w = search_grid(fn, shapes, density_depth, cap)
-    if w is None:
-        return None
-    ok, _ = validate_grid_witness(w, fn)
-    assert ok
-    return w
 
 
 def cone_grid(

@@ -46,13 +46,6 @@ class OrdSet:
         """Subset sitting at the given positions: {a(eta) : eta in I}."""
         return OrdSet(tuple(self.at(eta) for eta in sorted(set(positions))))
 
-    def position_of(self, x: int) -> int:
-        """Inverse of at(): the number of elements below x, for x a member."""
-        try:
-            return self.elems.index(x)
-        except ValueError:
-            raise ValueError(f"{x} not a member") from None
-
     def union(self, other: "OrdSet") -> "OrdSet":
         return OrdSet.of(set(self.elems) | set(other.elems))
 
@@ -77,16 +70,6 @@ class OrdSet:
         return cls(tuple(data))
 
 
-def index(a: OrdSet, eta: int) -> int:
-    """a(eta): the unique member of a with order type eta below it."""
-    return a.at(eta)
-
-
-def slice(a: OrdSet, I: OrdSet) -> OrdSet:  # noqa: A001 - the operation's name
-    """a[I] = {a(eta) : eta in I}."""
-    return a.select(I.elems)
-
-
 def aligned(a: OrdSet, b: OrdSet) -> bool:
     """Same order type, and every common element occupies the same position."""
     if a.otp != b.otp:
@@ -102,7 +85,7 @@ def aligned(a: OrdSet, b: OrdSet) -> bool:
 def rset(a: OrdSet, b: OrdSet) -> OrdSet:
     """Positions where two aligned sets carry the same element.
 
-    Postcondition (tested): slice(a, rset(a,b)) == slice(b, rset(a,b)) ==
+    Postcondition (tested): a.select(rset(a,b)) == b.select(rset(a,b)) ==
     the intersection of a and b.
     """
     if not aligned(a, b):

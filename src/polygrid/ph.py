@@ -237,15 +237,12 @@ def _colored(arena: Arena, values: SeqTuple) -> TupleColor:
     return c_full(arena, values)
 
 
-def refute(F: CofinalFn, arena: Arena, seed: int = 0,
-           sample: int = 1000) -> Refutation:
+def refute(F: CofinalFn, arena: Arena) -> Refutation:
     """Exhibit two chains whose composed colors differ.
 
-    Probes the canonical chain first.  When its color slot lands below the
-    dimension, the divergent pair at that slot settles it: either the pair's
-    two colors differ, or the pair disagrees with the probe.  A slot at or
-    above the dimension (unreachable for strict tables, kept for safety)
-    falls back to seeded sampling.
+    Probes the canonical chain first.  Its color slot lies below the
+    dimension, and the divergent pair at that slot settles it: either the
+    pair's two colors differ, or the pair disagrees with the probe.
     """
     n = F.arity - 1
     if arena.dim != n:
@@ -256,10 +253,9 @@ def refute(F: CofinalFn, arena: Arena, seed: int = 0,
     probe = _canonical_probe(n)
     pv = fstar(F, probe)
     v = _colored(arena, pv)
-
-    if v.slot >= n:
-        return _sampled_refutation(F, arena, probe, v, seed, sample)
-
+    # the probe's values increase strictly, so the slot is the rank of the
+    # distinguished element, which is pulled back from below the maximum
+    assert v.slot < n, "distinguished element is the maximum"
     s0, s1 = sigma_pair(F, v.slot)
     w0, w1 = fstar(F, s0), fstar(F, s1)
     # structural assertions: the difference hypothesis holds by construction
@@ -281,37 +277,6 @@ def refute(F: CofinalFn, arena: Arena, seed: int = 0,
     if v != v0:
         return Refutation(True, "constructed", probe, s0, v, v0, probe, v, transcript)
     raise AssertionError("divergent pair produced three equal colors")
-
-
-def _sampled_refutation(F: CofinalFn, arena: Arena, probe: Sigma,
-                        v: TupleColor, seed: int, sample: int) -> Refutation:
-    n = F.arity - 1
-    rng = Random(f"refute-sample:{seed}")
-    tried = 0
-    for _ in range(sample):
-        sigma = _random_chain(rng, n, F.entry_bound)
-        tried += 1
-        try:
-            w = fstar(F, sigma)
-            c = _colored(arena, w)
-        except ValueError:
-            continue
-        if c != v:
-            return Refutation(True, "sampled", probe, sigma, v, c, probe, v,
-                              {"probes_tried": tried})
-    return Refutation(False, "sampled", probe, probe, v, v, probe, v,
-                      {"probes_tried": tried, "note": "no differing probe found"})
-
-
-def _random_chain(rng: Random, n: int, bound: int) -> Sigma:
-    """A seeded increasing chain: grow by inserting one fresh entry a level."""
-    entries = [rng.randrange(bound)]
-    chain = [tuple(entries)]
-    for _ in range(n):
-        pos = rng.randrange(len(entries) + 1)
-        entries.insert(pos, rng.randrange(bound))
-        chain.append(tuple(entries))
-    return tuple(chain)
 
 
 def verify_refutation(F: CofinalFn, arena: Arena, r: Refutation) -> bool:

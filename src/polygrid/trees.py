@@ -49,10 +49,6 @@ class Node:
         return Node(self.tree, self.word + (letter,))
 
 
-# A branch is just a node of full length; no separate runtime type.
-Branch = Node
-
-
 def node_key(t: Node) -> tuple[int, tuple[int, ...]]:
     """Shortlex order: by height, then lexicographically."""
     return (len(t.word), t.word)
@@ -153,48 +149,6 @@ def is_strong_subtree(w: StrongSubtreeWitness, shape: TreeShape) -> bool:
     return True
 
 
-def product_shape(shapes: Sequence[TreeShape]) -> TreeShape:
-    depths = {s.depth for s in shapes}
-    if len(depths) != 1:
-        raise ValueError("trees must share a depth to form a level product")
-    k = 1
-    for s in shapes:
-        k *= s.k
-    return TreeShape(k=k, depth=depths.pop(), index=0)
-
-
-def encode_product_node(shapes: Sequence[TreeShape], nodes: Sequence[Node]) -> Node:
-    """Encode a same-height node tuple as one node of the product tree.
-
-    Letter j of the encoding packs the j-th letters of all coordinates in
-    mixed radix, so coordinatewise extension matches extension of codes.
-    """
-    if not is_level_tuple(nodes):
-        raise ValueError("product encoding needs a same-height tuple")
-    strides = [1] * len(shapes)
-    for i in range(len(shapes) - 2, -1, -1):
-        strides[i] = strides[i + 1] * shapes[i + 1].k
-    word = tuple(
-        sum(nodes[i].word[j] * strides[i] for i in range(len(shapes)))
-        for j in range(nodes[0].height)
-    )
-    return Node(0, word)
-
-
-def product_witness(
-    shapes: Sequence[TreeShape], parts: Sequence[StrongSubtreeWitness]
-) -> StrongSubtreeWitness:
-    """Combine per-tree strong subtrees into one over the level product."""
-    level_sets = []
-    base = parts[0].levels
-    if any(p.levels != base for p in parts):
-        raise ValueError("witnesses must share their level set")
-    for m in range(base.otp):
-        combos = itertools.product(*(p.level_sets[m] for p in parts))
-        level_sets.append(frozenset(encode_product_node(shapes, c) for c in combos))
-    return StrongSubtreeWitness(levels=base, level_sets=tuple(level_sets))
-
-
 # ---------------------------------------------------------------------------
 # density
 
@@ -223,31 +177,6 @@ def is_dense_above(shape: TreeShape, Y: Iterable[Node], t: Node, D: int) -> bool
     ys = _check_branch_set(shape, Y)
     prefixes = {y.word[:D] for y in ys if y.word[:h] == t.word}
     return len(prefixes) == shape.k ** (D - h)
-
-
-def is_somewhere_dense_grid(
-    shapes: Sequence[TreeShape], Ys: Sequence[Iterable[Node]], D: int
-) -> Optional[tuple[Node, ...]]:
-    """Least root tuple above which every coordinate set is dense to depth D.
-
-    Only proper roots (height below D) count: at height D density is
-    vacuous, one branch through the node suffices, and no nonempty set
-    could ever fail.  Coordinates are independent, so the lexicographically
-    least tuple is the tuple of per-coordinate least roots in shortlex
-    order; None if some coordinate has no proper dense root.
-    """
-    roots = []
-    for shape, Y in zip(shapes, Ys):
-        ys = list(Y)
-        found = None
-        for t in all_nodes(shape, max(D - 1, 0)):
-            if is_dense_above(shape, ys, t, D):
-                found = t
-                break
-        if found is None:
-            return None
-        roots.append(found)
-    return tuple(roots)
 
 
 def is_u_set(Y: Iterable[Node], cones: Iterable[Node], D: int) -> bool:

@@ -217,7 +217,7 @@ def test_criterion_06_ph_refutation():
     for seed in range(100):
         gen = make_cofinal(64, 2, seed)
         assert is_cofinal(gen.fn, strict=True).ok
-        r = refute(gen.fn, arena, seed=seed)
+        r = refute(gen.fn, arena)
         assert r.ok, f"no refutation at seed {seed}"
         # re-verify the two sigmas from scratch
         ca = c_full(arena, fstar(gen.fn, r.sigma_a))

@@ -13,14 +13,12 @@ from polygrid.antiramsey import (
     check_difference_lemma,
     cn,
     find_bad_coloring,
-    grid_coloring,
     m_seq,
     ramsey_m_star,
     star,
     verify_product_bound,
 )
 from polygrid.ordset import OrdSet
-from polygrid.trees import Node, TreeShape, branches
 
 ID1 = Arena(size=10, dim=1, mode="identity")
 ID2 = Arena(size=10, dim=2, mode="identity")
@@ -85,12 +83,14 @@ def test_star_values():
 
 
 def test_star_membership_and_not_max():
-    for arena in (ID2, Arena(size=8, dim=2, mode="seeded", seed=5)):
-        M = arena.size
-        for triple in itertools.combinations(range(min(M, 8)), 3):
-            s = star(arena, OrdSet.of(triple))
-            assert s in triple
-            assert s != max(triple)
+    # ph.refute asserts its probe slot lies below n on the strength of this
+    for n in (1, 2, 3):
+        for arena in (Arena(size=10, dim=n, mode="identity"),
+                      Arena(size=8, dim=n, mode="seeded", seed=5)):
+            for elems in itertools.combinations(range(arena.size), n + 1):
+                s = star(arena, OrdSet(elems))
+                assert s in elems
+                assert s != max(elems)
 
 
 # ---------------------------------------------------------------------------
@@ -209,40 +209,6 @@ def test_difference_pairs_share_max():
             assert max(a) == max(b)
             assert cn(arena, sa) != cn(arena, sb)
     assert count > 0
-
-
-# ---------------------------------------------------------------------------
-# the grid coloring
-
-
-def _enum(shape, offset=0):
-    return {y: offset + i for i, y in enumerate(branches(shape))}
-
-
-def test_grid_coloring_singletons():
-    enums = [
-        {Node(0, (0,)): 3},
-        {Node(1, (1,)): 7},
-    ]
-    g = grid_coloring(ID1, enums)
-    assert len(g.census()) == 1
-
-
-def test_grid_coloring_rejects_collisions():
-    enums = [
-        {Node(0, (0,)): 3, Node(0, (1,)): 3},
-        {Node(1, (0,)): 0},
-    ]
-    with pytest.raises(ValueError):
-        grid_coloring(ID1, enums)
-
-
-def test_grid_coloring_census_beats_two():
-    arena = Arena(size=24, dim=1, mode="identity")
-    shapes = [TreeShape(12, 1, 0), TreeShape(12, 1, 1)]
-    enums = [_enum(shapes[0]), _enum(shapes[1], offset=12)]
-    g = grid_coloring(arena, enums)
-    assert len(g.census()) > 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,55 @@
+"""The benchmark's tracing wrappers must find every name they patch.
+
+bench/tracing.py wraps module functions and class methods by name from
+outside the program; deleting or renaming one of them breaks the traced
+benchmark.  This test installs the wrappers on the package, runs one job
+through the traced entry point, and checks that restore() puts back every
+original binding.
+"""
+
+import importlib.util
+from pathlib import Path
+from types import SimpleNamespace
+
+from polygrid import antiramsey, cli, deltasys, forcing, hl, ordset, ph, trees
+
+_TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+_MODULES = (antiramsey, cli, deltasys, forcing, hl, ordset, ph, trees)
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", _TRACING)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _bindings() -> dict:
+    """Every module attribute and every attribute of a module's classes."""
+    out = {}
+    for mod in _MODULES:
+        for name, val in vars(mod).items():
+            out[mod.__name__, name] = val
+            if isinstance(val, type):
+                for attr, member in vars(val).items():
+                    out[mod.__name__, name, attr] = member
+    return out
+
+
+def test_bench_tracing_installs_and_restores(tmp_path):
+    tracing = _load_tracing()
+    pkg = SimpleNamespace(**{m.__name__.rsplit(".", 1)[1]: m for m in _MODULES})
+    before = _bindings()
+    tracer = tracing.Tracer()
+    traced_main = tracing.install(tracer, pkg)
+    try:
+        assert ph.c_full is not before["polygrid.ph", "c_full"]
+        argv = ["difference-check", "--size", "6", "--out", str(tmp_path)]
+        assert traced_main(argv) == 0
+    finally:
+        tracer.restore()
+    assert tracer.stats["antiramsey.check_difference_lemma"][0] == 1
+    assert tracer.stats["cli.main"][0] == 1
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is val for key, val in before.items())

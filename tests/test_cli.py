@@ -58,6 +58,20 @@ def test_usage_exit_code():
     assert cli.main(["transmogrify"]) == 64
 
 
+@pytest.mark.parametrize("args", [
+    ["ramsey", "--threads", "1"],
+    ["ph-refute", "--sample", "5"],
+    ["product-bound", "--samples", "-1"],
+    ["ddf-check", "--d", "0"],
+    ["ddf-check", "--depth", "2", "--density", "3"],
+    ["ddf-check", "--mcap", "0"],
+])
+def test_bad_parameter_is_usage_error(tmp_path, args):
+    # a bad flag must not read as a result: exit 64 and write nothing
+    assert run(tmp_path, *args) == 64
+    assert not list(tmp_path.iterdir())
+
+
 def test_outdir_env(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
     cfg = cli.parse_config(["ramsey"])

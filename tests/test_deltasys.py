@@ -14,7 +14,7 @@ from polygrid.deltasys import (
     restrict,
     verify_uniform,
 )
-from polygrid.ordset import OrdSet, aligned, rset, slice as oslice
+from polygrid.ordset import OrdSet, aligned, rset
 
 
 def identity_family(size: int, n: int) -> Family:
@@ -88,7 +88,7 @@ def test_aligned_slice_law_on_fibers():
         ua, ub = fam.umap[a], fam.umap[b]
         if not aligned(ua, ub):
             continue
-        assert oslice(ua, rset(ua, ub)) == ua.intersect(ub)
+        assert ua.select(rset(ua, ub)) == ua.intersect(ub)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from polygrid.forcing import (
     leq,
     matrix_tags,
     meet_dense,
-    predense_check,
     run_pipeline,
 )
 from polygrid.ordset import OrdSet
@@ -163,41 +162,6 @@ def test_decide_color_theta_guard():
 
 
 # ---------------------------------------------------------------------------
-# predensity
-
-
-def test_predense_single_member():
-    q = cond({0: ((0,),)})
-    report = predense_check([q], q, window=[0], depth_bound=2)
-    assert report.verdict == "predense"
-
-
-def test_predense_depth_one_fan():
-    q = Condition.empty(2, 1)
-    members = [cond({0: ((0,),)}), cond({0: ((1,),)})]
-    report = predense_check(members, q, window=[0], depth_bound=2)
-    assert report.verdict == "predense"
-
-
-def test_predense_counterexample():
-    q = Condition.empty(2, 1)
-    members = [cond({0: ((0,),)})]
-    report = predense_check(members, q, window=[0], depth_bound=1)
-    assert report.verdict == "counterexample"
-    r = report.counterexample
-    assert r is not None
-    assert all(not compatible(r, m) for m in members)
-
-
-def test_predense_budget():
-    q = Condition.empty(2, 1)
-    members = [cond({0: ((0,),)})]
-    report = predense_check(members, q, window=[0, 1], depth_bound=2, budget=2)
-    assert report.verdict == "budget"
-    assert report.counterexample is None
-
-
-# ---------------------------------------------------------------------------
 # meeting dense sets
 
 
@@ -302,7 +266,7 @@ def test_pipeline_transcript_deterministic():
     )
     a = run_pipeline(oracle, density_depth=3, width=4)
     b = run_pipeline(oracle, density_depth=3, width=4)
-    assert a.transcript_json() == b.transcript_json()
+    assert a.transcript == b.transcript
 
 
 # ---------------------------------------------------------------------------

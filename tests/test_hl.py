@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from polygrid.antiramsey import Arena, grid_coloring
+from polygrid.antiramsey import Arena, c_full
 from polygrid.hl import (
     HLWitness,
     LevelColoring,
@@ -94,15 +94,16 @@ def test_search_defeated_by_product_bound():
         {y: i for i, y in enumerate(branches(shapes[0]))},
         {y: 12 + i for i, y in enumerate(branches(shapes[1]))},
     ]
-    g = grid_coloring(arena, enums)
 
     def coded(xs):
-        col = g.color(xs)
+        # c_full pulled back along the injective branch enumerations
+        col = c_full(arena, tuple(enums[i][y] for i, y in enumerate(xs)))
         return col.slot * 10_000 + col.value
 
     # the only depth-1 dense grid is the full 12x12 product, and the
     # product bound forces more than two colors on it
-    assert len(g.census()) > 2
+    product = itertools.product(*(branches(s) for s in shapes))
+    assert len({coded(xs) for xs in product}) > 2
     assert search_grid(coded, shapes, density_depth=1, cap=12) is None
 
 

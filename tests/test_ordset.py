@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from polygrid.ordset import OrdSet, aligned, index, rset, slice as oslice
+from polygrid.ordset import OrdSet, aligned, rset
 
 
 def test_of_sorts_input():
@@ -20,21 +20,21 @@ def test_of_rejects_duplicates():
 
 def test_index_positions():
     a = OrdSet.of([3, 8, 11])
-    assert index(a, 0) == 3
-    assert index(a, 1) == 8
-    assert index(a, 2) == 11
+    assert a.at(0) == 3
+    assert a.at(1) == 8
+    assert a.at(2) == 11
 
 
 def test_index_out_of_range():
     a = OrdSet.of([3, 8, 11])
     with pytest.raises(IndexError):
-        index(a, 3)
+        a.at(3)
 
 
 def test_slice_by_positions():
     a = OrdSet.of([3, 8, 11])
-    assert oslice(a, OrdSet.of([0, 2])) == OrdSet.of([3, 11])
-    assert oslice(a, OrdSet.of([])) == OrdSet.of([])
+    assert a.select(OrdSet.of([0, 2])) == OrdSet.of([3, 11])
+    assert a.select(OrdSet.of([])) == OrdSet.of([])
 
 
 def test_aligned_example():
@@ -70,8 +70,8 @@ def test_slice_of_rset_is_intersection():
                 if not aligned(a, b):
                     continue
                 r = rset(a, b)
-                assert oslice(a, r) == a.intersect(b)
-                assert oslice(b, r) == a.intersect(b)
+                assert a.select(r) == a.intersect(b)
+                assert b.select(r) == a.intersect(b)
 
 
 def test_union_intersect():

@@ -12,19 +12,14 @@ from polygrid.trees import (
     TreeShape,
     all_nodes,
     branches,
-    encode_product_node,
     fpg_witness_sets,
     immediate_successors,
     is_ddf_to_depth,
     is_dense_above,
     is_level_tuple,
-    is_somewhere_dense_grid,
     is_strong_subtree,
     is_u_set,
     level_product,
-    node_key,
-    product_shape,
-    product_witness,
     root,
     validate_grid_witness,
     word_from_str,
@@ -123,32 +118,6 @@ def test_strong_subtree_wrong_height():
     assert not is_strong_subtree(w, T2)
 
 
-def test_product_of_strong_subtrees_is_strong():
-    shapes = [TreeShape(2, 4, 0), TreeShape(2, 4, 1)]
-    parts = []
-    for s in shapes:
-        parts.append(
-            StrongSubtreeWitness(
-                OrdSet.of([1, 3]),
-                (
-                    frozenset({Node(s.index, (0,))}),
-                    frozenset(
-                        {Node(s.index, (0, 0, 0)), Node(s.index, (0, 1, 1))}
-                    ),
-                ),
-            )
-        )
-    combined = product_witness(shapes, parts)
-    assert is_strong_subtree(combined, product_shape(shapes))
-
-
-def test_encode_product_node_respects_extension():
-    shapes = [TreeShape(2, 3, 0), TreeShape(3, 3, 1)]
-    a = encode_product_node(shapes, (Node(0, (1,)), Node(1, (2,))))
-    b = encode_product_node(shapes, (Node(0, (1, 0)), Node(1, (2, 1))))
-    assert a.is_prefix_of(b)
-
-
 # ---------------------------------------------------------------------------
 # density to a cut-off depth
 
@@ -166,45 +135,6 @@ def test_dense_above_examples():
 def test_dense_above_depth_guard():
     with pytest.raises(ValueError):
         is_dense_above(T2, branches(T2), root(T2), 4)
-
-
-def test_somewhere_dense_grid_full():
-    shapes = [TreeShape(2, 3, 0), TreeShape(2, 3, 1)]
-    Ys = [branches(s) for s in shapes]
-    assert is_somewhere_dense_grid(shapes, Ys, 2) == tuple(root(s) for s in shapes)
-
-
-def test_somewhere_dense_grid_shifted_root():
-    shapes = [TreeShape(2, 3, 0)]
-    Y = [y for y in branches(shapes[0]) if y.word[0] == 1]
-    res = is_somewhere_dense_grid(shapes, [Y], 2)
-    assert res is not None
-    assert res[0].word == (1,)
-
-
-def test_somewhere_dense_grid_single_branch():
-    shapes = [TreeShape(2, 3, 0)]
-    Y = [Node(0, (0, 0, 0))]
-    assert is_somewhere_dense_grid(shapes, [Y], 1) is None
-
-
-def test_somewhere_dense_matches_scan():
-    # equivalence with a per-coordinate exhaustive scan over proper roots,
-    # all subsets at N=2
-    shape = TreeShape(2, 2, 0)
-    bs = branches(shape)
-    for r in range(len(bs) + 1):
-        for pick in itertools.combinations(bs, r):
-            got = is_somewhere_dense_grid([shape], [list(pick)], 2)
-            passing = [
-                t
-                for t in all_nodes(shape, 1)
-                if is_dense_above(shape, list(pick), t, 2)
-            ]
-            if passing:
-                assert got == (min(passing, key=node_key),)
-            else:
-                assert got is None
 
 
 # ---------------------------------------------------------------------------
