@@ -303,8 +303,11 @@ def _run_product_bound(cfg: RunConfig) -> int:
 })
 def _run_ph_refute(cfg: RunConfig) -> int:
     p = cfg.params
-    gen = ph.make_cofinal(p["entry-bound"], p["n"] + 1, cfg.seed,
-                          spread=p["spread"])
+    try:
+        gen = ph.make_cofinal(p["entry-bound"], p["n"] + 1, cfg.seed,
+                              spread=p["spread"])
+    except ph.NoAdmissibleTable as exc:
+        raise UsageError(str(exc))
     arena = antiramsey.Arena(size=p["entry-bound"], dim=p["n"],
                              mode="identity")
     ref = ph.refute(gen.fn, arena)
@@ -435,7 +438,7 @@ def _run_force_pipeline(cfg: RunConfig) -> int:
           + (f" failure={res.failure}" if res.failure else ""))
     if res.ok:
         return EXIT_OK
-    return EXIT_BUDGET if "cap" in (res.failure or "") else EXIT_FAIL
+    return EXIT_BUDGET if res.failure_code == "theta-cap" else EXIT_FAIL
 
 
 def _coloring_from(cfg: RunConfig) -> hl.LevelColoring:

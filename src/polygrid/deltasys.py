@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Mapping, Optional, Union
 
-from .ordset import OrdSet, aligned, rset
+# aligned and rset are the reference definitions `agreement` computes; they
+# stay bound here because bench/tracing.py counts their calls in this module
+from .ordset import OrdSet, aligned, rset  # noqa: F401
 
 Key = tuple[int, ...]
 
@@ -158,6 +160,35 @@ def _lattice_failure(
     return None
 
 
+def agreement(a: Key, b: Key) -> Optional[Key]:
+    """rset(a, b) as a tuple of positions for increasing tuples a and b,
+    or None when they are not aligned; `ordset.aligned` and `ordset.rset`
+    are the reference definitions.
+
+    One merge pass over both tuples: a common element at equal positions
+    joins the agreement, a common element at different positions means
+    the tuples are not aligned.
+    """
+    n = len(a)
+    if n != len(b):
+        return None
+    m = []
+    i = j = 0
+    while i < n and j < n:
+        x, y = a[i], b[j]
+        if x < y:
+            i += 1
+        elif y < x:
+            j += 1
+        elif i != j:
+            return None
+        else:
+            m.append(i)
+            i += 1
+            j += 1
+    return tuple(m)
+
+
 def _all_patterns(dim: int) -> list[Key]:
     out = []
     for r in range(dim + 1):
@@ -181,28 +212,29 @@ def verify_uniform(fam: Family) -> VerifyOutcome:
         if fam.umap[b].otp != rho:
             return Violation("order-type", (keys[0], b),
                              {"expected": rho, "got": fam.umap[b].otp})
-    patterns: dict[Key, Optional[OrdSet]] = {m: None for m in _all_patterns(fam.dim)}
-    witnesses: dict[Key, tuple[Key, Key]] = {}
     full = tuple(range(fam.dim))
-    patterns[full] = OrdSet(tuple(range(rho)))
-    witnesses[full] = (keys[0], keys[0])
+    found: dict[Key, Key] = {full: tuple(range(rho))}
+    witnesses: dict[Key, tuple[Key, Key]] = {full: (keys[0], keys[0])}
+    elems = {b: u.elems for b, u in fam.umap.items()}
     for a, b in itertools.combinations(keys, 2):
-        oa, ob = OrdSet(a), OrdSet(b)
-        if not aligned(oa, ob):
+        m = agreement(a, b)
+        if m is None:
             continue
-        m = rset(oa, ob).elems
-        ua, ub = fam.umap[a], fam.umap[b]
-        if not aligned(ua, ub):
+        ua, ub = elems[a], elems[b]
+        r = agreement(ua, ub)
+        if r is None:
             return Violation("fiber-alignment", (a, b),
-                             {"u_a": ua.elems, "u_b": ub.elems})
-        r = rset(ua, ub)
-        if patterns[m] is None:
-            patterns[m] = r
+                             {"u_a": ua, "u_b": ub})
+        seen = found.get(m)
+        if seen is None:
+            found[m] = r
             witnesses[m] = (a, b)
-        elif patterns[m] != r:
+        elif seen != r:
             return Violation("pattern-mismatch", (a, b),
-                             {"pattern": m, "expected": patterns[m].elems,
-                              "got": r.elems, "first_witness": witnesses[m]})
+                             {"pattern": m, "expected": seen,
+                              "got": r, "first_witness": witnesses[m]})
+    patterns: dict[Key, Optional[OrdSet]] = {m: None for m in _all_patterns(fam.dim)}
+    patterns.update((m, OrdSet(r)) for m, r in found.items())
     bad = _lattice_failure(patterns)
     if bad is not None:
         m0, m1, meet = bad
@@ -248,21 +280,19 @@ class _Grower:
         self.nodes = 0
         self.members: list[int] = []
         self.keys: list[Key] = []
-        self.patterns: dict[Key, OrdSet] = {}
+        self.patterns: dict[Key, Key] = {}
         self.g_value: object = None
 
     def _pair_ok(self, a: Key, b: Key) -> bool:
         self.nodes += 1
         if self.nodes > self.budget:
             raise BudgetUp()
-        oa, ob = OrdSet(a), OrdSet(b)
-        if not aligned(oa, ob):
+        m = agreement(a, b)
+        if m is None:
             return True
-        m = rset(oa, ob).elems
-        ua, ub = self.fam.umap[a], self.fam.umap[b]
-        if not aligned(ua, ub):
+        r = agreement(self.fam.umap[a].elems, self.fam.umap[b].elems)
+        if r is None:
             return False
-        r = rset(ua, ub)
         seen = self.patterns.get(m)
         if seen is None:
             self.patterns[m] = r
@@ -305,10 +335,10 @@ class BudgetUp(Exception):
 
 
 def _certificate_from_patterns(dim: int, rho: int,
-                               patterns: Mapping[Key, OrdSet]) -> UniformCertificate:
+                               patterns: Mapping[Key, Key]) -> UniformCertificate:
     full = tuple(range(dim))
     table: dict[Key, Optional[OrdSet]] = {m: None for m in _all_patterns(dim)}
-    table.update(patterns)
+    table.update((m, OrdSet(r)) for m, r in patterns.items())
     table[full] = OrdSet(tuple(range(rho)))
     return UniformCertificate(dim, rho, table)
 
@@ -348,9 +378,9 @@ def extract_uniform(fam: Family, h: int, g, budget: int = 200_000) -> ExtractRes
         return res
     fallback = _exhaustive(fam, h, labels, budget - res.nodes_used,
                            base_nodes=res.nodes_used)
-    if fallback.ok or fallback.failure.get("reason") == "budget":
-        return fallback
-    fallback.failure["best_partial"] = (res.failure or {}).get("best_partial")
+    if not fallback.ok:
+        # the scan grows no partial set; report the largest greedy one
+        fallback.failure["best_partial"] = res.failure["best_partial"]
     return fallback
 
 
@@ -365,10 +395,10 @@ def _identity_fast_path(fam: Family, h: int,
         return None
     chosen = OrdSet(fam.indices.elems[:h])
     dim = fam.dim
-    patterns: dict[Key, OrdSet] = {}
+    patterns: dict[Key, Key] = {}
     for m in _all_patterns(dim):
         if h >= 2 * dim - len(m):
-            patterns[m] = OrdSet(m)
+            patterns[m] = m
     cert = _certificate_from_patterns(dim, dim, patterns)
     return ExtractResult(True, chosen, cert, vals.pop(), "identity", 0)
 
@@ -410,12 +440,11 @@ def _greedy(fam: Family, h: int, labels: Mapping[Key, object],
 def _exhaustive(fam: Family, h: int, labels: Mapping[Key, object],
                 budget: int, base_nodes: int = 0) -> ExtractResult:
     nodes = base_nodes
-    best: list[int] = []
     for combo in itertools.combinations(fam.indices.elems, h):
         nodes += 1
         if nodes > budget:
             return ExtractResult(False, None, None, None, "exhaustive", nodes,
-                                 {"reason": "budget", "best_partial": best})
+                                 {"reason": "budget"})
         sub = OrdSet(combo)
         sub_fam = restrict(fam, sub)
         lab_vals = {labels[b] for b in sub_fam.keys()}
@@ -426,7 +455,7 @@ def _exhaustive(fam: Family, h: int, labels: Mapping[Key, object],
             return ExtractResult(True, sub, outcome, lab_vals.pop() if lab_vals
                                  else None, "exhaustive", nodes)
     return ExtractResult(False, None, None, None, "exhaustive", nodes,
-                         {"reason": "no subset works", "best_partial": best})
+                         {"reason": "no subset works"})
 
 
 # ---------------------------------------------------------------------------

@@ -33,11 +33,19 @@ CollapsedCondition = tuple[Row, ...]
 
 @dataclass(frozen=True)
 class Condition:
-    """Finitely many rows, each holding one word per coordinate tree."""
+    """Finitely many rows, each holding one word per coordinate tree.
+
+    Conditions built from outside input (the constructor, `of`,
+    `from_json`) are validated in full.  Conditions derived from valid ones
+    (`with_slot`, `decide_color`, `join`) skip that pass: they check only
+    what they write.
+    """
 
     k: int
     d: int
     rows: tuple[tuple[int, Row], ...]
+    # row index -> row, for O(1) `row`; never mutated after construction
+    _index: dict[int, Row] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 2 or self.d < 1:
@@ -52,6 +60,18 @@ class Condition:
             for w in row:
                 if any(not 0 <= c < self.k for c in w):
                     raise ValueError(f"letters must lie in 0..{self.k - 1}")
+        object.__setattr__(self, "_index", dict(self.rows))
+
+    @classmethod
+    def _derived(cls, k: int, d: int, index: dict[int, Row]) -> "Condition":
+        """Unchecked constructor for a condition derived from valid ones;
+        takes ownership of index."""
+        q = object.__new__(cls)
+        object.__setattr__(q, "k", k)
+        object.__setattr__(q, "d", d)
+        object.__setattr__(q, "rows", tuple(sorted(index.items())))
+        object.__setattr__(q, "_index", index)
+        return q
 
     @classmethod
     def empty(cls, k: int, d: int) -> "Condition":
@@ -65,21 +85,24 @@ class Condition:
         return tuple(alpha for alpha, _ in self.rows)
 
     def row(self, alpha: int) -> Optional[Row]:
-        for a, r in self.rows:
-            if a == alpha:
-                return r
-        return None
+        return self._index.get(alpha)
 
     def as_dict(self) -> dict[int, Row]:
-        return {a: r for a, r in self.rows}
+        return dict(self._index)
 
     def with_slot(self, alpha: int, i: int, word: Word) -> "Condition":
         """Replace one slot; the row is created with empty words if new."""
-        assign = self.as_dict()
-        row = list(assign.get(alpha, ((),) * self.d))
+        if alpha < 0:
+            raise ValueError(f"row index {alpha} is not a natural")
+        if not 0 <= i < self.d:
+            raise ValueError(f"coordinate {i} outside 0..{self.d - 1}")
+        if any(not 0 <= c < self.k for c in word):
+            raise ValueError(f"letters must lie in 0..{self.k - 1}")
+        index = dict(self._index)
+        row = list(index.get(alpha, ((),) * self.d))
         row[i] = word
-        assign[alpha] = tuple(row)
-        return Condition.of(self.k, self.d, assign)
+        index[alpha] = tuple(row)
+        return Condition._derived(self.k, self.d, index)
 
     def to_json(self) -> dict:
         return {
@@ -110,11 +133,13 @@ def leq(q: Condition, p: Condition) -> bool:
     """q refines p: more rows allowed, each kept word only grows."""
     if (q.k, q.d) != (p.k, p.d):
         return False
-    qd = q.as_dict()
+    qd = q._index
     for alpha, row in p.rows:
-        if alpha not in qd:
+        qrow = qd.get(alpha)
+        if qrow is None:
             return False
-        if any(not _prefix(w, qw) for w, qw in zip(row, qd[alpha])):
+        if qrow is not row and any(
+                not _prefix(w, qw) for w, qw in zip(row, qrow)):
             return False
     return True
 
@@ -122,10 +147,10 @@ def leq(q: Condition, p: Condition) -> bool:
 def compatible(p: Condition, q: Condition) -> bool:
     if (q.k, q.d) != (p.k, p.d):
         return False
-    qd = q.as_dict()
+    qd = q._index
     for alpha, row in p.rows:
         other = qd.get(alpha)
-        if other is None:
+        if other is None or other is row:
             continue
         for w, v in zip(row, other):
             if not (_prefix(w, v) or _prefix(v, w)):
@@ -145,7 +170,7 @@ def join(p: Condition, q: Condition) -> Condition:
             assign[alpha] = tuple(
                 w if len(w) >= len(v) else v for w, v in zip(assign[alpha], row)
             )
-    return Condition.of(p.k, p.d, assign)
+    return Condition._derived(p.k, p.d, assign)
 
 
 # ---------------------------------------------------------------------------
@@ -242,22 +267,29 @@ def decide_color(
 
     Row a(i) supplies coordinate i.  Each such slot grows to the oracle
     depth by the leftmost route (letter 0); fresh rows start with empty
-    words elsewhere.  Slots already deep enough are left alone.
+    words elsewhere.  Slots already deep enough are left alone, and p
+    itself is returned when none grows.
     """
     if a.otp != p.d:
         raise ValueError(f"need {p.d} row indices, got {a.otp}")
     if theta is not None and any(alpha >= theta for alpha in a):
         raise ValueError(f"row indices {a.elems} not all below theta={theta}")
-    q = p
+    depth = oracle.depth
+    index: Optional[dict[int, Row]] = None
     picked: list[Word] = []
-    for i in range(p.d):
-        alpha = a.at(i)
-        row = q.row(alpha)
+    # the indices are distinct, so each row is written at most once
+    for i, alpha in enumerate(a.elems):
+        row = p._index.get(alpha)
         w = row[i] if row is not None else ()
-        if len(w) < oracle.depth:
-            w = w + (0,) * (oracle.depth - len(w))
-            q = q.with_slot(alpha, i, w)
-        picked.append(w[: oracle.depth])
+        if len(w) < depth:
+            w = w + (0,) * (depth - len(w))
+            if index is None:
+                index = dict(p._index)
+            grown = list(row) if row is not None else [()] * p.d
+            grown[i] = w
+            index[alpha] = tuple(grown)
+        picked.append(w[:depth])
+    q = p if index is None else Condition._derived(p.k, p.d, index)
     return q, oracle.color(tuple(picked))
 
 
@@ -312,8 +344,27 @@ def matrix_tags(k: int, count: int) -> list[Word]:
     return tags
 
 
+def _slot_changes(p: Condition, q: Condition) -> list[list]:
+    """The slots where q differs from p, as [row, coordinate, word] entries
+    in row then coordinate order; replaying them on p gives q when q only
+    rewrites slots and adds rows."""
+    if q is p:
+        return []
+    out: list[list] = []
+    for alpha, row in q.rows:
+        old = p._index.get(alpha)
+        if old is row:
+            continue
+        for i, w in enumerate(row):
+            if old is None or old[i] != w:
+                out.append([alpha, i, word_to_str(w)])
+    return out
+
+
 @dataclass
 class PipelineResult:
+    """failure_code is one of theta-cap, reservoir, drift, revalidation."""
+
     ok: bool
     witness: Optional[GridWitness]
     color: Optional[int]
@@ -321,6 +372,7 @@ class PipelineResult:
     indices: Optional[OrdSet]
     transcript: dict
     failure: Optional[str] = None
+    failure_code: Optional[str] = None
 
 
 def run_pipeline(
@@ -397,6 +449,7 @@ def run_pipeline(
             return PipelineResult(
                 False, None, None, theta, None, transcript,
                 failure="extraction failed at the theta cap",
+                failure_code="theta-cap",
             )
         theta *= 2
 
@@ -421,7 +474,11 @@ def run_pipeline(
     transcript["tags"] = [word_to_str(t) for t in tags]
 
     base = Condition.empty(k, d)
-    chain: list[Condition] = []
+    # one list of slot changes per dense step, replayed from base
+    chain: list[list[list]] = []
+
+    def record(seg: list[Condition]) -> None:
+        chain.extend(_slot_changes(p, q) for p, q in zip(seg, seg[1:]))
 
     def decide_step(a: OrdSet) -> DenseStep:
         return DenseStep(
@@ -435,7 +492,7 @@ def run_pipeline(
 
     delta_set = OrdSet(tuple(deltas))
     seg = meet_dense([decide_step(delta_set)], base)
-    chain.extend(seg)
+    record(seg)
     current = seg[-1]
 
     matrix: list[list[int]] = [[deltas[i]] for i in range(d)]
@@ -453,7 +510,7 @@ def run_pipeline(
                 for combo in itertools.product(*pools)
             ]
             seg = meet_dense(steps, current)
-            chain.extend(seg[1:])
+            record(seg)
             q_star = seg[-1]
 
             tagged = s_words[i] + tags[col]
@@ -471,6 +528,7 @@ def run_pipeline(
                 return PipelineResult(
                     False, None, None, theta, chosen, transcript,
                     failure=f"reservoir {i} exhausted at column {col}",
+                    failure_code="reservoir",
                 )
             tag_step = DenseStep(
                 name=f"tag:{fresh}:{i}:{word_to_str(tags[col])}",
@@ -480,11 +538,11 @@ def run_pipeline(
                 ),
             )
             seg = meet_dense([tag_step], q_star)
-            chain.extend(seg[1:])
+            record(seg)
             current = seg[-1]
             # the tagged condition may only differ from q_star at (fresh, i)
-            before = q_star.as_dict()
-            after = current.as_dict()
+            before = q_star._index
+            after = current._index
             assert set(after) == set(before) | {fresh}
             assert all(after[x] == before[x] for x in before if x != fresh)
             assert after[fresh][i] == s_words[i] + tags[col]
@@ -527,10 +585,11 @@ def run_pipeline(
                 return PipelineResult(
                     False, None, None, theta, chosen, transcript,
                     failure=f"color drift at stage ({i}, {col})",
+                    failure_code="drift",
                 )
     transcript["matrix"] = matrix
     transcript["stages"] = stage_log
-    transcript["chain"] = [c.to_json() for c in chain]
+    transcript["chain"] = chain
 
     full_depth = max(density_depth, oracle.depth + max(len(t) for t in tags))
     branch_sets = []
@@ -565,5 +624,6 @@ def run_pipeline(
         return PipelineResult(
             False, witness, star_color, theta, chosen, transcript,
             failure="witness failed revalidation",
+            failure_code="revalidation",
         )
     return PipelineResult(True, witness, star_color, theta, chosen, transcript)

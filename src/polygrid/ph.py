@@ -144,6 +144,11 @@ def sigma_pair(F: CofinalFn, i_star: int,
 # seeded generation
 
 
+class NoAdmissibleTable(ValueError):
+    """make_cofinal found no table whose refutation window fits the
+    entry bound within its attempts."""
+
+
 @dataclass
 class GeneratedCofinal:
     fn: CofinalFn
@@ -180,7 +185,9 @@ def make_cofinal(entry_bound: int, arity: int, seed: int,
             skips += 1
             continue
         return GeneratedCofinal(fn=fn, seed=seed, skips=skips)
-    raise ValueError(f"no admissible cofinal table after {max_attempts} attempts")
+    raise NoAdmissibleTable(
+        f"no admissible cofinal table after {max_attempts} attempts "
+        f"(entry bound {entry_bound}, arity {arity}, seed {seed})")
 
 
 def _window_fits(F: CofinalFn, bound: int) -> bool:

@@ -65,6 +65,7 @@ def test_usage_exit_code():
     ["ddf-check", "--d", "0"],
     ["ddf-check", "--depth", "2", "--density", "3"],
     ["ddf-check", "--mcap", "0"],
+    ["ph-refute", "--entry-bound", "4"],  # no cofinal table fits the bound
 ])
 def test_bad_parameter_is_usage_error(tmp_path, args):
     # a bad flag must not read as a result: exit 64 and write nothing
@@ -175,6 +176,14 @@ def test_force_pipeline_and_determinism(tmp_path):
     for name in ("force-pipeline.json", "force-pipeline-witness.json",
                  "force-pipeline.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_force_pipeline_theta_cap_is_budget(tmp_path):
+    assert run(tmp_path, "force-pipeline", "--d", "1", "--theta", "4",
+               "--theta-cap", "4") == 2
+    blob = json.loads((tmp_path / "force-pipeline.json").read_text())
+    assert blob["rounds"] == [{"extracted": False, "method": "pool",
+                               "theta": 4}]
 
 
 def test_hl_derive_full(tmp_path):

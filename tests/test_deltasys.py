@@ -3,11 +3,14 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polygrid.deltasys import (
     Family,
     UniformCertificate,
     Violation,
+    agreement,
     derive_subfamily,
     extract_uniform,
     make_planted_family,
@@ -82,6 +85,76 @@ def test_unrealized_patterns_undetermined():
     assert ((0,) in cert.undetermined()) and ((1,) in cert.undetermined())
 
 
+def _reference_verify(fam: Family):
+    """verify_uniform read straight off the definition, through OrdSet
+    aligned and rset: (kind, pair) of the first violation, or the table of
+    determined patterns."""
+    keys = fam.keys()
+    rho = fam.umap[keys[0]].otp
+    for b in keys:
+        if fam.umap[b].otp != rho:
+            return "order-type", (keys[0], b)
+    patterns = {tuple(range(fam.dim)): OrdSet(tuple(range(rho)))}
+    for a, b in itertools.combinations(keys, 2):
+        oa, ob = OrdSet(a), OrdSet(b)
+        if not aligned(oa, ob):
+            continue
+        m = rset(oa, ob).elems
+        ua, ub = fam.umap[a], fam.umap[b]
+        if not aligned(ua, ub):
+            return "fiber-alignment", (a, b)
+        r = rset(ua, ub)
+        if patterns.setdefault(m, r) != r:
+            return "pattern-mismatch", (a, b)
+    for m0, m1 in itertools.combinations_with_replacement(sorted(patterns), 2):
+        meet = tuple(sorted(set(m0) & set(m1)))
+        if meet in patterns and set(patterns[meet].elems) != (
+                set(patterns[m0].elems) & set(patterns[m1].elems)):
+            return "lattice", (m0, m1)
+    return patterns
+
+
+@st.composite
+def _small_families(draw):
+    dim = draw(st.integers(1, 2))
+    size = draw(st.integers(dim, 5))
+    rho = draw(st.integers(0, 3))
+    umap = {}
+    for b in itertools.combinations(range(size), dim):
+        # mostly order type rho from a cramped pool, so that pairs collide
+        width = rho if draw(st.integers(0, 9)) else draw(st.integers(0, 3))
+        umap[b] = OrdSet.of(draw(st.sets(st.integers(0, 5),
+                                         min_size=width, max_size=width)))
+    return Family(dim, OrdSet.of(range(size)), umap)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_families())
+def test_verify_uniform_matches_definition(fam):
+    want = _reference_verify(fam)
+    got = verify_uniform(fam)
+    if isinstance(want, tuple):
+        assert isinstance(got, Violation)
+        assert (got.kind, got.pair) == want
+    else:
+        assert isinstance(got, UniformCertificate)
+        assert {m: r for m, r in got.patterns.items() if r is not None} == want
+
+
+_increasing = st.lists(st.integers(0, 12), max_size=6, unique=True).map(
+    lambda xs: tuple(sorted(xs)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_increasing, _increasing)
+def test_agreement_matches_aligned_and_rset(a, b):
+    oa, ob = OrdSet(a), OrdSet(b)
+    if aligned(oa, ob):
+        assert agreement(a, b) == rset(oa, ob).elems
+    else:
+        assert agreement(a, b) is None
+
+
 def test_aligned_slice_law_on_fibers():
     fam = identity_family(6, 2)
     for a, b in itertools.combinations(fam.keys(), 2):
@@ -116,6 +189,23 @@ def test_extract_needs_constant_g():
     marks = {b: i for i, b in enumerate(fam.keys())}
     res = extract_uniform(fam, 3, lambda b: marks[b])
     assert not res.ok
+    # the scan over h-subsets grows no partial set to report
+    assert res.method == "exhaustive"
+    assert "best_partial" not in res.failure
+
+
+def test_exhaustive_fallback_reports_greedy_best_partial():
+    # C(60, 3) subsets: greedy runs first, and every pair is its own label
+    # class, so greedy's best is one pair; the fallback scan runs out
+    fam = identity_family(60, 2)
+    marks = {b: i for i, b in enumerate(fam.keys())}
+    res = extract_uniform(fam, 3, marks, budget=100)
+    assert not res.ok
+    assert (res.method, res.failure["reason"]) == ("exhaustive", "budget")
+    best = res.failure["best_partial"]
+    assert len(best) == 2
+    assert isinstance(verify_uniform(restrict(fam, OrdSet.of(best))),
+                      UniformCertificate)
 
 
 def test_extract_round_trip():

@@ -18,7 +18,7 @@ from polygrid.forcing import (
     run_pipeline,
 )
 from polygrid.ordset import OrdSet
-from polygrid.trees import is_dense_above
+from polygrid.trees import is_dense_above, word_from_str
 
 
 def cond(assign, k=2, d=1):
@@ -98,6 +98,46 @@ def test_join_is_least():
         for r in conds:
             if leq(r, p) and leq(r, q):
                 assert leq(r, j)
+
+
+# ---------------------------------------------------------------------------
+# validation at the boundary
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Condition(2, 1, ((0, ((2,),)),)),            # letter outside 0..k-1
+    lambda: Condition(2, 1, ((3, ((0,),)), (1, ((),)))),  # rows unsorted
+    lambda: Condition(2, 1, ((1, ((),)), (1, ((0,),)))),  # row repeated
+    lambda: Condition(2, 1, ((-1, ((),)),)),              # negative row
+    lambda: Condition(2, 2, ((0, ((0,),)),)),             # row too narrow
+    lambda: Condition(1, 1, ()),                          # k below 2
+    lambda: Condition.of(2, 1, {0: ((0, 3),)}),
+    lambda: Condition.of(2, 2, {0: ((0,), (1,), ())}),
+    lambda: Condition.from_json({"k": 2, "d": 1, "rows": {"0": ["012"]}}),
+    lambda: Condition.from_json({"k": 2, "d": 2, "rows": {"4": ["0"]}}),
+    lambda: cond({0: ((0,),)}).with_slot(0, 0, (0, 2)),
+    lambda: cond({0: ((0,),)}).with_slot(0, 1, (0,)),
+    lambda: cond({0: ((0,),)}).with_slot(0, -1, (0,)),
+    lambda: cond({0: ((0,),)}).with_slot(-2, 0, (0,)),
+])
+def test_bad_condition_rejected(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_derived_conditions_match_validated_ones():
+    p = cond({2: ((0, 1), ()), 7: ((1,), (0,))}, d=2)
+    q = p.with_slot(5, 1, (1, 1)).with_slot(2, 1, (0,))
+    want = cond({2: ((0, 1), (0,)), 5: ((), (1, 1)), 7: ((1,), (0,))}, d=2)
+    assert q == want and hash(q) == hash(want)
+    assert q.domain() == (2, 5, 7)
+    assert q.row(5) == ((), (1, 1)) and q.row(3) is None
+    assert p.row(5) is None  # the source is left as it was
+    r, _ = decide_color(q, OrdSet.of([5, 9]), _first_letter(d=2))
+    assert r == cond({2: ((0, 1), (0,)), 5: ((0, 0), (1, 1)),
+                      7: ((1,), (0,)), 9: ((), (0, 0))}, d=2)
+    assert join(p, cond({9: ((1,), ())}, d=2)) == cond(
+        {2: ((0, 1), ()), 7: ((1,), (0,)), 9: ((1,), ())}, d=2)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +271,7 @@ def test_pipeline_constant_d1():
         k=2, d=1, depth=2, num_colors=2, kind="constant", value=1
     )
     res = run_pipeline(oracle, density_depth=3, width=4)
-    assert res.ok
+    assert res.ok and res.failure_code is None
     assert res.witness.color == 1
     assert len(res.witness.branch_sets[0]) == 4
     _external_check(res.witness, oracle)
@@ -258,6 +298,39 @@ def test_pipeline_seeded_d2():
     _external_check(w, oracle)
     # the monotone recursion assertion ran on every stage
     assert res.transcript["stages"]
+
+
+def test_pipeline_chain_replays():
+    oracle = ColoringOracle(
+        k=2, d=2, depth=2, num_colors=2, kind="seeded", seed=7
+    )
+    res = run_pipeline(oracle, density_depth=3, width=8)
+    assert res.ok
+    t = res.transcript
+    p = Condition.empty(2, 2)
+    for step in t["chain"]:
+        q = p
+        for alpha, i, word in step:
+            q = q.with_slot(alpha, i, word_from_str(word))
+        assert leq(q, p)
+        p = q
+    # every matrix entry carries its coordinate's start word plus its tag
+    for i, column in enumerate(t["matrix"]):
+        for alpha, tag in zip(column, t["tags"]):
+            assert p.row(alpha)[i] == word_from_str(t["start_words"][i] + tag)
+    # the witness branches are the leftmost completions of those slots
+    for i, Y in enumerate(res.witness.branch_sets):
+        assert sorted(y.word for y in Y) == sorted(
+            p.row(alpha)[i] + (0,) * (res.witness.depth - len(p.row(alpha)[i]))
+            for alpha in t["matrix"][i])
+
+
+def test_pipeline_theta_cap_failure_code():
+    oracle = ColoringOracle(k=2, d=1, depth=2, num_colors=2, kind="seeded")
+    res = run_pipeline(oracle, density_depth=3, width=8, theta_start=4,
+                       theta_cap=4)
+    assert not res.ok
+    assert res.failure_code == "theta-cap"
 
 
 def test_pipeline_transcript_deterministic():

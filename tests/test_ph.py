@@ -5,6 +5,7 @@ import pytest
 from polygrid.antiramsey import Arena, c_full
 from polygrid.ph import (
     CofinalFn,
+    NoAdmissibleTable,
     fstar,
     is_cofinal,
     is_sigma_seq,
@@ -145,6 +146,12 @@ def test_generated_cofinal_functions_refute():
         r = refute(gen.fn, arena)
         assert r.ok
         assert verify_refutation(gen.fn, arena, r)
+
+
+def test_make_cofinal_out_of_attempts():
+    # at entry bound 4 every refutation window overflows the bound
+    with pytest.raises(NoAdmissibleTable, match="after 3 attempts"):
+        make_cofinal(4, 2, 0, max_attempts=3)
 
 
 def test_refutation_json_round_trip_fields():
