@@ -75,6 +75,11 @@ class Arena:
             pair_tab.append(tuple(rng.sample(range(self.size), beta)))
         return embed_tab, pair_tab
 
+    @cached_property
+    def _colors(self) -> dict[tuple[int, ...], TupleColor]:
+        """c_full memo, filled lazily: a job may color only a few tuples."""
+        return {}
+
     def embed(self, beta: int, alpha: int) -> int:
         """The beta-th injection applied to alpha; requires alpha < beta."""
         if not 0 <= alpha < beta < self.size:
@@ -150,7 +155,19 @@ def star(arena: Arena, a: OrdSet) -> int:
 
 def c_full(arena: Arena, vec: Sequence[int]) -> TupleColor:
     """Compound color of an enumerated tuple: (slot of the distinguished
-    element, set color); tuples with repeats collapse to (n+1, 0)."""
+    element, set color); tuples with repeats collapse to (n+1, 0).
+
+    Colors are memoized per arena; a tuple that raises is never stored,
+    so it raises again on every call."""
+    key = tuple(vec)
+    memo = arena._colors
+    col = memo.get(key)
+    if col is None:
+        col = memo[key] = _c_full(arena, key)
+    return col
+
+
+def _c_full(arena: Arena, vec: tuple[int, ...]) -> TupleColor:
     n = arena.dim
     if len(vec) != n + 1:
         raise ValueError(f"need a tuple of length {n + 1}, got {len(vec)}")
@@ -159,7 +176,7 @@ def c_full(arena: Arena, vec: Sequence[int]) -> TupleColor:
     elems = tuple(sorted(vec))
     _validate_set(arena, elems)
     s = _distinguished(arena, elems, n)
-    return TupleColor(tuple(vec).index(s), _set_color(arena, elems, n))
+    return TupleColor(vec.index(s), _set_color(arena, elems, n))
 
 
 # ---------------------------------------------------------------------------
@@ -183,17 +200,21 @@ def _search_bad(
     """
     edges = list(itertools.combinations(range(m), n + 1))
     index = {e: i for i, e in enumerate(edges)}
-    supersets: list[list[tuple[int, ...]]] = [[] for _ in edges]
+    # Each (n+2)-subset is filed under its last edge, as its other edges:
+    # edges are assigned in order, so only that edge can complete it.
+    closing: list[list[tuple[int, ...]]] = [[] for _ in edges]
     for big in itertools.combinations(range(m), n + 2):
-        sub = tuple(index[e] for e in itertools.combinations(big, n + 1))
-        for e in sub:
-            supersets[e].append(sub)
+        sub = sorted(index[e] for e in itertools.combinations(big, n + 1))
+        closing[sub[-1]].append(tuple(sub[:-1]))
     colors: list[int | None] = [None] * len(edges)
     nodes = 0
 
-    def mono_closes(e: int, c: int) -> bool:
-        for group in supersets[e]:
-            if all(colors[f] == c for f in group if f != e):
+    def mono_closes(pos: int, c: int) -> bool:
+        for group in closing[pos]:
+            for f in group:
+                if colors[f] != c:
+                    break
+            else:
                 return True
         return False
 
@@ -279,9 +300,8 @@ def verify_product_bound(
     for a in sets:
         if a.otp != need:
             raise ValueError(f"side sets must have size {need}, got {a.otp}")
-    census: Counter = Counter()
-    for vec in itertools.product(*(a.elems for a in sets)):
-        census[c_full(arena, vec)] += 1
+    census = Counter(c_full(arena, vec)
+                     for vec in itertools.product(*(a.elems for a in sets)))
     return len(census) > k, census
 
 
@@ -311,10 +331,9 @@ def check_difference_lemma(arena: Arena) -> DifferenceReport:
         groups.setdefault(rest, []).append(comb)
     report = DifferenceReport(eligible_pairs=0)
     for members in groups.values():
-        for a, b in itertools.combinations(members, 2):
+        colored = [(a, _set_color(arena, a, n)) for a in members]
+        for (a, ca), (b, cb) in itertools.combinations(colored, 2):
             report.eligible_pairs += 1
-            ca = _set_color(arena, a, n)
-            cb = _set_color(arena, b, n)
             if ca == cb:
                 report.violations.append((a, b, ca))
     return report

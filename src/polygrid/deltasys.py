@@ -376,8 +376,7 @@ def extract_uniform(fam: Family, h: int, g, budget: int = 200_000) -> ExtractRes
     res = _greedy(fam, h, labels, budget)
     if res.ok:
         return res
-    fallback = _exhaustive(fam, h, labels, budget - res.nodes_used,
-                           base_nodes=res.nodes_used)
+    fallback = _exhaustive(fam, h, labels, budget, base_nodes=res.nodes_used)
     if not fallback.ok:
         # the scan grows no partial set; report the largest greedy one
         fallback.failure["best_partial"] = res.failure["best_partial"]

@@ -3,11 +3,14 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polygrid.antiramsey import (
     Arena,
     BudgetError,
     TupleColor,
+    _search_bad,
     c1,
     c_full,
     check_difference_lemma,
@@ -118,6 +121,43 @@ def test_c_full_slot_is_star_position():
         assert vec[col.slot] == star(arena, a)
 
 
+@st.composite
+def arenas_and_tuples(draw):
+    n = draw(st.integers(1, 3))
+    size = draw(st.integers(n + 2, 8))
+    if draw(st.booleans()):
+        arena = Arena(size=size, dim=n, mode="identity")
+    else:
+        arena = Arena(size=size, dim=n, mode="seeded",
+                      seed=draw(st.integers(0, 50)))
+    vec = st.tuples(*[st.integers(0, size - 1)] * (n + 1))
+    return arena, draw(st.lists(vec, min_size=1, max_size=12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(arenas_and_tuples())
+def test_c_full_memo_matches_cn_and_star(case):
+    arena, vecs = case
+    n = arena.dim
+
+    def expected(vec):
+        if len(set(vec)) < n + 1:
+            return TupleColor(n + 1, 0)
+        a = OrdSet.of(vec)
+        return TupleColor(vec.index(star(arena, a)), cn(arena, a))
+
+    for vec in vecs:
+        assert c_full(arena, vec) == expected(vec)
+    for vec in vecs:
+        assert c_full(arena, list(vec)) == expected(vec)
+    # a filled memo still rejects bad tuples, on every call
+    too_long = tuple(range(n + 2))
+    outside = tuple(range(n)) + (arena.size,)
+    for bad in (too_long, too_long[:-2], outside, outside):
+        with pytest.raises(ValueError):
+            c_full(arena, bad)
+
+
 # ---------------------------------------------------------------------------
 # Ramsey thresholds
 
@@ -145,6 +185,34 @@ def test_bad_coloring_below_threshold():
         seen = {col[pair] for pair in itertools.combinations(triple, 2)}
         assert len(seen) > 1
     assert find_bad_coloring(1, 6, 2) is None
+
+
+def _brute_force_bad(col: dict, n: int, m: int, k: int) -> bool:
+    # every (n+1)-subset colored below k, no (n+2)-subset monochromatic
+    if sorted(col) != list(itertools.combinations(range(m), n + 1)):
+        return False
+    if any(not 0 <= c < k for c in col.values()):
+        return False
+    for big in itertools.combinations(range(m), n + 2):
+        if len({col[e] for e in itertools.combinations(big, n + 1)}) == 1:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n, m, k, nodes, found", [
+    (1, 5, 2, 71, True),
+    (1, 6, 2, 987, False),
+    (1, 8, 3, 87_726, True),
+    (2, 6, 2, 260, True),
+    (2, 7, 2, 22_647, True),
+])
+def test_search_bad_node_counts_pinned(n, m, k, nodes, found):
+    # the search order is fixed: pruning may get cheaper, never different
+    col, used = _search_bad(n, m, k, 2_000_000)
+    assert used == nodes
+    assert (col is not None) == found
+    if found:
+        assert _brute_force_bad(col, n, m, k)
 
 
 def test_m_seq_values():

@@ -1,6 +1,7 @@
 """Uniform n-dimensional systems: verification, extraction, derivation."""
 
 import itertools
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -206,6 +207,18 @@ def test_exhaustive_fallback_reports_greedy_best_partial():
     assert len(best) == 2
     assert isinstance(verify_uniform(restrict(fam, OrdSet.of(best))),
                       UniformCertificate)
+
+
+def test_exhaustive_fallback_gets_the_whole_budget():
+    # greedy's nodes count once: the fallback runs on to the full budget
+    rng = Random(0)
+    umap = {b: OrdSet.of(rng.sample(range(80), 2))
+            for b in itertools.combinations(range(40), 2)}
+    fam = Family(2, OrdSet.of(range(40)), umap)
+    res = extract_uniform(fam, 12, lambda b: 0, budget=3000)
+    assert not res.ok
+    assert (res.method, res.failure["reason"]) == ("exhaustive", "budget")
+    assert res.nodes_used == 3001
 
 
 def test_extract_round_trip():
