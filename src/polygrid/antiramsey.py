@@ -171,10 +171,12 @@ def _c_full(arena: Arena, vec: tuple[int, ...]) -> TupleColor:
     n = arena.dim
     if len(vec) != n + 1:
         raise ValueError(f"need a tuple of length {n + 1}, got {len(vec)}")
-    if len(set(vec)) != len(vec):
-        return TupleColor(n + 1, 0)
     elems = tuple(sorted(vec))
-    _validate_set(arena, elems)
+    # before the repeat test, so that a repeat outside the arena raises too
+    if elems[0] < 0 or elems[-1] >= arena.size:
+        raise ValueError(f"entries of {vec} outside arena of size {arena.size}")
+    if len(set(elems)) != len(elems):
+        return TupleColor(n + 1, 0)
     s = _distinguished(arena, elems, n)
     return TupleColor(vec.index(s), _set_color(arena, elems, n))
 

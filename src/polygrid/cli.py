@@ -420,15 +420,18 @@ def _run_delta_extract(cfg: RunConfig) -> int:
 })
 def _run_force_pipeline(cfg: RunConfig) -> int:
     p = cfg.params
-    oracle = forcing.ColoringOracle(
-        k=p["k"], d=p["d"], depth=p["depth-oracle"],
-        num_colors=p["colors"], kind=p["oracle"], value=p["value"],
-        seed=cfg.seed,
-    )
-    res = forcing.run_pipeline(
-        oracle, p["density"], p["branches"], buffer=p["buffer"],
-        theta_start=p["theta"], theta_cap=p["theta-cap"],
-    )
+    try:
+        oracle = forcing.ColoringOracle(
+            k=p["k"], d=p["d"], depth=p["depth-oracle"],
+            num_colors=p["colors"], kind=p["oracle"], value=p["value"],
+            seed=cfg.seed,
+        )
+        res = forcing.run_pipeline(
+            oracle, p["density"], p["branches"], buffer=p["buffer"],
+            theta_start=p["theta"], theta_cap=p["theta-cap"],
+        )
+    except forcing.ParameterError as exc:
+        raise UsageError(str(exc))
     res.transcript["seed"] = cfg.seed
     _write_artifacts(cfg, res.transcript, [{
         "d": p["d"], "k": p["k"], "seed": cfg.seed, "ok": res.ok,

@@ -2,10 +2,13 @@
 
 A condition pins down, for finitely many rows, one word per coordinate
 tree.  Extension deepens words and adds rows.  The pipeline drives an
-oracle coloring through decide steps, extracts a large index set on which
+oracle coloring through decide steps, takes a large index set on which
 the decided data agree, lays out a tag matrix to spread K completions per
 coordinate while meeting the scheduled dense sets, and emits a dense
 monochromatic grid witness that is re-validated from scratch.
+
+Deciding by the leftmost route makes the proof's Delta-system step the
+identity (see `run_pipeline`), so the index set is taken in closed form.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Optional, Sequence
 
-from .deltasys import Family, extract_uniform
+# unused here; kept so that tracers patching forcing.extract_uniform find it
+from .deltasys import extract_uniform  # noqa: F401
 from .ordset import OrdSet
 from .trees import (
     GridWitness,
@@ -27,8 +31,10 @@ from .trees import (
 
 Word = tuple[int, ...]
 Row = tuple[Word, ...]
-# domain relabeled to an initial segment; entry ell is the row at ell
-CollapsedCondition = tuple[Row, ...]
+
+
+class ParameterError(ValueError):
+    """An oracle or pipeline parameter outside its domain."""
 
 
 @dataclass(frozen=True)
@@ -81,9 +87,6 @@ class Condition:
     def of(cls, k: int, d: int, assign: dict[int, Row]) -> "Condition":
         return cls(k, d, tuple(sorted(assign.items())))
 
-    def domain(self) -> tuple[int, ...]:
-        return tuple(alpha for alpha, _ in self.rows)
-
     def row(self, alpha: int) -> Optional[Row]:
         return self._index.get(alpha)
 
@@ -118,11 +121,6 @@ class Condition:
             for a, r in data["rows"].items()
         }
         return cls.of(data["k"], data["d"], assign)
-
-
-def collapse(p: Condition) -> CollapsedCondition:
-    """Row values in domain order, indices relabeled to 0..len-1."""
-    return tuple(r for _, r in p.rows)
 
 
 def _prefix(a: Word, b: Word) -> bool:
@@ -196,12 +194,18 @@ class ColoringOracle:
     table: dict[tuple[Word, ...], int] = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.k < 2 or self.d < 1:
+            raise ParameterError("need k >= 2 and d >= 1")
         if self.depth < 1:
-            raise ValueError("oracle depth must be >= 1")
+            raise ParameterError("oracle depth must be >= 1")
         if self.num_colors < 1:
-            raise ValueError("need at least one color")
+            raise ParameterError("need at least one color")
         if self.kind not in ("constant", "first-letter", "seeded", "table"):
-            raise ValueError(f"unknown oracle kind {self.kind!r}")
+            raise ParameterError(f"unknown oracle kind {self.kind!r}")
+        if self.kind == "constant" and not 0 <= self.value < self.num_colors:
+            raise ParameterError(f"value must lie in 0..{self.num_colors - 1}")
+        if self.kind == "table" and not self.table:
+            raise ParameterError("the table kind needs a table")
         if self.kind == "seeded" and not self.table:
             rng = Random(f"oracle:{self.seed}:{self.k}:{self.d}:{self.depth}")
             words = list(itertools.product(range(self.k), repeat=self.depth))
@@ -261,19 +265,18 @@ class ColoringOracle:
 
 
 def decide_color(
-    p: Condition, a: OrdSet, oracle: ColoringOracle, theta: Optional[int] = None
+    p: Condition, a: OrdSet, oracle: ColoringOracle
 ) -> tuple[Condition, int]:
     """Extend p so the oracle color of the rows named by a is determined.
 
     Row a(i) supplies coordinate i.  Each such slot grows to the oracle
     depth by the leftmost route (letter 0); fresh rows start with empty
     words elsewhere.  Slots already deep enough are left alone, and p
-    itself is returned when none grows.
+    itself is returned when none grows.  `run_pipeline` takes its first
+    h_target indices in closed form because of this leftmost route.
     """
     if a.otp != p.d:
         raise ValueError(f"need {p.d} row indices, got {a.otp}")
-    if theta is not None and any(alpha >= theta for alpha in a):
-        raise ValueError(f"row indices {a.elems} not all below theta={theta}")
     depth = oracle.depth
     index: Optional[dict[int, Row]] = None
     picked: list[Word] = []
@@ -382,29 +385,35 @@ def run_pipeline(
     buffer: int = 4,
     theta_start: int = 64,
     theta_cap: int = 2 ** 14,
-    extract_budget: int = 400_000,
 ) -> PipelineResult:
     """Drive the full forcing argument at desk scale.
 
-    Stages: decide the oracle color for every d-subset of a theta-sized
-    index block; extract an index set on which the collapsed decided
-    condition, the color, and the domain pattern agree (doubling theta on
-    failure); read the coordinate start words off the collapsed condition;
-    cut separator indices delta_i with a K*buffer reservoir above each;
-    fill a d x K tag matrix column by column, meeting every decide dense
-    set and re-checking every cross tuple; read off the K leftmost
-    completions per coordinate as branch sets.  The resulting grid witness
-    is re-validated from scratch before return.
+    Stages: double theta until the index block holds h_target indices and
+    take the first h_target; cut separator indices delta_i with a
+    K*buffer reservoir above each; fill a d x K tag matrix column by
+    column, meeting every decide dense set and re-checking every cross
+    tuple; read off the K leftmost completions per coordinate as branch
+    sets.  The grid witness is re-validated from scratch before return.
+
+    The first h_target indices are the least set on which the decided
+    condition, color and domain pattern agree: `decide_color` takes the
+    leftmost route, so from the empty condition every d-subset a decides
+    the all-zero start words and one color, with domain a.  Raises
+    ParameterError for arguments outside their domain.
     """
     k, d = oracle.k, oracle.d
     if density_depth < oracle.depth:
-        raise ValueError("density depth must be at least the oracle depth")
+        raise ParameterError("density depth must be at least the oracle depth")
     need = k ** (density_depth - oracle.depth)
     if width < need:
-        raise ValueError(
+        raise ParameterError(
             f"width {width} cannot reach density depth {density_depth}: "
             f"need at least {need} tags"
         )
+    if buffer < 0:
+        raise ParameterError("buffer must be >= 0")
+    if theta_start < 1:
+        raise ParameterError("theta start must be >= 1")
     block = width * buffer
     h_target = d * (block + 1)
     transcript: dict = {
@@ -419,32 +428,10 @@ def run_pipeline(
     }
 
     theta = theta_start
-    chosen: Optional[OrdSet] = None
-    star_label = None
-    while True:
-        if theta >= h_target:
-            base = Condition.empty(k, d)
-            umap: dict[tuple[int, ...], OrdSet] = {}
-            labels: dict[tuple[int, ...], tuple] = {}
-            for a in itertools.combinations(range(theta), d):
-                q_a, j_a = decide_color(base, OrdSet(a), oracle, theta=theta)
-                dom = q_a.domain()
-                pattern = tuple(dom.index(x) for x in a)
-                umap[a] = OrdSet(dom)
-                labels[a] = (collapse(q_a), j_a, pattern)
-            fam = Family(d, OrdSet(tuple(range(theta))), umap)
-            res = extract_uniform(fam, h_target, labels, budget=extract_budget)
-            transcript["rounds"].append(
-                {"theta": theta, "extracted": res.ok, "method": res.method}
-            )
-            if res.ok:
-                chosen = res.indices
-                star_label = res.g_value
-                break
-        else:
-            transcript["rounds"].append(
-                {"theta": theta, "extracted": False, "method": "pool"}
-            )
+    while theta < h_target:
+        transcript["rounds"].append(
+            {"theta": theta, "extracted": False, "method": "pool"}
+        )
         if theta >= theta_cap:
             return PipelineResult(
                 False, None, None, theta, None, transcript,
@@ -452,22 +439,22 @@ def run_pipeline(
                 failure_code="theta-cap",
             )
         theta *= 2
+    transcript["rounds"].append(
+        {"theta": theta, "extracted": True, "method": "identity"}
+    )
 
-    qbar_star, star_color, r_star = star_label
+    chosen = OrdSet(tuple(range(h_target)))
+    s_words = [(0,) * oracle.depth] * d
+    star_color = oracle.color(tuple(s_words))
     transcript["theta"] = theta
     transcript["indices"] = list(chosen.elems)
     transcript["color"] = star_color
-    transcript["pattern"] = list(r_star)
-
-    s_words = [qbar_star[r_star[i]][i] for i in range(d)]
+    transcript["pattern"] = list(range(d))
     transcript["start_words"] = [word_to_str(w) for w in s_words]
 
     # lexicographically least separators with a full reservoir above each
-    deltas = [chosen.at(i * (block + 1)) for i in range(d)]
-    reservoirs = [
-        list(chosen.elems[i * (block + 1) + 1: (i + 1) * (block + 1)])
-        for i in range(d)
-    ]
+    deltas = [i * (block + 1) for i in range(d)]
+    reservoirs = [list(range(delta + 1, delta + block + 1)) for delta in deltas]
     transcript["deltas"] = deltas
 
     tags = matrix_tags(k, width)

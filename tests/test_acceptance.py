@@ -187,9 +187,9 @@ def test_criterion_04_delta_systems():
 
 
 def test_criterion_05_pipeline_soundness():
-    clock = _Clock(30 * 50)
+    clock = _Clock(30 * 75)
     runs = 0
-    for d in (1, 2):
+    for d in (1, 2, 3):
         for seed in range(25):
             t0 = time.monotonic()
             oracle = ColoringOracle(
@@ -207,7 +207,7 @@ def test_criterion_05_pipeline_soundness():
                 assert oracle.color(cut) == w.color
             assert time.monotonic() - t0 < 30, f"slow run d={d} seed={seed}"
             runs += 1
-    clock.done(5, f"{runs}/50 validated witnesses, d in {{1,2}}, K=8, D'=3")
+    clock.done(5, f"{runs}/75 validated witnesses, d in {{1,2,3}}, K=8, D'=3")
 
 
 def test_criterion_06_ph_refutation():

@@ -153,7 +153,11 @@ def test_c_full_memo_matches_cn_and_star(case):
     # a filled memo still rejects bad tuples, on every call
     too_long = tuple(range(n + 2))
     outside = tuple(range(n)) + (arena.size,)
-    for bad in (too_long, too_long[:-2], outside, outside):
+    # repeats collapse to one color, but only inside the arena
+    above = (arena.size,) * (n + 1)
+    below = (-1,) * (n + 1)
+    for bad in (too_long, too_long[:-2], outside, outside, above, above,
+                below, below):
         with pytest.raises(ValueError):
             c_full(arena, bad)
 

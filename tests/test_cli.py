@@ -66,6 +66,18 @@ def test_usage_exit_code():
     ["ddf-check", "--depth", "2", "--density", "3"],
     ["ddf-check", "--mcap", "0"],
     ["ph-refute", "--entry-bound", "4"],  # no cofinal table fits the bound
+    ["force-pipeline", "--k", "1"],
+    ["force-pipeline", "--d", "0"],
+    ["force-pipeline", "--oracle", "bogus"],
+    ["force-pipeline", "--oracle", "table"],  # no flag supplies a table
+    ["force-pipeline", "--oracle", "constant", "--value", "2"],
+    ["force-pipeline", "--colors", "0"],
+    ["force-pipeline", "--depth-oracle", "0"],
+    ["force-pipeline", "--density", "1"],  # below the oracle depth
+    ["force-pipeline", "--branches", "0"],
+    ["force-pipeline", "--buffer", "-1"],
+    ["force-pipeline", "--d", "1", "--branches", "4", "--theta", "0"],
+    ["force-pipeline", "--d", "1", "--branches", "4", "--theta", "-3"],
 ])
 def test_bad_parameter_is_usage_error(tmp_path, args):
     # a bad flag must not read as a result: exit 64 and write nothing

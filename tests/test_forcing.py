@@ -4,11 +4,11 @@ import itertools
 
 import pytest
 
+from polygrid.deltasys import Family, extract_uniform
 from polygrid.forcing import (
     ColoringOracle,
     Condition,
     DenseStep,
-    collapse,
     compatible,
     decide_color,
     join,
@@ -18,7 +18,7 @@ from polygrid.forcing import (
     run_pipeline,
 )
 from polygrid.ordset import OrdSet
-from polygrid.trees import is_dense_above, word_from_str
+from polygrid.trees import is_dense_above, word_from_str, word_to_str
 
 
 def cond(assign, k=2, d=1):
@@ -130,7 +130,6 @@ def test_derived_conditions_match_validated_ones():
     q = p.with_slot(5, 1, (1, 1)).with_slot(2, 1, (0,))
     want = cond({2: ((0, 1), (0,)), 5: ((), (1, 1)), 7: ((1,), (0,))}, d=2)
     assert q == want and hash(q) == hash(want)
-    assert q.domain() == (2, 5, 7)
     assert q.row(5) == ((), (1, 1)) and q.row(3) is None
     assert p.row(5) is None  # the source is left as it was
     r, _ = decide_color(q, OrdSet.of([5, 9]), _first_letter(d=2))
@@ -138,26 +137,6 @@ def test_derived_conditions_match_validated_ones():
                       7: ((1,), (0,)), 9: ((), (0, 0))}, d=2)
     assert join(p, cond({9: ((1,), ())}, d=2)) == cond(
         {2: ((0, 1), ()), 7: ((1,), (0,)), 9: ((1,), ())}, d=2)
-
-
-# ---------------------------------------------------------------------------
-# collapse
-
-
-def test_collapse_relabels():
-    p = cond({5: ((0,),), 9: ((1, 1),)})
-    assert collapse(p) == (((0,),), ((1, 1),))
-
-
-def test_collapse_empty():
-    assert collapse(Condition.empty(2, 1)) == ()
-
-
-def test_collapse_order_isomorphic():
-    vals = (((0,),), ((1, 0),))
-    p = cond({2: vals[0], 7: vals[1]})
-    q = cond({0: vals[0], 3: vals[1]})
-    assert collapse(p) == collapse(q)
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +171,6 @@ def test_decide_color_deep_slot_untouched():
     q, j = decide_color(p, OrdSet.of([4]), _first_letter())
     assert q == p
     assert j == 1
-
-
-def test_decide_color_theta_guard():
-    with pytest.raises(ValueError):
-        decide_color(
-            Condition.empty(2, 1), OrdSet.of([9]), _first_letter(), theta=8
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +303,48 @@ def test_pipeline_theta_cap_failure_code():
                        theta_cap=4)
     assert not res.ok
     assert res.failure_code == "theta-cap"
+
+
+@pytest.mark.parametrize("k,d,depth,kind,width,buffer,density,theta,route", [
+    (2, 1, 2, "constant", 4, 1, 4, 16, "exhaustive"),
+    (2, 1, 3, "first-letter", 2, 2, 4, 5, "exhaustive"),
+    (2, 2, 2, "seeded", 2, 1, 3, 8, "exhaustive"),
+    (3, 2, 1, "first-letter", 3, 1, 2, 32, "identity"),
+    (2, 3, 2, "seeded", 1, 1, 2, 32, "identity"),
+])
+def test_pipeline_indices_are_the_least_delta_witness(
+        k, d, depth, kind, width, buffer, density, theta, route):
+    # the Delta-system stage the pipeline replaces by its closed form:
+    # decide every d-subset of the block from the empty condition, label it
+    # by its collapsed rows, color and domain pattern, and extract
+    oracle = ColoringOracle(k=k, d=d, depth=depth, num_colors=2, kind=kind,
+                            value=1, seed=5)
+    h_target = d * (width * buffer + 1)
+    umap, labels = {}, {}
+    for a in itertools.combinations(range(theta), d):
+        q_a, color = decide_color(Condition.empty(k, d), OrdSet(a), oracle)
+        dom = tuple(alpha for alpha, _ in q_a.rows)
+        umap[a] = OrdSet(dom)
+        labels[a] = (tuple(row for _, row in q_a.rows), color,
+                     tuple(dom.index(x) for x in a))
+    assert len(set(labels.values())) == 1
+    assert all(u.elems == a for a, u in umap.items())
+    fam = Family(d, OrdSet(tuple(range(theta))), umap)
+    res = extract_uniform(fam, h_target, labels)
+    assert res.ok and res.method == route
+    assert res.indices.elems == tuple(range(h_target))
+
+    rows, color, pattern = res.g_value
+    t = run_pipeline(oracle, density_depth=density, width=width,
+                     buffer=buffer, theta_start=theta).transcript
+    assert t["theta"] == theta
+    assert t["rounds"][-1] == {"theta": theta, "extracted": True,
+                               "method": "identity"}
+    assert t["indices"] == list(res.indices.elems)
+    assert t["color"] == color
+    assert t["pattern"] == list(pattern)
+    assert t["start_words"] == [word_to_str(rows[pattern[i]][i])
+                                for i in range(d)]
 
 
 def test_pipeline_transcript_deterministic():
