@@ -305,6 +305,10 @@ def _run_product_bound(cfg: RunConfig) -> int:
 })
 def _run_ph_refute(cfg: RunConfig) -> int:
     p = cfg.params
+    if p["n"] < 1:
+        raise UsageError("--n must be >= 1")
+    if p["spread"] < 1:
+        raise UsageError("--spread must be >= 1")
     try:
         gen = ph.make_cofinal(p["entry-bound"], p["n"] + 1, cfg.seed,
                               spread=p["spread"])

@@ -32,6 +32,9 @@ from .trees import (
 Word = tuple[int, ...]
 Row = tuple[Word, ...]
 
+# most entries a seeded oracle may tabulate up front (k ** (depth * d))
+SEEDED_TABLE_CAP = 2 ** 20
+
 
 class ParameterError(ValueError):
     """An oracle or pipeline parameter outside its domain."""
@@ -181,7 +184,8 @@ class ColoringOracle:
 
     kind "constant" ignores input, "first-letter" reads the first letter of
     the first coordinate, "seeded" tabulates a pseudorandom color for every
-    input, "table" uses an explicit mapping.
+    input (at most SEEDED_TABLE_CAP of them), "table" uses an explicit
+    mapping.
     """
 
     k: int
@@ -207,6 +211,14 @@ class ColoringOracle:
         if self.kind == "table" and not self.table:
             raise ParameterError("the table kind needs a table")
         if self.kind == "seeded" and not self.table:
+            entries = 1
+            for _ in range(self.depth * self.d):  # stops once past the cap
+                entries *= self.k
+                if entries > SEEDED_TABLE_CAP:
+                    raise ParameterError(
+                        f"a seeded oracle would tabulate {self.k}^"
+                        f"{self.depth * self.d} entries, over the cap of "
+                        f"{SEEDED_TABLE_CAP}")
             rng = Random(f"oracle:{self.seed}:{self.k}:{self.d}:{self.depth}")
             words = list(itertools.product(range(self.k), repeat=self.depth))
             for combo in itertools.product(words, repeat=self.d):

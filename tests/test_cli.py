@@ -66,6 +66,9 @@ def test_usage_exit_code():
     ["ddf-check", "--depth", "2", "--density", "3"],
     ["ddf-check", "--mcap", "0"],
     ["ph-refute", "--entry-bound", "4"],  # no cofinal table fits the bound
+    ["ph-refute", "--n", "0"],
+    ["ph-refute", "--n", "-1"],
+    ["ph-refute", "--spread", "0"],
     ["force-pipeline", "--k", "1"],
     ["force-pipeline", "--d", "0"],
     ["force-pipeline", "--oracle", "bogus"],
@@ -78,6 +81,9 @@ def test_usage_exit_code():
     ["force-pipeline", "--buffer", "-1"],
     ["force-pipeline", "--d", "1", "--branches", "4", "--theta", "0"],
     ["force-pipeline", "--d", "1", "--branches", "4", "--theta", "-3"],
+    # a seeded oracle over 4^12 word tuples is over the table cap
+    ["force-pipeline", "--k", "4", "--d", "3", "--depth-oracle", "4",
+     "--density", "4", "--branches", "1", "--buffer", "1"],
 ])
 def test_bad_parameter_is_usage_error(tmp_path, args):
     # a bad flag must not read as a result: exit 64 and write nothing
@@ -188,6 +194,14 @@ def test_force_pipeline_and_determinism(tmp_path):
     for name in ("force-pipeline.json", "force-pipeline-witness.json",
                  "force-pipeline.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_force_pipeline_seeded_oracle_below_cap(tmp_path):
+    # 4^9 = 262,144 word tuples: tabulated up front, under the cap
+    assert run(tmp_path, "force-pipeline", "--k", "4", "--d", "3",
+               "--depth-oracle", "3", "--density", "3", "--branches", "1",
+               "--buffer", "1") == 0
+    assert (tmp_path / "force-pipeline-witness.json").exists()
 
 
 def test_force_pipeline_theta_cap_is_budget(tmp_path):

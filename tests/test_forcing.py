@@ -9,6 +9,7 @@ from polygrid.forcing import (
     ColoringOracle,
     Condition,
     DenseStep,
+    ParameterError,
     compatible,
     decide_color,
     join,
@@ -363,6 +364,16 @@ def test_pipeline_transcript_deterministic():
 def test_condition_round_trip():
     p = cond({3: ((0, 1),), 8: ((1,),)})
     assert Condition.from_json(p.to_json()) == p
+
+
+@pytest.mark.parametrize("k, d, depth", [
+    (4, 3, 4),  # 4^12, about 16.7M entries
+    (2, 1, 21),  # one doubling past the cap of 2^20
+    (2, 1, 10 ** 9),  # the count is never formed in full
+])
+def test_seeded_oracle_table_cap(k, d, depth):
+    with pytest.raises(ParameterError, match="over the cap"):
+        ColoringOracle(k=k, d=d, depth=depth, num_colors=2, kind="seeded")
 
 
 def test_oracle_round_trip():

@@ -1,6 +1,11 @@
 """Cofinal functions, F*, and the constructive partition-hypothesis refutation."""
 
+import hashlib
+import itertools
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polygrid.antiramsey import Arena, c_full
 from polygrid.ph import (
@@ -25,6 +30,41 @@ def _max_fn(bound=M, arity=2):
 
 def _max_len_fn(bound=M, arity=2):
     return CofinalFn.from_formula(bound, arity, lambda xs: max(xs) + len(xs))
+
+
+def _proper_subsequences(ys):
+    """All nonempty proper subsequences, deduplicated, in sorted order."""
+    out = set()
+    for r in range(1, len(ys)):
+        out.update(itertools.combinations(ys, r))
+    return sorted(out)
+
+
+def _below(fx, fy, strict):
+    return fx < fy if strict else fx <= fy
+
+
+def _reference_cofinal(F, strict):
+    """The definition read literally: every singleton dominated, and every
+    proper subsequence of every tuple (strictly) below it."""
+    if any(not x <= F((x,)) for x in range(F.entry_bound)):
+        return False
+    return all(
+        _below(F(xs), F(ys), strict)
+        for length in range(2, F.arity + 1)
+        for ys in itertools.product(range(F.entry_bound), repeat=length)
+        for xs in _proper_subsequences(ys)
+    )
+
+
+def _is_violation(F, strict, counterexample):
+    """The reported pair really breaks the property it names."""
+    kind, xs, ys = counterexample
+    if kind == "domination":
+        return len(xs) == 1 and xs == ys and not xs[0] <= F(xs)
+    return (kind == ("strict-monotone" if strict else "monotone")
+            and xs in _proper_subsequences(ys)
+            and not _below(F(xs), F(ys), strict))
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +110,36 @@ def test_constant_zero_not_cofinal():
     assert not chk.ok
     # the one-entry clause fails at x = 1
     assert chk.counterexample is not None
+
+
+@st.composite
+def _small_tables(draw):
+    """Tables over entry bounds 1-5 and arities 1-3: max plus a multiple of
+    the length (cofinal, strictly so for a positive multiple), with a few
+    entries shifted so that many of them fail."""
+    bound = draw(st.integers(1, 5))
+    arity = draw(st.integers(1, 3))
+    slope = draw(st.integers(0, 2))
+    keys = [xs for length in range(1, arity + 1)
+            for xs in itertools.product(range(bound), repeat=length)]
+    table = {xs: max(xs) + slope * len(xs) for xs in keys}
+    for xs in draw(st.lists(st.sampled_from(keys), max_size=3)):
+        table[xs] += draw(st.integers(-2, 2))
+    return CofinalFn(bound, arity, table)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_small_tables(), st.booleans())
+def test_is_cofinal_matches_reference(F, strict):
+    # the deletion check may report a different first violation than a
+    # sweep over all subsequences; the verdict must agree, and the pair
+    # it reports must be a real violation
+    chk = is_cofinal(F, strict=strict)
+    assert chk.ok == _reference_cofinal(F, strict)
+    if chk.ok:
+        assert chk.counterexample is None
+    else:
+        assert _is_violation(F, strict, chk.counterexample)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +216,43 @@ def test_generated_cofinal_functions_refute():
         r = refute(gen.fn, arena)
         assert r.ok
         assert verify_refutation(gen.fn, arena, r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(1, 10, 64, 8), (2, 12, 40, 8), (3, 12, 14, 4)]),
+       st.data(), st.integers(0, 2 ** 16))
+def test_make_cofinal_is_strictly_cofinal(shape, data, seed):
+    # make_cofinal returns its tables unchecked: the repair alone must make
+    # each one strictly cofinal under the all-subsequence definition (arity
+    # 3 keeps to small bounds and spreads, where tables fit and are cheap)
+    arity, low, high, max_spread = shape
+    entry_bound = data.draw(st.integers(low, high))
+    spread = data.draw(st.integers(1, max_spread))
+    try:
+        gen = make_cofinal(entry_bound, arity, seed, spread=spread)
+    except NoAdmissibleTable:
+        assume(False)
+    assert _reference_cofinal(gen.fn, strict=True)
+
+
+@pytest.mark.parametrize("entry_bound, arity, seed, spread, skips, digest", [
+    (64, 2, 0, 8, 0, "fc09129302c98422"),
+    (16, 2, 0, 8, 4, "c4d2d32b825f54e4"),
+    (17, 2, 7, 8, 2, "a5d7e2b1c3a51295"),
+    (18, 3, 1, 8, 7, "f9dc254d1bd3469f"),
+    (17, 3, 14, 8, 1, "4bdccd2b2d3f615b"),
+    (24, 3, 1, 8, 0, "b70fc8710c4797d9"),
+    (32, 3, 2, 3, 0, "e026fe1fe68a4b12"),
+])
+def test_make_cofinal_output_pinned(entry_bound, arity, seed, spread,
+                                    skips, digest):
+    # digests of the tables and skip counts as built by the earlier repair
+    # floor over all proper subsequences, followed by a strict check of
+    # each candidate; the deletion floor must give the same bytes
+    gen = make_cofinal(entry_bound, arity, seed, spread=spread)
+    blob = repr((sorted(gen.fn.table.items()), gen.skips)).encode()
+    assert gen.skips == skips
+    assert hashlib.sha256(blob).hexdigest()[:16] == digest
 
 
 def test_make_cofinal_out_of_attempts():
