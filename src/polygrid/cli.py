@@ -371,6 +371,8 @@ def _run_delta_verify(cfg: RunConfig) -> int:
 })
 def _run_delta_extract(cfg: RunConfig) -> int:
     p = cfg.params
+    if p["h"] < 1:
+        raise UsageError("--h must be >= 1")
     fam_file = str(p["family"])
     if fam_file:
         data = json.loads(_read_input(fam_file, "family"))
@@ -380,6 +382,12 @@ def _run_delta_extract(cfg: RunConfig) -> int:
             for key, val in data.get("labels", {}).items()
         } or (lambda b: 0)
     else:
+        if p["n"] < 1:
+            raise UsageError("--n must be >= 1")
+        if p["num-indices"] < 0:
+            raise UsageError("--num-indices must be >= 0")
+        if not 0 <= p["planted"] <= p["num-indices"]:
+            raise UsageError("--planted must lie between 0 and --num-indices")
         fam, labels, _ = deltasys.make_planted_family(
             p["num-indices"], p["planted"], p["n"], cfg.seed)
     res = deltasys.extract_uniform(fam, p["h"], labels, budget=p["budget"])

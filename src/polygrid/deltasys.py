@@ -494,8 +494,12 @@ def make_planted_family(num_indices: int, planted_size: int, n: int,
     """A noisy family hiding one uniform subfamily on a seeded index set.
 
     Planted keys get u_b = b plus a fixed two-element tail (uniform, label
-    7); everything else draws its set from a deliberately cramped pool so
-    that noise classes collapse under pairwise checks, labels 0..5.
+    7); everything else gets a uniform (n+2)-subset of a deliberately
+    cramped pool of n+4 elements, so that noise classes collapse under
+    pairwise checks, and a uniform label 0..5.  There are only C(n+4, 2)*6
+    such (set, label) pairs, so they are built once and every key draws
+    one, in combinations order, from the same seeded stream that placed
+    the planted indices (planted keys ignore their draw).
     """
     rng = Random(f"plant:{seed}")
     indices = OrdSet(tuple(range(num_indices)))
@@ -503,16 +507,20 @@ def make_planted_family(num_indices: int, planted_size: int, n: int,
     base = num_indices + 10
     tail = (base, base + 1)
     rho = n + 2
-    pool = list(range(base + 2, base + 2 + rho + 2))
+    pool = range(base + 2, base + 2 + rho + 2)
+    noise = [(u, label)
+             for u in map(OrdSet, itertools.combinations(pool, rho))
+             for label in range(6)]
+    draws = rng.choices(noise, k=math.comb(num_indices, n))
     umap: dict[Key, OrdSet] = {}
     glabels: dict[Key, int] = {}
     pset = set(planted.elems)
-    for b in itertools.combinations(range(num_indices), n):
-        if set(b) <= pset:
+    for b, (u, label) in zip(itertools.combinations(range(num_indices), n),
+                             draws):
+        if pset.issuperset(b):
             umap[b] = OrdSet(b + tail)
             glabels[b] = 7
         else:
-            kr = Random(f"plant:{seed}:{','.join(map(str, b))}")
-            umap[b] = OrdSet(tuple(sorted(kr.sample(pool, rho))))
-            glabels[b] = kr.randrange(6)
+            umap[b] = u
+            glabels[b] = label
     return Family(n, indices, umap), glabels, planted

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import add
 from random import Random
 from typing import Optional, Sequence
 
@@ -24,6 +25,17 @@ def is_subseq(xs: Sequence[int], ys: Sequence[int]) -> bool:
     """True iff xs embeds into ys preserving order (not necessarily contiguous)."""
     it = iter(ys)
     return all(any(x == y for y in it) for x in xs)
+
+
+def _in_domain(xs: Sequence[int], entry_bound: int, arity: int) -> SeqTuple:
+    """xs as a tuple; ValueError unless it is a nonempty tuple over
+    0..entry_bound-1 of length at most arity."""
+    t = tuple(xs)
+    if not 1 <= len(t) <= arity:
+        raise ValueError(f"tuple length {len(t)} outside 1..{arity}")
+    if any(not 0 <= x < entry_bound for x in t):
+        raise ValueError(f"entry outside 0..{entry_bound - 1}: {t}")
+    return t
 
 
 class CofinalFn:
@@ -43,12 +55,7 @@ class CofinalFn:
                     raise ValueError(f"table is not total: missing {xs}")
 
     def __call__(self, xs: Sequence[int]) -> int:
-        t = tuple(xs)
-        if not 1 <= len(t) <= self.arity:
-            raise ValueError(f"tuple length {len(t)} outside 1..{self.arity}")
-        if any(not 0 <= x < self.entry_bound for x in t):
-            raise ValueError(f"entry outside 0..{self.entry_bound - 1}: {t}")
-        return self.table[t]
+        return self.table[_in_domain(xs, self.entry_bound, self.arity)]
 
     @classmethod
     def from_formula(cls, entry_bound: int, arity: int, fn) -> "CofinalFn":
@@ -140,9 +147,13 @@ def sigma_pair(F: CofinalFn, i_star: int,
 # seeded generation
 
 
+TABLE_CAP = 2 ** 20
+
+
 class NoAdmissibleTable(ValueError):
     """make_cofinal found no table whose refutation window fits the
-    entry bound within its attempts."""
+    entry bound within its attempts, or the table would exceed TABLE_CAP
+    entries."""
 
 
 @dataclass
@@ -152,31 +163,126 @@ class GeneratedCofinal:
     skips: int
 
 
+class _SeededTable:
+    """One attempt's table, evaluated on demand a row at a time, so the
+    refutation window is checked before the whole table exists.  Called
+    like a CofinalFn, with the same domain check.
+
+    The repair rule: xs gets max(xs) plus its seeded bump, lifted above
+    each one-element deletion, hence (by induction) above every proper
+    subsequence.  The bumps are drawn from `rng` in product order, length
+    by length (the order the whole table was once drawn in), as far as
+    the rows evaluated so far need them.
+    """
+
+    def __init__(self, entry_bound: int, arity: int, rng: Random,
+                 spread: int):
+        self.entry_bound = entry_bound
+        self.arity = arity
+        self.rng = rng
+        self.spread = spread
+        self.bumps: list[int] = []
+        self.rows: dict[SeqTuple, list[int]] = {}
+        # position in `bumps` of the first tuple of each length
+        self.offsets = [0, 0]
+        for length in range(1, arity):
+            self.offsets.append(self.offsets[-1] + entry_bound ** length)
+
+    def _draw(self, stop: int) -> None:
+        """Extend `bumps` to `stop` entries by rng.randint(1, spread)
+        draws.  randint(1, spread) is 1 + rng._randbelow(spread), which
+        redraws getrandbits(k) until it is below spread; inlined here, it
+        reads the same stream."""
+        bumps, spread = self.bumps, self.spread
+        getrandbits, k = self.rng.getrandbits, spread.bit_length()
+        for _ in range(stop - len(bumps)):
+            r = getrandbits(k)
+            while r >= spread:
+                r = getrandbits(k)
+            bumps.append(r + 1)
+
+    def __call__(self, xs: Sequence[int]) -> int:
+        t = _in_domain(xs, self.entry_bound, self.arity)
+        return self.row(t[:-1])[t[-1]]
+
+    def row(self, prefix: SeqTuple) -> list[int]:
+        """Values of prefix + (c,), c = 0..entry_bound-1.  Deleting c
+        leaves the prefix; deleting entry i of the prefix leaves entry c
+        of the row of the prefix without it."""
+        values = self.rows.get(prefix)
+        if values is not None:
+            return values
+        eb = self.entry_bound
+        start = 0
+        for x in prefix:
+            start = start * eb + x
+        start = self.offsets[len(prefix) + 1] + start * eb
+        if len(self.bumps) < start + eb:
+            self._draw(start + eb)
+        bumps = self.bumps[start:start + eb]
+        if not prefix:
+            values = list(map(add, range(eb), bumps))
+        else:
+            top = itertools.repeat(max(prefix))
+            raw = map(add, map(max, top, range(eb)), bumps)
+            floor = itertools.repeat(1 + self(prefix))
+            floors = [map(add, self.row(prefix[:i] + prefix[i + 1:]),
+                          itertools.repeat(1))
+                      for i in range(len(prefix))]
+            values = list(map(max, raw, floor, *floors))
+        self.rows[prefix] = values
+        return values
+
+    def table(self) -> dict[SeqTuple, int]:
+        """Every value, keyed in product order.  The rows are all evaluated
+        before the dict is built: interleaving the two raised the peak RSS
+        of a 518,480-entry table by 7 MiB."""
+        domain = range(self.entry_bound)
+        rows = [self.row(prefix) for length in range(self.arity)
+                for prefix in itertools.product(domain, repeat=length)]
+        keys = itertools.chain.from_iterable(
+            itertools.product(domain, repeat=length)
+            for length in range(1, self.arity + 1))
+        return dict(zip(keys, itertools.chain.from_iterable(rows)))
+
+
+def _check_table_size(entry_bound: int, arity: int) -> None:
+    """Refuse tables of more than TABLE_CAP entries, counting
+    entry_bound + ... + entry_bound^arity only until past the cap."""
+    size, power = 0, 1
+    for _ in range(arity):  # stops once past the cap
+        power *= max(entry_bound, 0)
+        size += power
+        if size > TABLE_CAP:
+            raise NoAdmissibleTable(
+                f"a cofinal table over entry bound {entry_bound} and arity "
+                f"{arity} would exceed the cap of {TABLE_CAP} entries")
+
+
 def make_cofinal(entry_bound: int, arity: int, seed: int,
                  spread: int = 8, max_attempts: int = 64) -> GeneratedCofinal:
     """Seeded strict cofinal table: max entry plus a positive seeded bump,
-    then a repair pass by length that lifts each tuple above its one-element
-    deletions, hence (by induction) above every proper subsequence.  So the
-    table is strictly cofinal by construction and is not re-checked here;
-    `refute` checks its input once.  Candidates whose refutation window
-    would push colored values past the entry bound are skipped (counted).
+    then a repair by length that lifts each tuple above its one-element
+    deletions (see _SeededTable).  So the table is strictly cofinal by
+    construction and is not re-checked here; `refute` checks its input
+    once.  Attempts whose refutation window would push colored values past
+    the entry bound are skipped (counted) after evaluating that window
+    alone; only the accepted attempt draws and builds its whole table.
+    Tables over TABLE_CAP entries are refused before any draw.
     """
+    _check_table_size(entry_bound, arity)
+    if spread < 1:  # the inlined draw would never end at spread 0
+        raise ValueError("spread must be >= 1")
     skips = 0
     for attempt in range(max_attempts):
         rng = Random(f"cofinal:{seed}:{attempt}")
-        table: dict[SeqTuple, int] = {}
-        for length in range(1, arity + 1):
-            for xs in itertools.product(range(entry_bound), repeat=length):
-                raw = max(xs) + rng.randint(1, spread)
-                floor = 0
-                if length > 1:
-                    floor = 1 + max(table[xs[:i] + xs[i + 1:]]
-                                    for i in range(length))
-                table[xs] = max(raw, floor)
-        fn = CofinalFn(entry_bound, arity, table)
-        if not _window_fits(fn, entry_bound):
+        table = _SeededTable(entry_bound, arity, rng, spread)
+        if not _window_fits(table, entry_bound):
             skips += 1
             continue
+        values = table.table()
+        del table  # drop the rows and bumps before CofinalFn copies values
+        fn = CofinalFn(entry_bound, arity, values)
         return GeneratedCofinal(fn=fn, seed=seed, skips=skips)
     raise NoAdmissibleTable(
         f"no admissible cofinal table after {max_attempts} attempts "

@@ -1,5 +1,6 @@
 """The batch runner: config parsing, exit codes, artifact determinism."""
 
+import hashlib
 import itertools
 import json
 
@@ -84,6 +85,13 @@ def test_usage_exit_code():
     # a seeded oracle over 4^12 word tuples is over the table cap
     ["force-pipeline", "--k", "4", "--d", "3", "--depth-oracle", "4",
      "--density", "4", "--branches", "1", "--buffer", "1"],
+    # 64 + 64^2 + 64^3 + 64^4 = 17.0M table entries, over the table cap
+    ["ph-refute", "--entry-bound", "64", "--n", "3"],
+    ["delta-extract", "--h", "0"],
+    ["delta-extract", "--n", "0"],
+    ["delta-extract", "--planted", "50", "--num-indices", "20"],
+    ["delta-extract", "--planted", "-1"],
+    ["delta-extract", "--num-indices", "-3"],
 ])
 def test_bad_parameter_is_usage_error(tmp_path, args):
     # a bad flag must not read as a result: exit 64 and write nothing
@@ -139,6 +147,16 @@ def test_ph_refute(tmp_path):
     blob = json.loads((tmp_path / "ph-refute.json").read_text())
     assert blob["ok"] is True
     assert blob["verified"] is True
+
+
+def test_ph_refute_largest_table_under_cap(tmp_path):
+    # 80 + 80^2 + 80^3 = 518,480 entries; the bytes are those of the
+    # whole-table generator
+    assert run(tmp_path, "ph-refute", "--entry-bound", "80", "--n", "2") == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+               for p in tmp_path.iterdir()}
+    assert digests == {"ph-refute.json": "ea8d2f22538b830c",
+                       "ph-refute.csv": "af23f4e0e26630ca"}
 
 
 def test_delta_verify_roundtrip(tmp_path):

@@ -1,6 +1,8 @@
 """Uniform n-dimensional systems: verification, extraction, derivation."""
 
+import hashlib
 import itertools
+import json
 from random import Random
 
 import pytest
@@ -240,6 +242,54 @@ def test_extract_planted_instance():
     assert cert.is_full
     vals = {g[b] if not callable(g) else g(b) for b in sub.keys()}
     assert len(vals) == 1
+
+
+@st.composite
+def _planted_params(draw):
+    num_indices = draw(st.integers(0, 12))
+    planted = draw(st.integers(0, num_indices))
+    n = draw(st.integers(1, 3))
+    return num_indices, planted, n, draw(st.integers(0, 2 ** 16))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_planted_params())
+def test_planted_family_shape(params):
+    num_indices, planted_size, n, seed = params
+    fam, g, planted = make_planted_family(num_indices, planted_size, n, seed)
+    # the planted index set is the first draw of the seeded stream
+    want = Random(f"plant:{seed}").sample(range(num_indices), planted_size)
+    assert planted == OrdSet.of(want)
+    assert fam.is_total() and set(g) == set(fam.umap)
+    base = num_indices + 10
+    pool = set(range(base + 2, base + n + 6))
+    for b, u in fam.umap.items():
+        if set(b) <= set(planted.elems):
+            assert u.elems == b + (base, base + 1) and g[b] == 7
+        else:
+            assert u.otp == n + 2 and set(u.elems) <= pool
+            assert g[b] in range(6)
+
+
+def test_planted_noise_covers_every_pair():
+    # at n = 3 the pool has 7 elements: C(7, 5) sets times 6 labels
+    fam, g, planted = make_planted_family(40, 8, 3, seed=5)
+    noise = {(fam.umap[b].elems, g[b]) for b in fam.umap
+             if not set(b) <= set(planted.elems)}
+    assert len(noise) == 21 * 6 == 126
+
+
+@pytest.mark.parametrize("num_indices, planted, n, seed, digest", [
+    (40, 8, 2, 1, "4de65b7172c04f0d"),
+    (60, 12, 3, 7, "764f2fdc079ca786"),
+    (200, 12, 2, 0, "f3570fc42e38c63d"),
+    (9, 9, 1, 3, "5e88ec7b91821186"),
+])
+def test_planted_family_pinned(num_indices, planted, n, seed, digest):
+    fam, g, _ = make_planted_family(num_indices, planted, n, seed)
+    labels = {",".join(map(str, b)): v for b, v in sorted(g.items())}
+    blob = json.dumps([fam.to_json(), labels], sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest()[:16] == digest
 
 
 def test_extract_matches_exhaustive_small():

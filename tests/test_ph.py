@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+from random import Random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 
 from polygrid.antiramsey import Arena, c_full
 from polygrid.ph import (
+    TABLE_CAP,
     CofinalFn,
     NoAdmissibleTable,
+    _window_fits,
     fstar,
     is_cofinal,
     is_sigma_seq,
@@ -243,12 +246,15 @@ def test_make_cofinal_is_strictly_cofinal(shape, data, seed):
     (17, 3, 14, 8, 1, "4bdccd2b2d3f615b"),
     (24, 3, 1, 8, 0, "b70fc8710c4797d9"),
     (32, 3, 2, 3, 0, "e026fe1fe68a4b12"),
+    (16, 3, 1, 8, 33, "c09d8548118eba17"),
 ])
 def test_make_cofinal_output_pinned(entry_bound, arity, seed, spread,
                                     skips, digest):
     # digests of the tables and skip counts as built by the earlier repair
     # floor over all proper subsequences, followed by a strict check of
-    # each candidate; the deletion floor must give the same bytes
+    # each candidate (the last case: by the whole-table build of
+    # _reference_make_cofinal); the window-first build must give the same
+    # bytes
     gen = make_cofinal(entry_bound, arity, seed, spread=spread)
     blob = repr((sorted(gen.fn.table.items()), gen.skips)).encode()
     assert gen.skips == skips
@@ -259,6 +265,64 @@ def test_make_cofinal_out_of_attempts():
     # at entry bound 4 every refutation window overflows the bound
     with pytest.raises(NoAdmissibleTable, match="after 3 attempts"):
         make_cofinal(4, 2, 0, max_attempts=3)
+
+
+def _reference_make_cofinal(entry_bound, arity, seed, spread=8,
+                            max_attempts=64):
+    """Build each attempt's whole table with rng.randint, then check its
+    window: (table, skips), or None when out of attempts."""
+    skips = 0
+    for attempt in range(max_attempts):
+        rng = Random(f"cofinal:{seed}:{attempt}")
+        table = {}
+        for length in range(1, arity + 1):
+            for xs in itertools.product(range(entry_bound), repeat=length):
+                raw = max(xs) + rng.randint(1, spread)
+                floor = 0
+                if length > 1:
+                    floor = 1 + max(table[xs[:i] + xs[i + 1:]]
+                                    for i in range(length))
+                table[xs] = max(raw, floor)
+        fn = CofinalFn(entry_bound, arity, table)
+        if not _window_fits(fn, entry_bound):
+            skips += 1
+            continue
+        return fn.table, skips
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6), st.integers(1, 3), st.integers(0, 2 ** 16),
+       st.integers(1, 8), st.integers(1, 8))
+def test_make_cofinal_matches_reference(entry_bound, arity, seed, spread,
+                                        max_attempts):
+    # entry bounds 0 and 1 reach the out-of-domain errors of the window
+    want = _reference_make_cofinal(entry_bound, arity, seed, spread,
+                                   max_attempts)
+    try:
+        gen = make_cofinal(entry_bound, arity, seed, spread, max_attempts)
+    except NoAdmissibleTable:
+        assert want is None
+        return
+    assert want == (gen.fn.table, gen.skips)
+
+
+def test_make_cofinal_out_of_attempts_at_arity_three():
+    # the whole-table build took 64 tables to reach this; (16, 3, seed=1),
+    # accepted after 33 skips, is pinned above
+    with pytest.raises(NoAdmissibleTable, match="after 64 attempts"):
+        make_cofinal(16, 3, 0)
+
+
+@pytest.mark.parametrize("entry_bound, arity, entries", [
+    (64, 4, 64 + 64 ** 2 + 64 ** 3 + 64 ** 4),
+    (2, 20, 2 ** 21 - 2),
+    (10 ** 9, 1, 10 ** 9),
+])
+def test_make_cofinal_refuses_tables_over_cap(entry_bound, arity, entries):
+    assert entries > TABLE_CAP
+    with pytest.raises(NoAdmissibleTable, match="cap"):
+        make_cofinal(entry_bound, arity, 0)
 
 
 def test_refutation_json_round_trip_fields():
