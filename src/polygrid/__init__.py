@@ -7,8 +7,8 @@ grid-to-strong-subtree derivation with its sideways construction (hl),
 and a batch CLI (cli).
 """
 
-from .ordset import OrdSet, aligned, rset
+from .ordset import OrdSet, ParameterError, aligned, rset
 
-__all__ = ["OrdSet", "aligned", "rset", "__version__"]
+__all__ = ["OrdSet", "ParameterError", "aligned", "rset", "__version__"]
 
 __version__ = "0.1.0"

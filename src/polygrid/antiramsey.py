@@ -17,7 +17,7 @@ from functools import cached_property
 from random import Random
 from typing import NamedTuple, Sequence
 
-from .ordset import OrdSet
+from .ordset import OrdSet, ParameterError
 
 
 class TupleColor(NamedTuple):
@@ -57,13 +57,13 @@ class Arena:
 
     def __post_init__(self):
         if self.size < 2:
-            raise ValueError("arena size must be >= 2")
+            raise ParameterError("arena size must be >= 2")
         if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
+            raise ParameterError("dimension must be >= 1")
         if self.mode not in ("identity", "seeded"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise ParameterError(f"unknown mode {self.mode!r}")
         if self.mode == "seeded" and self.seed is None:
-            raise ValueError("seeded mode needs a seed")
+            raise ParameterError("seeded mode needs a seed")
 
     @cached_property
     def _tables(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
@@ -259,7 +259,7 @@ def ramsey_m_star(n: int, k: int, budget: int = DEFAULT_BUDGET) -> int:
     admits a monochromatic (n+2)-subset.  Verified by exhausting the bad
     colorings of m after exhibiting one at m-1."""
     if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
+        raise ParameterError("need n >= 1 and k >= 1")
     key = (n, k)
     if key in _threshold_cache:
         return _threshold_cache[key]

@@ -4,7 +4,8 @@ Configuration comes from plain key=value files plus flags (flags win,
 unknown keys are rejected), all randomness flows from --seed, and every
 run writes diffable artifacts: witness JSON plus a CSV summary, no
 timestamps, keys sorted.  Exit statuses are part of the contract:
-0 success, 1 declared failure, 2 budget exhaustion, 64 usage error.
+0 success, 1 declared failure, 2 budget exhaustion, 64 usage error (a
+ParameterError, raised before any artifact is written), 70 internal error.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import itertools
 import json
 import os
 import sys
+import traceback
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,19 +23,15 @@ from random import Random
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import antiramsey, deltasys, forcing, hl, ph, trees
-from .ordset import OrdSet
+from .ordset import OrdSet, ParameterError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_BUDGET = 2
 EXIT_USAGE = 64
+EXIT_SOFTWARE = 70
 
 OUTDIR_ENV = "POLYGRID_OUT"
-
-
-class UsageError(Exception):
-    pass
-
 
 _REQUIRED = object()
 
@@ -80,8 +78,27 @@ def _read_input(raw: str, what: str) -> str:
     """Text of an input file named on the command line."""
     path = Path(raw)
     if not path.is_file():
-        raise UsageError(f"{what} file {raw!r} not found")
+        raise ParameterError(f"{what} file {raw!r} not found")
     return path.read_text()
+
+
+def _load_input(raw: str, what: str, parse: Callable[[object], object]):
+    """parse() applied to the JSON of an input file named on the command
+    line; a file that is not JSON, or that parse() rejects, is a
+    ParameterError."""
+    text = _read_input(raw, what)
+    try:
+        return parse(json.loads(text))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ParameterError(f"{what} file {raw!r}: {exc!r}") from None
+
+
+def _family_from(data: dict) -> tuple[deltasys.Family, dict]:
+    """A family file: the family (bare or under "family") and its labels."""
+    fam = deltasys.Family.from_json(data.get("family", data))
+    labels = {deltasys._key_from_str(key): val
+              for key, val in data.get("labels", {}).items()}
+    return fam, labels
 
 
 def parse_config(argv: Sequence[str]) -> Optional[RunConfig]:
@@ -95,7 +112,7 @@ def parse_config(argv: Sequence[str]) -> Optional[RunConfig]:
         return None
     cmd = argv[0]
     if cmd not in _COMMANDS:
-        raise UsageError(f"unknown subcommand {cmd!r}")
+        raise ParameterError(f"unknown subcommand {cmd!r}")
     schema = {**_COMMON, **_COMMANDS[cmd][0]}
 
     flags: dict[str, str] = {}
@@ -103,9 +120,9 @@ def parse_config(argv: Sequence[str]) -> Optional[RunConfig]:
     while i < len(argv):
         tok = argv[i]
         if not tok.startswith("--"):
-            raise UsageError(f"expected a --flag, got {tok!r}")
+            raise ParameterError(f"expected a --flag, got {tok!r}")
         if i + 1 >= len(argv):
-            raise UsageError(f"flag {tok} needs a value")
+            raise ParameterError(f"flag {tok} needs a value")
         flags[tok[2:]] = argv[i + 1]
         i += 2
 
@@ -117,7 +134,7 @@ def parse_config(argv: Sequence[str]) -> Optional[RunConfig]:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise UsageError(f"malformed config line {line!r}")
+                raise ParameterError(f"malformed config line {line!r}")
             key, _, val = line.partition("=")
             merged[key.strip()] = val.strip()
     merged.update(flags)
@@ -126,20 +143,20 @@ def parse_config(argv: Sequence[str]) -> Optional[RunConfig]:
     params: dict[str, object] = {}
     for key, raw in merged.items():
         if key not in schema:
-            raise UsageError(f"unknown key {key!r} for subcommand {cmd}")
+            raise ParameterError(f"unknown key {key!r} for subcommand {cmd}")
         typ, _ = schema[key]
         if typ is int:
             try:
                 params[key] = int(raw)
             except ValueError:
-                raise UsageError(f"value {raw!r} for --{key} is not an integer")
+                raise ParameterError(f"value {raw!r} for --{key} is not an integer")
         else:
             params[key] = raw
     for key, (typ, default) in schema.items():
         if key == "config" or key in params:
             continue
         if default is _REQUIRED:
-            raise UsageError(f"--{key} is required for {cmd}")
+            raise ParameterError(f"--{key} is required for {cmd}")
         params[key] = default
 
     outdir = Path(str(params.pop("out")) or os.environ.get(OUTDIR_ENV, "."))
@@ -168,7 +185,7 @@ def _parse_words(raw: str, d: int) -> list[tuple[int, ...]]:
         return [()] * d
     parts = raw.split(",")
     if len(parts) != d:
-        raise UsageError(f"expected {d} comma-separated words, got {len(parts)}")
+        raise ParameterError(f"expected {d} comma-separated words, got {len(parts)}")
     out = []
     for part in parts:
         if part in (".", ""):
@@ -176,7 +193,7 @@ def _parse_words(raw: str, d: int) -> list[tuple[int, ...]]:
         elif part.isdigit():
             out.append(trees.word_from_str(part))
         else:
-            raise UsageError(f"bad word {part!r}: digit strings only")
+            raise ParameterError(f"bad word {part!r}: digit strings only")
     return out
 
 
@@ -253,16 +270,16 @@ def _run_product_bound(cfg: RunConfig) -> int:
     p = cfg.params
     n, k, size, samples = p["n"], p["k"], p["size"], p["samples"]
     if samples < 0:
-        raise UsageError("--samples must be >= 0 (0 enumerates every pair)")
+        raise ParameterError("--samples must be >= 0 (0 enumerates every pair)")
     try:
         m = antiramsey.m_seq(n, k)
     except antiramsey.BudgetError as exc:
         print(f"product-bound: {exc}")
         return EXIT_BUDGET
     if m > size:
-        raise UsageError(f"side size {m} does not fit in an arena of {size}")
+        raise ParameterError(f"side size {m} does not fit in an arena of {size}")
     if samples == 0 and n != 1:
-        raise UsageError("exhaustive pair enumeration is only wired for n=1")
+        raise ParameterError("exhaustive pair enumeration is only wired for n=1")
     arena = antiramsey.Arena(size=size, dim=n, mode="identity")
     pairs: Iterable[tuple[OrdSet, ...]]
     if samples == 0:
@@ -305,17 +322,10 @@ def _run_product_bound(cfg: RunConfig) -> int:
 })
 def _run_ph_refute(cfg: RunConfig) -> int:
     p = cfg.params
-    if p["n"] < 1:
-        raise UsageError("--n must be >= 1")
-    if p["spread"] < 1:
-        raise UsageError("--spread must be >= 1")
-    try:
-        gen = ph.make_cofinal(p["entry-bound"], p["n"] + 1, cfg.seed,
-                              spread=p["spread"])
-    except ph.NoAdmissibleTable as exc:
-        raise UsageError(str(exc))
     arena = antiramsey.Arena(size=p["entry-bound"], dim=p["n"],
                              mode="identity")
+    gen = ph.make_cofinal(p["entry-bound"], p["n"] + 1, cfg.seed,
+                          spread=p["spread"])
     ref = ph.refute(gen.fn, arena)
     verified = ph.verify_refutation(gen.fn, arena, ref)
     payload = ref.to_json()
@@ -334,8 +344,7 @@ def _run_ph_refute(cfg: RunConfig) -> int:
 })
 def _run_delta_verify(cfg: RunConfig) -> int:
     p = cfg.params
-    data = json.loads(_read_input(str(p["family"]), "family"))
-    fam = deltasys.Family.from_json(data.get("family", data))
+    fam, _ = _load_input(str(p["family"]), "family", _family_from)
     outcome = deltasys.verify_uniform(fam)
     if isinstance(outcome, deltasys.Violation):
         _write_artifacts(cfg, {
@@ -347,8 +356,8 @@ def _run_delta_verify(cfg: RunConfig) -> int:
     matches = None
     cert_file = str(p["certificate"])
     if cert_file:
-        stored = deltasys.UniformCertificate.from_json(
-            json.loads(_read_input(cert_file, "certificate")))
+        stored = _load_input(cert_file, "certificate",
+                             deltasys.UniformCertificate.from_json)
         matches = (stored.dim == outcome.dim and stored.rho == outcome.rho
                    and stored.patterns == outcome.patterns)
     _write_artifacts(cfg, {
@@ -371,23 +380,11 @@ def _run_delta_verify(cfg: RunConfig) -> int:
 })
 def _run_delta_extract(cfg: RunConfig) -> int:
     p = cfg.params
-    if p["h"] < 1:
-        raise UsageError("--h must be >= 1")
     fam_file = str(p["family"])
     if fam_file:
-        data = json.loads(_read_input(fam_file, "family"))
-        fam = deltasys.Family.from_json(data.get("family", data))
-        labels = {
-            deltasys._key_from_str(key): val
-            for key, val in data.get("labels", {}).items()
-        } or (lambda b: 0)
+        fam, labels = _load_input(fam_file, "family", _family_from)
+        labels = labels or (lambda b: 0)
     else:
-        if p["n"] < 1:
-            raise UsageError("--n must be >= 1")
-        if p["num-indices"] < 0:
-            raise UsageError("--num-indices must be >= 0")
-        if not 0 <= p["planted"] <= p["num-indices"]:
-            raise UsageError("--planted must lie between 0 and --num-indices")
         fam, labels, _ = deltasys.make_planted_family(
             p["num-indices"], p["planted"], p["n"], cfg.seed)
     res = deltasys.extract_uniform(fam, p["h"], labels, budget=p["budget"])
@@ -432,18 +429,15 @@ def _run_delta_extract(cfg: RunConfig) -> int:
 })
 def _run_force_pipeline(cfg: RunConfig) -> int:
     p = cfg.params
-    try:
-        oracle = forcing.ColoringOracle(
-            k=p["k"], d=p["d"], depth=p["depth-oracle"],
-            num_colors=p["colors"], kind=p["oracle"], value=p["value"],
-            seed=cfg.seed,
-        )
-        res = forcing.run_pipeline(
-            oracle, p["density"], p["branches"], buffer=p["buffer"],
-            theta_start=p["theta"], theta_cap=p["theta-cap"],
-        )
-    except forcing.ParameterError as exc:
-        raise UsageError(str(exc))
+    oracle = forcing.ColoringOracle(
+        k=p["k"], d=p["d"], depth=p["depth-oracle"],
+        num_colors=p["colors"], kind=p["oracle"], value=p["value"],
+        seed=cfg.seed,
+    )
+    res = forcing.run_pipeline(
+        oracle, p["density"], p["branches"], buffer=p["buffer"],
+        theta_start=p["theta"], theta_cap=p["theta-cap"],
+    )
     res.transcript["seed"] = cfg.seed
     _write_artifacts(cfg, res.transcript, [{
         "d": p["d"], "k": p["k"], "seed": cfg.seed, "ok": res.ok,
@@ -459,32 +453,24 @@ def _run_force_pipeline(cfg: RunConfig) -> int:
 
 
 def _coloring_from(cfg: RunConfig) -> hl.LevelColoring:
-    """The --coloring named on the command line, --density checked against it."""
+    """The --coloring named on the command line."""
     p = cfg.params
     kind = str(p["coloring"])
     if kind == "table":
         tfile = str(p["table"])
         if not tfile:
-            raise UsageError("--table FILE is required for the table kind")
-        gamma = hl.LevelColoring.from_json(
-            json.loads(_read_input(tfile, "table")))
-    else:
-        roots: tuple[tuple[int, ...], ...] = ()
-        if kind == "planted-grid":
-            raw = str(p["roots"])
-            if not raw:
-                raise UsageError("--roots is required for planted-grid")
-            roots = tuple(_parse_words(raw, p["d"]))
-        try:
-            gamma = hl.LevelColoring(
-                k=p["k"], d=p["d"], depth=p["depth"], r=p["r"], kind=kind,
-                value=p["value"], seed=cfg.seed, roots=roots,
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc))
-    if not 1 <= p["density"] <= gamma.depth:
-        raise UsageError("--density must lie between 1 and --depth")
-    return gamma
+            raise ParameterError("--table FILE is required for the table kind")
+        return _load_input(tfile, "table", hl.LevelColoring.from_json)
+    roots: tuple[tuple[int, ...], ...] = ()
+    if kind == "planted-grid":
+        raw = str(p["roots"])
+        if not raw:
+            raise ParameterError("--roots is required for planted-grid")
+        roots = tuple(_parse_words(raw, p["d"]))
+    return hl.LevelColoring(
+        k=p["k"], d=p["d"], depth=p["depth"], r=p["r"], kind=kind,
+        value=p["value"], seed=cfg.seed, roots=roots,
+    )
 
 
 _COLORING_SCHEMA: Schema = {
@@ -513,8 +499,6 @@ def _run_hl_derive(cfg: RunConfig) -> int:
         roots = list(gamma.roots)
     else:
         roots = [()] * gamma.d
-    if any(len(w) > p["density"] for w in roots):
-        raise UsageError("roots must not exceed the density depth")
     grid = hl.cone_grid(gamma, roots, p["density"])
     if grid is None:
         _write_artifacts(cfg, {
@@ -578,17 +562,13 @@ def _run_grid_search(cfg: RunConfig) -> int:
 def _run_sideways(cfg: RunConfig) -> int:
     p = cfg.params
     d, k, depth, j_bound = p["d"], p["k"], p["depth"], p["j-bound"]
-    if j_bound >= depth:
-        raise UsageError(f"--j-bound {j_bound} needs --depth above it")
     kind = str(p["jmap"])
     if kind == "constant":
-        if not 0 <= p["value"] < j_bound:
-            raise UsageError("--value must lie below --j-bound")
         jmap: Callable = lambda xs: p["value"]
-    elif kind == "first-letter":
+    elif kind == "first-letter" and d >= 1:
         jmap = lambda xs: xs[0].word[0] % j_bound
     else:
-        raise UsageError(f"unknown jmap kind {kind!r}")
+        raise ParameterError(f"no jmap kind {kind!r} for --d {d}")
     fn = hl.sideways_build(jmap, d, j_bound, depth)
     shapes = [trees.TreeShape(k, depth, index=i) for i in range(d + 1)]
     sides = [trees.branches(s) for s in shapes]
@@ -618,21 +598,14 @@ def _run_sideways(cfg: RunConfig) -> int:
 })
 def _run_ddf_check(cfg: RunConfig) -> int:
     p = cfg.params
-    if p["d"] < 1:
-        raise UsageError("--d must be >= 1")
-    if not 0 <= p["density"] <= p["depth"]:
-        raise UsageError("--density must lie between 0 and --depth")
-    if p["mcap"] < 1:
-        raise UsageError("--mcap must be >= 1")
     shapes = [trees.TreeShape(p["k"], p["depth"], index=i)
               for i in range(p["d"])]
     zfile = str(p["zfile"])
     if zfile:
-        Z = [
+        Z = _load_input(zfile, "z", lambda data: [
             tuple(trees.Node(i, trees.word_from_str(s))
                   for i, s in enumerate(entry))
-            for entry in json.loads(_read_input(zfile, "z"))
-        ]
+            for entry in data])
     else:
         Z = list(itertools.product(*(trees.branches(s) for s in shapes)))
     ok = trees.is_ddf_to_depth(shapes, Z, p["density"], p["mcap"])
@@ -651,19 +624,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
     try:
         cfg = parse_config(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if cfg is None:
-        return EXIT_OK
-    try:
+        if cfg is None:
+            return EXIT_OK
         return _COMMANDS[cfg.command][1](cfg)
-    except UsageError as exc:
+    except ParameterError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except antiramsey.BudgetError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except Exception:
+        # a fault of the program, not a verdict: never exit 1 for it
+        traceback.print_exc()
+        return EXIT_SOFTWARE
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Union
 
 # aligned and rset are the reference definitions `agreement` computes; they
 # stay bound here because bench/tracing.py counts their calls in this module
-from .ordset import OrdSet, aligned, rset  # noqa: F401
+from .ordset import OrdSet, ParameterError, aligned, rset  # noqa: F401
 
 Key = tuple[int, ...]
 
@@ -203,10 +203,10 @@ def verify_uniform(fam: Family) -> VerifyOutcome:
     aligned pair realizes, or the first violation found.
     """
     if not fam.is_total():
-        raise ValueError("verification needs a total family")
+        raise ParameterError("verification needs a total family")
     keys = fam.keys()
     if not keys:
-        raise ValueError("empty family")
+        raise ParameterError("empty family")
     rho = fam.umap[keys[0]].otp
     for b in keys:
         if fam.umap[b].otp != rho:
@@ -356,9 +356,9 @@ def extract_uniform(fam: Family, h: int, g, budget: int = 200_000) -> ExtractRes
     exhaustive scan as a budgeted fallback.
     """
     if not fam.is_total():
-        raise ValueError("extraction needs a total family")
+        raise ParameterError("extraction needs a total family")
     if h < 1:
-        raise ValueError("h must be >= 1")
+        raise ParameterError("h must be >= 1")
     labels = _normalize_labels(fam, g)
     n_idx = len(fam.indices.elems)
     if h > n_idx:
@@ -501,6 +501,10 @@ def make_planted_family(num_indices: int, planted_size: int, n: int,
     one, in combinations order, from the same seeded stream that placed
     the planted indices (planted keys ignore their draw).
     """
+    if n < 1:
+        raise ParameterError("n must be >= 1")
+    if not 0 <= planted_size <= num_indices:
+        raise ParameterError("need 0 <= planted size <= number of indices")
     rng = Random(f"plant:{seed}")
     indices = OrdSet(tuple(range(num_indices)))
     planted = OrdSet.of(rng.sample(range(num_indices), planted_size))

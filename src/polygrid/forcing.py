@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 # unused here; kept so that tracers patching forcing.extract_uniform find it
 from .deltasys import extract_uniform  # noqa: F401
-from .ordset import OrdSet
+from .ordset import OrdSet, ParameterError
 from .trees import (
     GridWitness,
     Node,
@@ -34,10 +34,6 @@ Row = tuple[Word, ...]
 
 # most entries a seeded oracle may tabulate up front (k ** (depth * d))
 SEEDED_TABLE_CAP = 2 ** 20
-
-
-class ParameterError(ValueError):
-    """An oracle or pipeline parameter outside its domain."""
 
 
 @dataclass(frozen=True)

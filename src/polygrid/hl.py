@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Optional, Sequence
 
-from .ordset import OrdSet
+from .ordset import OrdSet, ParameterError
 from .trees import (
     GridWitness,
     Node,
@@ -70,24 +70,24 @@ class LevelColoring:
 
     def __post_init__(self):
         if self.k < 2 or self.d < 1 or self.depth < 1:
-            raise ValueError("need k >= 2, d >= 1, depth >= 1")
+            raise ParameterError("need k >= 2, d >= 1, depth >= 1")
         if self.r < 1:
-            raise ValueError("need at least one color")
+            raise ParameterError("need at least one color")
         if self.kind not in NAMED_KINDS + ("table",):
-            raise ValueError(f"unknown coloring kind {self.kind!r}")
+            raise ParameterError(f"unknown coloring kind {self.kind!r}")
         if self.kind in ("constant", "planted-grid", "level-parity"):
             if not 0 <= self.value < self.r:
-                raise ValueError(f"value {self.value} outside 0..{self.r - 1}")
+                raise ParameterError(f"value {self.value} outside 0..{self.r - 1}")
         if self.kind == "planted-grid":
             if self.r < 2:
-                raise ValueError("planted-grid noise needs a second color")
+                raise ParameterError("planted-grid noise needs a second color")
             if len(self.roots) != self.d:
-                raise ValueError(f"need {self.d} planted roots")
+                raise ParameterError(f"need {self.d} planted roots")
             for w in self.roots:
                 if len(w) > self.depth or any(not 0 <= c < self.k for c in w):
-                    raise ValueError(f"bad planted root {w}")
+                    raise ParameterError(f"bad planted root {w}")
         if self.kind == "adversarial" and (self.d != 1 or self.r != 2):
-            raise ValueError("the adversarial instance is d=1, r=2")
+            raise ParameterError("the adversarial instance is d=1, r=2")
 
     def color(self, nodes: Sequence[Node]) -> int:
         if len(nodes) != self.d:
@@ -182,12 +182,9 @@ def surrogate_color(gamma: LevelColoring, xs: Sequence[Node], L: int) -> int:
     return min(j for j, n in counts.items() if n == best)
 
 
-def surrogate_fn(
-    gamma: LevelColoring, L: Optional[int] = None
-) -> Callable[[tuple[Node, ...]], int]:
-    """The branch coloring induced by majority-to-L (default: full depth)."""
-    cut = gamma.depth if L is None else L
-    return lambda xs: surrogate_color(gamma, xs, cut)
+def surrogate_fn(gamma: LevelColoring) -> Callable[[tuple[Node, ...]], int]:
+    """The branch coloring induced by majority to the full depth."""
+    return lambda xs: surrogate_color(gamma, xs, gamma.depth)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +271,6 @@ def search_grid(
     shapes: Sequence[TreeShape],
     density_depth: int,
     cap: int,
-    pools: Optional[Sequence[Sequence[Node]]] = None,
 ) -> Optional[GridWitness]:
     """Backtracking search for a monochromatic somewhere-dense grid.
 
@@ -288,10 +284,8 @@ def search_grid(
     if any(s.depth != depth for s in shapes):
         raise ValueError("trees must share a depth")
     if not 1 <= density_depth <= depth:
-        raise ValueError(f"need 1 <= density depth <= {depth}")
-    if pools is None:
-        pools = [branches(s) for s in shapes]
-    pools = [sorted(p, key=node_key) for p in pools]
+        raise ParameterError(f"need 1 <= density depth <= {depth}")
+    pools = [branches(s) for s in shapes]  # in node_key order: lexicographic
 
     cache: dict[tuple[Node, ...], int] = {}
 
@@ -449,7 +443,7 @@ def derive_strong_subtrees(
     re-checked against verify_hl_witness before being returned.
     """
     if h < 1:
-        raise ValueError("witness height must be >= 1")
+        raise ParameterError("witness height must be >= 1")
     if (gamma.d, gamma.k) != (w.d, w.k):
         raise ValueError("coloring and grid witness disagree on shape")
     j = w.color
@@ -538,10 +532,14 @@ def cone_grid(
     leftmost completion; this is the minimal dense set through the root
     and keeps validation cheap at any depth.
     """
+    if not 1 <= density_depth <= gamma.depth:
+        raise ParameterError(f"need 1 <= density depth <= {gamma.depth}")
     if len(roots) != gamma.d:
-        raise ValueError(f"need {gamma.d} roots")
+        raise ParameterError(f"need {gamma.d} roots")
     if any(len(r) > density_depth for r in roots):
-        raise ValueError("roots must not exceed the density depth")
+        raise ParameterError("roots must not exceed the density depth")
+    if any(not 0 <= c < gamma.k for r in roots for c in r):
+        raise ParameterError(f"root letters must lie in 0..{gamma.k - 1}")
     sets = []
     for i, r in enumerate(roots):
         tails = itertools.product(range(gamma.k), repeat=density_depth - len(r))
@@ -587,17 +585,18 @@ def sideways_build(
     """Lift a d-dimensional branch coloring into {0..j_bound-1} to a
     2-coloring of (d+1)-tuples: color 0 iff the last coordinate lies in
     S_j for j the jmap value of the first d."""
-    if j_bound >= depth:
-        raise ValueError(
-            f"jmap range {j_bound} needs branch depth above {j_bound}"
-        )
+    if d < 0:
+        raise ParameterError("need d >= 0")
+    if not 1 <= j_bound < depth:
+        raise ParameterError(
+            f"need 1 <= jmap range {j_bound} < branch depth {depth}")
 
     def color(xs: tuple[Node, ...]) -> int:
         if len(xs) != d + 1:
             raise ValueError(f"expected {d + 1} branches, got {len(xs)}")
         j = jmap(tuple(xs[:d]))
         if not 0 <= j < j_bound:
-            raise ValueError(f"jmap value {j} outside 0..{j_bound - 1}")
+            raise ParameterError(f"jmap value {j} outside 0..{j_bound - 1}")
         return 0 if s_member(j, xs[d]) else 1
 
     return color

@@ -11,6 +11,12 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
+class ParameterError(ValueError):
+    """A value from outside the program (a flag, an input file) outside
+    its domain, rejected by the code that owns the parameter.  The CLI
+    exits 64 on it; checks on internal invariants raise plain ValueError."""
+
+
 @dataclass(frozen=True)
 class OrdSet:
     """Immutable strictly increasing tuple of naturals."""
@@ -45,9 +51,6 @@ class OrdSet:
     def select(self, positions: Iterable[int]) -> "OrdSet":
         """Subset sitting at the given positions: {a(eta) : eta in I}."""
         return OrdSet(tuple(self.at(eta) for eta in sorted(set(positions))))
-
-    def union(self, other: "OrdSet") -> "OrdSet":
-        return OrdSet.of(set(self.elems) | set(other.elems))
 
     def intersect(self, other: "OrdSet") -> "OrdSet":
         common = set(self.elems) & set(other.elems)

@@ -16,6 +16,7 @@ from random import Random
 from typing import Optional, Sequence
 
 from .antiramsey import Arena, TupleColor, c_full
+from .ordset import ParameterError
 
 SeqTuple = tuple[int, ...]
 Sigma = tuple[SeqTuple, ...]
@@ -41,14 +42,15 @@ def _in_domain(xs: Sequence[int], entry_bound: int, arity: int) -> SeqTuple:
 class CofinalFn:
     """Table-backed total map on nonempty tuples over {0..entry_bound-1}
     of length <= arity.  Values are plain naturals; they are range-checked
-    against an arena only at the point where they get colored."""
+    against an arena only at the point where they get colored.  Takes
+    ownership of `table` (it is not copied) and checks that it is total."""
 
     def __init__(self, entry_bound: int, arity: int, table: dict[SeqTuple, int]):
         if arity < 1:
             raise ValueError("arity must be >= 1")
         self.entry_bound = entry_bound
         self.arity = arity
-        self.table = dict(table)
+        self.table = table
         for length in range(1, arity + 1):
             for xs in itertools.product(range(entry_bound), repeat=length):
                 if xs not in self.table:
@@ -111,8 +113,7 @@ def fstar(F: CofinalFn, sigma: Sigma) -> SeqTuple:
     return tuple(F(xs) for xs in sigma)
 
 
-def sigma_pair(F: CofinalFn, i_star: int,
-               n: int | None = None) -> tuple[Sigma, Sigma]:
+def sigma_pair(F: CofinalFn, i_star: int) -> tuple[Sigma, Sigma]:
     """Two chains that agree except at position i_star, where the second
     jumps past everything F reaches on the shared prefix.
 
@@ -120,10 +121,7 @@ def sigma_pair(F: CofinalFn, i_star: int,
     the second swaps position i_star for one ending in alpha, and both
     continue through (0..i_star, alpha, alpha+1, ...).
     """
-    if n is None:
-        n = F.arity - 1
-    if n != F.arity - 1:
-        raise ValueError(f"n={n} does not match the table arity {F.arity}")
+    n = F.arity - 1
     if not 0 <= i_star <= n:
         raise ValueError(f"slot {i_star} outside 0..{n}")
     prefix = tuple(range(i_star + 1))
@@ -148,12 +146,6 @@ def sigma_pair(F: CofinalFn, i_star: int,
 
 
 TABLE_CAP = 2 ** 20
-
-
-class NoAdmissibleTable(ValueError):
-    """make_cofinal found no table whose refutation window fits the
-    entry bound within its attempts, or the table would exceed TABLE_CAP
-    entries."""
 
 
 @dataclass
@@ -254,7 +246,7 @@ def _check_table_size(entry_bound: int, arity: int) -> None:
         power *= max(entry_bound, 0)
         size += power
         if size > TABLE_CAP:
-            raise NoAdmissibleTable(
+            raise ParameterError(
                 f"a cofinal table over entry bound {entry_bound} and arity "
                 f"{arity} would exceed the cap of {TABLE_CAP} entries")
 
@@ -268,11 +260,12 @@ def make_cofinal(entry_bound: int, arity: int, seed: int,
     once.  Attempts whose refutation window would push colored values past
     the entry bound are skipped (counted) after evaluating that window
     alone; only the accepted attempt draws and builds its whole table.
-    Tables over TABLE_CAP entries are refused before any draw.
+    Raises ParameterError for tables over TABLE_CAP entries (before any
+    draw), for spread < 1, and when no attempt fits.
     """
     _check_table_size(entry_bound, arity)
     if spread < 1:  # the inlined draw would never end at spread 0
-        raise ValueError("spread must be >= 1")
+        raise ParameterError("spread must be >= 1")
     skips = 0
     for attempt in range(max_attempts):
         rng = Random(f"cofinal:{seed}:{attempt}")
@@ -280,11 +273,9 @@ def make_cofinal(entry_bound: int, arity: int, seed: int,
         if not _window_fits(table, entry_bound):
             skips += 1
             continue
-        values = table.table()
-        del table  # drop the rows and bumps before CofinalFn copies values
-        fn = CofinalFn(entry_bound, arity, values)
+        fn = CofinalFn(entry_bound, arity, table.table())
         return GeneratedCofinal(fn=fn, seed=seed, skips=skips)
-    raise NoAdmissibleTable(
+    raise ParameterError(
         f"no admissible cofinal table after {max_attempts} attempts "
         f"(entry bound {entry_bound}, arity {arity}, seed {seed})")
 

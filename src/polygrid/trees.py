@@ -1,4 +1,4 @@
-"""Finitely branching tree truncations, level products, and density checks.
+"""Finitely branching tree truncations, strong subtrees and density checks.
 
 Trees are perfect k-branching trees truncated at depth N.  A node is a
 word over {0..k-1}; a branch is a node of full length N.  Everything is
@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .ordset import OrdSet
+from .ordset import OrdSet, ParameterError
 
 
 @dataclass(frozen=True)
@@ -26,9 +26,9 @@ class TreeShape:
 
     def __post_init__(self):
         if self.k < 2:
-            raise ValueError(f"branching degree must be >= 2, got {self.k}")
+            raise ParameterError(f"branching degree must be >= 2, got {self.k}")
         if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
+            raise ParameterError(f"depth must be >= 1, got {self.depth}")
 
 
 @dataclass(frozen=True)
@@ -44,9 +44,6 @@ class Node:
 
     def is_prefix_of(self, other: "Node") -> bool:
         return other.word[: len(self.word)] == self.word
-
-    def child(self, letter: int) -> "Node":
-        return Node(self.tree, self.word + (letter,))
 
 
 def node_key(t: Node) -> tuple[int, tuple[int, ...]]:
@@ -79,17 +76,6 @@ def all_nodes(shape: TreeShape, max_height: int | None = None) -> list[Node]:
 
 def branches(shape: TreeShape) -> list[Node]:
     return nodes_at_level(shape, shape.depth)
-
-
-def immediate_successors(shape: TreeShape, t: Node) -> list[Node]:
-    if t.height >= shape.depth:
-        return []
-    return [t.child(c) for c in range(shape.k)]
-
-
-def level_product(shapes: Sequence[TreeShape], m: int) -> list[tuple[Node, ...]]:
-    """All tuples of level-m nodes, one per tree, lexicographically."""
-    return list(itertools.product(*(nodes_at_level(s, m) for s in shapes)))
 
 
 def is_level_tuple(nodes: Sequence[Node]) -> bool:
@@ -157,9 +143,9 @@ def _check_branch_set(shape: TreeShape, Y: Iterable[Node]) -> list[Node]:
     ys = list(Y)
     for y in ys:
         if y.tree != shape.index:
-            raise ValueError(f"branch from tree {y.tree} in tree {shape.index} set")
+            raise ParameterError(f"branch from tree {y.tree} in tree {shape.index} set")
         if y.height != shape.depth:
-            raise ValueError("branch sets hold full-depth nodes only")
+            raise ParameterError("branch sets hold full-depth nodes only")
     return ys
 
 
@@ -170,10 +156,10 @@ def is_dense_above(shape: TreeShape, Y: Iterable[Node], t: Node, D: int) -> bool
     by distinct depth-D prefixes of branches through t.
     """
     if D > shape.depth:
-        raise ValueError(f"density depth {D} exceeds tree depth {shape.depth}")
+        raise ParameterError(f"density depth {D} exceeds tree depth {shape.depth}")
     h = t.height
     if h > D:
-        raise ValueError(f"root height {h} exceeds density depth {D}")
+        raise ParameterError(f"root height {h} exceeds density depth {D}")
     ys = _check_branch_set(shape, Y)
     prefixes = {y.word[:D] for y in ys if y.word[:h] == t.word}
     return len(prefixes) == shape.k ** (D - h)
@@ -214,12 +200,14 @@ def is_ddf_to_depth(
     intersection of at most mcap fiber sets to be dense to depth D.
     """
     if mcap < 1:
-        raise ValueError("mcap must be >= 1")
-    zs = list(Z)
+        raise ParameterError("mcap must be >= 1")
     d = len(shapes)
+    if d < 1:
+        raise ParameterError("need at least one tree")
+    zs = list(Z)
     for z in zs:
         if len(z) != d:
-            raise ValueError("tuple arity does not match the tree list")
+            raise ParameterError("tuple arity does not match the tree list")
     if d == 1:
         return is_dense_above(shapes[0], {z[0] for z in zs}, root(shapes[0]), D)
     fib = _fibers(zs)
@@ -284,7 +272,7 @@ _WORD_JSON_MAX_K = 10
 
 def word_to_str(w: tuple[int, ...]) -> str:
     if any(c >= _WORD_JSON_MAX_K for c in w):
-        raise ValueError("digit-string serialization needs letters < 10")
+        raise ParameterError("digit-string serialization needs letters < 10")
     return "".join(str(c) for c in w)
 
 

@@ -3,10 +3,11 @@
 import hashlib
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 
-from polygrid import cli
+from polygrid import ParameterError, cli
 from polygrid.deltasys import Family
 from polygrid.ordset import OrdSet
 
@@ -40,17 +41,17 @@ def test_config_file_flag_override(tmp_path):
 
 
 def test_unknown_key_rejected():
-    with pytest.raises(cli.UsageError):
+    with pytest.raises(ParameterError):
         cli.parse_config(["ramsey", "--frobnicate", "1"])
 
 
 def test_unknown_subcommand_rejected():
-    with pytest.raises(cli.UsageError):
+    with pytest.raises(ParameterError):
         cli.parse_config(["transmogrify"])
 
 
 def test_non_integer_rejected():
-    with pytest.raises(cli.UsageError):
+    with pytest.raises(ParameterError):
         cli.parse_config(["ramsey", "--n", "one"])
 
 
@@ -92,11 +93,86 @@ def test_usage_exit_code():
     ["delta-extract", "--planted", "50", "--num-indices", "20"],
     ["delta-extract", "--planted", "-1"],
     ["delta-extract", "--num-indices", "-3"],
+    ["ramsey", "--n", "0"],
+    ["ramsey", "--k", "0"],
+    ["difference-check", "--mode", "bogus"],
+    ["difference-check", "--size", "1"],
+    ["difference-check", "--n", "0"],
+    ["product-bound", "--n", "0"],
+    ["ddf-check", "--k", "1"],
+    ["sideways-build", "--k", "1"],
+    ["hl-derive", "--height", "0"],
+    ["delta-verify", "--family", "unsorted.json"],  # indices [3, 1, 2]
+    ["hl-derive", "--roots", "5"],  # a letter outside 0..k-1
+    ["sideways-build", "--d", "0", "--jmap", "first-letter"],
+    # branches with letter 10, which has no digit-string form
+    ["sideways-build", "--k", "11", "--depth", "2", "--j-bound", "1"],
 ])
-def test_bad_parameter_is_usage_error(tmp_path, args):
-    # a bad flag must not read as a result: exit 64 and write nothing
-    assert run(tmp_path, *args) == 64
-    assert not list(tmp_path.iterdir())
+def test_bad_parameter_is_usage_error(tmp_path, monkeypatch, args):
+    # a bad flag or input file must not read as a result: exit 64 and
+    # write nothing
+    monkeypatch.chdir(tmp_path)
+    Path("unsorted.json").write_text(json.dumps(
+        {"dim": 1, "indices": [3, 1, 2],
+         "umap": {"1": [1], "2": [2], "3": [3]}}))
+    out = tmp_path / "out"
+    assert run(out, *args) == 64
+    assert not out.exists()
+
+
+# one cheap run per subcommand, from which the sweep varies one flag
+_SWEEP_BASE = {
+    "ramsey": ["--k", "1"],
+    "difference-check": ["--size", "6"],
+    "product-bound": ["--size", "6"],
+    "ph-refute": ["--entry-bound", "16"],
+    "delta-verify": ["--family", "fam.json"],
+    "delta-extract": ["--num-indices", "20", "--planted", "6", "--h", "3"],
+    "force-pipeline": ["--d", "1", "--branches", "4"],
+    "hl-derive": ["--depth", "4", "--density", "2"],
+    "grid-search": ["--depth", "3", "--density", "2"],
+    "sideways-build": [],
+    "ddf-check": [],
+}
+
+
+def _sweep_cases():
+    for cmd, base in _SWEEP_BASE.items():
+        schema = {**cli._COMMON, **cli._COMMANDS[cmd][0]}
+        for key, (typ, _) in schema.items():
+            if typ is int:
+                for value in ("-1", "0"):
+                    yield [cmd, *base, f"--{key}", value]
+            elif key in ("mode", "oracle", "coloring", "jmap"):
+                yield [cmd, *base, f"--{key}", "bogus"]
+
+
+def test_flag_sweep_keeps_exit_code_contract(tmp_path, monkeypatch, capsys):
+    # each int flag at -1 and at 0, each kind flag naming no kind: a verdict
+    # or a usage error, never a crash, and a usage error writes nothing
+    assert set(_SWEEP_BASE) == set(cli._COMMANDS)
+    monkeypatch.chdir(tmp_path)
+    fam = Family(1, OrdSet.of(range(3)),
+                 {(i,): OrdSet.of([i]) for i in range(3)})
+    Path("fam.json").write_text(json.dumps(fam.to_json()))
+    for i, argv in enumerate(_sweep_cases()):
+        out = tmp_path / f"out{i}"
+        rc = run(out, *argv)
+        assert rc in (0, 1, 2, 64), argv
+        assert "Traceback" not in capsys.readouterr().err, argv
+        if rc == 64:
+            assert not out.exists(), argv
+
+
+def test_internal_fault_exits_70(monkeypatch, capsys):
+    def broken(cfg):
+        raise RuntimeError("boom")
+
+    schema, _ = cli._COMMANDS["ramsey"]
+    monkeypatch.setitem(cli._COMMANDS, "ramsey", (schema, broken))
+    assert cli.main(["ramsey"]) == 70
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: boom" in err
 
 
 def test_outdir_env(tmp_path, monkeypatch):

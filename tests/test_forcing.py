@@ -4,12 +4,12 @@ import itertools
 
 import pytest
 
+from polygrid import ParameterError
 from polygrid.deltasys import Family, extract_uniform
 from polygrid.forcing import (
     ColoringOracle,
     Condition,
     DenseStep,
-    ParameterError,
     compatible,
     decide_color,
     join,

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from polygrid import ParameterError
 from polygrid.antiramsey import Arena, c_full
 from polygrid.hl import (
     HLWitness,
@@ -282,7 +283,7 @@ def test_sideways_leftmost_always_zero():
 
 
 def test_sideways_depth_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         sideways_build(lambda xs: 0, d=1, j_bound=4, depth=4)
 
 
@@ -290,5 +291,5 @@ def test_sideways_checks_jmap_range():
     color = sideways_build(lambda xs: 5, d=1, j_bound=2, depth=4)
     shape = TreeShape(2, 4, 0)
     x = branches(shape)[0]
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         color((x, x))

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from polygrid import ParameterError
 from polygrid.antiramsey import Arena, c_full
 from polygrid.ph import (
     TABLE_CAP,
     CofinalFn,
-    NoAdmissibleTable,
     _window_fits,
     fstar,
     is_cofinal,
@@ -167,7 +167,7 @@ def test_fstar_rejects_bad_sigma():
 
 def test_sigma_pair_example():
     F = CofinalFn.from_formula(M, 2, lambda xs: 5 if xs == (0,) else max(xs))
-    s0, s1 = sigma_pair(F, 0, n=1)
+    s0, s1 = sigma_pair(F, 0)
     assert s0 == ((0,), (0, 6))
     assert s1 == ((6,), (0, 6))
 
@@ -175,7 +175,7 @@ def test_sigma_pair_example():
 def test_sigma_pair_differs_only_at_istar():
     F = _max_len_fn(bound=M - 6)
     for i_star in (0, 1):
-        s0, s1 = sigma_pair(F, i_star, n=1)
+        s0, s1 = sigma_pair(F, i_star)
         assert is_sigma_seq(s0) and is_sigma_seq(s1)
         for i in range(2):
             if i == i_star:
@@ -187,7 +187,7 @@ def test_sigma_pair_differs_only_at_istar():
 def test_sigma_pair_overflow():
     F = CofinalFn.from_formula(M, 2, lambda xs: M - 1)
     with pytest.raises(ValueError):
-        sigma_pair(F, 0, n=1)
+        sigma_pair(F, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +233,7 @@ def test_make_cofinal_is_strictly_cofinal(shape, data, seed):
     spread = data.draw(st.integers(1, max_spread))
     try:
         gen = make_cofinal(entry_bound, arity, seed, spread=spread)
-    except NoAdmissibleTable:
+    except ParameterError:
         assume(False)
     assert _reference_cofinal(gen.fn, strict=True)
 
@@ -263,7 +263,7 @@ def test_make_cofinal_output_pinned(entry_bound, arity, seed, spread,
 
 def test_make_cofinal_out_of_attempts():
     # at entry bound 4 every refutation window overflows the bound
-    with pytest.raises(NoAdmissibleTable, match="after 3 attempts"):
+    with pytest.raises(ParameterError, match="after 3 attempts"):
         make_cofinal(4, 2, 0, max_attempts=3)
 
 
@@ -301,7 +301,7 @@ def test_make_cofinal_matches_reference(entry_bound, arity, seed, spread,
                                    max_attempts)
     try:
         gen = make_cofinal(entry_bound, arity, seed, spread, max_attempts)
-    except NoAdmissibleTable:
+    except ParameterError:
         assert want is None
         return
     assert want == (gen.fn.table, gen.skips)
@@ -310,7 +310,7 @@ def test_make_cofinal_matches_reference(entry_bound, arity, seed, spread,
 def test_make_cofinal_out_of_attempts_at_arity_three():
     # the whole-table build took 64 tables to reach this; (16, 3, seed=1),
     # accepted after 33 skips, is pinned above
-    with pytest.raises(NoAdmissibleTable, match="after 64 attempts"):
+    with pytest.raises(ParameterError, match="after 64 attempts"):
         make_cofinal(16, 3, 0)
 
 
@@ -321,7 +321,7 @@ def test_make_cofinal_out_of_attempts_at_arity_three():
 ])
 def test_make_cofinal_refuses_tables_over_cap(entry_bound, arity, entries):
     assert entries > TABLE_CAP
-    with pytest.raises(NoAdmissibleTable, match="cap"):
+    with pytest.raises(ParameterError, match="cap"):
         make_cofinal(entry_bound, arity, 0)
 
 

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from polygrid import ParameterError
 from polygrid.ordset import OrdSet
 from polygrid.trees import (
     GridWitness,
@@ -13,13 +14,11 @@ from polygrid.trees import (
     all_nodes,
     branches,
     fpg_witness_sets,
-    immediate_successors,
     is_ddf_to_depth,
     is_dense_above,
     is_level_tuple,
     is_strong_subtree,
     is_u_set,
-    level_product,
     root,
     validate_grid_witness,
     word_from_str,
@@ -48,30 +47,6 @@ def test_node_height_and_prefix():
 def test_branch_count():
     assert len(branches(T2)) == 8
     assert len(all_nodes(T2)) == 1 + 2 + 4 + 8
-
-
-def test_immediate_successors():
-    succ = immediate_successors(T2, Node(0, (1,)))
-    assert [s.word for s in succ] == [(1, 0), (1, 1)]
-
-
-def test_level_product_counts():
-    one = [TreeShape(2, 3, 0)]
-    assert level_product(one, 0) == [(root(one[0]),)]
-    two = [TreeShape(2, 3, 0), TreeShape(2, 3, 1)]
-    assert len(level_product(two, 1)) == 4
-    assert len(level_product(two, 2)) == 16
-    # lexicographic in the coordinate words
-    lv = level_product(two, 1)
-    assert [tuple(n.word for n in t) for t in lv[:2]] == [
-        ((0,), (0,)),
-        ((0,), (1,)),
-    ]
-
-
-def test_level_product_depth_error():
-    with pytest.raises(ValueError):
-        level_product([T2], 4)
 
 
 def test_is_level_tuple():
@@ -133,7 +108,7 @@ def test_dense_above_examples():
 
 
 def test_dense_above_depth_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         is_dense_above(T2, branches(T2), root(T2), 4)
 
 
