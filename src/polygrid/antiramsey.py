@@ -187,7 +187,9 @@ def _c_full(arena: Arena, vec: tuple[int, ...]) -> TupleColor:
 
 DEFAULT_BUDGET = 2_000_000
 
-_threshold_cache: dict[tuple[int, int], int] = {}
+# keyed on the budget too, so that a hit is exactly what a fresh search
+# with that budget returns
+_threshold_cache: dict[tuple[int, int, int], int] = {}
 
 
 def _search_bad(
@@ -211,31 +213,28 @@ def _search_bad(
     colors: list[int | None] = [None] * len(edges)
     nodes = 0
 
-    def mono_closes(pos: int, c: int) -> bool:
-        for group in closing[pos]:
-            for f in group:
-                if colors[f] != c:
-                    break
-            else:
-                return True
-        return False
-
     def dfs(pos: int, used: int) -> bool:
         nonlocal nodes
         if pos == len(edges):
             return True
+        groups = closing[pos]
         for c in range(min(k, used + 1)):
             nodes += 1
             if nodes > budget:
                 raise BudgetError(
                     f"bad-coloring search exceeded {budget} nodes at m={m}",
                     nodes_used=nodes, best_lower_bound=None, exhausted_at=m)
-            if mono_closes(pos, c):
-                continue
-            colors[pos] = c
-            if dfs(pos + 1, max(used, c + 1)):
-                return True
-            colors[pos] = None
+            for group in groups:
+                for f in group:
+                    if colors[f] != c:
+                        break
+                else:
+                    break  # c would close a monochromatic (n+2)-subset
+            else:
+                colors[pos] = c
+                if dfs(pos + 1, max(used, c + 1)):
+                    return True
+                colors[pos] = None
         return False
 
     if not edges:
@@ -260,7 +259,7 @@ def ramsey_m_star(n: int, k: int, budget: int = DEFAULT_BUDGET) -> int:
     colorings of m after exhibiting one at m-1."""
     if n < 1 or k < 1:
         raise ParameterError("need n >= 1 and k >= 1")
-    key = (n, k)
+    key = (n, k, budget)
     if key in _threshold_cache:
         return _threshold_cache[key]
     spent = 0
@@ -302,7 +301,8 @@ def verify_product_bound(
     for a in sets:
         if a.otp != need:
             raise ValueError(f"side sets must have size {need}, got {a.otp}")
-    census = Counter(c_full(arena, vec)
+    memo = arena._colors  # read inline; a miss takes the checked path
+    census = Counter(memo.get(vec) or c_full(arena, vec)
                      for vec in itertools.product(*(a.elems for a in sets)))
     return len(census) > k, census
 

@@ -572,13 +572,12 @@ def _run_sideways(cfg: RunConfig) -> int:
     fn = hl.sideways_build(jmap, d, j_bound, depth)
     shapes = [trees.TreeShape(k, depth, index=i) for i in range(d + 1)]
     sides = [trees.branches(s) for s in shapes]
-    table = {}
-    census: Counter = Counter()
-    for combo in itertools.product(*sides):
-        key = "|".join(trees.word_to_str(x.word) for x in combo)
-        color = fn(combo)
-        table[key] = color
-        census[color] += 1
+    # colors before names, so that a bad jmap value is reported ahead of a
+    # letter >= 10, as a walk in tuple order would
+    colors = [fn(combo) for combo in itertools.product(*sides)]
+    names = [[trees.word_to_str(x.word) for x in side] for side in sides]
+    table = dict(zip(map("|".join, itertools.product(*names)), colors))
+    census = Counter(table.values())
     _write_artifacts(cfg, {
         "d": d, "k": k, "depth": depth, "j_bound": j_bound,
         "jmap": kind, "seed": cfg.seed, "table": table,
@@ -586,6 +585,19 @@ def _run_sideways(cfg: RunConfig) -> int:
     print(f"sideways-build: {len(table)} tuples, census "
           + ", ".join(f"{c}:{census[c]}" for c in sorted(census)))
     return EXIT_OK
+
+
+def _z_from(data: list, k: int) -> list[tuple[trees.Node, ...]]:
+    """A z file: one list of branch words per tuple, letters in 0..k-1
+    (checked here, once, rather than in the density checks)."""
+    Z = [tuple(trees.Node(i, trees.word_from_str(s))
+               for i, s in enumerate(entry))
+         for entry in data]
+    for z in Z:
+        for x in z:
+            if any(c >= k for c in x.word):
+                raise ValueError(f"branch {x.word} has a letter outside 0..{k - 1}")
+    return Z
 
 
 @_command("ddf-check", {
@@ -602,10 +614,7 @@ def _run_ddf_check(cfg: RunConfig) -> int:
               for i in range(p["d"])]
     zfile = str(p["zfile"])
     if zfile:
-        Z = _load_input(zfile, "z", lambda data: [
-            tuple(trees.Node(i, trees.word_from_str(s))
-                  for i, s in enumerate(entry))
-            for entry in data])
+        Z = _load_input(zfile, "z", lambda data: _z_from(data, p["k"]))
     else:
         Z = list(itertools.product(*(trees.branches(s) for s in shapes)))
     ok = trees.is_ddf_to_depth(shapes, Z, p["density"], p["mcap"])

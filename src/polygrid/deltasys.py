@@ -261,7 +261,10 @@ class ExtractResult:
 def _normalize_labels(fam: Family, g) -> dict[Key, object]:
     if callable(g):
         return {b: g(b) for b in fam.keys()}
-    return {b: g[b] for b in fam.keys()}
+    try:
+        return {b: g[b] for b in fam.keys()}
+    except KeyError as exc:
+        raise ParameterError(f"labels miss key {exc.args[0]}") from None
 
 
 def _index_pattern(b: Key, u: OrdSet) -> Key:

@@ -1,15 +1,18 @@
 """Fiber colorings, the recursion, finite Ramsey thresholds, product bounds."""
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polygrid import antiramsey
 from polygrid.antiramsey import (
     Arena,
     BudgetError,
     TupleColor,
+    _c_full,
     _search_bad,
     c1,
     c_full,
@@ -219,6 +222,31 @@ def test_search_bad_node_counts_pinned(n, m, k, nodes, found):
         assert _brute_force_bad(col, n, m, k)
 
 
+@pytest.mark.parametrize("n, k, budget, nodes, best, died", [
+    (1, 3, 10_000, 10_001, 7, 8),
+    (1, 3, 60_000, 60_001, 7, 8),
+    (2, 2, 10_000, 10_001, 6, 7),
+    (2, 2, 60_000, 60_001, 7, 8),
+])
+def test_threshold_budget_error_pinned(monkeypatch, n, k, budget, nodes, best,
+                                       died):
+    # the census workload's ramsey jobs at the ends of their budget range
+    monkeypatch.setattr(antiramsey, "_threshold_cache", {})
+    with pytest.raises(BudgetError) as exc:
+        ramsey_m_star(n, k, budget)
+    assert (exc.value.nodes_used, exc.value.best_lower_bound,
+            exc.value.exhausted_at) == (nodes, best, died)
+
+
+def test_threshold_cache_keeps_the_budget(monkeypatch):
+    # a threshold found under a large budget is no answer for a small one
+    monkeypatch.setattr(antiramsey, "_threshold_cache", {})
+    assert ramsey_m_star(1, 2) == 6
+    with pytest.raises(BudgetError):
+        ramsey_m_star(1, 2, budget=20)
+    assert ramsey_m_star(1, 2) == 6
+
+
 def test_m_seq_values():
     assert m_seq(1, 0) == 1
     assert m_seq(1, 1) == 6
@@ -248,6 +276,32 @@ def test_product_bound_k2_identity():
     ok, census = verify_product_bound(arena, sides, 2)
     assert ok
     assert len(census) > 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(1, 0), (1, 1), (1, 2), (2, 0), (2, 1)]),
+       st.booleans(), st.data())
+def test_product_census_matches_unmemoized_colors(nk, seeded, data):
+    # the census reads the memo inline; it must count what _c_full gives
+    # each tuple, whether the memo starts empty or partly filled
+    n, k = nk
+    need = m_seq(n, k)
+    size = data.draw(st.integers(max(need, 2), need + 6))
+    arena = (Arena(size=size, dim=n, mode="seeded",
+                   seed=data.draw(st.integers(0, 99)))
+             if seeded else Arena(size=size, dim=n, mode="identity"))
+    sides = [OrdSet.of(data.draw(st.lists(st.integers(0, size - 1),
+                                          min_size=need, max_size=need,
+                                          unique=True)))
+             for _ in range(n + 1)]
+    vecs = list(itertools.product(*(a.elems for a in sides)))
+    for vec in data.draw(st.lists(st.sampled_from(vecs), max_size=20)):
+        c_full(arena, vec)
+    ok, census = verify_product_bound(arena, sides, k)
+    assert census == Counter(_c_full(arena, vec) for vec in vecs)
+    assert ok == (len(census) > k)
+    assert all(_c_full(arena, vec) == col
+               for vec, col in arena._colors.items())
 
 
 def test_product_bound_size_guard():

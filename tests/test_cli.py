@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from polygrid import ParameterError, cli
+from polygrid import ParameterError, antiramsey, cli
 from polygrid.deltasys import Family
 from polygrid.ordset import OrdSet
 
@@ -107,6 +107,11 @@ def test_usage_exit_code():
     ["sideways-build", "--d", "0", "--jmap", "first-letter"],
     # branches with letter 10, which has no digit-string form
     ["sideways-build", "--k", "11", "--depth", "2", "--j-bound", "1"],
+    # branch letter 2 in a binary tree
+    ["ddf-check", "--d", "1", "--depth", "2", "--density", "2",
+     "--zfile", "z.json"],
+    # labels for key 0 only
+    ["delta-extract", "--family", "partial.json", "--h", "2"],
 ])
 def test_bad_parameter_is_usage_error(tmp_path, monkeypatch, args):
     # a bad flag or input file must not read as a result: exit 64 and
@@ -115,6 +120,11 @@ def test_bad_parameter_is_usage_error(tmp_path, monkeypatch, args):
     Path("unsorted.json").write_text(json.dumps(
         {"dim": 1, "indices": [3, 1, 2],
          "umap": {"1": [1], "2": [2], "3": [3]}}))
+    Path("z.json").write_text(json.dumps([["00"], ["01"], ["11"], ["22"]]))
+    Path("partial.json").write_text(json.dumps(
+        {"family": {"dim": 1, "indices": [0, 1, 2, 3],
+                    "umap": {str(i): [i] for i in range(4)}},
+         "labels": {"0": 1}}))
     out = tmp_path / "out"
     assert run(out, *args) == 64
     assert not out.exists()
@@ -335,6 +345,52 @@ def test_sideways_build(tmp_path):
     assert rows[0] == "color,count"
     counts = {int(r.split(",")[0]): int(r.split(",")[1]) for r in rows[1:]}
     assert set(counts) == {0, 1}
+
+
+# artifact digests of the per-tuple build that named every branch of every
+# tuple; naming each branch once must give the same bytes
+@pytest.mark.parametrize("d, k, depth, jmap, json_digest, csv_digest", [
+    (1, 2, 4, "constant", "e888a4e301141be4", "a3bc78006f6fbb68"),
+    (1, 2, 4, "first-letter", "ca55ffd7a644a982", "a3bc78006f6fbb68"),
+    (1, 3, 4, "constant", "7a528e08a4f06346", "cfe440d9e14c793d"),
+    (1, 3, 4, "first-letter", "ad6db3e33b45d8b1", "cfe440d9e14c793d"),
+    (2, 2, 4, "constant", "06b01ee4986e6a97", "75d5ea03ce076f17"),
+    (2, 2, 4, "first-letter", "d6e830a391dfee1d", "75d5ea03ce076f17"),
+    (2, 2, 5, "constant", "d4d33d38afdd7662", "1a8839d51021ce3b"),
+    (2, 2, 5, "first-letter", "05b9ec3143e58a49", "1a8839d51021ce3b"),
+])
+def test_sideways_build_pinned(tmp_path, d, k, depth, jmap, json_digest,
+                               csv_digest):
+    value = ["--value", "1"] if jmap == "constant" else []
+    assert run(tmp_path, "sideways-build", "--d", str(d), "--k", str(k),
+               "--depth", str(depth), "--jmap", jmap, *value) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+               for p in tmp_path.iterdir()}
+    assert digests == {"sideways-build.json": json_digest,
+                       "sideways-build.csv": csv_digest}
+
+
+def _outcome(out: Path, argv: list[str]) -> tuple[int, dict]:
+    rc = run(out, *argv)
+    files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+    return rc, files
+
+
+@pytest.mark.parametrize("first, second", [
+    (["ramsey", "--k", "1"], ["ramsey", "--k", "1", "--budget", "0"]),
+    (["product-bound", "--k", "2", "--size", "12"],
+     ["ramsey", "--k", "2", "--budget", "20"]),
+])
+def test_same_argv_same_artifacts_within_a_process(tmp_path, monkeypatch,
+                                                   first, second):
+    # the threshold cache must not let an earlier run change a later one
+    monkeypatch.setattr(antiramsey, "_threshold_cache", {})
+    run(tmp_path / "first", *first)
+    after = _outcome(tmp_path / "after", second)
+    monkeypatch.setattr(antiramsey, "_threshold_cache", {})
+    fresh = _outcome(tmp_path / "fresh", second)
+    assert after == fresh
+    assert fresh[0] == 2 and "ramsey.json" in fresh[1]
 
 
 def test_ddf_check(tmp_path):
