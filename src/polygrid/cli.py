@@ -499,6 +499,7 @@ def _run_hl_derive(cfg: RunConfig) -> int:
         roots = list(gamma.roots)
     else:
         roots = [()] * gamma.d
+    hl.check_witness_height(p["height"])
     grid = hl.cone_grid(gamma, roots, p["density"])
     if grid is None:
         _write_artifacts(cfg, {

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from random import Random
 from typing import Callable, Optional, Sequence
 
@@ -89,7 +90,25 @@ class LevelColoring:
         if self.kind == "adversarial" and (self.d != 1 or self.r != 2):
             raise ParameterError("the adversarial instance is d=1, r=2")
 
+    @cached_property
+    def _colors(self) -> dict[tuple[Word, ...], int]:
+        """Color memo keyed on the tuple of words, filled lazily.  The
+        words fix everything the checks read (the tree index is never
+        read), so a hit is exact while the fields stay as constructed; a
+        tuple that raises is never stored."""
+        return {}
+
     def color(self, nodes: Sequence[Node]) -> int:
+        """The color of a same-height tuple, memoized per instance; a
+        tuple that raises is never stored, so it raises on every call."""
+        words = tuple(t.word for t in nodes)
+        memo = self._colors
+        got = memo.get(words)
+        if got is None:
+            got = memo[words] = self._color(nodes)
+        return got
+
+    def _color(self, nodes: Sequence[Node]) -> int:
         if len(nodes) != self.d:
             raise ValueError(f"expected {self.d} nodes, got {len(nodes)}")
         if not is_level_tuple(nodes):
@@ -174,9 +193,12 @@ def surrogate_color(gamma: LevelColoring, xs: Sequence[Node], L: int) -> int:
         raise ValueError(f"need 1 <= L <= {gamma.depth}, got {L}")
     if any(x.height < L - 1 for x in xs):
         raise ValueError("branches too short for the requested truncations")
+    memo = gamma._colors  # read inline; a miss takes the checked path
     counts: dict[int, int] = {}
     for m in range(L):
-        j = gamma.color(tuple(Node(x.tree, x.word[:m]) for x in xs))
+        j = memo.get(tuple(x.word[:m] for x in xs))
+        if j is None:
+            j = gamma.color(tuple(Node(x.tree, x.word[:m]) for x in xs))
         counts[j] = counts.get(j, 0) + 1
     best = max(counts.values())
     return min(j for j, n in counts.items() if n == best)
@@ -429,6 +451,12 @@ def _least_through(Y: Sequence[Node], prefix: Word) -> Optional[Node]:
     return None
 
 
+def check_witness_height(h: int) -> None:
+    """The derivation's height parameter, checkable before any search."""
+    if h < 1:
+        raise ParameterError("witness height must be >= 1")
+
+
 def derive_strong_subtrees(
     gamma: LevelColoring, w: GridWitness, h: int
 ) -> DeriveResult:
@@ -442,8 +470,7 @@ def derive_strong_subtrees(
     so the result records how far the construction got.  Full results are
     re-checked against verify_hl_witness before being returned.
     """
-    if h < 1:
-        raise ParameterError("witness height must be >= 1")
+    check_witness_height(h)
     if (gamma.d, gamma.k) != (w.d, w.k):
         raise ValueError("coloring and grid witness disagree on shape")
     j = w.color

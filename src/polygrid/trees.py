@@ -155,12 +155,20 @@ def is_dense_above(shape: TreeShape, Y: Iterable[Node], t: Node, D: int) -> bool
     It suffices to cover the depth-D extensions of t, and those are counted
     by distinct depth-D prefixes of branches through t.
     """
+    _check_density_depth(shape, t, D)
+    return _dense_above(shape, _check_branch_set(shape, Y), t, D)
+
+
+def _check_density_depth(shape: TreeShape, t: Node, D: int) -> None:
     if D > shape.depth:
         raise ParameterError(f"density depth {D} exceeds tree depth {shape.depth}")
+    if t.height > D:
+        raise ParameterError(f"root height {t.height} exceeds density depth {D}")
+
+
+def _dense_above(shape: TreeShape, ys: Iterable[Node], t: Node, D: int) -> bool:
+    """is_dense_above with its arguments already checked."""
     h = t.height
-    if h > D:
-        raise ParameterError(f"root height {h} exceeds density depth {D}")
-    ys = _check_branch_set(shape, Y)
     prefixes = {y.word[:D] for y in ys if y.word[:h] == t.word}
     return len(prefixes) == shape.k ** (D - h)
 
@@ -198,6 +206,8 @@ def is_ddf_to_depth(
     Dimension one asks for density to depth D in the whole tree; higher
     dimensions drop the last coordinate, recurse, and require every
     intersection of at most mcap fiber sets to be dense to depth D.
+    Each coordinate is checked once, here: every fiber meet is a subset
+    of its branches.
     """
     if mcap < 1:
         raise ParameterError("mcap must be >= 1")
@@ -208,17 +218,29 @@ def is_ddf_to_depth(
     for z in zs:
         if len(z) != d:
             raise ParameterError("tuple arity does not match the tree list")
-    if d == 1:
-        return is_dense_above(shapes[0], {z[0] for z in zs}, root(shapes[0]), D)
+    for i, shape in enumerate(shapes):
+        _check_density_depth(shape, root(shape), D)
+        _check_branch_set(shape, (z[i] for z in zs))
+    return _ddf(shapes, zs, D, mcap)
+
+
+def _ddf(
+    shapes: Sequence[TreeShape],
+    zs: list[tuple[Node, ...]],
+    D: int,
+    mcap: int,
+) -> bool:
+    if len(shapes) == 1:
+        return _dense_above(shapes[0], {z[0] for z in zs}, root(shapes[0]), D)
     fib = _fibers(zs)
-    if not is_ddf_to_depth(shapes[:-1], list(fib.keys()), D, mcap):
+    if not _ddf(shapes[:-1], list(fib.keys()), D, mcap):
         return False
     last = shapes[-1]
     keys = sorted(fib.keys(), key=lambda xs: tuple(node_key(x) for x in xs))
     for size in range(1, mcap + 1):
         for combo in itertools.combinations(keys, size):
             meet = set.intersection(*(fib[x] for x in combo))
-            if not is_dense_above(last, meet, root(last), D):
+            if not _dense_above(last, meet, root(last), D):
                 return False
     return True
 

@@ -112,6 +112,9 @@ def test_usage_exit_code():
      "--zfile", "z.json"],
     # labels for key 0 only
     ["delta-extract", "--family", "partial.json", "--h", "2"],
+    # no cone grid for this coloring; the height is still checked first
+    ["hl-derive", "--coloring", "seeded", "--height", "0"],
+    ["hl-derive", "--coloring", "seeded", "--height", "-1"],
 ])
 def test_bad_parameter_is_usage_error(tmp_path, monkeypatch, args):
     # a bad flag or input file must not read as a result: exit 64 and
@@ -368,6 +371,57 @@ def test_sideways_build_pinned(tmp_path, d, k, depth, jmap, json_digest,
                for p in tmp_path.iterdir()}
     assert digests == {"sideways-build.json": json_digest,
                        "sideways-build.csv": csv_digest}
+
+
+@pytest.mark.parametrize("argv, code, json_digest, csv_digest", [
+    # no monochromatic grid: exit 1 and a JSON artifact only
+    (["grid-search", "--d", "2", "--depth", "3", "--density", "2",
+      "--cap", "28", "--r", "3", "--coloring", "seeded",
+      "--seed", "779960332"], 1, "176728f58288e1f0", None),
+    (["grid-search", "--d", "2", "--depth", "3", "--density", "2",
+      "--cap", "16", "--coloring", "seeded", "--seed", "11"],
+     0, "481d8837e2398339", "c95f8cbb66c86566"),
+    (["grid-search", "--d", "2", "--depth", "4", "--density", "2",
+      "--cap", "16", "--coloring", "planted-grid", "--roots", "0,1",
+      "--value", "1", "--seed", "5"],
+     0, "b7f8714222a2b3b0", "6abdf860fde9f5d7"),
+    (["grid-search", "--depth", "4", "--density", "2", "--r", "3",
+      "--coloring", "level-parity", "--value", "1"],
+     0, "693d5f157792a223", "97d69e09a469e7b1"),
+    (["grid-search", "--depth", "6", "--density", "2",
+      "--coloring", "adversarial"],
+     0, "501d83bbbae09b32", "407440d2268b3bf0"),
+    (["grid-search", "--d", "3", "--depth", "2", "--density", "1",
+      "--cap", "8", "--r", "3", "--coloring", "constant", "--value", "2"],
+     0, "1337eccfb1f94e15", "c39c057f0d879a24"),
+    (["hl-derive", "--d", "2", "--depth", "8", "--density", "3",
+      "--height", "3", "--r", "3", "--coloring", "constant", "--value", "2"],
+     0, "c9ba4757d1e3d15a", "d97d5d1dadc95da6"),
+    (["hl-derive", "--depth", "10", "--density", "2", "--height", "2",
+      "--coloring", "level-parity", "--value", "1"],
+     0, "4293aa0b5cf7bb20", "2dd5419810bcf514"),
+    (["hl-derive", "--d", "2", "--depth", "8", "--density", "3",
+      "--height", "2", "--coloring", "planted-grid", "--roots", "0,1",
+      "--value", "1", "--seed", "7"],
+     0, "95856aa8b7b99b5e", "f42939f4ae333956"),
+    # the derivation goes partial: exit 1 with both artifacts
+    (["hl-derive", "--depth", "8", "--density", "1", "--height", "2",
+      "--coloring", "adversarial"],
+     1, "2dce38c83684f52e", "59011c6ad2bae4df"),
+    # no cone grid: exit 1 and a JSON artifact only
+    (["hl-derive", "--d", "2", "--depth", "6", "--density", "2",
+      "--height", "2", "--coloring", "seeded", "--seed", "3"],
+     1, "53223bc0840cebfa", None),
+])
+def test_hl_artifacts_pinned(tmp_path, argv, code, json_digest, csv_digest):
+    # digests of the artifacts written before level colorings were memoized
+    assert run(tmp_path, *argv) == code
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+               for p in tmp_path.iterdir()}
+    want = {f"{argv[0]}.json": json_digest}
+    if csv_digest is not None:
+        want[f"{argv[0]}.csv"] = csv_digest
+    assert digests == want
 
 
 def _outcome(out: Path, argv: list[str]) -> tuple[int, dict]:

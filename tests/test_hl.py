@@ -1,12 +1,17 @@
 """Grid search, the subtree derivation, and the sideways construction."""
 
 import itertools
+from collections import Counter
+from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polygrid import ParameterError
 from polygrid.antiramsey import Arena, c_full
 from polygrid.hl import (
+    NAMED_KINDS,
     HLWitness,
     LevelColoring,
     cone_grid,
@@ -64,6 +69,107 @@ def test_surrogate_depth_guard():
     gamma = level_table([0, 1, 0, 1, 0])
     with pytest.raises(ValueError):
         surrogate_color(gamma, (Node(0, (0, 0, 0, 0)),), 5)
+
+
+# ---------------------------------------------------------------------------
+# the color memo
+
+
+@st.composite
+def level_colorings(draw):
+    kind = draw(st.sampled_from(NAMED_KINDS + ("table",)))
+    d = 1 if kind == "adversarial" else draw(st.integers(1, 3))
+    k = draw(st.integers(2, 3))
+    depth = draw(st.integers(1, 3))
+    r = 2 if kind == "adversarial" else draw(st.integers(2, 3))
+    seed = draw(st.integers(0, 2 ** 16))
+    roots: tuple = ()
+    table: dict = {}
+    if kind == "planted-grid":
+        roots = tuple(
+            tuple(draw(st.lists(st.integers(0, k - 1), max_size=depth)))
+            for _ in range(d))
+    if kind == "table":
+        # every level tuple to the depth, colored from the seed
+        if k ** (depth * d) > 729:
+            depth -= 1
+        rng = Random(seed)
+        for m in range(depth + 1):
+            for combo in itertools.product(words(k, m), repeat=d):
+                table[combo] = rng.randrange(r)
+    return LevelColoring(k=k, d=d, depth=depth, r=r, kind=kind,
+                         value=draw(st.integers(0, r - 1)), seed=seed,
+                         roots=roots, table=table)
+
+
+def level_words(gamma, m):
+    word = st.tuples(*[st.integers(0, gamma.k - 1)] * m)
+    return st.tuples(*[word] * gamma.d)
+
+
+def _nodes(words_):
+    return tuple(Node(i, w) for i, w in enumerate(words_))
+
+
+def bad_tuples(gamma):
+    """One tuple per check the color path makes, each of which raises."""
+    k, d, depth = gamma.k, gamma.d, gamma.depth
+    out = [
+        _nodes([()] * (d + 1)),  # wrong length
+        _nodes([(0,) * (depth + 1)] * d),  # height above depth
+        _nodes([(k,)] * d),  # a letter out of range
+        _nodes([(-1,)] * d),
+    ]
+    if d > 1:
+        out.append(_nodes([()] * (d - 1)))  # wrong length
+        out.append(_nodes([()] + [(0,)] * (d - 1)))  # mixed heights
+    return out
+
+
+def _assert_raises_unstored(gamma, nodes):
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            gamma.color(nodes)
+    assert tuple(t.word for t in nodes) not in gamma._colors
+
+
+@settings(max_examples=200, deadline=None)
+@given(level_colorings(), st.booleans(), st.data())
+def test_color_memo_matches_unmemoized_path(gamma, prefill, data):
+    tuples = data.draw(st.lists(
+        st.integers(0, gamma.depth).flatmap(lambda m: level_words(gamma, m)),
+        min_size=1, max_size=20))
+    if prefill:
+        for ws in tuples[::2]:
+            gamma.color(_nodes(ws))
+    fresh = LevelColoring.from_json(gamma.to_json())
+    for nodes in bad_tuples(gamma):
+        _assert_raises_unstored(fresh, nodes)  # on an empty memo
+    for ws in tuples + tuples:
+        assert gamma.color(_nodes(ws)) == fresh._color(_nodes(ws))
+    assert all(fresh._color(_nodes(ws)) == c
+               for ws, c in gamma._colors.items())
+    for nodes in bad_tuples(gamma):
+        _assert_raises_unstored(gamma, nodes)  # on a filled memo
+    if gamma.kind == "table":
+        # a table miss, before and after the instance colors other tuples
+        missing = next(iter(reversed(gamma.table)))
+        partial = LevelColoring.from_json(gamma.to_json())
+        del partial.table[missing]
+        _assert_raises_unstored(partial, _nodes(missing))
+        for ws in tuples:
+            if ws != missing:
+                partial.color(_nodes(ws))
+        _assert_raises_unstored(partial, _nodes(missing))
+    # the surrogate reads the memo inline; it must take the majority of
+    # what the unmemoized path gives, ties to the least color
+    xs = _nodes(data.draw(level_words(gamma, gamma.depth)))
+    L = data.draw(st.integers(1, gamma.depth))
+    counts = Counter(fresh._color(tuple(Node(x.tree, x.word[:m]) for x in xs))
+                     for m in range(L))
+    best = max(counts.values())
+    assert surrogate_color(gamma, xs, L) == min(
+        j for j, n in counts.items() if n == best)
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +331,17 @@ def test_coloring_round_trips():
         ),
     ]
     for gamma in colorings:
-        again = LevelColoring.from_json(gamma.to_json())
+        data, text = gamma.to_json(), repr(gamma)
+        again = LevelColoring.from_json(data)
         for m in (0, 1, 2):
             for combo in itertools.product(words(2, m), repeat=gamma.d):
                 nodes = tuple(Node(i, w) for i, w in enumerate(combo))
                 assert gamma.color(nodes) == again.color(nodes)
+        # the filled color memo is not part of the value
+        assert gamma._colors
+        assert gamma.to_json() == data
+        assert repr(gamma) == text
+        assert gamma == again == LevelColoring.from_json(data)
 
 
 # ---------------------------------------------------------------------------

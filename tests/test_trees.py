@@ -159,6 +159,22 @@ def test_ddf_nested_construction():
     assert is_ddf_to_depth(shapes, Z, 1, mcap=2)
 
 
+@pytest.mark.parametrize("bad, message", [
+    (Node(0, (0, 0)), "branch from tree 0 in tree 1 set"),
+    (Node(1, (0,)), "full-depth nodes only"),
+])
+def test_ddf_checks_every_coordinate_up_front(bad, message):
+    # the projection is not dense, so the recursion would stop before it
+    # reached the last coordinate's branches; they are checked first
+    shapes = [TreeShape(2, 2, 0), TreeShape(2, 2, 1)]
+    x = branches(shapes[0])[0]
+    Z = {(x, y) for y in branches(shapes[1])} | {(x, bad)}
+    with pytest.raises(ParameterError, match=message):
+        is_ddf_to_depth(shapes, Z, 2, mcap=2)
+    with pytest.raises(ParameterError, match="exceeds tree depth"):
+        is_ddf_to_depth(shapes, Z, 3, mcap=2)
+
+
 def test_fpg_witness_sets_inside_z():
     shapes = [TreeShape(2, 2, 0), TreeShape(2, 2, 1)]
     Z = set(itertools.product(branches(shapes[0]), branches(shapes[1])))
