@@ -530,8 +530,7 @@ def _run_hl_derive(cfg: RunConfig) -> int:
 def _run_grid_search(cfg: RunConfig) -> int:
     p = cfg.params
     gamma = _coloring_from(cfg)
-    shapes = [trees.TreeShape(gamma.k, gamma.depth, index=i)
-              for i in range(gamma.d)]
+    shapes = [trees.TreeShape(gamma.k, gamma.depth)] * gamma.d
     fn = hl.surrogate_fn(gamma)
     witness = hl.search_grid(fn, shapes, p["density"], p["cap"])
     if witness is None:
@@ -567,17 +566,17 @@ def _run_sideways(cfg: RunConfig) -> int:
     if kind == "constant":
         jmap: Callable = lambda xs: p["value"]
     elif kind == "first-letter" and d >= 1:
-        jmap = lambda xs: xs[0].word[0] % j_bound
+        jmap = lambda xs: xs[0][0] % j_bound
     else:
         raise ParameterError(f"no jmap kind {kind!r} for --d {d}")
     fn = hl.sideways_build(jmap, d, j_bound, depth)
-    shapes = [trees.TreeShape(k, depth, index=i) for i in range(d + 1)]
-    sides = [trees.branches(s) for s in shapes]
+    side = trees.branches(trees.TreeShape(k, depth))
     # colors before names, so that a bad jmap value is reported ahead of a
     # letter >= 10, as a walk in tuple order would
-    colors = [fn(combo) for combo in itertools.product(*sides)]
-    names = [[trees.word_to_str(x.word) for x in side] for side in sides]
-    table = dict(zip(map("|".join, itertools.product(*names)), colors))
+    colors = [fn(combo) for combo in itertools.product(side, repeat=d + 1)]
+    names = [trees.word_to_str(x) for x in side]
+    table = dict(zip(
+        map("|".join, itertools.product(names, repeat=d + 1)), colors))
     census = Counter(table.values())
     _write_artifacts(cfg, {
         "d": d, "k": k, "depth": depth, "j_bound": j_bound,
@@ -588,16 +587,19 @@ def _run_sideways(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _z_from(data: list, k: int) -> list[tuple[trees.Node, ...]]:
+def _z_from(data: list, k: int) -> list[tuple[trees.Word, ...]]:
     """A z file: one list of branch words per tuple, letters in 0..k-1
     (checked here, once, rather than in the density checks)."""
-    Z = [tuple(trees.Node(i, trees.word_from_str(s))
-               for i, s in enumerate(entry))
-         for entry in data]
-    for z in Z:
+    Z = []
+    for entry in data:
+        if not isinstance(entry, list) or any(
+                not isinstance(s, str) for s in entry):
+            raise ValueError(f"z entry {entry!r} is not a list of words")
+        z = tuple(map(trees.word_from_str, entry))
         for x in z:
-            if any(c >= k for c in x.word):
-                raise ValueError(f"branch {x.word} has a letter outside 0..{k - 1}")
+            if any(c >= k for c in x):
+                raise ValueError(f"branch {x} has a letter outside 0..{k - 1}")
+        Z.append(z)
     return Z
 
 
@@ -611,8 +613,7 @@ def _z_from(data: list, k: int) -> list[tuple[trees.Node, ...]]:
 })
 def _run_ddf_check(cfg: RunConfig) -> int:
     p = cfg.params
-    shapes = [trees.TreeShape(p["k"], p["depth"], index=i)
-              for i in range(p["d"])]
+    shapes = [trees.TreeShape(p["k"], p["depth"])] * p["d"]
     zfile = str(p["zfile"])
     if zfile:
         Z = _load_input(zfile, "z", lambda data: _z_from(data, p["k"]))

@@ -23,13 +23,12 @@ from .deltasys import extract_uniform  # noqa: F401
 from .ordset import OrdSet, ParameterError
 from .trees import (
     GridWitness,
-    Node,
+    Word,
     validate_grid_witness,
     word_from_str,
     word_to_str,
 )
 
-Word = tuple[int, ...]
 Row = tuple[Word, ...]
 
 # most entries a seeded oracle may tabulate up front (k ** (depth * d))
@@ -592,22 +591,17 @@ def run_pipeline(
         ys = []
         for alpha in matrix[i]:
             w = current.row(alpha)[i]
-            ys.append(Node(i, w + (0,) * (full_depth - len(w))))
-        branch_sets.append(tuple(sorted(ys, key=lambda y: y.word)))
-    roots = tuple(Node(i, s_words[i]) for i in range(d))
+            ys.append(w + (0,) * (full_depth - len(w)))
+        branch_sets.append(tuple(sorted(ys)))
     witness = GridWitness(
         k=k,
         depth=full_depth,
-        roots=roots,
+        roots=tuple(s_words),
         branch_sets=tuple(branch_sets),
         density_depth=density_depth,
         color=star_color,
     )
-
-    def gamma(branches: tuple[Node, ...]) -> int:
-        return oracle.color(tuple(b.word for b in branches))
-
-    ok, report = validate_grid_witness(witness, gamma)
+    ok, report = validate_grid_witness(witness, oracle.color)
     transcript["validation"] = {
         "ok": ok,
         "density": report["density"],

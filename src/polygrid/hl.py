@@ -1,6 +1,6 @@
 """Level colorings, the grid search, and the grid-to-strong-subtree step.
 
-A LevelColoring colors same-height node tuples.  Tuples of branches get a
+A LevelColoring colors same-height tuples of words.  Tuples of branches get a
 surrogate color by majority vote over their level truncations, the search
 hunts for a monochromatic somewhere-dense grid under a branch coloring,
 and the derivation replays the subtree construction stage by stage against
@@ -21,9 +21,9 @@ from typing import Callable, Optional, Sequence
 from .ordset import OrdSet, ParameterError
 from .trees import (
     GridWitness,
-    Node,
     StrongSubtreeWitness,
     TreeShape,
+    Word,
     all_nodes,
     branches,
     is_level_tuple,
@@ -33,8 +33,6 @@ from .trees import (
     word_from_str,
     word_to_str,
 )
-
-Word = tuple[int, ...]
 
 NAMED_KINDS = ("constant", "level-parity", "seeded", "planted-grid", "adversarial")
 
@@ -46,7 +44,7 @@ def _comparable(a: Word, b: Word) -> bool:
 
 @dataclass
 class LevelColoring:
-    """A total coloring of same-height node tuples up to depth.
+    """A total coloring of same-height word tuples up to depth.
 
     d is the number of coordinate trees and r the number of colors.  The
     named kinds: "constant" is the value everywhere; "level-parity" colors
@@ -56,7 +54,7 @@ class LevelColoring:
     and seeded noise from the other colors elsewhere; "adversarial" (d=1,
     r=2) gives color 0 on the leftmost branch at even heights and on
     first-letter-1 words at odd heights, so zero-colored levels of the two
-    never meet; "table" is an explicit lookup.
+    never meet; "table" is an explicit lookup of every such tuple.
     """
 
     k: int
@@ -89,34 +87,56 @@ class LevelColoring:
                     raise ParameterError(f"bad planted root {w}")
         if self.kind == "adversarial" and (self.d != 1 or self.r != 2):
             raise ParameterError("the adversarial instance is d=1, r=2")
+        if self.kind == "table":
+            self._check_table()
+
+    def _check_table(self) -> None:
+        """Every key is a level tuple of height <= depth with letters in
+        0..k-1 and every value a color in 0..r-1; with as many keys as
+        level tuples, none is missing.  The count of level tuples stops
+        once it passes the table size."""
+        for key, c in self.table.items():
+            if (len(key) != self.d or not is_level_tuple(key)
+                    or len(key[0]) > self.depth
+                    or any(not 0 <= x < self.k for w in key for x in w)):
+                raise ParameterError(f"bad coloring table key {key}")
+            if not isinstance(c, int) or not 0 <= c < self.r:
+                raise ParameterError(f"table color {c} outside 0..{self.r - 1}")
+        need, level = 0, 1
+        for _ in range(self.depth + 1):
+            need += level
+            if need > len(self.table):
+                break
+            level *= self.k ** self.d
+        if need != len(self.table):
+            raise ParameterError(
+                f"coloring table has {len(self.table)} entries, not one per "
+                f"level tuple to depth {self.depth}")
 
     @cached_property
     def _colors(self) -> dict[tuple[Word, ...], int]:
         """Color memo keyed on the tuple of words, filled lazily.  The
-        words fix everything the checks read (the tree index is never
-        read), so a hit is exact while the fields stay as constructed; a
-        tuple that raises is never stored."""
+        key is all the checks read, so a hit is exact while the fields
+        stay as constructed; a tuple that raises is never stored."""
         return {}
 
-    def color(self, nodes: Sequence[Node]) -> int:
+    def color(self, words: tuple[Word, ...]) -> int:
         """The color of a same-height tuple, memoized per instance; a
         tuple that raises is never stored, so it raises on every call."""
-        words = tuple(t.word for t in nodes)
         memo = self._colors
         got = memo.get(words)
         if got is None:
-            got = memo[words] = self._color(nodes)
+            got = memo[words] = self._color(words)
         return got
 
-    def _color(self, nodes: Sequence[Node]) -> int:
-        if len(nodes) != self.d:
-            raise ValueError(f"expected {self.d} nodes, got {len(nodes)}")
-        if not is_level_tuple(nodes):
+    def _color(self, words: tuple[Word, ...]) -> int:
+        if len(words) != self.d:
+            raise ValueError(f"expected {self.d} words, got {len(words)}")
+        if not is_level_tuple(words):
             raise ValueError("level colorings apply to same-height tuples")
-        m = nodes[0].height
+        m = len(words[0])
         if m > self.depth:
             raise ValueError(f"height {m} exceeds depth {self.depth}")
-        words = tuple(t.word for t in nodes)
         for w in words:
             if any(not 0 <= c < self.k for c in w):
                 raise ValueError("letters out of range")
@@ -182,7 +202,7 @@ class LevelColoring:
         )
 
 
-def surrogate_color(gamma: LevelColoring, xs: Sequence[Node], L: int) -> int:
+def surrogate_color(gamma: LevelColoring, xs: Sequence[Word], L: int) -> int:
     """Most frequent color among the level-m truncations, m < L.
 
     Ties break to the least color index.  This stands in for membership
@@ -191,20 +211,21 @@ def surrogate_color(gamma: LevelColoring, xs: Sequence[Node], L: int) -> int:
     """
     if not 1 <= L <= gamma.depth:
         raise ValueError(f"need 1 <= L <= {gamma.depth}, got {L}")
-    if any(x.height < L - 1 for x in xs):
+    if any(len(x) < L - 1 for x in xs):
         raise ValueError("branches too short for the requested truncations")
     memo = gamma._colors  # read inline; a miss takes the checked path
     counts: dict[int, int] = {}
     for m in range(L):
-        j = memo.get(tuple(x.word[:m] for x in xs))
+        key = tuple(x[:m] for x in xs)
+        j = memo.get(key)
         if j is None:
-            j = gamma.color(tuple(Node(x.tree, x.word[:m]) for x in xs))
+            j = gamma.color(key)
         counts[j] = counts.get(j, 0) + 1
     best = max(counts.values())
     return min(j for j, n in counts.items() if n == best)
 
 
-def surrogate_fn(gamma: LevelColoring) -> Callable[[tuple[Node, ...]], int]:
+def surrogate_fn(gamma: LevelColoring) -> Callable[[tuple[Word, ...]], int]:
     """The branch coloring induced by majority to the full depth."""
     return lambda xs: surrogate_color(gamma, xs, gamma.depth)
 
@@ -213,24 +234,24 @@ def surrogate_fn(gamma: LevelColoring) -> Callable[[tuple[Node, ...]], int]:
 # grid search
 
 
-def _dense_feasible(pool: Sequence[Node], t: Node, D: int, cap: int, k: int) -> bool:
-    need = k ** (D - t.height)
+def _dense_feasible(pool: Sequence[Word], t: Word, D: int, cap: int, k: int) -> bool:
+    need = k ** (D - len(t))
     if need > cap:
         return False
-    prefixes = {y.word[:D] for y in pool if y.word[: t.height] == t.word}
+    prefixes = {y[:D] for y in pool if y[: len(t)] == t}
     return len(prefixes) >= need
 
 
-def _trim_to_cap(pool: list[Node], t: Node, D: int, cap: int) -> Optional[list[Node]]:
+def _trim_to_cap(pool: list[Word], t: Word, D: int, cap: int) -> Optional[list[Word]]:
     """Drop lex-largest branches whose depth-D prefix stays covered."""
     kept = list(pool)
     while len(kept) > cap:
         counts: dict[Word, int] = {}
         for y in kept:
-            counts[y.word[:D]] = counts.get(y.word[:D], 0) + 1
+            counts[y[:D]] = counts.get(y[:D], 0) + 1
         victim = None
         for y in reversed(kept):
-            if counts[y.word[:D]] > 1:
+            if counts[y[:D]] > 1:
                 victim = y
                 break
         if victim is None:
@@ -240,29 +261,29 @@ def _trim_to_cap(pool: list[Node], t: Node, D: int, cap: int) -> Optional[list[N
 
 
 def _mono_family(
-    gamma_branch: Callable[[tuple[Node, ...]], int],
-    pools: tuple[tuple[Node, ...], ...],
+    gamma_branch: Callable[[tuple[Word, ...]], int],
+    pools: tuple[tuple[Word, ...], ...],
     j: int,
-    ts: Sequence[Node],
+    ts: Sequence[Word],
     D: int,
     cap: int,
     k: int,
-) -> Optional[list[list[Node]]]:
+) -> Optional[list[list[Word]]]:
     """Largest-first backtracking for an all-j family of dense branch sets.
 
     Any monochromatic family is contained in some leaf of the recursion
     (a bad tuple forces one of its entries out), so failure here is a
     proof of absence, not a search artifact.
     """
-    seen: set[tuple[tuple[Node, ...], ...]] = set()
+    seen: set[tuple[tuple[Word, ...], ...]] = set()
 
-    def bad_tuple(state: tuple[tuple[Node, ...], ...]):
+    def bad_tuple(state: tuple[tuple[Word, ...], ...]):
         for combo in itertools.product(*state):
             if gamma_branch(combo) != j:
                 return combo
         return None
 
-    def solve(state: tuple[tuple[Node, ...], ...]):
+    def solve(state: tuple[tuple[Word, ...], ...]):
         if state in seen:
             return None
         seen.add(state)
@@ -289,7 +310,7 @@ def _mono_family(
 
 
 def search_grid(
-    gamma_branch: Callable[[tuple[Node, ...]], int],
+    gamma_branch: Callable[[tuple[Word, ...]], int],
     shapes: Sequence[TreeShape],
     density_depth: int,
     cap: int,
@@ -309,9 +330,9 @@ def search_grid(
         raise ParameterError(f"need 1 <= density depth <= {depth}")
     pools = [branches(s) for s in shapes]  # in node_key order: lexicographic
 
-    cache: dict[tuple[Node, ...], int] = {}
+    cache: dict[tuple[Word, ...], int] = {}
 
-    def gb(combo: tuple[Node, ...]) -> int:
+    def gb(combo: tuple[Word, ...]) -> int:
         got = cache.get(combo)
         if got is None:
             got = gamma_branch(combo)
@@ -325,7 +346,7 @@ def search_grid(
     ]
     for ts in itertools.product(*root_lists):
         through = tuple(
-            tuple(y for y in pools[i] if y.word[: ts[i].height] == ts[i].word)
+            tuple(y for y in pools[i] if y[: len(ts[i])] == ts[i])
             for i in range(d)
         )
         colors = sorted({gb(c) for c in itertools.product(*through)})
@@ -379,7 +400,7 @@ class HLWitness:
             "levels": list(self.levels.elems),
             "color": self.color,
             "subtrees": [
-                [sorted(word_to_str(t.word) for t in level)
+                [sorted(map(word_to_str, level))
                  for level in sub.level_sets]
                 for sub in self.subtrees
             ],
@@ -389,12 +410,12 @@ class HLWitness:
     def from_json(cls, data: dict) -> "HLWitness":
         levels = OrdSet(tuple(data["levels"]))
         subs = []
-        for i, levelsets in enumerate(data["subtrees"]):
+        for levelsets in data["subtrees"]:
             subs.append(
                 StrongSubtreeWitness(
                     levels=levels,
                     level_sets=tuple(
-                        frozenset(Node(i, word_from_str(s)) for s in level)
+                        frozenset(map(word_from_str, level))
                         for level in levelsets
                     ),
                 )
@@ -414,9 +435,9 @@ def verify_hl_witness(gamma: LevelColoring, w: HLWitness) -> bool:
         return False
     if w.levels.otp and w.levels.at(w.levels.otp - 1) > gamma.depth:
         return False
-    for i, sub in enumerate(w.subtrees):
-        if not is_strong_subtree(sub, TreeShape(w.k, w.depth, index=i)):
-            return False
+    shape = TreeShape(w.k, w.depth)
+    if not all(is_strong_subtree(sub, shape) for sub in w.subtrees):
+        return False
     for m in range(w.levels.otp):
         for combo in itertools.product(*(s.level_sets[m] for s in w.subtrees)):
             if gamma.color(combo) != w.color:
@@ -444,9 +465,9 @@ class DeriveResult:
         }
 
 
-def _least_through(Y: Sequence[Node], prefix: Word) -> Optional[Node]:
+def _least_through(Y: Sequence[Word], prefix: Word) -> Optional[Word]:
     for y in Y:
-        if y.word[: len(prefix)] == prefix:
+        if y[: len(prefix)] == prefix:
             return y
     return None
 
@@ -475,9 +496,9 @@ def derive_strong_subtrees(
         raise ValueError("coloring and grid witness disagree on shape")
     j = w.color
     Ys = [sorted(Y, key=node_key) for Y in w.branch_sets]
-    chains: list[list[Node]] = []
+    chains: list[list[Word]] = []
     for i in range(w.d):
-        pick = _least_through(Ys[i], w.roots[i].word)
+        pick = _least_through(Ys[i], w.roots[i])
         if pick is None:
             return DeriveResult(
                 False, None, 0, failed_stage=0,
@@ -486,7 +507,7 @@ def derive_strong_subtrees(
         chains.append([pick])
 
     levels: list[int] = []
-    level_sets: list[list[frozenset[Node]]] = [[] for _ in range(w.d)]
+    level_sets: list[list[frozenset[Word]]] = [[] for _ in range(w.d)]
 
     def packaged() -> Optional[HLWitness]:
         if not levels:
@@ -500,13 +521,13 @@ def derive_strong_subtrees(
             k=w.k, depth=w.depth, levels=ls, subtrees=subs, color=j
         )
 
-    floor = max(t.height for t in w.roots)
+    floor = max(len(t) for t in w.roots)
     for n in range(h):
         lo = floor if n == 0 else levels[-1] + 1
         found = None
         for L in range(lo, w.depth + 1):
             if all(
-                gamma.color(tuple(Node(z.tree, z.word[:L]) for z in combo)) == j
+                gamma.color(tuple(z[:L] for z in combo)) == j
                 for combo in itertools.product(*chains)
             ):
                 found = L
@@ -521,15 +542,15 @@ def derive_strong_subtrees(
         levels.append(found)
         for i in range(w.d):
             level_sets[i].append(
-                frozenset(Node(z.tree, z.word[:found]) for z in chains[i])
+                frozenset(z[:found] for z in chains[i])
             )
         if n == h - 1:
             break
         for i in range(w.d):
-            grown: list[Node] = []
+            grown: list[Word] = []
             for s in sorted(level_sets[i][-1], key=node_key):
                 for c in range(w.k):
-                    stem = s.word + (c,)
+                    stem = s + (c,)
                     pick = _least_through(Ys[i], stem)
                     if pick is None:
                         return DeriveResult(
@@ -568,13 +589,10 @@ def cone_grid(
     if any(not 0 <= c < gamma.k for r in roots for c in r):
         raise ParameterError(f"root letters must lie in 0..{gamma.k - 1}")
     sets = []
-    for i, r in enumerate(roots):
+    for r in roots:
         tails = itertools.product(range(gamma.k), repeat=density_depth - len(r))
         sets.append(
-            tuple(
-                Node(i, r + e + (0,) * (gamma.depth - density_depth))
-                for e in tails
-            )
+            tuple(r + e + (0,) * (gamma.depth - density_depth) for e in tails)
         )
     fn = surrogate_fn(gamma)
     colors = {fn(combo) for combo in itertools.product(*sets)}
@@ -583,7 +601,7 @@ def cone_grid(
     w = GridWitness(
         k=gamma.k,
         depth=gamma.depth,
-        roots=tuple(Node(i, r) for i, r in enumerate(roots)),
+        roots=tuple(roots),
         branch_sets=tuple(sets),
         density_depth=density_depth,
         color=colors.pop(),
@@ -597,18 +615,18 @@ def cone_grid(
 # the sideways construction
 
 
-def s_member(n: int, x: Node) -> bool:
+def s_member(n: int, x: Word) -> bool:
     """x is in S_n iff it takes the leftmost step at level n."""
-    if n + 1 > x.height:
+    if n + 1 > len(x):
         raise ValueError(
-            f"branch of height {x.height} does not reach level {n + 1}"
+            f"branch of height {len(x)} does not reach level {n + 1}"
         )
-    return x.word[n] == 0
+    return x[n] == 0
 
 
 def sideways_build(
-    jmap: Callable[[tuple[Node, ...]], int], d: int, j_bound: int, depth: int
-) -> Callable[[tuple[Node, ...]], int]:
+    jmap: Callable[[tuple[Word, ...]], int], d: int, j_bound: int, depth: int
+) -> Callable[[tuple[Word, ...]], int]:
     """Lift a d-dimensional branch coloring into {0..j_bound-1} to a
     2-coloring of (d+1)-tuples: color 0 iff the last coordinate lies in
     S_j for j the jmap value of the first d."""
@@ -618,7 +636,7 @@ def sideways_build(
         raise ParameterError(
             f"need 1 <= jmap range {j_bound} < branch depth {depth}")
 
-    def color(xs: tuple[Node, ...]) -> int:
+    def color(xs: tuple[Word, ...]) -> int:
         if len(xs) != d + 1:
             raise ValueError(f"expected {d + 1} branches, got {len(xs)}")
         j = jmap(tuple(xs[:d]))

@@ -1,7 +1,9 @@
 """Finitely branching tree truncations, strong subtrees and density checks.
 
 Trees are perfect k-branching trees truncated at depth N.  A node is a
-word over {0..k-1}; a branch is a node of full length N.  Everything is
+word over {0..k-1}, a tuple of ints whose height is its length; a branch
+is a node of full length N.  In a tuple of nodes from a product of trees,
+a node's coordinate is its position in the tuple.  Everything is
 explicit and finite: density is "to depth D", strong subtrees carry their
 level sets, and the distributive-dense-filtration (DDF) check truncates
 fiber intersections at a cap.
@@ -18,11 +20,10 @@ from .ordset import OrdSet, ParameterError
 
 @dataclass(frozen=True)
 class TreeShape:
-    """Branching degree k >= 2, depth N >= 1, and a coordinate index."""
+    """Branching degree k >= 2 and depth N >= 1."""
 
     k: int
     depth: int
-    index: int = 0
 
     def __post_init__(self):
         if self.k < 2:
@@ -31,55 +32,35 @@ class TreeShape:
             raise ParameterError(f"depth must be >= 1, got {self.depth}")
 
 
-@dataclass(frozen=True)
-class Node:
-    """A word over {0..k-1} in the tree with the given coordinate index."""
-
-    tree: int
-    word: tuple[int, ...] = ()
-
-    @property
-    def height(self) -> int:
-        return len(self.word)
-
-    def is_prefix_of(self, other: "Node") -> bool:
-        return other.word[: len(self.word)] == self.word
+Word = tuple[int, ...]
 
 
-def node_key(t: Node) -> tuple[int, tuple[int, ...]]:
+def node_key(t: Word) -> tuple[int, Word]:
     """Shortlex order: by height, then lexicographically."""
-    return (len(t.word), t.word)
+    return (len(t), t)
 
 
-def root(shape: TreeShape) -> Node:
-    return Node(shape.index, ())
-
-
-def words(k: int, length: int) -> list[tuple[int, ...]]:
+def words(k: int, length: int) -> list[Word]:
     return list(itertools.product(range(k), repeat=length))
 
 
-def nodes_at_level(shape: TreeShape, m: int) -> list[Node]:
-    if not 0 <= m <= shape.depth:
-        raise ValueError(f"level {m} out of range for depth {shape.depth}")
-    return [Node(shape.index, w) for w in words(shape.k, m)]
-
-
-def all_nodes(shape: TreeShape, max_height: int | None = None) -> list[Node]:
+def all_nodes(shape: TreeShape, max_height: int | None = None) -> list[Word]:
     """All nodes of height <= max_height, in shortlex order."""
     top = shape.depth if max_height is None else max_height
-    out: list[Node] = []
+    if top > shape.depth:
+        raise ValueError(f"level {top} out of range for depth {shape.depth}")
+    out: list[Word] = []
     for m in range(top + 1):
-        out.extend(nodes_at_level(shape, m))
+        out.extend(words(shape.k, m))
     return out
 
 
-def branches(shape: TreeShape) -> list[Node]:
-    return nodes_at_level(shape, shape.depth)
+def branches(shape: TreeShape) -> list[Word]:
+    return words(shape.k, shape.depth)
 
 
-def is_level_tuple(nodes: Sequence[Node]) -> bool:
-    return len(nodes) > 0 and len({t.height for t in nodes}) == 1
+def is_level_tuple(nodes: Sequence[Word]) -> bool:
+    return len(nodes) > 0 and len({len(t) for t in nodes}) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +75,7 @@ class StrongSubtreeWitness:
     """
 
     levels: OrdSet
-    level_sets: tuple[frozenset[Node], ...]
+    level_sets: tuple[frozenset[Word], ...]
 
     def __post_init__(self):
         if self.levels.otp != len(self.level_sets):
@@ -118,18 +99,18 @@ def is_strong_subtree(w: StrongSubtreeWitness, shape: TreeShape) -> bool:
         return False
     for m in range(a.otp):
         for t in w.level_sets[m]:
-            if t.tree != shape.index or t.height != a.at(m):
+            if len(t) != a.at(m):
                 return False
-            if any(c >= shape.k or c < 0 for c in t.word):
+            if any(c >= shape.k or c < 0 for c in t):
                 return False
     for m in range(1, a.otp):
         prev_height = a.at(m - 1)
         needed = {
-            p.word + (c,)
+            p + (c,)
             for p in w.level_sets[m - 1]
             for c in range(shape.k)
         }
-        got = [t.word[: prev_height + 1] for t in w.level_sets[m]]
+        got = [t[: prev_height + 1] for t in w.level_sets[m]]
         if len(got) != len(needed) or set(got) != needed:
             return False
     return True
@@ -139,17 +120,15 @@ def is_strong_subtree(w: StrongSubtreeWitness, shape: TreeShape) -> bool:
 # density
 
 
-def _check_branch_set(shape: TreeShape, Y: Iterable[Node]) -> list[Node]:
+def _check_branch_set(shape: TreeShape, Y: Iterable[Word]) -> list[Word]:
     ys = list(Y)
     for y in ys:
-        if y.tree != shape.index:
-            raise ParameterError(f"branch from tree {y.tree} in tree {shape.index} set")
-        if y.height != shape.depth:
+        if len(y) != shape.depth:
             raise ParameterError("branch sets hold full-depth nodes only")
     return ys
 
 
-def is_dense_above(shape: TreeShape, Y: Iterable[Node], t: Node, D: int) -> bool:
+def is_dense_above(shape: TreeShape, Y: Iterable[Word], t: Word, D: int) -> bool:
     """Every node extending t with height <= D is a prefix of some branch.
 
     It suffices to cover the depth-D extensions of t, and those are counted
@@ -159,27 +138,27 @@ def is_dense_above(shape: TreeShape, Y: Iterable[Node], t: Node, D: int) -> bool
     return _dense_above(shape, _check_branch_set(shape, Y), t, D)
 
 
-def _check_density_depth(shape: TreeShape, t: Node, D: int) -> None:
+def _check_density_depth(shape: TreeShape, t: Word, D: int) -> None:
     if D > shape.depth:
         raise ParameterError(f"density depth {D} exceeds tree depth {shape.depth}")
-    if t.height > D:
-        raise ParameterError(f"root height {t.height} exceeds density depth {D}")
+    if len(t) > D:
+        raise ParameterError(f"root height {len(t)} exceeds density depth {D}")
 
 
-def _dense_above(shape: TreeShape, ys: Iterable[Node], t: Node, D: int) -> bool:
+def _dense_above(shape: TreeShape, ys: Iterable[Word], t: Word, D: int) -> bool:
     """is_dense_above with its arguments already checked."""
-    h = t.height
-    prefixes = {y.word[:D] for y in ys if y.word[:h] == t.word}
+    h = len(t)
+    prefixes = {y[:D] for y in ys if y[:h] == t}
     return len(prefixes) == shape.k ** (D - h)
 
 
-def is_u_set(Y: Iterable[Node], cones: Iterable[Node], D: int) -> bool:
+def is_u_set(Y: Iterable[Word], cones: Iterable[Word], D: int) -> bool:
     """Some member passes through every listed clopen cone root."""
     ys = list(Y)
     for u in cones:
-        if u.height > D:
-            raise ValueError(f"cone root height {u.height} exceeds {D}")
-        if not any(u.is_prefix_of(y) for y in ys):
+        if len(u) > D:
+            raise ValueError(f"cone root height {len(u)} exceeds {D}")
+        if not any(y[: len(u)] == u for y in ys):
             return False
     return True
 
@@ -188,8 +167,8 @@ def is_u_set(Y: Iterable[Node], cones: Iterable[Node], D: int) -> bool:
 # dense filtrations and the finite FPG bridge
 
 
-def _fibers(Z: Iterable[tuple[Node, ...]]) -> dict[tuple[Node, ...], set[Node]]:
-    out: dict[tuple[Node, ...], set[Node]] = {}
+def _fibers(Z: Iterable[tuple[Word, ...]]) -> dict[tuple[Word, ...], set[Word]]:
+    out: dict[tuple[Word, ...], set[Word]] = {}
     for z in Z:
         out.setdefault(z[:-1], set()).add(z[-1])
     return out
@@ -197,7 +176,7 @@ def _fibers(Z: Iterable[tuple[Node, ...]]) -> dict[tuple[Node, ...], set[Node]]:
 
 def is_ddf_to_depth(
     shapes: Sequence[TreeShape],
-    Z: Iterable[tuple[Node, ...]],
+    Z: Iterable[tuple[Word, ...]],
     D: int,
     mcap: int,
 ) -> bool:
@@ -219,38 +198,38 @@ def is_ddf_to_depth(
         if len(z) != d:
             raise ParameterError("tuple arity does not match the tree list")
     for i, shape in enumerate(shapes):
-        _check_density_depth(shape, root(shape), D)
+        _check_density_depth(shape, (), D)
         _check_branch_set(shape, (z[i] for z in zs))
     return _ddf(shapes, zs, D, mcap)
 
 
 def _ddf(
     shapes: Sequence[TreeShape],
-    zs: list[tuple[Node, ...]],
+    zs: list[tuple[Word, ...]],
     D: int,
     mcap: int,
 ) -> bool:
     if len(shapes) == 1:
-        return _dense_above(shapes[0], {z[0] for z in zs}, root(shapes[0]), D)
+        return _dense_above(shapes[0], {z[0] for z in zs}, (), D)
     fib = _fibers(zs)
     if not _ddf(shapes[:-1], list(fib.keys()), D, mcap):
         return False
     last = shapes[-1]
-    keys = sorted(fib.keys(), key=lambda xs: tuple(node_key(x) for x in xs))
+    keys = sorted(fib)  # all branches: shortlex is lexicographic
     for size in range(1, mcap + 1):
         for combo in itertools.combinations(keys, size):
             meet = set.intersection(*(fib[x] for x in combo))
-            if not _dense_above(last, meet, root(last), D):
+            if not _dense_above(last, meet, (), D):
                 return False
     return True
 
 
 def fpg_witness_sets(
     shapes: Sequence[TreeShape],
-    Z: Iterable[tuple[Node, ...]],
-    cone_families: Sequence[Iterable[Node]],
+    Z: Iterable[tuple[Word, ...]],
+    cone_families: Sequence[Iterable[Word]],
     D: int,
-) -> Optional[tuple[frozenset[Node], ...]]:
+) -> Optional[tuple[frozenset[Word], ...]]:
     """Build finite cone-meeting sets whose product sits inside Z.
 
     Follows the filtration recursion: solve the projection first, then take
@@ -262,10 +241,10 @@ def fpg_witness_sets(
     zs = list(Z)
     d = len(shapes)
 
-    def pick_per_cone(pool: set[Node], cones: Iterable[Node]) -> Optional[frozenset[Node]]:
+    def pick_per_cone(pool: set[Word], cones: Iterable[Word]) -> Optional[frozenset[Word]]:
         chosen = set()
         for u in sorted(cones, key=node_key):
-            hits = [y for y in pool if u.is_prefix_of(y)]
+            hits = [y for y in pool if y[: len(u)] == u]
             if not hits:
                 return None
             chosen.add(min(hits, key=node_key))
@@ -292,13 +271,13 @@ def fpg_witness_sets(
 _WORD_JSON_MAX_K = 10
 
 
-def word_to_str(w: tuple[int, ...]) -> str:
+def word_to_str(w: Word) -> str:
     if any(c >= _WORD_JSON_MAX_K for c in w):
         raise ParameterError("digit-string serialization needs letters < 10")
     return "".join(str(c) for c in w)
 
 
-def word_from_str(s: str) -> tuple[int, ...]:
+def word_from_str(s: str) -> Word:
     return tuple(int(ch) for ch in s)
 
 
@@ -313,8 +292,8 @@ class GridWitness:
 
     k: int
     depth: int
-    roots: tuple[Node, ...]
-    branch_sets: tuple[tuple[Node, ...], ...]
+    roots: tuple[Word, ...]
+    branch_sets: tuple[tuple[Word, ...], ...]
     density_depth: int
     color: object
 
@@ -323,7 +302,7 @@ class GridWitness:
         return len(self.roots)
 
     def shapes(self) -> tuple[TreeShape, ...]:
-        return tuple(TreeShape(self.k, self.depth, i) for i in range(self.d))
+        return (TreeShape(self.k, self.depth),) * self.d
 
     def to_json(self) -> dict:
         return {
@@ -331,20 +310,18 @@ class GridWitness:
             "depth": self.depth,
             "density_depth": self.density_depth,
             "color": self.color,
-            "roots": [word_to_str(t.word) for t in self.roots],
+            "roots": [word_to_str(t) for t in self.roots],
             "branch_sets": [
-                [word_to_str(y.word) for y in ys] for ys in self.branch_sets
+                [word_to_str(y) for y in ys] for ys in self.branch_sets
             ],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "GridWitness":
-        roots = tuple(
-            Node(i, word_from_str(s)) for i, s in enumerate(data["roots"])
-        )
+        roots = tuple(word_from_str(s) for s in data["roots"])
         sets = tuple(
-            tuple(sorted((Node(i, word_from_str(s)) for s in ys), key=node_key))
-            for i, ys in enumerate(data["branch_sets"])
+            tuple(sorted(map(word_from_str, ys), key=node_key))
+            for ys in data["branch_sets"]
         )
         color = data["color"]
         if isinstance(color, list):
@@ -360,7 +337,7 @@ class GridWitness:
 
 
 def validate_grid_witness(
-    w: GridWitness, gamma: Callable[[tuple[Node, ...]], object]
+    w: GridWitness, gamma: Callable[[tuple[Word, ...]], object]
 ) -> tuple[bool, dict]:
     """Re-check a grid witness from scratch: density plus constant color.
 

@@ -203,7 +203,7 @@ def test_criterion_05_pipeline_soundness():
                 assert len(Y) == 8
                 assert is_dense_above(shapes[i], Y, w.roots[i], 3)
             for combo in itertools.product(*w.branch_sets):
-                cut = tuple(x.word[: oracle.depth] for x in combo)
+                cut = tuple(x[: oracle.depth] for x in combo)
                 assert oracle.color(cut) == w.color
             assert time.monotonic() - t0 < 30, f"slow run d={d} seed={seed}"
             runs += 1
@@ -231,8 +231,8 @@ def test_criterion_06_ph_refutation():
 
 def test_criterion_07_sideways_containment():
     clock = _Clock(120)
-    shape0 = TreeShape(2, 4, 0)
-    shape1 = TreeShape(2, 4, 1)
+    shape0 = TreeShape(2, 4)
+    shape1 = TreeShape(2, 4)
     bs0 = branches(shape0)
     bs1 = branches(shape1)
     # Any grid monochromatic for sideways_build with projection value j has
@@ -246,13 +246,13 @@ def test_criterion_07_sideways_containment():
             for c in (0, 1):
                 Ymax = [y for y in bs1 if s_member(j, y) == (c == 0)]
                 dense = is_dense_above(shape1, Ymax, t, 3)
-                want = j < t.height and t.word[j] == (0 if c == 0 else 1)
+                want = j < len(t) and t[j] == (0 if c == 0 else 1)
                 assert dense == want
                 cells += 1
                 if not dense:
                     continue
                 # containment invariant: jmap value below the root height
-                assert j < t.height
+                assert j < len(t)
                 # and the grid it describes really is monochromatic
                 coloring = sideways_build(
                     lambda xs, jj=j: jj, d=1, j_bound=2, depth=4
@@ -316,7 +316,7 @@ def test_criterion_08_hl_derivation():
 
 def test_criterion_09_ddf_fpg_bridge():
     clock = _Clock(120)
-    shapes = [TreeShape(2, 2, 0), TreeShape(2, 2, 1)]
+    shapes = [TreeShape(2, 2), TreeShape(2, 2)]
     tuples = list(itertools.product(branches(shapes[0]), branches(shapes[1])))
     cones = [all_nodes(s, 2) for s in shapes]
     families = []

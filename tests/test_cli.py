@@ -115,6 +115,17 @@ def test_usage_exit_code():
     # no cone grid for this coloring; the height is still checked first
     ["hl-derive", "--coloring", "seeded", "--height", "0"],
     ["hl-derive", "--coloring", "seeded", "--height", "-1"],
+    # a table with no entry for the root
+    ["grid-search", "--coloring", "table", "--table", "partial.table",
+     "--depth", "2", "--density", "1"],
+    # a total table whose colors all lie outside 0..r-1
+    ["grid-search", "--coloring", "table", "--table", "five.table",
+     "--depth", "2", "--density", "1"],
+    ["hl-derive", "--coloring", "table", "--table", "five.table",
+     "--depth", "2", "--density", "1"],
+    # digit strings where lists of words belong
+    ["ddf-check", "--d", "2", "--depth", "1", "--density", "1",
+     "--mcap", "1", "--zfile", "flat.json"],
 ])
 def test_bad_parameter_is_usage_error(tmp_path, monkeypatch, args):
     # a bad flag or input file must not read as a result: exit 64 and
@@ -128,6 +139,13 @@ def test_bad_parameter_is_usage_error(tmp_path, monkeypatch, args):
         {"family": {"dim": 1, "indices": [0, 1, 2, 3],
                     "umap": {str(i): [i] for i in range(4)}},
          "labels": {"0": 1}}))
+    table = {"k": 2, "d": 1, "depth": 2, "r": 2, "kind": "table"}
+    Path("partial.table").write_text(json.dumps(
+        {**table, "table": {"0": 0, "1": 0}}))
+    Path("five.table").write_text(json.dumps(
+        {**table, "table": dict.fromkeys(
+            ["", "0", "1", "00", "01", "10", "11"], 5)}))
+    Path("flat.json").write_text(json.dumps(["01", "10"]))
     out = tmp_path / "out"
     assert run(out, *args) == 64
     assert not out.exists()
@@ -301,6 +319,26 @@ def test_force_pipeline_and_determinism(tmp_path):
     for name in ("force-pipeline.json", "force-pipeline-witness.json",
                  "force-pipeline.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv, digests", [
+    # the force-pipeline run of criterion 10 (determinism)
+    (["--d", "1", "--k", "2", "--depth-oracle", "2", "--density", "3",
+      "--branches", "8", "--seed", "7"],
+     ("21ddaef0711c112f", "9bd7f42243d846e7", "2bf8405d40f53f93")),
+    (["--d", "2", "--branches", "8"],
+     ("9b94ea58ea0d58be", "78a72e1097b3dc68", "0d142ee398c06af1")),
+    (["--d", "3", "--branches", "8"],
+     ("6a4976e6a44b01e5", "00efcb09726c4d91", "a8154eab81c6bfc2")),
+])
+def test_force_pipeline_pinned(tmp_path, argv, digests):
+    # digests of the artifacts written while grid witnesses held Node objects
+    assert run(tmp_path, "force-pipeline", *argv) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+           for p in tmp_path.iterdir()}
+    names = ("force-pipeline.json", "force-pipeline-witness.json",
+             "force-pipeline.csv")
+    assert got == dict(zip(names, digests))
 
 
 def test_force_pipeline_seeded_oracle_below_cap(tmp_path):

@@ -235,7 +235,7 @@ def _external_check(witness, oracle):
             shapes[i], Y, witness.roots[i], witness.density_depth
         )
     for combo in itertools.product(*witness.branch_sets):
-        words = tuple(x.word[: oracle.depth] for x in combo)
+        words = tuple(x[: oracle.depth] for x in combo)
         assert oracle.color(words) == witness.color
 
 
@@ -255,7 +255,7 @@ def test_pipeline_first_letter_root():
     res = run_pipeline(oracle, density_depth=3, width=4)
     assert res.ok
     w = res.witness
-    assert w.roots[0].word[0] == w.color
+    assert w.roots[0][0] == w.color
     _external_check(w, oracle)
 
 
@@ -293,7 +293,7 @@ def test_pipeline_chain_replays():
             assert p.row(alpha)[i] == word_from_str(t["start_words"][i] + tag)
     # the witness branches are the leftmost completions of those slots
     for i, Y in enumerate(res.witness.branch_sets):
-        assert sorted(y.word for y in Y) == sorted(
+        assert sorted(Y) == sorted(
             p.row(alpha)[i] + (0,) * (res.witness.depth - len(p.row(alpha)[i]))
             for alpha in t["matrix"][i])
 

@@ -1,11 +1,12 @@
 """Grid search, the subtree derivation, and the sideways construction."""
 
 import itertools
+import json
 from collections import Counter
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polygrid import ParameterError
@@ -20,15 +21,15 @@ from polygrid.hl import (
     search_grid,
     sideways_build,
     surrogate_color,
+    surrogate_fn,
     verify_hl_witness,
 )
 from polygrid.ordset import OrdSet
 from polygrid.trees import (
-    Node,
+    GridWitness,
     StrongSubtreeWitness,
     TreeShape,
     branches,
-    root,
     words,
 )
 
@@ -48,27 +49,27 @@ def level_table(pattern, k=2, depth=4):
 
 def test_surrogate_constant_any_cut():
     gamma = LevelColoring(k=2, d=2, depth=4, r=3, kind="constant", value=2)
-    xs = (Node(0, (0, 0, 0, 0)), Node(1, (1, 1, 1, 1)))
+    xs = ((0, 0, 0, 0), (1, 1, 1, 1))
     for L in range(1, 5):
         assert surrogate_color(gamma, xs, L) == 2
 
 
 def test_surrogate_tie_breaks_low():
     gamma = level_table([0, 1, 0, 1, 0])
-    x = (Node(0, (0, 0, 0, 0)),)
+    x = ((0, 0, 0, 0),)
     assert surrogate_color(gamma, x, 4) == 0
 
 
 def test_surrogate_majority():
     gamma = level_table([1, 1, 0, 1, 0])
-    x = (Node(0, (0, 0, 0, 0)),)
+    x = ((0, 0, 0, 0),)
     assert surrogate_color(gamma, x, 4) == 1
 
 
 def test_surrogate_depth_guard():
     gamma = level_table([0, 1, 0, 1, 0])
     with pytest.raises(ValueError):
-        surrogate_color(gamma, (Node(0, (0, 0, 0, 0)),), 5)
+        surrogate_color(gamma, ((0, 0, 0, 0),), 5)
 
 
 # ---------------------------------------------------------------------------
@@ -107,22 +108,18 @@ def level_words(gamma, m):
     return st.tuples(*[word] * gamma.d)
 
 
-def _nodes(words_):
-    return tuple(Node(i, w) for i, w in enumerate(words_))
-
-
 def bad_tuples(gamma):
     """One tuple per check the color path makes, each of which raises."""
     k, d, depth = gamma.k, gamma.d, gamma.depth
     out = [
-        _nodes([()] * (d + 1)),  # wrong length
-        _nodes([(0,) * (depth + 1)] * d),  # height above depth
-        _nodes([(k,)] * d),  # a letter out of range
-        _nodes([(-1,)] * d),
+        ((),) * (d + 1),  # wrong length
+        ((0,) * (depth + 1),) * d,  # height above depth
+        ((k,),) * d,  # a letter out of range
+        ((-1,),) * d,
     ]
     if d > 1:
-        out.append(_nodes([()] * (d - 1)))  # wrong length
-        out.append(_nodes([()] + [(0,)] * (d - 1)))  # mixed heights
+        out.append(((),) * (d - 1))  # wrong length
+        out.append(((),) + ((0,),) * (d - 1))  # mixed heights
     return out
 
 
@@ -130,7 +127,7 @@ def _assert_raises_unstored(gamma, nodes):
     for _ in range(2):
         with pytest.raises(ValueError):
             gamma.color(nodes)
-    assert tuple(t.word for t in nodes) not in gamma._colors
+    assert nodes not in gamma._colors
 
 
 @settings(max_examples=200, deadline=None)
@@ -141,13 +138,13 @@ def test_color_memo_matches_unmemoized_path(gamma, prefill, data):
         min_size=1, max_size=20))
     if prefill:
         for ws in tuples[::2]:
-            gamma.color(_nodes(ws))
+            gamma.color(ws)
     fresh = LevelColoring.from_json(gamma.to_json())
     for nodes in bad_tuples(gamma):
         _assert_raises_unstored(fresh, nodes)  # on an empty memo
     for ws in tuples + tuples:
-        assert gamma.color(_nodes(ws)) == fresh._color(_nodes(ws))
-    assert all(fresh._color(_nodes(ws)) == c
+        assert gamma.color(ws) == fresh._color(ws)
+    assert all(fresh._color(ws) == c
                for ws, c in gamma._colors.items())
     for nodes in bad_tuples(gamma):
         _assert_raises_unstored(gamma, nodes)  # on a filled memo
@@ -156,16 +153,16 @@ def test_color_memo_matches_unmemoized_path(gamma, prefill, data):
         missing = next(iter(reversed(gamma.table)))
         partial = LevelColoring.from_json(gamma.to_json())
         del partial.table[missing]
-        _assert_raises_unstored(partial, _nodes(missing))
+        _assert_raises_unstored(partial, missing)
         for ws in tuples:
             if ws != missing:
-                partial.color(_nodes(ws))
-        _assert_raises_unstored(partial, _nodes(missing))
+                partial.color(ws)
+        _assert_raises_unstored(partial, missing)
     # the surrogate reads the memo inline; it must take the majority of
     # what the unmemoized path gives, ties to the least color
-    xs = _nodes(data.draw(level_words(gamma, gamma.depth)))
+    xs = data.draw(level_words(gamma, gamma.depth))
     L = data.draw(st.integers(1, gamma.depth))
-    counts = Counter(fresh._color(tuple(Node(x.tree, x.word[:m]) for x in xs))
+    counts = Counter(fresh._color(tuple(x[:m] for x in xs))
                      for m in range(L))
     best = max(counts.values())
     assert surrogate_color(gamma, xs, L) == min(
@@ -177,26 +174,26 @@ def test_color_memo_matches_unmemoized_path(gamma, prefill, data):
 
 
 def test_search_constant_full_sets():
-    shapes = [TreeShape(2, 2, 0), TreeShape(2, 2, 1)]
+    shapes = [TreeShape(2, 2), TreeShape(2, 2)]
     w = search_grid(lambda xs: 0, shapes, density_depth=2, cap=4)
     assert w is not None
-    assert w.roots == (root(shapes[0]), root(shapes[1]))
+    assert w.roots == ((), ())
     assert all(len(Y) == 4 for Y in w.branch_sets)
     assert w.color == 0
 
 
 def test_search_first_letter():
-    shapes = [TreeShape(2, 2, 0)]
-    w = search_grid(lambda xs: xs[0].word[0], shapes, density_depth=2, cap=4)
+    shapes = [TreeShape(2, 2)]
+    w = search_grid(lambda xs: xs[0][0], shapes, density_depth=2, cap=4)
     assert w is not None
-    assert w.roots[0].word == (0,)
-    assert sorted(y.word for y in w.branch_sets[0]) == [(0, 0), (0, 1)]
+    assert w.roots[0] == (0,)
+    assert sorted(w.branch_sets[0]) == [(0, 0), (0, 1)]
     assert w.color == 0
 
 
 def test_search_defeated_by_product_bound():
     arena = Arena(size=24, dim=1, mode="identity")
-    shapes = [TreeShape(12, 1, 0), TreeShape(12, 1, 1)]
+    shapes = [TreeShape(12, 1), TreeShape(12, 1)]
     enums = [
         {y: i for i, y in enumerate(branches(shapes[0]))},
         {y: 12 + i for i, y in enumerate(branches(shapes[1]))},
@@ -290,13 +287,13 @@ def test_verify_flags_sibling_swap():
 
     good = HLWitness(
         2, 2, OrdSet.of([1]),
-        (StrongSubtreeWitness(OrdSet.of([1]), (frozenset({Node(0, (0,))}),)),),
+        (StrongSubtreeWitness(OrdSet.of([1]), (frozenset({(0,)}),)),),
         color=0,
     )
     assert verify_hl_witness(gamma, good)
     swapped = HLWitness(
         2, 2, OrdSet.of([1]),
-        (StrongSubtreeWitness(OrdSet.of([1]), (frozenset({Node(0, (1,))}),)),),
+        (StrongSubtreeWitness(OrdSet.of([1]), (frozenset({(1,)}),)),),
         color=0,
     )
     assert not verify_hl_witness(gamma, swapped)
@@ -304,8 +301,8 @@ def test_verify_flags_sibling_swap():
 
 def test_verify_height_one():
     gamma = LevelColoring(k=2, d=2, depth=3, r=2, kind="constant", value=0)
-    sub0 = StrongSubtreeWitness(OrdSet.of([1]), (frozenset({Node(0, (1,))}),))
-    sub1 = StrongSubtreeWitness(OrdSet.of([1]), (frozenset({Node(1, (0,))}),))
+    sub0 = StrongSubtreeWitness(OrdSet.of([1]), (frozenset({(1,)}),))
+    sub1 = StrongSubtreeWitness(OrdSet.of([1]), (frozenset({(0,)}),))
     w = HLWitness(2, 3, OrdSet.of([1]), (sub0, sub1), 0)
     assert verify_hl_witness(gamma, w)
     wrong = HLWitness(2, 3, OrdSet.of([1]), (sub0, sub1), 1)
@@ -318,6 +315,41 @@ def test_hl_witness_round_trip():
     again = HLWitness.from_json(res.witness.to_json())
     assert again == res.witness
     assert verify_hl_witness(gamma, again)
+
+
+def _assert_json_round_trip(cls, w):
+    data = w.to_json()
+    again = cls.from_json(json.loads(json.dumps(data)))
+    assert again == w
+    assert json.dumps(again.to_json(), sort_keys=True) == json.dumps(
+        data, sort_keys=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2), st.integers(2, 3), st.integers(1, 3),
+       st.integers(0, 2 ** 16), st.data())
+def test_grid_witness_json_round_trip(d, depth, r, seed, data):
+    gamma = LevelColoring(k=2, d=d, depth=depth, r=r, kind="seeded",
+                          seed=seed)
+    density = data.draw(st.integers(1, depth))
+    shapes = [TreeShape(2, depth) for i in range(d)]
+    w = search_grid(surrogate_fn(gamma), shapes, density, cap=8)
+    assume(w is not None)
+    _assert_json_round_trip(GridWitness, w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(level_colorings(), st.integers(1, 3), st.data())
+def test_hl_witness_json_round_trip(gamma, h, data):
+    density = data.draw(st.integers(1, gamma.depth))
+    roots = data.draw(st.tuples(*[
+        st.lists(st.integers(0, gamma.k - 1), max_size=density).map(tuple)
+    ] * gamma.d))
+    grid = cone_grid(gamma, roots, density)
+    assume(grid is not None)
+    res = derive_strong_subtrees(gamma, grid, h)
+    assume(res.witness is not None)
+    _assert_json_round_trip(HLWitness, res.witness)
 
 
 def test_coloring_round_trips():
@@ -335,8 +367,7 @@ def test_coloring_round_trips():
         again = LevelColoring.from_json(data)
         for m in (0, 1, 2):
             for combo in itertools.product(words(2, m), repeat=gamma.d):
-                nodes = tuple(Node(i, w) for i, w in enumerate(combo))
-                assert gamma.color(nodes) == again.color(nodes)
+                assert gamma.color(combo) == again.color(combo)
         # the filled color memo is not part of the value
         assert gamma._colors
         assert gamma.to_json() == data
@@ -349,9 +380,9 @@ def test_coloring_round_trips():
 
 
 def test_s_member_examples():
-    left = Node(0, (0, 0, 0, 0))
-    right = Node(0, (1, 1, 1, 1))
-    mixed = Node(0, (0, 1, 0, 1))
+    left = (0, 0, 0, 0)
+    right = (1, 1, 1, 1)
+    mixed = (0, 1, 0, 1)
     for n in range(4):
         assert s_member(n, left)
         assert not s_member(n, right)
@@ -361,16 +392,16 @@ def test_s_member_examples():
 
 def test_s_member_depth_guard():
     with pytest.raises(ValueError):
-        s_member(2, Node(0, (0, 1)))
+        s_member(2, (0, 1))
 
 
 def test_s_family_meets_and_misses_every_cone():
     # every cone of height <= D-2 contains branches in and out of S_n
-    shape = TreeShape(2, 6, 0)
+    shape = TreeShape(2, 6)
     bs = branches(shape)
     for h in range(5):
         for w in words(2, h):
-            through = [y for y in bs if y.word[:h] == w]
+            through = [y for y in bs if y[:h] == w]
             for n in range(h, 5):
                 assert any(s_member(n, y) for y in through)
                 assert any(not s_member(n, y) for y in through)
@@ -378,18 +409,18 @@ def test_s_family_meets_and_misses_every_cone():
 
 def test_sideways_constant_jmap():
     color = sideways_build(lambda xs: 0, d=1, j_bound=1, depth=3)
-    shape = TreeShape(2, 3, 0)
+    shape = TreeShape(2, 3)
     for x0, x1 in itertools.product(branches(shape), repeat=2):
-        assert color((x0, x1)) == (0 if x1.word[0] == 0 else 1)
+        assert color((x0, x1)) == (0 if x1[0] == 0 else 1)
 
 
 def test_sideways_leftmost_always_zero():
     def jmap(xs):
-        return (xs[0].word[0] + xs[0].word[1]) % 2
+        return (xs[0][0] + xs[0][1]) % 2
 
     color = sideways_build(jmap, d=1, j_bound=2, depth=4)
-    shape = TreeShape(2, 4, 0)
-    left = Node(0, (0, 0, 0, 0))
+    shape = TreeShape(2, 4)
+    left = (0, 0, 0, 0)
     for x0 in branches(shape):
         assert color((x0, left)) == 0
 
@@ -401,7 +432,7 @@ def test_sideways_depth_guard():
 
 def test_sideways_checks_jmap_range():
     color = sideways_build(lambda xs: 5, d=1, j_bound=2, depth=4)
-    shape = TreeShape(2, 4, 0)
+    shape = TreeShape(2, 4)
     x = branches(shape)[0]
     with pytest.raises(ParameterError):
         color((x, x))

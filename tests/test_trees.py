@@ -3,12 +3,13 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polygrid import ParameterError
 from polygrid.ordset import OrdSet
 from polygrid.trees import (
     GridWitness,
-    Node,
     StrongSubtreeWitness,
     TreeShape,
     all_nodes,
@@ -19,17 +20,13 @@ from polygrid.trees import (
     is_level_tuple,
     is_strong_subtree,
     is_u_set,
-    root,
+    node_key,
     validate_grid_witness,
     word_from_str,
     word_to_str,
 )
 
-T2 = TreeShape(k=2, depth=3, index=0)
-
-
-def _branch_set(shape, *words):
-    return [Node(shape.index, w) for w in words]
+T2 = TreeShape(k=2, depth=3)
 
 
 # ---------------------------------------------------------------------------
@@ -37,11 +34,10 @@ def _branch_set(shape, *words):
 
 
 def test_node_height_and_prefix():
-    t = Node(0, (0, 1))
-    assert t.height == 2
-    assert root(T2).is_prefix_of(t)
-    assert t.is_prefix_of(Node(0, (0, 1, 1)))
-    assert not t.is_prefix_of(Node(0, (0, 0, 1)))
+    # a node is its word: its height is the length, shortlex comes first
+    assert node_key((0, 1)) == (2, (0, 1))
+    assert sorted([(1,), (0, 1), (), (0,)], key=node_key) == [
+        (), (0,), (1,), (0, 1)]
 
 
 def test_branch_count():
@@ -50,8 +46,8 @@ def test_branch_count():
 
 
 def test_is_level_tuple():
-    assert is_level_tuple((Node(0, (0,)), Node(1, (1,))))
-    assert not is_level_tuple((Node(0, (0,)), Node(1, ())))
+    assert is_level_tuple(((0,), (1,)))
+    assert not is_level_tuple(((0,), ()))
 
 
 # ---------------------------------------------------------------------------
@@ -59,37 +55,37 @@ def test_is_level_tuple():
 
 
 def test_strong_subtree_root_singleton():
-    w = StrongSubtreeWitness(OrdSet.of([0]), (frozenset({root(T2)}),))
+    w = StrongSubtreeWitness(OrdSet.of([0]), (frozenset({()}),))
     assert is_strong_subtree(w, T2)
 
 
 def test_strong_subtree_two_levels():
-    deep = TreeShape(k=2, depth=4, index=0)
+    deep = TreeShape(k=2, depth=4)
     w = StrongSubtreeWitness(
         OrdSet.of([1, 3]),
         (
-            frozenset({Node(0, (0,))}),
-            frozenset({Node(0, (0, 0, 0)), Node(0, (0, 1, 0))}),
+            frozenset({(0,)}),
+            frozenset({(0, 0, 0), (0, 1, 0)}),
         ),
     )
     assert is_strong_subtree(w, deep)
 
 
 def test_strong_subtree_missing_successor():
-    deep = TreeShape(k=2, depth=4, index=0)
+    deep = TreeShape(k=2, depth=4)
     # two nodes above (0,0), none above (0,1)
     w = StrongSubtreeWitness(
         OrdSet.of([1, 3]),
         (
-            frozenset({Node(0, (0,))}),
-            frozenset({Node(0, (0, 0, 0)), Node(0, (0, 0, 1))}),
+            frozenset({(0,)}),
+            frozenset({(0, 0, 0), (0, 0, 1)}),
         ),
     )
     assert not is_strong_subtree(w, deep)
 
 
 def test_strong_subtree_wrong_height():
-    w = StrongSubtreeWitness(OrdSet.of([1]), (frozenset({root(T2)}),))
+    w = StrongSubtreeWitness(OrdSet.of([1]), (frozenset({()}),))
     assert not is_strong_subtree(w, T2)
 
 
@@ -98,18 +94,44 @@ def test_strong_subtree_wrong_height():
 
 
 def test_dense_above_full_set():
-    assert is_dense_above(T2, branches(T2), root(T2), 3)
+    assert is_dense_above(T2, branches(T2), (), 3)
 
 
 def test_dense_above_examples():
-    Y = _branch_set(T2, (0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1))
-    assert is_dense_above(T2, Y, Node(0, (0,)), 2)
-    assert not is_dense_above(T2, Y, root(T2), 1)
+    Y = [(0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)]
+    assert is_dense_above(T2, Y, (0,), 2)
+    assert not is_dense_above(T2, Y, (), 1)
 
 
 def test_dense_above_depth_guard():
     with pytest.raises(ParameterError):
-        is_dense_above(T2, branches(T2), root(T2), 4)
+        is_dense_above(T2, branches(T2), (), 4)
+
+
+@st.composite
+def density_cases(draw):
+    shape = TreeShape(draw(st.integers(2, 3)), draw(st.integers(1, 4)))
+    D = draw(st.integers(0, shape.depth))
+    t = tuple(draw(st.lists(st.integers(0, shape.k - 1), max_size=D)))
+    bs = branches(shape)
+    drawn = draw(st.sets(st.sampled_from(bs), max_size=6))
+    # a sparse set, or a full one with a few branches taken out
+    Y = drawn if draw(st.booleans()) else set(bs) - drawn
+    return shape, sorted(Y), t, D
+
+
+@settings(max_examples=150, deadline=None)
+@given(density_cases())
+def test_dense_above_matches_its_definition(case):
+    # every extension of t up to height D is a prefix of some branch
+    shape, Y, t, D = case
+    want = all(
+        any(y[: len(s)] == s for y in Y)
+        for m in range(len(t), D + 1)
+        for s in (t + e for e in itertools.product(range(shape.k),
+                                                   repeat=m - len(t)))
+    )
+    assert is_dense_above(shape, Y, t, D) == want
 
 
 # ---------------------------------------------------------------------------
@@ -117,34 +139,34 @@ def test_dense_above_depth_guard():
 
 
 def test_u_set_examples():
-    Y_left = _branch_set(T2, (0, 0, 0))
-    Y_both = _branch_set(T2, (0, 0, 0), (1, 1, 1))
-    cones = [Node(0, (0,)), Node(0, (1,))]
+    Y_left = [(0, 0, 0)]
+    Y_both = [(0, 0, 0), (1, 1, 1)]
+    cones = [(0,), (1,)]
     assert is_u_set(Y_left, [], 3)
     assert not is_u_set(Y_left, cones, 3)
     assert is_u_set(Y_both, cones, 3)
 
 
 def test_ddf_full_product():
-    shapes = [TreeShape(2, 2, 0), TreeShape(2, 2, 1)]
+    shapes = [TreeShape(2, 2), TreeShape(2, 2)]
     Z = set(itertools.product(branches(shapes[0]), branches(shapes[1])))
     assert is_ddf_to_depth(shapes, Z, 2, mcap=2)
 
 
 def test_ddf_skewed_fibers():
-    shapes = [TreeShape(2, 2, 0), TreeShape(2, 2, 1)]
+    shapes = [TreeShape(2, 2), TreeShape(2, 2)]
     Z = {
         (x, y)
         for x in branches(shapes[0])
         for y in branches(shapes[1])
-        if y.word[0] == 0
+        if y[0] == 0
     }
     assert not is_ddf_to_depth(shapes, Z, 1, mcap=2)
 
 
 def test_ddf_nested_construction():
     # Z = union over n of {x_n} x Y_{n+1} with nested dense fibers
-    shapes = [TreeShape(2, 2, 0), TreeShape(2, 2, 1)]
+    shapes = [TreeShape(2, 2), TreeShape(2, 2)]
     xs = branches(shapes[0])
     ys = branches(shapes[1])  # 00, 01, 10, 11 in order
     nested = [
@@ -154,34 +176,27 @@ def test_ddf_nested_construction():
         {ys[1], ys[2]},
     ]
     for Y in nested:
-        assert is_dense_above(shapes[1], Y, root(shapes[1]), 1)
+        assert is_dense_above(shapes[1], Y, (), 1)
     Z = {(x, y) for n, x in enumerate(xs) for y in nested[n]}
     assert is_ddf_to_depth(shapes, Z, 1, mcap=2)
 
 
-@pytest.mark.parametrize("bad, message", [
-    (Node(0, (0, 0)), "branch from tree 0 in tree 1 set"),
-    (Node(1, (0,)), "full-depth nodes only"),
-])
-def test_ddf_checks_every_coordinate_up_front(bad, message):
+def test_ddf_checks_every_coordinate_up_front():
     # the projection is not dense, so the recursion would stop before it
     # reached the last coordinate's branches; they are checked first
-    shapes = [TreeShape(2, 2, 0), TreeShape(2, 2, 1)]
+    shapes = [TreeShape(2, 2), TreeShape(2, 2)]
     x = branches(shapes[0])[0]
-    Z = {(x, y) for y in branches(shapes[1])} | {(x, bad)}
-    with pytest.raises(ParameterError, match=message):
+    Z = {(x, y) for y in branches(shapes[1])} | {(x, (0,))}
+    with pytest.raises(ParameterError, match="full-depth nodes only"):
         is_ddf_to_depth(shapes, Z, 2, mcap=2)
     with pytest.raises(ParameterError, match="exceeds tree depth"):
         is_ddf_to_depth(shapes, Z, 3, mcap=2)
 
 
 def test_fpg_witness_sets_inside_z():
-    shapes = [TreeShape(2, 2, 0), TreeShape(2, 2, 1)]
+    shapes = [TreeShape(2, 2), TreeShape(2, 2)]
     Z = set(itertools.product(branches(shapes[0]), branches(shapes[1])))
-    cones = [
-        [Node(0, (0,)), Node(0, (1,))],
-        [Node(1, (1,))],
-    ]
+    cones = [[(0,), (1,)], [(1,)]]
     got = fpg_witness_sets(shapes, Z, cones, 2)
     assert got is not None
     for i, Y in enumerate(got):
@@ -201,11 +216,11 @@ def test_word_strings():
 
 
 def test_grid_witness_round_trip():
-    shape = TreeShape(2, 3, 0)
+    shape = TreeShape(2, 3)
     w = GridWitness(
         k=2,
         depth=3,
-        roots=(root(shape),),
+        roots=((),),
         branch_sets=(tuple(branches(shape)),),
         density_depth=2,
         color=0,
