@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter, lt
 from random import Random
 from typing import Mapping, Optional, Union
 
@@ -29,7 +31,8 @@ class Family:
 
     umap keys are increasing tuples over the index set; a family may be
     partial near the top of the index set (derived families are), totality
-    is checked where an operation needs it.
+    is checked where an operation needs it.  The constructor checks the
+    keys once; restrictions and derivations skip that (`_derived`).
     """
 
     dim: int
@@ -40,17 +43,30 @@ class Family:
         if self.dim < 0:
             raise ValueError("dimension must be >= 0")
         members = set(self.indices.elems)
-        for b in self.umap:
+        keys = self.umap.keys()
+        # one C-speed pass per check; the loop only names the first bad key
+        if (set(map(len, keys)) <= {self.dim}
+                and all(all(map(lt, map(itemgetter(i), keys),
+                                map(itemgetter(i + 1), keys)))
+                        for i in range(self.dim - 1))
+                and members.issuperset(itertools.chain.from_iterable(keys))):
+            return
+        for b in keys:
             if len(b) != self.dim or any(x >= y for x, y in zip(b, b[1:])):
                 raise ValueError(f"bad key {b}: need an increasing {self.dim}-tuple")
             if not set(b) <= members:
                 raise ValueError(f"key {b} uses indices outside the family")
 
+    @classmethod
+    def _derived(cls, dim: int, indices: OrdSet, umap: dict) -> "Family":
+        """Unchecked constructor for a family derived from a checked one."""
+        fam = object.__new__(cls)
+        fam.dim, fam.indices, fam.umap = dim, indices, umap
+        return fam
+
     def is_total(self) -> bool:
-        return all(
-            b in self.umap
-            for b in itertools.combinations(self.indices.elems, self.dim)
-        )
+        # exact: the keys are distinct increasing dim-tuples of indices
+        return len(self.umap) == math.comb(len(self.indices.elems), self.dim)
 
     def keys(self) -> list[Key]:
         return sorted(self.umap.keys())
@@ -82,12 +98,11 @@ def restrict(fam: Family, sub: OrdSet) -> Family:
     """Restriction to a smaller index set; keys must all be present."""
     if not set(sub.elems) <= set(fam.indices.elems):
         raise ValueError("restriction indices must come from the family")
-    umap = {}
-    for b in itertools.combinations(sub.elems, fam.dim):
-        if b not in fam.umap:
-            raise ValueError(f"family is not total at {b}")
-        umap[b] = fam.umap[b]
-    return Family(fam.dim, sub, umap)
+    try:
+        return Family._derived(fam.dim, sub, {
+            b: fam.umap[b] for b in itertools.combinations(sub.elems, fam.dim)})
+    except KeyError as exc:
+        raise ValueError(f"family is not total at {exc.args[0]}") from None
 
 
 @dataclass
@@ -101,7 +116,6 @@ class UniformCertificate:
     dim: int
     rho: int
     patterns: dict[Key, Optional[OrdSet]]
-    witnesses: dict[Key, tuple[Key, Key]] = field(default_factory=dict)
 
     @property
     def is_full(self) -> bool:
@@ -109,9 +123,6 @@ class UniformCertificate:
 
     def undetermined(self) -> list[Key]:
         return sorted(m for m, v in self.patterns.items() if v is None)
-
-    def lattice_ok(self) -> bool:
-        return _lattice_failure(self.patterns) is None
 
     def to_json(self) -> dict:
         return {
@@ -190,10 +201,8 @@ def agreement(a: Key, b: Key) -> Optional[Key]:
 
 
 def _all_patterns(dim: int) -> list[Key]:
-    out = []
-    for r in range(dim + 1):
-        out.extend(itertools.combinations(range(dim), r))
-    return sorted(out)
+    return sorted(itertools.chain.from_iterable(
+        itertools.combinations(range(dim), r) for r in range(dim + 1)))
 
 
 def verify_uniform(fam: Family) -> VerifyOutcome:
@@ -212,9 +221,8 @@ def verify_uniform(fam: Family) -> VerifyOutcome:
         if fam.umap[b].otp != rho:
             return Violation("order-type", (keys[0], b),
                              {"expected": rho, "got": fam.umap[b].otp})
-    full = tuple(range(fam.dim))
-    found: dict[Key, Key] = {full: tuple(range(rho))}
-    witnesses: dict[Key, tuple[Key, Key]] = {full: (keys[0], keys[0])}
+    found: dict[Key, Key] = {}
+    witnesses: dict[Key, tuple[Key, Key]] = {}
     elems = {b: u.elems for b, u in fam.umap.items()}
     for a, b in itertools.combinations(keys, 2):
         m = agreement(a, b)
@@ -233,14 +241,22 @@ def verify_uniform(fam: Family) -> VerifyOutcome:
             return Violation("pattern-mismatch", (a, b),
                              {"pattern": m, "expected": seen,
                               "got": r, "first_witness": witnesses[m]})
-    patterns: dict[Key, Optional[OrdSet]] = {m: None for m in _all_patterns(fam.dim)}
-    patterns.update((m, OrdSet(r)) for m, r in found.items())
-    bad = _lattice_failure(patterns)
+    # distinct keys never agree in full, so the full pattern is rho's
+    cert = _certificate_from_patterns(fam.dim, rho, found)
+    bad = _lattice_failure(cert.patterns)
     if bad is not None:
         m0, m1, meet = bad
         return Violation("lattice", (m0, m1),
-                         {"meet": meet, "r_meet": patterns[meet].elems})
-    return UniformCertificate(fam.dim, rho, patterns, witnesses)
+                         {"meet": meet, "r_meet": cert.patterns[meet].elems})
+    return cert
+
+
+def _certificate_from_patterns(dim: int, rho: int,
+                               patterns: Mapping[Key, Key]) -> UniformCertificate:
+    table: dict[Key, Optional[OrdSet]] = {m: None for m in _all_patterns(dim)}
+    table.update((m, OrdSet(r)) for m, r in patterns.items())
+    table[tuple(range(dim))] = OrdSet(tuple(range(rho)))
+    return UniformCertificate(dim, rho, table)
 
 
 # ---------------------------------------------------------------------------
@@ -260,17 +276,23 @@ class ExtractResult:
 
 def _normalize_labels(fam: Family, g) -> dict[Key, object]:
     if callable(g):
-        return {b: g(b) for b in fam.keys()}
+        return {b: g(b) for b in fam.umap}
     try:
-        return {b: g[b] for b in fam.keys()}
+        return {b: g[b] for b in fam.umap}
     except KeyError as exc:
         raise ParameterError(f"labels miss key {exc.args[0]}") from None
 
 
-def _index_pattern(b: Key, u: OrdSet) -> Key:
-    """Positions of b's members inside u, or -1 for members not in u."""
-    pos = {v: i for i, v in enumerate(u.elems)}
-    return tuple(pos.get(x, -1) for x in b)
+def _index_pattern(b: Key, u: Key) -> Key:
+    """Positions of b's members inside u, or -1 for members not in u: one
+    merge pass over both increasing tuples, none if their ranges are apart."""
+    if not u or not b or b[-1] < u[0] or u[-1] < b[0]:
+        return (-1,) * len(b)
+    out, j, n = [], 0, len(u)
+    for x in b:
+        j = bisect_left(u, x, j)
+        out.append(j if j < n and u[j] == x else -1)
+    return tuple(out)
 
 
 class _Grower:
@@ -306,11 +328,8 @@ class _Grower:
         trial = sorted(self.members + [gamma])
         fresh = [b for b in itertools.combinations(trial, self.fam.dim)
                  if gamma in b]
-        if any(b not in self.fam.umap for b in fresh):
-            return False
         if fresh:
-            ref_key = self.keys[0] if self.keys else fresh[0]
-            rho = self.fam.umap[ref_key].otp
+            rho = self.fam.umap[(self.keys or fresh)[0]].otp
             if any(self.fam.umap[b].otp != rho for b in fresh):
                 return False
             want = self.g_value if self.keys else self.labels[fresh[0]]
@@ -337,15 +356,6 @@ class BudgetUp(Exception):
     pass
 
 
-def _certificate_from_patterns(dim: int, rho: int,
-                               patterns: Mapping[Key, Key]) -> UniformCertificate:
-    full = tuple(range(dim))
-    table: dict[Key, Optional[OrdSet]] = {m: None for m in _all_patterns(dim)}
-    table.update((m, OrdSet(r)) for m, r in patterns.items())
-    table[full] = OrdSet(tuple(range(rho)))
-    return UniformCertificate(dim, rho, table)
-
-
 EXHAUSTIVE_LIMIT = 20_000
 
 
@@ -368,7 +378,6 @@ def extract_uniform(fam: Family, h: int, g, budget: int = 200_000) -> ExtractRes
         return ExtractResult(False, None, None, None, "none", 0,
                              {"reason": "candidate pool smaller than h",
                               "pool": n_idx, "h": h})
-
     if math.comb(n_idx, h) <= EXHAUSTIVE_LIMIT:
         return _exhaustive(fam, h, labels, budget)
 
@@ -391,26 +400,22 @@ def _identity_fast_path(fam: Family, h: int,
     """Families with u_b = b everywhere and one label are uniform on any
     index subset with r_m = m; the first h indices are the least witness."""
     vals = set(labels.values())
-    if len(vals) != 1:
-        return None
-    if any(u.elems != b for b, u in fam.umap.items()):
+    if len(vals) != 1 or any(u.elems != b for b, u in fam.umap.items()):
         return None
     chosen = OrdSet(fam.indices.elems[:h])
     dim = fam.dim
-    patterns: dict[Key, Key] = {}
-    for m in _all_patterns(dim):
-        if h >= 2 * dim - len(m):
-            patterns[m] = m
+    patterns = {m: m for m in _all_patterns(dim) if h >= 2 * dim - len(m)}
     cert = _certificate_from_patterns(dim, dim, patterns)
     return ExtractResult(True, chosen, cert, vals.pop(), "identity", 0)
 
 
 def _greedy(fam: Family, h: int, labels: Mapping[Key, object],
             budget: int) -> ExtractResult:
+    umap = fam.umap
     classes: dict[tuple, list[Key]] = {}
-    for b in fam.keys():
-        u = fam.umap[b]
-        t = (u.otp, repr(labels[b]), _index_pattern(b, u))
+    for b in sorted(umap):
+        u = umap[b].elems
+        t = (len(u), repr(labels[b]), _index_pattern(b, u))
         classes.setdefault(t, []).append(b)
     order = sorted(classes, key=lambda t: (-len(classes[t]), repr(t)))
     nodes = 0
@@ -449,7 +454,7 @@ def _exhaustive(fam: Family, h: int, labels: Mapping[Key, object],
                                  {"reason": "budget"})
         sub = OrdSet(combo)
         sub_fam = restrict(fam, sub)
-        lab_vals = {labels[b] for b in sub_fam.keys()}
+        lab_vals = {labels[b] for b in sub_fam.umap}
         if len(lab_vals) > 1:
             continue
         outcome = verify_uniform(sub_fam)
@@ -489,7 +494,7 @@ def derive_subfamily(fam: Family, cert: UniformCertificate, m: int) -> Family:
             raise ValueError(
                 f"choice-dependent derivation at {a}: {witness[a]} gives "
                 f"{derived[a].elems}, {b} gives {sl.elems}")
-    return Family(m, fam.indices, derived)
+    return Family._derived(m, fam.indices, derived)
 
 
 def make_planted_family(num_indices: int, planted_size: int, n: int,
@@ -518,16 +523,11 @@ def make_planted_family(num_indices: int, planted_size: int, n: int,
     noise = [(u, label)
              for u in map(OrdSet, itertools.combinations(pool, rho))
              for label in range(6)]
-    draws = rng.choices(noise, k=math.comb(num_indices, n))
-    umap: dict[Key, OrdSet] = {}
-    glabels: dict[Key, int] = {}
-    pset = set(planted.elems)
-    for b, (u, label) in zip(itertools.combinations(range(num_indices), n),
-                             draws):
-        if pset.issuperset(b):
-            umap[b] = OrdSet(b + tail)
-            glabels[b] = 7
-        else:
-            umap[b] = u
-            glabels[b] = label
+    keys = list(itertools.combinations(range(num_indices), n))
+    draws = rng.choices(noise, k=len(keys))
+    umap: dict[Key, OrdSet] = dict(zip(keys, map(itemgetter(0), draws)))
+    glabels: dict[Key, int] = dict(zip(keys, map(itemgetter(1), draws)))
+    for b in itertools.combinations(planted.elems, n):
+        umap[b] = OrdSet(b + tail)
+        glabels[b] = 7
     return Family(n, indices, umap), glabels, planted

@@ -125,6 +125,9 @@ def _check_branch_set(shape: TreeShape, Y: Iterable[Word]) -> list[Word]:
     for y in ys:
         if len(y) != shape.depth:
             raise ParameterError("branch sets hold full-depth nodes only")
+    # a foreign letter would stand in for a missing one in the prefix count
+    if not set(range(shape.k)).issuperset(itertools.chain.from_iterable(ys)):
+        raise ParameterError(f"branch letters must lie in 0..{shape.k - 1}")
     return ys
 
 

@@ -291,6 +291,28 @@ def test_delta_verify_violation(tmp_path):
     assert blob["uniform"] is False
 
 
+@pytest.mark.parametrize("command", ["delta-verify", "delta-extract"])
+@pytest.mark.parametrize("key", ["2,1", "1", "0,1,2", "0,9"])
+def test_delta_family_bad_key_is_usage_error(tmp_path, command, key):
+    # a key that is not increasing, has the wrong length or lies outside
+    # the indices is caught at load: exit 64, nothing written
+    umap = {",".join(map(str, b)): list(b)
+            for b in itertools.combinations(range(4), 2)}
+    umap[key] = [0, 1]
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({"dim": 2, "indices": [0, 1, 2, 3],
+                                "umap": umap}))
+    extra = ["--h", "2"] if command == "delta-extract" else []
+    out = tmp_path / "out"
+    assert run(out, command, "--family", str(path), *extra) == 64
+    assert not out.exists()
+    # the same file without the bad key runs
+    del umap[key]
+    path.write_text(json.dumps({"dim": 2, "indices": [0, 1, 2, 3],
+                                "umap": umap}))
+    assert run(out, command, "--family", str(path), *extra) == 0
+
+
 def test_delta_extract_planted(tmp_path):
     assert run(tmp_path, "delta-extract", "--num-indices", "40",
                "--planted", "8", "--h", "5", "--seed", "1") == 0

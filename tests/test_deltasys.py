@@ -13,6 +13,8 @@ from polygrid.deltasys import (
     Family,
     UniformCertificate,
     Violation,
+    _index_pattern,
+    _lattice_failure,
     agreement,
     derive_subfamily,
     extract_uniform,
@@ -48,7 +50,7 @@ def test_identity_certificate():
     for m in [(), (0,), (1,), (0, 1)]:
         assert cert.patterns[m] == OrdSet.of(m)
     assert cert.is_full
-    assert cert.lattice_ok()
+    assert _lattice_failure(cert.patterns) is None
 
 
 def test_min_family_certificate():
@@ -165,6 +167,77 @@ def test_aligned_slice_law_on_fibers():
         if not aligned(ua, ub):
             continue
         assert ua.select(rset(ua, ub)) == ua.intersect(ub)
+
+
+@st.composite
+def _pattern_pairs(draw):
+    # u from b's range (interleaved) or from a range above it, either way
+    # round, so that disjoint ranges come up in both orders
+    lo, hi = draw(st.sampled_from([(0, 0), (0, 4), (0, 13), (13, 0)]))
+    b = draw(st.lists(st.integers(lo, lo + 12), max_size=4, unique=True))
+    u = draw(st.lists(st.integers(hi, hi + 12), max_size=6, unique=True))
+    return tuple(sorted(b)), tuple(sorted(u))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pattern_pairs())
+def test_index_pattern_matches_position_lookup(pair):
+    b, u = pair
+    pos = {v: i for i, v in enumerate(u)}
+    assert _index_pattern(b, u) == tuple(pos.get(x, -1) for x in b)
+
+
+@st.composite
+def _families_total_or_partial(draw):
+    dim = draw(st.integers(0, 3))
+    size = draw(st.integers(0, 6))
+    keys = list(itertools.combinations(range(size), dim))
+    if draw(st.booleans()):
+        keys = draw(st.lists(st.sampled_from(keys), unique=True)) if keys else []
+    return Family(dim, OrdSet.of(range(size)),
+                  {b: OrdSet.of(b) for b in keys})
+
+
+def _total_by_definition(fam: Family) -> bool:
+    return all(b in fam.umap
+               for b in itertools.combinations(fam.indices.elems, fam.dim))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_families_total_or_partial())
+def test_is_total_matches_definition(fam):
+    assert fam.is_total() == _total_by_definition(fam)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2), st.data())
+def test_is_total_on_derived_families(dim, extra, data):
+    fam = identity_family(2 * dim + extra, dim)
+    m = data.draw(st.integers(0, dim - 1))
+    sub = derive_subfamily(fam, verify_uniform(fam), m)
+    assert sub.is_total() == _total_by_definition(sub) == (m == 0)
+
+
+_BAD_KEYS = {
+    "not increasing": (lambda b, top: b[::-1], "need an increasing"),
+    "wrong length": (lambda b, top: b + (top,), "need an increasing"),
+    "outside the indices": (lambda b, top: b[:-1] + (top,),
+                            "outside the family"),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 3), st.integers(0, 3), st.sampled_from(sorted(_BAD_KEYS)),
+       st.data())
+def test_family_from_json_rejects_bad_keys(dim, extra, flaw, data):
+    size = dim + extra
+    data_json = identity_family(size, dim).to_json()
+    assert Family.from_json(data_json).is_total()
+    b = data.draw(st.sampled_from(list(itertools.combinations(range(size), dim))))
+    corrupt, message = _BAD_KEYS[flaw]
+    data_json["umap"][",".join(map(str, corrupt(b, size)))] = [0]
+    with pytest.raises(ValueError, match=message):
+        Family.from_json(data_json)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +362,26 @@ def test_planted_family_pinned(num_indices, planted, n, seed, digest):
     fam, g, _ = make_planted_family(num_indices, planted, n, seed)
     labels = {",".join(map(str, b)): v for b, v in sorted(g.items())}
     blob = json.dumps([fam.to_json(), labels], sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest()[:16] == digest
+
+
+# the greedy route at the search workload's sizes: every field of the result
+# the delta-extract artifact records, with the certificate by digest
+@pytest.mark.parametrize("num_indices, planted, n, h, indices, nodes, digest", [
+    (150, 12, 2, 5, (13, 17, 28, 30, 51), 79, "07e397e5e3cade3a"),
+    (150, 12, 2, 6, (13, 17, 28, 30, 51, 92), 149, "07e397e5e3cade3a"),
+    (60, 12, 3, 5, (4, 7, 12, 23, 26), 63, "f3064c56f6141961"),
+    (60, 12, 3, 6, (4, 7, 12, 23, 26, 27), 253, "9afbf9f9e1ab1b59"),
+    (40, 8, 2, 5, (4, 7, 12, 23, 26), 61, "07e397e5e3cade3a"),
+    (40, 8, 2, 6, (4, 7, 12, 23, 26, 27), 131, "07e397e5e3cade3a"),
+])
+def test_greedy_route_pinned(num_indices, planted, n, h, indices, nodes,
+                             digest):
+    fam, g, _ = make_planted_family(num_indices, planted, n, seed=1)
+    res = extract_uniform(fam, h, g)
+    assert (res.indices.elems, res.method, res.nodes_used, res.g_value) == (
+        indices, "greedy", nodes, 7)
+    blob = json.dumps(res.certificate.to_json(), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest()[:16] == digest
 
 

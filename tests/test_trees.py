@@ -103,6 +103,21 @@ def test_dense_above_examples():
     assert not is_dense_above(T2, Y, (), 1)
 
 
+def test_dense_above_rejects_foreign_letters():
+    # the letter 2 must not stand in for the missing (1,) at k = 2
+    with pytest.raises(ParameterError, match="letters must lie in 0..1"):
+        is_dense_above(TreeShape(2, 1), [(0,), (2,)], (), 1)
+    shapes = [TreeShape(2, 1), TreeShape(2, 1)]
+    Z = {((0,), (0,)), ((0,), (1,)), ((1,), (0,)), ((1,), (2,))}
+    with pytest.raises(ParameterError, match="letters must lie in 0..1"):
+        is_ddf_to_depth(shapes, Z, 1, mcap=1)
+    w = GridWitness.from_json({"k": 2, "depth": 1, "roots": [""],
+                               "branch_sets": [["0", "2"]],
+                               "density_depth": 1, "color": 0})
+    with pytest.raises(ParameterError, match="letters must lie in 0..1"):
+        validate_grid_witness(w, lambda xs: 0)
+
+
 def test_dense_above_depth_guard():
     with pytest.raises(ParameterError):
         is_dense_above(T2, branches(T2), (), 4)
