@@ -11,7 +11,6 @@ On top sit the exact Ramsey thresholds used to size product censuses.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from random import Random
@@ -116,31 +115,21 @@ def _validate_set(arena: Arena, elems: tuple[int, ...]) -> None:
         raise ValueError(f"element {elems[-1]} outside arena of size {arena.size}")
 
 
-def _set_color(arena: Arena, elems: tuple[int, ...], level: int) -> int:
+def _descend(arena: Arena, elems: tuple[int, ...], level: int) -> tuple[int, int]:
+    """(distinguished element, set color) of a sorted (level+1)-set, by one
+    recursion through the embedding at its maximum."""
     if level == 1:
-        return c1(arena, elems[0], elems[1])
+        return elems[0], c1(arena, elems[0], elems[1])
     beta = elems[-1]
-    image = tuple(sorted(arena.embed(beta, x) for x in elems[:-1]))
-    return _set_color(arena, image, level - 1)
-
-
-def _distinguished(arena: Arena, elems: tuple[int, ...], level: int) -> int:
-    if level == 1:
-        return elems[0]
-    beta = elems[-1]
-    pairs = sorted((arena.embed(beta, x), x) for x in elems[:-1])
-    image = tuple(v for v, _ in pairs)
-    inner = _distinguished(arena, image, level - 1)
-    for v, x in pairs:
-        if v == inner:
-            return x
-    raise AssertionError("inner distinguished element escaped the image")
+    back = {arena.embed(beta, x): x for x in elems[:-1]}  # embed is injective
+    inner, color = _descend(arena, tuple(sorted(back)), level - 1)
+    return back[inner], color
 
 
 def cn(arena: Arena, a: OrdSet) -> int:
     """Dimension-n recursive color of an (n+1)-sized set."""
     _validate_set(arena, a.elems)
-    return _set_color(arena, a.elems, arena.dim)
+    return _descend(arena, a.elems, arena.dim)[1]
 
 
 def star(arena: Arena, a: OrdSet) -> int:
@@ -150,7 +139,7 @@ def star(arena: Arena, a: OrdSet) -> int:
     recursive choice back through the embedding at the maximum.
     """
     _validate_set(arena, a.elems)
-    return _distinguished(arena, a.elems, arena.dim)
+    return _descend(arena, a.elems, arena.dim)[0]
 
 
 def c_full(arena: Arena, vec: Sequence[int]) -> TupleColor:
@@ -177,8 +166,8 @@ def _c_full(arena: Arena, vec: tuple[int, ...]) -> TupleColor:
         raise ValueError(f"entries of {vec} outside arena of size {arena.size}")
     if len(set(elems)) != len(elems):
         return TupleColor(n + 1, 0)
-    s = _distinguished(arena, elems, n)
-    return TupleColor(vec.index(s), _set_color(arena, elems, n))
+    s, color = _descend(arena, elems, n)
+    return TupleColor(vec.index(s), color)
 
 
 # ---------------------------------------------------------------------------
@@ -204,41 +193,43 @@ def _search_bad(
     """
     edges = list(itertools.combinations(range(m), n + 1))
     index = {e: i for i, e in enumerate(edges)}
-    # Each (n+2)-subset is filed under its last edge, as its other edges:
-    # edges are assigned in order, so only that edge can complete it.
-    closing: list[list[tuple[int, ...]]] = [[] for _ in edges]
+    # Each (n+2)-subset is filed under its last edge, as the bit mask of its
+    # other edges: edges are assigned in order, so only that edge can
+    # complete it.  Bit i of masks[c] is set while edge i has color c.
+    closing: list[list[int]] = [[] for _ in edges]
     for big in itertools.combinations(range(m), n + 2):
         sub = sorted(index[e] for e in itertools.combinations(big, n + 1))
-        closing[sub[-1]].append(tuple(sub[:-1]))
-    colors: list[int | None] = [None] * len(edges)
+        closing[sub[-1]].append(sum(1 << i for i in sub[:-1]))
+    masks = [0] * k
+    last = len(edges)
+    colors = [0] * last
     nodes = 0
+    # the colors open to an edge once `used` colors have appeared
+    choices = [range(min(k, used + 1)) for used in range(k + 1)]
 
     def dfs(pos: int, used: int) -> bool:
         nonlocal nodes
-        if pos == len(edges):
+        if pos == last:
             return True
         groups = closing[pos]
-        for c in range(min(k, used + 1)):
+        for c in choices[used]:
             nodes += 1
             if nodes > budget:
                 raise BudgetError(
                     f"bad-coloring search exceeded {budget} nodes at m={m}",
                     nodes_used=nodes, best_lower_bound=None, exhausted_at=m)
+            mask = masks[c]
             for group in groups:
-                for f in group:
-                    if colors[f] != c:
-                        break
-                else:
+                if mask & group == group:
                     break  # c would close a monochromatic (n+2)-subset
             else:
                 colors[pos] = c
-                if dfs(pos + 1, max(used, c + 1)):
+                masks[c] = mask | 1 << pos
+                if dfs(pos + 1, used + 1 if c == used else used):
                     return True
-                colors[pos] = None
+                masks[c] = mask
         return False
 
-    if not edges:
-        return {}, 0
     if dfs(0, 0):
         return {e: colors[i] for i, e in enumerate(edges)}, nodes
     return None, nodes
@@ -249,6 +240,8 @@ def find_bad_coloring(
 ) -> dict[tuple[int, ...], int] | None:
     """A k-coloring of the (n+1)-subsets of {0..m-1} with no monochromatic
     (n+2)-subset, or None once the exhaustive search proves none exists."""
+    if budget < 0:
+        raise ParameterError("need budget >= 0")
     result, _ = _search_bad(n, m, k, budget)
     return result
 
@@ -257,8 +250,8 @@ def ramsey_m_star(n: int, k: int, budget: int = DEFAULT_BUDGET) -> int:
     """Least m such that every k-coloring of the (n+1)-subsets of {0..m-1}
     admits a monochromatic (n+2)-subset.  Verified by exhausting the bad
     colorings of m after exhibiting one at m-1."""
-    if n < 1 or k < 1:
-        raise ParameterError("need n >= 1 and k >= 1")
+    if n < 1 or k < 1 or budget < 0:
+        raise ParameterError("need n >= 1, k >= 1 and budget >= 0")
     key = (n, k, budget)
     if key in _threshold_cache:
         return _threshold_cache[key]
@@ -291,9 +284,10 @@ def m_seq(n: int, k: int, budget: int = DEFAULT_BUDGET) -> int:
 
 def verify_product_bound(
     arena: Arena, sets: Sequence[OrdSet], k: int, budget: int = DEFAULT_BUDGET
-) -> tuple[bool, Counter]:
+) -> tuple[bool, set[TupleColor]]:
     """Census the compound coloring over a full product of (n+1) sets sized
-    at the guaranteed side length; true iff more than k colors appear."""
+    at the guaranteed side length: the set of colors that appear, and
+    whether there are more than k of them."""
     n = arena.dim
     if len(sets) != n + 1:
         raise ValueError(f"need {n + 1} sets, got {len(sets)}")
@@ -301,9 +295,13 @@ def verify_product_bound(
     for a in sets:
         if a.otp != need:
             raise ValueError(f"side sets must have size {need}, got {a.otp}")
-    memo = arena._colors  # read inline; a miss takes the checked path
-    census = Counter(memo.get(vec) or c_full(arena, vec)
-                     for vec in itertools.product(*(a.elems for a in sets)))
+    sides = [a.elems for a in sets]
+    memo = arena._colors  # read inline
+    try:
+        census = set(map(memo.__getitem__, itertools.product(*sides)))
+    except KeyError:  # fill the misses, which c_full counts and checks
+        census = {memo.get(vec) or c_full(arena, vec)
+                  for vec in itertools.product(*sides)}
     return len(census) > k, census
 
 
@@ -323,19 +321,20 @@ class DifferenceReport:
 
 
 def check_difference_lemma(arena: Arena) -> DifferenceReport:
-    """Scan all eligible pairs: same set after deleting the distinguished
-    element, different distinguished elements; colors must differ."""
+    """Group the (n+1)-sets by what is left after deleting the distinguished
+    element: any two sets in a group are an eligible pair, whose colors
+    must differ."""
     n = arena.dim
-    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    groups: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
     for comb in itertools.combinations(range(arena.size), n + 1):
-        s = _distinguished(arena, comb, n)
-        rest = tuple(x for x in comb if x != s)
-        groups.setdefault(rest, []).append(comb)
+        s, color = _descend(arena, comb, n)
+        i = comb.index(s)
+        groups.setdefault(comb[:i] + comb[i + 1:], []).append((comb, color))
     report = DifferenceReport(eligible_pairs=0)
-    for members in groups.values():
-        colored = [(a, _set_color(arena, a, n)) for a in members]
-        for (a, ca), (b, cb) in itertools.combinations(colored, 2):
-            report.eligible_pairs += 1
-            if ca == cb:
-                report.violations.append((a, b, ca))
+    for colored in groups.values():
+        report.eligible_pairs += len(colored) * (len(colored) - 1) // 2
+        if len({c for _, c in colored}) < len(colored):  # some pair collides
+            report.violations += [(a, b, ca) for (a, ca), (b, cb)
+                                  in itertools.combinations(colored, 2)
+                                  if ca == cb]
     return report

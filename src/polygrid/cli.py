@@ -292,7 +292,8 @@ def _run_product_bound(cfg: RunConfig) -> int:
         for t in range(samples):
             rng = Random(f"product-bound:{cfg.seed}:{t}")
             pairs.append(tuple(
-                OrdSet.of(rng.sample(range(size), m)) for _ in range(n + 1)
+                OrdSet(tuple(sorted(rng.sample(range(size), m))))
+                for _ in range(n + 1)
             ))
         n_pairs = samples
     violations = 0

@@ -1,7 +1,6 @@
 """Fiber colorings, the recursion, finite Ramsey thresholds, product bounds."""
 
 import itertools
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +12,7 @@ from polygrid.antiramsey import (
     BudgetError,
     TupleColor,
     _c_full,
+    _descend,
     _search_bad,
     c1,
     c_full,
@@ -24,7 +24,7 @@ from polygrid.antiramsey import (
     star,
     verify_product_bound,
 )
-from polygrid.ordset import OrdSet
+from polygrid.ordset import OrdSet, ParameterError
 
 ID1 = Arena(size=10, dim=1, mode="identity")
 ID2 = Arena(size=10, dim=2, mode="identity")
@@ -37,6 +37,26 @@ def _cn_oracle(arena: Arena, elems: tuple[int, ...]) -> int:
         beta = xs[-1]
         xs = sorted(arena.embed(beta, x) for x in xs[:-1])
     return c1(arena, xs[0], xs[1])
+
+
+# the distinguished element and the set color as two separate recursions,
+# the reference definition of _descend; c1 is read from the module, so
+# that a patched pair coloring reaches both sides
+def _set_color_ref(arena: Arena, elems: tuple[int, ...], level: int) -> int:
+    if level == 1:
+        return antiramsey.c1(arena, elems[0], elems[1])
+    beta = elems[-1]
+    image = tuple(sorted(arena.embed(beta, x) for x in elems[:-1]))
+    return _set_color_ref(arena, image, level - 1)
+
+
+def _distinguished_ref(arena: Arena, elems: tuple[int, ...], level: int) -> int:
+    if level == 1:
+        return elems[0]
+    beta = elems[-1]
+    pairs = sorted((arena.embed(beta, x), x) for x in elems[:-1])
+    inner = _distinguished_ref(arena, tuple(v for v, _ in pairs), level - 1)
+    return next(x for v, x in pairs if v == inner)
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +101,17 @@ def test_cn_matches_independent_recursion():
     ):
         for triple in itertools.combinations(range(8), 3):
             assert cn(arena, OrdSet.of(triple)) == _cn_oracle(arena, triple)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_descend_matches_two_recursions(n):
+    for arena in (Arena(size=9, dim=n, mode="identity"),
+                  Arena(size=9, dim=n, mode="seeded", seed=4),
+                  Arena(size=8, dim=n, mode="seeded", seed=31)):
+        for elems in itertools.combinations(range(arena.size), n + 1):
+            assert _descend(arena, elems, n) == (
+                _distinguished_ref(arena, elems, n),
+                _set_color_ref(arena, elems, n))
 
 
 def test_star_values():
@@ -224,18 +255,50 @@ def test_search_bad_node_counts_pinned(n, m, k, nodes, found):
 
 @pytest.mark.parametrize("n, k, budget, nodes, best, died", [
     (1, 3, 10_000, 10_001, 7, 8),
+    (1, 3, 25_000, 25_001, 7, 8),
+    (1, 3, 40_000, 40_001, 7, 8),
     (1, 3, 60_000, 60_001, 7, 8),
     (2, 2, 10_000, 10_001, 6, 7),
+    (2, 2, 25_000, 25_001, 7, 8),
+    (2, 2, 40_000, 40_001, 7, 8),
     (2, 2, 60_000, 60_001, 7, 8),
 ])
 def test_threshold_budget_error_pinned(monkeypatch, n, k, budget, nodes, best,
                                        died):
-    # the census workload's ramsey jobs at the ends of their budget range
+    # the census workload's ramsey jobs across their budget range
     monkeypatch.setattr(antiramsey, "_threshold_cache", {})
     with pytest.raises(BudgetError) as exc:
         ramsey_m_star(n, k, budget)
     assert (exc.value.nodes_used, exc.value.best_lower_bound,
             exc.value.exhausted_at) == (nodes, best, died)
+
+
+@pytest.mark.parametrize("n, m, k", [
+    *((1, m, k) for m in range(2, 6) for k in (1, 2)),
+    (1, 4, 3),
+    (1, 6, 2),  # m*(1, 2) = 6: the one case here where k > 1 finds none
+    *((2, m, 2) for m in range(3, 6)),
+    (2, 5, 1),
+])
+def test_find_bad_coloring_matches_brute_force(n, m, k):
+    # None exactly when no k-coloring of the (n+1)-subsets of {0..m-1} is bad
+    edges = list(itertools.combinations(range(m), n + 1))
+    some_bad = any(
+        _brute_force_bad(dict(zip(edges, cols)), n, m, k)
+        for cols in itertools.product(range(k), repeat=len(edges)))
+    col = find_bad_coloring(n, m, k)
+    assert (col is not None) == some_bad
+    if col is not None:
+        assert _brute_force_bad(col, n, m, k)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ramsey_m_star(1, 2, budget=-1),
+    lambda: find_bad_coloring(1, 5, 2, budget=-5),
+])
+def test_negative_budget_is_a_parameter_error(call):
+    with pytest.raises(ParameterError):
+        call()
 
 
 def test_threshold_cache_keeps_the_budget(monkeypatch):
@@ -260,7 +323,7 @@ def test_m_seq_values():
 def test_product_bound_singletons():
     ok, census = verify_product_bound(ID1, [OrdSet.of([4]), OrdSet.of([7])], 0)
     assert ok
-    assert sum(census.values()) == 1
+    assert census == {TupleColor(0, 4)}
 
 
 def test_product_bound_k1():
@@ -298,10 +361,12 @@ def test_product_census_matches_unmemoized_colors(nk, seeded, data):
     for vec in data.draw(st.lists(st.sampled_from(vecs), max_size=20)):
         c_full(arena, vec)
     ok, census = verify_product_bound(arena, sides, k)
-    assert census == Counter(_c_full(arena, vec) for vec in vecs)
+    assert census == {_c_full(arena, vec) for vec in vecs}
     assert ok == (len(census) > k)
     assert all(_c_full(arena, vec) == col
                for vec, col in arena._colors.items())
+    # the memo now holds the whole product, and a second census reads only it
+    assert verify_product_bound(arena, sides, k) == (ok, census)
 
 
 def test_product_bound_size_guard():
@@ -335,6 +400,45 @@ def test_difference_pairs_share_max():
             assert max(a) == max(b)
             assert cn(arena, sa) != cn(arena, sb)
     assert count > 0
+
+
+def _difference_scan_ref(arena: Arena):
+    # every pair of (n+1)-sets, grouped as the old scan grouped them
+    n = arena.dim
+    groups: dict = {}
+    for comb in itertools.combinations(range(arena.size), n + 1):
+        s = _distinguished_ref(arena, comb, n)
+        groups.setdefault(tuple(x for x in comb if x != s), []).append(comb)
+    pairs, violations = 0, []
+    for members in groups.values():
+        colored = [(a, _set_color_ref(arena, a, n)) for a in members]
+        for (a, ca), (b, cb) in itertools.combinations(colored, 2):
+            pairs += 1
+            if ca == cb:
+                violations.append((a, b, ca))
+    return pairs, violations
+
+
+@pytest.mark.parametrize("broken", [False, True])
+@pytest.mark.parametrize("n, size, mode, seed", [
+    (1, 9, "identity", None),
+    (2, 8, "seeded", 2),
+    (2, 9, "identity", None),
+    (3, 8, "seeded", 7),
+])
+def test_difference_report_matches_reference_scan(monkeypatch, broken, n,
+                                                  size, mode, seed):
+    if broken:
+        # a pair coloring that is not injective in alpha gives violations,
+        # so that their order is compared too
+        monkeypatch.setattr(antiramsey, "c1", lambda arena, a, b: (a + b) % 3)
+    report = check_difference_lemma(Arena(size=size, dim=n, mode=mode,
+                                          seed=seed))
+    pairs, violations = _difference_scan_ref(
+        Arena(size=size, dim=n, mode=mode, seed=seed))
+    assert report.eligible_pairs == pairs > 0
+    assert report.violations == violations
+    assert bool(violations) == broken
 
 
 # ---------------------------------------------------------------------------

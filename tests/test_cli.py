@@ -95,6 +95,7 @@ def test_usage_exit_code():
     ["delta-extract", "--num-indices", "-3"],
     ["ramsey", "--n", "0"],
     ["ramsey", "--k", "0"],
+    ["ramsey", "--budget", "-5"],  # --budget 0 is a budget verdict, exit 2
     ["difference-check", "--mode", "bogus"],
     ["difference-check", "--size", "1"],
     ["difference-check", "--n", "0"],

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polygrid import ParameterError
 from polygrid.deltasys import Family, extract_uniform
@@ -99,6 +101,61 @@ def test_join_is_least():
         for r in conds:
             if leq(r, p) and leq(r, q):
                 assert leq(r, j)
+
+
+# the order laws again, on generated conditions wider and deeper than the
+# exhaustive sets above
+
+
+@st.composite
+def _conditions(draw, k, d):
+    word = st.lists(st.integers(0, k - 1), max_size=4).map(tuple)
+    rows = st.dictionaries(st.integers(0, 5), st.tuples(*[word] * d),
+                           max_size=4)
+    return Condition.of(k, d, draw(rows))
+
+
+def _weaken(draw, r):
+    # a condition r refines: some of r's rows, each word cut to a prefix
+    assign = {}
+    for alpha, row in r.rows:
+        if draw(st.booleans()):
+            assign[alpha] = tuple(w[:draw(st.integers(0, len(w)))]
+                                  for w in row)
+    return Condition.of(r.k, r.d, assign)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3), st.integers(1, 3), st.data())
+def test_leq_laws_generated(k, d, data):
+    r = data.draw(_conditions(k, d))
+    q = _weaken(data.draw, r)
+    p = _weaken(data.draw, q)
+    assert leq(r, r) and leq(q, q) and leq(p, p)
+    assert leq(r, q) and leq(q, p)
+    assert leq(r, p)  # transitivity along the chain r <= q <= p
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3), st.integers(1, 3), st.data())
+def test_join_laws_generated(k, d, data):
+    # p and q both weaken r, so r is a common extension of them
+    r = data.draw(_conditions(k, d))
+    p, q = _weaken(data.draw, r), _weaken(data.draw, r)
+    assert compatible(p, q)
+    j = join(p, q)
+    assert leq(j, p) and leq(j, q)
+    assert leq(r, j)
+    # two independent conditions: compatible exactly when join succeeds
+    a, b = data.draw(_conditions(k, d)), data.draw(_conditions(k, d))
+    try:
+        j = join(a, b)
+    except ValueError:
+        assert not compatible(a, b)
+    else:
+        assert compatible(a, b)
+        assert leq(j, a) and leq(j, b)
+        assert join(b, a) == j
 
 
 # ---------------------------------------------------------------------------
