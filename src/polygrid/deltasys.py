@@ -4,15 +4,16 @@ A family attaches a finite set u_b to every n-sized subset b of an index
 set.  Uniformity asks for a single order type and, for every agreement
 pattern m, a single position set r_m governing how u_a and u_b overlap
 whenever a and b are aligned with agreement exactly m; the patterns must
-respect intersection.  The extractor hunts for a sub-index-set on which
-the restricted family is uniform and a supplied label is constant.
+respect intersection.  The extractor returns the least index set, in
+lexicographic order, on which the restricted family is uniform and a
+supplied label is constant, by one backtracking search over indices.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import itemgetter, lt
 from random import Random
@@ -30,9 +31,8 @@ class Family:
     """dim-sized index subsets mapped to their attached sets.
 
     umap keys are increasing tuples over the index set; a family may be
-    partial near the top of the index set (derived families are), totality
-    is checked where an operation needs it.  The constructor checks the
-    keys once; restrictions and derivations skip that (`_derived`).
+    partial, totality is checked where an operation needs it.  The
+    constructor checks the keys once; restrictions skip that (`_derived`).
     """
 
     dim: int
@@ -121,9 +121,6 @@ class UniformCertificate:
     def is_full(self) -> bool:
         return all(v is not None for v in self.patterns.values())
 
-    def undetermined(self) -> list[Key]:
-        return sorted(m for m, v in self.patterns.items() if v is None)
-
     def to_json(self) -> dict:
         return {
             "dim": self.dim,
@@ -157,16 +154,13 @@ class Violation:
 VerifyOutcome = Union[UniformCertificate, Violation]
 
 
-def _lattice_failure(
-    patterns: Mapping[Key, Optional[OrdSet]],
-) -> Optional[tuple[Key, Key, Key]]:
+def _lattice_failure(patterns: Mapping[Key, Key]) -> Optional[tuple[Key, Key, Key]]:
     """First (m0, m1, meet) among determined patterns whose determined meet
     is not the intersection of their position sets; None if there is none."""
-    det = {m: v for m, v in patterns.items() if v is not None}
-    for m0, m1 in itertools.combinations_with_replacement(sorted(det), 2):
+    for m0, m1 in itertools.combinations_with_replacement(sorted(patterns), 2):
         meet = tuple(sorted(set(m0) & set(m1)))
-        if meet in det and set(det[meet].elems) != (
-                set(det[m0].elems) & set(det[m1].elems)):
+        if meet in patterns and set(patterns[meet]) != (
+                set(patterns[m0]) & set(patterns[m1])):
             return m0, m1, meet
     return None
 
@@ -241,18 +235,21 @@ def verify_uniform(fam: Family) -> VerifyOutcome:
             return Violation("pattern-mismatch", (a, b),
                              {"pattern": m, "expected": seen,
                               "got": r, "first_witness": witnesses[m]})
-    # distinct keys never agree in full, so the full pattern is rho's
-    cert = _certificate_from_patterns(fam.dim, rho, found)
-    bad = _lattice_failure(cert.patterns)
+    bad = _lattice_failure(found)
     if bad is not None:
         m0, m1, meet = bad
-        return Violation("lattice", (m0, m1),
-                         {"meet": meet, "r_meet": cert.patterns[meet].elems})
-    return cert
+        return Violation("lattice", (m0, m1), {"meet": meet, "r_meet": found[meet]})
+    return _certificate(fam.dim, rho, found)
 
 
-def _certificate_from_patterns(dim: int, rho: int,
-                               patterns: Mapping[Key, Key]) -> UniformCertificate:
+def _certificate(dim: int, rho: int,
+                 patterns: Mapping[Key, Key]) -> UniformCertificate:
+    """The certificate of the patterns aligned pairs determine.
+
+    Distinct keys never agree in full, so the full pattern is rho's; its
+    positions contain every other pattern's, so it passes the lattice
+    clause with any of them and the checks leave it out.
+    """
     table: dict[Key, Optional[OrdSet]] = {m: None for m in _all_patterns(dim)}
     table.update((m, OrdSet(r)) for m, r in patterns.items())
     table[tuple(range(dim))] = OrdSet(tuple(range(rho)))
@@ -283,218 +280,147 @@ def _normalize_labels(fam: Family, g) -> dict[Key, object]:
         raise ParameterError(f"labels miss key {exc.args[0]}") from None
 
 
-def _index_pattern(b: Key, u: Key) -> Key:
-    """Positions of b's members inside u, or -1 for members not in u: one
-    merge pass over both increasing tuples, none if their ranges are apart."""
-    if not u or not b or b[-1] < u[0] or u[-1] < b[0]:
-        return (-1,) * len(b)
-    out, j, n = [], 0, len(u)
-    for x in b:
-        j = bisect_left(u, x, j)
-        out.append(j if j < n and u[j] == x else -1)
-    return tuple(out)
-
-
-class _Grower:
-    """Incremental consistency state for one candidate index list."""
-
-    def __init__(self, fam: Family, labels: Mapping[Key, object], budget: int):
-        self.fam = fam
-        self.labels = labels
-        self.budget = budget
-        self.nodes = 0
-        self.members: list[int] = []
-        self.keys: list[Key] = []
-        self.patterns: dict[Key, Key] = {}
-        self.g_value: object = None
-
-    def _pair_ok(self, a: Key, b: Key) -> bool:
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise BudgetUp()
-        m = agreement(a, b)
-        if m is None:
-            return True
-        r = agreement(self.fam.umap[a].elems, self.fam.umap[b].elems)
-        if r is None:
-            return False
-        seen = self.patterns.get(m)
-        if seen is None:
-            self.patterns[m] = r
-            return True
-        return seen == r
-
-    def try_add(self, gamma: int) -> bool:
-        trial = sorted(self.members + [gamma])
-        fresh = [b for b in itertools.combinations(trial, self.fam.dim)
-                 if gamma in b]
-        if fresh:
-            rho = self.fam.umap[(self.keys or fresh)[0]].otp
-            if any(self.fam.umap[b].otp != rho for b in fresh):
-                return False
-            want = self.g_value if self.keys else self.labels[fresh[0]]
-            if any(self.labels[b] != want for b in fresh):
-                return False
-        saved = dict(self.patterns)
-        all_keys = self.keys + fresh
-        for b in fresh:
-            for a in all_keys:
-                if a == b:
-                    continue
-                lo, hi = (a, b) if a < b else (b, a)
-                if not self._pair_ok(lo, hi):
-                    self.patterns = saved
-                    return False
-        self.members = trial
-        self.keys = all_keys
-        if self.g_value is None and fresh:
-            self.g_value = self.labels[fresh[0]]
-        return True
-
-
-class BudgetUp(Exception):
-    pass
-
-
-EXHAUSTIVE_LIMIT = 20_000
-
-
 def extract_uniform(fam: Family, h: int, g, budget: int = 200_000) -> ExtractResult:
-    """Find h indices on which the restriction is uniform and g constant.
+    """The least h indices on which the restriction is uniform and g
+    constant: the first h-subset in lexicographic order with one label on
+    its keys that `verify_uniform` accepts.
 
-    Small instances run the exhaustive scan over index combinations in
-    lexicographic order, so the least witness is returned.  Large instances
-    first try the identity fast path (families with u_b = b are uniform
-    outright), then greedy growth inside label-and-shape classes, with the
-    exhaustive scan as a budgeted fallback.
+    The search adds indices in increasing order and backtracks.  Each
+    clause (one label, one order type, aligned fibers, one position set
+    per pattern, the lattice clause) holds on every subset of a set it
+    holds on, so no witness extends a failed prefix.  A node is one index
+    tried; past `budget` nodes the search stops with reason "budget".  A
+    failure reports the first largest index set admitted, `best_partial`.
     """
     if not fam.is_total():
         raise ParameterError("extraction needs a total family")
-    if h < 1:
-        raise ParameterError("h must be >= 1")
+    dim = fam.dim
+    if h < max(1, dim):  # below dim, no key lies inside an h-set
+        raise ParameterError(
+            f"h = {h} must be >= 1 and >= the family's dimension {dim}")
     labels = _normalize_labels(fam, g)
-    n_idx = len(fam.indices.elems)
-    if h > n_idx:
+    idx = fam.indices.elems
+    if h > len(idx):
         return ExtractResult(False, None, None, None, "none", 0,
                              {"reason": "candidate pool smaller than h",
-                              "pool": n_idx, "h": h})
-    if math.comb(n_idx, h) <= EXHAUSTIVE_LIMIT:
-        return _exhaustive(fam, h, labels, budget)
-
-    fast = _identity_fast_path(fam, h, labels)
-    if fast is not None:
-        return fast
-
-    res = _greedy(fam, h, labels, budget)
-    if res.ok:
-        return res
-    fallback = _exhaustive(fam, h, labels, budget, base_nodes=res.nodes_used)
-    if not fallback.ok:
-        # the scan grows no partial set; report the largest greedy one
-        fallback.failure["best_partial"] = res.failure["best_partial"]
-    return fallback
-
-
-def _identity_fast_path(fam: Family, h: int,
-                        labels: Mapping[Key, object]) -> Optional[ExtractResult]:
-    """Families with u_b = b everywhere and one label are uniform on any
-    index subset with r_m = m; the first h indices are the least witness."""
-    vals = set(labels.values())
-    if len(vals) != 1 or any(u.elems != b for b, u in fam.umap.items()):
-        return None
-    chosen = OrdSet(fam.indices.elems[:h])
-    dim = fam.dim
-    patterns = {m: m for m in _all_patterns(dim) if h >= 2 * dim - len(m)}
-    cert = _certificate_from_patterns(dim, dim, patterns)
-    return ExtractResult(True, chosen, cert, vals.pop(), "identity", 0)
-
-
-def _greedy(fam: Family, h: int, labels: Mapping[Key, object],
-            budget: int) -> ExtractResult:
+                              "pool": len(idx), "h": h})
     umap = fam.umap
-    classes: dict[tuple, list[Key]] = {}
-    for b in sorted(umap):
-        u = umap[b].elems
-        t = (len(u), repr(labels[b]), _index_pattern(b, u))
-        classes.setdefault(t, []).append(b)
-    order = sorted(classes, key=lambda t: (-len(classes[t]), repr(t)))
+    if dim == 0:  # the one key () lies in every index set
+        cert = _certificate(0, umap[()].otp, {})
+        return ExtractResult(True, OrdSet(idx[:h]), cert, labels[()],
+                             "exhaustive", 0)
+    # index sets are bit masks over positions in idx.  ends[prefix][label]
+    # holds the last indices y of the keys prefix + (y,) with that label:
+    # the candidates for the next index, whose closing keys must all have
+    # the witness's label, narrow by one intersection per admitted index
+    bit = {x: 1 << i for i, x in enumerate(idx)}
+    ends: dict[Key, dict[object, int]] = defaultdict(lambda: defaultdict(int))
+    for b, label in labels.items():
+        ends[b[:-1]][label] |= bit[b[-1]]
+
+    def heads(prefix: Key) -> int:
+        """The y of first keys prefix + (y,) with h - dim more y' above y
+        in y's label class, which a witness needs."""
+        out = 0
+        for ys in ends[prefix].values():
+            for _ in range(h - dim):
+                ys ^= 1 << ys.bit_length() >> 1  # the top one, if any
+            out |= ys
+        return out
+
+    keys: list[Key] = []
+    patterns: dict[Key, Key] = {}
+    lab = None
+    best: Key = ()
     nodes = 0
-    best: list[int] = []
-    for t in order:
-        grower = _Grower(fam, labels, budget - nodes)
-        pool = sorted({i for b in classes[t] for i in b})
-        try:
-            for gamma in pool:
-                grower.try_add(gamma)
-                if len(grower.members) == h:
-                    break
-        except BudgetUp:
-            nodes += grower.nodes
-            return ExtractResult(False, None, None, None, "greedy", nodes,
-                                 {"reason": "budget", "best_partial": best})
-        nodes += grower.nodes
-        if len(grower.members) > len(best):
-            best = list(grower.members)
-        if len(grower.members) == h:
-            rho = fam.umap[grower.keys[0]].otp if grower.keys else 0
-            cert = _certificate_from_patterns(fam.dim, rho, grower.patterns)
-            return ExtractResult(True, OrdSet(tuple(grower.members)), cert,
-                                 grower.g_value, "greedy", nodes)
-    return ExtractResult(False, None, None, None, "greedy", nodes,
-                         {"reason": "no class grew to h", "best_partial": best})
-
-
-def _exhaustive(fam: Family, h: int, labels: Mapping[Key, object],
-                budget: int, base_nodes: int = 0) -> ExtractResult:
-    nodes = base_nodes
-    for combo in itertools.combinations(fam.indices.elems, h):
+    # a frame per admitted index: the index set so far, the untried
+    # candidates for the next index and how many of them a witness needs,
+    # and what admitting the index added to keys and patterns
+    frames = [[(), (1 << len(idx)) - 1, h, 0, []]]
+    while frames:
+        frame = frames[-1]
+        chosen, rest, need, nkeys, added = frame
+        if rest.bit_count() < need:
+            frames.pop()
+            del keys[nkeys:]
+            for m in added:
+                del patterns[m]
+            continue
+        low = rest & -rest
+        frame[1] = rest = rest ^ low
+        x = idx[low.bit_length() - 1]
         nodes += 1
         if nodes > budget:
             return ExtractResult(False, None, None, None, "exhaustive", nodes,
-                                 {"reason": "budget"})
-        sub = OrdSet(combo)
-        sub_fam = restrict(fam, sub)
-        lab_vals = {labels[b] for b in sub_fam.umap}
-        if len(lab_vals) > 1:
+                                 {"reason": "budget", "best_partial": list(best)})
+        grown = chosen + (x,)
+        k = len(grown)
+        need = h - k
+        fresh: list[Key] = []
+        nxt = rest
+        if k == dim - 1:
+            nxt, need = heads(grown), 1
+        elif k == dim:
+            # the first key fixes the label; later keys close on each of
+            # its (dim-1)-subsets
+            fresh = [grown]
+            lab = labels[grown]
+            nxt = -(low << 1)
+            for p in itertools.combinations(grown, dim - 1):
+                nxt &= ends[p].get(lab, 0)
+        elif k > dim:
+            fresh = [c + (x,) for c in itertools.combinations(chosen, dim - 1)]
+            # the new prefixes are the (dim-1)-sets that end in x
+            for c in itertools.combinations(chosen, dim - 2) if dim > 1 else ():
+                nxt &= ends[c + (x,)].get(lab, 0)
+        if nxt.bit_count() < need:
             continue
-        outcome = verify_uniform(sub_fam)
-        if isinstance(outcome, UniformCertificate):
-            return ExtractResult(True, sub, outcome, lab_vals.pop() if lab_vals
-                                 else None, "exhaustive", nodes)
+        added = _close_keys(fresh, keys, umap, patterns)
+        if added is None:
+            continue
+        frames.append([grown, nxt, need, len(keys), added])
+        keys.extend(fresh)
+        if k > len(best):
+            best = grown
+            if k == h:
+                rho = len(umap[grown[:dim]].elems)
+                return ExtractResult(True, OrdSet(grown),
+                                     _certificate(dim, rho, patterns), lab,
+                                     "exhaustive", nodes)
     return ExtractResult(False, None, None, None, "exhaustive", nodes,
-                         {"reason": "no subset works"})
+                         {"reason": "no subset works", "best_partial": list(best)})
+
+
+def _close_keys(fresh: list[Key], keys: list[Key], umap: Mapping[Key, OrdSet],
+                patterns: dict[Key, Key]) -> Optional[list[Key]]:
+    """Check every aligned pair a fresh key makes with an earlier key
+    (aligned fibers, the pattern so far), then the lattice clause; return
+    the new patterns, or None with them undone.  Aligned fibers share an
+    order type and aligned pairs connect all keys of a set of more than
+    dim indices, so the order type needs no check of its own."""
+    added: list[Key] = []
+    pairs = ((a, b) for i, b in enumerate(fresh)
+             for a in itertools.chain(keys, fresh[:i]))
+    for a, b in pairs:
+        m = agreement(a, b)
+        if m is None:
+            continue
+        r = agreement(umap[a].elems, umap[b].elems)
+        if r is None or patterns.get(m, r) != r:
+            break
+        if m not in patterns:
+            patterns[m] = r
+            added.append(m)
+    else:
+        if not added or _lattice_failure(patterns) is None:
+            return added
+    for m in added:
+        del patterns[m]
+    return None
 
 
 # ---------------------------------------------------------------------------
-# derivation and planted instances
-
-
-def derive_subfamily(fam: Family, cert: UniformCertificate, m: int) -> Family:
-    """Project a certified uniform family down to dimension m by slicing
-    every attached set along the pattern of the initial segment {0..m-1}.
-
-    The result must not depend on which superset key is used; a dependence
-    is reported with both witnesses.  Keys near the top of the index set
-    with no extension are absent from the derived family.
-    """
-    if not 0 <= m < fam.dim:
-        raise ValueError(f"need 0 <= m < {fam.dim}")
-    if not cert.is_full:
-        raise ValueError(f"certificate undetermined at {cert.undetermined()}")
-    r_m = cert.patterns[tuple(range(m))]
-    derived: dict[Key, OrdSet] = {}
-    witness: dict[Key, Key] = {}
-    for b in fam.keys():
-        a = b[:m]
-        sl = fam.umap[b].select(r_m.elems)
-        if a not in derived:
-            derived[a] = sl
-            witness[a] = b
-        elif derived[a] != sl:
-            raise ValueError(
-                f"choice-dependent derivation at {a}: {witness[a]} gives "
-                f"{derived[a].elems}, {b} gives {sl.elems}")
-    return Family._derived(m, fam.indices, derived)
+# planted instances
 
 
 def make_planted_family(num_indices: int, planted_size: int, n: int,

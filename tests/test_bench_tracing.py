@@ -4,7 +4,8 @@ bench/tracing.py wraps module functions and class methods by name from
 outside the program; deleting or renaming one of them breaks the traced
 benchmark.  This test installs the wrappers on the package, runs one job
 through the traced entry point, and checks that restore() puts back every
-original binding.
+original binding.  A delta-extract job checks that the extraction route
+is counted under a name the tracer registers in advance.
 """
 
 import importlib.util
@@ -53,3 +54,18 @@ def test_bench_tracing_installs_and_restores(tmp_path):
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is val for key, val in before.items())
+
+
+def test_bench_tracing_counts_the_extraction_route(tmp_path):
+    tracing = _load_tracing()
+    pkg = SimpleNamespace(**{m.__name__.rsplit(".", 1)[1]: m for m in _MODULES})
+    tracer = tracing.Tracer()
+    traced_main = tracing.install(tracer, pkg)
+    try:
+        argv = ["delta-extract", "--num-indices", "20", "--planted", "6",
+                "--h", "3", "--out", str(tmp_path)]
+        assert traced_main(argv) == 0
+    finally:
+        tracer.restore()
+    assert tracer.counts["deltasys.extract.exhaustive"] == 1
+    assert tracer.stats["deltasys.extract_uniform"][0] == 1

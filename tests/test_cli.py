@@ -127,6 +127,9 @@ def test_usage_exit_code():
     # digit strings where lists of words belong
     ["ddf-check", "--d", "2", "--depth", "1", "--density", "1",
      "--mcap", "1", "--zfile", "flat.json"],
+    # h below the dimension: no key lies inside an h-set
+    ["delta-extract", "--num-indices", "30", "--h", "1"],
+    ["delta-extract", "--num-indices", "20", "--n", "3", "--h", "2"],
 ])
 def test_bad_parameter_is_usage_error(tmp_path, monkeypatch, args):
     # a bad flag or input file must not read as a result: exit 64 and

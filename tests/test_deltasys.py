@@ -1,8 +1,9 @@
-"""Uniform n-dimensional systems: verification, extraction, derivation."""
+"""Uniform n-dimensional systems: verification and extraction."""
 
 import hashlib
 import itertools
 import json
+import sys
 from random import Random
 
 import pytest
@@ -13,16 +14,14 @@ from polygrid.deltasys import (
     Family,
     UniformCertificate,
     Violation,
-    _index_pattern,
     _lattice_failure,
     agreement,
-    derive_subfamily,
     extract_uniform,
     make_planted_family,
     restrict,
     verify_uniform,
 )
-from polygrid.ordset import OrdSet, aligned, rset
+from polygrid.ordset import OrdSet, ParameterError, aligned, rset
 
 
 def identity_family(size: int, n: int) -> Family:
@@ -50,7 +49,7 @@ def test_identity_certificate():
     for m in [(), (0,), (1,), (0, 1)]:
         assert cert.patterns[m] == OrdSet.of(m)
     assert cert.is_full
-    assert _lattice_failure(cert.patterns) is None
+    assert _lattice_failure({m: r.elems for m, r in cert.patterns.items()}) is None
 
 
 def test_min_family_certificate():
@@ -87,7 +86,7 @@ def test_unrealized_patterns_undetermined():
     cert = verify_uniform(fam)
     assert isinstance(cert, UniformCertificate)
     assert not cert.is_full
-    assert ((0,) in cert.undetermined()) and ((1,) in cert.undetermined())
+    assert cert.patterns[(0,)] is None and cert.patterns[(1,)] is None
 
 
 def _reference_verify(fam: Family):
@@ -170,24 +169,6 @@ def test_aligned_slice_law_on_fibers():
 
 
 @st.composite
-def _pattern_pairs(draw):
-    # u from b's range (interleaved) or from a range above it, either way
-    # round, so that disjoint ranges come up in both orders
-    lo, hi = draw(st.sampled_from([(0, 0), (0, 4), (0, 13), (13, 0)]))
-    b = draw(st.lists(st.integers(lo, lo + 12), max_size=4, unique=True))
-    u = draw(st.lists(st.integers(hi, hi + 12), max_size=6, unique=True))
-    return tuple(sorted(b)), tuple(sorted(u))
-
-
-@settings(max_examples=300, deadline=None)
-@given(_pattern_pairs())
-def test_index_pattern_matches_position_lookup(pair):
-    b, u = pair
-    pos = {v: i for i, v in enumerate(u)}
-    assert _index_pattern(b, u) == tuple(pos.get(x, -1) for x in b)
-
-
-@st.composite
 def _families_total_or_partial(draw):
     dim = draw(st.integers(0, 3))
     size = draw(st.integers(0, 6))
@@ -212,10 +193,11 @@ def test_is_total_matches_definition(fam):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 3), st.integers(0, 2), st.data())
 def test_is_total_on_derived_families(dim, extra, data):
+    # restrict builds its family unchecked, from the checked one
     fam = identity_family(2 * dim + extra, dim)
-    m = data.draw(st.integers(0, dim - 1))
-    sub = derive_subfamily(fam, verify_uniform(fam), m)
-    assert sub.is_total() == _total_by_definition(sub) == (m == 0)
+    sub = data.draw(st.sets(st.sampled_from(fam.indices.elems)))
+    sub = restrict(fam, OrdSet.of(sub))
+    assert sub.is_total() and _total_by_definition(sub)
 
 
 _BAD_KEYS = {
@@ -265,35 +247,27 @@ def test_extract_needs_constant_g():
     marks = {b: i for i, b in enumerate(fam.keys())}
     res = extract_uniform(fam, 3, lambda b: marks[b])
     assert not res.ok
-    # the scan over h-subsets grows no partial set to report
-    assert res.method == "exhaustive"
-    assert "best_partial" not in res.failure
+    assert (res.method, res.failure["reason"]) == ("exhaustive",
+                                                   "no subset works")
 
 
-def test_exhaustive_fallback_reports_greedy_best_partial():
-    # C(60, 3) subsets: greedy runs first, and every pair is its own label
-    # class, so greedy's best is one pair; the fallback scan runs out
-    fam = identity_family(60, 2)
-    marks = {b: i for i, b in enumerate(fam.keys())}
-    res = extract_uniform(fam, 3, marks, budget=100)
-    assert not res.ok
-    assert (res.method, res.failure["reason"]) == ("exhaustive", "budget")
-    best = res.failure["best_partial"]
-    assert len(best) == 2
-    assert isinstance(verify_uniform(restrict(fam, OrdSet.of(best))),
-                      UniformCertificate)
-
-
-def test_exhaustive_fallback_gets_the_whole_budget():
-    # greedy's nodes count once: the fallback runs on to the full budget
+def test_extract_budget_reports_best_partial():
+    # random fibers: the search runs out of its budget of indices tried
+    # and reports the largest index set it admitted, which is uniform with
+    # one label (keys through index 2 carry another)
     rng = Random(0)
     umap = {b: OrdSet.of(rng.sample(range(80), 2))
             for b in itertools.combinations(range(40), 2)}
     fam = Family(2, OrdSet.of(range(40)), umap)
-    res = extract_uniform(fam, 12, lambda b: 0, budget=3000)
+    labels = {b: int(2 in b) for b in umap}
+    res = extract_uniform(fam, 12, labels, budget=3000)
     assert not res.ok
-    assert (res.method, res.failure["reason"]) == ("exhaustive", "budget")
-    assert res.nodes_used == 3001
+    assert (res.method, res.failure["reason"], res.nodes_used) == (
+        "exhaustive", "budget", 3001)
+    sub = restrict(fam, OrdSet.of(res.failure["best_partial"]))
+    assert len(sub.indices) > fam.dim
+    assert isinstance(verify_uniform(sub), UniformCertificate)
+    assert len({labels[b] for b in sub.umap}) == 1
 
 
 def test_extract_round_trip():
@@ -365,39 +339,50 @@ def test_planted_family_pinned(num_indices, planted, n, seed, digest):
     assert hashlib.sha256(blob).hexdigest()[:16] == digest
 
 
-# the greedy route at the search workload's sizes: every field of the result
-# the delta-extract artifact records, with the certificate by digest
+def _least_witness(fam: Family, h: int, labels):
+    """The exhaustive scan `extract_uniform` must agree with: the first
+    h-subset in lexicographic order with one label on its keys that
+    `verify_uniform` accepts, as (indices, certificate, label), or None."""
+    for pick in itertools.combinations(fam.indices.elems, h):
+        sub = restrict(fam, OrdSet(pick))
+        vals = {labels[b] for b in sub.umap}
+        if len(vals) > 1:
+            continue
+        cert = verify_uniform(sub)
+        if isinstance(cert, UniformCertificate):
+            return sub.indices, cert, vals.pop()
+    return None
+
+
+def _assert_least_witness(fam: Family, h: int, labels) -> None:
+    res = extract_uniform(fam, h, labels)
+    want = _least_witness(fam, h, labels)
+    assert res.ok == (want is not None)
+    if res.ok:
+        assert (res.indices, res.certificate, res.g_value) == want
+
+
+# the search workload's sizes: every field of the result the delta-extract
+# artifact records, with the certificate by digest
 @pytest.mark.parametrize("num_indices, planted, n, h, indices, nodes, digest", [
-    (150, 12, 2, 5, (13, 17, 28, 30, 51), 79, "07e397e5e3cade3a"),
-    (150, 12, 2, 6, (13, 17, 28, 30, 51, 92), 149, "07e397e5e3cade3a"),
-    (60, 12, 3, 5, (4, 7, 12, 23, 26), 63, "f3064c56f6141961"),
-    (60, 12, 3, 6, (4, 7, 12, 23, 26, 27), 253, "9afbf9f9e1ab1b59"),
-    (40, 8, 2, 5, (4, 7, 12, 23, 26), 61, "07e397e5e3cade3a"),
-    (40, 8, 2, 6, (4, 7, 12, 23, 26, 27), 131, "07e397e5e3cade3a"),
+    (150, 12, 2, 5, (13, 17, 28, 30, 51), 2994, "07e397e5e3cade3a"),
+    (150, 12, 2, 6, (13, 17, 28, 30, 51, 92), 2288, "07e397e5e3cade3a"),
+    (60, 12, 3, 5, (4, 7, 12, 23, 26), 4524, "f3064c56f6141961"),
+    (60, 12, 3, 6, (4, 7, 12, 23, 26, 27), 3513, "9afbf9f9e1ab1b59"),
+    (40, 8, 2, 5, (4, 7, 12, 23, 26), 93, "07e397e5e3cade3a"),
+    (40, 8, 2, 6, (4, 7, 12, 23, 26, 27), 68, "07e397e5e3cade3a"),
 ])
-def test_greedy_route_pinned(num_indices, planted, n, h, indices, nodes,
-                             digest):
+def test_extract_pinned_at_search_sizes(num_indices, planted, n, h, indices,
+                                        nodes, digest):
     fam, g, _ = make_planted_family(num_indices, planted, n, seed=1)
     res = extract_uniform(fam, h, g)
     assert (res.indices.elems, res.method, res.nodes_used, res.g_value) == (
-        indices, "greedy", nodes, 7)
+        indices, "exhaustive", nodes, 7)
     blob = json.dumps(res.certificate.to_json(), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest()[:16] == digest
 
 
 def test_extract_matches_exhaustive_small():
-    # canonization and pure exhaustive search agree on success/failure
-    def exhaustive(fam, h, g):
-        labels = {b: g(b) for b in fam.keys()}
-        for pick in itertools.combinations(fam.indices.elems, h):
-            sub = restrict(fam, OrdSet.of(pick))
-            if len({labels[b] for b in sub.keys()}) > 1:
-                continue
-            cert = verify_uniform(sub)
-            if isinstance(cert, UniformCertificate) and cert.is_full:
-                return True
-        return False
-
     cases = []
     cases.append((identity_family(6, 2), 4, lambda b: 0))
     cases.append((min_family(6), 4, lambda b: 0))
@@ -406,47 +391,68 @@ def test_extract_matches_exhaustive_small():
     bad[(1, 3)] = OrdSet.of([1, 4])
     cases.append((Family(2, fam.indices, bad), 5, lambda b: 0))
     cases.append((identity_family(5, 1), 3, lambda b: sum(b) % 2))
+    # consistent patterns that break the lattice clause on all 4 indices
+    fibers = [(2,), (0,), (4,), (4,), (0,), (2,)]
+    lattice = Family(2, OrdSet.of(range(4)), {
+        b: OrdSet(u) for b, u in zip(itertools.combinations(range(4), 2),
+                                     fibers)})
+    assert verify_uniform(lattice).kind == "lattice"
+    cases += [(lattice, 4, lambda b: 0), (lattice, 3, lambda b: 0)]
     for fam, h, g in cases:
-        res = extract_uniform(fam, h, g)
-        assert res.ok == exhaustive(fam, h, g)
+        _assert_least_witness(fam, h, {b: g(b) for b in fam.umap})
 
 
-# ---------------------------------------------------------------------------
-# derivation
+@st.composite
+def _extraction_inputs(draw):
+    dim = draw(st.integers(1, 3))
+    size = draw(st.integers(dim, 9))
+    h = draw(st.integers(min(dim + 1, size), size))
+    keys = list(itertools.combinations(range(size), dim))
+    if draw(st.integers(0, 3)):
+        # fibers from a pool a little wider than the keys, so that aligned
+        # pairs and repeated fibers are common; some families offer one
+        # fiber of another order type
+        pool = range(draw(st.integers(dim, dim + 3)))
+        choices = list(itertools.combinations(pool, dim))
+        choices += [tuple(pool)[:dim - 1]] * draw(st.integers(0, 1))
+        fibers = draw(st.lists(st.sampled_from(choices), min_size=len(keys),
+                               max_size=len(keys)))
+    else:
+        fibers = keys
+    labels = draw(st.lists(st.integers(0, draw(st.integers(0, 2))),
+                           min_size=len(keys), max_size=len(keys)))
+    fam = Family(dim, OrdSet.of(range(size)),
+                 {b: OrdSet(u) for b, u in zip(keys, fibers)})
+    return fam, h, dict(zip(keys, labels))
 
 
-def test_derive_root_family():
-    fam = identity_family(5, 2)
-    cert = verify_uniform(fam)
-    sub = derive_subfamily(fam, cert, 0)
-    assert sub.dim == 0
-    assert sub.umap[()] == OrdSet.of([])
+@settings(max_examples=300, deadline=None)
+@given(_extraction_inputs())
+def test_extract_is_the_least_witness(inputs):
+    _assert_least_witness(*inputs)
 
 
-def test_derive_identity_m1():
-    fam = identity_family(5, 2)
-    cert = verify_uniform(fam)
-    sub = derive_subfamily(fam, cert, 1)
-    for alpha in range(4):  # last index never leads a pair
-        assert sub.umap[(alpha,)] == OrdSet.of([alpha])
+@pytest.mark.parametrize("num_indices, n, h", [(30, 2, 1), (20, 3, 1),
+                                               (20, 3, 2)])
+def test_extract_rejects_h_below_dimension(num_indices, n, h):
+    fam, g, _ = make_planted_family(num_indices, 12, n, seed=0)
+    with pytest.raises(ParameterError, match=f"h = {h} .*dimension {n}"):
+        extract_uniform(fam, h, g)
 
 
-def test_derive_min_family():
-    fam = min_family(5)
-    cert = verify_uniform(fam)
-    # u_{(a0,)} = slice(u_b, r_{(0,)}) = {min(b)} = {a0}
-    sub = derive_subfamily(fam, cert, 1)
-    assert sub.umap[(1,)] == OrdSet.of([1])
-
-
-def test_derive_detects_dependence():
-    # a fiber perturbed after certification makes the slice depend on b
-    fam = identity_family(5, 2)
-    cert = verify_uniform(fam)
-    bad = dict(fam.umap)
-    bad[(1, 3)] = OrdSet.of([0, 3])
-    with pytest.raises(ValueError):
-        derive_subfamily(Family(2, fam.indices, bad), cert, 1)
+def test_extract_keeps_its_own_stack():
+    # one admitted index is one frame on the search's stack, not a call
+    fam = identity_family(210, 1)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        res = extract_uniform(fam, 200, lambda b: 0)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res.ok and res.indices.elems == tuple(range(200))
 
 
 # ---------------------------------------------------------------------------

@@ -367,8 +367,8 @@ def test_pipeline_theta_cap_failure_code():
     (2, 1, 2, "constant", 4, 1, 4, 16, "exhaustive"),
     (2, 1, 3, "first-letter", 2, 2, 4, 5, "exhaustive"),
     (2, 2, 2, "seeded", 2, 1, 3, 8, "exhaustive"),
-    (3, 2, 1, "first-letter", 3, 1, 2, 32, "identity"),
-    (2, 3, 2, "seeded", 1, 1, 2, 32, "identity"),
+    (3, 2, 1, "first-letter", 3, 1, 2, 32, "exhaustive"),
+    (2, 3, 2, "seeded", 1, 1, 2, 32, "exhaustive"),
 ])
 def test_pipeline_indices_are_the_least_delta_witness(
         k, d, depth, kind, width, buffer, density, theta, route):
