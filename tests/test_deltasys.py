@@ -251,15 +251,29 @@ def test_extract_needs_constant_g():
                                                    "no subset works")
 
 
-def test_extract_budget_reports_best_partial():
-    # random fibers: the search runs out of its budget of indices tried
-    # and reports the largest index set it admitted, which is uniform with
-    # one label (keys through index 2 carry another)
+def _random_fiber_family() -> Family:
     rng = Random(0)
     umap = {b: OrdSet.of(rng.sample(range(80), 2))
             for b in itertools.combinations(range(40), 2)}
-    fam = Family(2, OrdSet.of(range(40)), umap)
-    labels = {b: int(2 in b) for b in umap}
+    return Family(2, OrdSet.of(range(40)), umap)
+
+
+def test_exhaustive_fallback_gets_the_whole_budget():
+    # random fibers, one label: the search tries budget + 1 indices before
+    # it stops, so every node of the budget is spent
+    fam = _random_fiber_family()
+    res = extract_uniform(fam, 12, lambda b: 0, budget=3000)
+    assert not res.ok
+    assert (res.method, res.failure["reason"]) == ("exhaustive", "budget")
+    assert res.nodes_used == 3001
+
+
+def test_exhaustive_fallback_reports_greedy_best_partial():
+    # random fibers: the search runs out of its budget of indices tried
+    # and reports the largest index set it admitted, which is uniform with
+    # one label (keys through index 2 carry another)
+    fam = _random_fiber_family()
+    labels = {b: int(2 in b) for b in fam.umap}
     res = extract_uniform(fam, 12, labels, budget=3000)
     assert not res.ok
     assert (res.method, res.failure["reason"], res.nodes_used) == (
