@@ -96,8 +96,11 @@ def _load_input(raw: str, what: str, parse: Callable[[object], object]):
 def _family_from(data: dict) -> tuple[deltasys.Family, dict]:
     """A family file: the family (bare or under "family") and its labels."""
     fam = deltasys.Family.from_json(data.get("family", data))
-    labels = {deltasys._key_from_str(key): val
-              for key, val in data.get("labels", {}).items()}
+    labels = {}
+    for key, val in data.get("labels", {}).items():
+        if not isinstance(val, (int, float, str, type(None))):
+            raise ParameterError(f"label of key {key!r} is not a JSON scalar")
+        labels[deltasys._key_from_str(key)] = val
     return fam, labels
 
 

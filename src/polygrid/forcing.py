@@ -1,11 +1,11 @@
 """Finite-condition forcing over products of branching trees.
 
 A condition pins down, for finitely many rows, one word per coordinate
-tree.  Extension deepens words and adds rows.  The pipeline drives an
-oracle coloring through decide steps, takes a large index set on which
+tree.  Extension deepens words and adds rows.  The pipeline decides an
+oracle coloring on the separator rows, takes a large index set on which
 the decided data agree, lays out a tag matrix to spread K completions per
-coordinate while meeting the scheduled dense sets, and emits a dense
-monochromatic grid witness that is re-validated from scratch.
+coordinate with one tag step per entry, and emits a dense monochromatic
+grid witness that is re-validated from scratch.
 
 Deciding by the leftmost route makes the proof's Delta-system step the
 identity (see `run_pipeline`), so the index set is taken in closed form.
@@ -358,8 +358,6 @@ def _slot_changes(p: Condition, q: Condition) -> list[list]:
     """The slots where q differs from p, as [row, coordinate, word] entries
     in row then coordinate order; replaying them on p gives q when q only
     rewrites slots and adds rows."""
-    if q is p:
-        return []
     out: list[list] = []
     for alpha, row in q.rows:
         old = p._index.get(alpha)
@@ -397,10 +395,12 @@ def run_pipeline(
 
     Stages: double theta until the index block holds h_target indices and
     take the first h_target; cut separator indices delta_i with a
-    K*buffer reservoir above each; fill a d x K tag matrix column by
-    column, meeting every decide dense set and re-checking every cross
-    tuple; read off the K leftmost completions per coordinate as branch
-    sets.  The grid witness is re-validated from scratch before return.
+    K*buffer reservoir above each and decide their color; fill a d x K
+    tag matrix column by column, one tag step per entry, re-checking the
+    color of every new cross tuple and that the condition extends every
+    cross tuple's decided condition; read off the K leftmost completions
+    per coordinate as branch sets.  The grid witness is re-validated from
+    scratch before return.
 
     The first h_target indices are the least set on which the decided
     condition, color and domain pattern agree: `decide_color` takes the
@@ -411,12 +411,14 @@ def run_pipeline(
     k, d = oracle.k, oracle.d
     if density_depth < oracle.depth:
         raise ParameterError("density depth must be at least the oracle depth")
-    need = k ** (density_depth - oracle.depth)
-    if width < need:
-        raise ParameterError(
-            f"width {width} cannot reach density depth {density_depth}: "
-            f"need at least {need} tags"
-        )
+    need = 1
+    for _ in range(density_depth - oracle.depth):  # stops once past width
+        need *= k
+        if need > width:
+            raise ParameterError(
+                f"width {width} cannot reach density depth {density_depth}: "
+                f"need at least {k}^{density_depth - oracle.depth} tags"
+            )
     if buffer < 0:
         raise ParameterError("buffer must be >= 0")
     if theta_start < 1:
@@ -468,45 +470,29 @@ def run_pipeline(
     transcript["tags"] = [word_to_str(t) for t in tags]
 
     base = Condition.empty(k, d)
-    # one list of slot changes per dense step, replayed from base
-    chain: list[list[list]] = []
-
-    def record(seg: list[Condition]) -> None:
-        chain.extend(_slot_changes(p, q) for p, q in zip(seg, seg[1:]))
-
-    def decide_step(a: OrdSet) -> DenseStep:
-        return DenseStep(
-            name=f"decide:{','.join(map(str, a.elems))}",
-            extend=lambda q: decide_color(q, a, oracle)[0],
-            member=lambda q: all(
-                len((q.row(a.at(m)) or ((),) * d)[m]) >= oracle.depth
-                for m in range(d)
-            ),
-        )
-
     delta_set = OrdSet(tuple(deltas))
-    seg = meet_dense([decide_step(delta_set)], base)
-    record(seg)
-    current = seg[-1]
+    current = meet_dense([DenseStep(
+        name=f"decide:{','.join(map(str, deltas))}",
+        extend=lambda q: decide_color(q, delta_set, oracle)[0],
+        member=lambda q: all(
+            len((q.row(deltas[m]) or ((),) * d)[m]) >= oracle.depth
+            for m in range(d)
+        ),
+    )], base)[-1]
+    # one list of slot changes per dense step, replayed from base
+    chain: list[list[list]] = [_slot_changes(base, current)]
 
+    # No cross tuple of the matrix needs a decide step of its own: a sorted
+    # tuple names row matrix[j][c] for coordinate j, and that slot reached
+    # the oracle depth when the row entered (the separators above, a fresh
+    # row by its tag, which extends the start word).  The monotone check
+    # below confirms this for every cross tuple.
     matrix: list[list[int]] = [[deltas[i]] for i in range(d)]
     used: list[int] = [0] * d  # next reservoir index per coordinate
     decided_cache: dict[tuple[int, ...], Condition] = {}
     stage_log = []
     for col in range(1, width):
         for i in range(d):
-            pools = [
-                matrix[j][: col + 1] if j < i else matrix[j][:col]
-                for j in range(d)
-            ]
-            steps = [
-                decide_step(OrdSet(tuple(sorted(combo))))
-                for combo in itertools.product(*pools)
-            ]
-            seg = meet_dense(steps, current)
-            record(seg)
-            q_star = seg[-1]
-
             tagged = s_words[i] + tags[col]
             fresh = None
             attempts = 0
@@ -514,8 +500,8 @@ def run_pipeline(
                 gamma = reservoirs[i][used[i]]
                 used[i] += 1
                 attempts += 1
-                candidate = q_star.with_slot(gamma, i, tagged)
-                if compatible(candidate, q_star):
+                candidate = current.with_slot(gamma, i, tagged)
+                if compatible(candidate, current):
                     fresh = gamma
                     break
             if fresh is None:
@@ -531,12 +517,10 @@ def run_pipeline(
                     (q.row(a) or ((),) * d)[ii] == w
                 ),
             )
-            seg = meet_dense([tag_step], q_star)
-            record(seg)
-            current = seg[-1]
-            # the tagged condition may only differ from q_star at (fresh, i)
-            before = q_star._index
-            after = current._index
+            prev, current = current, meet_dense([tag_step], current)[-1]
+            chain.append(_slot_changes(prev, current))
+            # the tagged condition may only differ from prev at (fresh, i)
+            before, after = prev._index, current._index
             assert set(after) == set(before) | {fresh}
             assert all(after[x] == before[x] for x in before if x != fresh)
             assert after[fresh][i] == s_words[i] + tags[col]

@@ -1,6 +1,8 @@
 """The finite Cohen-style poset, dense-set plumbing, and the pipeline."""
 
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -353,6 +355,63 @@ def test_pipeline_chain_replays():
         assert sorted(Y) == sorted(
             p.row(alpha)[i] + (0,) * (res.witness.depth - len(p.row(alpha)[i]))
             for alpha in t["matrix"][i])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_pipeline_chain_has_no_idle_decide_steps(data):
+    k = data.draw(st.integers(2, 3), label="k")
+    d = data.draw(st.integers(1, 3), label="d")
+    depth = data.draw(st.integers(1, 2), label="depth")
+    width = data.draw(st.integers(1, 4), label="width")
+    buffer = data.draw(st.integers(1, 2), label="buffer")
+    kind = data.draw(st.sampled_from(["constant", "first-letter", "seeded"]))
+    reach = max(m for m in range(3) if k ** m <= width)
+    density = depth + data.draw(st.integers(0, reach), label="density")
+    oracle = ColoringOracle(k=k, d=d, depth=depth, num_colors=2, kind=kind,
+                            seed=data.draw(st.integers(0, 9), label="seed"))
+    res = run_pipeline(oracle, density_depth=density, width=width,
+                       buffer=buffer)
+    assert res.ok
+    t = res.transcript
+    # the separators' decide step, then one tag step per stage
+    assert len(t["chain"]) == 1 + len(t["stages"])
+    assert all(t["chain"])
+    conds = [Condition.empty(k, d)]
+    for step in t["chain"]:
+        q = conds[-1]
+        for alpha, i, word in step:
+            q = q.with_slot(alpha, i, word_from_str(word))
+        assert leq(q, conds[-1]) and q != conds[-1]
+        conds.append(q)
+    # before each stage's tag, the decide step of every cross tuple of the
+    # matrix filled so far would return its input
+    matrix = t["matrix"]
+    for q, stage in zip(conds[1:], t["stages"]):
+        i, col = stage["stage"]
+        pools = [matrix[j][: col + 1] if j < i else matrix[j][:col]
+                 for j in range(d)]
+        for combo in itertools.product(*pools):
+            assert decide_color(q, OrdSet(tuple(sorted(combo))), oracle)[0] is q
+
+
+def test_readme_chain_replay_snippet():
+    # the README's replay code, run as written on a fresh transcript
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### The force-pipeline transcript", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    oracle = ColoringOracle(
+        k=2, d=2, depth=2, num_colors=2, kind="seeded", seed=4
+    )
+    blob = json.loads(json.dumps(
+        run_pipeline(oracle, density_depth=3, width=4).transcript))
+    scope = {"blob": blob}
+    exec(code, scope)
+    p = scope["p"]
+    for i, column in enumerate(blob["matrix"]):
+        for alpha, tag in zip(column, blob["tags"]):
+            assert p.row(alpha)[i] == word_from_str(
+                blob["start_words"][i] + tag)
 
 
 def test_pipeline_theta_cap_failure_code():
