@@ -33,6 +33,9 @@ EXIT_SOFTWARE = 70
 
 OUTDIR_ENV = "POLYGRID_OUT"
 
+# the most tuples `sideways-build` and `ddf-check` enumerate
+ENUMERATION_CAP = 2 ** 20
+
 _REQUIRED = object()
 
 Schema = dict[str, tuple[type, object]]  # key -> (type, default)
@@ -182,6 +185,17 @@ def _write_artifacts(cfg: RunConfig, payload: dict,
             writer.writerows(row.values() for row in rows)
 
 
+def _check_power(base: int, exponent: int, what: str) -> None:
+    """Refuse base^exponent > ENUMERATION_CAP tuples, multiplying only
+    until past the cap (a tree shape has base >= 2)."""
+    size = 1
+    for _ in range(exponent):  # stops once past the cap
+        size *= base
+        if size > ENUMERATION_CAP:
+            raise ParameterError(
+                f"{what} would exceed the cap of {ENUMERATION_CAP} tuples")
+
+
 def _parse_words(raw: str, d: int) -> list[tuple[int, ...]]:
     """Comma-separated digit strings; '.' or an empty segment is the root."""
     if not raw:
@@ -295,7 +309,7 @@ def _run_product_bound(cfg: RunConfig) -> int:
         for t in range(samples):
             rng = Random(f"product-bound:{cfg.seed}:{t}")
             pairs.append(tuple(
-                OrdSet(tuple(sorted(rng.sample(range(size), m))))
+                OrdSet.unchecked(tuple(sorted(rng.sample(range(size), m))))
                 for _ in range(n + 1)
             ))
         n_pairs = samples
@@ -574,7 +588,10 @@ def _run_sideways(cfg: RunConfig) -> int:
     else:
         raise ParameterError(f"no jmap kind {kind!r} for --d {d}")
     fn = hl.sideways_build(jmap, d, j_bound, depth)
-    side = trees.branches(trees.TreeShape(k, depth))
+    shape = trees.TreeShape(k, depth)
+    _check_power(k, depth * (d + 1),
+                 f"a sideways table of {d + 1}-tuples of branches")
+    side = trees.branches(shape)
     # colors before names, so that a bad jmap value is reported ahead of a
     # letter >= 10, as a walk in tuple order would
     colors = [fn(combo) for combo in itertools.product(side, repeat=d + 1)]
@@ -622,6 +639,8 @@ def _run_ddf_check(cfg: RunConfig) -> int:
     if zfile:
         Z = _load_input(zfile, "z", lambda data: _z_from(data, p["k"]))
     else:
+        _check_power(p["k"], p["depth"] * p["d"],
+                     f"the full product of {p['d']} trees")
         Z = list(itertools.product(*(trees.branches(s) for s in shapes)))
     ok = trees.is_ddf_to_depth(shapes, Z, p["density"], p["mcap"])
     _write_artifacts(cfg, {

@@ -423,6 +423,9 @@ def _close_keys(fresh: list[Key], keys: list[Key], umap: Mapping[Key, OrdSet],
 # planted instances
 
 
+PLANTED_CAP = 2 ** 20
+
+
 def make_planted_family(num_indices: int, planted_size: int, n: int,
                         seed: int) -> tuple[Family, dict[Key, int], OrdSet]:
     """A noisy family hiding one uniform subfamily on a seeded index set.
@@ -433,12 +436,22 @@ def make_planted_family(num_indices: int, planted_size: int, n: int,
     pairwise checks, and a uniform label 0..5.  There are only C(n+4, 2)*6
     such (set, label) pairs, so they are built once and every key draws
     one, in combinations order, from the same seeded stream that placed
-    the planted indices (planted keys ignore their draw).
+    the planted indices (planted keys ignore their draw).  Raises
+    ParameterError, before any draw, for more than PLANTED_CAP keys.
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
     if not 0 <= planted_size <= num_indices:
         raise ParameterError("need 0 <= planted size <= number of indices")
+    # C(num_indices, j) grows with j up to min(n, num_indices - n), so the
+    # count of keys stops once past the cap
+    keys = 1
+    for j in range(min(n, num_indices - n)):
+        keys = keys * (num_indices - j) // (j + 1)
+        if keys > PLANTED_CAP:
+            raise ParameterError(
+                f"a planted family of the {n}-subsets of {num_indices} "
+                f"indices would exceed the cap of {PLANTED_CAP} keys")
     rng = Random(f"plant:{seed}")
     indices = OrdSet(tuple(range(num_indices)))
     planted = OrdSet.of(rng.sample(range(num_indices), planted_size))

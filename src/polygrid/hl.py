@@ -120,6 +120,12 @@ class LevelColoring:
         stay as constructed; a tuple that raises is never stored."""
         return {}
 
+    @cached_property
+    def _truncations(self) -> dict[Word, list[Word]]:
+        """Prefix memo for the surrogate: a word w maps to the list
+        [w[:0], w[:1], ..., w], filled lazily."""
+        return {}
+
     def color(self, words: tuple[Word, ...]) -> int:
         """The color of a same-height tuple, memoized per instance; a
         tuple that raises is never stored, so it raises on every call."""
@@ -213,16 +219,24 @@ def surrogate_color(gamma: LevelColoring, xs: Sequence[Word], L: int) -> int:
         raise ValueError(f"need 1 <= L <= {gamma.depth}, got {L}")
     if any(len(x) < L - 1 for x in xs):
         raise ValueError("branches too short for the requested truncations")
-    memo = gamma._colors  # read inline; a miss takes the checked path
-    counts: dict[int, int] = {}
-    for m in range(L):
-        key = tuple(x[:m] for x in xs)
-        j = memo.get(key)
-        if j is None:
-            j = gamma.color(key)
-        counts[j] = counts.get(j, 0) + 1
-    best = max(counts.values())
-    return min(j for j, n in counts.items() if n == best)
+    rows = gamma._truncations
+    prefixes = []
+    for x in xs:
+        row = rows.get(x)
+        if row is None:
+            row = rows[x] = [x[:m] for m in range(len(x) + 1)]
+        prefixes.append(row)
+    # with no words, every level's truncation is the empty tuple
+    keys = list(itertools.islice(zip(*prefixes), L)) if xs else [()] * L
+    # the memo is read inline; each miss, in level order, takes the
+    # checked path
+    colors = list(map(gamma._colors.get, keys))
+    if None in colors:
+        for m, j in enumerate(colors):
+            if j is None:
+                colors[m] = gamma.color(keys[m])
+    counts = list(map(colors.count, range(gamma.r)))
+    return counts.index(max(counts))
 
 
 def surrogate_fn(gamma: LevelColoring) -> Callable[[tuple[Word, ...]], int]:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import add
+from operator import add, le, lt
 from random import Random
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .antiramsey import Arena, TupleColor, c_full
 from .ordset import ParameterError
@@ -51,9 +51,9 @@ class CofinalFn:
         self.entry_bound = entry_bound
         self.arity = arity
         self.table = table
-        for length in range(1, arity + 1):
-            for xs in itertools.product(range(entry_bound), repeat=length):
-                if xs not in self.table:
+        if not all(map(table.__contains__, _domain(entry_bound, arity))):
+            for xs in _domain(entry_bound, arity):
+                if xs not in table:
                     raise ValueError(f"table is not total: missing {xs}")
 
     def __call__(self, xs: Sequence[int]) -> int:
@@ -61,11 +61,16 @@ class CofinalFn:
 
     @classmethod
     def from_formula(cls, entry_bound: int, arity: int, fn) -> "CofinalFn":
-        table = {}
-        for length in range(1, arity + 1):
-            for xs in itertools.product(range(entry_bound), repeat=length):
-                table[xs] = fn(xs)
+        table = {xs: fn(xs) for xs in _domain(entry_bound, arity)}
         return cls(entry_bound, arity, table)
+
+
+def _domain(entry_bound: int, arity: int) -> Iterable[SeqTuple]:
+    """Every tuple of length 1..arity over 0..entry_bound-1, by length,
+    each length in product order."""
+    return itertools.chain.from_iterable(
+        itertools.product(range(entry_bound), repeat=length)
+        for length in range(1, arity + 1))
 
 
 @dataclass
@@ -78,22 +83,48 @@ def is_cofinal(F: CofinalFn, strict: bool = False) -> CofinalCheck:
     """Verify domination on singletons and (strict) subsequence monotonicity
     over the whole finite domain; first violation is returned.  Both orders
     are transitive and every proper subsequence is reached by one-element
-    deletions, so only those are compared, read from the total table."""
-    table = F.table
-    for x in range(F.entry_bound):
-        if not x <= table[(x,)]:
-            return CofinalCheck(False, ("domination", (x,), (x,)))
+    deletions, so only those are compared, read from the total table.
+
+    One length at a time: the values of length L, in product order, are
+    compared with those of each deletion position i at once.  Deleting
+    entry i maps the tuples of a block of eb^(L-i) consecutive ones to
+    one block of eb^(L-1-i) tuples of length L-1, read eb times over.  A
+    length that fails is scanned tuple by tuple for its first violation.
+    """
+    table, eb = F.table, F.entry_bound
+    below = lt if strict else le
+    domain = range(eb)
+    prev = list(map(table.__getitem__, zip(domain)))
+    if not all(map(le, domain, prev)):
+        x = next(x for x in domain if not x <= table[(x,)])
+        return CofinalCheck(False, ("domination", (x,), (x,)))
     for length in range(2, F.arity + 1):
-        for ys in itertools.product(range(F.entry_bound), repeat=length):
-            fy = table[ys]
-            for i in range(length):
-                xs = ys[:i] + ys[i + 1:]
-                fx = table[xs]
-                if strict and not fx < fy:
-                    return CofinalCheck(False, ("strict-monotone", xs, ys))
-                if not strict and not fx <= fy:
-                    return CofinalCheck(False, ("monotone", xs, ys))
+        cur = list(map(table.__getitem__,
+                       itertools.product(domain, repeat=length)))
+        for i in range(length):
+            block = eb ** (length - 1 - i)
+            deleted = itertools.chain.from_iterable(
+                prev[h * block:(h + 1) * block] * eb for h in range(eb ** i))
+            if not all(map(below, deleted, cur)):
+                return CofinalCheck(False, _first_violation(F, length, strict))
+        prev = cur
     return CofinalCheck(True)
+
+
+def _first_violation(F: CofinalFn, length: int,
+                     strict: bool) -> tuple[str, SeqTuple, SeqTuple]:
+    """The first tuple of this length, in product order, with a deletion
+    (the first such position) whose value breaks the order."""
+    table = F.table
+    below = lt if strict else le
+    kind = "strict-monotone" if strict else "monotone"
+    for ys in itertools.product(range(F.entry_bound), repeat=length):
+        fy = table[ys]
+        for i in range(length):
+            xs = ys[:i] + ys[i + 1:]
+            if not below(table[xs], fy):
+                return (kind, xs, ys)
+    raise AssertionError(f"no violation among tuples of length {length}")
 
 
 def is_sigma_seq(sigma: Sigma) -> bool:

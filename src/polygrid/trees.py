@@ -217,14 +217,19 @@ def _ddf(
     fib = _fibers(zs)
     if not _ddf(shapes[:-1], list(fib.keys()), D, mcap):
         return False
-    last = shapes[-1]
-    keys = sorted(fib)  # all branches: shortlex is lexicographic
-    for size in range(1, mcap + 1):
-        for combo in itertools.combinations(keys, size):
-            meet = set.intersection(*(fib[x] for x in combo))
-            if not _dense_above(last, meet, (), D):
-                return False
-    return True
+    need = shapes[-1].k ** D
+    prefix = {y: y[:D] for fiber in fib.values() for y in fiber}
+
+    def dense(meet: set[Word]) -> bool:
+        return len(set(map(prefix.__getitem__, meet))) == need
+
+    # all branches: shortlex is lexicographic
+    sets = [fib[x] for x in sorted(fib)]
+    # every meet of at most mcap fibers, smaller meets first
+    return all(
+        all(map(dense, itertools.starmap(
+            set.intersection, itertools.combinations(sets, size))))
+        for size in range(1, mcap + 1))
 
 
 def fpg_witness_sets(

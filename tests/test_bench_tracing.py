@@ -5,7 +5,9 @@ outside the program; deleting or renaming one of them breaks the traced
 benchmark.  This test installs the wrappers on the package, runs one job
 through the traced entry point, and checks that restore() puts back every
 original binding.  A delta-extract job checks that the extraction route
-is counted under a name the tracer registers in advance.
+is counted under a name the tracer registers in advance, and one small
+job per check kernel (the cofinality check, the surrogate vote, the DDF
+check) checks that each kernel is still reached under its traced name.
 """
 
 import importlib.util
@@ -69,3 +71,24 @@ def test_bench_tracing_counts_the_extraction_route(tmp_path):
         tracer.restore()
     assert tracer.counts["deltasys.extract.exhaustive"] == 1
     assert tracer.stats["deltasys.extract_uniform"][0] == 1
+
+
+def test_bench_tracing_reaches_the_check_kernels(tmp_path):
+    tracing = _load_tracing()
+    pkg = SimpleNamespace(**{m.__name__.rsplit(".", 1)[1]: m for m in _MODULES})
+    tracer = tracing.Tracer()
+    traced_main = tracing.install(tracer, pkg)
+    try:
+        for argv in (["ph-refute", "--entry-bound", "12", "--n", "2",
+                      "--spread", "2"],
+                     ["grid-search", "--coloring", "seeded", "--depth", "3",
+                      "--density", "2", "--cap", "8"],
+                     ["ddf-check", "--d", "2", "--depth", "2",
+                      "--density", "1", "--mcap", "2"]):
+            assert traced_main(argv + ["--out", str(tmp_path)]) == 0
+    finally:
+        tracer.restore()
+    assert tracer.stats["ph.is_cofinal"][0] >= 1
+    assert tracer.stats["trees.is_ddf_to_depth"][0] >= 1
+    assert tracer.counts["hl.surrogate_color.calls"] > 0
+    assert tracer.counts["hl.LevelColoring.color.calls"] > 0

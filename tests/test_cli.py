@@ -135,6 +135,11 @@ def test_usage_exit_code():
     ["force-pipeline", "--density", "1000000000"],
     # every label is the list [0], which is not a JSON scalar
     ["delta-extract", "--family", "lists.json", "--h", "3"],
+    # each would enumerate over 2^20 tuples or keys before any check
+    ["sideways-build", "--depth", "12"],  # 2^24 pairs of branches
+    ["ddf-check", "--depth", "12"],  # 2^24 pairs of branches
+    ["ddf-check", "--d", "12"],  # 2^24 tuples of 12 branches
+    ["delta-extract", "--n", "12"],  # C(200, 12) keys
 ])
 def test_bad_parameter_is_usage_error(tmp_path, monkeypatch, args):
     # a bad flag or input file must not read as a result: exit 64 and

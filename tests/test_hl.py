@@ -169,6 +169,49 @@ def test_color_memo_matches_unmemoized_path(gamma, prefill, data):
         j for j, n in counts.items() if n == best)
 
 
+@settings(max_examples=150, deadline=None)
+@given(level_colorings(), st.booleans(), st.data())
+def test_surrogate_colors_each_missing_truncation_once(gamma, half, data):
+    # from a fresh memo or one holding every other truncation of xs, the
+    # surrogate calls color once per truncation the memo lacks, in level
+    # order, and reads the rest from the memo
+    xs = data.draw(level_words(gamma, gamma.depth))
+    L = data.draw(st.integers(1, gamma.depth))
+    truncations = [tuple(x[:m] for x in xs) for m in range(L)]
+    if half:
+        for key in truncations[::2]:
+            gamma.color(key)
+    missing = [key for key in truncations if key not in gamma._colors]
+    calls = []
+
+    def recording(words):
+        calls.append(words)
+        return LevelColoring.color(gamma, words)
+
+    gamma.color = recording  # shadows the method on this instance only
+    got = surrogate_color(gamma, xs, L)
+    assert calls == missing
+    counts = Counter(map(gamma._color, truncations))
+    best = max(counts.values())
+    assert got == min(j for j, n in counts.items() if n == best)
+    del gamma.color
+    # a bad tuple raises as color does; nothing that raised is stored
+    k, d, depth = gamma.k, gamma.d, gamma.depth
+    for bad in (((0,) * depth,) * (d + 1), ((0,) * depth,) * (d - 1)):
+        before = dict(gamma._colors)
+        with pytest.raises(ValueError):
+            surrogate_color(gamma, bad, L)
+        assert gamma._colors == before
+    for letter in (k, -1):
+        bad = ((letter,) * depth,) * d
+        before = dict(gamma._colors)
+        if L > 1:
+            with pytest.raises(ValueError):
+                surrogate_color(gamma, bad, L)
+        # only the empty truncation, which colors, may have been added
+        assert gamma._colors.keys() - before.keys() <= {((),) * d}
+
+
 # ---------------------------------------------------------------------------
 # grid search
 

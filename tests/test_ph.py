@@ -12,6 +12,7 @@ from polygrid import ParameterError
 from polygrid.antiramsey import Arena, c_full
 from polygrid.ph import (
     TABLE_CAP,
+    CofinalCheck,
     CofinalFn,
     _window_fits,
     fstar,
@@ -143,6 +144,76 @@ def test_is_cofinal_matches_reference(F, strict):
         assert chk.counterexample is None
     else:
         assert _is_violation(F, strict, chk.counterexample)
+
+
+def _deletion_scan(F, strict):
+    """The per-tuple deletion scan that is_cofinal's length-at-a-time
+    comparison replaced, kept as its reference: it walks the tuples of
+    each length in product order and each tuple's deletion positions in
+    order, and names the first violation."""
+    table = F.table
+    for x in range(F.entry_bound):
+        if not x <= table[(x,)]:
+            return CofinalCheck(False, ("domination", (x,), (x,)))
+    for length in range(2, F.arity + 1):
+        for ys in itertools.product(range(F.entry_bound), repeat=length):
+            fy = table[ys]
+            for i in range(length):
+                xs = ys[:i] + ys[i + 1:]
+                fx = table[xs]
+                if strict and not fx < fy:
+                    return CofinalCheck(False, ("strict-monotone", xs, ys))
+                if not strict and not fx <= fy:
+                    return CofinalCheck(False, ("monotone", xs, ys))
+    return CofinalCheck(True)
+
+
+def _planted(bound, arity, slope, plants):
+    """max plus slope times the length, then each (ys, i, drop) of
+    `plants` sets ys to drop below the value of its deletion at i (a
+    singleton to drop below its entry)."""
+    table = {xs: max(xs) + slope * len(xs)
+             for length in range(1, arity + 1)
+             for xs in itertools.product(range(bound), repeat=length)}
+    for ys, i, drop in plants:
+        below = ys[0] if len(ys) == 1 else table[ys[:i] + ys[i + 1:]]
+        table[ys] = below - drop
+    return CofinalFn(bound, arity, table)
+
+
+@pytest.mark.parametrize("bound", range(1, 7))
+@pytest.mark.parametrize("arity", range(1, 4))
+def test_is_cofinal_names_the_scans_first_violation(bound, arity):
+    # a violation planted at the first and at the last tuple of each
+    # length, at each deletion position, breaking the strict order alone
+    # (drop 0) or both orders (drop 1)
+    for length in range(1, arity + 1):
+        first, last = (0,) * length, (bound - 1,) * length
+        for ys in (first, last, first[:-1] + last[-1:]):
+            for i in range(length):
+                for drop in (0, 1):
+                    for slope in (0, 1, 2):
+                        F = _planted(bound, arity, slope, [(ys, i, drop)])
+                        for strict in (False, True):
+                            assert (is_cofinal(F, strict=strict)
+                                    == _deletion_scan(F, strict))
+
+
+@st.composite
+def _planted_tables(draw):
+    bound = draw(st.integers(1, 6))
+    arity = draw(st.integers(1, 3))
+    plant = st.integers(1, arity).flatmap(lambda length: st.tuples(
+        st.tuples(*[st.integers(0, bound - 1)] * length),
+        st.integers(0, length - 1), st.integers(-1, 2)))
+    return _planted(bound, arity, draw(st.integers(0, 2)),
+                    draw(st.lists(plant, max_size=3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_planted_tables(), st.booleans())
+def test_is_cofinal_equals_the_deletion_scan(F, strict):
+    assert is_cofinal(F, strict=strict) == _deletion_scan(F, strict)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tree shapes, strong subtrees, and depth-bounded density notions."""
 
 import itertools
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -206,6 +207,54 @@ def test_ddf_checks_every_coordinate_up_front():
         is_ddf_to_depth(shapes, Z, 2, mcap=2)
     with pytest.raises(ParameterError, match="exceeds tree depth"):
         is_ddf_to_depth(shapes, Z, 3, mcap=2)
+
+
+def _ddf_reference(shapes, zs, D, mcap):
+    """The per-combination loop that _ddf's one map over fiber meets
+    replaced, kept as its reference: every intersection of at most mcap
+    fibers, in sorted order, must reach every depth-D node."""
+    if len(shapes) == 1:
+        return len({z[0][:D] for z in zs}) == shapes[0].k ** D
+    fib = {}
+    for z in zs:
+        fib.setdefault(z[:-1], set()).add(z[-1])
+    if not _ddf_reference(shapes[:-1], list(fib), D, mcap):
+        return False
+    keys = sorted(fib)
+    for size in range(1, mcap + 1):
+        for combo in itertools.combinations(keys, size):
+            meet = set.intersection(*(fib[x] for x in combo))
+            if len({y[:D] for y in meet}) != shapes[-1].k ** D:
+                return False
+    return True
+
+
+@st.composite
+def ddf_cases(draw):
+    """Subsets Z of small products: the full product less a few tuples, or
+    each tuple kept with a drawn probability."""
+    d = draw(st.integers(1, 3))
+    depth = draw(st.integers(1, 3))
+    k = draw(st.integers(2, 3)) if 3 ** (d * depth) <= 729 else 2
+    shapes = [TreeShape(k, depth)] * d
+    full = list(itertools.product(*(branches(s) for s in shapes)))
+    if draw(st.booleans()):
+        drop = draw(st.sets(st.sampled_from(full), max_size=6))
+        Z = [z for z in full if z not in drop]
+    else:
+        rng = Random(draw(st.integers(0, 2 ** 16)))
+        keep = draw(st.sampled_from((0.5, 0.8, 0.95)))
+        Z = [z for z in full if rng.random() < keep]
+    D = draw(st.integers(0, depth))
+    return shapes, Z, D, draw(st.integers(1, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ddf_cases())
+def test_ddf_matches_the_per_combination_loop(case):
+    shapes, Z, D, mcap = case
+    assert (is_ddf_to_depth(shapes, Z, D, mcap)
+            == _ddf_reference(shapes, Z, D, mcap))
 
 
 def test_fpg_witness_sets_inside_z():
