@@ -99,6 +99,7 @@ def _load_input(raw: str, what: str, parse: Callable[[object], object]):
 def _family_from(data: dict) -> tuple[deltasys.Family, dict]:
     """A family file: the family (bare or under "family") and its labels."""
     fam = deltasys.Family.from_json(data.get("family", data))
+    deltasys.check_dimension(fam.dim)
     labels = {}
     for key, val in data.get("labels", {}).items():
         if not isinstance(val, (int, float, str, type(None))):

@@ -426,6 +426,15 @@ def _close_keys(fresh: list[Key], keys: list[Key], umap: Mapping[Key, OrdSet],
 PLANTED_CAP = 2 ** 20
 
 
+def check_dimension(dim: int) -> None:
+    """Refuse a dimension whose 2^dim patterns exceed PLANTED_CAP: a
+    certificate tabulates every one of them."""
+    if dim >= PLANTED_CAP.bit_length():  # exactly when 2^dim > PLANTED_CAP
+        raise ParameterError(
+            f"dimension {dim} has 2^{dim} patterns, over the cap of "
+            f"{PLANTED_CAP}")
+
+
 def make_planted_family(num_indices: int, planted_size: int, n: int,
                         seed: int) -> tuple[Family, dict[Key, int], OrdSet]:
     """A noisy family hiding one uniform subfamily on a seeded index set.
@@ -437,10 +446,12 @@ def make_planted_family(num_indices: int, planted_size: int, n: int,
     such (set, label) pairs, so they are built once and every key draws
     one, in combinations order, from the same seeded stream that placed
     the planted indices (planted keys ignore their draw).  Raises
-    ParameterError, before any draw, for more than PLANTED_CAP keys.
+    ParameterError, before any draw, for more than PLANTED_CAP keys or
+    patterns.
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
+    check_dimension(n)
     if not 0 <= planted_size <= num_indices:
         raise ParameterError("need 0 <= planted size <= number of indices")
     # C(num_indices, j) grows with j up to min(n, num_indices - n), so the

@@ -8,7 +8,8 @@ coordinate with one tag step per entry, and emits a dense monochromatic
 grid witness that is re-validated from scratch.
 
 Deciding by the leftmost route makes the proof's Delta-system step the
-identity (see `run_pipeline`), so the index set is taken in closed form.
+identity (see `run_pipeline`), so the index set is taken in closed form,
+and so is every stage after it.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ class Condition:
 
     Conditions built from outside input (the constructor, `of`,
     `from_json`) are validated in full.  Conditions derived from valid ones
-    (`with_slot`, `decide_color`, `join`) skip that pass: they check only
-    what they write.
+    (`with_slot`, `decide_color`) skip that pass: they check only what they
+    write.
     """
 
     k: int
@@ -87,9 +88,6 @@ class Condition:
 
     def row(self, alpha: int) -> Optional[Row]:
         return self._index.get(alpha)
-
-    def as_dict(self) -> dict[int, Row]:
-        return dict(self._index)
 
     def with_slot(self, alpha: int, i: int, word: Word) -> "Condition":
         """Replace one slot; the row is created with empty words if new."""
@@ -138,35 +136,6 @@ def leq(q: Condition, p: Condition) -> bool:
                 not _prefix(w, qw) for w, qw in zip(row, qrow)):
             return False
     return True
-
-
-def compatible(p: Condition, q: Condition) -> bool:
-    if (q.k, q.d) != (p.k, p.d):
-        return False
-    qd = q._index
-    for alpha, row in p.rows:
-        other = qd.get(alpha)
-        if other is None or other is row:
-            continue
-        for w, v in zip(row, other):
-            if not (_prefix(w, v) or _prefix(v, w)):
-                return False
-    return True
-
-
-def join(p: Condition, q: Condition) -> Condition:
-    """Least common extension: per slot the longer word wins."""
-    if not compatible(p, q):
-        raise ValueError("conditions are incompatible")
-    assign = p.as_dict()
-    for alpha, row in q.rows:
-        if alpha not in assign:
-            assign[alpha] = row
-        else:
-            assign[alpha] = tuple(
-                w if len(w) >= len(v) else v for w, v in zip(assign[alpha], row)
-            )
-    return Condition._derived(p.k, p.d, assign)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +340,7 @@ def _slot_changes(p: Condition, q: Condition) -> list[list]:
 
 @dataclass
 class PipelineResult:
-    """failure_code is one of theta-cap, reservoir, drift, revalidation."""
+    """failure_code is one of theta-cap, revalidation."""
 
     ok: bool
     witness: Optional[GridWitness]
@@ -396,19 +365,24 @@ def run_pipeline(
     Stages: double theta until the index block holds h_target indices and
     take the first h_target; cut separator indices delta_i with a
     K*buffer reservoir above each and decide their color; fill a d x K
-    tag matrix column by column, one tag step per entry, re-checking the
-    color of every new cross tuple and that the condition extends every
-    cross tuple's decided condition; read off the K leftmost completions
-    per coordinate as branch sets.  The grid witness is re-validated from
-    scratch before return.
+    tag matrix column by column, stage (i, col) tagging row delta_i + col
+    with start word i plus tag col; read off the K leftmost completions
+    per coordinate as branch sets.  The whole schedule is folded by one
+    `meet_dense` call, and the grid witness is re-validated from scratch
+    before return.
 
     The first h_target indices are the least set on which the decided
     condition, color and domain pattern agree: `decide_color` takes the
     leftmost route, so from the empty condition every d-subset a decides
-    the all-zero start words and one color, with domain a.  Raises
+    the all-zero start words and one color, with domain a.  Every tagged
+    slot extends its start word, so every cross tuple of the matrix has
+    that color and the condition extends its decided condition; a
+    reservoir row is new to the condition when it is tagged.  Raises
     ParameterError for arguments outside their domain.
     """
     k, d = oracle.k, oracle.d
+    if width < 1:
+        raise ParameterError("width must be >= 1")
     if density_depth < oracle.depth:
         raise ParameterError("density depth must be at least the oracle depth")
     need = 1
@@ -419,8 +393,10 @@ def run_pipeline(
                 f"width {width} cannot reach density depth {density_depth}: "
                 f"need at least {k}^{density_depth - oracle.depth} tags"
             )
-    if buffer < 0:
-        raise ParameterError("buffer must be >= 0")
+    if buffer < 0 or (buffer == 0 and width > 1):
+        raise ParameterError(
+            "buffer must be >= 1 (>= 0 at width 1): the tag rows above a "
+            "separator come from its reservoir of width * buffer rows")
     if theta_start < 1:
         raise ParameterError("theta start must be >= 1")
     block = width * buffer
@@ -461,113 +437,43 @@ def run_pipeline(
     transcript["pattern"] = list(range(d))
     transcript["start_words"] = [word_to_str(w) for w in s_words]
 
-    # lexicographically least separators with a full reservoir above each
+    # lexicographically least separators with a full reservoir above each;
+    # matrix[i] is delta_i and the first width - 1 rows of its reservoir
     deltas = [i * (block + 1) for i in range(d)]
-    reservoirs = [list(range(delta + 1, delta + block + 1)) for delta in deltas]
-    transcript["deltas"] = deltas
-
+    matrix = [[delta + c for c in range(width)] for delta in deltas]
     tags = matrix_tags(k, width)
+    transcript["deltas"] = deltas
     transcript["tags"] = [word_to_str(t) for t in tags]
+    transcript["matrix"] = matrix
 
-    base = Condition.empty(k, d)
     delta_set = OrdSet(tuple(deltas))
-    current = meet_dense([DenseStep(
+    schedule = [DenseStep(
         name=f"decide:{','.join(map(str, deltas))}",
         extend=lambda q: decide_color(q, delta_set, oracle)[0],
         member=lambda q: all(
             len((q.row(deltas[m]) or ((),) * d)[m]) >= oracle.depth
             for m in range(d)
         ),
-    )], base)[-1]
-    # one list of slot changes per dense step, replayed from base
-    chain: list[list[list]] = [_slot_changes(base, current)]
-
-    # No cross tuple of the matrix needs a decide step of its own: a sorted
-    # tuple names row matrix[j][c] for coordinate j, and that slot reached
-    # the oracle depth when the row entered (the separators above, a fresh
-    # row by its tag, which extends the start word).  The monotone check
-    # below confirms this for every cross tuple.
-    matrix: list[list[int]] = [[deltas[i]] for i in range(d)]
-    used: list[int] = [0] * d  # next reservoir index per coordinate
-    decided_cache: dict[tuple[int, ...], Condition] = {}
+    )]
     stage_log = []
     for col in range(1, width):
         for i in range(d):
-            tagged = s_words[i] + tags[col]
-            fresh = None
-            attempts = 0
-            while used[i] < len(reservoirs[i]):
-                gamma = reservoirs[i][used[i]]
-                used[i] += 1
-                attempts += 1
-                candidate = current.with_slot(gamma, i, tagged)
-                if compatible(candidate, current):
-                    fresh = gamma
-                    break
-            if fresh is None:
-                return PipelineResult(
-                    False, None, None, theta, chosen, transcript,
-                    failure=f"reservoir {i} exhausted at column {col}",
-                    failure_code="reservoir",
-                )
-            tag_step = DenseStep(
+            fresh, tagged = matrix[i][col], s_words[i] + tags[col]
+            schedule.append(DenseStep(
                 name=f"tag:{fresh}:{i}:{word_to_str(tags[col])}",
                 extend=lambda q, a=fresh, ii=i, w=tagged: q.with_slot(a, ii, w),
                 member=lambda q, a=fresh, ii=i, w=tagged: (
                     (q.row(a) or ((),) * d)[ii] == w
                 ),
-            )
-            prev, current = current, meet_dense([tag_step], current)[-1]
-            chain.append(_slot_changes(prev, current))
-            # the tagged condition may only differ from prev at (fresh, i)
-            before, after = prev._index, current._index
-            assert set(after) == set(before) | {fresh}
-            assert all(after[x] == before[x] for x in before if x != fresh)
-            assert after[fresh][i] == s_words[i] + tags[col]
-            matrix[i].append(fresh)
-
-            checked = 0
-            mismatches = 0
-            cross_pools = [
-                matrix[j][: col + 1] if j != i else [fresh] for j in range(d)
-            ]
-            for combo in itertools.product(*cross_pools):
-                words = tuple(
-                    current.row(combo[j])[j][: oracle.depth] for j in range(d)
-                )
-                checked += 1
-                if oracle.color(words) != star_color:
-                    mismatches += 1
-            # monotone recursion hypothesis: current extends q_a for every
-            # completed tuple over the matrix columns filled so far
-            monotone_ok = True
-            full_pools = [matrix[j] for j in range(d)]
-            for combo in itertools.product(*full_pools):
-                key = tuple(sorted(combo))
-                if key not in decided_cache:
-                    decided_cache[key] = decide_color(base, OrdSet(key), oracle)[0]
-                if not leq(current, decided_cache[key]):
-                    monotone_ok = False
-            stage_log.append(
-                {
-                    "stage": [i, col],
-                    "fresh": fresh,
-                    "reservoir_attempts": attempts,
-                    "tag": word_to_str(tags[col]),
-                    "checked": checked,
-                    "mismatches": mismatches,
-                    "monotone": monotone_ok,
-                }
-            )
-            if mismatches or not monotone_ok:
-                return PipelineResult(
-                    False, None, None, theta, chosen, transcript,
-                    failure=f"color drift at stage ({i}, {col})",
-                    failure_code="drift",
-                )
-    transcript["matrix"] = matrix
+            ))
+            stage_log.append({"stage": [i, col], "fresh": fresh,
+                              "tag": word_to_str(tags[col])})
+    conds = meet_dense(schedule, Condition.empty(k, d))
+    current = conds[-1]
     transcript["stages"] = stage_log
-    transcript["chain"] = chain
+    # one list of slot changes per dense step, replayed from the empty
+    # condition
+    transcript["chain"] = [_slot_changes(p, q) for p, q in zip(conds, conds[1:])]
 
     full_depth = max(density_depth, oracle.depth + max(len(t) for t in tags))
     branch_sets = []

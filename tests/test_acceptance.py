@@ -207,7 +207,8 @@ def test_criterion_05_pipeline_soundness():
                 assert oracle.color(cut) == w.color
             assert time.monotonic() - t0 < 30, f"slow run d={d} seed={seed}"
             runs += 1
-    clock.done(5, f"{runs}/75 validated witnesses, d in {{1,2,3}}, K=8, D'=3")
+    clock.done(5, f"{runs}/75 witnesses, monochromatic by construction and "
+                  f"re-validated, d in {{1,2,3}}, K=8, D'=3")
 
 
 def test_criterion_06_ph_refutation():

@@ -7,7 +7,8 @@ through the traced entry point, and checks that restore() puts back every
 original binding.  A delta-extract job checks that the extraction route
 is counted under a name the tracer registers in advance, and one small
 job per check kernel (the cofinality check, the surrogate vote, the DDF
-check) checks that each kernel is still reached under its traced name.
+check) checks that each kernel is still reached under its traced name, and
+a force-pipeline job checks that each forcing row records one call.
 """
 
 import importlib.util
@@ -92,3 +93,20 @@ def test_bench_tracing_reaches_the_check_kernels(tmp_path):
     assert tracer.stats["trees.is_ddf_to_depth"][0] >= 1
     assert tracer.counts["hl.surrogate_color.calls"] > 0
     assert tracer.counts["hl.LevelColoring.color.calls"] > 0
+
+
+def test_bench_tracing_counts_one_pipeline_fold(tmp_path):
+    # the pipeline decides once and folds its whole schedule once, so each
+    # of its traced rows records exactly one call per job
+    tracing = _load_tracing()
+    pkg = SimpleNamespace(**{m.__name__.rsplit(".", 1)[1]: m for m in _MODULES})
+    tracer = tracing.Tracer()
+    traced_main = tracing.install(tracer, pkg)
+    try:
+        argv = ["force-pipeline", "--d", "2", "--branches", "4",
+                "--out", str(tmp_path)]
+        assert traced_main(argv) == 0
+    finally:
+        tracer.restore()
+    for name in ("run_pipeline", "meet_dense", "decide_color"):
+        assert tracer.stats[f"forcing.{name}"][0] == 1, name

@@ -140,6 +140,17 @@ def test_usage_exit_code():
     ["ddf-check", "--depth", "12"],  # 2^24 pairs of branches
     ["ddf-check", "--d", "12"],  # 2^24 tuples of 12 branches
     ["delta-extract", "--n", "12"],  # C(200, 12) keys
+    # empty reservoirs: no tag row above any separator
+    ["force-pipeline", "--buffer", "0", "--branches", "2"],
+    # no branches (-1 crashed when the density needs no tags)
+    ["force-pipeline", "--branches", "0", "--density", "2"],
+    ["force-pipeline", "--branches", "-1", "--density", "2"],
+    # a certificate of dimension 24 would tabulate 2^24 patterns
+    ["delta-extract", "--n", "24"],
+    ["delta-extract", "--num-indices", "24", "--n", "24", "--h", "24",
+     "--planted", "0"],
+    ["delta-extract", "--family", "dim24.json", "--h", "24"],
+    ["delta-verify", "--family", "dim24.json"],
 ])
 def test_bad_parameter_is_usage_error(tmp_path, monkeypatch, args):
     # a bad flag or input file must not read as a result: exit 64 and
@@ -165,6 +176,9 @@ def test_bad_parameter_is_usage_error(tmp_path, monkeypatch, args):
         {"family": Family(2, OrdSet.of(range(5)),
                           {b: OrdSet.of(b) for b in pairs}).to_json(),
          "labels": {f"{a},{b}": [0] for a, b in pairs}}))
+    top = tuple(range(24))
+    Path("dim24.json").write_text(json.dumps(
+        Family(24, OrdSet(top), {top: OrdSet(top)}).to_json()))
     out = tmp_path / "out"
     assert run(out, *args) == 64
     assert not out.exists()
@@ -366,16 +380,17 @@ def test_force_pipeline_and_determinism(tmp_path):
     # the force-pipeline run of criterion 10 (determinism)
     (["--d", "1", "--k", "2", "--depth-oracle", "2", "--density", "3",
       "--branches", "8", "--seed", "7"],
-     ("0ec4057fbbc1e350", "9bd7f42243d846e7", "2bf8405d40f53f93")),
+     ("808cc049b868fbc7", "9bd7f42243d846e7", "2bf8405d40f53f93")),
     (["--d", "2", "--branches", "8"],
-     ("885949d525d01803", "78a72e1097b3dc68", "0d142ee398c06af1")),
+     ("10adbfc1a2d41b65", "78a72e1097b3dc68", "0d142ee398c06af1")),
     (["--d", "3", "--branches", "8"],
-     ("715c6c07cee32152", "00efcb09726c4d91", "a8154eab81c6bfc2")),
+     ("431ea6ff319ca1f1", "00efcb09726c4d91", "a8154eab81c6bfc2")),
 ])
 def test_force_pipeline_pinned(tmp_path, argv, digests):
     # the witness and CSV digests date from when grid witnesses held Node
     # objects; the transcript's were re-pinned when the chain lost the
-    # decide steps that left the condition unchanged
+    # decide steps that left the condition unchanged, and again when the
+    # stage entries lost the fields of the per-stage checks
     assert run(tmp_path, "force-pipeline", *argv) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
            for p in tmp_path.iterdir()}
@@ -390,6 +405,12 @@ def test_force_pipeline_seeded_oracle_below_cap(tmp_path):
                "--depth-oracle", "3", "--density", "3", "--branches", "1",
                "--buffer", "1") == 0
     assert (tmp_path / "force-pipeline-witness.json").exists()
+
+
+def test_force_pipeline_buffer_zero_at_width_one(tmp_path):
+    # one branch per coordinate needs no reservoir row
+    assert run(tmp_path, "force-pipeline", "--buffer", "0", "--branches", "1",
+               "--density", "2") == 0
 
 
 def test_force_pipeline_theta_cap_is_budget(tmp_path):

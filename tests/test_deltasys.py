@@ -16,6 +16,7 @@ from polygrid.deltasys import (
     Violation,
     _lattice_failure,
     agreement,
+    check_dimension,
     extract_uniform,
     make_planted_family,
     restrict,
@@ -338,6 +339,15 @@ def test_planted_noise_covers_every_pair():
     noise = {(fam.umap[b].elems, g[b]) for b in fam.umap
              if not set(b) <= set(planted.elems)}
     assert len(noise) == 21 * 6 == 126
+
+
+@pytest.mark.parametrize("num_indices, n", [(21, 21), (24, 24), (1000, 1000)])
+def test_planted_dimension_cap(num_indices, n):
+    # one key, but its certificate would tabulate 2^n > 2^20 patterns, and
+    # the noise pool C(n + 4, 2) * 6 sets of n + 2 elements
+    with pytest.raises(ParameterError, match=f"dimension {n} .*over the cap"):
+        make_planted_family(num_indices, 0, n, seed=0)
+    check_dimension(20)  # 2^20 patterns is at the cap, not over it
 
 
 @pytest.mark.parametrize("num_indices, planted, n, seed, digest", [

@@ -14,9 +14,7 @@ from polygrid.forcing import (
     ColoringOracle,
     Condition,
     DenseStep,
-    compatible,
     decide_color,
-    join,
     leq,
     matrix_tags,
     meet_dense,
@@ -52,12 +50,6 @@ def test_leq_incomparable_nodes():
     assert not leq(q, p)
 
 
-def test_compatible_examples():
-    assert compatible(cond({0: ((0,),)}), cond({3: ((1,),)}))
-    assert compatible(cond({0: ((0,),)}), cond({0: ((0, 1),)}))
-    assert not compatible(cond({0: ((0,),)}), cond({0: ((1,),)}))
-
-
 def _all_conditions(depth=2, indices=(0, 1)):
     ws = [()]
     for length in range(1, depth + 1):
@@ -80,29 +72,6 @@ def test_order_axioms_exhaustive():
     for p, q, r in itertools.product(conds, repeat=3):
         if leq(p, q) and leq(q, r):
             assert leq(p, r)
-
-
-def test_compatible_iff_join_exists():
-    conds = _all_conditions(depth=2)
-    for p, q in itertools.product(conds, repeat=2):
-        assert compatible(p, q) == compatible(q, p)
-        if compatible(p, q):
-            j = join(p, q)
-            assert leq(j, p) and leq(j, q)
-        else:
-            with pytest.raises(ValueError):
-                join(p, q)
-
-
-def test_join_is_least():
-    conds = _all_conditions(depth=2)
-    for p, q in itertools.product(conds, repeat=2):
-        if not compatible(p, q):
-            continue
-        j = join(p, q)
-        for r in conds:
-            if leq(r, p) and leq(r, q):
-                assert leq(r, j)
 
 
 # the order laws again, on generated conditions wider and deeper than the
@@ -136,28 +105,6 @@ def test_leq_laws_generated(k, d, data):
     assert leq(r, r) and leq(q, q) and leq(p, p)
     assert leq(r, q) and leq(q, p)
     assert leq(r, p)  # transitivity along the chain r <= q <= p
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(2, 3), st.integers(1, 3), st.data())
-def test_join_laws_generated(k, d, data):
-    # p and q both weaken r, so r is a common extension of them
-    r = data.draw(_conditions(k, d))
-    p, q = _weaken(data.draw, r), _weaken(data.draw, r)
-    assert compatible(p, q)
-    j = join(p, q)
-    assert leq(j, p) and leq(j, q)
-    assert leq(r, j)
-    # two independent conditions: compatible exactly when join succeeds
-    a, b = data.draw(_conditions(k, d)), data.draw(_conditions(k, d))
-    try:
-        j = join(a, b)
-    except ValueError:
-        assert not compatible(a, b)
-    else:
-        assert compatible(a, b)
-        assert leq(j, a) and leq(j, b)
-        assert join(b, a) == j
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +142,6 @@ def test_derived_conditions_match_validated_ones():
     r, _ = decide_color(q, OrdSet.of([5, 9]), _first_letter(d=2))
     assert r == cond({2: ((0, 1), (0,)), 5: ((0, 0), (1, 1)),
                       7: ((1,), (0,)), 9: ((), (0, 0))}, d=2)
-    assert join(p, cond({9: ((1,), ())}, d=2)) == cond(
-        {2: ((0, 1), ()), 7: ((1,), (0,)), 9: ((1,), ())}, d=2)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +273,8 @@ def test_pipeline_seeded_d2():
     assert all(len(Y) == 8 for Y in w.branch_sets)
     assert w.density_depth == 3
     _external_check(w, oracle)
-    # the monotone recursion assertion ran on every stage
-    assert res.transcript["stages"]
+    # one tag step per matrix entry outside the separator column
+    assert len(res.transcript["stages"]) == 2 * 7
 
 
 def test_pipeline_chain_replays():
@@ -372,7 +317,6 @@ def test_pipeline_chain_has_no_idle_decide_steps(data):
                             seed=data.draw(st.integers(0, 9), label="seed"))
     res = run_pipeline(oracle, density_depth=density, width=width,
                        buffer=buffer)
-    assert res.ok
     t = res.transcript
     # the separators' decide step, then one tag step per stage
     assert len(t["chain"]) == 1 + len(t["stages"])
@@ -393,6 +337,24 @@ def test_pipeline_chain_has_no_idle_decide_steps(data):
                  for j in range(d)]
         for combo in itertools.product(*pools):
             assert decide_color(q, OrdSet(tuple(sorted(combo))), oracle)[0] is q
+    # the per-stage invariants the pipeline holds by construction: each tag
+    # step adds a new row, and after it every cross tuple of the matrix
+    # filled so far has the run's color at the oracle depth, and the
+    # condition extends the condition that decides the tuple
+    empty = Condition.empty(k, d)
+    for before, q, stage in zip(conds[1:], conds[2:], t["stages"]):
+        i, col = stage["stage"]
+        assert stage["fresh"] == matrix[i][col]
+        assert before.row(stage["fresh"]) is None
+        pools = [matrix[j][: col + 1] if j <= i else matrix[j][:col]
+                 for j in range(d)]
+        for combo in itertools.product(*pools):
+            decided = decide_color(empty, OrdSet(tuple(sorted(combo))), oracle)
+            assert leq(q, decided[0])
+            cut = tuple(q.row(combo[j])[j][:depth] for j in range(d))
+            assert oracle.color(cut) == t["color"]
+    # last, so that a run breaking an invariant above names it
+    assert res.ok
 
 
 def test_readme_chain_replay_snippet():
