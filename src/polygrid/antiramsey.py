@@ -206,13 +206,18 @@ def _search_bad(
     nodes = 0
     # the colors open to an edge once `used` colors have appeared
     choices = [range(min(k, used + 1)) for used in range(k + 1)]
-
-    def dfs(pos: int, used: int) -> bool:
-        nonlocal nodes
-        if pos == last:
-            return True
-        groups = closing[pos]
-        for c in choices[used]:
+    if not edges:
+        return {}, nodes
+    # depth first with an explicit stack: for each edge below the current
+    # one, tries[pos] holds the colors it has left to try and used[pos] the
+    # number of colors the edges before it use (u at the current edge)
+    tries: list = [None] * last
+    used = [0] * last
+    pos = u = 0
+    colors_left = iter(choices[0])
+    groups = closing[0]
+    while True:
+        for c in colors_left:
             nodes += 1
             if nodes > budget:
                 raise BudgetError(
@@ -225,14 +230,24 @@ def _search_bad(
             else:
                 colors[pos] = c
                 masks[c] = mask | 1 << pos
-                if dfs(pos + 1, used + 1 if c == used else used):
-                    return True
-                masks[c] = mask
-        return False
-
-    if dfs(0, 0):
-        return {e: colors[i] for i, e in enumerate(edges)}, nodes
-    return None, nodes
+                tries[pos] = colors_left
+                used[pos] = u
+                pos += 1
+                if pos == last:
+                    return {e: colors[i] for i, e in enumerate(edges)}, nodes
+                if c == u:
+                    u += 1
+                colors_left = iter(choices[u])
+                groups = closing[pos]
+                break
+        else:  # every color failed: back to the previous edge
+            if pos == 0:
+                return None, nodes
+            pos -= 1
+            masks[colors[pos]] ^= 1 << pos
+            colors_left = tries[pos]
+            u = used[pos]
+            groups = closing[pos]
 
 
 def find_bad_coloring(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import os
 import sys
 import traceback
@@ -23,7 +24,7 @@ from random import Random
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import antiramsey, deltasys, forcing, hl, ph, trees
-from .ordset import OrdSet, ParameterError
+from .ordset import CAP, OrdSet, ParameterError, capped
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -32,9 +33,6 @@ EXIT_USAGE = 64
 EXIT_SOFTWARE = 70
 
 OUTDIR_ENV = "POLYGRID_OUT"
-
-# the most tuples `sideways-build` and `ddf-check` enumerate
-ENUMERATION_CAP = 2 ** 20
 
 _REQUIRED = object()
 
@@ -186,17 +184,6 @@ def _write_artifacts(cfg: RunConfig, payload: dict,
             writer.writerows(row.values() for row in rows)
 
 
-def _check_power(base: int, exponent: int, what: str) -> None:
-    """Refuse base^exponent > ENUMERATION_CAP tuples, multiplying only
-    until past the cap (a tree shape has base >= 2)."""
-    size = 1
-    for _ in range(exponent):  # stops once past the cap
-        size *= base
-        if size > ENUMERATION_CAP:
-            raise ParameterError(
-                f"{what} would exceed the cap of {ENUMERATION_CAP} tuples")
-
-
 def _parse_words(raw: str, d: int) -> list[tuple[int, ...]]:
     """Comma-separated digit strings; '.' or an empty segment is the root."""
     if not raw:
@@ -263,6 +250,12 @@ def _run_difference(cfg: RunConfig) -> int:
     p = cfg.params
     arena = antiramsey.Arena(size=p["size"], dim=p["n"], mode=p["mode"],
                              seed=cfg.seed)
+    # C(size, j) grows with j up to min(n + 1, size - n - 1)
+    top = min(p["n"] + 1, p["size"] - p["n"] - 1)
+    if capped(math.comb(p["size"], j) for j in range(top + 1)) > CAP:
+        raise ParameterError(
+            f"the {p['n'] + 1}-subsets of {p['size']} would exceed the cap "
+            f"of {CAP} sets")
     rep = antiramsey.check_difference_lemma(arena)
     _write_artifacts(cfg, {
         "n": p["n"], "size": p["size"], "mode": p["mode"], "seed": cfg.seed,
@@ -298,13 +291,18 @@ def _run_product_bound(cfg: RunConfig) -> int:
         raise ParameterError(f"side size {m} does not fit in an arena of {size}")
     if samples == 0 and n != 1:
         raise ParameterError("exhaustive pair enumeration is only wired for n=1")
+    # C(size, j)^2 grows with j up to min(m, size - m)
+    n_pairs = samples or capped(math.comb(size, j) ** 2
+                                for j in range(min(m, size - m) + 1))
+    if n_pairs > CAP:
+        raise ParameterError(
+            f"the census would exceed the cap of {CAP} products")
     arena = antiramsey.Arena(size=size, dim=n, mode="identity")
     pairs: Iterable[tuple[OrdSet, ...]]
     if samples == 0:
         subsets = [OrdSet(c) for c in
                    itertools.combinations(range(size), m)]
         pairs = itertools.product(subsets, repeat=2)
-        n_pairs = len(subsets) ** 2
     else:
         pairs = []
         for t in range(samples):
@@ -313,7 +311,6 @@ def _run_product_bound(cfg: RunConfig) -> int:
                 OrdSet.unchecked(tuple(sorted(rng.sample(range(size), m))))
                 for _ in range(n + 1)
             ))
-        n_pairs = samples
     violations = 0
     min_census = None
     for sets in pairs:
@@ -590,8 +587,10 @@ def _run_sideways(cfg: RunConfig) -> int:
         raise ParameterError(f"no jmap kind {kind!r} for --d {d}")
     fn = hl.sideways_build(jmap, d, j_bound, depth)
     shape = trees.TreeShape(k, depth)
-    _check_power(k, depth * (d + 1),
-                 f"a sideways table of {d + 1}-tuples of branches")
+    if capped(k ** j for j in range(depth * (d + 1) + 1)) > CAP:
+        raise ParameterError(
+            f"a sideways table of {d + 1}-tuples of branches would exceed "
+            f"the cap of {CAP} tuples")
     side = trees.branches(shape)
     # colors before names, so that a bad jmap value is reported ahead of a
     # letter >= 10, as a walk in tuple order would
@@ -640,8 +639,10 @@ def _run_ddf_check(cfg: RunConfig) -> int:
     if zfile:
         Z = _load_input(zfile, "z", lambda data: _z_from(data, p["k"]))
     else:
-        _check_power(p["k"], p["depth"] * p["d"],
-                     f"the full product of {p['d']} trees")
+        if capped(p["k"] ** j for j in range(p["depth"] * p["d"] + 1)) > CAP:
+            raise ParameterError(
+                f"the full product of {p['d']} trees would exceed the cap "
+                f"of {CAP} tuples")
         Z = list(itertools.product(*(trees.branches(s) for s in shapes)))
     ok = trees.is_ddf_to_depth(shapes, Z, p["density"], p["mcap"])
     _write_artifacts(cfg, {

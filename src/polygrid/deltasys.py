@@ -21,7 +21,8 @@ from typing import Mapping, Optional, Union
 
 # aligned and rset are the reference definitions `agreement` computes; they
 # stay bound here because bench/tracing.py counts their calls in this module
-from .ordset import OrdSet, ParameterError, aligned, rset  # noqa: F401
+from .ordset import (  # noqa: F401
+    CAP, OrdSet, ParameterError, aligned, capped, rset)
 
 Key = tuple[int, ...]
 
@@ -423,16 +424,12 @@ def _close_keys(fresh: list[Key], keys: list[Key], umap: Mapping[Key, OrdSet],
 # planted instances
 
 
-PLANTED_CAP = 2 ** 20
-
-
 def check_dimension(dim: int) -> None:
-    """Refuse a dimension whose 2^dim patterns exceed PLANTED_CAP: a
-    certificate tabulates every one of them."""
-    if dim >= PLANTED_CAP.bit_length():  # exactly when 2^dim > PLANTED_CAP
+    """Refuse a dimension whose 2^dim patterns exceed CAP: a certificate
+    tabulates every one of them."""
+    if capped(2 ** j for j in range(dim + 1)) > CAP:
         raise ParameterError(
-            f"dimension {dim} has 2^{dim} patterns, over the cap of "
-            f"{PLANTED_CAP}")
+            f"dimension {dim} has 2^{dim} patterns, over the cap of {CAP}")
 
 
 def make_planted_family(num_indices: int, planted_size: int, n: int,
@@ -446,23 +443,19 @@ def make_planted_family(num_indices: int, planted_size: int, n: int,
     such (set, label) pairs, so they are built once and every key draws
     one, in combinations order, from the same seeded stream that placed
     the planted indices (planted keys ignore their draw).  Raises
-    ParameterError, before any draw, for more than PLANTED_CAP keys or
-    patterns.
+    ParameterError, before any draw, for more than CAP keys or patterns.
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
     check_dimension(n)
     if not 0 <= planted_size <= num_indices:
         raise ParameterError("need 0 <= planted size <= number of indices")
-    # C(num_indices, j) grows with j up to min(n, num_indices - n), so the
-    # count of keys stops once past the cap
-    keys = 1
-    for j in range(min(n, num_indices - n)):
-        keys = keys * (num_indices - j) // (j + 1)
-        if keys > PLANTED_CAP:
-            raise ParameterError(
-                f"a planted family of the {n}-subsets of {num_indices} "
-                f"indices would exceed the cap of {PLANTED_CAP} keys")
+    # C(num_indices, j) grows with j up to min(n, num_indices - n)
+    if capped(math.comb(num_indices, j)
+              for j in range(min(n, num_indices - n) + 1)) > CAP:
+        raise ParameterError(
+            f"a planted family of the {n}-subsets of {num_indices} "
+            f"indices would exceed the cap of {CAP} keys")
     rng = Random(f"plant:{seed}")
     indices = OrdSet(tuple(range(num_indices)))
     planted = OrdSet.of(rng.sample(range(num_indices), planted_size))

@@ -17,11 +17,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from random import Random
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 # unused here; kept so that tracers patching forcing.extract_uniform find it
 from .deltasys import extract_uniform  # noqa: F401
-from .ordset import OrdSet, ParameterError
+from .ordset import CAP, OrdSet, ParameterError, capped
 from .trees import (
     GridWitness,
     Word,
@@ -31,9 +31,6 @@ from .trees import (
 )
 
 Row = tuple[Word, ...]
-
-# most entries a seeded oracle may tabulate up front (k ** (depth * d))
-SEEDED_TABLE_CAP = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -148,8 +145,7 @@ class ColoringOracle:
 
     kind "constant" ignores input, "first-letter" reads the first letter of
     the first coordinate, "seeded" tabulates a pseudorandom color for every
-    input (at most SEEDED_TABLE_CAP of them), "table" uses an explicit
-    mapping.
+    input (at most CAP of them) in `table`.
     """
 
     k: int
@@ -159,7 +155,8 @@ class ColoringOracle:
     kind: str
     value: int = 0
     seed: int = 0
-    table: dict[tuple[Word, ...], int] = field(default_factory=dict)
+    table: dict[tuple[Word, ...], int] = field(
+        default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.k < 2 or self.d < 1:
@@ -168,21 +165,16 @@ class ColoringOracle:
             raise ParameterError("oracle depth must be >= 1")
         if self.num_colors < 1:
             raise ParameterError("need at least one color")
-        if self.kind not in ("constant", "first-letter", "seeded", "table"):
+        if self.kind not in ("constant", "first-letter", "seeded"):
             raise ParameterError(f"unknown oracle kind {self.kind!r}")
         if self.kind == "constant" and not 0 <= self.value < self.num_colors:
             raise ParameterError(f"value must lie in 0..{self.num_colors - 1}")
-        if self.kind == "table" and not self.table:
-            raise ParameterError("the table kind needs a table")
-        if self.kind == "seeded" and not self.table:
-            entries = 1
-            for _ in range(self.depth * self.d):  # stops once past the cap
-                entries *= self.k
-                if entries > SEEDED_TABLE_CAP:
-                    raise ParameterError(
-                        f"a seeded oracle would tabulate {self.k}^"
-                        f"{self.depth * self.d} entries, over the cap of "
-                        f"{SEEDED_TABLE_CAP}")
+        if self.kind == "seeded":
+            entries = (self.k ** j for j in range(self.depth * self.d + 1))
+            if capped(entries) > CAP:
+                raise ParameterError(
+                    f"a seeded oracle would tabulate {self.k}^"
+                    f"{self.depth * self.d} entries, over the cap of {CAP}")
             rng = Random(f"oracle:{self.seed}:{self.k}:{self.d}:{self.depth}")
             words = list(itertools.product(range(self.k), repeat=self.depth))
             for combo in itertools.product(words, repeat=self.d):
@@ -215,19 +207,10 @@ class ColoringOracle:
             data["value"] = self.value
         if self.kind == "seeded":
             data["seed"] = self.seed
-        if self.kind == "table":
-            data["table"] = {
-                "|".join(word_to_str(w) for w in combo): c
-                for combo, c in sorted(self.table.items())
-            }
         return data
 
     @classmethod
     def from_json(cls, data: dict) -> "ColoringOracle":
-        table = {}
-        for key, c in data.get("table", {}).items():
-            combo = tuple(word_from_str(s) for s in key.split("|"))
-            table[combo] = c
         return cls(
             k=data["k"],
             d=data["d"],
@@ -236,7 +219,6 @@ class ColoringOracle:
             kind=data["kind"],
             value=data.get("value", 0),
             seed=data.get("seed", 0),
-            table=table,
         )
 
 
@@ -286,18 +268,21 @@ class DenseStep:
     member: Callable[[Condition], bool]
 
 
-def meet_dense(schedule: Sequence[DenseStep], start: Condition) -> list[Condition]:
+def meet_dense(schedule: Sequence[DenseStep],
+               start: Condition) -> Iterator[Condition]:
     """Fold the schedule from start, validating order and membership at
-    each step; returns the whole descending chain, start included."""
-    chain = [start]
+    each step; yields the descending chain, start first, one condition at
+    a time, so a caller may keep only the last."""
+    q = start
+    yield q
     for step in schedule:
-        r = step.extend(chain[-1])
-        if not leq(r, chain[-1]):
+        r = step.extend(q)
+        if not leq(r, q):
             raise ValueError(f"step {step.name!r} did not extend the condition")
         if not step.member(r):
             raise ValueError(f"step {step.name!r} missed its dense set")
-        chain.append(r)
-    return chain
+        yield r
+        q = r
 
 
 # ---------------------------------------------------------------------------
@@ -385,14 +370,12 @@ def run_pipeline(
         raise ParameterError("width must be >= 1")
     if density_depth < oracle.depth:
         raise ParameterError("density depth must be at least the oracle depth")
-    need = 1
-    for _ in range(density_depth - oracle.depth):  # stops once past width
-        need *= k
-        if need > width:
-            raise ParameterError(
-                f"width {width} cannot reach density depth {density_depth}: "
-                f"need at least {k}^{density_depth - oracle.depth} tags"
-            )
+    tags_needed = (k ** j for j in range(density_depth - oracle.depth + 1))
+    if capped(tags_needed, width) > width:
+        raise ParameterError(
+            f"width {width} cannot reach density depth {density_depth}: "
+            f"need at least {k}^{density_depth - oracle.depth} tags"
+        )
     if buffer < 0 or (buffer == 0 and width > 1):
         raise ParameterError(
             "buffer must be >= 1 (>= 0 at width 1): the tag rows above a "
@@ -468,12 +451,13 @@ def run_pipeline(
             ))
             stage_log.append({"stage": [i, col], "fresh": fresh,
                               "tag": word_to_str(tags[col])})
-    conds = meet_dense(schedule, Condition.empty(k, d))
-    current = conds[-1]
     transcript["stages"] = stage_log
     # one list of slot changes per dense step, replayed from the empty
-    # condition
-    transcript["chain"] = [_slot_changes(p, q) for p, q in zip(conds, conds[1:])]
+    # condition; only the last two conditions of the fold stay alive
+    transcript["chain"] = chain = []
+    for p, current in itertools.pairwise(
+            meet_dense(schedule, Condition.empty(k, d))):
+        chain.append(_slot_changes(p, current))
 
     full_depth = max(density_depth, oracle.depth + max(len(t) for t in tags))
     branch_sets = []

@@ -18,7 +18,7 @@ from functools import cached_property
 from random import Random
 from typing import Callable, Optional, Sequence
 
-from .ordset import OrdSet, ParameterError
+from .ordset import OrdSet, ParameterError, capped
 from .trees import (
     GridWitness,
     StrongSubtreeWitness,
@@ -93,8 +93,7 @@ class LevelColoring:
     def _check_table(self) -> None:
         """Every key is a level tuple of height <= depth with letters in
         0..k-1 and every value a color in 0..r-1; with as many keys as
-        level tuples, none is missing.  The count of level tuples stops
-        once it passes the table size."""
+        level tuples, none is missing."""
         for key, c in self.table.items():
             if (len(key) != self.d or not is_level_tuple(key)
                     or len(key[0]) > self.depth
@@ -102,15 +101,11 @@ class LevelColoring:
                 raise ParameterError(f"bad coloring table key {key}")
             if not isinstance(c, int) or not 0 <= c < self.r:
                 raise ParameterError(f"table color {c} outside 0..{self.r - 1}")
-        need, level = 0, 1
-        for _ in range(self.depth + 1):
-            need += level
-            if need > len(self.table):
-                break
-            level *= self.k ** self.d
-        if need != len(self.table):
+        size = len(self.table)
+        levels = (self.k ** (self.d * j) for j in range(self.depth + 1))
+        if capped(itertools.accumulate(levels), size) != size:
             raise ParameterError(
-                f"coloring table has {len(self.table)} entries, not one per "
+                f"coloring table has {size} entries, not one per "
                 f"level tuple to depth {self.depth}")
 
     @cached_property

@@ -10,11 +10,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+# the most entries one run may tabulate or enumerate
+CAP = 2 ** 20
+
 
 class ParameterError(ValueError):
     """A value from outside the program (a flag, an input file) outside
     its domain, rejected by the code that owns the parameter.  The CLI
     exits 64 on it; checks on internal invariants raise plain ValueError."""
+
+
+def capped(counts: Iterable[int], bound: int = CAP) -> int:
+    """The last of a nondecreasing run of partial counts, or the first one
+    past bound.  Stops there, so a lazily generated run (say, a generator
+    of powers k ** j) never forms a count much past the bound.  An empty
+    run counts 0."""
+    count = 0
+    for count in counts:
+        if count > bound:
+            break
+    return count
 
 
 @dataclass(frozen=True)

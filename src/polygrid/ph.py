@@ -16,7 +16,7 @@ from random import Random
 from typing import Iterable, Optional, Sequence
 
 from .antiramsey import Arena, TupleColor, c_full
-from .ordset import ParameterError
+from .ordset import CAP, ParameterError, capped
 
 SeqTuple = tuple[int, ...]
 Sigma = tuple[SeqTuple, ...]
@@ -176,9 +176,6 @@ def sigma_pair(F: CofinalFn, i_star: int) -> tuple[Sigma, Sigma]:
 # seeded generation
 
 
-TABLE_CAP = 2 ** 20
-
-
 @dataclass
 class GeneratedCofinal:
     fn: CofinalFn
@@ -269,19 +266,6 @@ class _SeededTable:
         return dict(zip(keys, itertools.chain.from_iterable(rows)))
 
 
-def _check_table_size(entry_bound: int, arity: int) -> None:
-    """Refuse tables of more than TABLE_CAP entries, counting
-    entry_bound + ... + entry_bound^arity only until past the cap."""
-    size, power = 0, 1
-    for _ in range(arity):  # stops once past the cap
-        power *= max(entry_bound, 0)
-        size += power
-        if size > TABLE_CAP:
-            raise ParameterError(
-                f"a cofinal table over entry bound {entry_bound} and arity "
-                f"{arity} would exceed the cap of {TABLE_CAP} entries")
-
-
 def make_cofinal(entry_bound: int, arity: int, seed: int,
                  spread: int = 8, max_attempts: int = 64) -> GeneratedCofinal:
     """Seeded strict cofinal table: max entry plus a positive seeded bump,
@@ -291,10 +275,16 @@ def make_cofinal(entry_bound: int, arity: int, seed: int,
     once.  Attempts whose refutation window would push colored values past
     the entry bound are skipped (counted) after evaluating that window
     alone; only the accepted attempt draws and builds its whole table.
-    Raises ParameterError for tables over TABLE_CAP entries (before any
-    draw), for spread < 1, and when no attempt fits.
+    Raises ParameterError for tables over CAP entries (before any draw),
+    for spread < 1, and when no attempt fits.
     """
-    _check_table_size(entry_bound, arity)
+    # entry_bound + entry_bound^2 + ... + entry_bound^arity entries
+    eb = max(entry_bound, 0)
+    entries = itertools.accumulate(eb ** j for j in range(1, arity + 1))
+    if capped(entries) > CAP:
+        raise ParameterError(
+            f"a cofinal table over entry bound {entry_bound} and arity "
+            f"{arity} would exceed the cap of {CAP} entries")
     if spread < 1:  # the inlined draw would never end at spread 0
         raise ParameterError("spread must be >= 1")
     skips = 0

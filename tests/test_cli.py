@@ -151,6 +151,13 @@ def test_usage_exit_code():
      "--planted", "0"],
     ["delta-extract", "--family", "dim24.json", "--h", "24"],
     ["delta-verify", "--family", "dim24.json"],
+    # censuses over 2^20 products or sets
+    ["product-bound", "--size", "40"],  # C(40, 6)^2 = 1.5e13 products
+    ["product-bound", "--size", "13"],  # C(13, 6)^2 = 2,944,656 products
+    ["product-bound", "--size", "13", "--samples", "1048577"],
+    ["difference-check", "--n", "3", "--size", "200"],  # C(200, 4) sets
+    ["difference-check", "--size", "1449"],  # C(1449, 2) = 1,049,076 sets
+    ["difference-check", "--size", "2000"],  # C(2000, 2) = 1,999,000 sets
 ])
 def test_bad_parameter_is_usage_error(tmp_path, monkeypatch, args):
     # a bad flag or input file must not read as a result: exit 64 and
@@ -264,6 +271,29 @@ def test_ramsey_budget_exit(tmp_path):
     blob = json.loads((tmp_path / "ramsey.json").read_text())
     assert blob["ok"] is False
     assert blob["budget"]["best_lower_bound"] >= 1
+
+
+def test_ramsey_deep_search_is_budget(tmp_path):
+    # C(24, 21) = 2,024 edges: a search one frame per edge passed the
+    # recursion limit here
+    assert run(tmp_path, "ramsey", "--n", "20", "--budget", "2000") == 2
+    blob = json.loads((tmp_path / "ramsey.json").read_text())
+    assert blob["budget"]["nodes_used"] == 2001
+    assert blob["budget"]["exhausted_at"] == 24
+
+
+@pytest.mark.parametrize("args, count", [
+    (["product-bound", "--size", "8"], 28 ** 2),  # C(8, 6)^2 products
+    (["product-bound", "--size", "8", "--samples", "25"], 25),
+    (["difference-check", "--size", "8"], 28),  # C(8, 2) sets
+])
+def test_census_runs_at_the_cap(tmp_path, monkeypatch, args, count):
+    # at the cap the census runs; one below, it exits 64 and writes nothing
+    monkeypatch.setattr(cli, "CAP", count)
+    assert run(tmp_path / "at", *args) == 0
+    monkeypatch.setattr(cli, "CAP", count - 1)
+    assert run(tmp_path / "over", *args) == 64
+    assert not (tmp_path / "over").exists()
 
 
 def test_difference_check(tmp_path):

@@ -184,7 +184,7 @@ def test_decide_color_deep_slot_untouched():
 
 def test_meet_dense_empty_schedule():
     start = Condition.empty(2, 1)
-    assert meet_dense([], start) == [start]
+    assert list(meet_dense([], start)) == [start]
 
 
 def test_meet_dense_one_step():
@@ -194,7 +194,7 @@ def test_meet_dense_one_step():
         extend=lambda p: p.with_slot(0, 0, (0,)),
         member=lambda p: p.row(0) is not None and len(p.row(0)[0]) >= 1,
     )
-    chain = meet_dense([step], start)
+    chain = list(meet_dense([step], start))
     assert len(chain) == 2
     assert chain[1].row(0) == ((0,),)
 
@@ -207,7 +207,7 @@ def test_meet_dense_rejects_non_extension():
         member=lambda p: True,
     )
     with pytest.raises(ValueError):
-        meet_dense([bad], start)
+        list(meet_dense([bad], start))
 
 
 # ---------------------------------------------------------------------------

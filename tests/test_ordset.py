@@ -1,10 +1,15 @@
 """Finite ordered index sets: positional access, slicing, alignment."""
 
 import itertools
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from polygrid.ordset import OrdSet, aligned, rset
+import polygrid
+from polygrid.ordset import CAP, OrdSet, aligned, capped, rset
 
 
 def test_of_sorts_input():
@@ -85,3 +90,28 @@ def test_json_round_trip():
     a = OrdSet.of([5, 0, 9])
     assert OrdSet.from_json(a.to_json()) == a
     assert a.to_json() == [0, 5, 9]
+
+
+@given(st.integers(0, 5), st.integers(0, 25), st.integers(1, 2 ** 20))
+def test_capped_powers_agree_with_exact_arithmetic(base, exponent, bound):
+    got = capped((base ** j for j in range(exponent + 1)), bound)
+    exact = base ** exponent
+    if exact <= bound:
+        assert got == exact
+    else:  # the first power past the bound, never much further
+        assert bound < got <= base * bound
+
+
+def test_capped_stops_at_the_first_count_past_the_bound():
+    assert capped(2 ** j for j in range(10 ** 9 + 1)) == 2 * CAP
+    assert capped(iter(())) == 0
+    assert capped([3, 5, 5], 5) == 5
+    assert capped([3, 6, 7], 5) == 6
+
+
+def test_cap_is_defined_on_one_line():
+    src = Path(polygrid.__file__).parent
+    lines = [line for path in sorted(src.glob("*.py"))
+             for line in path.read_text().splitlines()
+             if re.search(r"2\s*\*\*\s*20\b", line)]
+    assert lines == ["CAP = 2 ** 20"]

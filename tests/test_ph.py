@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from polygrid import ParameterError
 from polygrid.antiramsey import Arena, c_full
+from polygrid.ordset import CAP as TABLE_CAP
 from polygrid.ph import (
-    TABLE_CAP,
     CofinalCheck,
     CofinalFn,
     _window_fits,
