@@ -169,14 +169,35 @@ def parse_config(argv: Sequence[str]) -> Optional[RunConfig]:
     return RunConfig(cmd, params, outdir, seed)
 
 
+# json.dumps(payload, sort_keys=True, indent=2, default=str) chunk by chunk
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2, default=str)
+# encoder chunks joined per write: about 57 kB of a sideways table, at
+# about seven bytes per chunk; smaller artifacts take one write
+_BATCH = 8192
+
+
 def _write_artifacts(cfg: RunConfig, payload: dict,
                      rows: Sequence[dict] = (), suffix: str = "") -> None:
     """Write payload to <command><suffix>.json and, when rows are given,
-    a CSV headed by the first row's keys to <command><suffix>.csv."""
+    a CSV headed by the first row's keys to <command><suffix>.csv.
+
+    The JSON text is json.dumps(payload, sort_keys=True, indent=2,
+    default=str) plus a newline, written in batches of encoder chunks, so
+    that the whole text is never held; a payload that fails to encode
+    leaves no JSON file."""
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     stem = f"{cfg.command}{suffix}"
-    text = json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n"
-    (cfg.outdir / f"{stem}.json").write_text(text)
+    path = cfg.outdir / f"{stem}.json"
+    chunks = _ENCODER.iterencode(payload)
+    try:
+        with open(path, "w") as fh:
+            # the encoder yields no empty chunk, so only the end joins empty
+            while batch := "".join(itertools.islice(chunks, _BATCH)):
+                fh.write(batch)
+            fh.write("\n")
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
     if rows:
         with open(cfg.outdir / f"{stem}.csv", "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -515,6 +536,8 @@ def _run_hl_derive(cfg: RunConfig) -> int:
         roots = list(gamma.roots)
     else:
         roots = [()] * gamma.d
+    # the cone grid's branches differ below the roots, to the density depth
+    hl.check_surrogate_size(gamma, [p["density"] - len(r) for r in roots])
     hl.check_witness_height(p["height"])
     grid = hl.cone_grid(gamma, roots, p["density"])
     if grid is None:
@@ -546,6 +569,7 @@ def _run_hl_derive(cfg: RunConfig) -> int:
 def _run_grid_search(cfg: RunConfig) -> int:
     p = cfg.params
     gamma = _coloring_from(cfg)
+    hl.check_surrogate_size(gamma, [gamma.depth] * gamma.d)
     shapes = [trees.TreeShape(gamma.k, gamma.depth)] * gamma.d
     fn = hl.surrogate_fn(gamma)
     witness = hl.search_grid(fn, shapes, p["density"], p["cap"])

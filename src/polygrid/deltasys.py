@@ -272,15 +272,6 @@ class ExtractResult:
     failure: Optional[dict] = None
 
 
-def _normalize_labels(fam: Family, g) -> dict[Key, object]:
-    if callable(g):
-        return {b: g(b) for b in fam.umap}
-    try:
-        return {b: g[b] for b in fam.umap}
-    except KeyError as exc:
-        raise ParameterError(f"labels miss key {exc.args[0]}") from None
-
-
 def extract_uniform(fam: Family, h: int, g, budget: int = 200_000) -> ExtractResult:
     """The least h indices on which the restriction is uniform and g
     constant: the first h-subset in lexicographic order with one label on
@@ -299,25 +290,31 @@ def extract_uniform(fam: Family, h: int, g, budget: int = 200_000) -> ExtractRes
     if h < max(1, dim):  # below dim, no key lies inside an h-set
         raise ParameterError(
             f"h = {h} must be >= 1 and >= the family's dimension {dim}")
-    labels = _normalize_labels(fam, g)
     idx = fam.indices.elems
-    if h > len(idx):
-        return ExtractResult(False, None, None, None, "none", 0,
-                             {"reason": "candidate pool smaller than h",
-                              "pool": len(idx), "h": h})
     umap = fam.umap
-    if dim == 0:  # the one key () lies in every index set
-        cert = _certificate(0, umap[()].otp, {})
-        return ExtractResult(True, OrdSet(idx[:h]), cert, labels[()],
-                             "exhaustive", 0)
+    # a callable is tabulated once; a mapping is read in place
+    labels = {b: g(b) for b in umap} if callable(g) else g
     # index sets are bit masks over positions in idx.  ends[prefix][label]
     # holds the last indices y of the keys prefix + (y,) with that label:
     # the candidates for the next index, whose closing keys must all have
     # the witness's label, narrow by one intersection per admitted index
     bit = {x: 1 << i for i, x in enumerate(idx)}
     ends: dict[Key, dict[object, int]] = defaultdict(lambda: defaultdict(int))
-    for b, label in labels.items():
-        ends[b[:-1]][label] |= bit[b[-1]]
+    try:
+        for b in umap:
+            label = labels[b]
+            if b:
+                ends[b[:-1]][label] |= bit[b[-1]]
+    except KeyError as exc:
+        raise ParameterError(f"labels miss key {exc.args[0]}") from None
+    if h > len(idx):
+        return ExtractResult(False, None, None, None, "none", 0,
+                             {"reason": "candidate pool smaller than h",
+                              "pool": len(idx), "h": h})
+    if dim == 0:  # the one key () lies in every index set
+        cert = _certificate(0, umap[()].otp, {})
+        return ExtractResult(True, OrdSet(idx[:h]), cert, labels[()],
+                             "exhaustive", 0)
 
     def heads(prefix: Key) -> int:
         """The y of first keys prefix + (y,) with h - dim more y' above y
@@ -473,4 +470,5 @@ def make_planted_family(num_indices: int, planted_size: int, n: int,
     for b in itertools.combinations(planted.elems, n):
         umap[b] = OrdSet(b + tail)
         glabels[b] = 7
-    return Family(n, indices, umap), glabels, planted
+    # keys are combinations of range(num_indices): valid by construction
+    return Family._derived(n, indices, umap), glabels, planted

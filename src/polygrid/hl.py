@@ -13,12 +13,13 @@ S_n = {x : x takes the leftmost step at level n}.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from random import Random
 from typing import Callable, Optional, Sequence
 
-from .ordset import OrdSet, ParameterError, capped
+from .ordset import CAP, OrdSet, ParameterError, capped
 from .trees import (
     GridWitness,
     StrongSubtreeWitness,
@@ -239,6 +240,21 @@ def surrogate_fn(gamma: LevelColoring) -> Callable[[tuple[Word, ...]], int]:
     return lambda xs: surrogate_color(gamma, xs, gamma.depth)
 
 
+def check_surrogate_size(gamma: LevelColoring, spreads: Sequence[int]) -> None:
+    """Refuse, before any coloring, a surrogate run over the product of
+    branch sets whose i-th set differs only in the first spreads[i]
+    letters: more than CAP branch tuples, or more than CAP entries in the
+    prefix memo, which holds (depth+1)(depth+2)/2 per branch."""
+    k, depth = gamma.k, gamma.depth
+    branches = sum(capped(k ** j for j in range(s + 1)) for s in spreads)
+    entries = branches * (depth + 1) * (depth + 2) // 2
+    if capped(k ** j for j in range(sum(spreads) + 1)) > CAP or entries > CAP:
+        raise ParameterError(
+            f"a surrogate coloring of depth-{depth} branches that differ in "
+            f"their first {', '.join(map(str, spreads))} letters would "
+            f"exceed the cap of {CAP} tuples or prefix entries")
+
+
 # ---------------------------------------------------------------------------
 # grid search
 
@@ -251,22 +267,26 @@ def _dense_feasible(pool: Sequence[Word], t: Word, D: int, cap: int, k: int) -> 
     return len(prefixes) >= need
 
 
-def _trim_to_cap(pool: list[Word], t: Word, D: int, cap: int) -> Optional[list[Word]]:
-    """Drop lex-largest branches whose depth-D prefix stays covered."""
-    kept = list(pool)
-    while len(kept) > cap:
-        counts: dict[Word, int] = {}
-        for y in kept:
-            counts[y[:D]] = counts.get(y[:D], 0) + 1
-        victim = None
-        for y in reversed(kept):
-            if counts[y[:D]] > 1:
-                victim = y
-                break
-        if victim is None:
-            return None
-        kept.remove(victim)
-    return kept
+def _trim_to_cap(pool: Sequence[Word], t: Word, D: int, cap: int) -> Optional[list[Word]]:
+    """Drop lex-largest branches whose depth-D prefix stays covered.
+
+    The pool's branches are distinct.  One reverse pass with running
+    prefix counts: once a branch is dropped, every branch after it is the
+    last of its prefix, and counts only fall, so the drops come in
+    reverse order and none is revisited."""
+    excess = len(pool) - cap
+    if excess <= 0:
+        return list(pool)
+    counts = Counter(y[:D] for y in pool)
+    dropped: set[int] = set()
+    for i in range(len(pool) - 1, -1, -1):
+        prefix = pool[i][:D]
+        if counts[prefix] > 1:
+            counts[prefix] -= 1
+            dropped.add(i)
+            if len(dropped) == excess:
+                return [y for i, y in enumerate(pool) if i not in dropped]
+    return None
 
 
 def _mono_family(
@@ -300,7 +320,7 @@ def _mono_family(
         if offender is None:
             out = []
             for pool, t in zip(state, ts):
-                trimmed = _trim_to_cap(list(pool), t, D, cap)
+                trimmed = _trim_to_cap(pool, t, D, cap)
                 if trimmed is None:
                     return None
                 out.append(trimmed)

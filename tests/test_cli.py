@@ -3,9 +3,14 @@
 import hashlib
 import itertools
 import json
+import tempfile
+import tracemalloc
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from polygrid import ParameterError, antiramsey, cli
 from polygrid.deltasys import Family
@@ -158,6 +163,14 @@ def test_usage_exit_code():
     ["difference-check", "--n", "3", "--size", "200"],  # C(200, 4) sets
     ["difference-check", "--size", "1449"],  # C(1449, 2) = 1,049,076 sets
     ["difference-check", "--size", "2000"],  # C(2000, 2) = 1,999,000 sets
+    # surrogate prefix memos over 2^20 entries: 2^16 branches with 153
+    # prefix entries each, 8 cone branches with 200,030,001 each
+    ["grid-search", "--depth", "16"],
+    ["hl-derive", "--depth", "20000"],
+    # just over: 2^14 * 120 and 8 * 131,328 entries
+    ["grid-search", "--depth", "14"],
+    ["hl-derive", "--depth", "511"],
+    ["grid-search", "--d", "3", "--depth", "7"],  # 2^21 branch tuples
 ])
 def test_bad_parameter_is_usage_error(tmp_path, monkeypatch, args):
     # a bad flag or input file must not read as a result: exit 64 and
@@ -189,6 +202,19 @@ def test_bad_parameter_is_usage_error(tmp_path, monkeypatch, args):
     out = tmp_path / "out"
     assert run(out, *args) == 64
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, code", [
+    (["grid-search", "--depth", "13"], 0),  # 2^13 * 105 = 860,160 entries
+    (["hl-derive", "--depth", "510"], 0),  # 8 * 130,816 = 1,046,528 entries
+    # roots at the density depth: one cone tuple, not 2^21; the stems
+    # grown past it have no branch in the grid, so the derivation is partial
+    (["hl-derive", "--d", "3", "--depth", "8", "--density", "7",
+      "--roots", "0000000,0000000,0000000"], 1),
+])
+def test_surrogate_just_under_the_cap_runs(tmp_path, args, code):
+    assert run(tmp_path, *args) == code
+    assert (tmp_path / f"{args[0]}.json").exists()
 
 
 # one cheap run per subcommand, from which the sweep varies one flag
@@ -584,3 +610,102 @@ def test_ddf_check(tmp_path):
                "--depth", "2", "--density", "2", "--mcap", "2") == 0
     blob = json.loads((tmp_path / "ddf-check.json").read_text())
     assert blob["ok"] is True
+
+
+# ---------------------------------------------------------------------------
+# the artifact writer
+
+
+def _dumped(payload) -> bytes:
+    return (json.dumps(payload, sort_keys=True, indent=2, default=str)
+            + "\n").encode()
+
+
+class _Point(NamedTuple):
+    x: object
+    y: object
+
+
+class _Opaque:
+    """A value that only default=str can encode."""
+
+    def __init__(self, tag: int):
+        self.tag = tag
+
+    def __str__(self) -> str:
+        return f"<opaque {self.tag}>"
+
+
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=6),
+    st.builds(_Opaque, st.integers(0, 9)))
+_values = st.recursive(_scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=5),
+    st.lists(inner, max_size=5).map(tuple),
+    st.builds(_Point, inner, inner),
+    # keys arrive in drawn order, not sorted
+    st.dictionaries(st.text(max_size=4), inner, max_size=5),
+    st.dictionaries(st.integers(), inner, max_size=5),
+), max_leaves=25)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_values, st.integers(0, 3 * cli._BATCH),
+       st.sampled_from(["ahead", "zz-after"]))
+def test_writer_bytes_equal_json_dumps(value, filler, key):
+    # one int chunk per filler entry, so the payload spans 0 to 3 batches,
+    # with the drawn value before or after the filler in key order
+    payload = {"filler": list(range(filler)), key: value}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = cli.RunConfig("ramsey", {}, Path(tmp), 0)
+        cli._write_artifacts(cfg, payload)
+        assert (Path(tmp) / "ramsey.json").read_bytes() == _dumped(payload)
+
+
+class _Unprintable:
+    def __str__(self) -> str:
+        raise RuntimeError("no text")
+
+
+@pytest.mark.parametrize("bad, error", [
+    (_Unprintable(), RuntimeError),
+    ({1: 0, "a": 0}, TypeError),  # int and str keys do not sort
+])
+def test_writer_leaves_no_json_when_encoding_fails(tmp_path, bad, error):
+    # the bad value sorts after three batches of chunks, so the file has
+    # been written to when it raises
+    cfg = cli.RunConfig("ramsey", {}, tmp_path, 0)
+    payload = {"a": list(range(3 * cli._BATCH)), "z": bad}
+    with pytest.raises(error):
+        cli._write_artifacts(cfg, payload, [{"n": 1}])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_writer_memory_is_bounded(tmp_path):
+    # a 2^16-entry table in the sideways form (1.8 MB of text): the whole
+    # text, its chunks and its bytes peaked at 13.5 MiB under tracemalloc,
+    # the batched writer at 4.3 MiB, nearly all of it the encoder's sorted
+    # list of the table's items
+    names = ["".join(w) for w in itertools.product("01", repeat=8)]
+    table = {f"{a}|{b}": int(a[0] == b[-1])
+             for a, b in itertools.product(names, repeat=2)}
+    payload = {"d": 1, "table": table}
+    limit = 6 * 2 ** 20
+
+    def peak(write) -> int:
+        tracemalloc.start()
+        try:
+            write()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    whole = peak(lambda: (tmp_path / "whole.json").write_text(json.dumps(
+        payload, sort_keys=True, indent=2, default=str) + "\n"))
+    cfg = cli.RunConfig("sideways-build", {}, tmp_path, 0)
+    batched = peak(lambda: cli._write_artifacts(cfg, payload))
+    assert whole > limit >= batched
+    assert ((tmp_path / "sideways-build.json").read_bytes()
+            == (tmp_path / "whole.json").read_bytes())

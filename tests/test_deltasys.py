@@ -333,6 +333,29 @@ def test_planted_family_shape(params):
             assert g[b] in range(6)
 
 
+def test_planted_family_passes_the_checked_constructor():
+    # make_planted_family skips the key check; its keys would pass it
+    fam, _, _ = make_planted_family(30, 6, 3, seed=2)
+    assert Family(fam.dim, fam.indices, fam.umap) == fam
+
+
+@pytest.mark.parametrize("h", [3, 5, 9])  # 9 > the 8 indices
+def test_extract_reads_mapping_labels_in_place(h):
+    fam, g, _ = make_planted_family(8, 4, 2, seed=3)
+    assert extract_uniform(fam, h, g) == extract_uniform(fam, h, g.__getitem__)
+    partial = dict(g)
+    del partial[(2, 5)]
+    with pytest.raises(ParameterError, match=r"labels miss key \(2, 5\)"):
+        extract_uniform(fam, h, partial)
+
+
+def test_extract_dimension_zero_labels():
+    fam = Family(0, OrdSet((0, 1, 2)), {(): OrdSet((4,))})
+    assert extract_uniform(fam, 2, {(): "x"}).g_value == "x"
+    with pytest.raises(ParameterError, match="labels miss key"):
+        extract_uniform(fam, 2, {})
+
+
 def test_planted_noise_covers_every_pair():
     # at n = 3 the pool has 7 elements: C(7, 5) sets times 6 labels
     fam, g, planted = make_planted_family(40, 8, 3, seed=5)

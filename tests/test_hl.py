@@ -15,6 +15,8 @@ from polygrid.hl import (
     NAMED_KINDS,
     HLWitness,
     LevelColoring,
+    _trim_to_cap,
+    check_surrogate_size,
     cone_grid,
     derive_strong_subtrees,
     s_member,
@@ -252,6 +254,66 @@ def test_search_defeated_by_product_bound():
     product = itertools.product(*(branches(s) for s in shapes))
     assert len({coded(xs) for xs in product}) > 2
     assert search_grid(coded, shapes, density_depth=1, cap=12) is None
+
+
+def _trim_reference(pool, D, cap):
+    """The quadratic loop that `_trim_to_cap` replaced: recount the
+    prefixes, drop the last branch whose prefix another branch covers,
+    repeat until the cap is met."""
+    kept = list(pool)
+    while len(kept) > cap:
+        counts = Counter(y[:D] for y in kept)
+        victim = next((y for y in reversed(kept) if counts[y[:D]] > 1), None)
+        if victim is None:
+            return None
+        kept.remove(victim)
+    return kept
+
+
+@st.composite
+def _trim_cases(draw):
+    k = draw(st.integers(2, 3))
+    depth = draw(st.integers(1, 4))
+    side = branches(TreeShape(k, depth))
+    # a lexicographic sub-pool, as the search passes, or distinct
+    # branches in any order
+    if draw(st.booleans()):
+        pool = [y for y in side if draw(st.booleans())]
+    else:
+        pool = draw(st.lists(st.sampled_from(side), unique=True, max_size=40))
+    D = draw(st.integers(0, depth))
+    cap = draw(st.integers(-1, len(pool) + 1))
+    return pool, D, cap
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trim_cases())
+def test_trim_to_cap_matches_the_quadratic_loop(case):
+    pool, D, cap = case
+    assert _trim_to_cap(tuple(pool), (), D, cap) == _trim_reference(
+        pool, D, cap)
+
+
+@pytest.mark.parametrize("depth, spreads, ok", [
+    (13, [13], True),  # 2^13 branches * 105 = 860,160 prefix entries
+    (14, [14], False),  # 2^14 * 120 = 1,966,080
+    (16, [16], False),
+    (510, [3], True),  # 8 * 130,816 = 1,046,528
+    (511, [3], False),  # 8 * 131,328 = 1,050,624
+    (20000, [3], False),
+    (10, [10, 10], True),  # 2^20 branch tuples: at the cap
+    (7, [7, 7, 7], False),  # 2^21 branch tuples
+    (8, [0, 0, 0], True),  # roots at the density depth: one tuple
+    (12, [5, 5, 5], True),  # 2^15 tuples, 189 branches * 91 entries
+])
+def test_surrogate_size_guard(depth, spreads, ok):
+    gamma = LevelColoring(k=2, d=len(spreads), depth=depth, r=2,
+                          kind="constant")
+    if ok:
+        check_surrogate_size(gamma, spreads)
+    else:
+        with pytest.raises(ParameterError, match="cap"):
+            check_surrogate_size(gamma, spreads)
 
 
 # ---------------------------------------------------------------------------
