@@ -19,9 +19,10 @@ import sys
 import traceback
 from collections import Counter
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from random import Random
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import antiramsey, deltasys, forcing, hl, ph, trees
 from .ordset import CAP, OrdSet, ParameterError, capped
@@ -171,27 +172,57 @@ def parse_config(argv: Sequence[str]) -> Optional[RunConfig]:
 
 # json.dumps(payload, sort_keys=True, indent=2, default=str) chunk by chunk
 _ENCODER = json.JSONEncoder(sort_keys=True, indent=2, default=str)
-# encoder chunks joined per write: about 57 kB of a sideways table, at
-# about seven bytes per chunk; smaller artifacts take one write
+# chunks joined per write: about 57 kB of encoder chunks, at about seven
+# bytes per chunk, or about 200 kB of streamed table lines; smaller
+# artifacts take one write
 _BATCH = 8192
 
 
+def _table_chunks(payload: dict,
+                  table: Iterable[tuple[str, int]]) -> Iterator[str]:
+    """The chunks of json.dumps(payload, sort_keys=True, indent=2,
+    default=str) with the table pairs as the member "table" of the
+    payload, one line per chunk.  The pairs are never held: their keys
+    must strictly increase, and "table" must sort after every payload
+    key, so that the member streams last in key order."""
+    late = [key for key in payload if key >= "table"]
+    if late:
+        raise ValueError(
+            f"payload keys {late} do not sort before the streamed table")
+    # the head ends in "\n}", or is "{}" when empty; reopen it for the table
+    head = _ENCODER.encode(payload)
+    yield (head[:-2] + "," if payload else "{") + '\n  "table": {'
+    sep, prev = "\n    ", None
+    for key, value in table:
+        if prev is not None and key <= prev:
+            raise ValueError(
+                f"table keys must strictly increase: {key!r} after {prev!r}")
+        yield f"{sep}{encode_basestring_ascii(key)}: {value:d}"
+        sep, prev = ",\n    ", key
+    yield "}\n}" if prev is None else "\n  }\n}"
+
+
 def _write_artifacts(cfg: RunConfig, payload: dict,
-                     rows: Sequence[dict] = (), suffix: str = "") -> None:
+                     rows: Sequence[dict] = (), suffix: str = "",
+                     table: Optional[Iterable[tuple[str, int]]] = None
+                     ) -> None:
     """Write payload to <command><suffix>.json and, when rows are given,
     a CSV headed by the first row's keys to <command><suffix>.csv.
 
     The JSON text is json.dumps(payload, sort_keys=True, indent=2,
-    default=str) plus a newline, written in batches of encoder chunks, so
-    that the whole text is never held; a payload that fails to encode
-    leaves no JSON file."""
+    default=str) plus a newline, where the (str, int) table pairs, when
+    given, become the payload's "table" member.  It is written in batches
+    of chunks, so that neither the whole text nor the table is ever held;
+    a payload that fails to encode, or a table out of key order, leaves
+    no JSON file."""
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     stem = f"{cfg.command}{suffix}"
     path = cfg.outdir / f"{stem}.json"
-    chunks = _ENCODER.iterencode(payload)
+    chunks = (_ENCODER.iterencode(payload) if table is None
+              else _table_chunks(payload, table))
     try:
         with open(path, "w") as fh:
-            # the encoder yields no empty chunk, so only the end joins empty
+            # no chunk is empty, so only the end joins empty
             while batch := "".join(itertools.islice(chunks, _BATCH)):
                 fh.write(batch)
             fh.write("\n")
@@ -620,14 +651,16 @@ def _run_sideways(cfg: RunConfig) -> int:
     # letter >= 10, as a walk in tuple order would
     colors = [fn(combo) for combo in itertools.product(side, repeat=d + 1)]
     names = [trees.word_to_str(x) for x in side]
-    table = dict(zip(
-        map("|".join, itertools.product(names, repeat=d + 1)), colors))
-    census = Counter(table.values())
+    census = Counter(colors)
+    # every name has depth digits and branches() lists words in order, so
+    # the keys come sorted, and the table streams from its pairs
     _write_artifacts(cfg, {
         "d": d, "k": k, "depth": depth, "j_bound": j_bound,
-        "jmap": kind, "seed": cfg.seed, "table": table,
-    }, [{"color": c, "count": census[c]} for c in sorted(census)])
-    print(f"sideways-build: {len(table)} tuples, census "
+        "jmap": kind, "seed": cfg.seed,
+    }, [{"color": c, "count": census[c]} for c in sorted(census)],
+        table=zip(map("|".join, itertools.product(names, repeat=d + 1)),
+                  colors))
+    print(f"sideways-build: {len(colors)} tuples, census "
           + ", ".join(f"{c}:{census[c]}" for c in sorted(census)))
     return EXIT_OK
 

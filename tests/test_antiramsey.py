@@ -441,6 +441,15 @@ def test_difference_report_matches_reference_scan(monkeypatch, broken, n,
     assert bool(violations) == broken
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 10 ** 6), st.data())
+def test_difference_lemma_holds_on_seeded_arenas(n, seed, data):
+    size = data.draw(st.integers(n + 2, 12))
+    report = check_difference_lemma(Arena(size=size, dim=n, mode="seeded",
+                                          seed=seed))
+    assert report.ok and report.eligible_pairs > 0
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

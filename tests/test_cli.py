@@ -1,18 +1,21 @@
 """The batch runner: config parsing, exit codes, artifact determinism."""
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import tempfile
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from polygrid import ParameterError, antiramsey, cli
+from polygrid import ParameterError, antiramsey, cli, hl, trees
 from polygrid.deltasys import Family
 from polygrid.ordset import OrdSet
 
@@ -531,6 +534,80 @@ def test_sideways_build_pinned(tmp_path, d, k, depth, jmap, json_digest,
                        "sideways-build.csv": csv_digest}
 
 
+def _sideways_reference(out: Path, d, k, depth, j_bound, jmap, value,
+                        seed) -> str:
+    """The dict-built sideways construction: name every branch of every
+    tuple, hold the whole table, write it with json.dumps.  Returns the
+    line printed."""
+    if jmap == "constant":
+        fn = hl.sideways_build(lambda xs: value, d, j_bound, depth)
+    else:
+        fn = hl.sideways_build(lambda xs: xs[0][0] % j_bound, d, j_bound,
+                               depth)
+    side = trees.branches(trees.TreeShape(k, depth))
+    table = {"|".join(trees.word_to_str(x) for x in combo): fn(combo)
+             for combo in itertools.product(side, repeat=d + 1)}
+    census = Counter(table.values())
+    (out / "sideways-build.json").write_bytes(_dumped({
+        "d": d, "k": k, "depth": depth, "j_bound": j_bound, "jmap": jmap,
+        "seed": seed, "table": table}))
+    (out / "sideways-build.csv").write_text(
+        "color,count\n" + "".join(f"{c},{census[c]}\n" for c in sorted(census)))
+    return (f"sideways-build: {len(table)} tuples, census "
+            + ", ".join(f"{c}:{census[c]}" for c in sorted(census)) + "\n")
+
+
+# shapes of at most 4,096 tuples
+_SIDEWAYS_SHAPES = [(d, k, depth) for d in range(3) for k in (2, 3)
+                    for depth in range(2, 9)
+                    if k ** (depth * (d + 1)) <= 4096]
+
+
+@st.composite
+def _sideways_args(draw):
+    d, k, depth = draw(st.sampled_from(_SIDEWAYS_SHAPES))
+    j_bound = draw(st.integers(1, depth - 1))
+    jmap = draw(st.sampled_from(["constant", "first-letter"] if d else
+                                ["constant"]))
+    value = draw(st.integers(0, j_bound - 1))
+    return d, k, depth, j_bound, jmap, value, draw(st.integers(0, 99))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sideways_args())
+@example((1, 10, 2, 1, "first-letter", 0, 0))  # letters 0-9 on both sides
+@example((0, 10, 3, 2, "constant", 1, 5))
+def test_sideways_build_matches_the_dict_built_table(args):
+    d, k, depth, j_bound, jmap, value, seed = args
+    argv = ["--d", str(d), "--k", str(k), "--depth", str(depth),
+            "--j-bound", str(j_bound), "--jmap", jmap, "--value", str(value),
+            "--seed", str(seed)]
+    with tempfile.TemporaryDirectory() as got, \
+            tempfile.TemporaryDirectory() as want:
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            assert run(Path(got), "sideways-build", *argv) == 0
+        line = _sideways_reference(Path(want), d, k, depth, j_bound, jmap,
+                                   value, seed)
+        assert printed.getvalue() == line
+        for name in ("sideways-build.json", "sideways-build.csv"):
+            assert ((Path(got) / name).read_bytes()
+                    == (Path(want) / name).read_bytes())
+
+
+def test_sideways_build_memory_is_bounded(tmp_path):
+    # 2^16 tuples: holding the table as a dict and encoding it peaked at
+    # 10.9 MiB under tracemalloc; streaming it from its pairs holds the
+    # colors and one batch of lines
+    tracemalloc.start()
+    try:
+        assert run(tmp_path, "sideways-build", "--d", "1", "--depth", "8") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20
+
+
 @pytest.mark.parametrize("argv, code, json_digest, csv_digest", [
     # no monochromatic grid: exit 1 and a JSON artifact only
     (["grid-search", "--d", "2", "--depth", "3", "--density", "2",
@@ -681,6 +758,41 @@ def test_writer_leaves_no_json_when_encoding_fails(tmp_path, bad, error):
     with pytest.raises(error):
         cli._write_artifacts(cfg, payload, [{"n": 1}])
     assert list(tmp_path.iterdir()) == []
+
+
+def _streamed_table(n: int) -> list[tuple[str, int]]:
+    return [(f"{i:06d}|0", i % 2) for i in range(n)]
+
+
+@pytest.mark.parametrize("payload, table", [
+    # a repeated key and a smaller key, after three batches of lines
+    ({"d": 1}, _streamed_table(3 * cli._BATCH) + [("002999|0", 0)]),
+    ({"d": 1}, _streamed_table(3 * cli._BATCH) + [("000000|0", 1)]),
+    # keys that sort at or after the streamed member
+    ({"d": 1, "tables": 0}, _streamed_table(3)),
+    ({"table": {}}, _streamed_table(3)),
+])
+def test_writer_leaves_no_json_when_the_table_is_out_of_order(
+        tmp_path, payload, table):
+    cfg = cli.RunConfig("sideways-build", {}, tmp_path, 0)
+    with pytest.raises(ValueError):
+        cli._write_artifacts(cfg, payload, [{"n": 1}], table=iter(table))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("payload, table", [
+    ({}, []),
+    ({}, _streamed_table(1)),
+    ({"d": 1, "seed": None}, []),
+    ({"a": [1, {"b": 2}], "d": {}}, _streamed_table(cli._BATCH + 1)),
+    ({"k": 2}, [("", 0), ("z\"", 7), ("\u00e9|\\", -3)]),
+])
+def test_writer_streams_the_table_as_json_dumps_writes_it(tmp_path, payload,
+                                                          table):
+    cfg = cli.RunConfig("sideways-build", {}, tmp_path, 0)
+    cli._write_artifacts(cfg, payload, table=iter(table))
+    assert ((tmp_path / "sideways-build.json").read_bytes()
+            == _dumped({**payload, "table": dict(table)}))
 
 
 def test_writer_memory_is_bounded(tmp_path):

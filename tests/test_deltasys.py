@@ -514,6 +514,30 @@ def test_family_round_trip():
     assert again.umap == fam.umap
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_small_families(), _families_total_or_partial()))
+def test_family_json_round_trip_generated(fam):
+    assert Family.from_json(json.loads(json.dumps(fam.to_json()))) == fam
+
+
+@st.composite
+def _certificates(draw):
+    dim, rho = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    positions = st.lists(st.booleans(), min_size=rho, max_size=rho).map(
+        lambda bits: OrdSet(tuple(i for i, bit in enumerate(bits) if bit)))
+    patterns = {m: draw(st.none() | positions)
+                for size in range(dim + 1)
+                for m in itertools.combinations(range(dim), size)}
+    return UniformCertificate(dim, rho, patterns)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_certificates())
+def test_certificate_json_round_trip_generated(cert):
+    again = UniformCertificate.from_json(json.loads(json.dumps(cert.to_json())))
+    assert again == cert and again.is_full == cert.is_full
+
+
 def test_certificate_round_trip():
     cert = verify_uniform(identity_family(5, 2))
     again = UniformCertificate.from_json(cert.to_json())

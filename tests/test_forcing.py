@@ -444,6 +444,40 @@ def test_condition_round_trip():
     assert Condition.from_json(p.to_json()) == p
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3), st.integers(1, 3), st.data())
+def test_condition_json_round_trip_generated(k, d, data):
+    # a validated condition, and one derived from it unchecked
+    p = data.draw(_conditions(k, d))
+    word = data.draw(st.lists(st.integers(0, k - 1), max_size=4).map(tuple))
+    q = p.with_slot(data.draw(st.integers(0, 7)),
+                    data.draw(st.integers(0, d - 1)), word)
+    for c in (p, q):
+        again = Condition.from_json(json.loads(json.dumps(c.to_json())))
+        assert again == c and again.to_json() == c.to_json()
+
+
+@st.composite
+def _oracles(draw):
+    num_colors = draw(st.integers(1, 4))
+    return ColoringOracle(
+        k=draw(st.integers(2, 3)), d=draw(st.integers(1, 2)),
+        depth=draw(st.integers(1, 2)), num_colors=num_colors,
+        kind=draw(st.sampled_from(["constant", "first-letter", "seeded"])),
+        value=draw(st.integers(0, num_colors - 1)),
+        seed=draw(st.integers(0, 10 ** 6)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_oracles())
+def test_oracle_json_round_trip_generated(oracle):
+    again = ColoringOracle.from_json(json.loads(json.dumps(oracle.to_json())))
+    assert again.to_json() == oracle.to_json()
+    words = list(itertools.product(range(oracle.k), repeat=oracle.depth))
+    for combo in itertools.product(words, repeat=oracle.d):
+        assert again.color(combo) == oracle.color(combo)
+
+
 @pytest.mark.parametrize("k, d, depth", [
     (4, 3, 4),  # 4^12, about 16.7M entries
     (2, 1, 21),  # one doubling past the cap of 2^20

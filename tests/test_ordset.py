@@ -1,11 +1,12 @@
 """Finite ordered index sets: positional access, slicing, alignment."""
 
 import itertools
+import json
 import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polygrid
@@ -90,6 +91,48 @@ def test_json_round_trip():
     a = OrdSet.of([5, 0, 9])
     assert OrdSet.from_json(a.to_json()) == a
     assert a.to_json() == [0, 5, 9]
+
+
+_naturals = st.lists(st.integers(0, 40), unique=True, max_size=8)
+
+
+@settings(max_examples=200)
+@given(_naturals, _naturals, st.data())
+def test_ordset_postconditions(xs, ys, data):
+    a, b = OrdSet.of(xs), OrdSet.of(ys)
+    assert a.elems == tuple(sorted(xs)) and a.otp == len(a) == len(xs)
+    # a(eta) has exactly eta predecessors in a
+    assert all(sum(y < a.at(eta) for y in a) == eta for eta in range(a.otp))
+    positions = data.draw(st.lists(st.integers(0, a.otp - 1))) if xs else []
+    assert a.select(positions).elems == tuple(
+        a.at(eta) for eta in sorted(set(positions)))
+    both = a.intersect(b)
+    assert set(both) == set(a) & set(b) and both == OrdSet.of(both)
+    assert OrdSet.from_json(json.loads(json.dumps(a.to_json()))) == a
+
+
+@given(st.lists(st.integers(-3, 12), max_size=6))
+def test_constructor_accepts_exactly_increasing_naturals(xs):
+    if all(x >= 0 for x in xs) and all(x < y for x, y in zip(xs, xs[1:])):
+        assert OrdSet(tuple(xs)).elems == tuple(xs)
+    else:
+        with pytest.raises(ValueError):
+            OrdSet(tuple(xs))
+
+
+@settings(max_examples=200)
+@given(_naturals, st.data())
+def test_rset_postcondition_generated(xs, data):
+    # b keeps a's element 2x at the shared positions and takes the odd
+    # 2x + 1 elsewhere, so the two are aligned and share exactly those
+    a = OrdSet.of(2 * x for x in xs)
+    shared = data.draw(st.lists(st.booleans(), min_size=len(xs),
+                                max_size=len(xs)))
+    b = OrdSet(tuple(x + (not keep) for x, keep in zip(a, shared)))
+    assert aligned(a, b) and aligned(b, a)
+    r = rset(a, b)
+    assert r.elems == tuple(i for i, keep in enumerate(shared) if keep)
+    assert a.select(r) == b.select(r) == a.intersect(b)
 
 
 @given(st.integers(0, 5), st.integers(0, 25), st.integers(1, 2 ** 20))
