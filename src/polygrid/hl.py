@@ -13,9 +13,8 @@ S_n = {x : x takes the leftmost step at level n}.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from random import Random
 from typing import Callable, Optional, Sequence
 
@@ -26,13 +25,13 @@ from .trees import (
     TreeShape,
     Word,
     all_nodes,
-    branches,
     is_level_tuple,
     is_strong_subtree,
     node_key,
     validate_grid_witness,
     word_from_str,
     word_to_str,
+    words,
 )
 
 NAMED_KINDS = ("constant", "level-parity", "seeded", "planted-grid", "adversarial")
@@ -259,83 +258,71 @@ def check_surrogate_size(gamma: LevelColoring, spreads: Sequence[int]) -> None:
 # grid search
 
 
-def _dense_feasible(pool: Sequence[Word], t: Word, D: int, cap: int, k: int) -> bool:
-    need = k ** (D - len(t))
-    if need > cap:
-        return False
-    prefixes = {y[:D] for y in pool if y[: len(t)] == t}
-    return len(prefixes) >= need
+def _bits(m: int) -> list[int]:
+    """The indices of the set bits of m, ascending."""
+    return [i for i, c in enumerate(bin(m)[:1:-1]) if c == "1"]
 
 
-def _trim_to_cap(pool: Sequence[Word], t: Word, D: int, cap: int) -> Optional[list[Word]]:
+def _trim(bits: list[int], block: int, cap: int) -> list[int]:
     """Drop lex-largest branches whose depth-D prefix stays covered.
 
-    The pool's branches are distinct.  One reverse pass with running
-    prefix counts: once a branch is dropped, every branch after it is the
-    last of its prefix, and counts only fall, so the drops come in
-    reverse order and none is revisited."""
-    excess = len(pool) - cap
-    if excess <= 0:
-        return list(pool)
-    counts = Counter(y[:D] for y in pool)
-    dropped: set[int] = set()
-    for i in range(len(pool) - 1, -1, -1):
-        prefix = pool[i][:D]
-        if counts[prefix] > 1:
-            counts[prefix] -= 1
-            dropped.add(i)
-            if len(dropped) == excess:
-                return [y for i, y in enumerate(pool) if i not in dropped]
-    return None
+    bits are a dense set's cone indices, ascending, and each depth-D
+    prefix class is a run of `block` indices.  One reverse pass: a branch
+    goes while the cap is exceeded and the branch below it shares its
+    class; a drop never changes that for a lower branch.  The set has at
+    most cap classes, so the cap is always met."""
+    excess = len(bits) - cap
+    kept = []
+    for i in range(len(bits) - 1, -1, -1):
+        if excess > 0 and i and bits[i - 1] // block == bits[i] // block:
+            excess -= 1
+        else:
+            kept.append(bits[i])
+    return kept[::-1]
 
 
 def _mono_family(
-    gamma_branch: Callable[[tuple[Word, ...]], int],
-    pools: tuple[tuple[Word, ...], ...],
-    j: int,
-    ts: Sequence[Word],
-    D: int,
-    cap: int,
-    k: int,
-) -> Optional[list[list[Word]]]:
-    """Largest-first backtracking for an all-j family of dense branch sets.
+    rows: dict[tuple[int, ...], list], j: int, state: tuple[int, ...],
+    block: int,
+) -> Optional[tuple[int, ...]]:
+    """Largest-first backtracking for an all-j family of dense sets.
 
-    Any monochromatic family is contained in some leaf of the recursion
-    (a bad tuple forces one of its entries out), so failure here is a
-    proof of absence, not a search artifact.
+    A state holds one mask per cone.  The first bad tuple in product
+    order comes from the first head whose last-cone mask meets the mask
+    of its row's colors other than j; dropping one of its entries keeps
+    a state dense iff that entry's prefix class keeps a branch.  The
+    depth-first walk keeps its own stack, as a search may drop thousands
+    of branches in a row.  Any monochromatic family is contained in some
+    leaf of the walk (a bad tuple forces one of its entries out), so
+    failure here is a proof of absence, not a search artifact.
     """
-    seen: set[tuple[tuple[Word, ...], ...]] = set()
-
-    def bad_tuple(state: tuple[tuple[Word, ...], ...]):
-        for combo in itertools.product(*state):
-            if gamma_branch(combo) != j:
-                return combo
-        return None
-
-    def solve(state: tuple[tuple[Word, ...], ...]):
+    seen: set[tuple[int, ...]] = set()
+    not_j: dict[tuple[int, ...], int] = {}  # filled as the walk reaches heads
+    run = (1 << block) - 1  # one prefix class, at index 0
+    stack = [state]
+    while stack:
+        state = stack.pop()
         if state in seen:
-            return None
+            continue
         seen.add(state)
-        offender = bad_tuple(state)
-        if offender is None:
-            out = []
-            for pool, t in zip(state, ts):
-                trimmed = _trim_to_cap(pool, t, D, cap)
-                if trimmed is None:
-                    return None
-                out.append(trimmed)
-            return out
-        for i in range(len(state)):
-            shrunk = tuple(y for y in state[i] if y != offender[i])
-            if not _dense_feasible(shrunk, ts[i], D, cap, k):
-                continue
-            nxt = state[:i] + (shrunk,) + state[i + 1:]
-            got = solve(nxt)
-            if got is not None:
-                return got
-        return None
-
-    return solve(pools)
+        *front, last = state
+        for head in itertools.product(*map(_bits, front)):
+            if head not in not_j:
+                not_j[head] = int("".join(["0" if c == j else "1"
+                                           for c in reversed(rows[head])]), 2)
+            bad = last & not_j[head]
+            if bad:
+                break
+        else:
+            return state
+        offender = head + ((bad & -bad).bit_length() - 1,)
+        # pushed last-first, so the first coordinate's drop is tried first
+        for i in reversed(range(len(state))):
+            p = offender[i]
+            shrunk = state[i] & ~(1 << p)
+            if shrunk >> (p - p % block) & run:
+                stack.append(state[:i] + (shrunk,) + state[i + 1:])
+    return None
 
 
 def search_grid(
@@ -347,48 +334,42 @@ def search_grid(
     """Backtracking search for a monochromatic somewhere-dense grid.
 
     Root tuples enumerate in shortlex product order, proper roots only
-    (height below the density depth, so no vacuous one-branch cones);
-    colors ascend; within those the largest monochromatic family wins, so
-    a constant coloring yields the full branch sets.  Failure is None.
+    (height below the density depth D, so no vacuous one-branch cones)
+    whose k^(D - |t|) prefixes fit in the cap; pools are full trees, so
+    that is the whole admissibility test.  Colors ascend; within those
+    the largest monochromatic family wins, trimmed to the cap, so a
+    constant coloring yields the full branch sets.  Failure is None, and
+    proves that no such grid exists.
     """
-    d = len(shapes)
-    depth = shapes[0].depth
-    if any(s.depth != depth for s in shapes):
-        raise ValueError("trees must share a depth")
+    k, depth = shapes[0].k, shapes[0].depth
+    if any((s.k, s.depth) != (k, depth) for s in shapes):
+        raise ValueError("trees must share their k and depth")
     if not 1 <= density_depth <= depth:
         raise ParameterError(f"need 1 <= density depth <= {depth}")
-    pools = [branches(s) for s in shapes]  # in node_key order: lexicographic
-
-    cache: dict[tuple[Word, ...], int] = {}
-
-    def gb(combo: tuple[Word, ...]) -> int:
-        got = cache.get(combo)
-        if got is None:
-            got = gamma_branch(combo)
-            cache[combo] = got
-        return got
-
-    root_lists = [
-        [t for t in all_nodes(s, density_depth - 1)
-         if _dense_feasible(pools[i], t, density_depth, cap, s.k)]
-        for i, s in enumerate(shapes)
-    ]
-    for ts in itertools.product(*root_lists):
-        through = tuple(
-            tuple(y for y in pools[i] if y[: len(ts[i])] == ts[i])
-            for i in range(d)
-        )
-        colors = sorted({gb(c) for c in itertools.product(*through)})
-        for j in colors:
-            fam = _mono_family(
-                gb, through, j, ts, density_depth, cap, shapes[0].k
-            )
-            if fam is not None:
+    block = k ** (depth - density_depth)  # cone branches per prefix
+    roots = [t for t in all_nodes(shapes[0], density_depth - 1)
+             if k ** (density_depth - len(t)) <= cap]
+    color = cache(gamma_branch)  # the cones of root tuples overlap
+    for ts in itertools.product(roots, repeat=len(shapes)):
+        # a cone: the branches through its root, lexicographic
+        cones = [[t + w for w in words(k, depth - len(t))] for t in ts]
+        # one coloring pass, in product order: each head (indices into
+        # all cones but the last) maps to its row of colors over the last
+        *front, last = cones
+        heads = itertools.product(*(range(len(c)) for c in front))
+        rows = {h: [color(head + (y,)) for y in last]
+                for h, head in zip(heads, itertools.product(*front))}
+        full = tuple((1 << len(c)) - 1 for c in cones)
+        for j in sorted(set().union(*rows.values())):
+            state = _mono_family(rows, j, full, block)
+            if state is not None:
                 return GridWitness(
-                    k=shapes[0].k,
+                    k=k,
                     depth=depth,
-                    roots=tuple(ts),
-                    branch_sets=tuple(tuple(y) for y in fam),
+                    roots=ts,
+                    branch_sets=tuple(
+                        tuple(cone[p] for p in _trim(_bits(m), block, cap))
+                        for cone, m in zip(cones, state)),
                     density_depth=density_depth,
                     color=j,
                 )

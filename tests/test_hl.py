@@ -4,6 +4,7 @@ import itertools
 import json
 from collections import Counter
 from random import Random
+from typing import Callable, Optional, Sequence
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,7 +16,7 @@ from polygrid.hl import (
     NAMED_KINDS,
     HLWitness,
     LevelColoring,
-    _trim_to_cap,
+    _trim,
     check_surrogate_size,
     cone_grid,
     derive_strong_subtrees,
@@ -31,7 +32,10 @@ from polygrid.trees import (
     GridWitness,
     StrongSubtreeWitness,
     TreeShape,
+    Word,
+    all_nodes,
     branches,
+    validate_grid_witness,
     words,
 )
 
@@ -256,8 +260,252 @@ def test_search_defeated_by_product_bound():
     assert search_grid(coded, shapes, density_depth=1, cap=12) is None
 
 
+@pytest.mark.parametrize("ks", [(3, 2), (2, 3)], ids=["k3-k2", "k2-k3"])
+def test_search_refuses_shapes_of_different_k(ks):
+    # a k=3 witness over a k=2 tree would be neither dense nor valid
+    shapes = [TreeShape(k, 2) for k in ks]
+    with pytest.raises(ValueError, match="share their k and depth"):
+        search_grid(lambda xs: 0, shapes, 2, 4)
+
+
+def test_search_drops_more_branches_than_the_recursion_limit():
+    # color 0 on the even-parity branches: the search drops the 1,024
+    # others one by one, one state deeper each time
+    def parity(xs):
+        return sum(xs[0]) % 2
+
+    w = search_grid(parity, [TreeShape(2, 11)], density_depth=1, cap=8)
+    assert w is not None and w.color == 0
+    assert validate_grid_witness(w, parity)[0]
+
+
+# The product-scan search that the bit-mask kernel replaced, kept as its
+# reference: tuples of words as states, a color call per tuple scanned.
+
+
+def _dense_feasible(pool: Sequence[Word], t: Word, D: int, cap: int, k: int) -> bool:
+    need = k ** (D - len(t))
+    if need > cap:
+        return False
+    prefixes = {y[:D] for y in pool if y[: len(t)] == t}
+    return len(prefixes) >= need
+
+
+def _trim_to_cap(pool: Sequence[Word], t: Word, D: int, cap: int) -> Optional[list[Word]]:
+    """Drop lex-largest branches whose depth-D prefix stays covered.
+
+    The pool's branches are distinct.  One reverse pass with running
+    prefix counts: once a branch is dropped, every branch after it is the
+    last of its prefix, and counts only fall, so the drops come in
+    reverse order and none is revisited."""
+    excess = len(pool) - cap
+    if excess <= 0:
+        return list(pool)
+    counts = Counter(y[:D] for y in pool)
+    dropped: set[int] = set()
+    for i in range(len(pool) - 1, -1, -1):
+        prefix = pool[i][:D]
+        if counts[prefix] > 1:
+            counts[prefix] -= 1
+            dropped.add(i)
+            if len(dropped) == excess:
+                return [y for i, y in enumerate(pool) if i not in dropped]
+    return None
+
+
+def _mono_family(
+    gamma_branch: Callable[[tuple[Word, ...]], int],
+    pools: tuple[tuple[Word, ...], ...],
+    j: int,
+    ts: Sequence[Word],
+    D: int,
+    cap: int,
+    k: int,
+) -> Optional[list[list[Word]]]:
+    """Largest-first backtracking for an all-j family of dense branch sets.
+
+    Any monochromatic family is contained in some leaf of the recursion
+    (a bad tuple forces one of its entries out), so failure here is a
+    proof of absence, not a search artifact.
+    """
+    seen: set[tuple[tuple[Word, ...], ...]] = set()
+
+    def bad_tuple(state: tuple[tuple[Word, ...], ...]):
+        for combo in itertools.product(*state):
+            if gamma_branch(combo) != j:
+                return combo
+        return None
+
+    def solve(state: tuple[tuple[Word, ...], ...]):
+        if state in seen:
+            return None
+        seen.add(state)
+        offender = bad_tuple(state)
+        if offender is None:
+            out = []
+            for pool, t in zip(state, ts):
+                trimmed = _trim_to_cap(pool, t, D, cap)
+                if trimmed is None:
+                    return None
+                out.append(trimmed)
+            return out
+        for i in range(len(state)):
+            shrunk = tuple(y for y in state[i] if y != offender[i])
+            if not _dense_feasible(shrunk, ts[i], D, cap, k):
+                continue
+            nxt = state[:i] + (shrunk,) + state[i + 1:]
+            got = solve(nxt)
+            if got is not None:
+                return got
+        return None
+
+    return solve(pools)
+
+
+def _search_grid_reference(
+    gamma_branch: Callable[[tuple[Word, ...]], int],
+    shapes: Sequence[TreeShape],
+    density_depth: int,
+    cap: int,
+) -> Optional[GridWitness]:
+    """Backtracking search for a monochromatic somewhere-dense grid.
+
+    Root tuples enumerate in shortlex product order, proper roots only
+    (height below the density depth, so no vacuous one-branch cones);
+    colors ascend; within those the largest monochromatic family wins, so
+    a constant coloring yields the full branch sets.  Failure is None.
+    """
+    d = len(shapes)
+    depth = shapes[0].depth
+    if any(s.depth != depth for s in shapes):
+        raise ValueError("trees must share a depth")
+    if not 1 <= density_depth <= depth:
+        raise ParameterError(f"need 1 <= density depth <= {depth}")
+    pools = [branches(s) for s in shapes]  # in node_key order: lexicographic
+
+    cache: dict[tuple[Word, ...], int] = {}
+
+    def gb(combo: tuple[Word, ...]) -> int:
+        got = cache.get(combo)
+        if got is None:
+            got = gamma_branch(combo)
+            cache[combo] = got
+        return got
+
+    root_lists = [
+        [t for t in all_nodes(s, density_depth - 1)
+         if _dense_feasible(pools[i], t, density_depth, cap, s.k)]
+        for i, s in enumerate(shapes)
+    ]
+    for ts in itertools.product(*root_lists):
+        through = tuple(
+            tuple(y for y in pools[i] if y[: len(ts[i])] == ts[i])
+            for i in range(d)
+        )
+        colors = sorted({gb(c) for c in itertools.product(*through)})
+        for j in colors:
+            fam = _mono_family(
+                gb, through, j, ts, density_depth, cap, shapes[0].k
+            )
+            if fam is not None:
+                return GridWitness(
+                    k=shapes[0].k,
+                    depth=depth,
+                    roots=tuple(ts),
+                    branch_sets=tuple(tuple(y) for y in fam),
+                    density_depth=density_depth,
+                    color=j,
+                )
+    return None
+
+
+@st.composite
+def _table_searches(draw):
+    """A drawn table coloring, read off branch tuples directly or through
+    the surrogate of a level table, with a density depth and a cap."""
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(2, 3))
+    depth = draw(st.integers(1, 4))
+    while k ** (d * depth) > 81:
+        depth -= 1
+    r = draw(st.integers(1, 3))
+    rng = Random(draw(st.integers(0, 2 ** 16)))
+    # a bias toward color 0 leaves large monochromatic families to find
+    bias = draw(st.sampled_from((0.0, 0.5, 0.9)))
+
+    def draw_color():
+        return 0 if rng.random() < bias else rng.randrange(r)
+
+    shapes = [TreeShape(k, depth)] * d
+    if draw(st.booleans()):
+        table = {xs: draw_color() for xs in
+                 itertools.product(*(branches(s) for s in shapes))}
+        fn = table.__getitem__
+    else:
+        levels = {xs: draw_color() for m in range(depth + 1)
+                  for xs in itertools.product(words(k, m), repeat=d)}
+        fn = surrogate_fn(LevelColoring(k=k, d=d, depth=depth, r=r,
+                                        kind="table", table=levels))
+    D = draw(st.integers(1, depth))
+    return fn, shapes, D, draw(st.integers(1, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_table_searches())
+def test_search_matches_the_product_scan(case):
+    fn, shapes, D, cap = case
+    assert search_grid(fn, shapes, D, cap) == _search_grid_reference(
+        fn, shapes, D, cap)
+
+
+def _dense_subsets(cone, t, D, k):
+    # every subset of the cone that meets each depth-D extension of t
+    need = k ** (D - len(t))
+    for n in range(need, len(cone) + 1):
+        for Y in itertools.combinations(cone, n):
+            if len({y[:D] for y in Y}) == need:
+                yield Y
+
+
+def _mono_family_exists(fn, shapes, D, cap):
+    """Brute force: some admissible root tuple, color and dense subsets
+    of the cones on whose product fn is constant."""
+    k, depth = shapes[0].k, shapes[0].depth
+    roots = [t for m in range(D) if k ** (D - m) <= cap for t in words(k, m)]
+    for ts in itertools.product(roots, repeat=len(shapes)):
+        cones = [[t + w for w in words(k, depth - len(t))] for t in ts]
+        families = [list(_dense_subsets(c, t, D, k)) for c, t in zip(cones, ts)]
+        for Ys in itertools.product(*families):
+            if len({fn(xs) for xs in itertools.product(*Ys)}) == 1:
+                return True
+    return False
+
+
+@st.composite
+def _tiny_searches(draw):
+    d = draw(st.integers(1, 2))
+    depth = draw(st.integers(1, 3 if d == 1 else 2))
+    shapes = [TreeShape(2, depth)] * d
+    r = draw(st.integers(1, 3))
+    table = {xs: draw(st.integers(0, r - 1)) for xs in
+             itertools.product(*(branches(s) for s in shapes))}
+    D = draw(st.integers(1, depth))
+    return table.__getitem__, shapes, D, draw(st.integers(1, 8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tiny_searches())
+def test_search_failure_proves_absence(case):
+    fn, shapes, D, cap = case
+    w = search_grid(fn, shapes, D, cap)
+    assert (w is not None) == _mono_family_exists(fn, shapes, D, cap)
+    if w is not None:
+        assert validate_grid_witness(w, fn)[0]
+        assert all(len(Y) <= cap for Y in w.branch_sets)
+
+
 def _trim_reference(pool, D, cap):
-    """The quadratic loop that `_trim_to_cap` replaced: recount the
+    """The quadratic loop that the linear trim replaced: recount the
     prefixes, drop the last branch whose prefix another branch covers,
     repeat until the cap is met."""
     kept = list(pool)
@@ -272,26 +520,28 @@ def _trim_reference(pool, D, cap):
 
 @st.composite
 def _trim_cases(draw):
+    """What the search trims: a lexicographic set dense above a root of
+    height below D, through a cone of at most cap depth-D prefixes."""
     k = draw(st.integers(2, 3))
     depth = draw(st.integers(1, 4))
-    side = branches(TreeShape(k, depth))
-    # a lexicographic sub-pool, as the search passes, or distinct
-    # branches in any order
-    if draw(st.booleans()):
-        pool = [y for y in side if draw(st.booleans())]
-    else:
-        pool = draw(st.lists(st.sampled_from(side), unique=True, max_size=40))
-    D = draw(st.integers(0, depth))
-    cap = draw(st.integers(-1, len(pool) + 1))
-    return pool, D, cap
+    D = draw(st.integers(1, depth))
+    t = tuple(draw(st.lists(st.integers(0, k - 1), max_size=D - 1)))
+    cone = [t + w for w in words(k, depth - len(t))]
+    block = k ** (depth - D)
+    # one branch of each prefix class, and any others
+    keep = {draw(st.integers(c, c + block - 1))
+            for c in range(0, len(cone), block)}
+    keep |= {p for p in range(len(cone)) if draw(st.booleans())}
+    cap = draw(st.integers(len(cone) // block, len(keep) + 1))
+    return cone, sorted(keep), block, D, cap
 
 
 @settings(max_examples=200, deadline=None)
 @given(_trim_cases())
 def test_trim_to_cap_matches_the_quadratic_loop(case):
-    pool, D, cap = case
-    assert _trim_to_cap(tuple(pool), (), D, cap) == _trim_reference(
-        pool, D, cap)
+    cone, bits, block, D, cap = case
+    assert [cone[p] for p in _trim(bits, block, cap)] == _trim_reference(
+        [cone[p] for p in bits], D, cap)
 
 
 @pytest.mark.parametrize("depth, spreads, ok", [
