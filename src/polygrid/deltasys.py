@@ -272,6 +272,25 @@ class ExtractResult:
     failure: Optional[dict] = None
 
 
+class _Ends(dict):
+    """ends[prefix][label] holds, as a bit mask over positions in idx, the
+    last indices y of the keys prefix + (y,) that have that label.  A
+    prefix's row is filled on first use, from the keys of the total family
+    that extend it by an index above its last."""
+
+    def __init__(self, idx: tuple[int, ...], labels: Mapping):
+        super().__init__()
+        self.idx, self.labels = idx, labels
+        self.pos = {x: i for i, x in enumerate(idx)}
+
+    def __missing__(self, prefix: Key) -> dict[object, int]:
+        idx, labels = self.idx, self.labels
+        row = self[prefix] = defaultdict(int)
+        for i in range(self.pos[prefix[-1]] + 1 if prefix else 0, len(idx)):
+            row[labels[prefix + (idx[i],)]] |= 1 << i
+        return row
+
+
 def extract_uniform(fam: Family, h: int, g, budget: int = 200_000) -> ExtractResult:
     """The least h indices on which the restriction is uniform and g
     constant: the first h-subset in lexicographic order with one label on
@@ -294,19 +313,13 @@ def extract_uniform(fam: Family, h: int, g, budget: int = 200_000) -> ExtractRes
     umap = fam.umap
     # a callable is tabulated once; a mapping is read in place
     labels = {b: g(b) for b in umap} if callable(g) else g
-    # index sets are bit masks over positions in idx.  ends[prefix][label]
-    # holds the last indices y of the keys prefix + (y,) with that label:
-    # the candidates for the next index, whose closing keys must all have
-    # the witness's label, narrow by one intersection per admitted index
-    bit = {x: 1 << i for i, x in enumerate(idx)}
-    ends: dict[Key, dict[object, int]] = defaultdict(lambda: defaultdict(int))
-    try:
-        for b in umap:
-            label = labels[b]
-            if b:
-                ends[b[:-1]][label] |= bit[b[-1]]
-    except KeyError as exc:
-        raise ParameterError(f"labels miss key {exc.args[0]}") from None
+    if not umap.keys() <= labels.keys():
+        missing = next(b for b in umap if b not in labels)
+        raise ParameterError(f"labels miss key {missing}")
+    # index sets are bit masks over positions in idx; the candidates for
+    # the next index, whose closing keys must all have the witness's
+    # label, narrow by one intersection with an _Ends row per admitted index
+    ends = _Ends(idx, labels)
     if h > len(idx):
         return ExtractResult(False, None, None, None, "none", 0,
                              {"reason": "candidate pool smaller than h",

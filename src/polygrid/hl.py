@@ -13,8 +13,9 @@ S_n = {x : x takes the leftmost step at level n}.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from random import Random
 from typing import Callable, Optional, Sequence
 
@@ -121,6 +122,12 @@ class LevelColoring:
         [w[:0], w[:1], ..., w], filled lazily."""
         return {}
 
+    @cached_property
+    def _lettered(self) -> set[Word]:
+        """The words whose letters have passed the range check; a word
+        is checked once per instance."""
+        return set()
+
     def color(self, words: tuple[Word, ...]) -> int:
         """The color of a same-height tuple, memoized per instance; a
         tuple that raises is never stored, so it raises on every call."""
@@ -138,9 +145,12 @@ class LevelColoring:
         m = len(words[0])
         if m > self.depth:
             raise ValueError(f"height {m} exceeds depth {self.depth}")
+        lettered = self._lettered
         for w in words:
-            if any(not 0 <= c < self.k for c in w):
-                raise ValueError("letters out of range")
+            if w not in lettered:
+                if any(not 0 <= c < self.k for c in w):
+                    raise ValueError("letters out of range")
+                lettered.add(w)
         if self.kind == "constant":
             return self.value
         if self.kind == "level-parity":
@@ -239,6 +249,83 @@ def surrogate_fn(gamma: LevelColoring) -> Callable[[tuple[Word, ...]], int]:
     return lambda xs: surrogate_color(gamma, xs, gamma.depth)
 
 
+def _positions(indices: Sequence[Sequence[int]], sizes: Sequence[int]):
+    """For each tuple of product(*indices), in product order, its position
+    in the product order of ranges of the given sizes."""
+    scaled, stride = [], 1
+    for idx, n in zip(reversed(indices), reversed(sizes)):
+        scaled.append([i * stride for i in idx])
+        stride *= n
+    if len(scaled) == 1:
+        return scaled[0]
+    return map(sum, itertools.product(*reversed(scaled)))
+
+
+def surrogate_product(
+    gamma: LevelColoring, sets: Sequence[Sequence[Word]]
+) -> list[int]:
+    """surrogate_color(gamma, xs, gamma.depth) for every xs in
+    product(*sets), in product order, one level at a time.
+
+    The branches are checked once, before any coloring: the arity, a
+    length of at least L - 1 for L = gamma.depth, and the letters the
+    truncations read.  Tuples that share a prefix share every truncation
+    color up to it, so at level m each distinct tuple of m-prefixes is
+    colored once, memo misses through gamma.color, and its color is added
+    to its parent's vote counts, packed one bit field per color into an
+    int.  A branch tuple takes the vote at its tuple of (L-1)-prefixes.
+    """
+    if not all(sets):
+        return []
+    top = gamma.depth - 1
+    if min(map(len, itertools.chain.from_iterable(sets)), default=top) < top:
+        raise ValueError("branches too short for the requested truncations")
+    if len(sets) != gamma.d:
+        raise ValueError(f"expected {gamma.d} words, got {len(sets)}")
+    # per coordinate: its distinct m-prefixes for each m <= top, each
+    # prefix's parent index one level down, and each branch's top prefix
+    prefixes, parents, tops = [], [], []
+    for xs in sets:
+        index: dict[Word, int] = {}
+        tops.append([index.setdefault(x[:top], len(index)) for x in xs])
+        levels, ups = [list(index)], []
+        for _ in range(top):
+            index = {}
+            ups.append([index.setdefault(w[:-1], len(index))
+                        for w in levels[-1]])
+            levels.append(list(index))
+        prefixes.append(levels[::-1])
+        parents.append(ups[::-1])
+    letters = set(itertools.chain.from_iterable(
+        w for p in prefixes for w in p[top]))
+    if not letters.issubset(range(gamma.k)):
+        raise ValueError("letters out of range")
+    memo = gamma._colors
+    bits = gamma.depth.bit_length()  # a count reaches at most L
+    unit = [1 << bits * c for c in range(gamma.r)]
+    counts = [0]
+    for m in range(top + 1):
+        keys = list(itertools.product(*(p[m] for p in prefixes)))
+        colors = list(map(memo.get, keys))
+        if None in colors:
+            for n, c in enumerate(colors):
+                if c is None:
+                    colors[n] = gamma.color(keys[n])
+        up = (_positions([u[m - 1] for u in parents],
+                         [len(p[m - 1]) for p in prefixes])
+              if m else [0])
+        counts = list(map(operator.add, map(counts.__getitem__, up),
+                          map(unit.__getitem__, colors)))
+    mask = (1 << bits) - 1
+    vote = {}
+    for packed in set(counts):
+        tally = [packed >> bits * c & mask for c in range(gamma.r)]
+        vote[packed] = tally.index(max(tally))
+    votes = list(map(vote.__getitem__, counts))
+    return list(map(votes.__getitem__,
+                    _positions(tops, [len(p[top]) for p in prefixes])))
+
+
 def check_surrogate_size(gamma: LevelColoring, spreads: Sequence[int]) -> None:
     """Refuse, before any coloring, a surrogate run over the product of
     branch sets whose i-th set differs only in the first spreads[i]
@@ -326,13 +413,15 @@ def _mono_family(
 
 
 def search_grid(
-    gamma_branch: Callable[[tuple[Word, ...]], int],
+    color_cones: Callable[[list[list[Word]]], Sequence[int]],
     shapes: Sequence[TreeShape],
     density_depth: int,
     cap: int,
 ) -> Optional[GridWitness]:
     """Backtracking search for a monochromatic somewhere-dense grid.
 
+    color_cones maps a list of branch lists to the colors of their
+    product, in product order (for a level coloring, surrogate_product).
     Root tuples enumerate in shortlex product order, proper roots only
     (height below the density depth D, so no vacuous one-branch cones)
     whose k^(D - |t|) prefixes fit in the cap; pools are full trees, so
@@ -346,21 +435,23 @@ def search_grid(
         raise ValueError("trees must share their k and depth")
     if not 1 <= density_depth <= depth:
         raise ParameterError(f"need 1 <= density depth <= {depth}")
+    if cap < 1:
+        raise ParameterError(f"need cap >= 1, got {cap}")
     block = k ** (depth - density_depth)  # cone branches per prefix
     roots = [t for t in all_nodes(shapes[0], density_depth - 1)
              if k ** (density_depth - len(t)) <= cap]
-    color = cache(gamma_branch)  # the cones of root tuples overlap
     for ts in itertools.product(roots, repeat=len(shapes)):
         # a cone: the branches through its root, lexicographic
         cones = [[t + w for w in words(k, depth - len(t))] for t in ts]
         # one coloring pass, in product order: each head (indices into
         # all cones but the last) maps to its row of colors over the last
-        *front, last = cones
-        heads = itertools.product(*(range(len(c)) for c in front))
-        rows = {h: [color(head + (y,)) for y in last]
-                for h, head in zip(heads, itertools.product(*front))}
+        colors = color_cones(cones)
+        n = len(cones[-1])
+        heads = itertools.product(*(range(len(c)) for c in cones[:-1]))
+        rows = {h: colors[i:i + n]
+                for h, i in zip(heads, range(0, len(colors), n))}
         full = tuple((1 << len(c)) - 1 for c in cones)
-        for j in sorted(set().union(*rows.values())):
+        for j in sorted(set(colors)):
             state = _mono_family(rows, j, full, block)
             if state is not None:
                 return GridWitness(
@@ -575,8 +666,9 @@ def derive_strong_subtrees(
             chains[i] = grown
 
     witness = packaged()
-    assert witness is not None and witness.height == h
-    assert verify_hl_witness(gamma, witness)
+    # a raise, not an assert, so that the re-check also runs under -O
+    if witness is None or not verify_hl_witness(gamma, witness):
+        raise RuntimeError("the derived HL witness fails its re-check")
     return DeriveResult(True, witness, h)
 
 
@@ -604,8 +696,7 @@ def cone_grid(
         sets.append(
             tuple(r + e + (0,) * (gamma.depth - density_depth) for e in tails)
         )
-    fn = surrogate_fn(gamma)
-    colors = {fn(combo) for combo in itertools.product(*sets)}
+    colors = set(surrogate_product(gamma, sets))
     if len(colors) != 1:
         return None
     w = GridWitness(
@@ -616,8 +707,10 @@ def cone_grid(
         density_depth=density_depth,
         color=colors.pop(),
     )
-    ok, _ = validate_grid_witness(w, fn)
-    assert ok
+    # re-checked tuple by tuple, independently of the kernel; a raise,
+    # not an assert, so that the re-check also runs under -O
+    if not validate_grid_witness(w, surrogate_fn(gamma))[0]:
+        raise RuntimeError("the cone grid fails its re-check")
     return w
 
 

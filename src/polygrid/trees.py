@@ -60,7 +60,8 @@ def branches(shape: TreeShape) -> list[Word]:
 
 
 def is_level_tuple(nodes: Sequence[Word]) -> bool:
-    return len(nodes) > 0 and len({len(t) for t in nodes}) == 1
+    # one C-level pass; an empty tuple has no height
+    return len(set(map(len, nodes))) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ import hashlib
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from collections import Counter
@@ -174,6 +177,9 @@ def test_usage_exit_code():
     ["grid-search", "--depth", "14"],
     ["hl-derive", "--depth", "511"],
     ["grid-search", "--d", "3", "--depth", "7"],  # 2^21 branch tuples
+    # no root fits a cap below one; that is not a "no grid" verdict
+    ["grid-search", "--cap", "0"],
+    ["grid-search", "--cap", "-3"],
 ])
 def test_bad_parameter_is_usage_error(tmp_path, monkeypatch, args):
     # a bad flag or input file must not read as a result: exit 64 and
@@ -218,6 +224,34 @@ def test_bad_parameter_is_usage_error(tmp_path, monkeypatch, args):
 def test_surrogate_just_under_the_cap_runs(tmp_path, args, code):
     assert run(tmp_path, *args) == code
     assert (tmp_path / f"{args[0]}.json").exists()
+
+
+# hl-derive under python -O with one witness re-check made to fail: the
+# re-check must still run and the job exit 70, writing nothing
+_FAILED_RECHECK = """
+import sys
+from polygrid import cli, hl
+if not sys.flags.optimize:
+    sys.exit(3)
+if sys.argv[1] == "grid":
+    hl.validate_grid_witness = lambda w, gamma: (False, {})
+else:
+    hl.verify_hl_witness = lambda gamma, w: False
+sys.exit(cli.main(["hl-derive", "--out", sys.argv[2]]))
+"""
+
+
+@pytest.mark.parametrize("check", ["grid", "hl"])
+def test_witness_rechecks_run_under_optimize(tmp_path, check):
+    out = tmp_path / "out"
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _FAILED_RECHECK, check, str(out)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 70, proc.stderr
+    assert "fails its re-check" in proc.stderr
+    assert not out.exists()
 
 
 # one cheap run per subcommand, from which the sweep varies one flag

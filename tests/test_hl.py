@@ -1,5 +1,6 @@
 """Grid search, the subtree derivation, and the sideways construction."""
 
+import functools
 import itertools
 import json
 from collections import Counter
@@ -25,6 +26,7 @@ from polygrid.hl import (
     sideways_build,
     surrogate_color,
     surrogate_fn,
+    surrogate_product,
     verify_hl_witness,
 )
 from polygrid.ordset import OrdSet
@@ -218,13 +220,91 @@ def test_surrogate_colors_each_missing_truncation_once(gamma, half, data):
         assert gamma._colors.keys() - before.keys() <= {((),) * d}
 
 
+@st.composite
+def _branch_sets(draw, gamma):
+    """Unsorted lists of branches, one per coordinate, of length L - 1 to
+    L + 1 for L = gamma.depth; on the small alphabets drawn here they
+    share prefixes, and may repeat."""
+    L = gamma.depth
+    branch = st.integers(max(0, L - 1), L + 1).flatmap(
+        lambda n: st.tuples(*[st.integers(0, gamma.k - 1)] * n))
+    return [draw(st.lists(branch, min_size=1, max_size=4))
+            for _ in range(gamma.d)]
+
+
+def _per_tuple_error(gamma, sets):
+    """The message of the error the per-tuple vote raises on the
+    product, on an instance with an empty memo."""
+    fresh = LevelColoring.from_json(gamma.to_json())
+    with pytest.raises(ValueError) as err:
+        for xs in itertools.product(*sets):
+            surrogate_color(fresh, xs, fresh.depth)
+    return str(err.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(level_colorings(), st.booleans(), st.data())
+def test_surrogate_product_is_the_per_tuple_vote(gamma, prefill, data):
+    L = gamma.depth
+    sets = data.draw(_branch_sets(gamma))
+    product = list(itertools.product(*sets))
+    truncations = {tuple(x[:m] for x in xs) for xs in product
+                   for m in range(L)}
+    if prefill:
+        for key in sorted(truncations)[::2]:
+            gamma.color(key)
+    missing = truncations - gamma._colors.keys()
+    calls = []
+
+    def recording(words):
+        calls.append(words)
+        return LevelColoring.color(gamma, words)
+
+    gamma.color = recording  # shadows the method on this instance only
+    got = surrogate_product(gamma, sets)
+    del gamma.color
+    # one call per truncation the memo lacked, level by level
+    assert sorted(calls) == sorted(missing)
+    assert [len(w[0]) for w in calls] == sorted(len(w[0]) for w in calls)
+    fresh = LevelColoring.from_json(gamma.to_json())
+    assert got == [surrogate_color(fresh, xs, L) for xs in product]
+    # a short branch, a letter out of range where a truncation reads it,
+    # or a wrong number of sets: the per-tuple vote's error, and nothing
+    # colored or stored
+    k, d = gamma.k, gamma.d
+    bad = [sets + [sets[0]], sets[:-1]]
+    if L > 1:
+        bad.append([[(0,) * (L - 2)] + s for s in sets])
+        bad.append([s + [(k,) * L] for s in sets])
+        bad.append([[(0,) * (L - 2) + (-1,)]] + sets[1:])
+    for bad_sets in bad:
+        expected = _per_tuple_error(gamma, bad_sets)
+        before = dict(gamma._colors)
+        with pytest.raises(ValueError) as err:
+            surrogate_product(gamma, bad_sets)
+        assert str(err.value) == expected
+        assert gamma._colors == before
+    # a letter past the truncations is never read
+    if d == 1:
+        long = [[(0,) * (L - 1) + (k,)]]
+        assert surrogate_product(gamma, long) == [
+            surrogate_color(gamma, long[0], L)]
+    assert surrogate_product(gamma, [[]] * d) == []
+
+
 # ---------------------------------------------------------------------------
 # grid search
 
 
+def per_tuple(fn):
+    """The cone colorer search_grid takes, from a coloring of branch
+    tuples: fn on every tuple of the cones' product, in product order."""
+    return lambda cones: [fn(xs) for xs in itertools.product(*cones)]
+
+
 def test_search_constant_full_sets():
     shapes = [TreeShape(2, 2), TreeShape(2, 2)]
-    w = search_grid(lambda xs: 0, shapes, density_depth=2, cap=4)
+    w = search_grid(per_tuple(lambda xs: 0), shapes, density_depth=2, cap=4)
     assert w is not None
     assert w.roots == ((), ())
     assert all(len(Y) == 4 for Y in w.branch_sets)
@@ -233,7 +313,8 @@ def test_search_constant_full_sets():
 
 def test_search_first_letter():
     shapes = [TreeShape(2, 2)]
-    w = search_grid(lambda xs: xs[0][0], shapes, density_depth=2, cap=4)
+    w = search_grid(per_tuple(lambda xs: xs[0][0]), shapes, density_depth=2,
+                    cap=4)
     assert w is not None
     assert w.roots[0] == (0,)
     assert sorted(w.branch_sets[0]) == [(0, 0), (0, 1)]
@@ -257,7 +338,8 @@ def test_search_defeated_by_product_bound():
     # product bound forces more than two colors on it
     product = itertools.product(*(branches(s) for s in shapes))
     assert len({coded(xs) for xs in product}) > 2
-    assert search_grid(coded, shapes, density_depth=1, cap=12) is None
+    assert search_grid(per_tuple(coded), shapes, density_depth=1,
+                       cap=12) is None
 
 
 @pytest.mark.parametrize("ks", [(3, 2), (2, 3)], ids=["k3-k2", "k2-k3"])
@@ -265,7 +347,14 @@ def test_search_refuses_shapes_of_different_k(ks):
     # a k=3 witness over a k=2 tree would be neither dense nor valid
     shapes = [TreeShape(k, 2) for k in ks]
     with pytest.raises(ValueError, match="share their k and depth"):
-        search_grid(lambda xs: 0, shapes, 2, 4)
+        search_grid(per_tuple(lambda xs: 0), shapes, 2, 4)
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_search_refuses_a_cap_below_one(cap):
+    # no root fits such a cap; an empty search would read as "no grid"
+    with pytest.raises(ParameterError, match="cap >= 1"):
+        search_grid(per_tuple(lambda xs: 0), [TreeShape(2, 2)], 1, cap)
 
 
 def test_search_drops_more_branches_than_the_recursion_limit():
@@ -274,7 +363,8 @@ def test_search_drops_more_branches_than_the_recursion_limit():
     def parity(xs):
         return sum(xs[0]) % 2
 
-    w = search_grid(parity, [TreeShape(2, 11)], density_depth=1, cap=8)
+    w = search_grid(per_tuple(parity), [TreeShape(2, 11)], density_depth=1,
+                    cap=8)
     assert w is not None and w.color == 0
     assert validate_grid_witness(w, parity)[0]
 
@@ -422,7 +512,10 @@ def _search_grid_reference(
 @st.composite
 def _table_searches(draw):
     """A drawn table coloring, read off branch tuples directly or through
-    the surrogate of a level table, with a density depth and a cap."""
+    the surrogate of a level table, with a density depth and a cap: the
+    cone colorer under test and the per-tuple coloring it must agree
+    with.  A level table's kernel and per-tuple vote read two instances,
+    so neither sees colors the other memoized."""
     d = draw(st.integers(1, 3))
     k = draw(st.integers(2, 3))
     depth = draw(st.integers(1, 4))
@@ -441,20 +534,25 @@ def _table_searches(draw):
         table = {xs: draw_color() for xs in
                  itertools.product(*(branches(s) for s in shapes))}
         fn = table.__getitem__
+        colorer = per_tuple(fn)
     else:
         levels = {xs: draw_color() for m in range(depth + 1)
                   for xs in itertools.product(words(k, m), repeat=d)}
-        fn = surrogate_fn(LevelColoring(k=k, d=d, depth=depth, r=r,
-                                        kind="table", table=levels))
+
+        def level_table():
+            return LevelColoring(k=k, d=d, depth=depth, r=r, kind="table",
+                                 table=levels)
+        fn = surrogate_fn(level_table())
+        colorer = functools.partial(surrogate_product, level_table())
     D = draw(st.integers(1, depth))
-    return fn, shapes, D, draw(st.integers(1, 12))
+    return colorer, fn, shapes, D, draw(st.integers(1, 12))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_table_searches())
 def test_search_matches_the_product_scan(case):
-    fn, shapes, D, cap = case
-    assert search_grid(fn, shapes, D, cap) == _search_grid_reference(
+    colorer, fn, shapes, D, cap = case
+    assert search_grid(colorer, shapes, D, cap) == _search_grid_reference(
         fn, shapes, D, cap)
 
 
@@ -497,7 +595,7 @@ def _tiny_searches(draw):
 @given(_tiny_searches())
 def test_search_failure_proves_absence(case):
     fn, shapes, D, cap = case
-    w = search_grid(fn, shapes, D, cap)
+    w = search_grid(per_tuple(fn), shapes, D, cap)
     assert (w is not None) == _mono_family_exists(fn, shapes, D, cap)
     if w is not None:
         assert validate_grid_witness(w, fn)[0]
@@ -688,7 +786,8 @@ def test_grid_witness_json_round_trip(d, depth, r, seed, data):
                           seed=seed)
     density = data.draw(st.integers(1, depth))
     shapes = [TreeShape(2, depth) for i in range(d)]
-    w = search_grid(surrogate_fn(gamma), shapes, density, cap=8)
+    w = search_grid(functools.partial(surrogate_product, gamma), shapes,
+                    density, cap=8)
     assume(w is not None)
     _assert_json_round_trip(GridWitness, w)
 
