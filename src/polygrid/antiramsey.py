@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from random import Random
 from typing import NamedTuple, Sequence
 
@@ -77,6 +78,19 @@ class Arena:
     @cached_property
     def _colors(self) -> dict[tuple[int, ...], TupleColor]:
         """c_full memo, filled lazily: a job may color only a few tuples."""
+        return {}
+
+    @cached_property
+    def _rows(self) -> dict[tuple[int, ...], dict[int, TupleColor]]:
+        """Census rows: a head (the first dim entries of a tuple) maps x to
+        c_full of head + (x,), for the x that censuses have reached.
+        Equal colors in the rows are one object (see _palette)."""
+        return {}
+
+    @cached_property
+    def _palette(self) -> dict[TupleColor, TupleColor]:
+        """Each color of the census rows, keyed by itself: a census set
+        then finds a repeated color by identity, before comparing."""
         return {}
 
     def embed(self, beta: int, alpha: int) -> int:
@@ -310,14 +324,32 @@ def verify_product_bound(
     for a in sets:
         if a.otp != need:
             raise ValueError(f"side sets must have size {need}, got {a.otp}")
-    sides = [a.elems for a in sets]
-    memo = arena._colors  # read inline
+    *heads, last = [a.elems for a in sets]
+    rows = arena._rows  # read inline
+    # one color, not a tuple of them, from a last side of one element
+    pick = itemgetter(*last)
     try:
-        census = set(map(memo.__getitem__, itertools.product(*sides)))
-    except KeyError:  # fill the misses, which c_full counts and checks
-        census = {memo.get(vec) or c_full(arena, vec)
-                  for vec in itertools.product(*sides)}
+        census = _census(rows, heads, pick, len(last))
+    except KeyError:  # fill the misses through c_full, which counts and checks
+        palette = arena._palette
+        for head in itertools.product(*heads):
+            row = rows.get(head) or {}
+            for x in last:
+                if x not in row:
+                    col = c_full(arena, head + (x,))
+                    row[x] = palette.setdefault(col, col)
+            rows[head] = row  # a head whose colors raise gets no row
+        census = _census(rows, heads, pick, len(last))
     return len(census) > k, census
+
+
+def _census(rows: dict, heads: list[tuple[int, ...]], pick: itemgetter,
+            width: int) -> set[TupleColor]:
+    """The colors that rows give the product of heads and the last side:
+    one row lookup per head tuple and one itemgetter call per row, with
+    no tuple built per product tuple.  KeyError at the first miss."""
+    picked = map(pick, map(rows.__getitem__, itertools.product(*heads)))
+    return set(picked if width == 1 else itertools.chain.from_iterable(picked))
 
 
 # ---------------------------------------------------------------------------

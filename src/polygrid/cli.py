@@ -324,6 +324,40 @@ def _run_difference(cfg: RunConfig) -> int:
     return EXIT_OK if rep.ok else EXIT_FAIL
 
 
+def _sorted_sample(rng: Random, n: int, k: int) -> tuple[int, ...]:
+    """tuple(sorted(rng.sample(range(n), k))), read from the same stream.
+
+    Random.sample inlined for a range population, with its _randbelow as
+    getrandbits rejection (as ph._SeededTable._draw inlines randint).  A
+    population no larger than the set of k picks would be is drawn from
+    a pool, swapping each pick out; a larger one by rejecting repeats,
+    and then the picks are just the set sorted."""
+    if not 0 <= k <= n:
+        raise ValueError("Sample larger than population or is negative")
+    getrandbits = rng.getrandbits
+    setsize = 21  # Random.sample's own switch
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n <= setsize:
+        pool = list(range(n))
+        picks = []
+        for left in range(n, n - k, -1):
+            bits = left.bit_length()
+            j = getrandbits(bits)
+            while j >= left:
+                j = getrandbits(bits)
+            picks.append(pool[j])
+            pool[j] = pool[left - 1]
+        return tuple(sorted(picks))
+    selected: set[int] = set()
+    add, bits = selected.add, n.bit_length()
+    while len(selected) < k:
+        j = getrandbits(bits)
+        if j < n:
+            add(j)
+    return tuple(sorted(selected))
+
+
 @_command("product-bound", {
     "n": (int, 1),
     "k": (int, 1),
@@ -335,6 +369,9 @@ def _run_product_bound(cfg: RunConfig) -> int:
     n, k, size, samples = p["n"], p["k"], p["size"], p["samples"]
     if samples < 0:
         raise ParameterError("--samples must be >= 0 (0 enumerates every pair)")
+    # before the threshold search, which can take seconds
+    if samples == 0 and n != 1:
+        raise ParameterError("exhaustive pair enumeration is only wired for n=1")
     try:
         m = antiramsey.m_seq(n, k)
     except antiramsey.BudgetError as exc:
@@ -342,8 +379,6 @@ def _run_product_bound(cfg: RunConfig) -> int:
         return EXIT_BUDGET
     if m > size:
         raise ParameterError(f"side size {m} does not fit in an arena of {size}")
-    if samples == 0 and n != 1:
-        raise ParameterError("exhaustive pair enumeration is only wired for n=1")
     # C(size, j)^2 grows with j up to min(m, size - m)
     n_pairs = samples or capped(math.comb(size, j) ** 2
                                 for j in range(min(m, size - m) + 1))
@@ -361,7 +396,7 @@ def _run_product_bound(cfg: RunConfig) -> int:
         for t in range(samples):
             rng = Random(f"product-bound:{cfg.seed}:{t}")
             pairs.append(tuple(
-                OrdSet.unchecked(tuple(sorted(rng.sample(range(size), m))))
+                OrdSet.unchecked(_sorted_sample(rng, size, m))
                 for _ in range(n + 1)
             ))
     violations = 0
@@ -642,7 +677,7 @@ def _run_sideways(cfg: RunConfig) -> int:
         jmap = lambda xs: xs[0][0] % j_bound
     else:
         raise ParameterError(f"no jmap kind {kind!r} for --d {d}")
-    fn = hl.sideways_build(jmap, d, j_bound, depth)
+    lift = hl.sideways_lift(jmap, d, j_bound, depth)
     shape = trees.TreeShape(k, depth)
     if capped(k ** j for j in range(depth * (d + 1) + 1)) > CAP:
         raise ParameterError(
@@ -651,7 +686,7 @@ def _run_sideways(cfg: RunConfig) -> int:
     side = trees.branches(shape)
     # colors before names, so that a bad jmap value is reported ahead of a
     # letter >= 10, as a walk in tuple order would
-    colors = [fn(combo) for combo in itertools.product(side, repeat=d + 1)]
+    colors = lift(side)
     names = [trees.word_to_str(x) for x in side]
     census = Counter(colors)
     # every name has depth digits and branches() lists words in order, so

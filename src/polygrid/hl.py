@@ -727,24 +727,57 @@ def s_member(n: int, x: Word) -> bool:
     return x[n] == 0
 
 
-def sideways_build(
-    jmap: Callable[[tuple[Word, ...]], int], d: int, j_bound: int, depth: int
-) -> Callable[[tuple[Word, ...]], int]:
-    """Lift a d-dimensional branch coloring into {0..j_bound-1} to a
-    2-coloring of (d+1)-tuples: color 0 iff the last coordinate lies in
-    S_j for j the jmap value of the first d."""
+def _check_sideways(d: int, j_bound: int, depth: int) -> None:
     if d < 0:
         raise ParameterError("need d >= 0")
     if not 1 <= j_bound < depth:
         raise ParameterError(
             f"need 1 <= jmap range {j_bound} < branch depth {depth}")
 
+
+def _jmap_value(jmap: Callable[[tuple[Word, ...]], int],
+                prefix: tuple[Word, ...], j_bound: int) -> int:
+    j = jmap(prefix)
+    if not 0 <= j < j_bound:
+        raise ParameterError(f"jmap value {j} outside 0..{j_bound - 1}")
+    return j
+
+
+def sideways_build(
+    jmap: Callable[[tuple[Word, ...]], int], d: int, j_bound: int, depth: int
+) -> Callable[[tuple[Word, ...]], int]:
+    """Lift a d-dimensional branch coloring into {0..j_bound-1} to a
+    2-coloring of (d+1)-tuples: color 0 iff the last coordinate lies in
+    S_j for j the jmap value of the first d."""
+    _check_sideways(d, j_bound, depth)
+
     def color(xs: tuple[Word, ...]) -> int:
         if len(xs) != d + 1:
             raise ValueError(f"expected {d + 1} branches, got {len(xs)}")
-        j = jmap(tuple(xs[:d]))
-        if not 0 <= j < j_bound:
-            raise ParameterError(f"jmap value {j} outside 0..{j_bound - 1}")
+        j = _jmap_value(jmap, tuple(xs[:d]), j_bound)
         return 0 if s_member(j, xs[d]) else 1
 
     return color
+
+
+def sideways_lift(
+    jmap: Callable[[tuple[Word, ...]], int], d: int, j_bound: int, depth: int
+) -> Callable[[Sequence[Word]], list[int]]:
+    """sideways_build over a whole product: a function of a list of
+    branches, `side`, that returns the colors of product(side, repeat=d+1)
+    in product order.  The jmap and its range check run once per d-prefix,
+    in prefix order, and the S_j membership row of `side` once per j."""
+    _check_sideways(d, j_bound, depth)
+
+    def colors(side: Sequence[Word]) -> list[int]:
+        rows: dict[int, list[int]] = {}
+        out: list[int] = []
+        for prefix in itertools.product(side, repeat=d):
+            j = _jmap_value(jmap, prefix, j_bound)
+            row = rows.get(j)
+            if row is None:
+                row = rows[j] = [0 if s_member(j, x) else 1 for x in side]
+            out += row
+        return out
+
+    return colors

@@ -369,6 +369,55 @@ def test_product_census_matches_unmemoized_colors(nk, seeded, data):
     assert verify_product_bound(arena, sides, k) == (ok, census)
 
 
+def _inside(vec, size):
+    return all(0 <= x < size for x in vec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(1, 0), (1, 1), (1, 2), (2, 0), (2, 1)]),
+       st.booleans(), st.data())
+def test_row_census_matches_per_tuple_colors(nk, seeded, data):
+    # censuses read per-head rows that the censuses before them on the
+    # same arena filled in part; each must equal the census taken tuple
+    # by tuple with _c_full.  k = 0 gives sides of one element each.
+    n, k = nk
+    need = m_seq(n, k)
+    size = data.draw(st.integers(max(need, 2), need + 6))
+    arena = (Arena(size=size, dim=n, mode="seeded",
+                   seed=data.draw(st.integers(0, 99)))
+             if seeded else Arena(size=size, dim=n, mode="identity"))
+    side = st.lists(st.integers(0, size - 1), min_size=need, max_size=need,
+                    unique=True)
+
+    def census_per_tuple(sides):
+        return {_c_full(arena, vec)
+                for vec in itertools.product(*(a.elems for a in sides))}
+
+    for _ in range(data.draw(st.integers(1, 4))):
+        sides = [OrdSet.of(data.draw(side)) for _ in range(n + 1)]
+        ok, census = verify_product_bound(arena, sides, k)
+        assert census == census_per_tuple(sides)
+        assert ok == (len(census) > k)
+    # one entry of one side moved outside the arena: the census raises
+    # ValueError, as c_full does, and neither the rows nor the memo keep
+    # a tuple that reaches outside
+    sides = [OrdSet.of(data.draw(side)) for _ in range(n + 1)]
+    bad = data.draw(st.integers(0, n))
+    out = data.draw(st.sampled_from([-1, size, size + 5]))
+    elems = sorted(sides[bad].elems[1:] + (out,))
+    sides[bad] = OrdSet.unchecked(tuple(elems))
+    with pytest.raises(ValueError, match="outside arena"):
+        verify_product_bound(arena, sides, k)
+    assert all(_inside(vec, size) for vec in arena._colors)
+    for head, row in arena._rows.items():
+        assert _inside(head, size) and _inside(row, size)
+        assert all(_c_full(arena, head + (x,)) == col
+                   for x, col in row.items())
+    # and the rows still serve a census inside the arena
+    sides = [OrdSet.of(data.draw(side)) for _ in range(n + 1)]
+    assert verify_product_bound(arena, sides, k)[1] == census_per_tuple(sides)
+
+
 def test_product_bound_size_guard():
     with pytest.raises(ValueError):
         verify_product_bound(ID1, [OrdSet.of([1]), OrdSet.of([2])], 1)

@@ -12,6 +12,7 @@ import tempfile
 import tracemalloc
 from collections import Counter
 from pathlib import Path
+from random import Random
 from typing import NamedTuple
 
 import pytest
@@ -180,6 +181,9 @@ def test_usage_exit_code():
     # no root fits a cap below one; that is not a "no grid" verdict
     ["grid-search", "--cap", "0"],
     ["grid-search", "--cap", "-3"],
+    # exhaustive enumeration is wired for n = 1 only; refused before the
+    # threshold search for (n=2, k=2), which runs out of budget
+    ["product-bound", "--n", "2", "--k", "2", "--samples", "0"],
 ])
 def test_bad_parameter_is_usage_error(tmp_path, monkeypatch, args):
     # a bad flag or input file must not read as a result: exit 64 and
@@ -375,6 +379,60 @@ def test_product_bound_exhaustive(tmp_path):
     assert blob["min_census"] >= 2
 
 
+# artifact digests of the census that drew its sets with Random.sample
+# and colored each product tuple by tuple
+@pytest.mark.parametrize("argv, json_digest, csv_digest", [
+    (["--k", "1", "--size", "12", "--samples", "40", "--seed", "1"],
+     "4d8f85e1809a7ede", "261ada5c823cde41"),
+    (["--k", "1", "--size", "12", "--samples", "40", "--seed", "2"],
+     "3c180811881c50cf", "261ada5c823cde41"),
+    (["--k", "2", "--size", "24", "--samples", "30", "--seed", "1"],
+     "bf8922eab5068df4", "5a563fd327fd223f"),
+    (["--k", "2", "--size", "24", "--samples", "30", "--seed", "2"],
+     "d464e7d6aae21f70", "5a563fd327fd223f"),
+    # sets drawn by Random.sample's set branch
+    (["--k", "1", "--size", "200", "--samples", "50", "--seed", "9"],
+     "8b789ff230c94bfa", "c2ec669d78a1ed15"),
+    # sides of one element
+    (["--k", "0", "--size", "5", "--samples", "7", "--seed", "4"],
+     "53717d6106276b75", "1e14e4a7f61d78e3"),
+    (["--k", "1", "--size", "8"], "dde1073e4aee9e5d", "78bf8d5797a109a5"),
+])
+def test_product_bound_pinned(tmp_path, argv, json_digest, csv_digest):
+    assert run(tmp_path, "product-bound", "--n", "1", *argv) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+               for p in tmp_path.iterdir()}
+    assert digests == {"product-bound.json": json_digest,
+                       "product-bound.csv": csv_digest}
+
+
+@st.composite
+def _sample_args(draw):
+    n = draw(st.integers(1, 120) | st.sampled_from([500, 1000, 10 ** 6]))
+    k = draw(st.integers(0, n if n <= 120 else 40))
+    return draw(st.integers(0, 2 ** 32)), n, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sample_args())
+# Random.sample switches from its pool to its set branch past n = 21
+# (k <= 5), 85 (k = 6..21) and 277 (k = 22..85)
+@example((1, 21, 5))
+@example((1, 22, 5))
+@example((2, 85, 6))
+@example((2, 86, 6))
+@example((3, 85, 21))
+@example((3, 86, 21))
+@example((4, 277, 22))
+@example((4, 278, 22))
+def test_sorted_sample_is_random_sample(args):
+    seed, n, k = args
+    want, got = Random(seed), Random(seed)
+    assert cli._sorted_sample(got, n, k) == tuple(
+        sorted(want.sample(range(n), k)))
+    assert got.getstate() == want.getstate()
+
+
 def test_ph_refute(tmp_path):
     assert run(tmp_path, "ph-refute", "--entry-bound", "64", "--seed", "3") == 0
     blob = json.loads((tmp_path / "ph-refute.json").read_text())
@@ -562,6 +620,37 @@ def test_sideways_build_pinned(tmp_path, d, k, depth, jmap, json_digest,
     value = ["--value", "1"] if jmap == "constant" else []
     assert run(tmp_path, "sideways-build", "--d", str(d), "--k", str(k),
                "--depth", str(depth), "--jmap", jmap, *value) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+               for p in tmp_path.iterdir()}
+    assert digests == {"sideways-build.json": json_digest,
+                       "sideways-build.csv": csv_digest}
+
+
+# exit codes, output and artifact digests of the lift that called the
+# jmap once per tuple; the jmap error still comes before the letter one
+@pytest.mark.parametrize("argv, code, printed, json_digest, csv_digest", [
+    (["--d", "0"], 0, "16 tuples, census 0:8, 1:8",
+     "d3f1cbcac2bb417f", "e7fdd2b3a1a12eab"),
+    (["--d", "0", "--depth", "5", "--j-bound", "3", "--value", "2"], 0,
+     "32 tuples, census 0:16, 1:16", "3a8cebf5c76791fa", "68623d2459828c58"),
+    (["--d", "0", "--value", "-1"], 64, "jmap value -1 outside 0..1", None,
+     None),
+    (["--d", "1", "--value", "2"], 64, "jmap value 2 outside 0..1", None,
+     None),
+    (["--d", "2", "--depth", "3", "--value", "5"], 64,
+     "jmap value 5 outside 0..1", None, None),
+    (["--d", "1", "--k", "11", "--depth", "2", "--j-bound", "1",
+      "--value", "3"], 64, "jmap value 3 outside 0..0", None, None),
+])
+def test_sideways_build_edges(tmp_path, capsys, argv, code, printed,
+                              json_digest, csv_digest):
+    assert run(tmp_path, "sideways-build", *argv) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and printed in err
+        assert not any(tmp_path.iterdir())
+        return
+    assert out == f"sideways-build: {printed}\n"
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
                for p in tmp_path.iterdir()}
     assert digests == {"sideways-build.json": json_digest,

@@ -24,6 +24,7 @@ from polygrid.hl import (
     s_member,
     search_grid,
     sideways_build,
+    sideways_lift,
     surrogate_color,
     surrogate_fn,
     surrogate_product,
@@ -890,3 +891,40 @@ def test_sideways_checks_jmap_range():
     x = branches(shape)[0]
     with pytest.raises(ParameterError):
         color((x, x))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sideways_lift_is_the_per_tuple_lift(data):
+    # over a whole product the per-prefix lift gives the per-tuple colors
+    # in product order, with one jmap call per d-prefix
+    d = data.draw(st.integers(0, 2))
+    k = data.draw(st.integers(2, 3))
+    depth = data.draw(st.integers(2, 4 if d < 2 else 3))
+    j_bound = data.draw(st.integers(1, depth - 1))
+    table = data.draw(st.dictionaries(st.integers(0, k - 1),
+                                      st.integers(0, j_bound - 1)))
+    calls = []
+
+    def jmap(prefix):
+        calls.append(prefix)
+        return table.get(prefix[0][-1], 0) if prefix else len(table) % j_bound
+
+    side = branches(TreeShape(k, depth))
+    fn = sideways_build(jmap, d, j_bound, depth)
+    want = [fn(xs) for xs in itertools.product(side, repeat=d + 1)]
+    calls.clear()
+    assert sideways_lift(jmap, d, j_bound, depth)(side) == want
+    assert calls == list(itertools.product(side, repeat=d))
+
+
+def test_sideways_lift_checks_like_the_per_tuple_lift():
+    with pytest.raises(ParameterError, match="branch depth"):
+        sideways_lift(lambda xs: 0, d=1, j_bound=4, depth=4)
+    with pytest.raises(ParameterError, match="d >= 0"):
+        sideways_lift(lambda xs: 0, d=-1, j_bound=1, depth=4)
+    side = branches(TreeShape(2, 4))
+    # the first prefix maps inside the range, a later one outside it
+    lift = sideways_lift(lambda xs: xs[0][0] * 5, d=1, j_bound=2, depth=4)
+    with pytest.raises(ParameterError, match="jmap value 5 outside 0..1"):
+        lift(side)
