@@ -76,21 +76,18 @@ class Arena:
         return embed_tab, pair_tab
 
     @cached_property
-    def _colors(self) -> dict[tuple[int, ...], TupleColor]:
-        """c_full memo, filled lazily: a job may color only a few tuples."""
-        return {}
-
-    @cached_property
     def _rows(self) -> dict[tuple[int, ...], dict[int, TupleColor]]:
-        """Census rows: a head (the first dim entries of a tuple) maps x to
-        c_full of head + (x,), for the x that censuses have reached.
-        Equal colors in the rows are one object (see _palette)."""
+        """The c_full memo, filled lazily, one row per head: a head (the
+        first dim entries of a tuple) maps x to c_full of head + (x,).
+        Only c_full writes it, so every head has length dim and every
+        stored tuple lies in the arena.  Equal colors in the rows are one
+        object (see _palette)."""
         return {}
 
     @cached_property
     def _palette(self) -> dict[TupleColor, TupleColor]:
-        """Each color of the census rows, keyed by itself: a census set
-        then finds a repeated color by identity, before comparing."""
+        """Each color of the rows, keyed by itself: a census set then
+        finds a repeated color by identity, before comparing."""
         return {}
 
     def embed(self, beta: int, alpha: int) -> int:
@@ -160,13 +157,18 @@ def c_full(arena: Arena, vec: Sequence[int]) -> TupleColor:
     """Compound color of an enumerated tuple: (slot of the distinguished
     element, set color); tuples with repeats collapse to (n+1, 0).
 
-    Colors are memoized per arena; a tuple that raises is never stored,
-    so it raises again on every call."""
+    Colors are memoized per arena in its rows; a tuple that raises is
+    never stored, so it raises again on every call."""
     key = tuple(vec)
-    memo = arena._colors
-    col = memo.get(key)
-    if col is None:
-        col = memo[key] = _c_full(arena, key)
+    head = key[:-1]
+    row = arena._rows.get(head)  # no row has the head of a bad-length tuple
+    if row is not None and key[-1] in row:
+        return row[key[-1]]
+    col = _c_full(arena, key)  # checks before anything is stored
+    col = arena._palette.setdefault(col, col)
+    if row is None:
+        row = arena._rows[head] = {}
+    row[key[-1]] = col
     return col
 
 
@@ -311,16 +313,15 @@ def m_seq(n: int, k: int, budget: int = DEFAULT_BUDGET) -> int:
     return (n + 1) * ramsey_m_star(n, k, budget)
 
 
-def verify_product_bound(
-    arena: Arena, sets: Sequence[OrdSet], k: int, budget: int = DEFAULT_BUDGET
-) -> tuple[bool, set[TupleColor]]:
+def verify_product_bound(arena: Arena, sets: Sequence[OrdSet],
+                         k: int) -> tuple[bool, set[TupleColor]]:
     """Census the compound coloring over a full product of (n+1) sets sized
     at the guaranteed side length: the set of colors that appear, and
     whether there are more than k of them."""
     n = arena.dim
     if len(sets) != n + 1:
         raise ValueError(f"need {n + 1} sets, got {len(sets)}")
-    need = m_seq(n, k, budget)
+    need = m_seq(n, k)
     for a in sets:
         if a.otp != need:
             raise ValueError(f"side sets must have size {need}, got {a.otp}")
@@ -330,15 +331,12 @@ def verify_product_bound(
     pick = itemgetter(*last)
     try:
         census = _census(rows, heads, pick, len(last))
-    except KeyError:  # fill the misses through c_full, which counts and checks
-        palette = arena._palette
+    except KeyError:  # fill the misses through c_full: it counts, checks, stores
         for head in itertools.product(*heads):
-            row = rows.get(head) or {}
+            row = rows.get(head, ())
             for x in last:
                 if x not in row:
-                    col = c_full(arena, head + (x,))
-                    row[x] = palette.setdefault(col, col)
-            rows[head] = row  # a head whose colors raise gets no row
+                    c_full(arena, head + (x,))
         census = _census(rows, heads, pick, len(last))
     return len(census) > k, census
 

@@ -386,19 +386,15 @@ def _run_product_bound(cfg: RunConfig) -> int:
         raise ParameterError(
             f"the census would exceed the cap of {CAP} products")
     arena = antiramsey.Arena(size=size, dim=n, mode="identity")
-    pairs: Iterable[tuple[OrdSet, ...]]
+    pairs: Iterable[Sequence[OrdSet]]
     if samples == 0:
         subsets = [OrdSet(c) for c in
                    itertools.combinations(range(size), m)]
         pairs = itertools.product(subsets, repeat=2)
-    else:
-        pairs = []
-        for t in range(samples):
-            rng = Random(f"product-bound:{cfg.seed}:{t}")
-            pairs.append(tuple(
-                OrdSet.unchecked(_sorted_sample(rng, size, m))
-                for _ in range(n + 1)
-            ))
+    else:  # each product drawn when the census reaches it
+        rngs = (Random(f"product-bound:{cfg.seed}:{t}") for t in range(samples))
+        pairs = ([OrdSet.unchecked(_sorted_sample(rng, size, m))
+                  for _ in range(n + 1)] for rng in rngs)
     violations = 0
     min_census = None
     for sets in pairs:

@@ -116,18 +116,6 @@ class LevelColoring:
         stay as constructed; a tuple that raises is never stored."""
         return {}
 
-    @cached_property
-    def _truncations(self) -> dict[Word, list[Word]]:
-        """Prefix memo for the surrogate: a word w maps to the list
-        [w[:0], w[:1], ..., w], filled lazily."""
-        return {}
-
-    @cached_property
-    def _lettered(self) -> set[Word]:
-        """The words whose letters have passed the range check; a word
-        is checked once per instance."""
-        return set()
-
     def color(self, words: tuple[Word, ...]) -> int:
         """The color of a same-height tuple, memoized per instance; a
         tuple that raises is never stored, so it raises on every call."""
@@ -145,12 +133,8 @@ class LevelColoring:
         m = len(words[0])
         if m > self.depth:
             raise ValueError(f"height {m} exceeds depth {self.depth}")
-        lettered = self._lettered
-        for w in words:
-            if w not in lettered:
-                if any(not 0 <= c < self.k for c in w):
-                    raise ValueError("letters out of range")
-                lettered.add(w)
+        if not set().union(*words).issubset(range(self.k)):
+            raise ValueError("letters out of range")
         if self.kind == "constant":
             return self.value
         if self.kind == "level-parity":
@@ -224,15 +208,9 @@ def surrogate_color(gamma: LevelColoring, xs: Sequence[Word], L: int) -> int:
         raise ValueError(f"need 1 <= L <= {gamma.depth}, got {L}")
     if any(len(x) < L - 1 for x in xs):
         raise ValueError("branches too short for the requested truncations")
-    rows = gamma._truncations
-    prefixes = []
-    for x in xs:
-        row = rows.get(x)
-        if row is None:
-            row = rows[x] = [x[:m] for m in range(len(x) + 1)]
-        prefixes.append(row)
     # with no words, every level's truncation is the empty tuple
-    keys = list(itertools.islice(zip(*prefixes), L)) if xs else [()] * L
+    keys = (list(zip(*[[x[:m] for m in range(L)] for x in xs])) if xs
+            else [()] * L)
     # the memo is read inline; each miss, in level order, takes the
     # checked path
     colors = list(map(gamma._colors.get, keys))
@@ -329,8 +307,11 @@ def surrogate_product(
 def check_surrogate_size(gamma: LevelColoring, spreads: Sequence[int]) -> None:
     """Refuse, before any coloring, a surrogate run over the product of
     branch sets whose i-th set differs only in the first spreads[i]
-    letters: more than CAP branch tuples, or more than CAP entries in the
-    prefix memo, which holds (depth+1)(depth+2)/2 per branch."""
+    letters: more than CAP branch tuples, or more than CAP prefix
+    entries, counted as (depth+1)(depth+2)/2 per branch.  No store holds
+    such prefixes, so the second limit over-counts what the vote builds:
+    the per-tuple vote slices depth truncations per call, and
+    surrogate_product keys each distinct tuple of prefixes once."""
     k, depth = gamma.k, gamma.depth
     branches = sum(capped(k ** j for j in range(s + 1)) for s in spreads)
     entries = branches * (depth + 1) * (depth + 2) // 2

@@ -1,6 +1,7 @@
 """Fiber colorings, the recursion, finite Ramsey thresholds, product bounds."""
 
 import itertools
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -180,20 +181,31 @@ def test_c_full_memo_matches_cn_and_star(case):
         a = OrdSet.of(vec)
         return TupleColor(vec.index(star(arena, a)), cn(arena, a))
 
+    too_long = tuple(range(n + 2))
+    # the head of a stored row with a last entry outside the arena
+    outside = tuple(range(n)) + (arena.size,)
+    negative = tuple(range(n)) + (-1,)
+    # repeats collapse to one color, but only inside the arena
+    above = (arena.size,) * (n + 1)
+    below = (-1,) * (n + 1)
+
+    def rejects_unstored(arena):
+        # a bad tuple raises on every call, and no row gains an entry
+        before = {head: dict(row) for head, row in arena._rows.items()}
+        for bad in ((), too_long, too_long[:-2], outside, negative, above,
+                    below):
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    c_full(arena, bad)
+        assert arena._rows == before
+
+    rejects_unstored(Arena.from_json(arena.to_json()))  # an empty memo
     for vec in vecs:
         assert c_full(arena, vec) == expected(vec)
     for vec in vecs:
         assert c_full(arena, list(vec)) == expected(vec)
-    # a filled memo still rejects bad tuples, on every call
-    too_long = tuple(range(n + 2))
-    outside = tuple(range(n)) + (arena.size,)
-    # repeats collapse to one color, but only inside the arena
-    above = (arena.size,) * (n + 1)
-    below = (-1,) * (n + 1)
-    for bad in (too_long, too_long[:-2], outside, outside, above, above,
-                below, below):
-        with pytest.raises(ValueError):
-            c_full(arena, bad)
+    c_full(arena, too_long[:-1])  # the row that outside and negative reach
+    rejects_unstored(arena)  # a filled memo
 
 
 # ---------------------------------------------------------------------------
@@ -363,14 +375,26 @@ def test_product_census_matches_unmemoized_colors(nk, seeded, data):
     ok, census = verify_product_bound(arena, sides, k)
     assert census == {_c_full(arena, vec) for vec in vecs}
     assert ok == (len(census) > k)
-    assert all(_c_full(arena, vec) == col
-               for vec, col in arena._colors.items())
+    _assert_rows_are_c_full(arena)
+    # the rows are the arena's one store of colors
+    assert vars(arena).keys() - {f.name for f in fields(arena)} <= {
+        "_tables", "_rows", "_palette"}
     # the memo now holds the whole product, and a second census reads only it
     assert verify_product_bound(arena, sides, k) == (ok, census)
 
 
 def _inside(vec, size):
     return all(0 <= x < size for x in vec)
+
+
+def _assert_rows_are_c_full(arena):
+    """Every stored color is what _c_full gives its tuple, and every
+    stored head and x lies inside the arena."""
+    for head, row in arena._rows.items():
+        assert len(head) == arena.dim
+        assert _inside(head, arena.size) and _inside(row, arena.size)
+        assert all(_c_full(arena, head + (x,)) == col
+                   for x, col in row.items())
 
 
 @settings(max_examples=40, deadline=None)
@@ -399,8 +423,8 @@ def test_row_census_matches_per_tuple_colors(nk, seeded, data):
         assert census == census_per_tuple(sides)
         assert ok == (len(census) > k)
     # one entry of one side moved outside the arena: the census raises
-    # ValueError, as c_full does, and neither the rows nor the memo keep
-    # a tuple that reaches outside
+    # ValueError, as c_full does, and the rows keep no tuple that
+    # reaches outside
     sides = [OrdSet.of(data.draw(side)) for _ in range(n + 1)]
     bad = data.draw(st.integers(0, n))
     out = data.draw(st.sampled_from([-1, size, size + 5]))
@@ -408,11 +432,7 @@ def test_row_census_matches_per_tuple_colors(nk, seeded, data):
     sides[bad] = OrdSet.unchecked(tuple(elems))
     with pytest.raises(ValueError, match="outside arena"):
         verify_product_bound(arena, sides, k)
-    assert all(_inside(vec, size) for vec in arena._colors)
-    for head, row in arena._rows.items():
-        assert _inside(head, size) and _inside(row, size)
-        assert all(_c_full(arena, head + (x,)) == col
-                   for x, col in row.items())
+    _assert_rows_are_c_full(arena)
     # and the rows still serve a census inside the arena
     sides = [OrdSet.of(data.draw(side)) for _ in range(n + 1)]
     assert verify_product_bound(arena, sides, k)[1] == census_per_tuple(sides)

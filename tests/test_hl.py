@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 from collections import Counter
+from dataclasses import fields
 from random import Random
 from typing import Callable, Optional, Sequence
 
@@ -176,6 +177,8 @@ def test_color_memo_matches_unmemoized_path(gamma, prefill, data):
     best = max(counts.values())
     assert surrogate_color(gamma, xs, L) == min(
         j for j, n in counts.items() if n == best)
+    # the tuple memo is the instance's one store
+    assert vars(gamma).keys() - {f.name for f in fields(gamma)} == {"_colors"}
 
 
 @settings(max_examples=150, deadline=None)
