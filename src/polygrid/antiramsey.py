@@ -162,8 +162,10 @@ def c_full(arena: Arena, vec: Sequence[int]) -> TupleColor:
     key = tuple(vec)
     head = key[:-1]
     row = arena._rows.get(head)  # no row has the head of a bad-length tuple
-    if row is not None and key[-1] in row:
-        return row[key[-1]]
+    if row is not None:
+        col = row.get(key[-1])
+        if col is not None:  # a stored color is never None
+            return col
     col = _c_full(arena, key)  # checks before anything is stored
     col = arena._palette.setdefault(col, col)
     if row is None:

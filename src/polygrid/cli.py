@@ -391,10 +391,10 @@ def _run_product_bound(cfg: RunConfig) -> int:
         subsets = [OrdSet(c) for c in
                    itertools.combinations(range(size), m)]
         pairs = itertools.product(subsets, repeat=2)
-    else:  # each product drawn when the census reaches it
-        rngs = (Random(f"product-bound:{cfg.seed}:{t}") for t in range(samples))
+    else:  # one stream, each product drawn when the census reaches it
+        rng = Random(f"product-bound:{cfg.seed}")
         pairs = ([OrdSet.unchecked(_sorted_sample(rng, size, m))
-                  for _ in range(n + 1)] for rng in rngs)
+                  for _ in range(n + 1)] for _ in range(samples))
     violations = 0
     min_census = None
     for sets in pairs:

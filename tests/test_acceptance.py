@@ -12,6 +12,7 @@ from random import Random
 from polygrid import cli
 from polygrid.antiramsey import (
     Arena,
+    _c_full,
     c_full,
     check_difference_lemma,
     find_bad_coloring,
@@ -111,8 +112,38 @@ def test_criterion_03_product_bound():
         A1 = OrdSet.of(rng.sample(range(24), 12))
         ok, census = verify_product_bound(arena24, [A0, A1], 2)
         assert ok and len(census) >= 3
+    # seeded arenas at n = 1 and 2 and an identity arena at n = 2: the
+    # embedding tables and the recursion, each census re-checked tuple by
+    # tuple with _c_full on a twin arena whose rows stay empty.  A seeded
+    # census that equals the identity arena's may not have read the tables.
+    cases = [(1, 1, 12, "seeded", s, 100) for s in (1, 2)]
+    cases += [(2, 1, 16, "seeded", s, 20) for s in (1, 2)]
+    cases.append((2, 1, 16, "identity", None, 20))
+    seeded = deep = apart = 0
+    for n, k, size, mode, seed, products in cases:
+        arena = Arena(size=size, dim=n, mode=mode, seed=seed)
+        twin = Arena.from_json(arena.to_json())
+        plain = Arena(size=size, dim=n, mode="identity")
+        side = m_seq(n, k)
+        for t in range(products):
+            rng = Random(f"acceptance:c3:{mode}:{seed}:{n}:{t}")
+            sets = [OrdSet.of(rng.sample(range(size), side))
+                    for _ in range(n + 1)]
+            ok, census = verify_product_bound(arena, sets, k)
+            assert ok and len(census) > k
+            assert census == {
+                _c_full(twin, vec)
+                for vec in itertools.product(*(a.elems for a in sets))}
+            if mode == "seeded":
+                apart += census != verify_product_bound(plain, sets, k)[1]
+        assert not twin._rows
+        seeded += products if mode == "seeded" else 0
+        deep += products if n >= 2 else 0
+    assert seeded >= 200 and deep >= 60 and apart >= seeded // 2
     clock.done(3, f"censuses >= 2 on {checked} exhaustive 6x6 pairs, "
-                  ">= 3 on 1000 seeded 12x12 pairs")
+                  f">= 3 on 1000 seeded 12x12 pairs; {seeded} products on "
+                  f"seeded arenas ({apart} apart from identity) and {deep} "
+                  "at n = 2, each re-checked per tuple")
 
 
 def _identity_family(size, n):

@@ -379,20 +379,20 @@ def test_product_bound_exhaustive(tmp_path):
     assert blob["min_census"] >= 2
 
 
-# artifact digests of the census that drew its sets with Random.sample
-# and colored each product tuple by tuple
+# artifact digests of the census that drew each product's sets, in order,
+# from one Random per run and colored each product tuple by tuple
 @pytest.mark.parametrize("argv, json_digest, csv_digest", [
     (["--k", "1", "--size", "12", "--samples", "40", "--seed", "1"],
      "4d8f85e1809a7ede", "261ada5c823cde41"),
     (["--k", "1", "--size", "12", "--samples", "40", "--seed", "2"],
      "3c180811881c50cf", "261ada5c823cde41"),
     (["--k", "2", "--size", "24", "--samples", "30", "--seed", "1"],
-     "bf8922eab5068df4", "5a563fd327fd223f"),
+     "db924c24344f5431", "7fd6866354828a5b"),
     (["--k", "2", "--size", "24", "--samples", "30", "--seed", "2"],
-     "d464e7d6aae21f70", "5a563fd327fd223f"),
+     "f4949bc22a84e761", "7fd6866354828a5b"),
     # sets drawn by Random.sample's set branch
     (["--k", "1", "--size", "200", "--samples", "50", "--seed", "9"],
-     "8b789ff230c94bfa", "c2ec669d78a1ed15"),
+     "824324f31bed0154", "ea56da6ab4c8b417"),
     # sides of one element
     (["--k", "0", "--size", "5", "--samples", "7", "--seed", "4"],
      "53717d6106276b75", "1e14e4a7f61d78e3"),
@@ -404,6 +404,52 @@ def test_product_bound_pinned(tmp_path, argv, json_digest, csv_digest):
                for p in tmp_path.iterdir()}
     assert digests == {"product-bound.json": json_digest,
                        "product-bound.csv": csv_digest}
+
+
+@pytest.mark.parametrize("n, k, size, samples, seed", [
+    (1, 0, 5, 7, 4),  # sides of one element
+    (1, 1, 12, 40, 1),
+    (1, 2, 24, 30, 2),
+    (1, 1, 200, 50, 9),  # sides drawn by Random.sample's set branch
+    (2, 0, 6, 12, 3),
+    (2, 1, 16, 8, 1),
+])
+def test_product_bound_sampled_stream(tmp_path, monkeypatch, n, k, size,
+                                      samples, seed):
+    # the artifact's census, recomputed from its argv: product t takes the
+    # next n + 1 sides of one Random per run, and every tuple is colored
+    # on its own by _c_full, never through the arena's rows
+    drawn = []
+    census = antiramsey.verify_product_bound
+
+    def recorded(arena, sets, k):
+        drawn.append(tuple(a.elems for a in sets))
+        return census(arena, sets, k)
+
+    monkeypatch.setattr(antiramsey, "verify_product_bound", recorded)
+    assert run(tmp_path, "product-bound", "--n", str(n), "--k", str(k),
+               "--size", str(size), "--samples", str(samples),
+               "--seed", str(seed)) == 0
+    blob = json.loads((tmp_path / "product-bound.json").read_text())
+    m = antiramsey.m_seq(n, k)
+    rng = Random(f"product-bound:{seed}")
+    stream = [tuple(cli._sorted_sample(rng, size, m) for _ in range(n + 1))
+              for _ in range(samples)]
+    assert drawn == stream
+    arena = antiramsey.Arena(size=size, dim=n, mode="identity")
+    censuses = [len({antiramsey._c_full(arena, vec)
+                     for vec in itertools.product(*sides)})
+                for sides in stream]
+    assert blob["min_census"] == min(censuses)
+    assert blob["violations"] == sum(c <= k for c in censuses) == 0
+
+
+def test_product_bound_n2_k2_is_budget(tmp_path):
+    # m_seq(2, 2) needs a threshold search past the default budget: exit 2
+    # and no census artifact
+    assert run(tmp_path, "product-bound", "--n", "2", "--k", "2",
+               "--size", "40", "--samples", "3") == 2
+    assert not (tmp_path / "product-bound.json").exists()
 
 
 def test_product_bound_draws_lazily(tmp_path):
