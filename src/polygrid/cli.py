@@ -328,7 +328,7 @@ def _sorted_sample(rng: Random, n: int, k: int) -> tuple[int, ...]:
     """tuple(sorted(rng.sample(range(n), k))), read from the same stream.
 
     Random.sample inlined for a range population, with its _randbelow as
-    getrandbits rejection (as ph._SeededTable._draw inlines randint).  A
+    getrandbits rejection (as ph._SeededRows._draw inlines randint).  A
     population no larger than the set of k picks would be is drawn from
     a pool, swapping each pick out; a larger one by rejecting repeats,
     and then the picks are just the set sorted."""

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from operator import add, le, lt
 from random import Random
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .antiramsey import Arena, TupleColor, c_full
 from .ordset import CAP, ParameterError, capped
@@ -40,37 +40,32 @@ def _in_domain(xs: Sequence[int], entry_bound: int, arity: int) -> SeqTuple:
 
 
 class CofinalFn:
-    """Table-backed total map on nonempty tuples over {0..entry_bound-1}
-    of length <= arity.  Values are plain naturals; they are range-checked
-    against an arena only at the point where they get colored.  Takes
-    ownership of `table` (it is not copied) and checks that it is total."""
+    """Total map on nonempty tuples over {0..entry_bound-1} of length
+    <= arity, held as rows: rows[p][c] is the value at p + (c,), one row
+    of entry_bound values per prefix p shorter than arity.  Values are
+    plain naturals; they are range-checked against an arena only at the
+    point where they get colored.  Takes ownership of `rows` (they are
+    not copied); a mapping may also compute each row on its first read
+    (see _SeededRows)."""
 
-    def __init__(self, entry_bound: int, arity: int, table: dict[SeqTuple, int]):
+    def __init__(self, entry_bound: int, arity: int,
+                 rows: dict[SeqTuple, list[int]]):
         if arity < 1:
             raise ValueError("arity must be >= 1")
         self.entry_bound = entry_bound
         self.arity = arity
-        self.table = table
-        if not all(map(table.__contains__, _domain(entry_bound, arity))):
-            for xs in _domain(entry_bound, arity):
-                if xs not in table:
-                    raise ValueError(f"table is not total: missing {xs}")
+        self.rows = rows
 
     def __call__(self, xs: Sequence[int]) -> int:
-        return self.table[_in_domain(xs, self.entry_bound, self.arity)]
+        t = _in_domain(xs, self.entry_bound, self.arity)
+        return self.rows[t[:-1]][t[-1]]
 
     @classmethod
     def from_formula(cls, entry_bound: int, arity: int, fn) -> "CofinalFn":
-        table = {xs: fn(xs) for xs in _domain(entry_bound, arity)}
-        return cls(entry_bound, arity, table)
-
-
-def _domain(entry_bound: int, arity: int) -> Iterable[SeqTuple]:
-    """Every tuple of length 1..arity over 0..entry_bound-1, by length,
-    each length in product order."""
-    return itertools.chain.from_iterable(
-        itertools.product(range(entry_bound), repeat=length)
-        for length in range(1, arity + 1))
+        domain = range(entry_bound)
+        rows = {p: [fn(p + (c,)) for c in domain] for length in range(arity)
+                for p in itertools.product(domain, repeat=length)}
+        return cls(entry_bound, arity, rows)
 
 
 @dataclass
@@ -83,24 +78,25 @@ def is_cofinal(F: CofinalFn, strict: bool = False) -> CofinalCheck:
     """Verify domination on singletons and (strict) subsequence monotonicity
     over the whole finite domain; first violation is returned.  Both orders
     are transitive and every proper subsequence is reached by one-element
-    deletions, so only those are compared, read from the total table.
+    deletions, so only those are compared.
 
-    One length at a time: the values of length L, in product order, are
+    One length at a time: the values of length L, in product order (the
+    rows of the prefixes of length L-1 joined, each row read once), are
     compared with those of each deletion position i at once.  Deleting
     entry i maps the tuples of a block of eb^(L-i) consecutive ones to
     one block of eb^(L-1-i) tuples of length L-1, read eb times over.  A
     length that fails is scanned tuple by tuple for its first violation.
     """
-    table, eb = F.table, F.entry_bound
+    rows, eb = F.rows, F.entry_bound
     below = lt if strict else le
     domain = range(eb)
-    prev = list(map(table.__getitem__, zip(domain)))
+    prev = rows[()]
     if not all(map(le, domain, prev)):
-        x = next(x for x in domain if not x <= table[(x,)])
+        x = next(x for x in domain if not x <= prev[x])
         return CofinalCheck(False, ("domination", (x,), (x,)))
     for length in range(2, F.arity + 1):
-        cur = list(map(table.__getitem__,
-                       itertools.product(domain, repeat=length)))
+        cur = list(itertools.chain.from_iterable(map(
+            rows.__getitem__, itertools.product(domain, repeat=length - 1))))
         for i in range(length):
             block = eb ** (length - 1 - i)
             deleted = itertools.chain.from_iterable(
@@ -115,14 +111,13 @@ def _first_violation(F: CofinalFn, length: int,
                      strict: bool) -> tuple[str, SeqTuple, SeqTuple]:
     """The first tuple of this length, in product order, with a deletion
     (the first such position) whose value breaks the order."""
-    table = F.table
     below = lt if strict else le
     kind = "strict-monotone" if strict else "monotone"
     for ys in itertools.product(range(F.entry_bound), repeat=length):
-        fy = table[ys]
+        fy = F(ys)
         for i in range(length):
             xs = ys[:i] + ys[i + 1:]
-            if not below(table[xs], fy):
+            if not below(F(xs), fy):
                 return (kind, xs, ys)
     raise AssertionError(f"no violation among tuples of length {length}")
 
@@ -179,34 +174,27 @@ def sigma_pair(F: CofinalFn, i_star: int) -> tuple[Sigma, Sigma]:
 @dataclass
 class GeneratedCofinal:
     fn: CofinalFn
-    seed: int
     skips: int
 
 
-class _SeededTable:
-    """One attempt's table, evaluated on demand a row at a time, so the
-    refutation window is checked before the whole table exists.  Called
-    like a CofinalFn, with the same domain check.
+class _SeededRows(dict):
+    """The rows of one attempt's table, each computed on its first read,
+    so the refutation window is checked before the rest of the table
+    exists.
 
     The repair rule: xs gets max(xs) plus its seeded bump, lifted above
     each one-element deletion, hence (by induction) above every proper
     subsequence.  The bumps are drawn from `rng` in product order, length
     by length (the order the whole table was once drawn in), as far as
-    the rows evaluated so far need them.
+    the rows computed so far need them.
     """
 
-    def __init__(self, entry_bound: int, arity: int, rng: Random,
-                 spread: int):
+    def __init__(self, entry_bound: int, rng: Random, spread: int):
+        super().__init__()
         self.entry_bound = entry_bound
-        self.arity = arity
         self.rng = rng
         self.spread = spread
         self.bumps: list[int] = []
-        self.rows: dict[SeqTuple, list[int]] = {}
-        # position in `bumps` of the first tuple of each length
-        self.offsets = [0, 0]
-        for length in range(1, arity):
-            self.offsets.append(self.offsets[-1] + entry_bound ** length)
 
     def _draw(self, stop: int) -> None:
         """Extend `bumps` to `stop` entries by rng.randint(1, spread)
@@ -221,60 +209,46 @@ class _SeededTable:
                 r = getrandbits(k)
             bumps.append(r + 1)
 
-    def __call__(self, xs: Sequence[int]) -> int:
-        t = _in_domain(xs, self.entry_bound, self.arity)
-        return self.row(t[:-1])[t[-1]]
-
-    def row(self, prefix: SeqTuple) -> list[int]:
+    def __missing__(self, prefix: SeqTuple) -> list[int]:
         """Values of prefix + (c,), c = 0..entry_bound-1.  Deleting c
         leaves the prefix; deleting entry i of the prefix leaves entry c
         of the row of the prefix without it."""
-        values = self.rows.get(prefix)
-        if values is not None:
-            return values
         eb = self.entry_bound
+        # the row's first bump follows eb + ... + eb^len(prefix) bumps of
+        # shorter tuples and eb per earlier row of its length: eb times
+        # the prefix read as a bijective base-eb numeral
         start = 0
         for x in prefix:
-            start = start * eb + x
-        start = self.offsets[len(prefix) + 1] + start * eb
+            start = start * eb + x + 1
+        start *= eb
         if len(self.bumps) < start + eb:
             self._draw(start + eb)
         bumps = self.bumps[start:start + eb]
         if not prefix:
-            values = list(map(add, range(eb), bumps))
+            row = list(map(add, range(eb), bumps))
         else:
             top = itertools.repeat(max(prefix))
             raw = map(add, map(max, top, range(eb)), bumps)
-            floor = itertools.repeat(1 + self(prefix))
-            floors = [map(add, self.row(prefix[:i] + prefix[i + 1:]),
+            floor = itertools.repeat(1 + self[prefix[:-1]][prefix[-1]])
+            floors = [map(add, self[prefix[:i] + prefix[i + 1:]],
                           itertools.repeat(1))
                       for i in range(len(prefix))]
-            values = list(map(max, raw, floor, *floors))
-        self.rows[prefix] = values
-        return values
-
-    def table(self) -> dict[SeqTuple, int]:
-        """Every value, keyed in product order.  The rows are all evaluated
-        before the dict is built: interleaving the two raised the peak RSS
-        of a 518,480-entry table by 7 MiB."""
-        domain = range(self.entry_bound)
-        rows = [self.row(prefix) for length in range(self.arity)
-                for prefix in itertools.product(domain, repeat=length)]
-        keys = itertools.chain.from_iterable(
-            itertools.product(domain, repeat=length)
-            for length in range(1, self.arity + 1))
-        return dict(zip(keys, itertools.chain.from_iterable(rows)))
+            row = list(map(max, raw, floor, *floors))
+        self[prefix] = row
+        return row
 
 
 def make_cofinal(entry_bound: int, arity: int, seed: int,
                  spread: int = 8, max_attempts: int = 64) -> GeneratedCofinal:
     """Seeded strict cofinal table: max entry plus a positive seeded bump,
     then a repair by length that lifts each tuple above its one-element
-    deletions (see _SeededTable).  So the table is strictly cofinal by
+    deletions (see _SeededRows).  So the table is strictly cofinal by
     construction and is not re-checked here; `refute` checks its input
-    once.  Attempts whose refutation window would push colored values past
-    the entry bound are skipped (counted) after evaluating that window
-    alone; only the accepted attempt draws and builds its whole table.
+    once.  Each attempt is a CofinalFn over fresh rows; attempts whose
+    refutation window would push colored values past the entry bound are
+    skipped (counted) after computing the window's rows alone.  The
+    accepted table holds only those too; the first read of each other row
+    (in `is_cofinal`, for one) computes it.
     Raises ParameterError for tables over CAP entries (before any draw),
     for spread < 1, and when no attempt fits.
     """
@@ -287,22 +261,21 @@ def make_cofinal(entry_bound: int, arity: int, seed: int,
             f"{arity} would exceed the cap of {CAP} entries")
     if spread < 1:  # the inlined draw would never end at spread 0
         raise ParameterError("spread must be >= 1")
-    skips = 0
-    for attempt in range(max_attempts):
+    for attempt in range(max_attempts):  # each earlier one was skipped
         rng = Random(f"cofinal:{seed}:{attempt}")
-        table = _SeededTable(entry_bound, arity, rng, spread)
-        if not _window_fits(table, entry_bound):
-            skips += 1
-            continue
-        fn = CofinalFn(entry_bound, arity, table.table())
-        return GeneratedCofinal(fn=fn, seed=seed, skips=skips)
+        fn = CofinalFn(entry_bound, arity,
+                       _SeededRows(entry_bound, rng, spread))
+        if _window_fits(fn, entry_bound):
+            return GeneratedCofinal(fn=fn, skips=attempt)
     raise ParameterError(
         f"no admissible cofinal table after {max_attempts} attempts "
         f"(entry bound {entry_bound}, arity {arity}, seed {seed})")
 
 
 def _window_fits(F: CofinalFn, bound: int) -> bool:
-    """All values the refutation can feed to a coloring stay below bound."""
+    """All values the refutation can feed to a coloring stay below bound.
+    F is read only at the window's tuples, so a seeded table computes only
+    the rows that hold them (and the rows those are repaired against)."""
     n = F.arity - 1
     try:
         probes = [_canonical_probe(n)]

@@ -110,3 +110,20 @@ def test_bench_tracing_counts_one_pipeline_fold(tmp_path):
         tracer.restore()
     for name in ("run_pipeline", "meet_dense", "decide_color"):
         assert tracer.stats[f"forcing.{name}"][0] == 1, name
+
+
+def test_bench_tracing_counts_cofinal_attempts(tmp_path):
+    # seed 0 at entry bound 16 skips 4 attempts: each attempt builds one
+    # CofinalFn, so the accept ratio is one accepted table in five built
+    tracing = _load_tracing()
+    pkg = SimpleNamespace(**{m.__name__.rsplit(".", 1)[1]: m for m in _MODULES})
+    tracer = tracing.Tracer()
+    traced_main = tracing.install(tracer, pkg)
+    try:
+        argv = ["ph-refute", "--entry-bound", "16", "--n", "1", "--seed", "0",
+                "--out", str(tmp_path)]
+        assert traced_main(argv) == 0
+    finally:
+        tracer.restore()
+    assert tracer.counts["ph.CofinalFn.built"] == 5
+    assert tracer.counts["ph.make_cofinal.accepted"] == 1

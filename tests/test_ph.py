@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import tracemalloc
 from random import Random
 
 import pytest
@@ -14,6 +15,7 @@ from polygrid.ordset import CAP as TABLE_CAP
 from polygrid.ph import (
     CofinalCheck,
     CofinalFn,
+    _SeededRows,
     _window_fits,
     fstar,
     is_cofinal,
@@ -34,6 +36,14 @@ def _max_fn(bound=M, arity=2):
 
 def _max_len_fn(bound=M, arity=2):
     return CofinalFn.from_formula(bound, arity, lambda xs: max(xs) + len(xs))
+
+
+def _table(F):
+    """F's values keyed by tuple, every row read through F.rows."""
+    domain = range(F.entry_bound)
+    return {p + (c,): v for length in range(F.arity)
+            for p in itertools.product(domain, repeat=length)
+            for c, v in enumerate(F.rows[p])}
 
 
 def _proper_subsequences(ys):
@@ -129,7 +139,7 @@ def _small_tables(draw):
     table = {xs: max(xs) + slope * len(xs) for xs in keys}
     for xs in draw(st.lists(st.sampled_from(keys), max_size=3)):
         table[xs] += draw(st.integers(-2, 2))
-    return CofinalFn(bound, arity, table)
+    return CofinalFn.from_formula(bound, arity, table.__getitem__)
 
 
 @settings(max_examples=400, deadline=None)
@@ -151,7 +161,7 @@ def _deletion_scan(F, strict):
     comparison replaced, kept as its reference: it walks the tuples of
     each length in product order and each tuple's deletion positions in
     order, and names the first violation."""
-    table = F.table
+    table = _table(F)
     for x in range(F.entry_bound):
         if not x <= table[(x,)]:
             return CofinalCheck(False, ("domination", (x,), (x,)))
@@ -178,7 +188,7 @@ def _planted(bound, arity, slope, plants):
     for ys, i, drop in plants:
         below = ys[0] if len(ys) == 1 else table[ys[:i] + ys[i + 1:]]
         table[ys] = below - drop
-    return CofinalFn(bound, arity, table)
+    return CofinalFn.from_formula(bound, arity, table.__getitem__)
 
 
 @pytest.mark.parametrize("bound", range(1, 7))
@@ -327,7 +337,7 @@ def test_make_cofinal_output_pinned(entry_bound, arity, seed, spread,
     # _reference_make_cofinal); the window-first build must give the same
     # bytes
     gen = make_cofinal(entry_bound, arity, seed, spread=spread)
-    blob = repr((sorted(gen.fn.table.items()), gen.skips)).encode()
+    blob = repr((sorted(_table(gen.fn).items()), gen.skips)).encode()
     assert gen.skips == skips
     assert hashlib.sha256(blob).hexdigest()[:16] == digest
 
@@ -354,11 +364,11 @@ def _reference_make_cofinal(entry_bound, arity, seed, spread=8,
                     floor = 1 + max(table[xs[:i] + xs[i + 1:]]
                                     for i in range(length))
                 table[xs] = max(raw, floor)
-        fn = CofinalFn(entry_bound, arity, table)
+        fn = CofinalFn.from_formula(entry_bound, arity, table.__getitem__)
         if not _window_fits(fn, entry_bound):
             skips += 1
             continue
-        return fn.table, skips
+        return _table(fn), skips
     return None
 
 
@@ -375,7 +385,7 @@ def test_make_cofinal_matches_reference(entry_bound, arity, seed, spread,
     except ParameterError:
         assert want is None
         return
-    assert want == (gen.fn.table, gen.skips)
+    assert want == (_table(gen.fn), gen.skips)
 
 
 def test_make_cofinal_out_of_attempts_at_arity_three():
@@ -383,6 +393,45 @@ def test_make_cofinal_out_of_attempts_at_arity_three():
     # accepted after 33 skips, is pinned above
     with pytest.raises(ParameterError, match="after 64 attempts"):
         make_cofinal(16, 3, 0)
+
+
+class _ReadRecorder(CofinalFn):
+    def __call__(self, xs):
+        self.read.append(tuple(xs))
+        return super().__call__(xs)
+
+
+@pytest.mark.parametrize("entry_bound, arity, seed, skips", [
+    (16, 2, 0, 4), (18, 3, 1, 7), (17, 3, 14, 1), (16, 3, 1, 33),
+])
+def test_skipped_attempt_holds_only_its_window_rows(entry_bound, arity,
+                                                    seed, skips):
+    # a row is computed from the row of each one-element deletion of its
+    # prefix, so the rows a window needs are those of every subsequence
+    # of the prefixes it reads at
+    for attempt in range(skips):
+        F = _ReadRecorder(entry_bound, arity, _SeededRows(
+            entry_bound, Random(f"cofinal:{seed}:{attempt}"), 8))
+        F.read = []
+        assert not _window_fits(F, entry_bound)
+        want = {sub for xs in F.read for r in range(len(xs))
+                for sub in itertools.combinations(xs[:-1], r)}
+        assert set(F.rows) == want
+        assert len(want) < sum(entry_bound ** j for j in range(arity))
+
+
+def test_make_cofinal_and_refute_memory_is_bounded():
+    # (40, 3) holds 65,640 entries; copied into a dict keyed by tuple,
+    # make_cofinal plus refute peaked at 7.6-7.8 MiB under tracemalloc
+    # over seeds 0-3, and with the rows filled in place at 2.3 MiB
+    arena = Arena(size=40, dim=2, mode="identity")
+    tracemalloc.start()
+    try:
+        assert refute(make_cofinal(40, 3, 0).fn, arena).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 @pytest.mark.parametrize("entry_bound, arity, entries", [
