@@ -194,20 +194,25 @@ class _SeededRows(dict):
         self.entry_bound = entry_bound
         self.rng = rng
         self.spread = spread
-        self.bumps: list[int] = []
+        self.drawn = 0
+        self.pending: dict[int, list[int]] = {}
 
-    def _draw(self, stop: int) -> None:
-        """Extend `bumps` to `stop` entries by rng.randint(1, spread)
-        draws.  randint(1, spread) is 1 + rng._randbelow(spread), which
-        redraws getrandbits(k) until it is below spread; inlined here, it
-        reads the same stream."""
-        bumps, spread = self.bumps, self.spread
+    def _draw(self, stop: int) -> list[int]:
+        """Draw bumps `drawn`..`stop` by rng.randint(1, spread) and return
+        the last row's; the rows before it wait in `pending`.  randint(1,
+        spread) is 1 + rng._randbelow(spread), which redraws getrandbits(k)
+        until it is below spread; inlined here, it reads the same stream."""
+        bumps, spread, eb = [], self.spread, self.entry_bound
         getrandbits, k = self.rng.getrandbits, spread.bit_length()
-        for _ in range(stop - len(bumps)):
+        for _ in range(stop - self.drawn):
             r = getrandbits(k)
             while r >= spread:
                 r = getrandbits(k)
             bumps.append(r + 1)
+        for i in range(0, len(bumps) - eb, eb):
+            self.pending[self.drawn + i] = bumps[i:i + eb]
+        self.drawn = stop
+        return bumps[len(bumps) - eb:]
 
     def __missing__(self, prefix: SeqTuple) -> list[int]:
         """Values of prefix + (c,), c = 0..entry_bound-1.  Deleting c
@@ -221,19 +226,20 @@ class _SeededRows(dict):
         for x in prefix:
             start = start * eb + x + 1
         start *= eb
-        if len(self.bumps) < start + eb:
-            self._draw(start + eb)
-        bumps = self.bumps[start:start + eb]
+        bumps = self.pending.pop(start, None) or self._draw(start + eb)
         if not prefix:
             row = list(map(add, range(eb), bumps))
         else:
-            top = itertools.repeat(max(prefix))
-            raw = map(add, map(max, top, range(eb)), bumps)
-            floor = itertools.repeat(1 + self[prefix[:-1]][prefix[-1]])
-            floors = [map(add, self[prefix[:i] + prefix[i + 1:]],
-                          itertools.repeat(1))
-                      for i in range(len(prefix))]
-            row = list(map(max, raw, floor, *floors))
+            top = max(prefix)
+            raw = [top + b for b in bumps[:top + 1]]
+            raw += map(add, range(top + 1, eb), bumps[top + 1:])
+            low = self[prefix[1:]]  # entrywise max of the deletion rows
+            for i in range(1, len(prefix)):
+                low = [a if a > b else b for a, b in
+                       zip(low, self[prefix[:i] + prefix[i + 1:]])]
+            at = self[prefix[:-1]][prefix[-1]]  # the prefix's own value
+            row = [r if r > a and r > at else (a if a > at else at) + 1
+                   for r, a in zip(raw, low)]
         self[prefix] = row
         return row
 
@@ -374,6 +380,9 @@ def verify_refutation(F: CofinalFn, arena: Arena, r: Refutation) -> bool:
     """Independent re-check of a refutation report from its chains alone."""
     if not r.ok:
         return False
-    ca = _colored(arena, fstar(F, r.sigma_a))
-    cb = _colored(arena, fstar(F, r.sigma_b))
+    try:
+        ca = _colored(arena, fstar(F, r.sigma_a))
+        cb = _colored(arena, fstar(F, r.sigma_b))
+    except ValueError:
+        return False
     return ca == r.color_a and cb == r.color_b and ca != cb

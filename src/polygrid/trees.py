@@ -213,24 +213,30 @@ def _ddf(
     D: int,
     mcap: int,
 ) -> bool:
+    """Fibers as bit masks over the last coordinate's branches, met only
+    as distinct masks (a repeated fiber meets to itself), one more fiber
+    per level; a meet is dense iff it meets every depth-D prefix class."""
     if len(shapes) == 1:
         return _dense_above(shapes[0], {z[0] for z in zs}, (), D)
-    fib = _fibers(zs)
-    if not _ddf(shapes[:-1], list(fib.keys()), D, mcap):
+    bit, fib = {}, {}  # branch -> its bit, head -> its fiber's mask
+    for z in zs:
+        y, head = z[-1], z[:-1]
+        fib[head] = fib.get(head, 0) | (
+            bit.get(y) or bit.setdefault(y, 1 << len(bit)))
+    classes: dict[Word, int] = {}
+    for y, b in bit.items():
+        classes[y[:D]] = classes.get(y[:D], 0) | b
+    if (len(classes) < shapes[-1].k ** D
+            or not _ddf(shapes[:-1], list(fib), D, mcap)):
         return False
-    need = shapes[-1].k ** D
-    prefix = {y: y[:D] for fiber in fib.values() for y in fiber}
-
-    def dense(meet: set[Word]) -> bool:
-        return len(set(map(prefix.__getitem__, meet))) == need
-
-    # all branches: shortlex is lexicographic
-    sets = [fib[x] for x in sorted(fib)]
-    # every meet of at most mcap fibers, smaller meets first
-    return all(
-        all(map(dense, itertools.starmap(
-            set.intersection, itertools.combinations(sets, size))))
-        for size in range(1, mcap + 1))
+    meets = new = fibers = set(fib.values())
+    for size in range(mcap):
+        if size:
+            new = {m & x for m in new for x in fibers} - meets
+            meets = meets | new
+        if not all(all(map(m.__and__, classes.values())) for m in new):
+            return False
+    return True
 
 
 def fpg_witness_sets(

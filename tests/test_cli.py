@@ -535,6 +535,53 @@ def test_delta_verify_violation(tmp_path):
     assert blob["uniform"] is False
 
 
+def _uniform_family_and_certificate(tmp_path):
+    """A uniform family file and the certificate delta-verify stores for it."""
+    fam = Family(
+        2,
+        OrdSet.of(range(5)),
+        {b: OrdSet.of(b) for b in itertools.combinations(range(5), 2)},
+    )
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(fam.to_json()))
+    first = tmp_path / "first"
+    assert run(first, "delta-verify", "--family", str(path)) == 0
+    cert = json.loads((first / "delta-verify.json").read_text())["certificate"]
+    return path, cert
+
+
+@pytest.mark.parametrize("change, code", [
+    (None, 0),
+    ({"rho": 3}, 1),
+    ({"patterns": {"": [], "0": [1], "0,1": [0, 1], "1": [1]}}, 1),
+])
+def test_delta_verify_against_stored_certificate(tmp_path, change, code):
+    # the stored certificate is compared with the recomputed one: equal
+    # exits 0, a changed order type or pattern set exits 1
+    fam_path, cert = _uniform_family_and_certificate(tmp_path)
+    cert.update(change or {})
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(cert))
+    out = tmp_path / "out"
+    assert run(out, "delta-verify", "--family", str(fam_path),
+               "--certificate", str(cert_path)) == code
+    blob = json.loads((out / "delta-verify.json").read_text())
+    assert blob["uniform"] is True
+    assert blob["matches_stored"] is (code == 0)
+
+
+@pytest.mark.parametrize("text", ['{"dim": 2, "rho": 2}', "not json",
+                                  '{"dim": 2, "rho": 2, "patterns": {"x": []}}'])
+def test_delta_verify_malformed_certificate_is_usage_error(tmp_path, text):
+    fam_path, _ = _uniform_family_and_certificate(tmp_path)
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(text)
+    out = tmp_path / "out"
+    assert run(out, "delta-verify", "--family", str(fam_path),
+               "--certificate", str(cert_path)) == 64
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["delta-verify", "delta-extract"])
 @pytest.mark.parametrize("key", ["2,1", "1", "0,1,2", "0,9"])
 def test_delta_family_bad_key_is_usage_error(tmp_path, command, key):

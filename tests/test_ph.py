@@ -1,5 +1,6 @@
 """Cofinal functions, F*, and the constructive partition-hypothesis refutation."""
 
+import dataclasses
 import hashlib
 import itertools
 import tracemalloc
@@ -15,6 +16,7 @@ from polygrid.ordset import CAP as TABLE_CAP
 from polygrid.ph import (
     CofinalCheck,
     CofinalFn,
+    _colored,
     _SeededRows,
     _window_fits,
     fstar,
@@ -434,6 +436,23 @@ def test_make_cofinal_and_refute_memory_is_bounded():
     assert peak < 4 * 2 ** 20
 
 
+def test_filled_table_keeps_no_spent_draws():
+    # (80, 3) holds 518,480 entries; with every seeded draw kept for the
+    # life of the table, make_cofinal plus refute peaked at 17.4-17.5 MiB
+    # under tracemalloc over seeds 0-3, and at 13.4-13.5 MiB with only
+    # the draws of rows not yet computed kept
+    arena = Arena(size=80, dim=2, mode="identity")
+    tracemalloc.start()
+    try:
+        F = make_cofinal(80, 3, 0).fn
+        assert refute(F, arena).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15.5 * 2 ** 20
+    assert not F.rows.pending  # every row is computed, so none waits
+
+
 @pytest.mark.parametrize("entry_bound, arity, entries", [
     (64, 4, 64 + 64 ** 2 + 64 ** 3 + 64 ** 4),
     (2, 20, 2 ** 21 - 2),
@@ -453,3 +472,73 @@ def test_refutation_json_round_trip_fields():
     assert blob["ok"] is True
     assert blob["method"] == "constructed"
     assert blob["sigma_a"] != blob["sigma_b"]
+
+
+# ---------------------------------------------------------------------------
+# the refutation re-check rejects
+
+
+def _definition_verdict(F, arena, r):
+    """verify_refutation's verdict read off the definition: both chains
+    are increasing chains of F's domain, colored as reported, and the two
+    colors differ."""
+    colors = []
+    for sigma in (r.sigma_a, r.sigma_b):
+        if not is_sigma_seq(sigma) or len(sigma) > F.arity or any(
+                not 0 <= x < F.entry_bound for xs in sigma for x in xs):
+            return False
+        values = tuple(F(xs) for xs in sigma)
+        if max(values) >= arena.size:
+            return False
+        colors.append(_colored(arena, values))
+    return (colors[0] == r.color_a and colors[1] == r.color_b
+            and colors[0] != colors[1])
+
+
+@st.composite
+def corrupted_refutations(draw):
+    """A valid refutation of a seeded table at n = 1 or 2, corrupted in
+    one place: a color flipped, both chains made equal, or one chain
+    value moved."""
+    n = draw(st.sampled_from((1, 2)))
+    entry_bound = draw(st.integers(32, 64) if n == 1 else st.integers(24, 32))
+    seed = draw(st.integers(0, 2 ** 16))
+    try:
+        F = make_cofinal(entry_bound, n + 1, seed).fn
+    except ParameterError:
+        assume(False)
+    mode = draw(st.sampled_from(("identity", "seeded")))
+    arena = Arena(size=entry_bound, dim=n, mode=mode, seed=seed)
+    r = refute(F, arena)
+    assert verify_refutation(F, arena, r)
+    how = draw(st.sampled_from(("color_a", "color_b", "equal", "equal+color",
+                                "move")))
+    if how in ("color_a", "color_b"):
+        c = getattr(r, how)
+        flipped = draw(st.sampled_from((c._replace(value=c.value + 1),
+                                        c._replace(slot=(c.slot + 1) % 3))))
+        bad = dataclasses.replace(r, **{how: flipped})
+    elif how.startswith("equal"):
+        bad = dataclasses.replace(r, sigma_b=r.sigma_a)
+        if how == "equal+color":
+            bad = dataclasses.replace(bad, color_b=r.color_a)
+    else:
+        side = draw(st.sampled_from(("sigma_a", "sigma_b")))
+        sigma = [list(xs) for xs in getattr(r, side)]
+        i = draw(st.integers(0, len(sigma) - 1))
+        j = draw(st.integers(0, len(sigma[i]) - 1))
+        value = draw(st.integers(0, entry_bound).filter(
+            lambda v: v != sigma[i][j]))
+        sigma[i][j] = value
+        bad = dataclasses.replace(r, **{side: tuple(map(tuple, sigma))})
+    return F, arena, bad, how
+
+
+@settings(max_examples=150, deadline=None)
+@given(corrupted_refutations())
+def test_verify_refutation_rejects_one_corruption(case):
+    F, arena, bad, how = case
+    want = _definition_verdict(F, arena, bad)
+    if how != "move":  # a move can leave the report valid
+        assert not want
+    assert verify_refutation(F, arena, bad) is want

@@ -257,6 +257,43 @@ def test_ddf_matches_the_per_combination_loop(case):
             == _ddf_reference(shapes, Z, D, mcap))
 
 
+@st.composite
+def repeated_fiber_cases(draw):
+    """Subsets Z whose fibers repeat: each head of the first d - 1
+    coordinates gets one of 1-3 fixed last-coordinate sets, or the full
+    product loses tuples in one fiber only."""
+    d = draw(st.integers(2, 3))
+    depth = draw(st.integers(1, 3 if d == 2 else 2))
+    # at most 16 heads, so the reference's C(16, 4) meets stay cheap
+    k = draw(st.integers(2, 3)) if depth * (d - 1) <= 2 else 2
+    shapes = [TreeShape(k, depth)] * d
+    heads = list(itertools.product(*(branches(s) for s in shapes[:-1])))
+    last = branches(shapes[-1])
+    if draw(st.booleans()):
+        fiber = st.sets(st.sampled_from(last), min_size=1)
+        sets = draw(st.lists(st.one_of(st.just(set(last)), fiber),
+                             min_size=1, max_size=3))
+        rng = Random(draw(st.integers(0, 2 ** 16)))
+        Z = [h + (y,) for h in heads for y in rng.choice(sets)]
+    else:
+        head = draw(st.sampled_from(heads))
+        drop = draw(st.sets(st.sampled_from(last), min_size=1))
+        Z = [h + (y,) for h in heads for y in last
+             if h != head or y not in drop]
+    D = draw(st.integers(0, depth))
+    return shapes, Z, D, draw(st.integers(1, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeated_fiber_cases())
+def test_ddf_meets_each_distinct_fiber_once(case):
+    # the kernel meets distinct fiber masks only; with many equal fibers
+    # its verdict must still be the per-combination loop's
+    shapes, Z, D, mcap = case
+    assert (is_ddf_to_depth(shapes, Z, D, mcap)
+            == _ddf_reference(shapes, Z, D, mcap))
+
+
 def test_fpg_witness_sets_inside_z():
     shapes = [TreeShape(2, 2), TreeShape(2, 2)]
     Z = set(itertools.product(branches(shapes[0]), branches(shapes[1])))
