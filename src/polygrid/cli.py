@@ -171,36 +171,81 @@ def parse_config(argv: Sequence[str]) -> Optional[RunConfig]:
     return RunConfig(cmd, params, outdir, seed)
 
 
-# json.dumps(payload, sort_keys=True, indent=2, default=str) chunk by chunk
-_ENCODER = json.JSONEncoder(sort_keys=True, indent=2, default=str)
-# chunks joined per write: about 57 kB of encoder chunks, at about seven
-# bytes per chunk, or about 200 kB of streamed table lines; smaller
-# artifacts take one write
-_BATCH = 8192
+# json.dumps(value, sort_keys=True, separators=(",", ":"), default=str):
+# CPython runs its C encoder only for a whole encode() with no indent, never
+# for iterencode(), so each chunk of an artifact is one encode() call
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                          default=str).encode
+# entries per streamed batch: a payload member's list or dict of more
+# entries goes out in batches of this many, and the sideways table in
+# batches of this many lines
+_BATCH = 4096
 
 
-def _table_chunks(payload: dict,
-                  table: Iterable[tuple[str, int]]) -> Iterator[str]:
-    """The chunks of json.dumps(payload, sort_keys=True, indent=2,
-    default=str) with the table pairs as the member "table" of the
-    payload, one line per chunk.  The pairs are never held: their keys
-    must strictly increase, and "table" must sort after every payload
-    key, so that the member streams last in key order."""
-    late = [key for key in payload if key >= "table"]
-    if late:
-        raise ValueError(
-            f"payload keys {late} do not sort before the streamed table")
-    # the head ends in "\n}", or is "{}" when empty; reopen it for the table
-    head = _ENCODER.encode(payload)
-    yield (head[:-2] + "," if payload else "{") + '\n  "table": {'
-    sep, prev = "\n    ", None
+def _payload_chunks(payload: dict) -> Iterator[str]:
+    """The chunks of _dumps(payload): one per member, except that a
+    member's list or dict of more than _BATCH entries streams in
+    batches."""
+    sep = "{"
+    for key in sorted(payload):
+        value = payload[key]
+        if isinstance(value, (dict, list, tuple)) and len(value) > _BATCH:
+            # the member's '"key":', as the encoder writes the key
+            yield sep + _dumps({key: 0})[1:-2]
+            yield from _batched(value)
+        else:
+            yield sep + _dumps({key: value})[1:-1]
+        sep = ","
+    yield "}" if payload else "{}"
+
+
+def _batched(value: dict | list | tuple) -> Iterator[str]:
+    """The chunks of _dumps(value) for a non-empty list or dict, _BATCH
+    entries per chunk, a dict's in key order."""
+    if isinstance(value, dict):
+        keys = sorted(value)
+        parts: Iterator = ({k: value[k] for k in keys[i:i + _BATCH]}
+                           for i in range(0, len(keys), _BATCH))
+    else:
+        parts = (value[i:i + _BATCH] for i in range(0, len(value), _BATCH))
+    texts = map(_dumps, parts)
+    first = next(texts)
+    yield first[:-1]
+    for text in texts:
+        yield "," + text[1:-1]
+    yield first[-1]
+
+
+def _table_lines(table: Iterable[tuple[str, int]]) -> Iterator[str]:
+    """One '"key":value' line per (str, int) pair; the keys must strictly
+    increase."""
+    prev = None
     for key, value in table:
         if prev is not None and key <= prev:
             raise ValueError(
                 f"table keys must strictly increase: {key!r} after {prev!r}")
-        yield f"{sep}{encode_basestring_ascii(key)}: {value:d}"
-        sep, prev = ",\n    ", key
-    yield "}\n}" if prev is None else "\n  }\n}"
+        yield f"{encode_basestring_ascii(key)}:{value:d}"
+        prev = key
+
+
+def _table_chunks(payload: dict,
+                  table: Iterable[tuple[str, int]]) -> Iterator[str]:
+    """The chunks of _dumps(payload) with the table pairs as the member
+    "table" of the payload, _BATCH lines per chunk.  The pairs are never
+    held: their keys must strictly increase, and "table" must sort after
+    every payload key, so that the member streams last in key order."""
+    late = [key for key in payload if key >= "table"]
+    if late:
+        raise ValueError(
+            f"payload keys {late} do not sort before the streamed table")
+    # reopen the payload's closing brace for the table
+    yield _dumps(payload)[:-1] + ("," if payload else "") + '"table":{'
+    lines, sep = _table_lines(table), ""
+    # no line is empty, so only the end joins empty
+    while batch := ",".join(itertools.islice(lines, _BATCH)):
+        yield sep + batch
+        sep = ","
+    yield "}}"
 
 
 def _write_artifacts(cfg: RunConfig, payload: dict,
@@ -210,22 +255,20 @@ def _write_artifacts(cfg: RunConfig, payload: dict,
     """Write payload to <command><suffix>.json and, when rows are given,
     a CSV headed by the first row's keys to <command><suffix>.csv.
 
-    The JSON text is json.dumps(payload, sort_keys=True, indent=2,
-    default=str) plus a newline, where the (str, int) table pairs, when
-    given, become the payload's "table" member.  It is written in batches
-    of chunks, so that neither the whole text nor the table is ever held;
-    a payload that fails to encode, or a table out of key order, leaves
-    no JSON file."""
+    The JSON text is json.dumps(payload, sort_keys=True,
+    separators=(",", ":"), default=str) plus a newline, where the
+    (str, int) table pairs, when given, become the payload's "table"
+    member.  It is written chunk by chunk, so that neither the whole text
+    nor the table is ever held; a payload that fails to encode, or a
+    table out of key order, leaves no JSON file."""
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     stem = f"{cfg.command}{suffix}"
     path = cfg.outdir / f"{stem}.json"
-    chunks = (_ENCODER.iterencode(payload) if table is None
+    chunks = (_payload_chunks(payload) if table is None
               else _table_chunks(payload, table))
     try:
         with open(path, "w") as fh:
-            # no chunk is empty, so only the end joins empty
-            while batch := "".join(itertools.islice(chunks, _BATCH)):
-                fh.write(batch)
+            fh.writelines(chunks)
             fh.write("\n")
     except BaseException:
         path.unlink(missing_ok=True)
@@ -538,7 +581,8 @@ def _run_force_pipeline(cfg: RunConfig) -> int:
         oracle, p["density"], p["branches"], buffer=p["buffer"],
         theta_start=p["theta"], theta_cap=p["theta-cap"],
     )
-    res.transcript["seed"] = cfg.seed
+    res.transcript.update({"seed": cfg.seed,
+                           "failure_code": res.failure_code})
     _write_artifacts(cfg, res.transcript, [{
         "d": p["d"], "k": p["k"], "seed": cfg.seed, "ok": res.ok,
         "theta": res.theta, "color": res.color,

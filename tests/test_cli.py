@@ -28,6 +28,22 @@ def run(tmp_path, command, *args):
     return cli.main([command, "--out", str(tmp_path), *args])
 
 
+def artifact_digests(out: Path) -> dict[str, str]:
+    """File name -> sha256 prefix of each artifact in out: of a CSV's bytes,
+    and of a JSON artifact's content in the indent=2 form its digest was
+    pinned in, after checking that its bytes are the compact form."""
+    digests = {}
+    for path in out.iterdir():
+        data = path.read_bytes()
+        if path.suffix == ".json":
+            content = json.loads(data)
+            assert data == _dumped(content)
+            data = (json.dumps(content, sort_keys=True, indent=2)
+                    + "\n").encode()
+        digests[path.name] = hashlib.sha256(data).hexdigest()[:16]
+    return digests
+
+
 # ---------------------------------------------------------------------------
 # config parsing
 
@@ -400,8 +416,7 @@ def test_product_bound_exhaustive(tmp_path):
 ])
 def test_product_bound_pinned(tmp_path, argv, json_digest, csv_digest):
     assert run(tmp_path, "product-bound", "--n", "1", *argv) == 0
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
-               for p in tmp_path.iterdir()}
+    digests = artifact_digests(tmp_path)
     assert digests == {"product-bound.json": json_digest,
                        "product-bound.csv": csv_digest}
 
@@ -504,8 +519,7 @@ def test_ph_refute_largest_table_under_cap(tmp_path):
     # 80 + 80^2 + 80^3 = 518,480 entries; the bytes are those of the
     # whole-table generator
     assert run(tmp_path, "ph-refute", "--entry-bound", "80", "--n", "2") == 0
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
-               for p in tmp_path.iterdir()}
+    digests = artifact_digests(tmp_path)
     assert digests == {"ph-refute.json": "ea8d2f22538b830c",
                        "ph-refute.csv": "af23f4e0e26630ca"}
 
@@ -638,20 +652,20 @@ def test_force_pipeline_and_determinism(tmp_path):
     # the force-pipeline run of criterion 10 (determinism)
     (["--d", "1", "--k", "2", "--depth-oracle", "2", "--density", "3",
       "--branches", "8", "--seed", "7"],
-     ("808cc049b868fbc7", "9bd7f42243d846e7", "2bf8405d40f53f93")),
+     ("1a1aa1576519cd51", "9bd7f42243d846e7", "2bf8405d40f53f93")),
     (["--d", "2", "--branches", "8"],
-     ("10adbfc1a2d41b65", "78a72e1097b3dc68", "0d142ee398c06af1")),
+     ("7efcfa64757c9b49", "78a72e1097b3dc68", "0d142ee398c06af1")),
     (["--d", "3", "--branches", "8"],
-     ("431ea6ff319ca1f1", "00efcb09726c4d91", "a8154eab81c6bfc2")),
+     ("c3dbf78598465a90", "00efcb09726c4d91", "a8154eab81c6bfc2")),
 ])
 def test_force_pipeline_pinned(tmp_path, argv, digests):
     # the witness and CSV digests date from when grid witnesses held Node
     # objects; the transcript's were re-pinned when the chain lost the
-    # decide steps that left the condition unchanged, and again when the
-    # stage entries lost the fields of the per-stage checks
+    # decide steps that left the condition unchanged, again when the stage
+    # entries lost the fields of the per-stage checks, and again when the
+    # transcript gained its failure code
     assert run(tmp_path, "force-pipeline", *argv) == 0
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
-           for p in tmp_path.iterdir()}
+    got = artifact_digests(tmp_path)
     names = ("force-pipeline.json", "force-pipeline-witness.json",
              "force-pipeline.csv")
     assert got == dict(zip(names, digests))
@@ -677,6 +691,21 @@ def test_force_pipeline_theta_cap_is_budget(tmp_path):
     blob = json.loads((tmp_path / "force-pipeline.json").read_text())
     assert blob["rounds"] == [{"extracted": False, "method": "pool",
                                "theta": 4}]
+
+
+def test_force_pipeline_records_the_failure_code(tmp_path):
+    # null for a run that exits 0, "theta-cap" for one stopped at the cap;
+    # the CSV keeps its columns
+    assert run(tmp_path / "ok", "force-pipeline", "--d", "1",
+               "--branches", "4") == 0
+    assert run(tmp_path / "cap", "force-pipeline", "--d", "1", "--theta", "4",
+               "--theta-cap", "4") == 2
+    for name, code in (("ok", None), ("cap", "theta-cap")):
+        out = tmp_path / name
+        blob = json.loads((out / "force-pipeline.json").read_text())
+        assert blob["failure_code"] == code
+        assert ((out / "force-pipeline.csv").read_text().splitlines()[0]
+                == "d,k,seed,ok,theta,color,failure")
 
 
 def test_hl_derive_full(tmp_path):
@@ -727,8 +756,7 @@ def test_sideways_build_pinned(tmp_path, d, k, depth, jmap, json_digest,
     value = ["--value", "1"] if jmap == "constant" else []
     assert run(tmp_path, "sideways-build", "--d", str(d), "--k", str(k),
                "--depth", str(depth), "--jmap", jmap, *value) == 0
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
-               for p in tmp_path.iterdir()}
+    digests = artifact_digests(tmp_path)
     assert digests == {"sideways-build.json": json_digest,
                        "sideways-build.csv": csv_digest}
 
@@ -758,8 +786,7 @@ def test_sideways_build_edges(tmp_path, capsys, argv, code, printed,
         assert not any(tmp_path.iterdir())
         return
     assert out == f"sideways-build: {printed}\n"
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
-               for p in tmp_path.iterdir()}
+    digests = artifact_digests(tmp_path)
     assert digests == {"sideways-build.json": json_digest,
                        "sideways-build.csv": csv_digest}
 
@@ -881,8 +908,7 @@ def test_sideways_build_memory_is_bounded(tmp_path):
 def test_hl_artifacts_pinned(tmp_path, argv, code, json_digest, csv_digest):
     # digests of the artifacts written before level colorings were memoized
     assert run(tmp_path, *argv) == code
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
-               for p in tmp_path.iterdir()}
+    digests = artifact_digests(tmp_path)
     want = {f"{argv[0]}.json": json_digest}
     if csv_digest is not None:
         want[f"{argv[0]}.csv"] = csv_digest
@@ -924,8 +950,8 @@ def test_ddf_check(tmp_path):
 
 
 def _dumped(payload) -> bytes:
-    return (json.dumps(payload, sort_keys=True, indent=2, default=str)
-            + "\n").encode()
+    return (json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                       default=str) + "\n").encode()
 
 
 class _Point(NamedTuple):
@@ -1025,11 +1051,31 @@ def test_writer_streams_the_table_as_json_dumps_writes_it(tmp_path, payload,
             == _dumped({**payload, "table": dict(table)}))
 
 
+def test_writer_batches_large_members_as_json_dumps_writes_them(tmp_path):
+    # members past one batch, keyed and ordered as json.dumps keys and
+    # orders them: numeric keys sort as numbers before they become strings
+    rng = Random(0)
+    keys = [i / 2 for i in range(2 * cli._BATCH + 3)]
+    rng.shuffle(keys)
+    payload = {
+        "floats": {k: [k, str(k)] for k in keys},
+        "ints": {int(k * 2): None for k in keys},
+        "nested": [{"b": (i, _Opaque(i)), "a": i}
+                   for i in range(cli._BATCH + 1)],
+        "tuple": tuple(range(3 * cli._BATCH)),
+        "words": {f"w{k}": k for k in keys[:cli._BATCH + 1]},
+        "small": {"z": 1, "a": 2},
+    }
+    cfg = cli.RunConfig("ramsey", {}, tmp_path, 0)
+    cli._write_artifacts(cfg, payload)
+    assert (tmp_path / "ramsey.json").read_bytes() == _dumped(payload)
+
+
 def test_writer_memory_is_bounded(tmp_path):
-    # a 2^16-entry table in the sideways form (1.8 MB of text): the whole
-    # text, its chunks and its bytes peaked at 13.5 MiB under tracemalloc,
-    # the batched writer at 4.3 MiB, nearly all of it the encoder's sorted
-    # list of the table's items
+    # a 2^16-entry table in the sideways form (1.4 MB of text): the whole
+    # text, its chunks and its bytes peaked at 8.6 MiB under tracemalloc,
+    # the batched writer at 1.5 MiB, most of it the table's sorted keys and
+    # one batch of it as a dict
     names = ["".join(w) for w in itertools.product("01", repeat=8)]
     table = {f"{a}|{b}": int(a[0] == b[-1])
              for a, b in itertools.product(names, repeat=2)}
@@ -1045,9 +1091,55 @@ def test_writer_memory_is_bounded(tmp_path):
             tracemalloc.stop()
 
     whole = peak(lambda: (tmp_path / "whole.json").write_text(json.dumps(
-        payload, sort_keys=True, indent=2, default=str) + "\n"))
+        payload, sort_keys=True, separators=(",", ":"), default=str) + "\n"))
     cfg = cli.RunConfig("sideways-build", {}, tmp_path, 0)
     batched = peak(lambda: cli._write_artifacts(cfg, payload))
     assert whole > limit >= batched
     assert ((tmp_path / "sideways-build.json").read_bytes()
             == (tmp_path / "whole.json").read_bytes())
+
+
+# a sideways table of 2^14 entries, streamed in more than one batch
+_STREAMED = ["sideways-build", "--d", "1", "--depth", "7"]
+
+
+# one argv per subcommand, then an exit-1 artifact, an exit-2 artifact and
+# the streamed table
+@pytest.mark.parametrize("argv, code", [
+    (["ramsey", "--k", "1"], 0),
+    (["difference-check", "--n", "2", "--size", "8"], 0),
+    (["product-bound", "--k", "1", "--size", "8"], 0),
+    (["ph-refute", "--entry-bound", "24", "--spread", "2"], 0),
+    (["delta-verify", "--family", "{family}"], 0),
+    (["delta-extract", "--num-indices", "40", "--planted", "8", "--h", "5",
+      "--seed", "1"], 0),
+    (["force-pipeline", "--d", "2", "--branches", "8"], 0),
+    (["hl-derive", "--coloring", "level-parity", "--depth", "6"], 0),
+    (["grid-search", "--d", "2", "--depth", "3", "--density", "2", "--cap",
+      "16", "--coloring", "seeded", "--seed", "11"], 0),
+    (["sideways-build", "--depth", "4", "--j-bound", "2"], 0),
+    (["ddf-check", "--d", "2", "--depth", "2", "--density", "2"], 0),
+    (["hl-derive", "--coloring", "adversarial", "--depth", "8",
+      "--density", "1"], 1),
+    (["force-pipeline", "--d", "1", "--theta", "4", "--theta-cap", "4"], 2),
+    (_STREAMED, 0),
+])
+def test_artifacts_are_canonical_compact_json(tmp_path, argv, code):
+    # every JSON artifact is the one-line compact, sorted encoding of what
+    # it holds, so that loading and dumping it again gives its bytes
+    fam = Family(2, OrdSet.of(range(5)), {
+        b: OrdSet.of(b) for b in itertools.combinations(range(5), 2)})
+    family = tmp_path / "fam.json"
+    family.write_text(json.dumps(fam.to_json()))
+    out = tmp_path / "out"
+    argv = [a.format(family=family) for a in argv]
+    assert run(out, *argv) == code
+    written = sorted(out.glob("*.json"))
+    assert written
+    for path in written:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True,
+                                  separators=(",", ":")) + "\n"
+    if argv == _STREAMED:
+        table = json.loads((out / "sideways-build.json").read_text())["table"]
+        assert len(table) > cli._BATCH

@@ -4,7 +4,7 @@ import functools
 import itertools
 import json
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from random import Random
 from typing import Callable, Optional, Sequence
 
@@ -39,6 +39,7 @@ from polygrid.trees import (
     Word,
     all_nodes,
     branches,
+    is_strong_subtree,
     validate_grid_witness,
     words,
 )
@@ -764,6 +765,93 @@ def test_verify_height_one():
     assert verify_hl_witness(gamma, w)
     wrong = HLWitness(2, 3, OrdSet.of([1]), (sub0, sub1), 1)
     assert not verify_hl_witness(gamma, wrong)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2), st.integers(2, 3), st.integers(1, 3),
+       st.integers(0, 2 ** 16), st.data())
+def test_validate_grid_witness_rejects_one_corruption(d, depth, r, seed,
+                                                      data):
+    # a found grid passes; recoloring one of its tuples fails the color
+    # comparison alone, and emptying one prefix class through a root fails
+    # that coordinate's density alone
+    gamma = LevelColoring(k=2, d=d, depth=depth, r=r, kind="seeded",
+                          seed=seed)
+    density = data.draw(st.integers(1, depth))
+    w = search_grid(functools.partial(surrogate_product, gamma),
+                    [TreeShape(2, depth)] * d, density, cap=8)
+    assume(w is not None)
+    color = surrogate_fn(gamma)
+    ok, report = validate_grid_witness(w, color)
+    assert ok and report["color_failures"] == 0
+
+    bad = data.draw(st.sampled_from(list(itertools.product(*w.branch_sets))))
+    ok, report = validate_grid_witness(
+        w, lambda xs: w.color + 1 if xs == bad else color(xs))
+    assert not ok
+    assert report["color_failures"] == 1 and all(report["density"])
+
+    i = data.draw(st.integers(0, d - 1))
+    root, ys = w.roots[i], w.branch_sets[i]
+    cls = data.draw(st.sampled_from(sorted(
+        {y[:density] for y in ys if y[:len(root)] == root})))
+    kept = tuple(y for y in ys if y[:density] != cls)
+    thinned = replace(w, branch_sets=(*w.branch_sets[:i], kept,
+                                      *w.branch_sets[i + 1:]))
+    ok, report = validate_grid_witness(thinned, color)
+    assert not ok
+    assert report["density"] == [j != i for j in range(d)]
+    assert report["color_failures"] == 0
+
+
+def _with_levels(w: HLWitness, levels: OrdSet, level_sets) -> HLWitness:
+    """w with every subtree over levels, subtree j's nodes level_sets[j]."""
+    return replace(w, levels=levels, subtrees=tuple(
+        StrongSubtreeWitness(levels, tuple(sets)) for sets in level_sets))
+
+
+@settings(max_examples=40, deadline=None)
+@given(level_colorings(), st.integers(1, 3), st.data())
+def test_verify_hl_witness_rejects_one_corruption(gamma, h, data):
+    # a derived witness passes; each corruption fails one check, and a copy
+    # of verify_hl_witness without that check accepts it or raises
+    density = data.draw(st.integers(1, gamma.depth))
+    grid = cone_grid(gamma, [()] * gamma.d, density)
+    assume(grid is not None)
+    w = derive_strong_subtrees(gamma, grid, h).witness
+    assume(w is not None)
+    assert verify_hl_witness(gamma, w)
+    sets = [list(sub.level_sets) for sub in w.subtrees]
+
+    # wrong d or k
+    assert not verify_hl_witness(gamma, replace(
+        w, subtrees=w.subtrees + w.subtrees[:1]))
+    assert not verify_hl_witness(gamma, replace(w, k=w.k + 1))
+
+    # the top level moved past the coloring's depth, its nodes extended by
+    # letter 0, so that the subtrees stay strong in a deeper tree
+    top = w.levels.otp - 1
+    past = gamma.depth + 1
+    moved = _with_levels(
+        replace(w, depth=past),
+        OrdSet.of(w.levels.elems[:top] + (past,)),
+        [ls[:top] + [frozenset(t + (0,) * (past - len(t)) for t in ls[top]
+                               )] for ls in sets])
+    assert all(is_strong_subtree(sub, TreeShape(w.k, past))
+               for sub in moved.subtrees)
+    assert not verify_hl_witness(gamma, moved)
+
+    # one node dropped: a subtree that is not strong, whose level products
+    # still have the witness color
+    j = data.draw(st.integers(0, w.d - 1))
+    m = data.draw(st.integers(0, top))
+    node = data.draw(st.sampled_from(sorted(sets[j][m])))
+    sets[j][m] = sets[j][m] - {node}
+    assert not verify_hl_witness(gamma, _with_levels(w, w.levels, sets))
+
+    # one color flipped
+    assert not verify_hl_witness(gamma, replace(
+        w, color=(w.color + 1) % gamma.r))
 
 
 def test_hl_witness_round_trip():
