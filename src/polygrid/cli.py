@@ -572,10 +572,12 @@ def _run_delta_extract(cfg: RunConfig) -> int:
 })
 def _run_force_pipeline(cfg: RunConfig) -> int:
     p = cfg.params
-    oracle = forcing.ColoringOracle(
-        k=p["k"], d=p["d"], depth=p["depth-oracle"],
-        num_colors=p["colors"], kind=p["oracle"], value=p["value"],
-        seed=cfg.seed,
+    kind = forcing.ORACLE_KINDS.get(p["oracle"])
+    if kind is None:
+        raise ParameterError(f"unknown oracle kind {p['oracle']!r}")
+    oracle = hl.LevelColoring(
+        k=p["k"], d=p["d"], depth=p["depth-oracle"], r=p["colors"],
+        kind=kind, value=p["value"], seed=cfg.seed,
     )
     res = forcing.run_pipeline(
         oracle, p["density"], p["branches"], buffer=p["buffer"],
@@ -588,7 +590,7 @@ def _run_force_pipeline(cfg: RunConfig) -> int:
         "theta": res.theta, "color": res.color,
         "failure": res.failure or ""}])
     if res.witness is not None:
-        _write_artifacts(cfg, res.witness.to_json(), suffix="-witness")
+        _write_artifacts(cfg, res.transcript["witness"], suffix="-witness")
     print(f"force-pipeline: ok={res.ok} theta={res.theta} color={res.color}"
           + (f" failure={res.failure}" if res.failure else ""))
     if res.ok:
@@ -600,6 +602,8 @@ def _coloring_from(cfg: RunConfig) -> hl.LevelColoring:
     """The --coloring named on the command line."""
     p = cfg.params
     kind = str(p["coloring"])
+    if kind not in hl.NAMED_KINDS + ("table",):
+        raise ParameterError(f"unknown coloring kind {kind!r}")
     if kind == "table":
         tfile = str(p["table"])
         if not tfile:

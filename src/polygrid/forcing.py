@@ -2,10 +2,11 @@
 
 A condition pins down, for finitely many rows, one word per coordinate
 tree.  Extension deepens words and adds rows.  The pipeline decides an
-oracle coloring on the separator rows, takes a large index set on which
-the decided data agree, lays out a tag matrix to spread K completions per
-coordinate with one tag step per entry, and emits a dense monochromatic
-grid witness that is re-validated from scratch.
+oracle, a `hl.LevelColoring` of the tuples at its depth, on the separator
+rows, takes a large index set on which the decided data agree, lays out a
+tag matrix to spread K completions per coordinate with one tag step per
+entry, and emits a dense monochromatic grid witness that is re-validated
+from scratch.
 
 Deciding by the leftmost route makes the proof's Delta-system step the
 identity (see `run_pipeline`), so the index set is taken in closed form,
@@ -16,12 +17,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from random import Random
 from typing import Callable, Iterator, Optional, Sequence
 
-# unused here; kept so that tracers patching forcing.extract_uniform find it
+# unused here; kept so that tracers patching forcing.extract_uniform, and
+# forcing.ColoringOracle.color (every LevelColoring.color call), find them
 from .deltasys import extract_uniform  # noqa: F401
-from .ordset import CAP, OrdSet, ParameterError, capped
+from .hl import LevelColoring
+from .hl import LevelColoring as ColoringOracle  # noqa: F401
+from .ordset import OrdSet, ParameterError, capped
 from .trees import (
     GridWitness,
     Word,
@@ -139,91 +142,24 @@ def leq(q: Condition, p: Condition) -> bool:
 # oracles
 
 
-@dataclass
-class ColoringOracle:
-    """Colors d-tuples of depth-`depth` words; deeper input is truncated.
+# --oracle name -> LevelColoring kind; the transcript records the name
+ORACLE_KINDS = {"constant": "constant", "first-letter": "first-letter",
+                "seeded": "oracle-seeded"}
 
-    kind "constant" ignores input, "first-letter" reads the first letter of
-    the first coordinate, "seeded" tabulates a pseudorandom color for every
-    input (at most CAP of them) in `table`.
-    """
 
-    k: int
-    d: int
-    depth: int
-    num_colors: int
-    kind: str
-    value: int = 0
-    seed: int = 0
-    table: dict[tuple[Word, ...], int] = field(
-        default_factory=dict, init=False, repr=False)
-
-    def __post_init__(self):
-        if self.k < 2 or self.d < 1:
-            raise ParameterError("need k >= 2 and d >= 1")
-        if self.depth < 1:
-            raise ParameterError("oracle depth must be >= 1")
-        if self.num_colors < 1:
-            raise ParameterError("need at least one color")
-        if self.kind not in ("constant", "first-letter", "seeded"):
-            raise ParameterError(f"unknown oracle kind {self.kind!r}")
-        if self.kind == "constant" and not 0 <= self.value < self.num_colors:
-            raise ParameterError(f"value must lie in 0..{self.num_colors - 1}")
-        if self.kind == "seeded":
-            entries = (self.k ** j for j in range(self.depth * self.d + 1))
-            if capped(entries) > CAP:
-                raise ParameterError(
-                    f"a seeded oracle would tabulate {self.k}^"
-                    f"{self.depth * self.d} entries, over the cap of {CAP}")
-            rng = Random(f"oracle:{self.seed}:{self.k}:{self.d}:{self.depth}")
-            words = list(itertools.product(range(self.k), repeat=self.depth))
-            for combo in itertools.product(words, repeat=self.d):
-                self.table[combo] = rng.randrange(self.num_colors)
-
-    def color(self, words: Sequence[Word]) -> int:
-        if len(words) != self.d:
-            raise ValueError(f"expected {self.d} words")
-        cut = tuple(w[: self.depth] for w in words)
-        if any(len(w) != self.depth for w in cut):
-            raise ValueError(f"words must reach depth {self.depth}")
-        if self.kind == "constant":
-            return self.value
-        if self.kind == "first-letter":
-            return cut[0][0] % self.num_colors
-        got = self.table.get(cut)
-        if got is None:
-            raise ValueError(f"oracle table has no entry for {cut}")
-        return got
-
-    def to_json(self) -> dict:
-        data = {
-            "k": self.k,
-            "d": self.d,
-            "depth": self.depth,
-            "num_colors": self.num_colors,
-            "kind": self.kind,
-        }
-        if self.kind == "constant":
-            data["value"] = self.value
-        if self.kind == "seeded":
-            data["seed"] = self.seed
-        return data
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ColoringOracle":
-        return cls(
-            k=data["k"],
-            d=data["d"],
-            depth=data["depth"],
-            num_colors=data["num_colors"],
-            kind=data["kind"],
-            value=data.get("value", 0),
-            seed=data.get("seed", 0),
-        )
+def oracle_json(oracle: LevelColoring) -> dict:
+    """The transcript's record of an oracle: its LevelColoring record under
+    its --oracle name, with r as num_colors; other kinds are no oracle."""
+    names = {kind: name for name, kind in ORACLE_KINDS.items()}
+    if oracle.kind not in names:
+        raise ParameterError(f"unknown oracle kind {oracle.kind!r}")
+    data = oracle.to_json()
+    data.update(num_colors=data.pop("r"), kind=names[oracle.kind])
+    return data
 
 
 def decide_color(
-    p: Condition, a: OrdSet, oracle: ColoringOracle
+    p: Condition, a: OrdSet, oracle: LevelColoring
 ) -> tuple[Condition, int]:
     """Extend p so the oracle color of the rows named by a is determined.
 
@@ -338,7 +274,7 @@ class PipelineResult:
 
 
 def run_pipeline(
-    oracle: ColoringOracle,
+    oracle: LevelColoring,
     density_depth: int,
     width: int,
     buffer: int = 4,
@@ -354,7 +290,9 @@ def run_pipeline(
     with start word i plus tag col; read off the K leftmost completions
     per coordinate as branch sets.  The whole schedule is folded by one
     `meet_dense` call, and the grid witness is re-validated from scratch
-    before return.
+    before return.  The oracle is a LevelColoring of an ORACLE_KINDS kind
+    whose depth is the oracle depth; a branch tuple takes the color of its
+    truncation to that depth.
 
     The first h_target indices are the least set on which the decided
     condition, color and domain pattern agree: `decide_color` takes the
@@ -387,7 +325,7 @@ def run_pipeline(
     transcript: dict = {
         "k": k,
         "d": d,
-        "oracle": oracle.to_json(),
+        "oracle": oracle_json(oracle),
         "density_depth": density_depth,
         "width": width,
         "buffer": buffer,
@@ -475,7 +413,8 @@ def run_pipeline(
         density_depth=density_depth,
         color=star_color,
     )
-    ok, report = validate_grid_witness(witness, oracle.color)
+    ok, report = validate_grid_witness(
+        witness, lambda xs: oracle.color(tuple(x[:oracle.depth] for x in xs)))
     transcript["validation"] = {
         "ok": ok,
         "density": report["density"],

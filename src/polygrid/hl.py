@@ -36,6 +36,7 @@ from .trees import (
 )
 
 NAMED_KINDS = ("constant", "level-parity", "seeded", "planted-grid", "adversarial")
+TOP_KINDS = ("first-letter", "oracle-seeded")
 
 
 def _comparable(a: Word, b: Word) -> bool:
@@ -55,7 +56,9 @@ class LevelColoring:
     and seeded noise from the other colors elsewhere; "adversarial" (d=1,
     r=2) gives color 0 on the leftmost branch at even heights and on
     first-letter-1 words at odd heights, so zero-colored levels of the two
-    never meet; "table" is an explicit lookup of every such tuple.
+    never meet; "table" is an explicit lookup of every such tuple.  The
+    TOP_KINDS color only height-depth tuples: "first-letter" by the first
+    word's first letter mod r, "oracle-seeded" by a table drawn up front.
     """
 
     k: int
@@ -73,7 +76,7 @@ class LevelColoring:
             raise ParameterError("need k >= 2, d >= 1, depth >= 1")
         if self.r < 1:
             raise ParameterError("need at least one color")
-        if self.kind not in NAMED_KINDS + ("table",):
+        if self.kind not in NAMED_KINDS + ("table",) + TOP_KINDS:
             raise ParameterError(f"unknown coloring kind {self.kind!r}")
         if self.kind in ("constant", "planted-grid", "level-parity"):
             if not 0 <= self.value < self.r:
@@ -90,6 +93,17 @@ class LevelColoring:
             raise ParameterError("the adversarial instance is d=1, r=2")
         if self.kind == "table":
             self._check_table()
+        if self.kind == "oracle-seeded":
+            entries = (self.k ** j for j in range(self.depth * self.d + 1))
+            if capped(entries) > CAP:
+                raise ParameterError(
+                    f"a seeded oracle would tabulate {self.k}^"
+                    f"{self.depth * self.d} entries, over the cap of {CAP}")
+            rng = Random(f"oracle:{self.seed}:{self.k}:{self.d}:{self.depth}")
+            level = list(itertools.product(range(self.k), repeat=self.depth))
+            memo = self._colors
+            for combo in itertools.product(level, repeat=self.d):
+                memo[combo] = rng.randrange(self.r)
 
     def _check_table(self) -> None:
         """Every key is a level tuple of height <= depth with letters in
@@ -111,7 +125,8 @@ class LevelColoring:
 
     @cached_property
     def _colors(self) -> dict[tuple[Word, ...], int]:
-        """Color memo keyed on the tuple of words, filled lazily.  The
+        """Color memo keyed on the tuple of words, filled lazily (an
+        oracle-seeded table fills it whole at construction).  The
         key is all the checks read, so a hit is exact while the fields
         stay as constructed; a tuple that raises is never stored."""
         return {}
@@ -153,6 +168,10 @@ class LevelColoring:
             if w and w[0] == 1 and m % 2 == 1:
                 return 0
             return 1
+        if m < self.depth and self.kind in TOP_KINDS:
+            raise ValueError(f"words must reach depth {self.depth}")
+        if self.kind == "first-letter":
+            return words[0][0] % self.r
         got = self.table.get(words)
         if got is None:
             raise ValueError(f"coloring table has no entry for {words}")
@@ -168,7 +187,7 @@ class LevelColoring:
         }
         if self.kind in ("constant", "level-parity", "planted-grid"):
             data["value"] = self.value
-        if self.kind in ("seeded", "planted-grid"):
+        if self.kind in ("seeded", "planted-grid", "oracle-seeded"):
             data["seed"] = self.seed
         if self.kind == "planted-grid":
             data["roots"] = [word_to_str(w) for w in self.roots]
@@ -311,7 +330,10 @@ def check_surrogate_size(gamma: LevelColoring, spreads: Sequence[int]) -> None:
     entries, counted as (depth+1)(depth+2)/2 per branch.  No store holds
     such prefixes, so the second limit over-counts what the vote builds:
     the per-tuple vote slices depth truncations per call, and
-    surrogate_product keys each distinct tuple of prefixes once."""
+    surrogate_product keys each distinct tuple of prefixes once.  The
+    vote reads every height, so the TOP_KINDS are refused too."""
+    if gamma.kind in TOP_KINDS:
+        raise ParameterError(f"no surrogate for top-height kind {gamma.kind!r}")
     k, depth = gamma.k, gamma.depth
     branches = sum(capped(k ** j for j in range(s + 1)) for s in spreads)
     entries = branches * (depth + 1) * (depth + 2) // 2

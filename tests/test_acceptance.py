@@ -28,7 +28,7 @@ from polygrid.deltasys import (
     restrict,
     verify_uniform,
 )
-from polygrid.forcing import ColoringOracle, run_pipeline
+from polygrid.forcing import run_pipeline
 from polygrid.hl import (
     LevelColoring,
     cone_grid,
@@ -223,8 +223,8 @@ def test_criterion_05_pipeline_soundness():
     for d in (1, 2, 3):
         for seed in range(25):
             t0 = time.monotonic()
-            oracle = ColoringOracle(
-                k=2, d=d, depth=2, num_colors=2, kind="seeded", seed=seed
+            oracle = LevelColoring(
+                k=2, d=d, depth=2, r=2, kind="oracle-seeded", seed=seed
             )
             res = run_pipeline(oracle, density_depth=3, width=8)
             assert res.ok, f"pipeline failed at d={d} seed={seed}"

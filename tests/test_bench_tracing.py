@@ -110,6 +110,7 @@ def test_bench_tracing_counts_one_pipeline_fold(tmp_path):
         tracer.restore()
     for name in ("run_pipeline", "meet_dense", "decide_color"):
         assert tracer.stats[f"forcing.{name}"][0] == 1, name
+    assert tracer.counts["forcing.ColoringOracle.color.calls"] > 0
 
 
 def test_bench_tracing_counts_cofinal_attempts(tmp_path):

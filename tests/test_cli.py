@@ -103,6 +103,7 @@ def test_usage_exit_code():
     ["force-pipeline", "--d", "0"],
     ["force-pipeline", "--oracle", "bogus"],
     ["force-pipeline", "--oracle", "table"],  # no flag supplies a table
+    ["force-pipeline", "--oracle", "level-parity"],
     ["force-pipeline", "--oracle", "constant", "--value", "2"],
     ["force-pipeline", "--colors", "0"],
     ["force-pipeline", "--depth-oracle", "0"],
@@ -197,6 +198,7 @@ def test_usage_exit_code():
     # no root fits a cap below one; that is not a "no grid" verdict
     ["grid-search", "--cap", "0"],
     ["grid-search", "--cap", "-3"],
+    ["grid-search", "--coloring", "first-letter"],  # top height only
     # exhaustive enumeration is wired for n = 1 only; refused before the
     # threshold search for (n=2, k=2), which runs out of budget
     ["product-bound", "--n", "2", "--k", "2", "--samples", "0"],
@@ -230,6 +232,20 @@ def test_bad_parameter_is_usage_error(tmp_path, monkeypatch, args):
         Family(24, OrdSet(top), {top: OrdSet(top)}).to_json()))
     out = tmp_path / "out"
     assert run(out, *args) == 64
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["grid-search", "hl-derive"])
+@pytest.mark.parametrize("kind", [{"kind": "first-letter"},
+                                  {"kind": "oracle-seeded", "seed": 3}])
+def test_table_file_of_a_top_height_kind_is_usage_error(tmp_path, command,
+                                                        kind):
+    # the surrogate vote reads every height, so a --table file whose kind
+    # colors only the top height is refused: exit 64, nothing written
+    path = tmp_path / "top.table"
+    path.write_text(json.dumps({"k": 2, "d": 1, "depth": 2, "r": 2, **kind}))
+    out = tmp_path / "out"
+    assert run(out, command, "--coloring", "table", "--table", str(path)) == 64
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 """The finite Cohen-style poset, dense-set plumbing, and the pipeline."""
 
+import importlib.util
 import itertools
 import json
 from pathlib import Path
@@ -8,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polygrid import ParameterError
+from polygrid import ParameterError, cli, forcing
 from polygrid.deltasys import Family, extract_uniform
 from polygrid.forcing import (
-    ColoringOracle,
+    ORACLE_KINDS,
     Condition,
     DenseStep,
     decide_color,
@@ -20,6 +21,7 @@ from polygrid.forcing import (
     meet_dense,
     run_pipeline,
 )
+from polygrid.hl import LevelColoring
 from polygrid.ordset import OrdSet
 from polygrid.trees import is_dense_above, word_from_str, word_to_str
 
@@ -149,14 +151,14 @@ def test_derived_conditions_match_validated_ones():
 
 
 def _first_letter(d=1, depth=2):
-    return ColoringOracle(
-        k=2, d=d, depth=depth, num_colors=2, kind="first-letter"
+    return LevelColoring(
+        k=2, d=d, depth=depth, r=2, kind="first-letter"
     )
 
 
 def test_decide_color_constant():
-    oracle = ColoringOracle(
-        k=2, d=1, depth=2, num_colors=3, kind="constant", value=2
+    oracle = LevelColoring(
+        k=2, d=1, depth=2, r=3, kind="constant", value=2
     )
     q, j = decide_color(Condition.empty(2, 1), OrdSet.of([4]), oracle)
     assert j == 2
@@ -244,8 +246,8 @@ def _external_check(witness, oracle):
 
 
 def test_pipeline_constant_d1():
-    oracle = ColoringOracle(
-        k=2, d=1, depth=2, num_colors=2, kind="constant", value=1
+    oracle = LevelColoring(
+        k=2, d=1, depth=2, r=2, kind="constant", value=1
     )
     res = run_pipeline(oracle, density_depth=3, width=4)
     assert res.ok and res.failure_code is None
@@ -264,8 +266,8 @@ def test_pipeline_first_letter_root():
 
 
 def test_pipeline_seeded_d2():
-    oracle = ColoringOracle(
-        k=2, d=2, depth=2, num_colors=2, kind="seeded", seed=7
+    oracle = LevelColoring(
+        k=2, d=2, depth=2, r=2, kind="oracle-seeded", seed=7
     )
     res = run_pipeline(oracle, density_depth=3, width=8)
     assert res.ok
@@ -278,8 +280,8 @@ def test_pipeline_seeded_d2():
 
 
 def test_pipeline_chain_replays():
-    oracle = ColoringOracle(
-        k=2, d=2, depth=2, num_colors=2, kind="seeded", seed=7
+    oracle = LevelColoring(
+        k=2, d=2, depth=2, r=2, kind="oracle-seeded", seed=7
     )
     res = run_pipeline(oracle, density_depth=3, width=8)
     assert res.ok
@@ -313,8 +315,8 @@ def test_pipeline_chain_has_no_idle_decide_steps(data):
     kind = data.draw(st.sampled_from(["constant", "first-letter", "seeded"]))
     reach = max(m for m in range(3) if k ** m <= width)
     density = depth + data.draw(st.integers(0, reach), label="density")
-    oracle = ColoringOracle(k=k, d=d, depth=depth, num_colors=2, kind=kind,
-                            seed=data.draw(st.integers(0, 9), label="seed"))
+    oracle = LevelColoring(k=k, d=d, depth=depth, r=2, kind=ORACLE_KINDS[kind],
+                           seed=data.draw(st.integers(0, 9), label="seed"))
     res = run_pipeline(oracle, density_depth=density, width=width,
                        buffer=buffer)
     t = res.transcript
@@ -362,8 +364,8 @@ def test_readme_chain_replay_snippet():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("### The force-pipeline transcript", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
-    oracle = ColoringOracle(
-        k=2, d=2, depth=2, num_colors=2, kind="seeded", seed=4
+    oracle = LevelColoring(
+        k=2, d=2, depth=2, r=2, kind="oracle-seeded", seed=4
     )
     blob = json.loads(json.dumps(
         run_pipeline(oracle, density_depth=3, width=4).transcript))
@@ -377,7 +379,7 @@ def test_readme_chain_replay_snippet():
 
 
 def test_pipeline_theta_cap_failure_code():
-    oracle = ColoringOracle(k=2, d=1, depth=2, num_colors=2, kind="seeded")
+    oracle = LevelColoring(k=2, d=1, depth=2, r=2, kind="oracle-seeded")
     res = run_pipeline(oracle, density_depth=3, width=8, theta_start=4,
                        theta_cap=4)
     assert not res.ok
@@ -396,8 +398,8 @@ def test_pipeline_indices_are_the_least_delta_witness(
     # the Delta-system stage the pipeline replaces by its closed form:
     # decide every d-subset of the block from the empty condition, label it
     # by its collapsed rows, color and domain pattern, and extract
-    oracle = ColoringOracle(k=k, d=d, depth=depth, num_colors=2, kind=kind,
-                            value=1, seed=5)
+    oracle = LevelColoring(k=k, d=d, depth=depth, r=2, kind=ORACLE_KINDS[kind],
+                           value=1, seed=5)
     h_target = d * (width * buffer + 1)
     umap, labels = {}, {}
     for a in itertools.combinations(range(theta), d):
@@ -427,8 +429,8 @@ def test_pipeline_indices_are_the_least_delta_witness(
 
 
 def test_pipeline_transcript_deterministic():
-    oracle = ColoringOracle(
-        k=2, d=1, depth=2, num_colors=2, kind="seeded", seed=3
+    oracle = LevelColoring(
+        k=2, d=1, depth=2, r=2, kind="oracle-seeded", seed=3
     )
     a = run_pipeline(oracle, density_depth=3, width=4)
     b = run_pipeline(oracle, density_depth=3, width=4)
@@ -459,23 +461,64 @@ def test_condition_json_round_trip_generated(k, d, data):
 
 @st.composite
 def _oracles(draw):
-    num_colors = draw(st.integers(1, 4))
-    return ColoringOracle(
+    r = draw(st.integers(1, 4))
+    return LevelColoring(
         k=draw(st.integers(2, 3)), d=draw(st.integers(1, 2)),
-        depth=draw(st.integers(1, 2)), num_colors=num_colors,
-        kind=draw(st.sampled_from(["constant", "first-letter", "seeded"])),
-        value=draw(st.integers(0, num_colors - 1)),
+        depth=draw(st.integers(1, 2)), r=r,
+        kind=draw(st.sampled_from(list(ORACLE_KINDS.values()))),
+        value=draw(st.integers(0, r - 1)),
         seed=draw(st.integers(0, 10 ** 6)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(_oracles())
 def test_oracle_json_round_trip_generated(oracle):
-    again = ColoringOracle.from_json(json.loads(json.dumps(oracle.to_json())))
+    again = LevelColoring.from_json(json.loads(json.dumps(oracle.to_json())))
     assert again.to_json() == oracle.to_json()
     words = list(itertools.product(range(oracle.k), repeat=oracle.depth))
     for combo in itertools.product(words, repeat=oracle.d):
         assert again.color(combo) == oracle.color(combo)
+
+
+def _load_checks():
+    path = Path(__file__).resolve().parents[1] / "bench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("bench_checks", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_KINDS))
+@pytest.mark.parametrize("k, d, depth, r, seed", [
+    (2, 1, 1, 2, 0),
+    (2, 2, 2, 3, 5),
+    (3, 2, 1, 2, 7),
+    (2, 3, 2, 4, 11),
+    (3, 1, 3, 3, 2),
+])
+def test_oracle_matches_the_bench_rebuild(tmp_path, monkeypatch, name, k, d,
+                                          depth, r, seed):
+    # the coloring force-pipeline hands the pipeline, against the one that
+    # bench/checks.py rebuilds, independently, from the recorded oracle
+    seen = []
+    real = forcing.run_pipeline
+
+    def spy(oracle, *args, **kwargs):
+        seen.append(oracle)
+        return real(oracle, *args, **kwargs)
+
+    monkeypatch.setattr(forcing, "run_pipeline", spy)
+    argv = ["force-pipeline", "--oracle", name, "--k", str(k), "--d", str(d),
+            "--depth-oracle", str(depth), "--density", str(depth),
+            "--branches", "1", "--buffer", "1", "--colors", str(r),
+            "--value", str(r - 1), "--seed", str(seed), "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    (oracle,) = seen
+    recorded = json.loads((tmp_path / "force-pipeline.json").read_text())
+    rebuilt = _load_checks().oracle_coloring(recorded["oracle"])
+    level = list(itertools.product(range(k), repeat=depth))
+    for combo in itertools.product(level, repeat=d):
+        assert oracle.color(combo) == rebuilt(combo)
 
 
 @pytest.mark.parametrize("k, d, depth", [
@@ -485,14 +528,14 @@ def test_oracle_json_round_trip_generated(oracle):
 ])
 def test_seeded_oracle_table_cap(k, d, depth):
     with pytest.raises(ParameterError, match="over the cap"):
-        ColoringOracle(k=k, d=d, depth=depth, num_colors=2, kind="seeded")
+        LevelColoring(k=k, d=d, depth=depth, r=2, kind="oracle-seeded")
 
 
 def test_oracle_round_trip():
-    oracle = ColoringOracle(
-        k=2, d=2, depth=2, num_colors=3, kind="seeded", seed=21
+    oracle = LevelColoring(
+        k=2, d=2, depth=2, r=3, kind="oracle-seeded", seed=21
     )
-    again = ColoringOracle.from_json(oracle.to_json())
+    again = LevelColoring.from_json(oracle.to_json())
     ws = list(itertools.product(range(2), repeat=2))
     for pair in itertools.product(ws, repeat=2):
         assert oracle.color(pair) == again.color(pair)

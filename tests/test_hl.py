@@ -16,6 +16,7 @@ from polygrid import ParameterError
 from polygrid.antiramsey import Arena, c_full
 from polygrid.hl import (
     NAMED_KINDS,
+    TOP_KINDS,
     HLWitness,
     LevelColoring,
     _trim,
@@ -667,6 +668,26 @@ def test_surrogate_size_guard(depth, spreads, ok):
     else:
         with pytest.raises(ParameterError, match="cap"):
             check_surrogate_size(gamma, spreads)
+
+
+@pytest.mark.parametrize("kind", TOP_KINDS)
+def test_top_kinds_color_only_their_depth(kind):
+    # the forcing oracles' kinds: a tuple below the depth raises on every
+    # call, since the memo never stores it, and no surrogate reads them
+    gamma = LevelColoring(k=2, d=2, depth=2, r=3, kind=kind, seed=4)
+    for m in (0, 1):
+        for combo in itertools.product(words(2, m), repeat=2):
+            for _ in range(2):
+                with pytest.raises(ValueError, match="must reach depth 2"):
+                    gamma.color(combo)
+    with pytest.raises(ValueError, match="expected 2 words"):
+        gamma.color(((0, 1),))
+    for combo in itertools.product(words(2, 2), repeat=2):
+        assert gamma.color(combo) in range(3)
+        if kind == "first-letter":
+            assert gamma.color(combo) == combo[0][0] % 3
+    with pytest.raises(ParameterError, match="no surrogate"):
+        check_surrogate_size(gamma, [2, 2])
 
 
 # ---------------------------------------------------------------------------
