@@ -282,8 +282,6 @@ def _write_artifacts(cfg: RunConfig, payload: dict,
 
 def _parse_words(raw: str, d: int) -> list[tuple[int, ...]]:
     """Comma-separated digit strings; '.' or an empty segment is the root."""
-    if not raw:
-        return [()] * d
     parts = raw.split(",")
     if len(parts) != d:
         raise ParameterError(f"expected {d} comma-separated words, got {len(parts)}")

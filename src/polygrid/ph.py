@@ -76,50 +76,38 @@ class CofinalCheck:
 
 def is_cofinal(F: CofinalFn, strict: bool = False) -> CofinalCheck:
     """Verify domination on singletons and (strict) subsequence monotonicity
-    over the whole finite domain; first violation is returned.  Both orders
-    are transitive and every proper subsequence is reached by one-element
-    deletions, so only those are compared.
+    over the whole finite domain; the first violation, in product order
+    of the longer tuple and then by deletion position, is returned.  Both
+    orders are transitive and every proper subsequence is reached by
+    one-element deletions, so only those are compared.
 
-    One length at a time: the values of length L, in product order (the
-    rows of the prefixes of length L-1 joined, each row read once), are
-    compared with those of each deletion position i at once.  Deleting
-    entry i maps the tuples of a block of eb^(L-i) consecutive ones to
-    one block of eb^(L-1-i) tuples of length L-1, read eb times over.  A
-    length that fails is scanned tuple by tuple for its first violation.
+    Each row is read once, prefixes by length and then in product order.
+    The row of p holds the values of p + (c,): deleting c leaves p, and
+    deleting entry i of p leaves entry c of the row of p without it.  Only
+    a row that fails is scanned entry by entry, to name the violation.
     """
-    rows, eb = F.rows, F.entry_bound
+    rows, domain = F.rows, range(F.entry_bound)
     below = lt if strict else le
-    domain = range(eb)
-    prev = rows[()]
-    if not all(map(le, domain, prev)):
-        x = next(x for x in domain if not x <= prev[x])
+    first = rows[()]
+    if not all(map(le, domain, first)):
+        x = next(x for x in domain if not x <= first[x])
         return CofinalCheck(False, ("domination", (x,), (x,)))
-    for length in range(2, F.arity + 1):
-        cur = list(itertools.chain.from_iterable(map(
-            rows.__getitem__, itertools.product(domain, repeat=length - 1))))
-        for i in range(length):
-            block = eb ** (length - 1 - i)
-            deleted = itertools.chain.from_iterable(
-                prev[h * block:(h + 1) * block] * eb for h in range(eb ** i))
-            if not all(map(below, deleted, cur)):
-                return CofinalCheck(False, _first_violation(F, length, strict))
-        prev = cur
-    return CofinalCheck(True)
-
-
-def _first_violation(F: CofinalFn, length: int,
-                     strict: bool) -> tuple[str, SeqTuple, SeqTuple]:
-    """The first tuple of this length, in product order, with a deletion
-    (the first such position) whose value breaks the order."""
-    below = lt if strict else le
     kind = "strict-monotone" if strict else "monotone"
-    for ys in itertools.product(range(F.entry_bound), repeat=length):
-        fy = F(ys)
-        for i in range(length):
-            xs = ys[:i] + ys[i + 1:]
-            if not below(F(xs), fy):
-                return (kind, xs, ys)
-    raise AssertionError(f"no violation among tuples of length {length}")
+    for length in range(1, F.arity):
+        for p in itertools.product(domain, repeat=length):
+            row = rows[p]
+            ok = below(rows[p[:-1]][p[-1]], min(row))
+            for i in range(length):
+                ok = ok and all(map(below, rows[p[:i] + p[i + 1:]], row))
+            if ok:
+                continue
+            for c, y in enumerate(row):
+                ys = p + (c,)
+                for i in range(length + 1):
+                    xs = ys[:i] + ys[i + 1:]
+                    if not below(rows[xs[:-1]][xs[-1]], y):
+                        return CofinalCheck(False, (kind, xs, ys))
+    return CofinalCheck(True)
 
 
 def is_sigma_seq(sigma: Sigma) -> bool:

@@ -1,6 +1,7 @@
 """The batch runner: config parsing, exit codes, artifact determinism."""
 
 import contextlib
+import csv
 import hashlib
 import io
 import itertools
@@ -290,6 +291,20 @@ def test_witness_rechecks_run_under_optimize(tmp_path, check):
     assert not out.exists()
 
 
+def test_module_entry_point():
+    # `python -m polygrid.cli` runs main and exits with its code
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-m", "polygrid.cli"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: polygrid <subcommand>")
+    proc = subprocess.run([sys.executable, "-m", "polygrid.cli", "nosuch"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 64
+    assert "unknown subcommand" in proc.stderr
+
+
 # one cheap run per subcommand, from which the sweep varies one flag
 _SWEEP_BASE = {
     "ramsey": ["--k", "1"],
@@ -409,6 +424,26 @@ def test_product_bound_exhaustive(tmp_path):
     blob = json.loads((tmp_path / "product-bound.json").read_text())
     assert blob["violations"] == 0
     assert blob["min_census"] >= 2
+
+
+def test_product_bound_says_no_on_a_constant_coloring(tmp_path, monkeypatch):
+    # no arena fails the bound at the side size m_seq gives, so the
+    # coloring of fresh arenas is made constant: every product has one
+    # color, and each is counted as a violation
+    monkeypatch.setattr(antiramsey, "_c_full",
+                        lambda arena, vec: antiramsey.TupleColor(0, 0))
+    arena = antiramsey.Arena(size=8, dim=1)
+    side = OrdSet.of(range(antiramsey.m_seq(1, 1)))
+    assert antiramsey.verify_product_bound(arena, [side, side], 1) == (
+        False, {antiramsey.TupleColor(0, 0)})
+    assert run(tmp_path, "product-bound", "--k", "1", "--size", "8") == 1
+    blob = json.loads((tmp_path / "product-bound.json").read_text())
+    assert (blob["pairs"], blob["violations"], blob["min_census"]) == (
+        784, 784, 1)
+    with open(tmp_path / "product-bound.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["pairs"], row["violations"], row["min_census"]) == (
+        "784", "784", "1")
 
 
 # artifact digests of the census that drew each product's sets, in order,
@@ -563,6 +598,20 @@ def test_delta_verify_violation(tmp_path):
     assert run(tmp_path, "delta-verify", "--family", str(path)) == 1
     blob = json.loads((tmp_path / "delta-verify.json").read_text())
     assert blob["uniform"] is False
+
+
+def test_delta_verify_lattice_violation(tmp_path):
+    # every key pattern has one fiber pattern, but the meet of (0,) and
+    # () breaks the lattice clause
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({"dim": 2, "indices": [0, 1, 2, 3], "umap": {
+        "0,1": [0], "0,2": [1], "0,3": [2], "1,2": [2], "1,3": [1],
+        "2,3": [0]}}))
+    assert run(tmp_path, "delta-verify", "--family", str(path)) == 1
+    blob = json.loads((tmp_path / "delta-verify.json").read_text())
+    assert blob["uniform"] is False
+    assert blob["violation"]["kind"] == "lattice"
+    assert blob["violation"]["pair"] == [[], [0]]
 
 
 def _uniform_family_and_certificate(tmp_path):
@@ -920,6 +969,11 @@ def test_sideways_build_memory_is_bounded(tmp_path):
     (["hl-derive", "--d", "2", "--depth", "6", "--density", "2",
       "--height", "2", "--coloring", "seeded", "--seed", "3"],
      1, "53223bc0840cebfa", None),
+    # "." and an empty segment both name the root
+    (["hl-derive", "--d", "2", "--depth", "5", "--density", "3",
+      "--roots", ".,0"], 0, "e737d922876d510d", "d851a1a8f15f0feb"),
+    (["hl-derive", "--d", "2", "--depth", "5", "--density", "3",
+      "--roots", ",0"], 0, "e737d922876d510d", "d851a1a8f15f0feb"),
 ])
 def test_hl_artifacts_pinned(tmp_path, argv, code, json_digest, csv_digest):
     # digests of the artifacts written before level colorings were memoized
@@ -959,6 +1013,18 @@ def test_ddf_check(tmp_path):
                "--depth", "2", "--density", "2", "--mcap", "2") == 0
     blob = json.loads((tmp_path / "ddf-check.json").read_text())
     assert blob["ok"] is True
+
+
+def test_ddf_check_reads_a_zfile(tmp_path):
+    # both branches of a depth-1 binary tree
+    zfile = tmp_path / "z.json"
+    zfile.write_text(json.dumps([["0"], ["1"]]))
+    out = tmp_path / "out"
+    assert run(out, "ddf-check", "--d", "1", "--depth", "1",
+               "--density", "1", "--zfile", str(zfile)) == 0
+    blob = json.loads((out / "ddf-check.json").read_text())
+    assert blob["ok"] is True
+    assert blob["size"] == 2
 
 
 # ---------------------------------------------------------------------------

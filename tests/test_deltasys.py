@@ -81,6 +81,19 @@ def test_otp_violation():
     assert out.kind == "order-type"
 
 
+def test_lattice_violation_is_named():
+    # fiber-aligned, one fiber pattern per key pattern, but the meet of
+    # patterns (0,) and () is not the intersection of their fiber sets
+    umap = {(0, 1): [0], (0, 2): [1], (0, 3): [2], (1, 2): [2],
+            (1, 3): [1], (2, 3): [0]}
+    out = verify_uniform(Family(2, OrdSet.of(range(4)),
+                                {b: OrdSet.of(u) for b, u in umap.items()}))
+    assert isinstance(out, Violation)
+    assert out.kind == "lattice"
+    assert out.pair == ((), (0,))
+    assert out.info == {"meet": (), "r_meet": (0,)}
+
+
 def test_unrealized_patterns_undetermined():
     # |H| = n leaves every non-full pattern unrealized
     fam = identity_family(2, 2)
