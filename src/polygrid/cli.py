@@ -176,44 +176,8 @@ def parse_config(argv: Sequence[str]) -> Optional[RunConfig]:
 # for iterencode(), so each chunk of an artifact is one encode() call
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                           default=str).encode
-# entries per streamed batch: a payload member's list or dict of more
-# entries goes out in batches of this many, and the sideways table in
-# batches of this many lines
+# lines per streamed batch of the sideways table
 _BATCH = 4096
-
-
-def _payload_chunks(payload: dict) -> Iterator[str]:
-    """The chunks of _dumps(payload): one per member, except that a
-    member's list or dict of more than _BATCH entries streams in
-    batches."""
-    sep = "{"
-    for key in sorted(payload):
-        value = payload[key]
-        if isinstance(value, (dict, list, tuple)) and len(value) > _BATCH:
-            # the member's '"key":', as the encoder writes the key
-            yield sep + _dumps({key: 0})[1:-2]
-            yield from _batched(value)
-        else:
-            yield sep + _dumps({key: value})[1:-1]
-        sep = ","
-    yield "}" if payload else "{}"
-
-
-def _batched(value: dict | list | tuple) -> Iterator[str]:
-    """The chunks of _dumps(value) for a non-empty list or dict, _BATCH
-    entries per chunk, a dict's in key order."""
-    if isinstance(value, dict):
-        keys = sorted(value)
-        parts: Iterator = ({k: value[k] for k in keys[i:i + _BATCH]}
-                           for i in range(0, len(keys), _BATCH))
-    else:
-        parts = (value[i:i + _BATCH] for i in range(0, len(value), _BATCH))
-    texts = map(_dumps, parts)
-    first = next(texts)
-    yield first[:-1]
-    for text in texts:
-        yield "," + text[1:-1]
-    yield first[-1]
 
 
 def _table_lines(table: Iterable[tuple[str, int]]) -> Iterator[str]:
@@ -258,13 +222,15 @@ def _write_artifacts(cfg: RunConfig, payload: dict,
     The JSON text is json.dumps(payload, sort_keys=True,
     separators=(",", ":"), default=str) plus a newline, where the
     (str, int) table pairs, when given, become the payload's "table"
-    member.  It is written chunk by chunk, so that neither the whole text
-    nor the table is ever held; a payload that fails to encode, or a
-    table out of key order, leaves no JSON file."""
+    member.  A payload without a table is encoded in one call before the
+    file is opened: it is already held as Python objects larger than its
+    text.  Only the sideways table, which can outgrow memory, streams
+    chunk by chunk without ever being held.  A payload that fails to
+    encode, or a table out of key order, leaves no JSON file."""
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     stem = f"{cfg.command}{suffix}"
     path = cfg.outdir / f"{stem}.json"
-    chunks = (_payload_chunks(payload) if table is None
+    chunks = ([_dumps(payload)] if table is None
               else _table_chunks(payload, table))
     try:
         with open(path, "w") as fh:

@@ -493,10 +493,6 @@ class HLWitness:
     def d(self) -> int:
         return len(self.subtrees)
 
-    @property
-    def height(self) -> int:
-        return self.levels.otp
-
     def to_json(self) -> dict:
         return {
             "k": self.k,

@@ -788,6 +788,23 @@ def test_hl_derive_adversarial_partial(tmp_path):
     assert blob["height"] == 1
 
 
+def test_hl_derive_takes_the_roots_of_a_loaded_planted_grid(tmp_path):
+    # without --roots, a planted-grid record loaded with --table derives
+    # at its own roots, as the named coloring does at the same --roots
+    table = tmp_path / "planted.json"
+    table.write_text(json.dumps({
+        "k": 2, "d": 2, "depth": 6, "r": 2, "kind": "planted-grid",
+        "value": 1, "seed": 5, "roots": ["0", "1"]}))
+    flags = ["--d", "2", "--depth", "6", "--density", "3", "--seed", "5"]
+    assert run(tmp_path / "loaded", "hl-derive", "--coloring", "table",
+               "--table", str(table), *flags) == 0
+    assert run(tmp_path / "named", "hl-derive", "--coloring", "planted-grid",
+               "--roots", "0,1", "--value", "1", *flags) == 0
+    for name in ("hl-derive.json", "hl-derive.csv"):
+        assert ((tmp_path / "loaded" / name).read_bytes()
+                == (tmp_path / "named" / name).read_bytes())
+
+
 def test_grid_search(tmp_path):
     assert run(tmp_path, "grid-search", "--coloring", "constant",
                "--depth", "3", "--density", "2") == 0
@@ -1156,12 +1173,11 @@ def test_writer_batches_large_members_as_json_dumps_writes_them(tmp_path):
 def test_writer_memory_is_bounded(tmp_path):
     # a 2^16-entry table in the sideways form (1.4 MB of text): the whole
     # text, its chunks and its bytes peaked at 8.6 MiB under tracemalloc,
-    # the batched writer at 1.5 MiB, most of it the table's sorted keys and
-    # one batch of it as a dict
+    # the streamed table at 0.48 MiB, one batch of its lines
     names = ["".join(w) for w in itertools.product("01", repeat=8)]
     table = {f"{a}|{b}": int(a[0] == b[-1])
              for a, b in itertools.product(names, repeat=2)}
-    payload = {"d": 1, "table": table}
+    pairs = sorted(table.items())
     limit = 6 * 2 ** 20
 
     def peak(write) -> int:
@@ -1173,10 +1189,12 @@ def test_writer_memory_is_bounded(tmp_path):
             tracemalloc.stop()
 
     whole = peak(lambda: (tmp_path / "whole.json").write_text(json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), default=str) + "\n"))
+        {"d": 1, "table": table}, sort_keys=True, separators=(",", ":"),
+        default=str) + "\n"))
     cfg = cli.RunConfig("sideways-build", {}, tmp_path, 0)
-    batched = peak(lambda: cli._write_artifacts(cfg, payload))
-    assert whole > limit >= batched
+    streamed = peak(lambda: cli._write_artifacts(cfg, {"d": 1},
+                                                 table=iter(pairs)))
+    assert whole > limit >= streamed
     assert ((tmp_path / "sideways-build.json").read_bytes()
             == (tmp_path / "whole.json").read_bytes())
 

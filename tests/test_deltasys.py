@@ -214,6 +214,13 @@ def test_is_total_on_derived_families(dim, extra, data):
     assert sub.is_total() and _total_by_definition(sub)
 
 
+def test_restrict_rejects_a_partial_family():
+    fam = Family(1, OrdSet.of(range(3)), {(0,): OrdSet.of([0]),
+                                          (1,): OrdSet.of([1])})
+    with pytest.raises(ValueError, match=r"family is not total at \(2,\)"):
+        restrict(fam, OrdSet.of([1, 2]))
+
+
 _BAD_KEYS = {
     "not increasing": (lambda b, top: b[::-1], "need an increasing"),
     "wrong length": (lambda b, top: b + (top,), "need an increasing"),

@@ -50,6 +50,9 @@ def test_leq_incomparable_nodes():
     p = cond({0: ((0,),)})
     q = cond({0: ((1,),)})
     assert not leq(q, p)
+    # conditions over different k or d never compare
+    assert not leq(cond({0: ((0,),)}, k=3), p)
+    assert not leq(cond({0: ((0,), (0,))}, d=2), p)
 
 
 def _all_conditions(depth=2, indices=(0, 1)):

@@ -304,6 +304,22 @@ def test_generated_cofinal_functions_refute():
         assert verify_refutation(gen.fn, arena, r)
 
 
+@pytest.mark.parametrize("entry_bound, arena_seed, table_seed", [
+    (16, 2, 2), (24, 12, 0), (32, 17, 1)])
+def test_refute_returns_the_probe_when_the_pair_agrees(entry_bound,
+                                                       arena_seed,
+                                                       table_seed):
+    # the divergent pair's two colors agree, so the probe is the chain
+    # that differs from the pair's first
+    arena = Arena(entry_bound, 2, "seeded", arena_seed)
+    F = make_cofinal(entry_bound, 3, table_seed, spread=2).fn
+    r = refute(F, arena)
+    assert r.sigma_a == r.probe
+    assert r.color_a != r.color_b
+    assert verify_refutation(F, arena, r)
+    assert not verify_refutation(F, arena, dataclasses.replace(r, ok=False))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([(1, 10, 64, 8), (2, 12, 40, 8), (3, 12, 14, 4)]),
        st.data(), st.integers(0, 2 ** 16))

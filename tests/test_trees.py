@@ -88,6 +88,14 @@ def test_strong_subtree_missing_successor():
 def test_strong_subtree_wrong_height():
     w = StrongSubtreeWitness(OrdSet.of([1]), (frozenset({()}),))
     assert not is_strong_subtree(w, T2)
+    # a level past the tree depth
+    w = StrongSubtreeWitness(OrdSet.of([3]), (frozenset({(0, 0, 0)}),))
+    assert not is_strong_subtree(w, TreeShape(2, 2))
+
+
+def test_strong_subtree_letter_out_of_range():
+    w = StrongSubtreeWitness(OrdSet.of([1]), (frozenset({(2,)}),))
+    assert not is_strong_subtree(w, T2)
 
 
 # ---------------------------------------------------------------------------
