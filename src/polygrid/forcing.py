@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 # unused here; kept so that tracers patching forcing.extract_uniform, and
 # forcing.ColoringOracle.color (every LevelColoring.color call), find them
@@ -191,32 +191,22 @@ def decide_color(
 
 
 # ---------------------------------------------------------------------------
-# dense steps
+# meeting dense sets
 
 
-@dataclass
-class DenseStep:
-    """A named dense-set descriptor: how to meet it and how to recognize
-    membership afterwards."""
-
-    name: str
-    extend: Callable[[Condition], Condition]
-    member: Callable[[Condition], bool]
-
-
-def meet_dense(schedule: Sequence[DenseStep],
+def meet_dense(writes: Iterable[tuple[int, int, Word]],
                start: Condition) -> Iterator[Condition]:
-    """Fold the schedule from start, validating order and membership at
-    each step; yields the descending chain, start first, one condition at
-    a time, so a caller may keep only the last."""
+    """Fold (row, coordinate, word) slot writes from start, checking that
+    each one extends the condition before it; yields the descending chain,
+    start first, one condition at a time, so a caller may keep only the
+    last."""
     q = start
     yield q
-    for step in schedule:
-        r = step.extend(q)
+    for alpha, i, word in writes:
+        r = q.with_slot(alpha, i, word)
         if not leq(r, q):
-            raise ValueError(f"step {step.name!r} did not extend the condition")
-        if not step.member(r):
-            raise ValueError(f"step {step.name!r} missed its dense set")
+            raise ValueError(f"write {alpha}:{i}:{word_to_str(word)!r} did "
+                             "not extend the condition")
         yield r
         q = r
 
@@ -267,7 +257,6 @@ class PipelineResult:
     witness: Optional[GridWitness]
     color: Optional[int]
     theta: int
-    indices: Optional[OrdSet]
     transcript: dict
     failure: Optional[str] = None
     failure_code: Optional[str] = None
@@ -288,11 +277,11 @@ def run_pipeline(
     K*buffer reservoir above each and decide their color; fill a d x K
     tag matrix column by column, stage (i, col) tagging row delta_i + col
     with start word i plus tag col; read off the K leftmost completions
-    per coordinate as branch sets.  The whole schedule is folded by one
-    `meet_dense` call, and the grid witness is re-validated from scratch
-    before return.  The oracle is a LevelColoring of an ORACLE_KINDS kind
-    whose depth is the oracle depth; a branch tuple takes the color of its
-    truncation to that depth.
+    per coordinate as branch sets.  One `decide_color` call starts the
+    chain, one `meet_dense` call folds the tag writes, and the grid witness
+    is re-validated from scratch before return.  The oracle is a
+    LevelColoring of an ORACLE_KINDS kind whose depth is the oracle depth;
+    a branch tuple takes the color of its truncation to that depth.
 
     The first h_target indices are the least set on which the decided
     condition, color and domain pattern agree: `decide_color` takes the
@@ -340,7 +329,7 @@ def run_pipeline(
         )
         if theta >= theta_cap:
             return PipelineResult(
-                False, None, None, theta, None, transcript,
+                False, None, None, theta, transcript,
                 failure="extraction failed at the theta cap",
                 failure_code="theta-cap",
             )
@@ -349,52 +338,36 @@ def run_pipeline(
         {"theta": theta, "extracted": True, "method": "identity"}
     )
 
-    chosen = OrdSet(tuple(range(h_target)))
+    # lexicographically least separators with a full reservoir above each;
+    # matrix[i] is delta_i and the first width - 1 rows of its reservoir
+    deltas = [i * (block + 1) for i in range(d)]
+    empty = Condition.empty(k, d)
+    decided, star_color = decide_color(empty, OrdSet(tuple(deltas)), oracle)
     s_words = [(0,) * oracle.depth] * d
-    star_color = oracle.color(tuple(s_words))
     transcript["theta"] = theta
-    transcript["indices"] = list(chosen.elems)
+    transcript["indices"] = list(range(h_target))
     transcript["color"] = star_color
     transcript["pattern"] = list(range(d))
     transcript["start_words"] = [word_to_str(w) for w in s_words]
 
-    # lexicographically least separators with a full reservoir above each;
-    # matrix[i] is delta_i and the first width - 1 rows of its reservoir
-    deltas = [i * (block + 1) for i in range(d)]
     matrix = [[delta + c for c in range(width)] for delta in deltas]
     tags = matrix_tags(k, width)
     transcript["deltas"] = deltas
     transcript["tags"] = [word_to_str(t) for t in tags]
     transcript["matrix"] = matrix
 
-    delta_set = OrdSet(tuple(deltas))
-    schedule = [DenseStep(
-        name=f"decide:{','.join(map(str, deltas))}",
-        extend=lambda q: decide_color(q, delta_set, oracle)[0],
-        member=lambda q: all(
-            len((q.row(deltas[m]) or ((),) * d)[m]) >= oracle.depth
-            for m in range(d)
-        ),
-    )]
-    stage_log = []
+    writes, stage_log = [], []
     for col in range(1, width):
         for i in range(d):
-            fresh, tagged = matrix[i][col], s_words[i] + tags[col]
-            schedule.append(DenseStep(
-                name=f"tag:{fresh}:{i}:{word_to_str(tags[col])}",
-                extend=lambda q, a=fresh, ii=i, w=tagged: q.with_slot(a, ii, w),
-                member=lambda q, a=fresh, ii=i, w=tagged: (
-                    (q.row(a) or ((),) * d)[ii] == w
-                ),
-            ))
-            stage_log.append({"stage": [i, col], "fresh": fresh,
+            writes.append((matrix[i][col], i, s_words[i] + tags[col]))
+            stage_log.append({"stage": [i, col], "fresh": matrix[i][col],
                               "tag": word_to_str(tags[col])})
     transcript["stages"] = stage_log
-    # one list of slot changes per dense step, replayed from the empty
-    # condition; only the last two conditions of the fold stay alive
-    transcript["chain"] = chain = []
-    for p, current in itertools.pairwise(
-            meet_dense(schedule, Condition.empty(k, d))):
+    # the decided condition's slots, then one list of slot changes per tag
+    # write; only the last two conditions of the fold stay alive
+    transcript["chain"] = chain = [_slot_changes(empty, decided)]
+    current = decided
+    for p, current in itertools.pairwise(meet_dense(writes, decided)):
         chain.append(_slot_changes(p, current))
 
     full_depth = max(density_depth, oracle.depth + max(len(t) for t in tags))
@@ -424,8 +397,8 @@ def run_pipeline(
     transcript["witness"] = witness.to_json()
     if not ok:
         return PipelineResult(
-            False, witness, star_color, theta, chosen, transcript,
+            False, witness, star_color, theta, transcript,
             failure="witness failed revalidation",
             failure_code="revalidation",
         )
-    return PipelineResult(True, witness, star_color, theta, chosen, transcript)
+    return PipelineResult(True, witness, star_color, theta, transcript)

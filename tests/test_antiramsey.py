@@ -307,6 +307,9 @@ def test_threshold_budget_error_pinned(monkeypatch, n, k, budget, nodes, best,
     (1, 6, 2),  # m*(1, 2) = 6: the one case here where k > 1 finds none
     *((2, m, 2) for m in range(3, 6)),
     (2, 5, 1),
+    # fewer than n + 1 points: no edges, so the empty coloring is bad
+    (1, 1, 2),
+    (2, 2, 2),
 ])
 def test_find_bad_coloring_matches_brute_force(n, m, k):
     # None exactly when no k-coloring of the (n+1)-subsets of {0..m-1} is bad

@@ -1087,8 +1087,8 @@ _values = st.recursive(_scalars, lambda inner: st.one_of(
 @given(_values, st.integers(0, 3 * cli._BATCH),
        st.sampled_from(["ahead", "zz-after"]))
 def test_writer_bytes_equal_json_dumps(value, filler, key):
-    # one int chunk per filler entry, so the payload spans 0 to 3 batches,
-    # with the drawn value before or after the filler in key order
+    # up to 3 * _BATCH filler ints, encoded in the same one call as the
+    # drawn value, which sorts before or after the filler
     payload = {"filler": list(range(filler)), key: value}
     with tempfile.TemporaryDirectory() as tmp:
         cfg = cli.RunConfig("ramsey", {}, Path(tmp), 0)
@@ -1106,8 +1106,8 @@ class _Unprintable:
     ({1: 0, "a": 0}, TypeError),  # int and str keys do not sort
 ])
 def test_writer_leaves_no_json_when_encoding_fails(tmp_path, bad, error):
-    # the bad value sorts after three batches of chunks, so the file has
-    # been written to when it raises
+    # the bad value sorts after a long member, and the payload is encoded
+    # in one call before the file is opened, so no file is left behind
     cfg = cli.RunConfig("ramsey", {}, tmp_path, 0)
     payload = {"a": list(range(3 * cli._BATCH)), "z": bad}
     with pytest.raises(error):
@@ -1150,9 +1150,10 @@ def test_writer_streams_the_table_as_json_dumps_writes_it(tmp_path, payload,
             == _dumped({**payload, "table": dict(table)}))
 
 
-def test_writer_batches_large_members_as_json_dumps_writes_them(tmp_path):
-    # members past one batch, keyed and ordered as json.dumps keys and
-    # orders them: numeric keys sort as numbers before they become strings
+def test_writer_encodes_large_members_as_json_dumps_does(tmp_path):
+    # members of thousands of entries, keyed and ordered as json.dumps keys
+    # and orders them: numeric keys sort as numbers before they become
+    # strings
     rng = Random(0)
     keys = [i / 2 for i in range(2 * cli._BATCH + 3)]
     rng.shuffle(keys)

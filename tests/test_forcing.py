@@ -14,7 +14,6 @@ from polygrid.deltasys import Family, extract_uniform
 from polygrid.forcing import (
     ORACLE_KINDS,
     Condition,
-    DenseStep,
     decide_color,
     leq,
     matrix_tags,
@@ -194,25 +193,15 @@ def test_meet_dense_empty_schedule():
 
 def test_meet_dense_one_step():
     start = Condition.empty(2, 1)
-    step = DenseStep(
-        name="index 0 to depth 1",
-        extend=lambda p: p.with_slot(0, 0, (0,)),
-        member=lambda p: p.row(0) is not None and len(p.row(0)[0]) >= 1,
-    )
-    chain = list(meet_dense([step], start))
+    chain = list(meet_dense([(0, 0, (0,))], start))
     assert len(chain) == 2
     assert chain[1].row(0) == ((0,),)
 
 
 def test_meet_dense_rejects_non_extension():
     start = cond({0: ((0,),)})
-    bad = DenseStep(
-        name="clobber",
-        extend=lambda p: cond({0: ((1,),)}),
-        member=lambda p: True,
-    )
-    with pytest.raises(ValueError):
-        list(meet_dense([bad], start))
+    with pytest.raises(ValueError, match="write 0:0:'1' did not extend"):
+        list(meet_dense([(0, 0, (1,))], start))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +351,7 @@ def test_pipeline_chain_has_no_idle_decide_steps(data):
     assert res.ok
 
 
-def test_readme_chain_replay_snippet():
+def test_readme_chain_replay_snippet(tmp_path):
     # the README's replay code, run as written on a fresh transcript
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("### The force-pipeline transcript", 1)[1]
@@ -379,6 +368,15 @@ def test_readme_chain_replay_snippet():
         for alpha, tag in zip(column, blob["tags"]):
             assert p.row(alpha)[i] == word_from_str(
                 blob["start_words"][i] + tag)
+    # the quoted chain, up to its "...", begins the chain in the compact
+    # JSON of the command it names
+    excerpt = section.split("```json\n", 1)[1].split("...", 1)[0]
+    assert excerpt.startswith('"chain":[[[0,0,"00"],')
+    argv = ["force-pipeline", "--d", "2", "--branches", "8",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    text = (tmp_path / "force-pipeline.json").read_text()
+    assert text[text.index('"chain":'):].startswith(excerpt)
 
 
 def test_pipeline_theta_cap_failure_code():

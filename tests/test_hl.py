@@ -752,6 +752,16 @@ def test_derive_adversarial_goes_partial():
     assert verify_hl_witness(gamma, res.witness)
 
 
+def test_derive_without_a_branch_through_the_root():
+    gamma = LevelColoring(k=2, d=1, depth=4, r=2, kind="constant", value=0)
+    w = GridWitness(k=2, depth=3, roots=((1,),),
+                    branch_sets=(((0, 0, 0), (0, 1, 1)),), density_depth=1,
+                    color=0)
+    res = derive_strong_subtrees(gamma, w, 2)
+    assert (res.full, res.failed_stage, res.witness, res.reason) == (
+        False, 0, None, "no branch through the coordinate-0 root")
+
+
 # ---------------------------------------------------------------------------
 # witness verification
 

@@ -1,6 +1,8 @@
 """Tree shapes, strong subtrees, and depth-bounded density notions."""
 
 import itertools
+import json
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -339,3 +341,8 @@ def test_grid_witness_round_trip():
     ok, report = validate_grid_witness(w, lambda xs: 0)
     assert ok
     assert not report["color_failures"]
+    # a tuple color comes back from JSON text as a list and is read as a
+    # tuple again
+    tupled = replace(w, color=(1, 2))
+    assert GridWitness.from_json(json.loads(json.dumps(tupled.to_json()))) \
+        == tupled
