@@ -230,13 +230,7 @@ def surrogate_color(gamma: LevelColoring, xs: Sequence[Word], L: int) -> int:
     # with no words, every level's truncation is the empty tuple
     keys = (list(zip(*[[x[:m] for m in range(L)] for x in xs])) if xs
             else [()] * L)
-    # the memo is read inline; each miss, in level order, takes the
-    # checked path
-    colors = list(map(gamma._colors.get, keys))
-    if None in colors:
-        for m, j in enumerate(colors):
-            if j is None:
-                colors[m] = gamma.color(keys[m])
+    colors = list(map(gamma.color, keys))
     counts = list(map(colors.count, range(gamma.r)))
     return counts.index(max(counts))
 

@@ -315,13 +315,6 @@ class Refutation:
         }
 
 
-def _colored(arena: Arena, values: SeqTuple) -> TupleColor:
-    if any(v >= arena.size for v in values):
-        raise ValueError(
-            f"arena too small: coloring values {values} against size {arena.size}")
-    return c_full(arena, values)
-
-
 def refute(F: CofinalFn, arena: Arena) -> Refutation:
     """Exhibit two chains whose composed colors differ.
 
@@ -337,7 +330,7 @@ def refute(F: CofinalFn, arena: Arena) -> Refutation:
         raise ValueError(f"not strictly cofinal: {pre.counterexample}")
     probe = _canonical_probe(n)
     pv = fstar(F, probe)
-    v = _colored(arena, pv)
+    v = c_full(arena, pv)
     # the probe's values increase strictly, so the slot is the rank of the
     # distinguished element, which is pulled back from below the maximum
     assert v.slot < n, "distinguished element is the maximum"
@@ -348,8 +341,8 @@ def refute(F: CofinalFn, arena: Arena) -> Refutation:
     assert all(w1[i] < w1[i + 1] for i in range(n)), "image not increasing"
     assert all(w0[i] == w1[i] for i in range(n + 1) if i != v.slot)
     assert w0[v.slot] < w1[v.slot]
-    v0 = _colored(arena, w0)
-    v1 = _colored(arena, w1)
+    v0 = c_full(arena, w0)
+    v1 = c_full(arena, w1)
     if v0.slot == v.slot == v1.slot:
         assert v0.value != v1.value, "difference property violated by the arena"
     transcript = {
@@ -369,8 +362,8 @@ def verify_refutation(F: CofinalFn, arena: Arena, r: Refutation) -> bool:
     if not r.ok:
         return False
     try:
-        ca = _colored(arena, fstar(F, r.sigma_a))
-        cb = _colored(arena, fstar(F, r.sigma_b))
+        ca = c_full(arena, fstar(F, r.sigma_a))
+        cb = c_full(arena, fstar(F, r.sigma_b))
     except ValueError:
         return False
     return ca == r.color_a and cb == r.color_b and ca != cb

@@ -63,19 +63,40 @@ class _Clock:
         print(f"[criterion {n:02d}] PASS {detail} ({elapsed:.1f}s < {self.bound:.0f}s)")
 
 
+def _is_bad_pair_coloring(col: dict, m: int, k: int) -> bool:
+    """Every pair of [m] colored in 0..k-1, and no triple monochromatic;
+    read off the definition, without the search code."""
+    pairs = list(itertools.combinations(range(m), 2))
+    if sorted(col) != pairs or any(
+            col[p] not in range(k) for p in pairs):
+        return False
+    return all(len({col[p] for p in itertools.combinations(triple, 2)}) > 1
+               for triple in itertools.combinations(range(m), 3))
+
+
 def test_criterion_01_ramsey_oracle():
     clock = _Clock(60)
     assert ramsey_m_star(1, 1) == 3
     assert ramsey_m_star(1, 2) == 6
-    # witness bad coloring of [5]^2, re-verified without the search code
+    # witness bad coloring of [5]^2
     bad = find_bad_coloring(1, 5, 2)
-    assert bad is not None
-    for triple in itertools.combinations(range(5), 3):
-        colors = {bad[p] for p in itertools.combinations(triple, 2)}
-        assert len(colors) > 1
+    assert _is_bad_pair_coloring(bad, 5, 2)
     # and no bad coloring survives at 6
     assert find_bad_coloring(1, 6, 2) is None
     clock.done(1, "ramsey_m_star(1,1)=3, (1,2)=6, bad [5]^2 witness checked")
+
+
+def test_criterion_01_recheck_rejects():
+    # the found coloring is the pentagon and its complement; flipping any
+    # one pair closes a monochromatic triangle, and color 2 is no color of
+    # a 2-coloring, nor is a missing pair colored
+    bad = find_bad_coloring(1, 5, 2)
+    assert _is_bad_pair_coloring(bad, 5, 2)
+    for p in bad:
+        assert not _is_bad_pair_coloring({**bad, p: 1 - bad[p]}, 5, 2)
+    assert not _is_bad_pair_coloring({**bad, (0, 1): 2}, 5, 2)
+    assert not _is_bad_pair_coloring(
+        {p: c for p, c in bad.items() if p != (0, 1)}, 5, 2)
 
 
 def test_criterion_02_difference_lemma():

@@ -61,6 +61,11 @@ def test_parse_help_is_none(capsys):
     assert "subcommands" in capsys.readouterr().out
 
 
+def test_main_help_prints_usage(capsys):
+    assert cli.main(["--help"]) == 0
+    assert capsys.readouterr().out == cli._usage() + "\n"
+
+
 def test_config_file_flag_override(tmp_path):
     f = tmp_path / "run.cfg"
     f.write_text("k=1\nseed=5\n# comment line\n")
@@ -200,9 +205,6 @@ def test_usage_exit_code():
     ["grid-search", "--cap", "0"],
     ["grid-search", "--cap", "-3"],
     ["grid-search", "--coloring", "first-letter"],  # top height only
-    # exhaustive enumeration is wired for n = 1 only; refused before the
-    # threshold search for (n=2, k=2), which runs out of budget
-    ["product-bound", "--n", "2", "--k", "2", "--samples", "0"],
 ])
 def test_bad_parameter_is_usage_error(tmp_path, monkeypatch, args):
     # a bad flag or input file must not read as a result: exit 64 and
@@ -510,11 +512,36 @@ def test_product_bound_sampled_stream(tmp_path, monkeypatch, n, k, size,
     assert blob["violations"] == sum(c <= k for c in censuses) == 0
 
 
-def test_product_bound_n2_k2_is_budget(tmp_path):
-    # m_seq(2, 2) needs a threshold search past the default budget: exit 2
-    # and no census artifact
+def test_product_bound_exhaustive_n2(tmp_path, monkeypatch):
+    # every product of three 12-subsets of 13, in product order
+    drawn = []
+    census = antiramsey.verify_product_bound
+
+    def recorded(arena, sets, k):
+        drawn.append(tuple(a.elems for a in sets))
+        return census(arena, sets, k)
+
+    monkeypatch.setattr(antiramsey, "verify_product_bound", recorded)
+    assert run(tmp_path, "product-bound", "--n", "2", "--k", "1",
+               "--size", "13", "--samples", "0") == 0
+    sides = list(itertools.combinations(range(13), 12))
+    assert drawn == list(itertools.product(sides, repeat=3))
+    blob = json.loads((tmp_path / "product-bound.json").read_text())
+    assert (blob["pairs"], blob["violations"], blob["min_census"]) == (
+        2197, 0, 31)
+    assert artifact_digests(tmp_path) == {
+        "product-bound.json": "d1f4fc0c48d16896",
+        "product-bound.csv": "d50cc2c30b77011e"}
+
+
+def test_product_bound_n2_k2_is_budget(tmp_path, capsys):
+    # m_seq(2, 2) needs a threshold search past the default budget: exit 2,
+    # the budget line on stdout and no census artifact
     assert run(tmp_path, "product-bound", "--n", "2", "--k", "2",
                "--size", "40", "--samples", "3") == 2
+    assert capsys.readouterr().out == (
+        "product-bound: threshold search for (n=2, k=2) exhausted its "
+        "budget: bad colorings found through m=7, died at m=8\n")
     assert not (tmp_path / "product-bound.json").exists()
 
 
@@ -1042,6 +1069,20 @@ def test_ddf_check_reads_a_zfile(tmp_path):
     blob = json.loads((out / "ddf-check.json").read_text())
     assert blob["ok"] is True
     assert blob["size"] == 2
+
+
+def test_ddf_check_zfile_letters_are_checked_with_the_branch_sets(
+        tmp_path, capsys):
+    # letter 2 in a binary tree: the density check's own branch-set check
+    # refuses it, before anything is written
+    zfile = tmp_path / "z.json"
+    zfile.write_text(json.dumps([["00"], ["02"]]))
+    out = tmp_path / "out"
+    assert run(out, "ddf-check", "--d", "1", "--depth", "2",
+               "--density", "1", "--zfile", str(zfile)) == 64
+    assert capsys.readouterr().err == (
+        "usage error: branch letters must lie in 0..1\n")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -170,8 +170,8 @@ def test_color_memo_matches_unmemoized_path(gamma, prefill, data):
             if ws != missing:
                 partial.color(ws)
         _assert_raises_unstored(partial, missing)
-    # the surrogate reads the memo inline; it must take the majority of
-    # what the unmemoized path gives, ties to the least color
+    # the surrogate reads the memo through color; it must take the
+    # majority of what the unmemoized path gives, ties to the least color
     xs = data.draw(level_words(gamma, gamma.depth))
     L = data.draw(st.integers(1, gamma.depth))
     counts = Counter(fresh._color(tuple(x[:m] for x in xs))
@@ -185,17 +185,15 @@ def test_color_memo_matches_unmemoized_path(gamma, prefill, data):
 
 @settings(max_examples=150, deadline=None)
 @given(level_colorings(), st.booleans(), st.data())
-def test_surrogate_colors_each_missing_truncation_once(gamma, half, data):
+def test_surrogate_colors_each_truncation_once(gamma, half, data):
     # from a fresh memo or one holding every other truncation of xs, the
-    # surrogate calls color once per truncation the memo lacks, in level
-    # order, and reads the rest from the memo
+    # surrogate calls color once per truncation, in level order
     xs = data.draw(level_words(gamma, gamma.depth))
     L = data.draw(st.integers(1, gamma.depth))
     truncations = [tuple(x[:m] for x in xs) for m in range(L)]
     if half:
         for key in truncations[::2]:
             gamma.color(key)
-    missing = [key for key in truncations if key not in gamma._colors]
     calls = []
 
     def recording(words):
@@ -204,7 +202,7 @@ def test_surrogate_colors_each_missing_truncation_once(gamma, half, data):
 
     gamma.color = recording  # shadows the method on this instance only
     got = surrogate_color(gamma, xs, L)
-    assert calls == missing
+    assert calls == truncations
     counts = Counter(map(gamma._color, truncations))
     best = max(counts.values())
     assert got == min(j for j, n in counts.items() if n == best)

@@ -16,7 +16,6 @@ from polygrid.ordset import CAP as TABLE_CAP
 from polygrid.ph import (
     CofinalCheck,
     CofinalFn,
-    _colored,
     _SeededRows,
     _window_fits,
     fstar,
@@ -521,7 +520,7 @@ def _definition_verdict(F, arena, r):
         values = tuple(F(xs) for xs in sigma)
         if max(values) >= arena.size:
             return False
-        colors.append(_colored(arena, values))
+        colors.append(c_full(arena, values))
     return (colors[0] == r.color_a and colors[1] == r.color_b
             and colors[0] != colors[1])
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polygrid import ParameterError
@@ -314,6 +314,60 @@ def test_fpg_witness_sets_inside_z():
         assert is_u_set(Y, cones[i], 2)
     for combo in itertools.product(*got):
         assert combo in Z
+
+
+def _meets_inside(shapes, Z, families, D) -> bool:
+    """Brute force: some tuple of branch sets, one per tree, meets every
+    cone of its family and has its product inside Z."""
+    subsets = [[Y for r in range(len(bs) + 1)
+                for Y in itertools.combinations(bs, r)]
+               for bs in map(branches, shapes)]
+    return any(
+        all(is_u_set(Y, fam, D) for Y, fam in zip(Ys, families))
+        and all(combo in Z for combo in itertools.product(*Ys))
+        for Ys in itertools.product(*subsets))
+
+
+def test_fpg_witness_sets_none_iff_no_set_meets_the_cones():
+    # one tree: every subset Z of its four branches against every family
+    # of at most two cones; some cone outside Z is a None
+    shape = TreeShape(2, 2)
+    ys = branches(shape)
+    cones = all_nodes(shape, 2)
+    families = [f for r in range(3) for f in itertools.combinations(cones, r)]
+    nones = 0
+    for mask in range(1 << len(ys)):
+        Z = {(y,) for i, y in enumerate(ys) if mask >> i & 1}
+        for fam in families:
+            got = fpg_witness_sets([shape], Z, [fam], 2)
+            assert (got is None) == (not _meets_inside([shape], Z, [fam], 2))
+            nones += got is None
+    assert nones
+
+
+_T22 = TreeShape(2, 2)
+_PAIRS = list(itertools.product(branches(_T22), repeat=2))
+_CONES = all_nodes(_T22, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sets(st.sampled_from(_PAIRS)),
+       st.lists(st.sampled_from(_CONES), min_size=1, max_size=2),
+       st.lists(st.sampled_from(_CONES), min_size=1, max_size=2))
+@example(set(), [()], [()])
+def test_fpg_witness_sets_none_through_the_projection(Z, fam0, fam1):
+    # two trees: a cone the first coordinates of Z miss has no witness,
+    # and the projection's None is the answer; any witness found is one.
+    # The families are not empty: an empty set meets an empty family, and
+    # its empty product lies inside any Z
+    shapes, families = [_T22, _T22], [fam0, fam1]
+    got = fpg_witness_sets(shapes, Z, families, 2)
+    if not is_u_set({z[0] for z in Z}, fam0, 2):
+        assert got is None
+        assert not _meets_inside(shapes, Z, families, 2)
+    elif got is not None:
+        assert all(is_u_set(Y, fam, 2) for Y, fam in zip(got, families))
+        assert set(itertools.product(*got)) <= Z
 
 
 # ---------------------------------------------------------------------------
