@@ -1,8 +1,9 @@
 """Acceptance gate: ten criteria, one test and one reported line each.
 
-Every test times itself against its pinned wall-clock bound and prints a
-single PASS line with the measured numbers (visible under pytest -s or in
-failure output).
+Every criterion test times itself against its pinned wall-clock bound and
+prints a single PASS line with the measured numbers (visible under pytest
+-s or in failure output).  test_criterion_01_recheck_rejects shows that
+criterion 01's independent re-check can say no.
 """
 
 import itertools
