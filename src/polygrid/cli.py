@@ -176,57 +176,75 @@ def parse_config(argv: Sequence[str]) -> Optional[RunConfig]:
 # for iterencode(), so each chunk of an artifact is one encode() call
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                           default=str).encode
-# lines per streamed batch of the sideways table
-_BATCH = 4096
 
 
-def _table_lines(table: Iterable[tuple[str, int]]) -> Iterator[str]:
-    """One '"key":value' line per (str, int) pair; the keys must strictly
-    increase."""
-    prev = None
-    for key, value in table:
-        if prev is not None and key <= prev:
-            raise ValueError(
-                f"table keys must strictly increase: {key!r} after {prev!r}")
-        yield f"{encode_basestring_ascii(key)}:{value:d}"
-        prev = key
+# a product table: each key prefix + name for each prefix and each name,
+# valued by the prefix's row at the name's place
+Table = tuple[Iterable[str], Sequence[str], Iterable[Sequence[int]]]
 
 
-def _table_chunks(payload: dict,
-                  table: Iterable[tuple[str, int]]) -> Iterator[str]:
-    """The chunks of _dumps(payload) with the table pairs as the member
-    "table" of the payload, _BATCH lines per chunk.  The pairs are never
-    held: their keys must strictly increase, and "table" must sort after
-    every payload key, so that the member streams last in key order."""
+def _table_chunks(payload: dict, table: Table) -> Iterator[str]:
+    """The chunks of _dumps(payload) with the product table as the member
+    "table" of the payload, one chunk per row.  The table's text is never
+    held: its keys must strictly increase, and "table" must sort after
+    every payload key, so that the member streams last in key order.
+
+    JSON escapes character by character, so each name and each prefix is
+    escaped once, and each distinct row object is formatted once, kept for
+    the rest of the table and written for each of its prefixes with one
+    join.  Key order is checked at the row boundaries: at the first row
+    the names strictly increase, and each later row's first key follows
+    the previous row's last."""
+    prefixes, names, rows = table
     late = [key for key in payload if key >= "table"]
     if late:
         raise ValueError(
             f"payload keys {late} do not sort before the streamed table")
     # reopen the payload's closing brace for the table
     yield _dumps(payload)[:-1] + ("," if payload else "") + '"table":{'
-    lines, sep = _table_lines(table), ""
-    # no line is empty, so only the end joins empty
-    while batch := ",".join(itertools.islice(lines, _BATCH)):
-        yield sep + batch
-        sep = ","
+    if names:
+        first, last = names[0], names[-1]
+        escaped = [encode_basestring_ascii(name)[1:-1] for name in names]
+        # id(row) -> (row, its '<name>":<color>' cells); holding the row
+        # keeps its id from being reused
+        formatted: dict[int, tuple[Sequence[int], list[str]]] = {}
+        prev, sep = None, ""
+        for prefix, row in zip(prefixes, rows, strict=True):
+            if prev is None:
+                for a, b in zip(names, names[1:]):
+                    if b <= a:
+                        raise ValueError(f"table names must strictly "
+                                         f"increase: {b!r} after {a!r}")
+            elif prefix + first <= prev:
+                raise ValueError(
+                    f"table keys must strictly increase: "
+                    f"{prefix + first!r} after {prev!r}")
+            prev = prefix + last
+            entry = formatted.get(id(row))
+            if entry is None:
+                entry = formatted[id(row)] = row, [
+                    f'{name}":{color:d}'
+                    for name, color in zip(escaped, row, strict=True)]
+            head = '"' + encode_basestring_ascii(prefix)[1:-1]
+            yield sep + head + ("," + head).join(entry[1])
+            sep = ","
     yield "}}"
 
 
 def _write_artifacts(cfg: RunConfig, payload: dict,
                      rows: Sequence[dict] = (), suffix: str = "",
-                     table: Optional[Iterable[tuple[str, int]]] = None
-                     ) -> None:
+                     table: Optional[Table] = None) -> None:
     """Write payload to <command><suffix>.json and, when rows are given,
     a CSV headed by the first row's keys to <command><suffix>.csv.
 
     The JSON text is json.dumps(payload, sort_keys=True,
     separators=(",", ":"), default=str) plus a newline, where the
-    (str, int) table pairs, when given, become the payload's "table"
-    member.  A payload without a table is encoded in one call before the
-    file is opened: it is already held as Python objects larger than its
-    text.  Only the sideways table, which can outgrow memory, streams
-    chunk by chunk without ever being held.  A payload that fails to
-    encode, or a table out of key order, leaves no JSON file."""
+    (prefixes, names, rows) table, when given, becomes the payload's
+    "table" member.  A payload without a table is encoded in one call
+    before the file is opened: it is already held as Python objects larger
+    than its text.  Only the sideways table, which can outgrow memory,
+    streams row by row without its text ever being held.  A payload that
+    fails to encode, or a table out of key order, leaves no JSON file."""
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     stem = f"{cfg.command}{suffix}"
     path = cfg.outdir / f"{stem}.json"
@@ -375,7 +393,8 @@ def _run_product_bound(cfg: RunConfig) -> int:
     p = cfg.params
     n, k, size, samples = p["n"], p["k"], p["size"], p["samples"]
     if samples < 0:
-        raise ParameterError("--samples must be >= 0 (0 enumerates every pair)")
+        raise ParameterError(
+            "--samples must be >= 0 (0 enumerates every product)")
     m = antiramsey.m_seq(n, k)
     if m > size:
         raise ParameterError(f"side size {m} does not fit in an arena of {size}")
@@ -685,20 +704,25 @@ def _run_sideways(cfg: RunConfig) -> int:
             f"a sideways table of {d + 1}-tuples of branches would exceed "
             f"the cap of {CAP} tuples")
     side = trees.branches(shape)
-    # colors before names, so that a bad jmap value is reported ahead of a
+    # rows before names, so that a bad jmap value is reported ahead of a
     # letter >= 10, as a walk in tuple order would
-    colors = lift(side)
+    rows = lift(side)
     names = [trees.word_to_str(x) for x in side]
-    census = Counter(colors)
+    # the colors of each distinct row, once per prefix that holds it
+    census: Counter = Counter()
+    distinct = {id(row): row for row in rows}
+    for key, uses in Counter(map(id, rows)).items():
+        for color, count in Counter(distinct[key]).items():
+            census[color] += count * uses
     # every name has depth digits and branches() lists words in order, so
-    # the keys come sorted, and the table streams from its pairs
+    # the keys come sorted, and the table streams from its rows
     _write_artifacts(cfg, {
         "d": d, "k": k, "depth": depth, "j_bound": j_bound,
         "jmap": kind, "seed": cfg.seed,
     }, [{"color": c, "count": census[c]} for c in sorted(census)],
-        table=zip(map("|".join, itertools.product(names, repeat=d + 1)),
-                  colors))
-    print(f"sideways-build: {len(colors)} tuples, census "
+        table=(map("".join, itertools.product(
+            [name + "|" for name in names], repeat=d)), names, rows))
+    print(f"sideways-build: {len(rows) * len(names)} tuples, census "
           + ", ".join(f"{c}:{census[c]}" for c in sorted(census)))
     return EXIT_OK
 

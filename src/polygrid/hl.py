@@ -755,22 +755,25 @@ def sideways_build(
 
 def sideways_lift(
     jmap: Callable[[tuple[Word, ...]], int], d: int, j_bound: int, depth: int
-) -> Callable[[Sequence[Word]], list[int]]:
+) -> Callable[[Sequence[Word]], list[list[int]]]:
     """sideways_build over a whole product: a function of a list of
-    branches, `side`, that returns the colors of product(side, repeat=d+1)
-    in product order.  The jmap and its range check run once per d-prefix,
-    in prefix order, and the S_j membership row of `side` once per j."""
+    branches, `side`, that returns one row per d-prefix of
+    product(side, repeat=d), in prefix order, where a prefix's row holds
+    the colors of prefix + (x,) for x in side.  The jmap and its range
+    check run once per d-prefix, in prefix order, and the S_j membership
+    row of `side` once per j: prefixes with one jmap value share one row
+    object."""
     _check_sideways(d, j_bound, depth)
 
-    def colors(side: Sequence[Word]) -> list[int]:
-        rows: dict[int, list[int]] = {}
-        out: list[int] = []
+    def rows(side: Sequence[Word]) -> list[list[int]]:
+        by_j: dict[int, list[int]] = {}
+        out: list[list[int]] = []
         for prefix in itertools.product(side, repeat=d):
             j = _jmap_value(jmap, prefix, j_bound)
-            row = rows.get(j)
+            row = by_j.get(j)
             if row is None:
-                row = rows[j] = [0 if s_member(j, x) else 1 for x in side]
-            out += row
+                row = by_j[j] = [0 if s_member(j, x) else 1 for x in side]
+            out.append(row)
         return out
 
-    return colors
+    return rows

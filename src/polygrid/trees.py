@@ -249,12 +249,15 @@ def fpg_witness_sets(
 
     Follows the filtration recursion: solve the projection first, then take
     the intersection of the fibers over its product and pick one branch per
-    cone from that intersection.  Returns None when some cone cannot be met,
-    which on filtration-checked input does not happen for families of size
-    at most the fiber cap.
+    cone from that intersection.  When some family is empty, its set is
+    empty, so the product is empty and inside any Z, and every other
+    coordinate picks from all of its tree's branches.  Returns None when
+    some cone cannot be met, which on filtration-checked input does not
+    happen for families of size at most the fiber cap.
     """
     zs = list(Z)
     d = len(shapes)
+    cone_families = [list(fam) for fam in cone_families]
 
     def pick_per_cone(pool: set[Word], cones: Iterable[Word]) -> Optional[frozenset[Word]]:
         chosen = set()
@@ -265,6 +268,10 @@ def fpg_witness_sets(
             chosen.add(min(hits, key=node_key))
         return frozenset(chosen)
 
+    if not all(cone_families):
+        picks = [pick_per_cone(set(branches(shape)), fam)
+                 for shape, fam in zip(shapes, cone_families)]
+        return None if None in picks else tuple(picks)
     if d == 1:
         got = pick_per_cone({z[0] for z in zs}, cone_families[0])
         return None if got is None else (got,)

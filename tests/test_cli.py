@@ -206,9 +206,9 @@ def test_usage_exit_code():
     ["grid-search", "--cap", "-3"],
     ["grid-search", "--coloring", "first-letter"],  # top height only
 ])
-def test_bad_parameter_is_usage_error(tmp_path, monkeypatch, args):
-    # a bad flag or input file must not read as a result: exit 64 and
-    # write nothing
+def test_bad_parameter_is_usage_error(tmp_path, monkeypatch, capsys, args):
+    # a bad flag or input file must not read as a result: exit 64, one
+    # usage line on stderr and nothing written
     monkeypatch.chdir(tmp_path)
     Path("unsorted.json").write_text(json.dumps(
         {"dim": 1, "indices": [3, 1, 2],
@@ -236,6 +236,11 @@ def test_bad_parameter_is_usage_error(tmp_path, monkeypatch, args):
     out = tmp_path / "out"
     assert run(out, *args) == 64
     assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    if args == ["product-bound", "--samples", "-1"]:
+        assert err == ("usage error: --samples must be >= 0 "
+                       "(0 enumerates every product)\n")
 
 
 @pytest.mark.parametrize("command", ["grid-search", "hl-derive"])
@@ -963,8 +968,8 @@ def test_sideways_build_matches_the_dict_built_table(args):
 
 def test_sideways_build_memory_is_bounded(tmp_path):
     # 2^16 tuples: holding the table as a dict and encoding it peaked at
-    # 10.9 MiB under tracemalloc; streaming it from its pairs holds the
-    # colors and one batch of lines
+    # 10.9 MiB under tracemalloc; streaming it by rows holds the shared
+    # rows, one formatted copy of each and one row's text (0.2 MiB)
     tracemalloc.start()
     try:
         assert run(tmp_path, "sideways-build", "--d", "1", "--depth", "8") == 0
@@ -1123,12 +1128,16 @@ _values = st.recursive(_scalars, lambda inner: st.one_of(
 ), max_leaves=25)
 
 
+# a member length of thousands of entries
+_LONG = 4096
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(_values, st.integers(0, 3 * cli._BATCH),
+@given(_values, st.integers(0, 3 * _LONG),
        st.sampled_from(["ahead", "zz-after"]))
 def test_writer_bytes_equal_json_dumps(value, filler, key):
-    # up to 3 * _BATCH filler ints, encoded in the same one call as the
+    # up to 3 * _LONG filler ints, encoded in the same one call as the
     # drawn value, which sorts before or after the filler
     payload = {"filler": list(range(filler)), key: value}
     with tempfile.TemporaryDirectory() as tmp:
@@ -1150,45 +1159,110 @@ def test_writer_leaves_no_json_when_encoding_fails(tmp_path, bad, error):
     # the bad value sorts after a long member, and the payload is encoded
     # in one call before the file is opened, so no file is left behind
     cfg = cli.RunConfig("ramsey", {}, tmp_path, 0)
-    payload = {"a": list(range(3 * cli._BATCH)), "z": bad}
+    payload = {"a": list(range(3 * _LONG)), "z": bad}
     with pytest.raises(error):
         cli._write_artifacts(cfg, payload, [{"n": 1}])
     assert list(tmp_path.iterdir()) == []
 
 
-def _streamed_table(n: int) -> list[tuple[str, int]]:
-    return [(f"{i:06d}|0", i % 2) for i in range(n)]
+def _write_table(tmp_path, payload, prefixes, names, rows) -> None:
+    cfg = cli.RunConfig("sideways-build", {}, tmp_path, 0)
+    cli._write_artifacts(cfg, payload, [{"n": 1}],
+                         table=(iter(prefixes), names, iter(rows)))
+
+
+def _dict_table(prefixes, names, rows) -> dict:
+    return {p + n: c for p, row in zip(prefixes, rows)
+            for n, c in zip(names, row)}
+
+
+def _row_table(n_prefixes: int, names: list[str]):
+    """Prefixes "000000|" on, each holding one of two shared rows."""
+    shared = [[i % 2 for i in range(len(names))],
+              [(i + 1) % 2 for i in range(len(names))]]
+    prefixes = [f"{i:06d}|" for i in range(n_prefixes)]
+    return prefixes, names, [shared[i % 3 == 0] for i in range(n_prefixes)]
 
 
 @pytest.mark.parametrize("payload, table", [
-    # a repeated key and a smaller key, after three batches of lines
-    ({"d": 1}, _streamed_table(3 * cli._BATCH) + [("002999|0", 0)]),
-    ({"d": 1}, _streamed_table(3 * cli._BATCH) + [("000000|0", 1)]),
-    # keys that sort at or after the streamed member
-    ({"d": 1, "tables": 0}, _streamed_table(3)),
-    ({"table": {}}, _streamed_table(3)),
+    # names out of order, and repeated
+    ({"d": 1}, (["0|"], ["1", "0"], [[0, 1]])),
+    ({"d": 1}, (["0|"], ["1", "1"], [[0, 1]])),
+    # a drop at a row boundary after three rows: prefixes and names both
+    # increase, yet the third row's last key "ac" is above the fourth
+    # row's first key "ab"
+    ({"d": 1}, (["0|", "1|", "a", "ab"], ["", "c"], [[0, 1]] * 4)),
+    # a repeated prefix
+    ({"d": 1}, (["0|", "1|", "1|"], ["0", "1"], [[0, 1]] * 3)),
+    # payload keys that sort at or after the streamed member
+    ({"d": 1, "tables": 0}, (["0|"], ["0"], [[1]])),
+    ({"table": {}}, (["0|"], ["0"], [[1]])),
 ])
 def test_writer_leaves_no_json_when_the_table_is_out_of_order(
         tmp_path, payload, table):
-    cfg = cli.RunConfig("sideways-build", {}, tmp_path, 0)
     with pytest.raises(ValueError):
-        cli._write_artifacts(cfg, payload, [{"n": 1}], table=iter(table))
+        _write_table(tmp_path, payload, *table)
     assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("payload, table", [
-    ({}, []),
-    ({}, _streamed_table(1)),
-    ({"d": 1, "seed": None}, []),
-    ({"a": [1, {"b": 2}], "d": {}}, _streamed_table(cli._BATCH + 1)),
-    ({"k": 2}, [("", 0), ("z\"", 7), ("\u00e9|\\", -3)]),
+    ({}, ([], ["0"], [])),
+    ({}, (["0|"], [], [[]])),
+    ({}, ([""], ["0"], [[1]])),
+    ({"d": 1, "seed": None}, ([], [], [])),
+    # one row per write, over several writes
+    ({"a": [1, {"b": 2}], "d": {}}, _row_table(_LONG + 1, ["0", "1"])),
+    # escapes, the separator and non-ASCII text in prefixes and names
+    ({"k": 2}, (["", "\u00ff\"", "\u00ff|\\"],
+                ["", "|", "\u00e9\U0001f600"],
+                [[0, 7, -3], [1, 1, 1], [0, 7, -3]])),
 ])
-def test_writer_streams_the_table_as_json_dumps_writes_it(tmp_path, payload,
-                                                          table):
-    cfg = cli.RunConfig("sideways-build", {}, tmp_path, 0)
-    cli._write_artifacts(cfg, payload, table=iter(table))
+def test_writer_streams_the_table_as_json_dumps_writes_it(
+        tmp_path, payload, table):
+    _write_table(tmp_path, payload, *table)
     assert ((tmp_path / "sideways-build.json").read_bytes()
-            == _dumped({**payload, "table": dict(table)}))
+            == _dumped({**payload, "table": _dict_table(*table)}))
+
+
+# escapes, the separator and non-ASCII text, the empty string among them
+_key_parts = st.text(st.sampled_from(
+    ["a", "b", "|", '"', "\\", "\u00e9", "\U0001f600", "\ud800", "\n"]),
+    max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_writer_table_bytes_equal_json_dumps_of_the_dict(data):
+    # keys that strictly increase give the bytes of json.dumps over the
+    # whole dict table; any other order, or a payload key at or after
+    # "table", raises ValueError and leaves no JSON file
+    payload = data.draw(st.dictionaries(
+        st.sampled_from(["a", "d", "seed", "table", "tables", "z"]),
+        st.integers(), max_size=3))
+    names = data.draw(st.lists(_key_parts, max_size=4))
+    prefixes = data.draw(st.lists(_key_parts, max_size=4))
+    if data.draw(st.booleans()):
+        names = sorted(set(names))
+        prefixes = sorted(set(prefixes))
+    shared = data.draw(st.lists(
+        st.lists(st.integers(), min_size=len(names), max_size=len(names)),
+        min_size=1, max_size=3))
+    rows = [shared[data.draw(st.integers(0, len(shared) - 1))]
+            for _ in prefixes]
+    keys = [p + n for p in prefixes for n in names]
+    ordered = (all(a < b for a, b in zip(keys, keys[1:]))
+               and all(key < "table" for key in payload))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        if ordered:
+            _write_table(out, payload, prefixes, names, rows)
+            assert ((out / "sideways-build.json").read_bytes()
+                    == _dumped({**payload, "table": _dict_table(
+                        prefixes, names, rows)}))
+        else:
+            with pytest.raises(ValueError):
+                _write_table(out, payload, prefixes, names, rows)
+            assert list(out.iterdir()) == []
 
 
 def test_writer_encodes_large_members_as_json_dumps_does(tmp_path):
@@ -1196,15 +1270,15 @@ def test_writer_encodes_large_members_as_json_dumps_does(tmp_path):
     # and orders them: numeric keys sort as numbers before they become
     # strings
     rng = Random(0)
-    keys = [i / 2 for i in range(2 * cli._BATCH + 3)]
+    keys = [i / 2 for i in range(2 * _LONG + 3)]
     rng.shuffle(keys)
     payload = {
         "floats": {k: [k, str(k)] for k in keys},
         "ints": {int(k * 2): None for k in keys},
         "nested": [{"b": (i, _Opaque(i)), "a": i}
-                   for i in range(cli._BATCH + 1)],
-        "tuple": tuple(range(3 * cli._BATCH)),
-        "words": {f"w{k}": k for k in keys[:cli._BATCH + 1]},
+                   for i in range(_LONG + 1)],
+        "tuple": tuple(range(3 * _LONG)),
+        "words": {f"w{k}": k for k in keys[:_LONG + 1]},
         "small": {"z": 1, "a": 2},
     }
     cfg = cli.RunConfig("ramsey", {}, tmp_path, 0)
@@ -1215,11 +1289,15 @@ def test_writer_encodes_large_members_as_json_dumps_does(tmp_path):
 def test_writer_memory_is_bounded(tmp_path):
     # a 2^16-entry table in the sideways form (1.4 MB of text): the whole
     # text, its chunks and its bytes peaked at 8.6 MiB under tracemalloc,
-    # the streamed table at 0.48 MiB, one batch of its lines
+    # the streamed table at 0.48 MiB, one batch of 4,096 lines, when the
+    # writer streamed (key, color) pairs
     names = ["".join(w) for w in itertools.product("01", repeat=8)]
     table = {f"{a}|{b}": int(a[0] == b[-1])
              for a, b in itertools.product(names, repeat=2)}
-    pairs = sorted(table.items())
+    # one shared row per first letter of the prefix
+    shared = {f: [int(f == b[-1]) for b in names] for f in "01"}
+    prefixes = [f"{a}|" for a in names]
+    rows = [shared[a[0]] for a in names]
     limit = 6 * 2 ** 20
 
     def peak(write) -> int:
@@ -1234,14 +1312,14 @@ def test_writer_memory_is_bounded(tmp_path):
         {"d": 1, "table": table}, sort_keys=True, separators=(",", ":"),
         default=str) + "\n"))
     cfg = cli.RunConfig("sideways-build", {}, tmp_path, 0)
-    streamed = peak(lambda: cli._write_artifacts(cfg, {"d": 1},
-                                                 table=iter(pairs)))
+    streamed = peak(lambda: cli._write_artifacts(
+        cfg, {"d": 1}, table=(iter(prefixes), names, iter(rows))))
     assert whole > limit >= streamed
     assert ((tmp_path / "sideways-build.json").read_bytes()
             == (tmp_path / "whole.json").read_bytes())
 
 
-# a sideways table of 2^14 entries, streamed in more than one batch
+# a sideways table of 2^14 entries, streamed in 128 rows
 _STREAMED = ["sideways-build", "--d", "1", "--depth", "7"]
 
 
@@ -1284,4 +1362,4 @@ def test_artifacts_are_canonical_compact_json(tmp_path, argv, code):
                                   separators=(",", ":")) + "\n"
     if argv == _STREAMED:
         table = json.loads((out / "sideways-build.json").read_text())["table"]
-        assert len(table) > cli._BATCH
+        assert len(table) > 4096

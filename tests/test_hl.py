@@ -1016,8 +1016,9 @@ def test_sideways_checks_jmap_range():
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_sideways_lift_is_the_per_tuple_lift(data):
-    # over a whole product the per-prefix lift gives the per-tuple colors
-    # in product order, with one jmap call per d-prefix
+    # over a whole product the per-prefix rows, flattened, give the
+    # per-tuple colors in product order, with one jmap call per d-prefix
+    # and one shared row object per jmap value
     d = data.draw(st.integers(0, 2))
     k = data.draw(st.integers(2, 3))
     depth = data.draw(st.integers(2, 4 if d < 2 else 3))
@@ -1034,7 +1035,9 @@ def test_sideways_lift_is_the_per_tuple_lift(data):
     fn = sideways_build(jmap, d, j_bound, depth)
     want = [fn(xs) for xs in itertools.product(side, repeat=d + 1)]
     calls.clear()
-    assert sideways_lift(jmap, d, j_bound, depth)(side) == want
+    rows = sideways_lift(jmap, d, j_bound, depth)(side)
+    assert [c for row in rows for c in row] == want
+    assert len(set(map(id, rows))) <= j_bound
     assert calls == list(itertools.product(side, repeat=d))
 
 

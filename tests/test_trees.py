@@ -352,17 +352,24 @@ _CONES = all_nodes(_T22, 2)
 
 @settings(max_examples=150, deadline=None)
 @given(st.sets(st.sampled_from(_PAIRS)),
-       st.lists(st.sampled_from(_CONES), min_size=1, max_size=2),
-       st.lists(st.sampled_from(_CONES), min_size=1, max_size=2))
+       st.lists(st.sampled_from(_CONES), max_size=2),
+       st.lists(st.sampled_from(_CONES), max_size=2))
 @example(set(), [()], [()])
+@example(set(), [()], [])
+@example(set(), [], [(1,)])
 def test_fpg_witness_sets_none_through_the_projection(Z, fam0, fam1):
     # two trees: a cone the first coordinates of Z miss has no witness,
     # and the projection's None is the answer; any witness found is one.
-    # The families are not empty: an empty set meets an empty family, and
-    # its empty product lies inside any Z
+    # An empty family is met by the empty set, whose empty product lies
+    # inside any Z, so then a witness always exists
     shapes, families = [_T22, _T22], [fam0, fam1]
     got = fpg_witness_sets(shapes, Z, families, 2)
-    if not is_u_set({z[0] for z in Z}, fam0, 2):
+    if not (fam0 and fam1):
+        assert got is not None
+        assert all(is_u_set(Y, fam, 2) for Y, fam in zip(got, families))
+        assert set(itertools.product(*got)) <= Z
+        assert _meets_inside(shapes, Z, families, 2)
+    elif not is_u_set({z[0] for z in Z}, fam0, 2):
         assert got is None
         assert not _meets_inside(shapes, Z, families, 2)
     elif got is not None:
