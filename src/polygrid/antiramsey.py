@@ -194,9 +194,10 @@ def _c_full(arena: Arena, vec: tuple[int, ...]) -> TupleColor:
 
 DEFAULT_BUDGET = 2_000_000
 
-# keyed on the budget too, so that a hit is exactly what a fresh search
-# with that budget returns
-_threshold_cache: dict[tuple[int, int, int], int] = {}
+# m* and the bad coloring at m* - 1, keyed on the budget too, so that a hit
+# is exactly what a fresh search with that budget returns
+_threshold_cache: dict[tuple[int, int, int],
+                       tuple[int, dict[tuple[int, ...], int]]] = {}
 
 
 def _search_bad(
@@ -207,74 +208,79 @@ def _search_bad(
     Hyperedges are assigned in lexicographic order with color-symmetry
     canonization (a fresh color may appear only after all smaller ones);
     a branch dies as soon as some (n+2)-subset goes monochromatic.
-    Every assignment costs one budget node.
+    Every color tried costs one budget node.
     """
     edges = list(itertools.combinations(range(m), n + 1))
-    index = {e: i for i, e in enumerate(edges)}
-    # Each (n+2)-subset is filed under its last edge, as the bit mask of its
-    # other edges: edges are assigned in order, so only that edge can
-    # complete it.  Bit i of masks[c] is set while edge i has color c.
-    closing: list[list[int]] = [[] for _ in edges]
-    for big in itertools.combinations(range(m), n + 2):
-        sub = sorted(index[e] for e in itertools.combinations(big, n + 1))
-        closing[sub[-1]].append(sum(1 << i for i in sub[:-1]))
-    masks = [0] * k
+    if not edges:
+        return {}, 0
+    # An (n+2)-subset {x} | e with x < e[0] can only close at its last edge
+    # e, and its other edges are {x} | f for the n-subsets f (faces) of e.
+    # Bit x of links[f][c] is set while edge {x} | f, x < f[0], has color c,
+    # so c closes a monochromatic subset at e iff the AND of links[f][c]
+    # over the faces of e is nonzero.  Coloring e sets bit e[0] of its tail
+    # e[1:].  Faces containing 0 link nothing and are no edge's tail, so
+    # they share one list that stays empty.
+    empty = [0] * min(k, len(edges))
+    links = {f: empty[:] for f in itertools.combinations(range(1, m), n)}
+    plan = []
+    for e in edges:
+        faces = [links.get(e[:j] + e[j + 1:], empty) for j in range(n + 1)]
+        # the test reads three faces (repeated for n < 2), the rest for n >= 3
+        f0, f1, f2, *rest = (faces * 3)[:max(n + 1, 3)]
+        plan.append((f0, f1, f2, rest, faces[0], 1 << e[0]))
     last = len(edges)
     colors = [0] * last
-    nodes = 0
-    # the colors open to an edge once `used` colors have appeared
-    choices = [range(min(k, used + 1)) for used in range(k + 1)]
-    if not edges:
-        return {}, nodes
-    # depth first with an explicit stack: for each edge below the current
-    # one, tries[pos] holds the colors it has left to try and used[pos] the
-    # number of colors the edges before it use (u at the current edge)
-    tries: list = [None] * last
-    used = [0] * last
-    pos = u = 0
-    colors_left = iter(choices[0])
-    groups = closing[0]
+    # colors 0..top-1 are open to the current edge; opens[pos] keeps top
+    opens = [0] * last
+    nodes = pos = c = 0
+    top = min(k, 1)
+    f0, f1, f2, rest, tail, bit = plan[0]
     while True:
-        for c in colors_left:
+        while c < top:
             nodes += 1
             if nodes > budget:
                 raise BudgetError(
                     f"bad-coloring search exceeded {budget} nodes at m={m}",
                     nodes_used=nodes, best_lower_bound=None, exhausted_at=m)
-            mask = masks[c]
-            for group in groups:
-                if mask & group == group:
-                    break  # c would close a monochromatic (n+2)-subset
-            else:
-                colors[pos] = c
-                masks[c] = mask | 1 << pos
-                tries[pos] = colors_left
-                used[pos] = u
-                pos += 1
-                if pos == last:
-                    return {e: colors[i] for i, e in enumerate(edges)}, nodes
-                if c == u:
-                    u += 1
-                colors_left = iter(choices[u])
-                groups = closing[pos]
+            closes = f0[c] & f1[c] & f2[c]
+            if closes and rest:
+                for f in rest:
+                    closes &= f[c]
+            if not closes:
                 break
+            c += 1
         else:  # every color failed: back to the previous edge
             if pos == 0:
                 return None, nodes
             pos -= 1
-            masks[colors[pos]] ^= 1 << pos
-            colors_left = tries[pos]
-            u = used[pos]
-            groups = closing[pos]
+            f0, f1, f2, rest, tail, bit = plan[pos]
+            c, top = colors[pos], opens[pos]
+            tail[c] ^= bit
+            c += 1
+            continue
+        tail[c] |= bit
+        colors[pos], opens[pos] = c, top
+        pos += 1
+        if pos == last:
+            return {e: colors[i] for i, e in enumerate(edges)}, nodes
+        if c + 1 == top < k:
+            top += 1  # c was a fresh color, so c + 1 opens
+        c = 0
+        f0, f1, f2, rest, tail, bit = plan[pos]
 
 
 def find_bad_coloring(
     n: int, m: int, k: int, budget: int = DEFAULT_BUDGET
 ) -> dict[tuple[int, ...], int] | None:
     """A k-coloring of the (n+1)-subsets of {0..m-1} with no monochromatic
-    (n+2)-subset, or None once the exhaustive search proves none exists."""
+    (n+2)-subset, or None once the exhaustive search proves none exists.
+    At m = m* - 1 it is the coloring a threshold search with this budget
+    already found."""
     if budget < 0:
         raise ParameterError("need budget >= 0")
+    hit = _threshold_cache.get((n, k, budget))
+    if hit and m == hit[0] - 1:
+        return dict(hit[1])
     result, _ = _search_bad(n, m, k, budget)
     return result
 
@@ -287,9 +293,11 @@ def ramsey_m_star(n: int, k: int, budget: int = DEFAULT_BUDGET) -> int:
         raise ParameterError("need n >= 1, k >= 1 and budget >= 0")
     key = (n, k, budget)
     if key in _threshold_cache:
-        return _threshold_cache[key]
+        return _threshold_cache[key][0]
     spent = 0
-    best = n + 1  # below n+2 every coloring is vacuously bad
+    # below n+2 every coloring is vacuously bad; at m = n+1 the search
+    # gives the one edge color 0
+    best, best_bad = n + 1, {tuple(range(n + 1)): 0}
     m = n + 2
     while True:
         try:
@@ -302,9 +310,9 @@ def ramsey_m_star(n: int, k: int, budget: int = DEFAULT_BUDGET) -> int:
                 best_lower_bound=best, exhausted_at=m) from None
         spent += used
         if bad is None:
-            _threshold_cache[key] = m
+            _threshold_cache[key] = m, best_bad
             return m
-        best = m
+        best, best_bad = m, bad
         m += 1
 
 

@@ -301,6 +301,104 @@ def test_threshold_budget_error_pinned(monkeypatch, n, k, budget, nodes, best,
             exc.value.exhausted_at) == (nodes, best, died)
 
 
+def _search_bad_reference(n, m, k, budget):
+    # the closing-group search that _search_bad replaced: each (n+2)-subset
+    # is filed under its last edge as the bit mask of its other edges, and
+    # a color is tried against every group filed under the current edge
+    edges = list(itertools.combinations(range(m), n + 1))
+    index = {e: i for i, e in enumerate(edges)}
+    closing = [[] for _ in edges]
+    for big in itertools.combinations(range(m), n + 2):
+        sub = sorted(index[e] for e in itertools.combinations(big, n + 1))
+        closing[sub[-1]].append(sum(1 << i for i in sub[:-1]))
+    masks = [0] * k
+    last = len(edges)
+    colors = [0] * last
+    nodes = 0
+    choices = [range(min(k, used + 1)) for used in range(k + 1)]
+    if not edges:
+        return {}, nodes
+    tries = [None] * last
+    used = [0] * last
+    pos = u = 0
+    colors_left = iter(choices[0])
+    groups = closing[0]
+    while True:
+        for c in colors_left:
+            nodes += 1
+            if nodes > budget:
+                raise BudgetError(
+                    f"bad-coloring search exceeded {budget} nodes at m={m}",
+                    nodes_used=nodes, best_lower_bound=None, exhausted_at=m)
+            mask = masks[c]
+            for group in groups:
+                if mask & group == group:
+                    break
+            else:
+                colors[pos] = c
+                masks[c] = mask | 1 << pos
+                tries[pos] = colors_left
+                used[pos] = u
+                pos += 1
+                if pos == last:
+                    return {e: colors[i] for i, e in enumerate(edges)}, nodes
+                if c == u:
+                    u += 1
+                colors_left = iter(choices[u])
+                groups = closing[pos]
+                break
+        else:
+            if pos == 0:
+                return None, nodes
+            pos -= 1
+            masks[colors[pos]] ^= 1 << pos
+            colors_left = tries[pos]
+            u = used[pos]
+            groups = closing[pos]
+
+
+def _outcome(search, n, m, k, budget):
+    try:
+        return search(n, m, k, budget)
+    except BudgetError as exc:
+        return ("budget", exc.nodes_used, exc.best_lower_bound,
+                exc.exhausted_at, str(exc))
+
+
+@pytest.mark.parametrize("n, m, k", [
+    (n, m, k) for n in (1, 2, 3) for m in range(10 if n == 1 else 8)
+    for k in range(5)])
+def test_search_bad_matches_closing_group_search(n, m, k):
+    # same coloring and node count, or the same budget verdict; the
+    # reference's unlimited run is its run at every budget >= its node count
+    full = _outcome(_search_bad_reference, n, m, k, 10**9)
+    nodes = full[1]
+    for budget in sorted({0, 1, 2, 37, nodes, nodes - 1} - {-1}):
+        expected = (full if budget >= nodes else
+                    _outcome(_search_bad_reference, n, m, k, budget))
+        assert _outcome(_search_bad, n, m, k, budget) == expected, budget
+
+
+def test_bad_coloring_at_threshold_is_not_searched_again(monkeypatch):
+    # find_bad_coloring at m* - 1 hands back what the threshold search found
+    monkeypatch.setattr(antiramsey, "_threshold_cache", {})
+    cases = [(n, k, ramsey_m_star(n, k, 5_000) - 1)
+             for n, k in [(1, 1), (1, 2), (2, 1)]]
+    fresh = [_search_bad(n, m, k, 5_000)[0] for n, k, m in cases]
+    monkeypatch.setattr(antiramsey, "_search_bad", None)
+    assert [find_bad_coloring(n, m, k, 5_000) for n, k, m in cases] == fresh
+
+
+def test_wide_palette_budget_error_pinned(monkeypatch):
+    # values taken once from the closing-group search this replaced, which
+    # took 4.6 s to exhaust the budget on a 2-vCPU machine (0.3 s now)
+    monkeypatch.setattr(antiramsey, "_threshold_cache", {})
+    with pytest.raises(BudgetError) as exc:
+        ramsey_m_star(1, 50)
+    assert (exc.value.nodes_used, exc.value.best_lower_bound,
+            exc.value.exhausted_at) == (2_000_001, 55, 56)
+
+
 @pytest.mark.parametrize("n, m, k", [
     *((1, m, k) for m in range(2, 6) for k in (1, 2)),
     (1, 4, 3),
