@@ -98,17 +98,6 @@ class Arena:
             return alpha
         return self._tables[0][beta][alpha]
 
-    def to_json(self) -> dict:
-        data = {"size": self.size, "dim": self.dim, "mode": self.mode}
-        if self.seed is not None:
-            data["seed"] = self.seed
-        return data
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Arena":
-        return cls(data["size"], data["dim"], data.get("mode", "identity"),
-                   data.get("seed"))
-
 
 def c1(arena: Arena, alpha: int, beta: int) -> int:
     """Injective-in-alpha color of the pair {alpha, beta}, alpha < beta."""

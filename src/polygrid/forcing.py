@@ -29,7 +29,6 @@ from .trees import (
     GridWitness,
     Word,
     validate_grid_witness,
-    word_from_str,
     word_to_str,
 )
 
@@ -40,10 +39,9 @@ Row = tuple[Word, ...]
 class Condition:
     """Finitely many rows, each holding one word per coordinate tree.
 
-    Conditions built from outside input (the constructor, `of`,
-    `from_json`) are validated in full.  Conditions derived from valid ones
-    (`with_slot`, `decide_color`) skip that pass: they check only what they
-    write.
+    Conditions built by the constructor are validated in full.
+    Conditions derived from valid ones (`with_slot`, `decide_color`) skip
+    that pass: they check only what they write.
     """
 
     k: int
@@ -82,10 +80,6 @@ class Condition:
     def empty(cls, k: int, d: int) -> "Condition":
         return cls(k, d, ())
 
-    @classmethod
-    def of(cls, k: int, d: int, assign: dict[int, Row]) -> "Condition":
-        return cls(k, d, tuple(sorted(assign.items())))
-
     def row(self, alpha: int) -> Optional[Row]:
         return self._index.get(alpha)
 
@@ -102,21 +96,6 @@ class Condition:
         row[i] = word
         index[alpha] = tuple(row)
         return Condition._derived(self.k, self.d, index)
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "d": self.d,
-            "rows": {str(a): [word_to_str(w) for w in r] for a, r in self.rows},
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Condition":
-        assign = {
-            int(a): tuple(word_from_str(s) for s in r)
-            for a, r in data["rows"].items()
-        }
-        return cls.of(data["k"], data["d"], assign)
 
 
 def _prefix(a: Word, b: Word) -> bool:

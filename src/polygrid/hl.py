@@ -22,7 +22,6 @@ from typing import Callable, Optional, Sequence
 from .ordset import CAP, OrdSet, ParameterError, capped
 from .trees import (
     GridWitness,
-    StrongSubtreeWitness,
     TreeShape,
     Word,
     all_nodes,
@@ -470,18 +469,20 @@ def search_grid(
 
 @dataclass(frozen=True)
 class HLWitness:
-    """A level set and one strong subtree per coordinate, all over it."""
+    """A level set and one strong subtree per coordinate, all over it:
+    subtrees[i][m] holds coordinate i's nodes at height levels.at(m)."""
 
     k: int
     depth: int
     levels: OrdSet
-    subtrees: tuple[StrongSubtreeWitness, ...]
+    subtrees: tuple[tuple[frozenset[Word], ...], ...]
     color: int
 
     def __post_init__(self):
-        for sub in self.subtrees:
-            if sub.levels != self.levels:
-                raise ValueError("subtrees must share the witness level set")
+        if self.levels.otp == 0:
+            raise ValueError("witness needs at least one level")
+        if any(len(sets) != self.levels.otp for sets in self.subtrees):
+            raise ValueError("one node set per level required")
 
     @property
     def d(self) -> int:
@@ -494,31 +495,21 @@ class HLWitness:
             "levels": list(self.levels.elems),
             "color": self.color,
             "subtrees": [
-                [sorted(map(word_to_str, level))
-                 for level in sub.level_sets]
-                for sub in self.subtrees
+                [sorted(map(word_to_str, level)) for level in sets]
+                for sets in self.subtrees
             ],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "HLWitness":
-        levels = OrdSet(tuple(data["levels"]))
-        subs = []
-        for levelsets in data["subtrees"]:
-            subs.append(
-                StrongSubtreeWitness(
-                    levels=levels,
-                    level_sets=tuple(
-                        frozenset(map(word_from_str, level))
-                        for level in levelsets
-                    ),
-                )
-            )
         return cls(
             k=data["k"],
             depth=data["depth"],
-            levels=levels,
-            subtrees=tuple(subs),
+            levels=OrdSet(tuple(data["levels"])),
+            subtrees=tuple(
+                tuple(frozenset(map(word_from_str, level)) for level in sets)
+                for sets in data["subtrees"]
+            ),
             color=data["color"],
         )
 
@@ -527,13 +518,14 @@ def verify_hl_witness(gamma: LevelColoring, w: HLWitness) -> bool:
     """Each subtree is strong and every level-product tuple has w.color."""
     if w.d != gamma.d or w.k != gamma.k:
         return False
-    if w.levels.otp and w.levels.at(w.levels.otp - 1) > gamma.depth:
+    if w.levels.at(w.levels.otp - 1) > gamma.depth:
         return False
     shape = TreeShape(w.k, w.depth)
-    if not all(is_strong_subtree(sub, shape) for sub in w.subtrees):
+    if not all(is_strong_subtree(w.levels, sets, shape)
+               for sets in w.subtrees):
         return False
     for m in range(w.levels.otp):
-        for combo in itertools.product(*(s.level_sets[m] for s in w.subtrees)):
+        for combo in itertools.product(*(sets[m] for sets in w.subtrees)):
             if gamma.color(combo) != w.color:
                 return False
     return True
@@ -606,14 +598,8 @@ def derive_strong_subtrees(
     def packaged() -> Optional[HLWitness]:
         if not levels:
             return None
-        ls = OrdSet(tuple(levels))
-        subs = tuple(
-            StrongSubtreeWitness(levels=ls, level_sets=tuple(level_sets[i]))
-            for i in range(w.d)
-        )
-        return HLWitness(
-            k=w.k, depth=w.depth, levels=ls, subtrees=subs, color=j
-        )
+        return HLWitness(k=w.k, depth=w.depth, levels=OrdSet(tuple(levels)),
+                         subtrees=tuple(map(tuple, level_sets)), color=j)
 
     floor = max(len(t) for t in w.roots)
     for n in range(h):

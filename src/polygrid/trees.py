@@ -4,9 +4,9 @@ Trees are perfect k-branching trees truncated at depth N.  A node is a
 word over {0..k-1}, a tuple of ints whose height is its length; a branch
 is a node of full length N.  In a tuple of nodes from a product of trees,
 a node's coordinate is its position in the tuple.  Everything is
-explicit and finite: density is "to depth D", strong subtrees carry their
-level sets, and the distributive-dense-filtration (DDF) check truncates
-fiber intersections at a cap.
+explicit and finite: density is "to depth D", a strong subtree is a level
+set with one node set per level, and the distributive-dense-filtration
+(DDF) check truncates fiber intersections at a cap.
 """
 
 from __future__ import annotations
@@ -68,38 +68,23 @@ def is_level_tuple(nodes: Sequence[Word]) -> bool:
 # strong subtrees
 
 
-@dataclass(frozen=True)
-class StrongSubtreeWitness:
-    """Level set data for a strong subtree: levels a and the chosen nodes.
-
-    level_sets[m] holds the nodes of the subtree at tree height levels.at(m).
-    """
-
-    levels: OrdSet
-    level_sets: tuple[frozenset[Word], ...]
-
-    def __post_init__(self):
-        if self.levels.otp != len(self.level_sets):
-            raise ValueError("one node set per level required")
-        if self.levels.otp == 0:
-            raise ValueError("witness needs at least one level")
-
-
-def is_strong_subtree(w: StrongSubtreeWitness, shape: TreeShape) -> bool:
+def is_strong_subtree(levels: OrdSet, level_sets: Sequence[frozenset[Word]],
+                      shape: TreeShape) -> bool:
     """Check the inductive definition clause by clause.
 
+    level_sets[m] holds the subtree's nodes at tree height levels.at(m).
     Level 0 is a singleton at height a(0); each later level set consists of
     exactly one node at the right height above each immediate successor of
-    each node on the previous level.
+    each node on the previous level.  No level, or a node set count other
+    than the level count, is no strong subtree.
     """
-    a = w.levels
-    if a.at(a.otp - 1) > shape.depth:
+    a = levels
+    if a.otp == 0 or a.otp != len(level_sets):
         return False
-    first = w.level_sets[0]
-    if len(first) != 1:
+    if a.at(a.otp - 1) > shape.depth or len(level_sets[0]) != 1:
         return False
     for m in range(a.otp):
-        for t in w.level_sets[m]:
+        for t in level_sets[m]:
             if len(t) != a.at(m):
                 return False
             if any(c >= shape.k or c < 0 for c in t):
@@ -108,10 +93,10 @@ def is_strong_subtree(w: StrongSubtreeWitness, shape: TreeShape) -> bool:
         prev_height = a.at(m - 1)
         needed = {
             p + (c,)
-            for p in w.level_sets[m - 1]
+            for p in level_sets[m - 1]
             for c in range(shape.k)
         }
-        got = [t[: prev_height + 1] for t in w.level_sets[m]]
+        got = [t[: prev_height + 1] for t in level_sets[m]]
         if len(got) != len(needed) or set(got) != needed:
             return False
     return True
@@ -243,7 +228,6 @@ def fpg_witness_sets(
     shapes: Sequence[TreeShape],
     Z: Iterable[tuple[Word, ...]],
     cone_families: Sequence[Iterable[Word]],
-    D: int,
 ) -> Optional[tuple[frozenset[Word], ...]]:
     """Build finite cone-meeting sets whose product sits inside Z.
 
@@ -277,7 +261,7 @@ def fpg_witness_sets(
         return None if got is None else (got,)
 
     fib = _fibers(zs)
-    head = fpg_witness_sets(shapes[:-1], list(fib.keys()), cone_families[:-1], D)
+    head = fpg_witness_sets(shapes[:-1], list(fib.keys()), cone_families[:-1])
     if head is None:
         return None
     pool = set(branches(shapes[-1]))

@@ -144,7 +144,7 @@ def test_criterion_03_product_bound():
     seeded = deep = apart = 0
     for n, k, size, mode, seed, products in cases:
         arena = Arena(size=size, dim=n, mode=mode, seed=seed)
-        twin = Arena.from_json(arena.to_json())
+        twin = Arena(size=size, dim=n, mode=mode, seed=seed)
         plain = Arena(size=size, dim=n, mode="identity")
         side = m_seq(n, k)
         for t in range(products):
@@ -387,7 +387,7 @@ def test_criterion_09_ddf_fpg_bridge():
             continue
         passing += 1
         for fam in families:
-            got = fpg_witness_sets(shapes, Z, fam, 2)
+            got = fpg_witness_sets(shapes, Z, fam)
             assert got is not None
             for i, Y in enumerate(got):
                 assert is_u_set(Y, fam[i], 2)

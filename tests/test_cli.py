@@ -312,6 +312,45 @@ def test_module_entry_point():
     assert "unknown subcommand" in proc.stderr
 
 
+# one argv per subcommand family, seeded where the subcommand draws
+_HASH_SEED_ARGVS = [
+    ["grid-search", "--coloring", "seeded", "--d", "2", "--depth", "3",
+     "--cap", "8", "--seed", "3"],
+    ["hl-derive", "--coloring", "level-parity", "--height", "2"],
+    ["force-pipeline", "--d", "2", "--branches", "8"],
+    ["sideways-build", "--d", "2", "--depth", "3", "--j-bound", "2"],
+    ["delta-extract", "--num-indices", "40", "--planted", "8", "--h", "4"],
+    ["product-bound", "--k", "2", "--size", "24", "--samples", "50",
+     "--seed", "5"],
+    ["difference-check", "--n", "2", "--size", "8", "--mode", "seeded",
+     "--seed", "7"],
+    ["ph-refute", "--entry-bound", "32"],
+    ["ramsey", "--n", "1", "--k", "2"],
+]
+
+
+def test_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
+    # exit code, stdout and artifact bytes agree under two string hash
+    # seeds; the two runs of an argv go side by side
+    src = Path(cli.__file__).resolve().parents[1]
+    for i, argv in enumerate(_HASH_SEED_ARGVS):
+        outs = {seed: tmp_path / f"{i}-{seed}" for seed in ("0", "12345")}
+        procs = {seed: subprocess.Popen(
+            [sys.executable, "-m", "polygrid.cli", *argv, "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(src),
+                 "PYTHONHASHSEED": seed},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            for seed, out in outs.items()}
+        seen = []
+        for seed, proc in procs.items():
+            stdout, stderr = proc.communicate(timeout=60)
+            assert proc.returncode == 0, (argv, stderr)
+            seen.append((stdout, {p.name: p.read_bytes()
+                                  for p in outs[seed].iterdir()}))
+        assert seen[0] == seen[1], argv
+        assert seen[0][1], argv
+
+
 # one cheap run per subcommand, from which the sweep varies one flag
 _SWEEP_BASE = {
     "ramsey": ["--k", "1"],

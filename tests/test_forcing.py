@@ -26,7 +26,7 @@ from polygrid.trees import is_dense_above, word_from_str, word_to_str
 
 
 def cond(assign, k=2, d=1):
-    return Condition.of(k, d, assign)
+    return Condition(k, d, tuple(sorted(assign.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +87,7 @@ def _conditions(draw, k, d):
     word = st.lists(st.integers(0, k - 1), max_size=4).map(tuple)
     rows = st.dictionaries(st.integers(0, 5), st.tuples(*[word] * d),
                            max_size=4)
-    return Condition.of(k, d, draw(rows))
+    return cond(draw(rows), k, d)
 
 
 def _weaken(draw, r):
@@ -97,7 +97,7 @@ def _weaken(draw, r):
         if draw(st.booleans()):
             assign[alpha] = tuple(w[:draw(st.integers(0, len(w)))]
                                   for w in row)
-    return Condition.of(r.k, r.d, assign)
+    return cond(assign, r.k, r.d)
 
 
 @settings(max_examples=60, deadline=None)
@@ -122,10 +122,8 @@ def test_leq_laws_generated(k, d, data):
     lambda: Condition(2, 1, ((-1, ((),)),)),              # negative row
     lambda: Condition(2, 2, ((0, ((0,),)),)),             # row too narrow
     lambda: Condition(1, 1, ()),                          # k below 2
-    lambda: Condition.of(2, 1, {0: ((0, 3),)}),
-    lambda: Condition.of(2, 2, {0: ((0,), (1,), ())}),
-    lambda: Condition.from_json({"k": 2, "d": 1, "rows": {"0": ["012"]}}),
-    lambda: Condition.from_json({"k": 2, "d": 2, "rows": {"4": ["0"]}}),
+    lambda: cond({0: ((0, 3),)}),                         # letter 3 in a word
+    lambda: cond({0: ((0,), (1,), ())}, d=2),             # row too wide
     lambda: cond({0: ((0,),)}).with_slot(0, 0, (0, 2)),
     lambda: cond({0: ((0,),)}).with_slot(0, 1, (0,)),
     lambda: cond({0: ((0,),)}).with_slot(0, -1, (0,)),
@@ -440,24 +438,6 @@ def test_pipeline_transcript_deterministic():
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def test_condition_round_trip():
-    p = cond({3: ((0, 1),), 8: ((1,),)})
-    assert Condition.from_json(p.to_json()) == p
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(2, 3), st.integers(1, 3), st.data())
-def test_condition_json_round_trip_generated(k, d, data):
-    # a validated condition, and one derived from it unchecked
-    p = data.draw(_conditions(k, d))
-    word = data.draw(st.lists(st.integers(0, k - 1), max_size=4).map(tuple))
-    q = p.with_slot(data.draw(st.integers(0, 7)),
-                    data.draw(st.integers(0, d - 1)), word)
-    for c in (p, q):
-        again = Condition.from_json(json.loads(json.dumps(c.to_json())))
-        assert again == c and again.to_json() == c.to_json()
 
 
 @st.composite

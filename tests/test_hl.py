@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polygrid import ParameterError
+from polygrid import ParameterError, hl
 from polygrid.antiramsey import Arena, c_full
 from polygrid.hl import (
     NAMED_KINDS,
@@ -35,7 +35,6 @@ from polygrid.hl import (
 from polygrid.ordset import OrdSet
 from polygrid.trees import (
     GridWitness,
-    StrongSubtreeWitness,
     TreeShape,
     Word,
     all_nodes,
@@ -772,28 +771,56 @@ def test_verify_flags_sibling_swap():
             table[(w,)] = w[0] if w else 0
     gamma = LevelColoring(k=2, d=1, depth=2, r=2, kind="table", table=table)
 
-    good = HLWitness(
-        2, 2, OrdSet.of([1]),
-        (StrongSubtreeWitness(OrdSet.of([1]), (frozenset({(0,)}),)),),
-        color=0,
-    )
+    good = HLWitness(2, 2, OrdSet.of([1]), ((frozenset({(0,)}),),), color=0)
     assert verify_hl_witness(gamma, good)
-    swapped = HLWitness(
-        2, 2, OrdSet.of([1]),
-        (StrongSubtreeWitness(OrdSet.of([1]), (frozenset({(1,)}),)),),
-        color=0,
-    )
+    swapped = HLWitness(2, 2, OrdSet.of([1]), ((frozenset({(1,)}),),),
+                        color=0)
     assert not verify_hl_witness(gamma, swapped)
 
 
 def test_verify_height_one():
     gamma = LevelColoring(k=2, d=2, depth=3, r=2, kind="constant", value=0)
-    sub0 = StrongSubtreeWitness(OrdSet.of([1]), (frozenset({(1,)}),))
-    sub1 = StrongSubtreeWitness(OrdSet.of([1]), (frozenset({(0,)}),))
+    sub0, sub1 = (frozenset({(1,)}),), (frozenset({(0,)}),)
     w = HLWitness(2, 3, OrdSet.of([1]), (sub0, sub1), 0)
     assert verify_hl_witness(gamma, w)
     wrong = HLWitness(2, 3, OrdSet.of([1]), (sub0, sub1), 1)
     assert not verify_hl_witness(gamma, wrong)
+
+
+def test_hl_witness_needs_one_node_set_per_level():
+    # the constructor, which from_json goes through too, rejects a witness
+    # with no level and a coordinate with one node set too many or too few
+    levels = OrdSet.of([1, 3])
+    sets = (frozenset({(0,)}), frozenset({(0, 0, 0), (0, 1, 0)}))
+    w = HLWitness(2, 4, levels, (sets, sets), 0)
+    assert HLWitness.from_json(w.to_json()) == w
+    with pytest.raises(ValueError, match="^witness needs at least one level$"):
+        HLWitness(2, 4, OrdSet.of([]), ((), ()), 0)
+    for wrong in (sets[:1], sets + sets[1:]):
+        with pytest.raises(ValueError,
+                           match="^one node set per level required$"):
+            HLWitness(2, 4, levels, (sets, wrong), 0)
+    data = w.to_json()
+    data["subtrees"][1].pop()
+    with pytest.raises(ValueError, match="^one node set per level required$"):
+        HLWitness.from_json(data)
+
+
+@pytest.mark.parametrize("check, fake, message", [
+    ("validate_grid_witness", lambda w, gamma: (False, {}),
+     "the cone grid fails its re-check"),
+    ("verify_hl_witness", lambda gamma, w: False,
+     "the derived HL witness fails its re-check"),
+])
+def test_failed_recheck_raises(monkeypatch, check, fake, message):
+    # the cone grid and the derivation each raise when their re-check,
+    # made to fail, says no, rather than hand back what they built
+    gamma = LevelColoring(k=2, d=2, depth=4, r=2, kind="constant", value=0)
+    assert derive_strong_subtrees(gamma, cone_grid(gamma, [(), ()], 2),
+                                  2).full
+    monkeypatch.setattr(hl, check, fake)
+    with pytest.raises(RuntimeError, match=f"^{message}$"):
+        derive_strong_subtrees(gamma, cone_grid(gamma, [(), ()], 2), 2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -833,12 +860,6 @@ def test_validate_grid_witness_rejects_one_corruption(d, depth, r, seed,
     assert report["color_failures"] == 0
 
 
-def _with_levels(w: HLWitness, levels: OrdSet, level_sets) -> HLWitness:
-    """w with every subtree over levels, subtree j's nodes level_sets[j]."""
-    return replace(w, levels=levels, subtrees=tuple(
-        StrongSubtreeWitness(levels, tuple(sets)) for sets in level_sets))
-
-
 @settings(max_examples=40, deadline=None)
 @given(level_colorings(), st.integers(1, 3), st.data())
 def test_verify_hl_witness_rejects_one_corruption(gamma, h, data):
@@ -850,7 +871,6 @@ def test_verify_hl_witness_rejects_one_corruption(gamma, h, data):
     w = derive_strong_subtrees(gamma, grid, h).witness
     assume(w is not None)
     assert verify_hl_witness(gamma, w)
-    sets = [list(sub.level_sets) for sub in w.subtrees]
 
     # wrong d or k
     assert not verify_hl_witness(gamma, replace(
@@ -861,22 +881,24 @@ def test_verify_hl_witness_rejects_one_corruption(gamma, h, data):
     # letter 0, so that the subtrees stay strong in a deeper tree
     top = w.levels.otp - 1
     past = gamma.depth + 1
-    moved = _with_levels(
-        replace(w, depth=past),
-        OrdSet.of(w.levels.elems[:top] + (past,)),
-        [ls[:top] + [frozenset(t + (0,) * (past - len(t)) for t in ls[top]
-                               )] for ls in sets])
-    assert all(is_strong_subtree(sub, TreeShape(w.k, past))
-               for sub in moved.subtrees)
+    moved = replace(
+        w, depth=past, levels=OrdSet.of(w.levels.elems[:top] + (past,)),
+        subtrees=tuple(
+            sets[:top] + (frozenset(t + (0,) * (past - len(t))
+                                    for t in sets[top]),)
+            for sets in w.subtrees))
+    assert all(is_strong_subtree(moved.levels, sets, TreeShape(w.k, past))
+               for sets in moved.subtrees)
     assert not verify_hl_witness(gamma, moved)
 
     # one node dropped: a subtree that is not strong, whose level products
     # still have the witness color
     j = data.draw(st.integers(0, w.d - 1))
     m = data.draw(st.integers(0, top))
-    node = data.draw(st.sampled_from(sorted(sets[j][m])))
-    sets[j][m] = sets[j][m] - {node}
-    assert not verify_hl_witness(gamma, _with_levels(w, w.levels, sets))
+    sets = list(w.subtrees[j])
+    sets[m] -= {data.draw(st.sampled_from(sorted(sets[m])))}
+    assert not verify_hl_witness(gamma, replace(
+        w, subtrees=(*w.subtrees[:j], tuple(sets), *w.subtrees[j + 1:])))
 
     # one color flipped
     assert not verify_hl_witness(gamma, replace(

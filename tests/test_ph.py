@@ -3,15 +3,19 @@
 import dataclasses
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polygrid import ParameterError
-from polygrid.antiramsey import Arena, c_full
+from polygrid import ParameterError, ph
+from polygrid.antiramsey import Arena, TupleColor, c_full
 from polygrid.ordset import CAP as TABLE_CAP
 from polygrid.ph import (
     CofinalCheck,
@@ -317,6 +321,32 @@ def test_refute_returns_the_probe_when_the_pair_agrees(entry_bound,
     assert r.color_a != r.color_b
     assert verify_refutation(F, arena, r)
     assert not verify_refutation(F, arena, dataclasses.replace(r, ok=False))
+
+
+# refute's last raise, for a divergent pair whose two colors equal the
+# probe's: the difference assertion before it fires first, so the raise
+# is reached only under python -O, which strips asserts
+_THREE_EQUAL = """
+from polygrid import ph
+from polygrid.antiramsey import Arena, TupleColor
+ph.c_full = lambda arena, xs: TupleColor(0, 0)
+ph.refute(ph.make_cofinal(16, 2, 0).fn, Arena(16, 1))
+"""
+
+
+def test_refute_raises_on_three_equal_colors(monkeypatch):
+    monkeypatch.setattr(ph, "c_full", lambda arena, xs: TupleColor(0, 0))
+    with pytest.raises(AssertionError,
+                       match="^difference property violated by the arena$"):
+        refute(make_cofinal(16, 2, 0).fn, Arena(16, 1))
+    src = Path(ph.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _THREE_EQUAL],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.endswith(
+        "AssertionError: divergent pair produced three equal colors\n")
 
 
 @settings(max_examples=40, deadline=None)

@@ -13,7 +13,6 @@ from polygrid import ParameterError
 from polygrid.ordset import OrdSet
 from polygrid.trees import (
     GridWitness,
-    StrongSubtreeWitness,
     TreeShape,
     all_nodes,
     branches,
@@ -58,46 +57,42 @@ def test_is_level_tuple():
 
 
 def test_strong_subtree_root_singleton():
-    w = StrongSubtreeWitness(OrdSet.of([0]), (frozenset({()}),))
-    assert is_strong_subtree(w, T2)
+    assert is_strong_subtree(OrdSet.of([0]), (frozenset({()}),), T2)
 
 
 def test_strong_subtree_two_levels():
     deep = TreeShape(k=2, depth=4)
-    w = StrongSubtreeWitness(
-        OrdSet.of([1, 3]),
-        (
-            frozenset({(0,)}),
-            frozenset({(0, 0, 0), (0, 1, 0)}),
-        ),
-    )
-    assert is_strong_subtree(w, deep)
+    sets = (frozenset({(0,)}), frozenset({(0, 0, 0), (0, 1, 0)}))
+    assert is_strong_subtree(OrdSet.of([1, 3]), sets, deep)
 
 
 def test_strong_subtree_missing_successor():
     deep = TreeShape(k=2, depth=4)
     # two nodes above (0,0), none above (0,1)
-    w = StrongSubtreeWitness(
-        OrdSet.of([1, 3]),
-        (
-            frozenset({(0,)}),
-            frozenset({(0, 0, 0), (0, 0, 1)}),
-        ),
-    )
-    assert not is_strong_subtree(w, deep)
+    sets = (frozenset({(0,)}), frozenset({(0, 0, 0), (0, 0, 1)}))
+    assert not is_strong_subtree(OrdSet.of([1, 3]), sets, deep)
 
 
 def test_strong_subtree_wrong_height():
-    w = StrongSubtreeWitness(OrdSet.of([1]), (frozenset({()}),))
-    assert not is_strong_subtree(w, T2)
+    assert not is_strong_subtree(OrdSet.of([1]), (frozenset({()}),), T2)
     # a level past the tree depth
-    w = StrongSubtreeWitness(OrdSet.of([3]), (frozenset({(0, 0, 0)}),))
-    assert not is_strong_subtree(w, TreeShape(2, 2))
+    assert not is_strong_subtree(OrdSet.of([3]), (frozenset({(0, 0, 0)}),),
+                                 TreeShape(2, 2))
 
 
 def test_strong_subtree_letter_out_of_range():
-    w = StrongSubtreeWitness(OrdSet.of([1]), (frozenset({(2,)}),))
-    assert not is_strong_subtree(w, T2)
+    assert not is_strong_subtree(OrdSet.of([1]), (frozenset({(2,)}),), T2)
+
+
+def test_strong_subtree_needs_one_node_set_per_level():
+    # the two-level strong subtree above, with a node set or a level too
+    # few, or a node set too many, is none, and neither is no level at all
+    deep = TreeShape(k=2, depth=4)
+    sets = (frozenset({(0,)}), frozenset({(0, 0, 0), (0, 1, 0)}))
+    assert not is_strong_subtree(OrdSet.of([1, 3]), sets[:1], deep)
+    assert not is_strong_subtree(OrdSet.of([1]), sets, deep)
+    assert not is_strong_subtree(OrdSet.of([1, 3]), sets + sets[1:], deep)
+    assert not is_strong_subtree(OrdSet.of([]), (), deep)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +303,7 @@ def test_fpg_witness_sets_inside_z():
     shapes = [TreeShape(2, 2), TreeShape(2, 2)]
     Z = set(itertools.product(branches(shapes[0]), branches(shapes[1])))
     cones = [[(0,), (1,)], [(1,)]]
-    got = fpg_witness_sets(shapes, Z, cones, 2)
+    got = fpg_witness_sets(shapes, Z, cones)
     assert got is not None
     for i, Y in enumerate(got):
         assert is_u_set(Y, cones[i], 2)
@@ -339,7 +334,7 @@ def test_fpg_witness_sets_none_iff_no_set_meets_the_cones():
     for mask in range(1 << len(ys)):
         Z = {(y,) for i, y in enumerate(ys) if mask >> i & 1}
         for fam in families:
-            got = fpg_witness_sets([shape], Z, [fam], 2)
+            got = fpg_witness_sets([shape], Z, [fam])
             assert (got is None) == (not _meets_inside([shape], Z, [fam], 2))
             nones += got is None
     assert nones
@@ -363,7 +358,7 @@ def test_fpg_witness_sets_none_through_the_projection(Z, fam0, fam1):
     # An empty family is met by the empty set, whose empty product lies
     # inside any Z, so then a witness always exists
     shapes, families = [_T22, _T22], [fam0, fam1]
-    got = fpg_witness_sets(shapes, Z, families, 2)
+    got = fpg_witness_sets(shapes, Z, families)
     if not (fam0 and fam1):
         assert got is not None
         assert all(is_u_set(Y, fam, 2) for Y, fam in zip(got, families))
