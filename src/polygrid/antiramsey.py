@@ -324,20 +324,32 @@ def verify_product_bound(arena: Arena, sets: Sequence[OrdSet],
     for a in sets:
         if a.otp != need:
             raise ValueError(f"side sets must have size {need}, got {a.otp}")
-    *heads, last = [a.elems for a in sets]
+    census = product_census(arena, [a.elems for a in sets])
+    return len(census) > k, census
+
+
+def product_census(arena: Arena,
+                   sides: Sequence[tuple[int, ...]]) -> set[TupleColor]:
+    """The c_full colors on the product of sides, sorted element tuples.
+
+    No check of its own: a tuple the rows lack goes through c_full, which
+    checks it before storing it, so a product that reaches outside the
+    arena or has the wrong arity raises ValueError as c_full does."""
+    *heads, last = sides
+    if not last:
+        return set()
     rows = arena._rows  # read inline
     # one color, not a tuple of them, from a last side of one element
     pick = itemgetter(*last)
     try:
-        census = _census(rows, heads, pick, len(last))
+        return _census(rows, heads, pick, len(last))
     except KeyError:  # fill the misses through c_full: it counts, checks, stores
         for head in itertools.product(*heads):
             row = rows.get(head, ())
             for x in last:
                 if x not in row:
                     c_full(arena, head + (x,))
-        census = _census(rows, heads, pick, len(last))
-    return len(census) > k, census
+        return _census(rows, heads, pick, len(last))
 
 
 def _census(rows: dict, heads: list[tuple[int, ...]], pick: itemgetter,

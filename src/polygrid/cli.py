@@ -26,7 +26,7 @@ from random import Random
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import antiramsey, deltasys, forcing, hl, ph, trees
-from .ordset import CAP, OrdSet, ParameterError, capped
+from .ordset import CAP, ParameterError, capped
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -349,38 +349,47 @@ def _run_difference(cfg: RunConfig) -> int:
     return EXIT_OK if rep.ok else EXIT_FAIL
 
 
-def _sorted_sample(rng: Random, n: int, k: int) -> tuple[int, ...]:
-    """tuple(sorted(rng.sample(range(n), k))), read from the same stream.
+def _sampler(rng: Random, n: int, k: int) -> Callable[[], tuple[int, ...]]:
+    """A draw function: each call returns tuple(sorted(rng.sample(range(n),
+    k))), read from the same stream, and leaves rng as that sample would.
 
     Random.sample inlined for a range population, with its _randbelow as
-    getrandbits rejection (as ph._SeededRows._draw inlines randint).  A
-    population no larger than the set of k picks would be is drawn from
-    a pool, swapping each pick out; a larger one by rejecting repeats,
-    and then the picks are just the set sorted."""
+    getrandbits rejection (as ph._SeededRows._draw inlines randint), and
+    its pool-or-set switch and each step's bit length worked out once.  A
+    population no larger than the set of k picks would be is drawn from a
+    fresh pool, each pick swapped to the end of the items not yet picked;
+    a larger one by rejecting repeats, and then the picks are just the set
+    sorted."""
     if not 0 <= k <= n:
         raise ValueError("Sample larger than population or is negative")
     getrandbits = rng.getrandbits
     setsize = 21  # Random.sample's own switch
     if k > 5:
         setsize += 4 ** math.ceil(math.log(k * 3, 4))
-    if n <= setsize:
-        pool = list(range(n))
-        picks = []
-        for left in range(n, n - k, -1):
-            bits = left.bit_length()
-            j = getrandbits(bits)
-            while j >= left:
+    if n > setsize:
+        bits = n.bit_length()
+
+        def draw_set() -> tuple[int, ...]:
+            selected: set[int] = set()
+            add = selected.add
+            while len(selected) < k:
                 j = getrandbits(bits)
-            picks.append(pool[j])
-            pool[j] = pool[left - 1]
-        return tuple(sorted(picks))
-    selected: set[int] = set()
-    add, bits = selected.add, n.bit_length()
-    while len(selected) < k:
-        j = getrandbits(bits)
-        if j < n:
-            add(j)
-    return tuple(sorted(selected))
+                if j < n:
+                    add(j)
+            return tuple(sorted(selected))
+        return draw_set
+    steps = [(left - 1, left.bit_length()) for left in range(n, n - k, -1)]
+    everyone = list(range(n))
+
+    def draw_pool() -> tuple[int, ...]:
+        pool = everyone[:]
+        for end, bits in steps:
+            j = getrandbits(bits)
+            while j > end:
+                j = getrandbits(bits)
+            pool[j], pool[end] = pool[end], pool[j]
+        return tuple(sorted(pool[n - k:]))
+    return draw_pool
 
 
 @_command("product-bound", {
@@ -405,23 +414,20 @@ def _run_product_bound(cfg: RunConfig) -> int:
         raise ParameterError(
             f"the census would exceed the cap of {CAP} products")
     arena = antiramsey.Arena(size=size, dim=n, mode="identity")
-    products: Iterable[Sequence[OrdSet]]
+    # the parameters are checked above, so each product goes to the census
+    # as plain sorted tuples
+    products: Iterable[Sequence[tuple[int, ...]]]
     if samples == 0:
-        subsets = [OrdSet(c) for c in
-                   itertools.combinations(range(size), m)]
-        products = itertools.product(subsets, repeat=n + 1)
+        products = itertools.product(itertools.combinations(range(size), m),
+                                     repeat=n + 1)
     else:  # one stream, each product drawn when the census reaches it
-        rng = Random(f"product-bound:{cfg.seed}")
-        products = ([OrdSet.unchecked(_sorted_sample(rng, size, m))
-                     for _ in range(n + 1)] for _ in range(samples))
-    violations = 0
-    min_census = None
-    for sets in products:
-        ok, census = antiramsey.verify_product_bound(arena, sets, k)
-        if not ok:
-            violations += 1
-        if min_census is None or len(census) < min_census:
-            min_census = len(census)
+        draw = _sampler(Random(f"product-bound:{cfg.seed}"), size, m)
+        products = ([draw() for _ in range(n + 1)] for _ in range(samples))
+    census = functools.partial(antiramsey.product_census, arena)
+    # census size -> how many products have it
+    sizes = Counter(map(len, map(census, products)))
+    violations = sum(times for colors, times in sizes.items() if colors <= k)
+    min_census = min(sizes)
     mode = "exhaustive" if samples == 0 else f"seeded:{samples}"
     _write_artifacts(cfg, {
         "n": n, "k": k, "size": size, "mode": mode, "seed": cfg.seed,

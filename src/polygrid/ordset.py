@@ -46,14 +46,6 @@ class OrdSet:
             raise ValueError(f"not strictly increasing: {self.elems}")
 
     @classmethod
-    def unchecked(cls, elems: tuple[int, ...]) -> "OrdSet":
-        """Unchecked constructor for a tuple of naturals that its caller
-        built strictly increasing (say, sorted distinct samples)."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "elems", elems)
-        return s
-
-    @classmethod
     def of(cls, xs: Iterable[int]) -> "OrdSet":
         """Build from any iterable of distinct naturals, sorting first."""
         t = tuple(sorted(xs))

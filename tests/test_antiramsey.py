@@ -22,6 +22,7 @@ from polygrid.antiramsey import (
     cn,
     find_bad_coloring,
     m_seq,
+    product_census,
     ramsey_m_star,
     star,
     verify_product_bound,
@@ -540,25 +541,59 @@ def test_row_census_matches_per_tuple_colors(nk, seeded, data):
         ok, census = verify_product_bound(arena, sides, k)
         assert census == census_per_tuple(sides)
         assert ok == (len(census) > k)
-    # one entry of one side moved outside the arena: the census raises
-    # ValueError, as c_full does, and the rows keep no tuple that
-    # reaches outside
-    sides = [OrdSet.of(data.draw(side)) for _ in range(n + 1)]
-    bad = data.draw(st.integers(0, n))
-    out = data.draw(st.sampled_from([-1, size, size + 5]))
-    elems = sorted(sides[bad].elems[1:] + (out,))
-    sides[bad] = OrdSet.unchecked(tuple(elems))
-    with pytest.raises(ValueError, match="outside arena"):
-        verify_product_bound(arena, sides, k)
-    _assert_rows_are_c_full(arena)
-    # and the rows still serve a census inside the arena
-    sides = [OrdSet.of(data.draw(side)) for _ in range(n + 1)]
-    assert verify_product_bound(arena, sides, k)[1] == census_per_tuple(sides)
 
 
 def test_product_bound_size_guard():
     with pytest.raises(ValueError):
         verify_product_bound(ID1, [OrdSet.of([1]), OrdSet.of([2])], 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2), st.booleans(), st.data())
+def test_product_census_matches_per_tuple_colors(n, seeded, data):
+    # the kernel takes sides of any length and checks nothing itself: over
+    # rows that tuples colored before it filled in part, it must give the
+    # colors _c_full gives each tuple of the product
+    size = data.draw(st.integers(2, 12))
+    arena = (Arena(size=size, dim=n, mode="seeded",
+                   seed=data.draw(st.integers(0, 99)))
+             if seeded else Arena(size=size, dim=n, mode="identity"))
+    entry = st.integers(0, size - 1)
+    side = st.lists(entry, min_size=1, max_size=size, unique=True).map(
+        lambda xs: tuple(sorted(xs)))
+
+    def census_per_tuple(sides):
+        return {_c_full(arena, vec) for vec in itertools.product(*sides)}
+
+    for vec in data.draw(st.lists(st.tuples(*[entry] * (n + 1)),
+                                  max_size=20)):
+        c_full(arena, vec)
+    for _ in range(data.draw(st.integers(1, 3))):
+        sides = [data.draw(side) for _ in range(n + 1)]
+        assert product_census(arena, sides) == census_per_tuple(sides)
+        _assert_rows_are_c_full(arena)
+    # one entry of one side moved outside the arena: the census raises
+    # ValueError, as c_full does, and the rows keep no tuple that
+    # reaches outside
+    bad = data.draw(st.integers(0, n))
+    out = data.draw(st.sampled_from([-1, size, size + 5]))
+    sides[bad] = tuple(sorted(sides[bad][1:] + (out,)))
+    with pytest.raises(ValueError, match="outside arena"):
+        product_census(arena, sides)
+    _assert_rows_are_c_full(arena)
+    # and the rows still serve a census inside the arena
+    sides = [data.draw(side) for _ in range(n + 1)]
+    assert product_census(arena, sides) == census_per_tuple(sides)
+
+
+def test_product_census_edges():
+    # an empty side makes an empty product; a wrong arity raises as c_full
+    assert product_census(ID1, [(), (1, 2)]) == set()
+    assert product_census(ID1, [(1, 2), ()]) == set()
+    with pytest.raises(ValueError, match="need a tuple of length 2"):
+        product_census(ID1, [(1,), (2,), (3,)])
+    with pytest.raises(ValueError, match="need a tuple of length 2"):
+        product_census(ID1, [(1, 2)])
 
 
 # ---------------------------------------------------------------------------

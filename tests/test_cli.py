@@ -532,21 +532,20 @@ def test_product_bound_sampled_stream(tmp_path, monkeypatch, n, k, size,
     # next n + 1 sides of one Random per run, and every tuple is colored
     # on its own by _c_full, never through the arena's rows
     drawn = []
-    census = antiramsey.verify_product_bound
+    census = antiramsey.product_census
 
-    def recorded(arena, sets, k):
-        drawn.append(tuple(a.elems for a in sets))
-        return census(arena, sets, k)
+    def recorded(arena, sides):
+        drawn.append(tuple(sides))
+        return census(arena, sides)
 
-    monkeypatch.setattr(antiramsey, "verify_product_bound", recorded)
+    monkeypatch.setattr(antiramsey, "product_census", recorded)
     assert run(tmp_path, "product-bound", "--n", str(n), "--k", str(k),
                "--size", str(size), "--samples", str(samples),
                "--seed", str(seed)) == 0
     blob = json.loads((tmp_path / "product-bound.json").read_text())
     m = antiramsey.m_seq(n, k)
-    rng = Random(f"product-bound:{seed}")
-    stream = [tuple(cli._sorted_sample(rng, size, m) for _ in range(n + 1))
-              for _ in range(samples)]
+    draw = cli._sampler(Random(f"product-bound:{seed}"), size, m)
+    stream = [tuple(draw() for _ in range(n + 1)) for _ in range(samples)]
     assert drawn == stream
     arena = antiramsey.Arena(size=size, dim=n, mode="identity")
     censuses = [len({antiramsey._c_full(arena, vec)
@@ -559,13 +558,13 @@ def test_product_bound_sampled_stream(tmp_path, monkeypatch, n, k, size,
 def test_product_bound_exhaustive_n2(tmp_path, monkeypatch):
     # every product of three 12-subsets of 13, in product order
     drawn = []
-    census = antiramsey.verify_product_bound
+    census = antiramsey.product_census
 
-    def recorded(arena, sets, k):
-        drawn.append(tuple(a.elems for a in sets))
-        return census(arena, sets, k)
+    def recorded(arena, sides):
+        drawn.append(tuple(sides))
+        return census(arena, sides)
 
-    monkeypatch.setattr(antiramsey, "verify_product_bound", recorded)
+    monkeypatch.setattr(antiramsey, "product_census", recorded)
     assert run(tmp_path, "product-bound", "--n", "2", "--k", "1",
                "--size", "13", "--samples", "0") == 0
     sides = list(itertools.combinations(range(13), 12))
@@ -623,11 +622,14 @@ def _sample_args(draw):
 @example((4, 277, 22))
 @example((4, 278, 22))
 def test_sorted_sample_is_random_sample(args):
+    # three draws from one sampler: each equals the sorted sample of a
+    # twin Random and leaves the same state
     seed, n, k = args
-    want, got = Random(seed), Random(seed)
-    assert cli._sorted_sample(got, n, k) == tuple(
-        sorted(want.sample(range(n), k)))
-    assert got.getstate() == want.getstate()
+    twin, rng = Random(seed), Random(seed)
+    draw = cli._sampler(rng, n, k)
+    for _ in range(3):
+        assert draw() == tuple(sorted(twin.sample(range(n), k)))
+        assert rng.getstate() == twin.getstate()
 
 
 def test_ph_refute(tmp_path):
