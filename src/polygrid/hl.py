@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from random import Random
@@ -36,11 +37,6 @@ from .trees import (
 
 NAMED_KINDS = ("constant", "level-parity", "seeded", "planted-grid", "adversarial")
 TOP_KINDS = ("first-letter", "oracle-seeded")
-
-
-def _comparable(a: Word, b: Word) -> bool:
-    n = min(len(a), len(b))
-    return a[:n] == b[:n]
 
 
 @dataclass
@@ -149,32 +145,44 @@ class LevelColoring:
             raise ValueError(f"height {m} exceeds depth {self.depth}")
         if not set().union(*words).issubset(range(self.k)):
             raise ValueError("letters out of range")
-        if self.kind == "constant":
-            return self.value
-        if self.kind == "level-parity":
-            return (m + self.value) % self.r
-        if self.kind == "seeded":
-            return Random(f"levelcoloring:{self.seed}:{words}").randrange(self.r)
-        if self.kind == "planted-grid":
-            if all(_comparable(r, w) for r, w in zip(self.roots, words)):
-                return self.value
-            others = [c for c in range(self.r) if c != self.value]
-            return Random(f"levelcoloring:{self.seed}:{words}").choice(others)
-        if self.kind == "adversarial":
-            w = words[0]
-            if all(c == 0 for c in w) and m % 2 == 0:
-                return 0
-            if w and w[0] == 1 and m % 2 == 1:
-                return 0
-            return 1
-        if m < self.depth and self.kind in TOP_KINDS:
+        return self._level_colors(m, [words])[0]
+
+    def _level_colors(self, m: int, keys: list[tuple[Word, ...]]) -> list[int]:
+        """The colors of height-m tuples that color's checks would pass,
+        computed without them and stored nowhere; the kind is read once,
+        and constant and level-parity colors once per call."""
+        kind, r, value = self.kind, self.r, self.value
+        if kind == "constant":
+            return [value] * len(keys)
+        if kind == "level-parity":
+            return [(m + value) % r] * len(keys)
+        if kind == "seeded":
+            return [Random(f"levelcoloring:{self.seed}:{words}").randrange(r)
+                    for words in keys]
+        if kind == "planted-grid":
+            # value where every word is comparable with its root
+            others = [c for c in range(r) if c != value]
+            return [value if all(w[:len(t)] == t[:len(w)]
+                                 for t, w in zip(self.roots, words)) else
+                    Random(f"levelcoloring:{self.seed}:{words}").choice(others)
+                    for words in keys]
+        if kind == "adversarial":
+            # color 0: the leftmost branch at even heights, first letter 1
+            # at odd ones
+            zero = (0,) * m if m % 2 == 0 else None
+            return [0 if w == zero or m % 2 and w[0] == 1 else 1
+                    for (w,) in keys]
+        if m < self.depth and kind in TOP_KINDS:
             raise ValueError(f"words must reach depth {self.depth}")
-        if self.kind == "first-letter":
-            return words[0][0] % self.r
-        got = self.table.get(words)
-        if got is None:
+        if kind == "first-letter":
+            return [words[0][0] % r for words in keys]
+        # an oracle-seeded table is drawn into the memo at construction
+        table = self._colors if kind == "oracle-seeded" else self.table
+        colors = list(map(table.get, keys))
+        if None in colors:
+            words = keys[colors.index(None)]
             raise ValueError(f"coloring table has no entry for {words}")
-        return got
+        return colors
 
     def to_json(self) -> dict:
         data = {
@@ -215,28 +223,35 @@ class LevelColoring:
         )
 
 
-def surrogate_color(gamma: LevelColoring, xs: Sequence[Word], L: int) -> int:
+def surrogate_color(gamma: LevelColoring, xs: Sequence[Word], L: int,
+                    cuts: Optional[dict[Word, list[Word]]] = None) -> int:
     """Most frequent color among the level-m truncations, m < L.
 
     Ties break to the least color index.  This stands in for membership
     of the level set in an ultrafilter; it keeps none of the filter
     properties, which is why the derivation downstream may go partial.
+    cuts, if given, maps branches to their first L truncations and gains
+    the branches of xs it lacks; it must be used with one L only.
     """
     if not 1 <= L <= gamma.depth:
         raise ValueError(f"need 1 <= L <= {gamma.depth}, got {L}")
     if any(len(x) < L - 1 for x in xs):
         raise ValueError("branches too short for the requested truncations")
+    cuts = {} if cuts is None else cuts
+    rows = [cuts.get(x) or cuts.setdefault(x, [x[:m] for m in range(L)])
+            for x in xs]
     # with no words, every level's truncation is the empty tuple
-    keys = (list(zip(*[[x[:m] for m in range(L)] for x in xs])) if xs
-            else [()] * L)
+    keys = list(zip(*rows)) if xs else [()] * L
     colors = list(map(gamma.color, keys))
     counts = list(map(colors.count, range(gamma.r)))
     return counts.index(max(counts))
 
 
 def surrogate_fn(gamma: LevelColoring) -> Callable[[tuple[Word, ...]], int]:
-    """The branch coloring induced by majority to the full depth."""
-    return lambda xs: surrogate_color(gamma, xs, gamma.depth)
+    """The branch coloring induced by majority to the full depth; each
+    branch it meets is cut into its truncations once per function."""
+    cuts: dict[Word, list[Word]] = {}
+    return lambda xs: surrogate_color(gamma, xs, gamma.depth, cuts)
 
 
 def _positions(indices: Sequence[Sequence[int]], sizes: Sequence[int]):
@@ -261,9 +276,10 @@ def surrogate_product(
     length of at least L - 1 for L = gamma.depth, and the letters the
     truncations read.  Tuples that share a prefix share every truncation
     color up to it, so at level m each distinct tuple of m-prefixes is
-    colored once, memo misses through gamma.color, and its color is added
-    to its parent's vote counts, packed one bit field per color into an
-    int.  A branch tuple takes the vote at its tuple of (L-1)-prefixes.
+    colored once, the memo's misses in one unchecked kernel call, and its
+    color is added to its parent's vote counts, packed one bit field per
+    color into an int.  A branch tuple takes the vote at its tuple of
+    (L-1)-prefixes.
     """
     if not all(sets):
         return []
@@ -298,9 +314,9 @@ def surrogate_product(
         keys = list(itertools.product(*(p[m] for p in prefixes)))
         colors = list(map(memo.get, keys))
         if None in colors:
-            for n, c in enumerate(colors):
-                if c is None:
-                    colors[n] = gamma.color(keys[n])
+            misses = [key for key, c in zip(keys, colors) if c is None]
+            memo.update(zip(misses, gamma._level_colors(m, misses)))
+            colors = list(map(memo.__getitem__, keys))
         up = (_positions([u[m - 1] for u in parents],
                          [len(p[m - 1]) for p in prefixes])
               if m else [0])
@@ -319,22 +335,23 @@ def surrogate_product(
 def check_surrogate_size(gamma: LevelColoring, spreads: Sequence[int]) -> None:
     """Refuse, before any coloring, a surrogate run over the product of
     branch sets whose i-th set differs only in the first spreads[i]
-    letters: more than CAP branch tuples, or more than CAP prefix
-    entries, counted as (depth+1)(depth+2)/2 per branch.  No store holds
-    such prefixes, so the second limit over-counts what the vote builds:
-    the per-tuple vote slices depth truncations per call, and
-    surrogate_product keys each distinct tuple of prefixes once.  The
-    vote reads every height, so the TOP_KINDS are refused too."""
+    letters, if it would build more than CAP entries: branch tuples, or
+    what surrogate_product builds, the level keys it colors plus the
+    letters of the distinct prefixes it slices, counting k^min(m, s) of
+    each coordinate's m-prefixes at each level m < depth.  The vote
+    reads every height, so the TOP_KINDS are refused too."""
     if gamma.kind in TOP_KINDS:
         raise ParameterError(f"no surrogate for top-height kind {gamma.kind!r}")
     k, depth = gamma.k, gamma.depth
-    branches = sum(capped(k ** j for j in range(s + 1)) for s in spreads)
-    entries = branches * (depth + 1) * (depth + 2) // 2
-    if capped(k ** j for j in range(sum(spreads) + 1)) > CAP or entries > CAP:
+    built = itertools.accumulate(
+        k ** sum(min(m, s) for s in spreads)
+        + sum(m * k ** min(m, s) for s in spreads) for m in range(depth))
+    if (capped(k ** j for j in range(sum(spreads) + 1)) > CAP
+            or capped(built) > CAP):
         raise ParameterError(
             f"a surrogate coloring of depth-{depth} branches that differ in "
             f"their first {', '.join(map(str, spreads))} letters would "
-            f"exceed the cap of {CAP} tuples or prefix entries")
+            f"exceed the cap of {CAP} tuples or built entries")
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +381,26 @@ def _trim(bits: list[int], block: int, cap: int) -> list[int]:
     return kept[::-1]
 
 
+def _heads_from(lists: list[list[int]], start: tuple[int, ...]):
+    """The heads of product(*lists) from start on, in product order;
+    start itself need not be a head."""
+    if not lists:
+        return [()]
+    parts = []
+    for j, row in enumerate(lists):
+        at = bisect_left(row, start[j])
+        # agree with start before j and pass it at j; at the last
+        # coordinate, meet it too
+        hit = at < len(row) and row[at] == start[j]
+        last = j == len(lists) - 1
+        parts.append(itertools.product(*[(x,) for x in start[:j]],
+                                       row[at + (hit and not last):],
+                                       *lists[j + 1:]))
+        if not hit:
+            break
+    return itertools.chain.from_iterable(reversed(parts))
+
+
 def _mono_family(
     rows: dict[tuple[int, ...], list], j: int, state: tuple[int, ...],
     block: int,
@@ -373,23 +410,27 @@ def _mono_family(
     A state holds one mask per cone.  The first bad tuple in product
     order comes from the first head whose last-cone mask meets the mask
     of its row's colors other than j; dropping one of its entries keeps
-    a state dense iff that entry's prefix class keeps a branch.  The
-    depth-first walk keeps its own stack, as a search may drop thousands
-    of branches in a row.  Any monochromatic family is contained in some
-    leaf of the walk (a bad tuple forces one of its entries out), so
-    failure here is a proof of absence, not a search artifact.
+    a state dense iff that entry's prefix class keeps a branch.  A drop
+    only shrinks masks, so the heads before the offending one stay clean
+    and a child resumes its scan there, with its front masks' bit lists
+    carried along.  The depth-first walk keeps its own stack, as a
+    search may drop thousands of branches in a row.  Any monochromatic
+    family is contained in some leaf of the walk (a bad tuple forces one
+    of its entries out), so failure here is a proof of absence, not a
+    search artifact.
     """
     seen: set[tuple[int, ...]] = set()
     not_j: dict[tuple[int, ...], int] = {}  # filled as the walk reaches heads
     run = (1 << block) - 1  # one prefix class, at index 0
-    stack = [state]
+    n = len(state) - 1  # the front coordinates, which make up a head
+    stack = [(state, [_bits(m) for m in state[:n]], (0,) * n)]
     while stack:
-        state = stack.pop()
+        state, lists, start = stack.pop()
         if state in seen:
             continue
         seen.add(state)
-        *front, last = state
-        for head in itertools.product(*map(_bits, front)):
+        last = state[n]
+        for head in _heads_from(lists, start):
             if head not in not_j:
                 not_j[head] = int("".join(["0" if c == j else "1"
                                            for c in reversed(rows[head])]), 2)
@@ -400,11 +441,17 @@ def _mono_family(
             return state
         offender = head + ((bad & -bad).bit_length() - 1,)
         # pushed last-first, so the first coordinate's drop is tried first
-        for i in reversed(range(len(state))):
+        for i in reversed(range(n + 1)):
             p = offender[i]
             shrunk = state[i] & ~(1 << p)
-            if shrunk >> (p - p % block) & run:
-                stack.append(state[:i] + (shrunk,) + state[i + 1:])
+            child = state[:i] + (shrunk,) + state[i + 1:]
+            if shrunk >> (p - p % block) & run and child not in seen:
+                kept = lists
+                if i < n:
+                    at = bisect_left(lists[i], p)
+                    kept = lists[:i] + [lists[i][:at] + lists[i][at + 1:]]
+                    kept += lists[i + 1:]
+                stack.append((child, kept, head))
     return None
 
 

@@ -193,13 +193,13 @@ def test_usage_exit_code():
     ["difference-check", "--n", "3", "--size", "200"],  # C(200, 4) sets
     ["difference-check", "--size", "1449"],  # C(1449, 2) = 1,049,076 sets
     ["difference-check", "--size", "2000"],  # C(2000, 2) = 1,999,000 sets
-    # surrogate prefix memos over 2^20 entries: 2^16 branches with 153
-    # prefix entries each, 8 cone branches with 200,030,001 each
-    ["grid-search", "--depth", "16"],
+    # surrogate kernels that would build over 2^20 level keys and prefix
+    # letters: 2^20 branches of depth 20, 8 cone branches of depth 20000
+    ["grid-search", "--depth", "20"],
     ["hl-derive", "--depth", "20000"],
-    # just over: 2^14 * 120 and 8 * 131,328 entries
-    ["grid-search", "--depth", "14"],
-    ["hl-derive", "--depth", "511"],
+    # just over: 2,097,153 and 1,050,593 entries
+    ["grid-search", "--depth", "17"],
+    ["hl-derive", "--depth", "512"],
     ["grid-search", "--d", "3", "--depth", "7"],  # 2^21 branch tuples
     # no root fits a cap below one; that is not a "no grid" verdict
     ["grid-search", "--cap", "0"],
@@ -258,12 +258,13 @@ def test_table_file_of_a_top_height_kind_is_usage_error(tmp_path, command,
 
 
 @pytest.mark.parametrize("args, code", [
-    (["grid-search", "--depth", "13"], 0),  # 2^13 * 105 = 860,160 entries
-    (["hl-derive", "--depth", "510"], 0),  # 8 * 130,816 = 1,046,528 entries
+    (["grid-search", "--depth", "16"], 0),  # 983,041 built entries
+    (["hl-derive", "--depth", "511"], 0),  # 1,046,497 built entries
     # roots at the density depth: one cone tuple, not 2^21; the stems
     # grown past it have no branch in the grid, so the derivation is partial
     (["hl-derive", "--d", "3", "--depth", "8", "--density", "7",
       "--roots", "0000000,0000000,0000000"], 1),
+    (["grid-search", "--depth", "14"], 0),  # 212,993 built entries
 ])
 def test_surrogate_just_under_the_cap_runs(tmp_path, args, code):
     assert run(tmp_path, *args) == code

@@ -19,6 +19,7 @@ from polygrid.hl import (
     TOP_KINDS,
     HLWitness,
     LevelColoring,
+    _heads_from,
     _trim,
     check_surrogate_size,
     cone_grid,
@@ -259,16 +260,20 @@ def test_surrogate_product_is_the_per_tuple_vote(gamma, prefill, data):
     missing = truncations - gamma._colors.keys()
     calls = []
 
-    def recording(words):
-        calls.append(words)
-        return LevelColoring.color(gamma, words)
+    def recording(m, keys):
+        calls.append((m, list(keys)))
+        return LevelColoring._level_colors(gamma, m, keys)
 
-    gamma.color = recording  # shadows the method on this instance only
+    gamma._level_colors = recording  # shadows the method on this instance
     got = surrogate_product(gamma, sets)
-    del gamma.color
-    # one call per truncation the memo lacked, level by level
-    assert sorted(calls) == sorted(missing)
-    assert [len(w[0]) for w in calls] == sorted(len(w[0]) for w in calls)
+    del gamma._level_colors
+    # the truncations the memo lacked, each colored once, in one kernel
+    # call per level, levels ascending
+    colored = [key for _, keys in calls for key in keys]
+    assert sorted(colored) == sorted(missing)
+    assert all(len(w[0]) == m for m, keys in calls for w in keys)
+    heights = [m for m, _ in calls]
+    assert heights == sorted(set(heights))
     fresh = LevelColoring.from_json(gamma.to_json())
     assert got == [surrogate_color(fresh, xs, L) for xs in product]
     # a short branch, a letter out of range where a truncation reads it,
@@ -293,6 +298,85 @@ def test_surrogate_product_is_the_per_tuple_vote(gamma, prefill, data):
         assert surrogate_product(gamma, long) == [
             surrogate_color(gamma, long[0], L)]
     assert surrogate_product(gamma, [[]] * d) == []
+
+
+@st.composite
+def every_kind(draw):
+    """A coloring of any kind, TOP_KINDS included, and a table key that
+    each fresh instance loses after construction (None if it loses none)."""
+    kind = draw(st.sampled_from(TOP_KINDS + ("other",)))
+    if kind == "other":
+        gamma = draw(level_colorings())
+    else:
+        gamma = LevelColoring(k=draw(st.integers(2, 3)),
+                              d=draw(st.integers(1, 2)),
+                              depth=draw(st.integers(1, 3)),
+                              r=draw(st.integers(1, 3)), kind=kind,
+                              seed=draw(st.integers(0, 2 ** 16)))
+    missing = None
+    if gamma.kind == "table" and draw(st.booleans()):
+        missing = draw(st.sampled_from(sorted(gamma.table)))
+    return gamma, missing
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(every_kind(), st.data())
+def test_level_kernel_matches_color(case, data):
+    gamma, missing = case
+
+    def fresh():
+        out = LevelColoring.from_json(gamma.to_json())
+        if missing is not None:
+            del out.table[missing]
+        return out
+
+    # one level's tuples, through color and through the kernel; the
+    # kernel raises what color raises first and stores nothing
+    m = (len(missing[0]) if missing is not None
+         else data.draw(st.integers(0, gamma.depth)))
+    keys = data.draw(st.lists(level_words(gamma, m), min_size=1, max_size=6))
+    if missing is not None:
+        keys.insert(data.draw(st.integers(0, len(keys))), missing)
+    ref = fresh()
+    want = _outcome(lambda: [ref.color(w) for w in keys])
+    kernel = fresh()
+    before = dict(kernel._colors)
+    assert _outcome(kernel._level_colors, m, keys) == want
+    assert kernel._colors == before
+    # the kernel behind surrogate_product: the per-tuple vote or its
+    # error, and nothing stored from the level that raised or above it
+    L = gamma.depth
+    sets = data.draw(_branch_sets(gamma))
+    if missing is not None and len(missing[0]) < L:
+        sets = [s + [w + (0,) * (L - 1 - len(w))]
+                for s, w in zip(sets, missing)]
+    product = list(itertools.product(*sets))
+    ref = fresh()
+    want = _outcome(lambda: [surrogate_color(ref, xs, L) for xs in product])
+    g = fresh()
+    before = dict(g._colors)
+    assert _outcome(surrogate_product, g, sets) == want
+    if isinstance(want, str):
+        raising = min(h for h in range(L) for xs in product
+                      if isinstance(_outcome(ref.color,
+                                             tuple(x[:h] for x in xs)), str))
+        added = g._colors.keys() - before.keys()
+        assert all(len(w[0]) < raising for w in added)
+    # surrogate_fn cuts each branch once; it must equal surrogate_color
+    # without a table, tuple by tuple, errors and short branches included
+    if L > 1:
+        product.append(((0,) * (L - 2),) + product[0][1:])
+    fn, ref = surrogate_fn(fresh()), fresh()
+    for xs in product + product:
+        assert _outcome(fn, xs) == _outcome(surrogate_color, ref, xs, L)
 
 
 # ---------------------------------------------------------------------------
@@ -645,17 +729,32 @@ def test_trim_to_cap_matches_the_quadratic_loop(case):
         [cone[p] for p in bits], D, cap)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 5), min_size=1, unique=True),
+                max_size=3), st.data())
+def test_heads_from_is_the_product_from_start(lists, data):
+    # the grid walk resumes a child's head scan at its parent's offending
+    # head, which the child's own bit lists may lack
+    lists = [sorted(row) for row in lists]
+    start = data.draw(st.tuples(*[st.integers(0, 6)] * len(lists)))
+    assert list(_heads_from(lists, start)) == [
+        h for h in itertools.product(*lists) if h >= start]
+
+
 @pytest.mark.parametrize("depth, spreads, ok", [
-    (13, [13], True),  # 2^13 branches * 105 = 860,160 prefix entries
-    (14, [14], False),  # 2^14 * 120 = 1,966,080
-    (16, [16], False),
-    (510, [3], True),  # 8 * 130,816 = 1,046,528
-    (511, [3], False),  # 8 * 131,328 = 1,050,624
-    (20000, [3], False),
-    (10, [10, 10], True),  # 2^20 branch tuples: at the cap
+    # level keys plus prefix letters: sum over m < depth of
+    # 2^(sum of min(m, s)) + sum of m * 2^min(m, s)
+    (13, [13], True),  # 98,305 built entries
+    (16, [16], True),  # 983,041
+    (17, [17], False),  # 2,097,153
+    (510, [3], True),  # 1,042,409
+    (512, [3], False),  # 1,050,593
+    (20000, [3], False),  # 1,600,079,969
+    (10, [10, 10], True),  # 2^20 branch tuples: at the cap; 365,913
     (7, [7, 7, 7], False),  # 2^21 branch tuples
-    (8, [0, 0, 0], True),  # roots at the density depth: one tuple
-    (12, [5, 5, 5], True),  # 2^15 tuples, 189 branches * 91 entries
+    (8, [0, 0, 0], True),  # roots at the density depth: one tuple; 92
+    (12, [5, 5, 5], True),  # 2^15 tuples; 239,727
+    (11, [10, 10], False),  # 2^20 tuples, 1,434,969 built entries
 ])
 def test_surrogate_size_guard(depth, spreads, ok):
     gamma = LevelColoring(k=2, d=len(spreads), depth=depth, r=2,
