@@ -414,10 +414,12 @@ def _mono_family(
     only shrinks masks, so the heads before the offending one stay clean
     and a child resumes its scan there, with its front masks' bit lists
     carried along.  The depth-first walk keeps its own stack, as a
-    search may drop thousands of branches in a row.  Any monochromatic
-    family is contained in some leaf of the walk (a bad tuple forces one
-    of its entries out), so failure here is a proof of absence, not a
-    search artifact.
+    search may drop thousands of branches in a row.  No state is on the
+    stack twice: a child is pushed only if unseen, and siblings drop bits
+    in different coordinates, so no later sibling is in a child's subtree.
+    Any monochromatic family is contained in some leaf of the walk (a bad
+    tuple forces one of its entries out), so failure here is a proof of
+    absence, not a search artifact.
     """
     seen: set[tuple[int, ...]] = set()
     not_j: dict[tuple[int, ...], int] = {}  # filled as the walk reaches heads
@@ -426,8 +428,6 @@ def _mono_family(
     stack = [(state, [_bits(m) for m in state[:n]], (0,) * n)]
     while stack:
         state, lists, start = stack.pop()
-        if state in seen:
-            continue
         seen.add(state)
         last = state[n]
         for head in _heads_from(lists, start):
@@ -692,7 +692,6 @@ def derive_strong_subtrees(
             chains[i] = grown
 
     witness = packaged()
-    # a raise, not an assert, so that the re-check also runs under -O
     if witness is None or not verify_hl_witness(gamma, witness):
         raise RuntimeError("the derived HL witness fails its re-check")
     return DeriveResult(True, witness, h)
@@ -733,8 +732,7 @@ def cone_grid(
         density_depth=density_depth,
         color=colors.pop(),
     )
-    # re-checked tuple by tuple, independently of the kernel; a raise,
-    # not an assert, so that the re-check also runs under -O
+    # re-checked tuple by tuple, independently of the kernel
     if not validate_grid_witness(w, surrogate_fn(gamma))[0]:
         raise RuntimeError("the cone grid fails its re-check")
     return w

@@ -331,30 +331,31 @@ def refute(F: CofinalFn, arena: Arena) -> Refutation:
     probe = _canonical_probe(n)
     pv = fstar(F, probe)
     v = c_full(arena, pv)
-    # the probe's values increase strictly, so the slot is the rank of the
-    # distinguished element, which is pulled back from below the maximum
-    assert v.slot < n, "distinguished element is the maximum"
-    s0, s1 = sigma_pair(F, v.slot)
+    i = v.slot
+    s0, s1 = sigma_pair(F, i)
     w0, w1 = fstar(F, s0), fstar(F, s1)
-    # structural assertions: the difference hypothesis holds by construction
-    assert all(w0[i] < w0[i + 1] for i in range(n)), "image not increasing"
-    assert all(w1[i] < w1[i + 1] for i in range(n)), "image not increasing"
-    assert all(w0[i] == w1[i] for i in range(n + 1) if i != v.slot)
-    assert w0[v.slot] < w1[v.slot]
-    v0 = c_full(arena, w0)
-    v1 = c_full(arena, w1)
-    if v0.slot == v.slot == v1.slot:
-        assert v0.value != v1.value, "difference property violated by the arena"
+    # each follows from the entry check and from how sigma_pair builds the pair
+    facts = {
+        "distinguished element is the maximum": i < n,
+        "image not increasing": all([*w] == sorted(set(w)) for w in (w0, w1)),
+        "images differ off the slot": w0[:i] + w0[i + 1:] == w1[:i] + w1[i + 1:],
+        "no jump at the slot": w0[i] < w1[i],
+    }
+    failed = [fact for fact, holds in facts.items() if not holds]
+    if failed:
+        raise AssertionError("divergent pair: " + "; ".join(failed))
+    v0, v1 = c_full(arena, w0), c_full(arena, w1)
+    # so the three colors are not all equal: v0 != v1 or v != v0
+    if v0.slot == i == v1.slot and v0.value == v1.value:
+        raise AssertionError("difference property violated by the arena")
     transcript = {
         "probe_values": list(pv),
         "pair_values": [list(w0), list(w1)],
-        "slot": v.slot,
+        "slot": i,
     }
     if v0 != v1:
         return Refutation(True, "constructed", s0, s1, v0, v1, probe, v, transcript)
-    if v != v0:
-        return Refutation(True, "constructed", probe, s0, v, v0, probe, v, transcript)
-    raise AssertionError("divergent pair produced three equal colors")
+    return Refutation(True, "constructed", probe, s0, v, v0, probe, v, transcript)
 
 
 def verify_refutation(F: CofinalFn, arena: Arena, r: Refutation) -> bool:

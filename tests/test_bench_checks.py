@@ -8,6 +8,9 @@ requires one corrupted field to fail: a census of only k colors, a
 reported difference violation, a Ramsey lower bound that reaches m*.
 For the grid searches it corrupts the grid witness that the check
 re-checks: one branch word changed so that density fails, or the color.
+The sideways table and the ph-refute artifact get one corruption of what
+their checks read: a flipped table entry, the second color set equal to
+the first, or a refutation marked unverified.
 The re-check's rebuild of a level coloring must also agree with the
 program's own colors.
 """
@@ -111,6 +114,39 @@ def test_grid_recheck_rejects_a_corrupted_witness(tmp_path, kind, key,
     artifact = tmp_path / f"{job.subcommand}.json"
     blob = json.loads(artifact.read_text())
     corrupt(blob, key)
+    artifact.write_text(json.dumps(blob))
+    with pytest.raises(checks.CheckFailed, match=what):
+        checks.check(job, rc, tmp_path)
+
+
+def _flip_an_entry(blob):
+    key = next(iter(blob["table"]))
+    blob["table"][key] = 1 - blob["table"][key]
+
+
+def _equal_colors(blob):
+    blob["color_b"] = blob["color_a"]
+
+
+def _unverified(blob):
+    blob["verified"] = False
+
+
+@pytest.mark.parametrize("job, corrupt, what", [
+    (lambda: _census_job("sideways-build"), _flip_an_entry, "colored"),
+    (lambda: _search_job("ph-refute/n1"), _equal_colors,
+     "the two colors agree"),
+    (lambda: _search_job("ph-refute/n1"), _unverified, "not verified"),
+], ids=["sideways-entry", "ph-refute-colors", "ph-refute-verified"])
+def test_recheck_rejects_a_corrupted_table_or_refutation(tmp_path, job,
+                                                         corrupt, what):
+    job = job()
+    rc = cli.main([*job.argv, "--out", str(tmp_path)])
+    assert rc == 0
+    checks.check(job, rc, tmp_path)
+    artifact = tmp_path / f"{job.subcommand}.json"
+    blob = json.loads(artifact.read_text())
+    corrupt(blob)
     artifact.write_text(json.dumps(blob))
     with pytest.raises(checks.CheckFailed, match=what):
         checks.check(job, rc, tmp_path)

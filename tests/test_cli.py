@@ -271,31 +271,19 @@ def test_surrogate_just_under_the_cap_runs(tmp_path, args, code):
     assert (tmp_path / f"{args[0]}.json").exists()
 
 
-# hl-derive under python -O with one witness re-check made to fail: the
-# re-check must still run and the job exit 70, writing nothing
-_FAILED_RECHECK = """
-import sys
-from polygrid import cli, hl
-if not sys.flags.optimize:
-    sys.exit(3)
-if sys.argv[1] == "grid":
-    hl.validate_grid_witness = lambda w, gamma: (False, {})
-else:
-    hl.verify_hl_witness = lambda gamma, w: False
-sys.exit(cli.main(["hl-derive", "--out", sys.argv[2]]))
-"""
-
-
 @pytest.mark.parametrize("check", ["grid", "hl"])
-def test_witness_rechecks_run_under_optimize(tmp_path, check):
+def test_witness_recheck_failure_exits_70(tmp_path, monkeypatch, capsys,
+                                          check):
+    # hl-derive with one witness re-check made to fail: the re-check is a
+    # raise, so the job exits 70 and writes nothing
+    if check == "grid":
+        monkeypatch.setattr(hl, "validate_grid_witness",
+                            lambda w, gamma: (False, {}))
+    else:
+        monkeypatch.setattr(hl, "verify_hl_witness", lambda gamma, w: False)
     out = tmp_path / "out"
-    src = Path(cli.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", _FAILED_RECHECK, check, str(out)],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 70, proc.stderr
-    assert "fails its re-check" in proc.stderr
+    assert run(out, "hl-derive") == 70
+    assert "fails its re-check" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -3,11 +3,7 @@
 import dataclasses
 import hashlib
 import itertools
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 from random import Random
 
 import pytest
@@ -293,7 +289,7 @@ def test_refute_max_plus_length():
 
 def test_refute_rejects_non_strict():
     arena = Arena(size=64, dim=1, mode="identity")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^not strictly cofinal"):
         refute(_max_fn(bound=64), arena)
 
 
@@ -323,30 +319,40 @@ def test_refute_returns_the_probe_when_the_pair_agrees(entry_bound,
     assert not verify_refutation(F, arena, dataclasses.replace(r, ok=False))
 
 
-# refute's last raise, for a divergent pair whose two colors equal the
-# probe's: the difference assertion before it fires first, so the raise
-# is reached only under python -O, which strips asserts
-_THREE_EQUAL = """
-from polygrid import ph
-from polygrid.antiramsey import Arena, TupleColor
-ph.c_full = lambda arena, xs: TupleColor(0, 0)
-ph.refute(ph.make_cofinal(16, 2, 0).fn, Arena(16, 1))
-"""
+def test_refute_rejects_an_arena_of_another_dimension():
+    with pytest.raises(ValueError, match="^arena dimension 2 does not match"):
+        refute(make_cofinal(16, 2, 0).fn, Arena(16, 2))
+
+
+@pytest.mark.parametrize("slot, patch, fact", [
+    (2, {}, "distinguished element is the maximum"),
+    (0, {"sigma_pair": lambda pair: lambda F, i: pair(F, i)[::-1]},
+     "no jump at the slot"),
+    (0, {"sigma_pair": lambda pair: lambda F, i: pair(F, i + 1)},
+     "images differ off the slot"),
+    (1, {"fstar": lambda fstar: lambda F, s: fstar(F, s)[::-1]},
+     "image not increasing"),
+], ids=["slot-at-maximum", "reversed-pair", "pair-at-next-slot",
+        "reversed-images"])
+def test_refute_raises_when_a_pair_fact_fails(monkeypatch, slot, patch, fact):
+    # each fact follows from the entry check and sigma_pair, so only a
+    # broken collaborator reaches the raise: the probe's color slot is
+    # forced, and sigma_pair or fstar is wrapped to break one fact
+    F = make_cofinal(24, 3, 0, spread=2).fn
+    monkeypatch.setattr(ph, "c_full", lambda arena, xs: TupleColor(slot, 0))
+    for name, wrap in patch.items():
+        monkeypatch.setattr(ph, name, wrap(getattr(ph, name)))
+    with pytest.raises(AssertionError, match=f"^divergent pair: .*{fact}"):
+        refute(F, Arena(24, 2))
 
 
 def test_refute_raises_on_three_equal_colors(monkeypatch):
+    # with the difference check in place, no pair and probe can have three
+    # equal colors, so refute ends in its two returns
     monkeypatch.setattr(ph, "c_full", lambda arena, xs: TupleColor(0, 0))
     with pytest.raises(AssertionError,
                        match="^difference property violated by the arena$"):
         refute(make_cofinal(16, 2, 0).fn, Arena(16, 1))
-    src = Path(ph.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", _THREE_EQUAL],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 1
-    assert proc.stderr.endswith(
-        "AssertionError: divergent pair produced three equal colors\n")
 
 
 @settings(max_examples=40, deadline=None)
