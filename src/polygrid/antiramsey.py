@@ -5,7 +5,8 @@ of {0..beta-1} into the arena (the embedding family) and an injective pair
 coloring with fibers indexed by the larger element.  The dimension-n set
 coloring cn recurses through the embeddings; its key property is that two
 sets differing only at their distinguished element get different colors.
-On top sit the exact Ramsey thresholds used to size product censuses.
+On top sit the Ramsey thresholds used to size product censuses, each held
+as a bound record whose sides come from search, certificate or recurrence.
 """
 
 from __future__ import annotations
@@ -31,14 +32,16 @@ class TupleColor(NamedTuple):
 
 
 class BudgetError(RuntimeError):
-    """Search budget exhausted; carries the best bounds found so far."""
+    """Search budget exhausted; carries the best bounds found so far, and
+    for a threshold search its bound record."""
 
     def __init__(self, message: str, *, nodes_used: int, best_lower_bound: int | None,
-                 exhausted_at: int | None):
+                 exhausted_at: int | None, record: ThresholdRecord | None = None):
         super().__init__(message)
         self.nodes_used = nodes_used
         self.best_lower_bound = best_lower_bound
         self.exhausted_at = exhausted_at
+        self.record = record
 
 
 @dataclass(frozen=True)
@@ -178,20 +181,138 @@ def _c_full(arena: Arena, vec: tuple[int, ...]) -> TupleColor:
 
 
 # ---------------------------------------------------------------------------
-# exact Ramsey thresholds
+# Ramsey thresholds as bound records
 
 
 DEFAULT_BUDGET = 2_000_000
 
-# m* and the bad coloring at m* - 1, keyed on the budget too, so that a hit
-# is exactly what a fresh search with that budget returns
-_threshold_cache: dict[tuple[int, int, int],
-                       tuple[int, dict[tuple[int, ...], int]]] = {}
+Coloring = dict[tuple[int, ...], int]
+
+
+class ThresholdRecord(NamedTuple):
+    """What is known of a threshold m*(n, k): lower <= m* <= upper, where
+    upper None means no upper side.  Each side names its source: "search",
+    "certificate" or "recurrence".  bad is a k-coloring of the
+    (n+1)-subsets of {0..lower-2} with no monochromatic (n+2)-subset, the
+    proof of the lower side."""
+
+    lower: int
+    lower_source: str
+    upper: int | None
+    upper_source: str | None
+    bad: Coloring
+
+
+# exact records, keyed on the budget too, so that a hit is exactly what a
+# fresh threshold search with that budget returns
+_threshold_cache: dict[tuple[int, int, int], ThresholdRecord] = {}
+
+
+def recurrence_bound(n: int, k: int) -> int | None:
+    """An upper bound on m*(n, k) by recurrence, or None.
+
+    - m*(n, 1) = n + 2: one color makes any n + 2 points monochromatic.
+    - n = 1: m*(1, k) <= k (m*(1, k-1) - 1) + 2.  Among that many points,
+      a point v has k (m*(1, k-1) - 1) + 1 others, so one color c joins v
+      to m*(1, k-1) of them.  A pair of those in color c closes a c-triangle
+      with v; otherwise they are colored with k - 1 colors, and so hold a
+      monochromatic triangle.  From 3 at k = 1: 6, 17, 66, 327.
+    - k = 2: m*(n, 2) = R(n+2, n+2; n+1), where R(s, t; r) is the least N
+      such that every red/blue coloring of the r-subsets of N points has s
+      points with all r-subsets red or t points with all r-subsets blue.
+      R(s, t; 1) = s + t - 1 by pigeonhole, R(r, t; r) = t, R(s, r; r) = s,
+      and R(s, t; r) <= R(a, b; r-1) + 1 with a = R(s-1, t; r) and
+      b = R(s, t-1; r) (Erdos & Rado, Proc. LMS 1952): color each
+      (r-1)-subset of the points other than a point v as its union with v;
+      they hold a points whose (r-1)-subsets all went red, and inside those
+      s - 1 red points (red with v too) or t blue ones, or the same with
+      the colors swapped.  This gives 21 at (2, 2).  Evaluated for n <= 2
+      only: at n = 3 the bound has thousands of digits, and from n = 4 the
+      recursion does not end in reasonable time.
+    - Otherwise there is no upper side.
+    """
+    if k == 1:
+        return n + 2
+    if n == 1:
+        m = 3
+        for j in range(2, k + 1):
+            m = j * (m - 1) + 2
+        return m
+    if k == 2 and n == 2:
+        return _two_color(n + 2, n + 2, n + 1)
+    return None
+
+
+def _two_color(s: int, t: int, r: int) -> int:
+    """The bound on R(s, t; r) that recurrence_bound proves."""
+    if r == 1:
+        return s + t - 1
+    if s == r:
+        return t
+    if t == r:
+        return s
+    return _two_color(_two_color(s - 1, t, r), _two_color(s, t - 1, r),
+                      r - 1) + 1
+
+
+def is_bad_coloring(col: Coloring, n: int, m: int, k: int) -> bool:
+    """Whether col colors each (n+1)-subset of {0..m-1} (sorted tuples),
+    and nothing else, with one of 0..k-1 and leaves no (n+2)-subset
+    monochromatic."""
+    if (col.keys() != set(itertools.combinations(range(m), n + 1))
+            or not set(col.values()) <= set(range(k))):
+        return False
+    # the colors of the (n+1)-subsets of each (n+2)-subset in turn, read
+    # n + 2 at a time: a monochromatic subset reads as one color repeated
+    faces = itertools.chain.from_iterable(map(
+        itertools.combinations, itertools.combinations(range(m), n + 2),
+        itertools.repeat(n + 1)))
+    colors = map(col.__getitem__, faces)
+    return {(c,) * (n + 2) for c in range(k)}.isdisjoint(
+        zip(*[colors] * (n + 2)))
+
+
+def _gf16_coloring() -> Coloring:
+    """The Greenwood-Gleason 3-coloring of the pairs of 16 points (Canad.
+    J. Math. 7, 1955): the points are GF(16) = GF(2)[x]/(x^4 + x + 1) as
+    4-bit integers, and {a, b} gets the discrete log of a + b (xor) to the
+    base x, mod 3.  Each color class is a Clebsch graph, so no triangle is
+    monochromatic and m*(1, 3) >= 17."""
+    log = {}
+    a = 1
+    for e in range(15):
+        log[a] = e
+        a <<= 1
+        if a & 16:
+            a ^= 0b10011  # x^4 = x + 1
+    return {(a, b): log[a ^ b] % 3
+            for a, b in itertools.combinations(range(16), 2)}
+
+
+# Bit i is the color of the i-th triple of {0..11} in lexicographic order:
+# a 2-coloring with no monochromatic 4-set, so m*(2, 2) >= 13 (and
+# R(4, 4; 3) = 13, McKay & Radziszowski, SODA 1991).  Found by a seeded
+# WalkSAT-style search (Random(0) draws the start; each step takes a
+# random monochromatic 4-set and flips one of its triples, at random with
+# probability 0.2, else one that leaves the fewest monochromatic 4-sets);
+# it stopped after 5,171 steps, 0.46 s.
+_R443_AT_12 = 0x2a0e296e25c4dac57eccc5bd94a553da46af2222df4b514dc4c95aa
+
+
+def _certificate(n: int, k: int) -> tuple[int, Coloring] | None:
+    """(m, a bad coloring of m points) for the thresholds it settles from
+    below, rebuilt on each call; None for the others."""
+    if (n, k) == (1, 3):
+        return 16, _gf16_coloring()
+    if (n, k) == (2, 2):
+        return 12, {e: _R443_AT_12 >> i & 1 for i, e
+                    in enumerate(itertools.combinations(range(12), 3))}
+    return None
 
 
 def _search_bad(
     n: int, m: int, k: int, budget: int
-) -> tuple[dict[tuple[int, ...], int] | None, int]:
+) -> tuple[Coloring | None, int]:
     """Backtracking core; returns (coloring or None, nodes used).
 
     Hyperedges are assigned in lexicographic order with color-symmetry
@@ -211,12 +332,15 @@ def _search_bad(
     # they share one list that stays empty.
     empty = [0] * min(k, len(edges))
     links = {f: empty[:] for f in itertools.combinations(range(1, m), n)}
+    face_links, width = links.get, max(n + 1, 3)
     plan = []
     for e in edges:
-        faces = [links.get(e[:j] + e[j + 1:], empty) for j in range(n + 1)]
+        # the faces of e in lexicographic order, so its tail comes last
+        faces = list(map(face_links, itertools.combinations(e, n),
+                         itertools.repeat(empty)))
         # the test reads three faces (repeated for n < 2), the rest for n >= 3
-        f0, f1, f2, *rest = (faces * 3)[:max(n + 1, 3)]
-        plan.append((f0, f1, f2, rest, faces[0], 1 << e[0]))
+        f0, f1, f2, *rest = (faces * 3)[:width]
+        plan.append((f0, f1, f2, rest, faces[-1], 1 << e[0]))
     last = len(edges)
     colors = [0] * last
     # colors 0..top-1 are open to the current edge; opens[pos] keeps top
@@ -260,49 +384,65 @@ def _search_bad(
 
 def find_bad_coloring(
     n: int, m: int, k: int, budget: int = DEFAULT_BUDGET
-) -> dict[tuple[int, ...], int] | None:
+) -> Coloring | None:
     """A k-coloring of the (n+1)-subsets of {0..m-1} with no monochromatic
     (n+2)-subset, or None once the exhaustive search proves none exists.
     At m = m* - 1 it is the coloring a threshold search with this budget
-    already found."""
+    already holds."""
     if budget < 0:
         raise ParameterError("need budget >= 0")
     hit = _threshold_cache.get((n, k, budget))
-    if hit and m == hit[0] - 1:
-        return dict(hit[1])
+    if hit and m == hit.lower - 1:
+        return dict(hit.bad)
     result, _ = _search_bad(n, m, k, budget)
     return result
 
 
 def ramsey_m_star(n: int, k: int, budget: int = DEFAULT_BUDGET) -> int:
     """Least m such that every k-coloring of the (n+1)-subsets of {0..m-1}
-    admits a monochromatic (n+2)-subset.  Verified by exhausting the bad
-    colorings of m after exhibiting one at m-1."""
+    admits a monochromatic (n+2)-subset.
+
+    The lower side starts at a re-checked certificate, or at n + 2 (the
+    search colors the one edge of n + 1 points without a node), and the
+    upper side at recurrence_bound.  The search runs only in the gap: a bad
+    coloring at m = lower raises the lower side, and the value is exact
+    once the sides meet or the search exhausts m.  A BudgetError carries
+    the record as it stood."""
     if n < 1 or k < 1 or budget < 0:
         raise ParameterError("need n >= 1, k >= 1 and budget >= 0")
     key = (n, k, budget)
     if key in _threshold_cache:
-        return _threshold_cache[key][0]
+        return _threshold_cache[key].lower
+    upper = recurrence_bound(n, k)
+    upper_source = None if upper is None else "recurrence"
+    cert = _certificate(n, k)
+    if cert is None:
+        m, lower_source, bad = n + 2, "search", {tuple(range(n + 1)): 0}
+    else:
+        m, lower_source, bad = cert[0] + 1, "certificate", cert[1]
+        if not is_bad_coloring(bad, n, cert[0], k):
+            raise RuntimeError(
+                f"the certificate for m*({n}, {k}) fails its re-check")
     spent = 0
-    # below n+2 every coloring is vacuously bad; at m = n+1 the search
-    # gives the one edge color 0
-    best, best_bad = n + 1, {tuple(range(n + 1)): 0}
-    m = n + 2
-    while True:
+    while upper is None or m < upper:
         try:
-            bad, used = _search_bad(n, m, k, budget - spent)
+            found, used = _search_bad(n, m, k, budget - spent)
         except BudgetError as exc:
             raise BudgetError(
                 f"threshold search for (n={n}, k={k}) exhausted its budget: "
-                f"bad colorings found through m={best}, died at m={m}",
+                f"bad colorings found through m={m - 1}, died at m={m}",
                 nodes_used=spent + exc.nodes_used,
-                best_lower_bound=best, exhausted_at=m) from None
+                best_lower_bound=m - 1, exhausted_at=m,
+                record=ThresholdRecord(m, lower_source, upper, upper_source,
+                                       bad)) from None
         spent += used
-        if bad is None:
-            _threshold_cache[key] = m, best_bad
-            return m
-        best, best_bad = m, bad
-        m += 1
+        if found is None:
+            upper, upper_source = m, "search"
+            break
+        m, lower_source, bad = m + 1, "search", found
+    _threshold_cache[key] = ThresholdRecord(m, lower_source, upper,
+                                            upper_source, bad)
+    return m
 
 
 def m_seq(n: int, k: int, budget: int = DEFAULT_BUDGET) -> int:

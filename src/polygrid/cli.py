@@ -295,6 +295,7 @@ def _run_ramsey(cfg: RunConfig) -> int:
         m_star = antiramsey.ramsey_m_star(n, k, budget)
         m_k = antiramsey.m_seq(n, k, budget)
     except antiramsey.BudgetError as exc:
+        rec = exc.record
         _write_artifacts(cfg, {
             "n": n, "k": k, "seed": cfg.seed, "ok": False,
             "budget": {
@@ -302,6 +303,12 @@ def _run_ramsey(cfg: RunConfig) -> int:
                 "nodes_used": exc.nodes_used,
                 "best_lower_bound": exc.best_lower_bound,
                 "exhausted_at": exc.exhausted_at,
+            },
+            "record": {
+                "lower": rec.lower, "lower_source": rec.lower_source,
+                "upper": rec.upper, "upper_source": rec.upper_source,
+                "bad_coloring_at": rec.lower - 1,
+                "bad_coloring": _coloring_json(rec.bad),
             },
         })
         print(f"ramsey: budget exhausted: {exc}")
@@ -311,12 +318,15 @@ def _run_ramsey(cfg: RunConfig) -> int:
         "n": n, "k": k, "seed": cfg.seed, "ok": True,
         "m_star": m_star, "m_k": m_k,
         "bad_coloring_at": m_star - 1,
-        "bad_coloring": None if bad is None else {
-            ",".join(map(str, key)): val for key, val in sorted(bad.items())
-        },
+        "bad_coloring": None if bad is None else _coloring_json(bad),
     }, [{"n": n, "k": k, "m_star": m_star, "m_k": m_k}])
     print(m_star)
     return EXIT_OK
+
+
+def _coloring_json(col: antiramsey.Coloring) -> dict[str, int]:
+    """A coloring keyed by its comma-joined subsets, in subset order."""
+    return {",".join(map(str, key)): val for key, val in sorted(col.items())}
 
 
 @_command("difference-check", {

@@ -13,10 +13,12 @@ from random import Random
 from polygrid import cli
 from polygrid.antiramsey import (
     Arena,
+    BudgetError,
     _c_full,
     c_full,
     check_difference_lemma,
     find_bad_coloring,
+    is_bad_coloring,
     m_seq,
     ramsey_m_star,
     verify_product_bound,
@@ -75,6 +77,31 @@ def _is_bad_pair_coloring(col: dict, m: int, k: int) -> bool:
                for triple in itertools.combinations(range(m), 3))
 
 
+def _is_bad_triple_coloring(col: dict, m: int, k: int) -> bool:
+    """Every triple of [m] colored in 0..k-1, and no 4-set monochromatic;
+    read off the definition, without the program's code."""
+    triples = list(itertools.combinations(range(m), 3))
+    if sorted(col) != triples or any(col[t] not in range(k) for t in triples):
+        return False
+    return all(len({col[t] for t in itertools.combinations(quad, 3)}) > 1
+               for quad in itertools.combinations(range(m), 4))
+
+
+def _gf16() -> dict:
+    """The bad coloring at 16 behind m*(1, 3) = 17, found with no search."""
+    m_star = ramsey_m_star(1, 3, budget=0)
+    return find_bad_coloring(1, m_star - 1, 3, budget=0)
+
+
+def _record(n: int, k: int):
+    """The bound record of a threshold that the budget leaves open."""
+    try:
+        ramsey_m_star(n, k, budget=0)
+    except BudgetError as exc:
+        return exc.record
+    raise AssertionError(f"m*({n}, {k}) settled at budget 0")
+
+
 def test_criterion_01_ramsey_oracle():
     clock = _Clock(60)
     assert ramsey_m_star(1, 1) == 3
@@ -84,7 +111,25 @@ def test_criterion_01_ramsey_oracle():
     assert _is_bad_pair_coloring(bad, 5, 2)
     # and no bad coloring survives at 6
     assert find_bad_coloring(1, 6, 2) is None
-    clock.done(1, "ramsey_m_star(1,1)=3, (1,2)=6, bad [5]^2 witness checked")
+    # m*(1, 3) = 17 at any budget: the bad 3-coloring of [16]^2 that the
+    # threshold holds, re-checked here
+    assert ramsey_m_star(1, 3, budget=0) == 17
+    assert _is_bad_pair_coloring(_gf16(), 16, 3)
+    # m*(2, 2) is open between the certificate's 13 and the recurrence's 21:
+    # the bad 2-coloring of [12]^3 behind the lower side, re-checked here
+    rec = _record(2, 2)
+    assert (rec.lower, rec.upper) == (13, 21)
+    assert _is_bad_triple_coloring(rec.bad, 12, 2)
+    clock.done(1, "ramsey_m_star(1,1)=3, (1,2)=6, (1,3)=17; bad [5]^2, "
+                  "[16]^2 and [12]^3 witnesses checked")
+
+
+def _flips(col: dict, k: int):
+    """col with one entry changed, every way."""
+    for e, c in col.items():
+        for other in range(k):
+            if other != c:
+                yield {**col, e: other}
 
 
 def test_criterion_01_recheck_rejects():
@@ -98,6 +143,21 @@ def test_criterion_01_recheck_rejects():
     assert not _is_bad_pair_coloring({**bad, (0, 1): 2}, 5, 2)
     assert not _is_bad_pair_coloring(
         {p: c for p, c in bad.items() if p != (0, 1)}, 5, 2)
+    # the (1, 3) certificate: each color class is a Clebsch graph, where two
+    # non-adjacent points have two common neighbours, so every recoloring
+    # of one pair closes a triangle; both checkers say so
+    gf16 = _gf16()
+    for flipped in _flips(gf16, 3):
+        assert not _is_bad_pair_coloring(flipped, 16, 3)
+        assert not is_bad_coloring(flipped, 1, 16, 3)
+    # the (2, 2) certificate: the two checkers agree on every flip, and
+    # all but two of the 220 flips close a monochromatic 4-set
+    r443 = _record(2, 2).bad
+    verdicts = [(_is_bad_triple_coloring(flipped, 12, 2),
+                 is_bad_coloring(flipped, 2, 12, 2))
+                for flipped in _flips(r443, 2)]
+    assert verdicts.count((False, False)) == 218
+    assert verdicts.count((True, True)) == 2
 
 
 def test_criterion_02_difference_lemma():

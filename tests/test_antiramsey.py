@@ -24,6 +24,7 @@ from polygrid.antiramsey import (
     m_seq,
     product_census,
     ramsey_m_star,
+    recurrence_bound,
     star,
     verify_product_bound,
 )
@@ -283,24 +284,72 @@ def test_search_bad_node_counts_pinned(n, m, k, nodes, found):
         assert _brute_force_bad(col, n, m, k)
 
 
+@pytest.mark.parametrize("budget", [0, 10_000, 25_000, 40_000, 60_000])
+def test_threshold_1_3_is_exact_at_every_budget(monkeypatch, budget):
+    # the census workload's (1, 3) ramsey jobs across their budget range, and
+    # budget 0: the certificate's 17 meets the recurrence's, so no search runs
+    monkeypatch.setattr(antiramsey, "_threshold_cache", {})
+    monkeypatch.setattr(antiramsey, "_search_bad", None)
+    assert ramsey_m_star(1, 3, budget) == 17
+    assert find_bad_coloring(1, 16, 3, budget) == antiramsey._gf16_coloring()
+
+
 @pytest.mark.parametrize("n, k, budget, nodes, best, died", [
-    (1, 3, 10_000, 10_001, 7, 8),
-    (1, 3, 25_000, 25_001, 7, 8),
-    (1, 3, 40_000, 40_001, 7, 8),
-    (1, 3, 60_000, 60_001, 7, 8),
-    (2, 2, 10_000, 10_001, 6, 7),
-    (2, 2, 25_000, 25_001, 7, 8),
-    (2, 2, 40_000, 40_001, 7, 8),
-    (2, 2, 60_000, 60_001, 7, 8),
+    (2, 2, 10_000, 10_001, 12, 13),
+    (2, 2, 25_000, 25_001, 12, 13),
+    (2, 2, 40_000, 40_001, 12, 13),
+    (2, 2, 60_000, 60_001, 12, 13),
 ])
 def test_threshold_budget_error_pinned(monkeypatch, n, k, budget, nodes, best,
                                        died):
-    # the census workload's ramsey jobs across their budget range
+    # the census workload's (2, 2) ramsey jobs across their budget range:
+    # the whole budget goes to the gap's first point, m = 13
     monkeypatch.setattr(antiramsey, "_threshold_cache", {})
     with pytest.raises(BudgetError) as exc:
         ramsey_m_star(n, k, budget)
     assert (exc.value.nodes_used, exc.value.best_lower_bound,
             exc.value.exhausted_at) == (nodes, best, died)
+    rec = exc.value.record
+    assert (rec.lower, rec.lower_source, rec.upper, rec.upper_source) == (
+        13, "certificate", 21, "recurrence")
+    assert _brute_force_bad(rec.bad, 2, 12, 2)
+
+
+def test_recurrence_bound_values():
+    assert [recurrence_bound(1, k) for k in range(1, 6)] == [3, 6, 17, 66, 327]
+    assert recurrence_bound(2, 2) == 21
+    assert recurrence_bound(2, 1) == 4
+    # no upper side where neither recurrence applies
+    assert recurrence_bound(2, 3) is None
+    assert recurrence_bound(3, 2) is None
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (1, 2), (2, 1)])
+def test_recurrence_bound_meets_the_search(n, k):
+    # exact by search alone: a bad coloring at m - 1 and none at m
+    m = recurrence_bound(n, k)
+    assert _search_bad(n, m - 1, k, 10**6)[0] is not None
+    assert _search_bad(n, m, k, 10**6)[0] is None
+
+
+def test_gap_search_raises_the_lower_side(monkeypatch):
+    # (1, 4): no certificate, so the search climbs from m = 3 and its best
+    # coloring is the record's lower side, below the recurrence's 66
+    monkeypatch.setattr(antiramsey, "_threshold_cache", {})
+    with pytest.raises(BudgetError) as exc:
+        ramsey_m_star(1, 4, 5_000)
+    rec = exc.value.record
+    assert (rec.lower_source, rec.upper, rec.upper_source) == (
+        "search", 66, "recurrence")
+    assert rec.lower == exc.value.exhausted_at == exc.value.best_lower_bound + 1
+    assert _brute_force_bad(rec.bad, 1, rec.lower - 1, 4)
+
+
+def test_a_certificate_that_fails_its_recheck_raises(monkeypatch):
+    monkeypatch.setattr(antiramsey, "_threshold_cache", {})
+    monkeypatch.setattr(antiramsey, "_R443_AT_12", 0)  # all one color
+    with pytest.raises(RuntimeError, match="fails its re-check"):
+        ramsey_m_star(2, 2, 100)
 
 
 def _search_bad_reference(n, m, k, budget):

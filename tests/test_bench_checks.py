@@ -47,9 +47,9 @@ checks = _load("checks")
 workloads = _load("workloads")
 
 
-def _census_job(kind_name):
+def _census_job(kind_name, seed=1):
     (kind,) = [kind for kind in workloads.CENSUS if kind.name == kind_name]
-    argv, _, expect = kind.gen(Random(1), 0.0)
+    argv, _, expect = kind.gen(Random(seed), 0.0)
     return workloads.Job(0, kind.name, tuple(argv), expect)
 
 
@@ -67,16 +67,19 @@ def _set(blob, path, value):
     blob[last] = value
 
 
-@pytest.mark.parametrize("kind, path, corrupt", [
-    ("product-bound/sampled-k1", ["min_census"], lambda job: job.expect["k"]),
-    ("product-bound/sampled-k2", ["min_census"], lambda job: job.expect["k"]),
-    ("difference-check", ["violations"],
+@pytest.mark.parametrize("kind, seed, path, corrupt", [
+    ("product-bound/sampled-k1", 1, ["min_census"], lambda job: job.expect["k"]),
+    ("product-bound/sampled-k2", 1, ["min_census"], lambda job: job.expect["k"]),
+    ("difference-check", 1, ["violations"],
      lambda job: [[[0, 1], [0, 2], [0, 0]]]),
-    ("ramsey", ["budget", "best_lower_bound"],
+    # seed 1 draws (1, 3), exact at exit 0; seed 0 draws (2, 2), exit 2
+    ("ramsey", 1, ["m_star"], lambda job: job.expect["m_star"] - 1),
+    ("ramsey", 0, ["budget", "best_lower_bound"],
      lambda job: job.expect["m_star"]),
-], ids=["product-bound-k1", "product-bound-k2", "difference-check", "ramsey"])
-def test_check_rejects_one_corrupted_field(tmp_path, kind, path, corrupt):
-    job = _census_job(kind)
+], ids=["product-bound-k1", "product-bound-k2", "difference-check", "ramsey",
+        "ramsey-budget"])
+def test_check_rejects_one_corrupted_field(tmp_path, kind, seed, path, corrupt):
+    job = _census_job(kind, seed)
     rc = cli.main([*job.argv, "--out", str(tmp_path)])
     checks.check(job, rc, tmp_path)
     artifact = tmp_path / f"{job.subcommand}.json"

@@ -422,6 +422,51 @@ def test_ramsey_budget_exit(tmp_path):
     assert blob["budget"]["best_lower_bound"] >= 1
 
 
+@pytest.mark.parametrize("budget", [0, 1, 10_000, 60_000])
+def test_ramsey_1_3_is_exact_by_certificate(tmp_path, monkeypatch, capsys,
+                                            budget):
+    # 17 from the GF(16) coloring and the recurrence, with no search node
+    monkeypatch.setattr(antiramsey, "_threshold_cache", {})
+    monkeypatch.setattr(antiramsey, "_search_bad", None)
+    assert run(tmp_path, "ramsey", "--n", "1", "--k", "3",
+               "--budget", str(budget)) == 0
+    assert capsys.readouterr().out == "17\n"
+    blob = json.loads((tmp_path / "ramsey.json").read_text())
+    # an exit-0 artifact has the members it had before bound records
+    assert sorted(blob) == ["bad_coloring", "bad_coloring_at", "k", "m_k",
+                            "m_star", "n", "ok", "seed"]
+    assert (blob["m_star"], blob["m_k"], blob["bad_coloring_at"]) == (17, 34, 16)
+    assert len(blob["bad_coloring"]) == 120
+
+
+def test_ramsey_one_color_needs_no_search(tmp_path, monkeypatch, capsys):
+    # m*(n, 1) = n + 2: the recurrence meets the base, even at budget 0
+    monkeypatch.setattr(antiramsey, "_threshold_cache", {})
+    monkeypatch.setattr(antiramsey, "_search_bad", None)
+    assert run(tmp_path, "ramsey", "--n", "2", "--k", "1",
+               "--budget", "0") == 0
+    assert capsys.readouterr().out == "4\n"
+
+
+@pytest.mark.parametrize("budget", [0, 7, 25_000])
+def test_ramsey_2_2_record(tmp_path, monkeypatch, budget):
+    # the whole budget goes to m = 13, above the certificate at 12
+    monkeypatch.setattr(antiramsey, "_threshold_cache", {})
+    assert run(tmp_path, "ramsey", "--n", "2", "--k", "2",
+               "--budget", str(budget)) == 2
+    blob = json.loads((tmp_path / "ramsey.json").read_text())
+    assert (blob["budget"]["nodes_used"], blob["budget"]["best_lower_bound"],
+            blob["budget"]["exhausted_at"]) == (budget + 1, 12, 13)
+    rec = blob["record"]
+    assert {key: rec[key] for key in ("lower", "lower_source", "upper",
+                                      "upper_source", "bad_coloring_at")} == {
+        "lower": 13, "lower_source": "certificate", "upper": 21,
+        "upper_source": "recurrence", "bad_coloring_at": 12}
+    bad = {tuple(map(int, key.split(","))): c
+           for key, c in rec["bad_coloring"].items()}
+    assert antiramsey.is_bad_coloring(bad, 2, 12, 2)
+
+
 def test_ramsey_deep_search_is_budget(tmp_path):
     # C(24, 21) = 2,024 edges: a search one frame per edge passed the
     # recursion limit here
@@ -573,8 +618,22 @@ def test_product_bound_n2_k2_is_budget(tmp_path, capsys):
                "--size", "40", "--samples", "3") == 2
     assert capsys.readouterr().out == (
         "product-bound: threshold search for (n=2, k=2) exhausted its "
-        "budget: bad colorings found through m=7, died at m=8\n")
+        "budget: bad colorings found through m=12, died at m=13\n")
     assert not (tmp_path / "product-bound.json").exists()
+
+
+def test_product_bound_n1_k3_sizes_by_the_exact_threshold(tmp_path, capsys):
+    # m_seq(1, 3) = 2 * 17 with no search: a usage error at the default
+    # size, and at size 34 the one product of the full sides
+    assert run(tmp_path / "small", "product-bound", "--n", "1",
+               "--k", "3") == 64
+    assert "side size 34 does not fit" in capsys.readouterr().err
+    assert not (tmp_path / "small").exists()
+    assert run(tmp_path, "product-bound", "--n", "1", "--k", "3",
+               "--size", "34", "--samples", "0") == 0
+    blob = json.loads((tmp_path / "product-bound.json").read_text())
+    assert (blob["side_size"], blob["pairs"], blob["violations"]) == (34, 1, 0)
+    assert blob["min_census"] > 3
 
 
 def test_product_bound_draws_lazily(tmp_path):
@@ -1071,7 +1130,7 @@ def _outcome(out: Path, argv: list[str]) -> tuple[int, dict]:
 
 
 @pytest.mark.parametrize("first, second", [
-    (["ramsey", "--k", "1"], ["ramsey", "--k", "1", "--budget", "0"]),
+    (["ramsey", "--k", "2"], ["ramsey", "--k", "2", "--budget", "0"]),
     (["product-bound", "--k", "2", "--size", "12"],
      ["ramsey", "--k", "2", "--budget", "20"]),
 ])

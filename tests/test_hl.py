@@ -741,6 +741,26 @@ def test_heads_from_is_the_product_from_start(lists, data):
         h for h in itertools.product(*lists) if h >= start]
 
 
+def test_walk_pops_a_state_reached_two_ways_once(monkeypatch):
+    # two cones of two branches, each one prefix class (block 2), every
+    # tuple colored 1, so no all-0 family: dropping branch 0 of the first
+    # cone and then of the second, or the other way round, reaches the one
+    # state that holds branch 1 of each.  The walk pops the full state, the
+    # two one-drop states and their common child once: 4 pops, one per
+    # state, where pushing a child already seen pops that child twice
+    popped = []
+    heads_from = hl._heads_from
+
+    def counting(lists, start):
+        popped.append(start)
+        return heads_from(lists, start)
+
+    monkeypatch.setattr(hl, "_heads_from", counting)
+    rows = {(0,): [1, 1], (1,): [1, 1]}
+    assert hl._mono_family(rows, 0, (0b11, 0b11), 2) is None
+    assert len(popped) == 4
+
+
 @pytest.mark.parametrize("depth, spreads, ok", [
     # level keys plus prefix letters: sum over m < depth of
     # 2^(sum of min(m, s)) + sum of m * 2^min(m, s)
