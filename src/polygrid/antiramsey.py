@@ -203,11 +203,6 @@ class ThresholdRecord(NamedTuple):
     bad: Coloring
 
 
-# exact records, keyed on the budget too, so that a hit is exactly what a
-# fresh threshold search with that budget returns
-_threshold_cache: dict[tuple[int, int, int], ThresholdRecord] = {}
-
-
 def recurrence_bound(n: int, k: int) -> int | None:
     """An upper bound on m*(n, k) by recurrence, or None.
 
@@ -386,33 +381,26 @@ def find_bad_coloring(
     n: int, m: int, k: int, budget: int = DEFAULT_BUDGET
 ) -> Coloring | None:
     """A k-coloring of the (n+1)-subsets of {0..m-1} with no monochromatic
-    (n+2)-subset, or None once the exhaustive search proves none exists.
-    At m = m* - 1 it is the coloring a threshold search with this budget
-    already holds."""
+    (n+2)-subset, or None once the exhaustive search proves none exists."""
     if budget < 0:
         raise ParameterError("need budget >= 0")
-    hit = _threshold_cache.get((n, k, budget))
-    if hit and m == hit.lower - 1:
-        return dict(hit.bad)
     result, _ = _search_bad(n, m, k, budget)
     return result
 
 
-def ramsey_m_star(n: int, k: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Least m such that every k-coloring of the (n+1)-subsets of {0..m-1}
-    admits a monochromatic (n+2)-subset.
+def threshold(n: int, k: int, budget: int = DEFAULT_BUDGET) -> ThresholdRecord:
+    """The bound record of m*, the least m such that every k-coloring of
+    the (n+1)-subsets of {0..m-1} admits a monochromatic (n+2)-subset.
 
     The lower side starts at a re-checked certificate, or at n + 2 (the
     search colors the one edge of n + 1 points without a node), and the
     upper side at recurrence_bound.  The search runs only in the gap: a bad
-    coloring at m = lower raises the lower side, and the value is exact
-    once the sides meet or the search exhausts m.  A BudgetError carries
-    the record as it stood."""
+    coloring at m = lower raises the lower side, until the sides meet or
+    the search exhausts m, and the record returned is then exact.  A
+    BudgetError carries the record as it stood.  Nothing is kept between
+    calls."""
     if n < 1 or k < 1 or budget < 0:
         raise ParameterError("need n >= 1, k >= 1 and budget >= 0")
-    key = (n, k, budget)
-    if key in _threshold_cache:
-        return _threshold_cache[key].lower
     upper = recurrence_bound(n, k)
     upper_source = None if upper is None else "recurrence"
     cert = _certificate(n, k)
@@ -440,9 +428,12 @@ def ramsey_m_star(n: int, k: int, budget: int = DEFAULT_BUDGET) -> int:
             upper, upper_source = m, "search"
             break
         m, lower_source, bad = m + 1, "search", found
-    _threshold_cache[key] = ThresholdRecord(m, lower_source, upper,
-                                            upper_source, bad)
-    return m
+    return ThresholdRecord(m, lower_source, upper, upper_source, bad)
+
+
+def ramsey_m_star(n: int, k: int, budget: int = DEFAULT_BUDGET) -> int:
+    """m*(n, k): the lower side of its exact threshold record."""
+    return threshold(n, k, budget).lower
 
 
 def m_seq(n: int, k: int, budget: int = DEFAULT_BUDGET) -> int:

@@ -292,8 +292,7 @@ def _parse_words(raw: str, d: int) -> list[tuple[int, ...]]:
 def _run_ramsey(cfg: RunConfig) -> int:
     n, k, budget = cfg.params["n"], cfg.params["k"], cfg.params["budget"]
     try:
-        m_star = antiramsey.ramsey_m_star(n, k, budget)
-        m_k = antiramsey.m_seq(n, k, budget)
+        rec = antiramsey.threshold(n, k, budget)
     except antiramsey.BudgetError as exc:
         rec = exc.record
         _write_artifacts(cfg, {
@@ -313,12 +312,12 @@ def _run_ramsey(cfg: RunConfig) -> int:
         })
         print(f"ramsey: budget exhausted: {exc}")
         return EXIT_BUDGET
-    bad = antiramsey.find_bad_coloring(n, m_star - 1, k, budget)
+    m_star, m_k = rec.lower, (n + 1) * rec.lower
     _write_artifacts(cfg, {
         "n": n, "k": k, "seed": cfg.seed, "ok": True,
         "m_star": m_star, "m_k": m_k,
         "bad_coloring_at": m_star - 1,
-        "bad_coloring": None if bad is None else _coloring_json(bad),
+        "bad_coloring": _coloring_json(rec.bad),
     }, [{"n": n, "k": k, "m_star": m_star, "m_k": m_k}])
     print(m_star)
     return EXIT_OK

@@ -21,6 +21,7 @@ from polygrid.antiramsey import (
     is_bad_coloring,
     m_seq,
     ramsey_m_star,
+    threshold,
     verify_product_bound,
 )
 from polygrid.deltasys import (
@@ -89,8 +90,7 @@ def _is_bad_triple_coloring(col: dict, m: int, k: int) -> bool:
 
 def _gf16() -> dict:
     """The bad coloring at 16 behind m*(1, 3) = 17, found with no search."""
-    m_star = ramsey_m_star(1, 3, budget=0)
-    return find_bad_coloring(1, m_star - 1, 3, budget=0)
+    return threshold(1, 3, budget=0).bad
 
 
 def _record(n: int, k: int):

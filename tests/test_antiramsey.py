@@ -26,6 +26,7 @@ from polygrid.antiramsey import (
     ramsey_m_star,
     recurrence_bound,
     star,
+    threshold,
     verify_product_bound,
 )
 from polygrid.ordset import OrdSet, ParameterError
@@ -288,10 +289,10 @@ def test_search_bad_node_counts_pinned(n, m, k, nodes, found):
 def test_threshold_1_3_is_exact_at_every_budget(monkeypatch, budget):
     # the census workload's (1, 3) ramsey jobs across their budget range, and
     # budget 0: the certificate's 17 meets the recurrence's, so no search runs
-    monkeypatch.setattr(antiramsey, "_threshold_cache", {})
     monkeypatch.setattr(antiramsey, "_search_bad", None)
     assert ramsey_m_star(1, 3, budget) == 17
-    assert find_bad_coloring(1, 16, 3, budget) == antiramsey._gf16_coloring()
+    assert threshold(1, 3, budget) == (17, "certificate", 17, "recurrence",
+                                       antiramsey._gf16_coloring())
 
 
 @pytest.mark.parametrize("n, k, budget, nodes, best, died", [
@@ -300,11 +301,10 @@ def test_threshold_1_3_is_exact_at_every_budget(monkeypatch, budget):
     (2, 2, 40_000, 40_001, 12, 13),
     (2, 2, 60_000, 60_001, 12, 13),
 ])
-def test_threshold_budget_error_pinned(monkeypatch, n, k, budget, nodes, best,
+def test_threshold_budget_error_pinned(n, k, budget, nodes, best,
                                        died):
     # the census workload's (2, 2) ramsey jobs across their budget range:
     # the whole budget goes to the gap's first point, m = 13
-    monkeypatch.setattr(antiramsey, "_threshold_cache", {})
     with pytest.raises(BudgetError) as exc:
         ramsey_m_star(n, k, budget)
     assert (exc.value.nodes_used, exc.value.best_lower_bound,
@@ -332,10 +332,9 @@ def test_recurrence_bound_meets_the_search(n, k):
     assert _search_bad(n, m, k, 10**6)[0] is None
 
 
-def test_gap_search_raises_the_lower_side(monkeypatch):
+def test_gap_search_raises_the_lower_side():
     # (1, 4): no certificate, so the search climbs from m = 3 and its best
     # coloring is the record's lower side, below the recurrence's 66
-    monkeypatch.setattr(antiramsey, "_threshold_cache", {})
     with pytest.raises(BudgetError) as exc:
         ramsey_m_star(1, 4, 5_000)
     rec = exc.value.record
@@ -346,7 +345,6 @@ def test_gap_search_raises_the_lower_side(monkeypatch):
 
 
 def test_a_certificate_that_fails_its_recheck_raises(monkeypatch):
-    monkeypatch.setattr(antiramsey, "_threshold_cache", {})
     monkeypatch.setattr(antiramsey, "_R443_AT_12", 0)  # all one color
     with pytest.raises(RuntimeError, match="fails its re-check"):
         ramsey_m_star(2, 2, 100)
@@ -430,20 +428,16 @@ def test_search_bad_matches_closing_group_search(n, m, k):
         assert _outcome(_search_bad, n, m, k, budget) == expected, budget
 
 
-def test_bad_coloring_at_threshold_is_not_searched_again(monkeypatch):
-    # find_bad_coloring at m* - 1 hands back what the threshold search found
-    monkeypatch.setattr(antiramsey, "_threshold_cache", {})
-    cases = [(n, k, ramsey_m_star(n, k, 5_000) - 1)
-             for n, k in [(1, 1), (1, 2), (2, 1)]]
-    fresh = [_search_bad(n, m, k, 5_000)[0] for n, k, m in cases]
-    monkeypatch.setattr(antiramsey, "_search_bad", None)
-    assert [find_bad_coloring(n, m, k, 5_000) for n, k, m in cases] == fresh
+def test_bad_coloring_at_threshold_is_not_searched_again():
+    # the record holds the coloring that a fresh search finds at m* - 1
+    for n, k in [(1, 1), (1, 2), (2, 1)]:
+        rec = threshold(n, k, 5_000)
+        assert rec.bad == _search_bad(n, rec.lower - 1, k, 5_000)[0]
 
 
-def test_wide_palette_budget_error_pinned(monkeypatch):
+def test_wide_palette_budget_error_pinned():
     # values taken once from the closing-group search this replaced, which
     # took 4.6 s to exhaust the budget on a 2-vCPU machine (0.3 s now)
-    monkeypatch.setattr(antiramsey, "_threshold_cache", {})
     with pytest.raises(BudgetError) as exc:
         ramsey_m_star(1, 50)
     assert (exc.value.nodes_used, exc.value.best_lower_bound,
@@ -481,9 +475,8 @@ def test_negative_budget_is_a_parameter_error(call):
         call()
 
 
-def test_threshold_cache_keeps_the_budget(monkeypatch):
+def test_each_threshold_call_keeps_its_budget():
     # a threshold found under a large budget is no answer for a small one
-    monkeypatch.setattr(antiramsey, "_threshold_cache", {})
     assert ramsey_m_star(1, 2) == 6
     with pytest.raises(BudgetError):
         ramsey_m_star(1, 2, budget=20)

@@ -426,7 +426,6 @@ def test_ramsey_budget_exit(tmp_path):
 def test_ramsey_1_3_is_exact_by_certificate(tmp_path, monkeypatch, capsys,
                                             budget):
     # 17 from the GF(16) coloring and the recurrence, with no search node
-    monkeypatch.setattr(antiramsey, "_threshold_cache", {})
     monkeypatch.setattr(antiramsey, "_search_bad", None)
     assert run(tmp_path, "ramsey", "--n", "1", "--k", "3",
                "--budget", str(budget)) == 0
@@ -441,7 +440,6 @@ def test_ramsey_1_3_is_exact_by_certificate(tmp_path, monkeypatch, capsys,
 
 def test_ramsey_one_color_needs_no_search(tmp_path, monkeypatch, capsys):
     # m*(n, 1) = n + 2: the recurrence meets the base, even at budget 0
-    monkeypatch.setattr(antiramsey, "_threshold_cache", {})
     monkeypatch.setattr(antiramsey, "_search_bad", None)
     assert run(tmp_path, "ramsey", "--n", "2", "--k", "1",
                "--budget", "0") == 0
@@ -449,9 +447,8 @@ def test_ramsey_one_color_needs_no_search(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("budget", [0, 7, 25_000])
-def test_ramsey_2_2_record(tmp_path, monkeypatch, budget):
+def test_ramsey_2_2_record(tmp_path, budget):
     # the whole budget goes to m = 13, above the certificate at 12
-    monkeypatch.setattr(antiramsey, "_threshold_cache", {})
     assert run(tmp_path, "ramsey", "--n", "2", "--k", "2",
                "--budget", str(budget)) == 2
     blob = json.loads((tmp_path / "ramsey.json").read_text())
@@ -1134,13 +1131,10 @@ def _outcome(out: Path, argv: list[str]) -> tuple[int, dict]:
     (["product-bound", "--k", "2", "--size", "12"],
      ["ramsey", "--k", "2", "--budget", "20"]),
 ])
-def test_same_argv_same_artifacts_within_a_process(tmp_path, monkeypatch,
-                                                   first, second):
-    # the threshold cache must not let an earlier run change a later one
-    monkeypatch.setattr(antiramsey, "_threshold_cache", {})
+def test_same_argv_same_artifacts_within_a_process(tmp_path, first, second):
+    # an earlier run must not change a later one
     run(tmp_path / "first", *first)
     after = _outcome(tmp_path / "after", second)
-    monkeypatch.setattr(antiramsey, "_threshold_cache", {})
     fresh = _outcome(tmp_path / "fresh", second)
     assert after == fresh
     assert fresh[0] == 2 and "ramsey.json" in fresh[1]

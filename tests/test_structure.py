@@ -3,8 +3,9 @@
 src/polygrid imports only itself and the standard library; it checks with
 raise alone, never with an assert statement or __debug__, so a run under
 python -O checks the same facts; its modules import one another only
-along the graph written out below; and it binds no import that it does
-not use.
+along the graph written out below; it binds no import that it does not
+use; and no function writes to a module-level name or memoises itself
+for the life of the process, so the package keeps no state between calls.
 """
 
 import ast
@@ -37,13 +38,36 @@ TRACER_NAMES = {
     ("deltasys", "rset"),
 }
 
+# module-level names that a function may write: the command table, which
+# the _command decorator fills at import
+MODULE_WRITES = {("cli", "_COMMANDS")}
+
+# method names that change the object they are called on
+MUTATORS = {"add", "append", "appendleft", "clear", "difference_update",
+            "discard", "extend", "extendleft", "insert",
+            "intersection_update", "pop", "popitem", "popleft", "remove",
+            "reverse", "setdefault", "sort", "symmetric_difference_update",
+            "update"}
+
+# decorators that keep a function's results for the life of the process
+MEMOS = {"cache", "lru_cache"}
+
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+@cache
+def parsed() -> dict[str, ast.Module]:
+    """Module name under polygrid -> its syntax tree."""
+    return {str(path.relative_to(SRC / "polygrid").with_suffix("")):
+            ast.parse(path.read_text(), str(path))
+            for path in sorted(SRC.rglob("*.py"))}
+
 
 @cache
 def modules() -> dict[str, list[ast.AST]]:
     """Module name under polygrid -> every node of its syntax tree."""
-    return {str(path.relative_to(SRC / "polygrid").with_suffix("")):
-            list(ast.walk(ast.parse(path.read_text(), str(path))))
-            for path in sorted(SRC.rglob("*.py"))}
+    return {name: list(ast.walk(tree)) for name, tree in parsed().items()}
 
 
 def imports(nodes: list[ast.AST]) -> list[ast.AST]:
@@ -110,3 +134,86 @@ def test_every_import_is_used():
     # the allowlist must also stay exact: a tracer name put to use or
     # deleted leaves it
     assert unused == TRACER_NAMES
+
+
+def bindings(body: list[ast.AST]) -> set[str]:
+    """The names a scope's statements bind, not counting nested scopes."""
+    names, stack = set(), list(body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+            continue
+        if isinstance(node, (ast.Lambda, *COMPREHENSIONS)):
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(alias.asname or alias.name).split(".")[0]
+                      for alias in node.names}
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def base(node: ast.AST) -> str | None:
+    """The name an attribute or item chain starts from, if any."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def module_writes(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) for each write inside a function to a module-level
+    name: a global statement, an item or attribute store or del through
+    the name, or a mutating method called on it; and ("@cache", line) for
+    each function memoised for the life of the process."""
+    module, found = bindings(tree.body), []
+
+    def visit(node: ast.AST, local: set[str], in_function: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner, inside = local, in_function
+            if isinstance(child, SCOPES):
+                args = child.args
+                params = {a.arg for a in (*args.posonlyargs, *args.args,
+                                          *args.kwonlyargs, args.vararg,
+                                          args.kwarg) if a}
+                body = child.body if isinstance(child.body, list) else [
+                    child.body]
+                inner, inside = local | params | bindings(body), True
+                found.extend(("@cache", d.lineno)
+                             for d in getattr(child, "decorator_list", [])
+                             if MEMOS & {getattr(n, "id", None) or
+                                         getattr(n, "attr", None)
+                                         for n in ast.walk(d)})
+            elif isinstance(child, COMPREHENSIONS):
+                inner = local | {n.id for gen in child.generators
+                                 for n in ast.walk(gen.target)
+                                 if isinstance(n, ast.Name)}
+            if inside:
+                if isinstance(child, ast.Global):
+                    found.extend((name, child.lineno) for name in child.names)
+                target = None
+                if (isinstance(child, (ast.Attribute, ast.Subscript))
+                        and not isinstance(child.ctx, ast.Load)):
+                    target = base(child)
+                elif (isinstance(child, ast.Call)
+                      and isinstance(child.func, ast.Attribute)
+                      and child.func.attr in MUTATORS):
+                    target = base(child.func.value)
+                if target in module and target not in inner:
+                    found.append((target, child.lineno))
+            visit(child, inner, inside)
+
+    visit(tree, set(), False)
+    return found
+
+
+def test_no_function_writes_module_state():
+    found = {(name, target, line) for name, tree in parsed().items()
+             for target, line in module_writes(tree)}
+    # the allowlist stays exact: a write that goes leaves it
+    assert {(name, target) for name, target, _ in found} == MODULE_WRITES, (
+        sorted(found))
