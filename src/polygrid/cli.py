@@ -2,15 +2,14 @@
 
 Configuration comes from plain key=value files plus flags (flags win,
 unknown keys are rejected), all randomness flows from --seed, and every
-run writes diffable artifacts: witness JSON plus a CSV summary, no
-timestamps, keys sorted.  Exit statuses are part of the contract:
+run writes diffable artifacts: one JSON file per verdict, no timestamps,
+keys sorted.  Exit statuses are part of the contract:
 0 success, 1 declared failure, 2 budget exhaustion, 64 usage error (a
 ParameterError, raised before any artifact is written), 70 internal error.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 import json
@@ -231,11 +230,9 @@ def _table_chunks(payload: dict, table: Table) -> Iterator[str]:
     yield "}}"
 
 
-def _write_artifacts(cfg: RunConfig, payload: dict,
-                     rows: Sequence[dict] = (), suffix: str = "",
+def _write_artifacts(cfg: RunConfig, payload: dict, suffix: str = "",
                      table: Optional[Table] = None) -> None:
-    """Write payload to <command><suffix>.json and, when rows are given,
-    a CSV headed by the first row's keys to <command><suffix>.csv.
+    """Write payload to <command><suffix>.json.
 
     The JSON text is json.dumps(payload, sort_keys=True,
     separators=(",", ":"), default=str) plus a newline, where the
@@ -246,8 +243,7 @@ def _write_artifacts(cfg: RunConfig, payload: dict,
     streams row by row without its text ever being held.  A payload that
     fails to encode, or a table out of key order, leaves no JSON file."""
     cfg.outdir.mkdir(parents=True, exist_ok=True)
-    stem = f"{cfg.command}{suffix}"
-    path = cfg.outdir / f"{stem}.json"
+    path = cfg.outdir / f"{cfg.command}{suffix}.json"
     chunks = ([_dumps(payload)] if table is None
               else _table_chunks(payload, table))
     try:
@@ -257,11 +253,6 @@ def _write_artifacts(cfg: RunConfig, payload: dict,
     except BaseException:
         path.unlink(missing_ok=True)
         raise
-    if rows:
-        with open(cfg.outdir / f"{stem}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(rows[0])
-            writer.writerows(row.values() for row in rows)
 
 
 def _parse_words(raw: str, d: int) -> list[tuple[int, ...]]:
@@ -312,14 +303,13 @@ def _run_ramsey(cfg: RunConfig) -> int:
         })
         print(f"ramsey: budget exhausted: {exc}")
         return EXIT_BUDGET
-    m_star, m_k = rec.lower, (n + 1) * rec.lower
     _write_artifacts(cfg, {
         "n": n, "k": k, "seed": cfg.seed, "ok": True,
-        "m_star": m_star, "m_k": m_k,
-        "bad_coloring_at": m_star - 1,
+        "m_star": rec.lower, "m_k": (n + 1) * rec.lower,
+        "bad_coloring_at": rec.lower - 1,
         "bad_coloring": _coloring_json(rec.bad),
-    }, [{"n": n, "k": k, "m_star": m_star, "m_k": m_k}])
-    print(m_star)
+    })
+    print(rec.lower)
     return EXIT_OK
 
 
@@ -350,9 +340,7 @@ def _run_difference(cfg: RunConfig) -> int:
         "violations": [
             [list(a), list(b), list(c)] for a, b, c in rep.violations
         ],
-    }, [{"mode": p["mode"], "seed": cfg.seed, "n": p["n"], "size": p["size"],
-         "eligible_pairs": rep.eligible_pairs,
-         "violations": len(rep.violations)}])
+    })
     print(f"difference-check: {rep.eligible_pairs} pairs, "
           f"{len(rep.violations)} violations")
     return EXIT_OK if rep.ok else EXIT_FAIL
@@ -442,8 +430,7 @@ def _run_product_bound(cfg: RunConfig) -> int:
         "n": n, "k": k, "size": size, "mode": mode, "seed": cfg.seed,
         "side_size": m, "pairs": n_products, "violations": violations,
         "min_census": min_census,
-    }, [{"n": n, "k": k, "size": size, "mode": mode, "pairs": n_products,
-         "violations": violations, "min_census": min_census}])
+    })
     print(f"product-bound: {n_products} products, min census {min_census}, "
           f"{violations} violations")
     return EXIT_OK if violations == 0 else EXIT_FAIL
@@ -465,9 +452,7 @@ def _run_ph_refute(cfg: RunConfig) -> int:
     payload = ref.to_json()
     payload.update({"seed": cfg.seed, "skips": gen.skips,
                     "verified": verified})
-    _write_artifacts(cfg, payload, [{
-        "n": p["n"], "entry_bound": p["entry-bound"], "seed": cfg.seed,
-        "method": ref.method, "ok": ref.ok, "verified": verified}])
+    _write_artifacts(cfg, payload)
     print(f"ph-refute: method {ref.method}, verified {verified}")
     return EXIT_OK if ref.ok and verified else EXIT_FAIL
 
@@ -484,7 +469,7 @@ def _run_delta_verify(cfg: RunConfig) -> int:
         _write_artifacts(cfg, {
             "uniform": False, "seed": cfg.seed,
             "violation": outcome.to_json(),
-        }, [{"uniform": False, "kind": outcome.kind}])
+        })
         print(f"delta-verify: violation ({outcome.kind})")
         return EXIT_FAIL
     matches = None
@@ -498,7 +483,7 @@ def _run_delta_verify(cfg: RunConfig) -> int:
         "uniform": True, "seed": cfg.seed,
         "certificate": outcome.to_json(),
         "matches_stored": matches,
-    }, [{"uniform": True, "kind": "certificate"}])
+    })
     print("delta-verify: uniform"
           + ("" if matches is None else f", matches stored: {matches}"))
     return EXIT_OK if matches in (None, True) else EXIT_FAIL
@@ -527,8 +512,7 @@ def _run_delta_extract(cfg: RunConfig) -> int:
         _write_artifacts(cfg, {
             "ok": False, "seed": cfg.seed, "method": res.method,
             "nodes_used": res.nodes_used, "failure": res.failure,
-        }, [{"ok": False, "method": res.method, "h": p["h"],
-             "reason": reason}])
+        })
         print(f"delta-extract: failed ({reason})")
         return EXIT_BUDGET if reason == "budget" else EXIT_FAIL
     sub = deltasys.restrict(fam, res.indices)
@@ -542,7 +526,7 @@ def _run_delta_extract(cfg: RunConfig) -> int:
         "g_value": res.g_value,
         "certificate": res.certificate.to_json(),
         "revalidated": sound,
-    }, [{"ok": True, "method": res.method, "h": p["h"], "reason": ""}])
+    })
     print(f"delta-extract: |H'| = {res.indices.otp} via {res.method}, "
           f"revalidated {sound}")
     return EXIT_OK if sound else EXIT_FAIL
@@ -576,10 +560,7 @@ def _run_force_pipeline(cfg: RunConfig) -> int:
     )
     res.transcript.update({"seed": cfg.seed,
                            "failure_code": res.failure_code})
-    _write_artifacts(cfg, res.transcript, [{
-        "d": p["d"], "k": p["k"], "seed": cfg.seed, "ok": res.ok,
-        "theta": res.theta, "color": res.color,
-        "failure": res.failure or ""}])
+    _write_artifacts(cfg, res.transcript)
     if res.witness is not None:
         _write_artifacts(cfg, res.transcript["witness"], suffix="-witness")
     print(f"force-pipeline: ok={res.ok} theta={res.theta} color={res.color}"
@@ -653,10 +634,7 @@ def _run_hl_derive(cfg: RunConfig) -> int:
     payload = res.to_json()
     payload.update({"seed": cfg.seed, "coloring": gamma.to_json(),
                     "grid": grid.to_json()})
-    _write_artifacts(cfg, payload, [{
-        "kind": gamma.kind, "d": gamma.d, "k": gamma.k, "depth": gamma.depth,
-        "height": res.height, "full": res.full,
-        "failed_stage": "" if res.failed_stage is None else res.failed_stage}])
+    _write_artifacts(cfg, payload)
     print(f"hl-derive: full={res.full} height={res.height}"
           + (f" reason={res.reason}" if res.reason else ""))
     return EXIT_OK if res.full else EXIT_FAIL
@@ -688,8 +666,7 @@ def _run_grid_search(cfg: RunConfig) -> int:
         "witness": witness.to_json(),
         "validation": {"ok": ok, "tuples": report["tuples"],
                        "color_failures": report["color_failures"]},
-    }, [{"kind": gamma.kind, "d": gamma.d, "density": p["density"],
-         "cap": p["cap"], "color": witness.color, "validated": ok}])
+    })
     print(f"grid-search: found color {witness.color}, validated {ok}")
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -734,9 +711,8 @@ def _run_sideways(cfg: RunConfig) -> int:
     _write_artifacts(cfg, {
         "d": d, "k": k, "depth": depth, "j_bound": j_bound,
         "jmap": kind, "seed": cfg.seed,
-    }, [{"color": c, "count": census[c]} for c in sorted(census)],
-        table=(map("".join, itertools.product(
-            [name + "|" for name in names], repeat=d)), names, rows))
+    }, table=(map("".join, itertools.product(
+        [name + "|" for name in names], repeat=d)), names, rows))
     print(f"sideways-build: {len(rows) * len(names)} tuples, census "
           + ", ".join(f"{c}:{census[c]}" for c in sorted(census)))
     return EXIT_OK
@@ -779,9 +755,7 @@ def _run_ddf_check(cfg: RunConfig) -> int:
         "d": p["d"], "k": p["k"], "depth": p["depth"],
         "density": p["density"], "mcap": p["mcap"], "seed": cfg.seed,
         "size": len(Z), "ok": ok,
-    }, [{"d": p["d"], "k": p["k"], "depth": p["depth"],
-         "density": p["density"], "mcap": p["mcap"], "size": len(Z),
-         "ok": ok}])
+    })
     print(f"ddf-check: {len(Z)} tuples, ok={ok}")
     return EXIT_OK if ok else EXIT_FAIL
 

@@ -1,7 +1,6 @@
 """The batch runner: config parsing, exit codes, artifact determinism."""
 
 import contextlib
-import csv
 import hashlib
 import io
 import itertools
@@ -30,18 +29,17 @@ def run(tmp_path, command, *args):
 
 
 def artifact_digests(out: Path) -> dict[str, str]:
-    """File name -> sha256 prefix of each artifact in out: of a CSV's bytes,
-    and of a JSON artifact's content in the indent=2 form its digest was
-    pinned in, after checking that its bytes are the compact form."""
+    """File name -> sha256 prefix of each artifact in out, every one a
+    compact JSON artifact: of its content in the indent=2 form its digest
+    was pinned in."""
     digests = {}
     for path in out.iterdir():
+        assert path.suffix == ".json", path.name
         data = path.read_bytes()
-        if path.suffix == ".json":
-            content = json.loads(data)
-            assert data == _dumped(content)
-            data = (json.dumps(content, sort_keys=True, indent=2)
-                    + "\n").encode()
-        digests[path.name] = hashlib.sha256(data).hexdigest()[:16]
+        content = json.loads(data)
+        assert data == _dumped(content)
+        pinned = json.dumps(content, sort_keys=True, indent=2) + "\n"
+        digests[path.name] = hashlib.sha256(pinned.encode()).hexdigest()[:16]
     return digests
 
 
@@ -356,6 +354,13 @@ _SWEEP_BASE = {
 }
 
 
+def _write_sweep_family() -> None:
+    """The fam.json that the delta-verify base run reads from the cwd."""
+    fam = Family(1, OrdSet.of(range(3)),
+                 {(i,): OrdSet.of([i]) for i in range(3)})
+    Path("fam.json").write_text(json.dumps(fam.to_json()))
+
+
 def _sweep_cases():
     for cmd, base in _SWEEP_BASE.items():
         schema = {**cli._COMMON, **cli._COMMANDS[cmd][0]}
@@ -372,9 +377,7 @@ def test_flag_sweep_keeps_exit_code_contract(tmp_path, monkeypatch, capsys):
     # or a usage error, never a crash, and a usage error writes nothing
     assert set(_SWEEP_BASE) == set(cli._COMMANDS)
     monkeypatch.chdir(tmp_path)
-    fam = Family(1, OrdSet.of(range(3)),
-                 {(i,): OrdSet.of([i]) for i in range(3)})
-    Path("fam.json").write_text(json.dumps(fam.to_json()))
+    _write_sweep_family()
     for i, argv in enumerate(_sweep_cases()):
         out = tmp_path / f"out{i}"
         rc = run(out, *argv)
@@ -382,6 +385,30 @@ def test_flag_sweep_keeps_exit_code_contract(tmp_path, monkeypatch, capsys):
         assert "Traceback" not in capsys.readouterr().err, argv
         if rc == 64:
             assert not out.exists(), argv
+
+
+# what a run of each subcommand leaves: its JSON artifact, and the
+# pipeline's witness when it found one; the theta-cap run finds none, and
+# a usage error leaves no directory
+@pytest.mark.parametrize("argv, code, names", [
+    *(([cmd, *base], 0, [f"{cmd}.json"]) for cmd, base in _SWEEP_BASE.items()
+      if cmd != "force-pipeline"),
+    (["force-pipeline", *_SWEEP_BASE["force-pipeline"]], 0,
+     ["force-pipeline-witness.json", "force-pipeline.json"]),
+    (["force-pipeline", "--d", "1", "--theta", "4", "--theta-cap", "4"], 2,
+     ["force-pipeline.json"]),
+    (["ramsey", "--n", "0"], 64, None),
+])
+def test_a_run_writes_its_json_artifacts_and_nothing_else(
+        tmp_path, monkeypatch, argv, code, names):
+    monkeypatch.chdir(tmp_path)
+    _write_sweep_family()
+    out = tmp_path / "out"
+    assert run(out, *argv) == code
+    if names is None:
+        assert not out.exists()
+    else:
+        assert sorted(p.name for p in out.iterdir()) == names
 
 
 def test_internal_fault_exits_70(monkeypatch, capsys):
@@ -409,9 +436,8 @@ def test_ramsey_exit_and_artifacts(tmp_path, capsys):
     assert run(tmp_path, "ramsey", "--n", "1", "--k", "1") == 0
     assert capsys.readouterr().out.strip() == "3"
     blob = json.loads((tmp_path / "ramsey.json").read_text())
-    assert blob["m_star"] == 3
+    assert (blob["n"], blob["k"], blob["m_star"], blob["m_k"]) == (1, 1, 3, 6)
     assert blob["seed"] == 0
-    assert (tmp_path / "ramsey.csv").read_text().splitlines()[1] == "1,1,3,6"
 
 
 def test_ramsey_budget_exit(tmp_path):
@@ -517,36 +543,30 @@ def test_product_bound_says_no_on_a_constant_coloring(tmp_path, monkeypatch):
     blob = json.loads((tmp_path / "product-bound.json").read_text())
     assert (blob["pairs"], blob["violations"], blob["min_census"]) == (
         784, 784, 1)
-    with open(tmp_path / "product-bound.csv", newline="") as fh:
-        (row,) = csv.DictReader(fh)
-    assert (row["pairs"], row["violations"], row["min_census"]) == (
-        "784", "784", "1")
 
 
 # artifact digests of the census that drew each product's sets, in order,
 # from one Random per run and colored each product tuple by tuple
-@pytest.mark.parametrize("argv, json_digest, csv_digest", [
+@pytest.mark.parametrize("argv, json_digest", [
     (["--k", "1", "--size", "12", "--samples", "40", "--seed", "1"],
-     "4d8f85e1809a7ede", "261ada5c823cde41"),
+     "4d8f85e1809a7ede"),
     (["--k", "1", "--size", "12", "--samples", "40", "--seed", "2"],
-     "3c180811881c50cf", "261ada5c823cde41"),
+     "3c180811881c50cf"),
     (["--k", "2", "--size", "24", "--samples", "30", "--seed", "1"],
-     "db924c24344f5431", "7fd6866354828a5b"),
+     "db924c24344f5431"),
     (["--k", "2", "--size", "24", "--samples", "30", "--seed", "2"],
-     "f4949bc22a84e761", "7fd6866354828a5b"),
+     "f4949bc22a84e761"),
     # sets drawn by Random.sample's set branch
     (["--k", "1", "--size", "200", "--samples", "50", "--seed", "9"],
-     "824324f31bed0154", "ea56da6ab4c8b417"),
+     "824324f31bed0154"),
     # sides of one element
     (["--k", "0", "--size", "5", "--samples", "7", "--seed", "4"],
-     "53717d6106276b75", "1e14e4a7f61d78e3"),
-    (["--k", "1", "--size", "8"], "dde1073e4aee9e5d", "78bf8d5797a109a5"),
+     "53717d6106276b75"),
+    (["--k", "1", "--size", "8"], "dde1073e4aee9e5d"),
 ])
-def test_product_bound_pinned(tmp_path, argv, json_digest, csv_digest):
+def test_product_bound_pinned(tmp_path, argv, json_digest):
     assert run(tmp_path, "product-bound", "--n", "1", *argv) == 0
-    digests = artifact_digests(tmp_path)
-    assert digests == {"product-bound.json": json_digest,
-                       "product-bound.csv": csv_digest}
+    assert artifact_digests(tmp_path) == {"product-bound.json": json_digest}
 
 
 @pytest.mark.parametrize("n, k, size, samples, seed", [
@@ -604,8 +624,7 @@ def test_product_bound_exhaustive_n2(tmp_path, monkeypatch):
     assert (blob["pairs"], blob["violations"], blob["min_census"]) == (
         2197, 0, 31)
     assert artifact_digests(tmp_path) == {
-        "product-bound.json": "d1f4fc0c48d16896",
-        "product-bound.csv": "d50cc2c30b77011e"}
+        "product-bound.json": "d1f4fc0c48d16896"}
 
 
 def test_product_bound_n2_k2_is_budget(tmp_path, capsys):
@@ -688,9 +707,8 @@ def test_ph_refute_largest_table_under_cap(tmp_path):
     # 80 + 80^2 + 80^3 = 518,480 entries; the bytes are those of the
     # whole-table generator
     assert run(tmp_path, "ph-refute", "--entry-bound", "80", "--n", "2") == 0
-    digests = artifact_digests(tmp_path)
-    assert digests == {"ph-refute.json": "ea8d2f22538b830c",
-                       "ph-refute.csv": "af23f4e0e26630ca"}
+    assert artifact_digests(tmp_path) == {
+        "ph-refute.json": "ea8d2f22538b830c"}
 
 
 def test_delta_verify_roundtrip(tmp_path):
@@ -826,8 +844,7 @@ def test_force_pipeline_and_determinism(tmp_path):
             "--density", "3", "--branches", "4", "--seed", "7"]
     assert cli.main(["force-pipeline", "--out", str(a), *args]) == 0
     assert cli.main(["force-pipeline", "--out", str(b), *args]) == 0
-    for name in ("force-pipeline.json", "force-pipeline-witness.json",
-                 "force-pipeline.csv"):
+    for name in ("force-pipeline.json", "force-pipeline-witness.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
@@ -835,22 +852,21 @@ def test_force_pipeline_and_determinism(tmp_path):
     # the force-pipeline run of criterion 10 (determinism)
     (["--d", "1", "--k", "2", "--depth-oracle", "2", "--density", "3",
       "--branches", "8", "--seed", "7"],
-     ("1a1aa1576519cd51", "9bd7f42243d846e7", "2bf8405d40f53f93")),
+     ("1a1aa1576519cd51", "9bd7f42243d846e7")),
     (["--d", "2", "--branches", "8"],
-     ("7efcfa64757c9b49", "78a72e1097b3dc68", "0d142ee398c06af1")),
+     ("7efcfa64757c9b49", "78a72e1097b3dc68")),
     (["--d", "3", "--branches", "8"],
-     ("c3dbf78598465a90", "00efcb09726c4d91", "a8154eab81c6bfc2")),
+     ("c3dbf78598465a90", "00efcb09726c4d91")),
 ])
 def test_force_pipeline_pinned(tmp_path, argv, digests):
-    # the witness and CSV digests date from when grid witnesses held Node
-    # objects; the transcript's were re-pinned when the chain lost the
-    # decide steps that left the condition unchanged, again when the stage
-    # entries lost the fields of the per-stage checks, and again when the
-    # transcript gained its failure code
+    # the witness digests date from when grid witnesses held Node objects;
+    # the transcript's were re-pinned when the chain lost the decide steps
+    # that left the condition unchanged, again when the stage entries lost
+    # the fields of the per-stage checks, and again when the transcript
+    # gained its failure code
     assert run(tmp_path, "force-pipeline", *argv) == 0
     got = artifact_digests(tmp_path)
-    names = ("force-pipeline.json", "force-pipeline-witness.json",
-             "force-pipeline.csv")
+    names = ("force-pipeline.json", "force-pipeline-witness.json")
     assert got == dict(zip(names, digests))
 
 
@@ -878,7 +894,7 @@ def test_force_pipeline_theta_cap_is_budget(tmp_path):
 
 def test_force_pipeline_records_the_failure_code(tmp_path):
     # null for a run that exits 0, "theta-cap" for one stopped at the cap;
-    # the CSV keeps its columns
+    # both transcripts carry the run's d, k and seed
     assert run(tmp_path / "ok", "force-pipeline", "--d", "1",
                "--branches", "4") == 0
     assert run(tmp_path / "cap", "force-pipeline", "--d", "1", "--theta", "4",
@@ -887,8 +903,7 @@ def test_force_pipeline_records_the_failure_code(tmp_path):
         out = tmp_path / name
         blob = json.loads((out / "force-pipeline.json").read_text())
         assert blob["failure_code"] == code
-        assert ((out / "force-pipeline.csv").read_text().splitlines()[0]
-                == "d,k,seed,ok,theta,color,failure")
+        assert (blob["d"], blob["k"], blob["seed"]) == (1, 2, 0)
 
 
 def test_hl_derive_full(tmp_path):
@@ -918,9 +933,8 @@ def test_hl_derive_takes_the_roots_of_a_loaded_planted_grid(tmp_path):
                "--table", str(table), *flags) == 0
     assert run(tmp_path / "named", "hl-derive", "--coloring", "planted-grid",
                "--roots", "0,1", "--value", "1", *flags) == 0
-    for name in ("hl-derive.json", "hl-derive.csv"):
-        assert ((tmp_path / "loaded" / name).read_bytes()
-                == (tmp_path / "named" / name).read_bytes())
+    assert ((tmp_path / "loaded" / "hl-derive.json").read_bytes()
+            == (tmp_path / "named" / "hl-derive.json").read_bytes())
 
 
 def test_grid_search(tmp_path):
@@ -933,52 +947,44 @@ def test_grid_search(tmp_path):
 def test_sideways_build(tmp_path):
     assert run(tmp_path, "sideways-build", "--depth", "4",
                "--j-bound", "2") == 0
-    rows = (tmp_path / "sideways-build.csv").read_text().splitlines()
-    assert rows[0] == "color,count"
-    counts = {int(r.split(",")[0]): int(r.split(",")[1]) for r in rows[1:]}
-    assert set(counts) == {0, 1}
+    table = json.loads((tmp_path / "sideways-build.json").read_text())["table"]
+    assert set(table.values()) == {0, 1}
 
 
 # artifact digests of the per-tuple build that named every branch of every
 # tuple; naming each branch once must give the same bytes
-@pytest.mark.parametrize("d, k, depth, jmap, json_digest, csv_digest", [
-    (1, 2, 4, "constant", "e888a4e301141be4", "a3bc78006f6fbb68"),
-    (1, 2, 4, "first-letter", "ca55ffd7a644a982", "a3bc78006f6fbb68"),
-    (1, 3, 4, "constant", "7a528e08a4f06346", "cfe440d9e14c793d"),
-    (1, 3, 4, "first-letter", "ad6db3e33b45d8b1", "cfe440d9e14c793d"),
-    (2, 2, 4, "constant", "06b01ee4986e6a97", "75d5ea03ce076f17"),
-    (2, 2, 4, "first-letter", "d6e830a391dfee1d", "75d5ea03ce076f17"),
-    (2, 2, 5, "constant", "d4d33d38afdd7662", "1a8839d51021ce3b"),
-    (2, 2, 5, "first-letter", "05b9ec3143e58a49", "1a8839d51021ce3b"),
+@pytest.mark.parametrize("d, k, depth, jmap, json_digest", [
+    (1, 2, 4, "constant", "e888a4e301141be4"),
+    (1, 2, 4, "first-letter", "ca55ffd7a644a982"),
+    (1, 3, 4, "constant", "7a528e08a4f06346"),
+    (1, 3, 4, "first-letter", "ad6db3e33b45d8b1"),
+    (2, 2, 4, "constant", "06b01ee4986e6a97"),
+    (2, 2, 4, "first-letter", "d6e830a391dfee1d"),
+    (2, 2, 5, "constant", "d4d33d38afdd7662"),
+    (2, 2, 5, "first-letter", "05b9ec3143e58a49"),
 ])
-def test_sideways_build_pinned(tmp_path, d, k, depth, jmap, json_digest,
-                               csv_digest):
+def test_sideways_build_pinned(tmp_path, d, k, depth, jmap, json_digest):
     value = ["--value", "1"] if jmap == "constant" else []
     assert run(tmp_path, "sideways-build", "--d", str(d), "--k", str(k),
                "--depth", str(depth), "--jmap", jmap, *value) == 0
-    digests = artifact_digests(tmp_path)
-    assert digests == {"sideways-build.json": json_digest,
-                       "sideways-build.csv": csv_digest}
+    assert artifact_digests(tmp_path) == {"sideways-build.json": json_digest}
 
 
 # exit codes, output and artifact digests of the lift that called the
 # jmap once per tuple; the jmap error still comes before the letter one
-@pytest.mark.parametrize("argv, code, printed, json_digest, csv_digest", [
-    (["--d", "0"], 0, "16 tuples, census 0:8, 1:8",
-     "d3f1cbcac2bb417f", "e7fdd2b3a1a12eab"),
+@pytest.mark.parametrize("argv, code, printed, json_digest", [
+    (["--d", "0"], 0, "16 tuples, census 0:8, 1:8", "d3f1cbcac2bb417f"),
     (["--d", "0", "--depth", "5", "--j-bound", "3", "--value", "2"], 0,
-     "32 tuples, census 0:16, 1:16", "3a8cebf5c76791fa", "68623d2459828c58"),
-    (["--d", "0", "--value", "-1"], 64, "jmap value -1 outside 0..1", None,
-     None),
-    (["--d", "1", "--value", "2"], 64, "jmap value 2 outside 0..1", None,
-     None),
+     "32 tuples, census 0:16, 1:16", "3a8cebf5c76791fa"),
+    (["--d", "0", "--value", "-1"], 64, "jmap value -1 outside 0..1", None),
+    (["--d", "1", "--value", "2"], 64, "jmap value 2 outside 0..1", None),
     (["--d", "2", "--depth", "3", "--value", "5"], 64,
-     "jmap value 5 outside 0..1", None, None),
+     "jmap value 5 outside 0..1", None),
     (["--d", "1", "--k", "11", "--depth", "2", "--j-bound", "1",
-      "--value", "3"], 64, "jmap value 3 outside 0..0", None, None),
+      "--value", "3"], 64, "jmap value 3 outside 0..0", None),
 ])
 def test_sideways_build_edges(tmp_path, capsys, argv, code, printed,
-                              json_digest, csv_digest):
+                              json_digest):
     assert run(tmp_path, "sideways-build", *argv) == code
     out, err = capsys.readouterr()
     if code:
@@ -986,9 +992,7 @@ def test_sideways_build_edges(tmp_path, capsys, argv, code, printed,
         assert not any(tmp_path.iterdir())
         return
     assert out == f"sideways-build: {printed}\n"
-    digests = artifact_digests(tmp_path)
-    assert digests == {"sideways-build.json": json_digest,
-                       "sideways-build.csv": csv_digest}
+    assert artifact_digests(tmp_path) == {"sideways-build.json": json_digest}
 
 
 def _sideways_reference(out: Path, d, k, depth, j_bound, jmap, value,
@@ -1008,8 +1012,6 @@ def _sideways_reference(out: Path, d, k, depth, j_bound, jmap, value,
     (out / "sideways-build.json").write_bytes(_dumped({
         "d": d, "k": k, "depth": depth, "j_bound": j_bound, "jmap": jmap,
         "seed": seed, "table": table}))
-    (out / "sideways-build.csv").write_text(
-        "color,count\n" + "".join(f"{c},{census[c]}\n" for c in sorted(census)))
     return (f"sideways-build: {len(table)} tuples, census "
             + ", ".join(f"{c}:{census[c]}" for c in sorted(census)) + "\n")
 
@@ -1047,9 +1049,10 @@ def test_sideways_build_matches_the_dict_built_table(args):
         line = _sideways_reference(Path(want), d, k, depth, j_bound, jmap,
                                    value, seed)
         assert printed.getvalue() == line
-        for name in ("sideways-build.json", "sideways-build.csv"):
-            assert ((Path(got) / name).read_bytes()
-                    == (Path(want) / name).read_bytes())
+        assert ([p.name for p in Path(got).iterdir()]
+                == ["sideways-build.json"])
+        assert ((Path(got) / "sideways-build.json").read_bytes()
+                == (Path(want) / "sideways-build.json").read_bytes())
 
 
 def test_sideways_build_memory_is_bounded(tmp_path):
@@ -1065,59 +1068,55 @@ def test_sideways_build_memory_is_bounded(tmp_path):
     assert peak < 3 * 2 ** 20
 
 
-@pytest.mark.parametrize("argv, code, json_digest, csv_digest", [
-    # no monochromatic grid: exit 1 and a JSON artifact only
+@pytest.mark.parametrize("argv, code, json_digest", [
+    # no monochromatic grid: exit 1
     (["grid-search", "--d", "2", "--depth", "3", "--density", "2",
       "--cap", "28", "--r", "3", "--coloring", "seeded",
-      "--seed", "779960332"], 1, "176728f58288e1f0", None),
+      "--seed", "779960332"], 1, "176728f58288e1f0"),
     (["grid-search", "--d", "2", "--depth", "3", "--density", "2",
       "--cap", "16", "--coloring", "seeded", "--seed", "11"],
-     0, "481d8837e2398339", "c95f8cbb66c86566"),
+     0, "481d8837e2398339"),
     (["grid-search", "--d", "2", "--depth", "4", "--density", "2",
       "--cap", "16", "--coloring", "planted-grid", "--roots", "0,1",
       "--value", "1", "--seed", "5"],
-     0, "b7f8714222a2b3b0", "6abdf860fde9f5d7"),
+     0, "b7f8714222a2b3b0"),
     (["grid-search", "--depth", "4", "--density", "2", "--r", "3",
       "--coloring", "level-parity", "--value", "1"],
-     0, "693d5f157792a223", "97d69e09a469e7b1"),
+     0, "693d5f157792a223"),
     (["grid-search", "--depth", "6", "--density", "2",
       "--coloring", "adversarial"],
-     0, "501d83bbbae09b32", "407440d2268b3bf0"),
+     0, "501d83bbbae09b32"),
     (["grid-search", "--d", "3", "--depth", "2", "--density", "1",
       "--cap", "8", "--r", "3", "--coloring", "constant", "--value", "2"],
-     0, "1337eccfb1f94e15", "c39c057f0d879a24"),
+     0, "1337eccfb1f94e15"),
     (["hl-derive", "--d", "2", "--depth", "8", "--density", "3",
       "--height", "3", "--r", "3", "--coloring", "constant", "--value", "2"],
-     0, "c9ba4757d1e3d15a", "d97d5d1dadc95da6"),
+     0, "c9ba4757d1e3d15a"),
     (["hl-derive", "--depth", "10", "--density", "2", "--height", "2",
       "--coloring", "level-parity", "--value", "1"],
-     0, "4293aa0b5cf7bb20", "2dd5419810bcf514"),
+     0, "4293aa0b5cf7bb20"),
     (["hl-derive", "--d", "2", "--depth", "8", "--density", "3",
       "--height", "2", "--coloring", "planted-grid", "--roots", "0,1",
       "--value", "1", "--seed", "7"],
-     0, "95856aa8b7b99b5e", "f42939f4ae333956"),
-    # the derivation goes partial: exit 1 with both artifacts
+     0, "95856aa8b7b99b5e"),
+    # the derivation goes partial: exit 1
     (["hl-derive", "--depth", "8", "--density", "1", "--height", "2",
       "--coloring", "adversarial"],
-     1, "2dce38c83684f52e", "59011c6ad2bae4df"),
-    # no cone grid: exit 1 and a JSON artifact only
+     1, "2dce38c83684f52e"),
+    # no cone grid: exit 1
     (["hl-derive", "--d", "2", "--depth", "6", "--density", "2",
       "--height", "2", "--coloring", "seeded", "--seed", "3"],
-     1, "53223bc0840cebfa", None),
+     1, "53223bc0840cebfa"),
     # "." and an empty segment both name the root
     (["hl-derive", "--d", "2", "--depth", "5", "--density", "3",
-      "--roots", ".,0"], 0, "e737d922876d510d", "d851a1a8f15f0feb"),
+      "--roots", ".,0"], 0, "e737d922876d510d"),
     (["hl-derive", "--d", "2", "--depth", "5", "--density", "3",
-      "--roots", ",0"], 0, "e737d922876d510d", "d851a1a8f15f0feb"),
+      "--roots", ",0"], 0, "e737d922876d510d"),
 ])
-def test_hl_artifacts_pinned(tmp_path, argv, code, json_digest, csv_digest):
+def test_hl_artifacts_pinned(tmp_path, argv, code, json_digest):
     # digests of the artifacts written before level colorings were memoized
     assert run(tmp_path, *argv) == code
-    digests = artifact_digests(tmp_path)
-    want = {f"{argv[0]}.json": json_digest}
-    if csv_digest is not None:
-        want[f"{argv[0]}.csv"] = csv_digest
-    assert digests == want
+    assert artifact_digests(tmp_path) == {f"{argv[0]}.json": json_digest}
 
 
 def _outcome(out: Path, argv: list[str]) -> tuple[int, dict]:
@@ -1244,13 +1243,13 @@ def test_writer_leaves_no_json_when_encoding_fails(tmp_path, bad, error):
     cfg = cli.RunConfig("ramsey", {}, tmp_path, 0)
     payload = {"a": list(range(3 * _LONG)), "z": bad}
     with pytest.raises(error):
-        cli._write_artifacts(cfg, payload, [{"n": 1}])
+        cli._write_artifacts(cfg, payload)
     assert list(tmp_path.iterdir()) == []
 
 
 def _write_table(tmp_path, payload, prefixes, names, rows) -> None:
     cfg = cli.RunConfig("sideways-build", {}, tmp_path, 0)
-    cli._write_artifacts(cfg, payload, [{"n": 1}],
+    cli._write_artifacts(cfg, payload,
                          table=(iter(prefixes), names, iter(rows)))
 
 
