@@ -2,9 +2,11 @@
 
 A coloring arena fixes, for every beta below the arena size, an injection
 of {0..beta-1} into the arena (the embedding family) and an injective pair
-coloring with fibers indexed by the larger element.  The dimension-n set
-coloring cn recurses through the embeddings; its key property is that two
-sets differing only at their distinguished element get different colors.
+coloring with fibers indexed by the larger element.  The dimension-n color
+of an (n+1)-set recurses through the embeddings, and so does the choice of
+its distinguished element; the compound coloring c_full of a tuple pairs
+the two.  The key property is that two sets differing only at their
+distinguished element get different colors.
 On top sit the Ramsey thresholds used to size product censuses, each held
 as a bound record whose sides come from search, certificate or recurrence.
 """
@@ -111,13 +113,6 @@ def c1(arena: Arena, alpha: int, beta: int) -> int:
     return arena._tables[1][beta][alpha]
 
 
-def _validate_set(arena: Arena, elems: tuple[int, ...]) -> None:
-    if len(elems) != arena.dim + 1:
-        raise ValueError(f"need a set of size {arena.dim + 1}, got {len(elems)}")
-    if elems[-1] >= arena.size:
-        raise ValueError(f"element {elems[-1]} outside arena of size {arena.size}")
-
-
 def _descend(arena: Arena, elems: tuple[int, ...], level: int) -> tuple[int, int]:
     """(distinguished element, set color) of a sorted (level+1)-set, by one
     recursion through the embedding at its maximum."""
@@ -127,22 +122,6 @@ def _descend(arena: Arena, elems: tuple[int, ...], level: int) -> tuple[int, int
     back = {arena.embed(beta, x): x for x in elems[:-1]}  # embed is injective
     inner, color = _descend(arena, tuple(sorted(back)), level - 1)
     return back[inner], color
-
-
-def cn(arena: Arena, a: OrdSet) -> int:
-    """Dimension-n recursive color of an (n+1)-sized set."""
-    _validate_set(arena, a.elems)
-    return _descend(arena, a.elems, arena.dim)[1]
-
-
-def star(arena: Arena, a: OrdSet) -> int:
-    """The member whose replacement is guaranteed to change the color.
-
-    Dimension one distinguishes the minimum; higher dimensions pull the
-    recursive choice back through the embedding at the maximum.
-    """
-    _validate_set(arena, a.elems)
-    return _descend(arena, a.elems, arena.dim)[0]
 
 
 def c_full(arena: Arena, vec: Sequence[int]) -> TupleColor:
@@ -375,17 +354,6 @@ def _search_bad(
             top += 1  # c was a fresh color, so c + 1 opens
         c = 0
         f0, f1, f2, rest, tail, bit = plan[pos]
-
-
-def find_bad_coloring(
-    n: int, m: int, k: int, budget: int = DEFAULT_BUDGET
-) -> Coloring | None:
-    """A k-coloring of the (n+1)-subsets of {0..m-1} with no monochromatic
-    (n+2)-subset, or None once the exhaustive search proves none exists."""
-    if budget < 0:
-        raise ParameterError("need budget >= 0")
-    result, _ = _search_bad(n, m, k, budget)
-    return result
 
 
 def threshold(n: int, k: int, budget: int = DEFAULT_BUDGET) -> ThresholdRecord:

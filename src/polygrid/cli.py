@@ -502,7 +502,7 @@ def _run_delta_extract(cfg: RunConfig) -> int:
     fam_file = str(p["family"])
     if fam_file:
         fam, labels = _load_input(fam_file, "family", _family_from)
-        labels = labels or (lambda b: 0)
+        labels = labels or dict.fromkeys(fam.umap, 0)
     else:
         fam, labels, _ = deltasys.make_planted_family(
             p["num-indices"], p["planted"], p["n"], cfg.seed)

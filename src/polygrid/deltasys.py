@@ -118,10 +118,6 @@ class UniformCertificate:
     rho: int
     patterns: dict[Key, Optional[OrdSet]]
 
-    @property
-    def is_full(self) -> bool:
-        return all(v is not None for v in self.patterns.values())
-
     def to_json(self) -> dict:
         return {
             "dim": self.dim,
@@ -291,10 +287,12 @@ class _Ends(dict):
         return row
 
 
-def extract_uniform(fam: Family, h: int, g, budget: int = 200_000) -> ExtractResult:
-    """The least h indices on which the restriction is uniform and g
-    constant: the first h-subset in lexicographic order with one label on
-    its keys that `verify_uniform` accepts.
+def extract_uniform(fam: Family, h: int, labels: Mapping,
+                    budget: int = 200_000) -> ExtractResult:
+    """The least h indices on which the restriction is uniform and the
+    labels, a mapping from each key to its label, are constant: the first
+    h-subset in lexicographic order with one label on its keys that
+    `verify_uniform` accepts.
 
     The search adds indices in increasing order and backtracks.  Each
     clause (one label, one order type, aligned fibers, one position set
@@ -311,8 +309,6 @@ def extract_uniform(fam: Family, h: int, g, budget: int = 200_000) -> ExtractRes
             f"h = {h} must be >= 1 and >= the family's dimension {dim}")
     idx = fam.indices.elems
     umap = fam.umap
-    # a callable is tabulated once; a mapping is read in place
-    labels = {b: g(b) for b in umap} if callable(g) else g
     if not umap.keys() <= labels.keys():
         missing = next(b for b in umap if b not in labels)
         raise ParameterError(f"labels miss key {missing}")

@@ -5,9 +5,10 @@ surrogate color by majority vote over their level truncations, the search
 hunts for a monochromatic somewhere-dense grid under a branch coloring,
 and the derivation replays the subtree construction stage by stage against
 a validated grid witness, reporting partial progress as a value rather
-than an error.  The sideways construction turns a d-dimensional branch
-coloring into a (d+1)-dimensional 2-coloring through the clopen family
-S_n = {x : x takes the leftmost step at level n}.
+than an error.  The sideways construction lifts a d-dimensional branch
+coloring to a (d+1)-dimensional 2-coloring through the clopen family
+S_n = {x : x takes the leftmost step at level n}, tabulated over a whole
+product at once.
 """
 
 from __future__ import annotations
@@ -547,19 +548,6 @@ class HLWitness:
             ],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "HLWitness":
-        return cls(
-            k=data["k"],
-            depth=data["depth"],
-            levels=OrdSet(tuple(data["levels"])),
-            subtrees=tuple(
-                tuple(frozenset(map(word_from_str, level)) for level in sets)
-                for sets in data["subtrees"]
-            ),
-            color=data["color"],
-        )
-
 
 def verify_hl_witness(gamma: LevelColoring, w: HLWitness) -> bool:
     """Each subtree is strong and every level-product tuple has w.color."""
@@ -767,28 +755,13 @@ def _jmap_value(jmap: Callable[[tuple[Word, ...]], int],
     return j
 
 
-def sideways_build(
-    jmap: Callable[[tuple[Word, ...]], int], d: int, j_bound: int, depth: int
-) -> Callable[[tuple[Word, ...]], int]:
-    """Lift a d-dimensional branch coloring into {0..j_bound-1} to a
-    2-coloring of (d+1)-tuples: color 0 iff the last coordinate lies in
-    S_j for j the jmap value of the first d."""
-    _check_sideways(d, j_bound, depth)
-
-    def color(xs: tuple[Word, ...]) -> int:
-        if len(xs) != d + 1:
-            raise ValueError(f"expected {d + 1} branches, got {len(xs)}")
-        j = _jmap_value(jmap, tuple(xs[:d]), j_bound)
-        return 0 if s_member(j, xs[d]) else 1
-
-    return color
-
-
 def sideways_lift(
     jmap: Callable[[tuple[Word, ...]], int], d: int, j_bound: int, depth: int
 ) -> Callable[[Sequence[Word]], list[list[int]]]:
-    """sideways_build over a whole product: a function of a list of
-    branches, `side`, that returns one row per d-prefix of
+    """Lift a d-dimensional branch coloring jmap into {0..j_bound-1} to a
+    2-coloring of (d+1)-tuples of branches: prefix + (x,) gets color 0 iff
+    x lies in S_j for j = jmap(prefix).  The lift is a function of a list
+    of branches, `side`, that returns one row per d-prefix of
     product(side, repeat=d), in prefix order, where a prefix's row holds
     the colors of prefix + (x,) for x in side.  The jmap and its range
     check run once per d-prefix, in prefix order, and the S_j membership

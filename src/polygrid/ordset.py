@@ -67,10 +67,6 @@ class OrdSet:
         """Subset sitting at the given positions: {a(eta) : eta in I}."""
         return OrdSet(tuple(self.at(eta) for eta in sorted(set(positions))))
 
-    def intersect(self, other: "OrdSet") -> "OrdSet":
-        common = set(self.elems) & set(other.elems)
-        return OrdSet(tuple(x for x in self.elems if x in common))
-
     def __contains__(self, x: int) -> bool:
         return x in self.elems
 

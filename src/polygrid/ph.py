@@ -60,13 +60,6 @@ class CofinalFn:
         t = _in_domain(xs, self.entry_bound, self.arity)
         return self.rows[t[:-1]][t[-1]]
 
-    @classmethod
-    def from_formula(cls, entry_bound: int, arity: int, fn) -> "CofinalFn":
-        domain = range(entry_bound)
-        rows = {p: [fn(p + (c,)) for c in domain] for length in range(arity)
-                for p in itertools.product(domain, repeat=length)}
-        return cls(entry_bound, arity, rows)
-
 
 @dataclass
 class CofinalCheck:

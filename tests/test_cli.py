@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from polygrid import ParameterError, antiramsey, cli, hl, trees
 from polygrid.deltasys import Family
 from polygrid.ordset import OrdSet
+from reference import sideways_build
 
 
 def run(tmp_path, command, *args):
@@ -711,6 +713,24 @@ def test_ph_refute_largest_table_under_cap(tmp_path):
         "ph-refute.json": "ea8d2f22538b830c"}
 
 
+def test_readme_command_lines_run(tmp_path, monkeypatch):
+    # the README's invocations, run as written from the directory that
+    # holds the fam.json that delta-verify reads; together they name
+    # every subcommand
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    fam = Family(2, OrdSet.of(range(5)),
+                 {b: OrdSet.of(b) for b in itertools.combinations(range(5), 2)})
+    (tmp_path / "fam.json").write_text(json.dumps(fam.to_json()))
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        assert argv[0] == "polygrid"
+        assert run(tmp_path, *argv[1:]) == 0, argv
+    assert sorted(argv[1] for argv in lines) == sorted(cli._COMMANDS)
+
+
 def test_delta_verify_roundtrip(tmp_path):
     fam = Family(
         2,
@@ -1001,10 +1021,9 @@ def _sideways_reference(out: Path, d, k, depth, j_bound, jmap, value,
     tuple, hold the whole table, write it with json.dumps.  Returns the
     line printed."""
     if jmap == "constant":
-        fn = hl.sideways_build(lambda xs: value, d, j_bound, depth)
+        fn = sideways_build(lambda xs: value, d)
     else:
-        fn = hl.sideways_build(lambda xs: xs[0][0] % j_bound, d, j_bound,
-                               depth)
+        fn = sideways_build(lambda xs: xs[0][0] % j_bound, d)
     side = trees.branches(trees.TreeShape(k, depth))
     table = {"|".join(trees.word_to_str(x) for x in combo): fn(combo)
              for combo in itertools.product(side, repeat=d + 1)}

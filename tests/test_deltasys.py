@@ -5,6 +5,7 @@ import itertools
 import json
 import sys
 from random import Random
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from polygrid.deltasys import (
     verify_uniform,
 )
 from polygrid.ordset import OrdSet, ParameterError, aligned, rset
+from reference import intersect
 
 
 def identity_family(size: int, n: int) -> Family:
@@ -39,6 +41,16 @@ def min_family(size: int) -> Family:
     return Family(2, H, umap)
 
 
+def zeros(fam: Family) -> dict:
+    """One label, 0, on every key of the family."""
+    return dict.fromkeys(fam.umap, 0)
+
+
+def is_full(cert: UniformCertificate) -> bool:
+    """Every agreement pattern is realized, so each has its position set."""
+    return None not in cert.patterns.values()
+
+
 # ---------------------------------------------------------------------------
 # verification
 
@@ -49,7 +61,7 @@ def test_identity_certificate():
     assert cert.rho == 2
     for m in [(), (0,), (1,), (0, 1)]:
         assert cert.patterns[m] == OrdSet.of(m)
-    assert cert.is_full
+    assert is_full(cert)
     assert _lattice_failure({m: r.elems for m, r in cert.patterns.items()}) is None
 
 
@@ -99,7 +111,7 @@ def test_unrealized_patterns_undetermined():
     fam = identity_family(2, 2)
     cert = verify_uniform(fam)
     assert isinstance(cert, UniformCertificate)
-    assert not cert.is_full
+    assert not is_full(cert)
     assert cert.patterns[(0,)] is None and cert.patterns[(1,)] is None
 
 
@@ -179,7 +191,7 @@ def test_aligned_slice_law_on_fibers():
         ua, ub = fam.umap[a], fam.umap[b]
         if not aligned(ua, ub):
             continue
-        assert ua.select(rset(ua, ub)) == ua.intersect(ub)
+        assert ua.select(rset(ua, ub)) == intersect(ua, ub)
 
 
 @st.composite
@@ -249,7 +261,7 @@ def test_family_from_json_rejects_bad_keys(dim, extra, flaw, data):
 
 def test_extract_identity_first_h():
     fam = identity_family(8, 2)
-    res = extract_uniform(fam, 4, lambda b: 0)
+    res = extract_uniform(fam, 4, zeros(fam))
     assert res.ok
     assert res.indices == OrdSet.of([0, 1, 2, 3])
     assert isinstance(res.certificate, UniformCertificate)
@@ -257,7 +269,7 @@ def test_extract_identity_first_h():
 
 def test_extract_small_h_fails():
     fam = identity_family(3, 2)
-    res = extract_uniform(fam, 5, lambda b: 0)
+    res = extract_uniform(fam, 5, zeros(fam))
     assert not res.ok
     assert res.failure["reason"] == "candidate pool smaller than h"
 
@@ -266,7 +278,7 @@ def test_extract_needs_constant_g():
     # distinct g values on every pair block any H' of size 3
     fam = identity_family(6, 2)
     marks = {b: i for i, b in enumerate(fam.keys())}
-    res = extract_uniform(fam, 3, lambda b: marks[b])
+    res = extract_uniform(fam, 3, marks)
     assert not res.ok
     assert (res.method, res.failure["reason"]) == ("exhaustive",
                                                    "no subset works")
@@ -283,7 +295,7 @@ def test_exhaustive_fallback_gets_the_whole_budget():
     # random fibers, one label: the search tries budget + 1 indices before
     # it stops, so every node of the budget is spent
     fam = _random_fiber_family()
-    res = extract_uniform(fam, 12, lambda b: 0, budget=3000)
+    res = extract_uniform(fam, 12, zeros(fam), budget=3000)
     assert not res.ok
     assert (res.method, res.failure["reason"]) == ("exhaustive", "budget")
     assert res.nodes_used == 3001
@@ -307,11 +319,11 @@ def test_exhaustive_fallback_reports_greedy_best_partial():
 
 def test_extract_round_trip():
     fam = identity_family(8, 2)
-    res = extract_uniform(fam, 4, lambda b: 0)
+    res = extract_uniform(fam, 4, zeros(fam))
     sub = restrict(fam, res.indices)
     cert = verify_uniform(sub)
     assert isinstance(cert, UniformCertificate)
-    assert cert.is_full
+    assert is_full(cert)
 
 
 def test_extract_planted_instance():
@@ -321,9 +333,8 @@ def test_extract_planted_instance():
     sub = restrict(fam, res.indices)
     cert = verify_uniform(sub)
     assert isinstance(cert, UniformCertificate)
-    assert cert.is_full
-    vals = {g[b] if not callable(g) else g(b) for b in sub.keys()}
-    assert len(vals) == 1
+    assert is_full(cert)
+    assert len({g[b] for b in sub.keys()}) == 1
 
 
 @st.composite
@@ -362,7 +373,9 @@ def test_planted_family_passes_the_checked_constructor():
 @pytest.mark.parametrize("h", [3, 5, 9])  # 9 > the 8 indices
 def test_extract_reads_mapping_labels_in_place(h):
     fam, g, _ = make_planted_family(8, 4, 2, seed=3)
-    assert extract_uniform(fam, h, g) == extract_uniform(fam, h, g.__getitem__)
+    # any mapping is read as it is, a read-only view too
+    assert extract_uniform(fam, h, g) == extract_uniform(
+        fam, h, MappingProxyType(g))
     partial = dict(g)
     del partial[(2, 5)]
     with pytest.raises(ParameterError, match=r"labels miss key \(2, 5\)"):
@@ -516,7 +529,7 @@ def test_extract_keeps_its_own_stack():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 50)
     try:
-        res = extract_uniform(fam, 200, lambda b: 0)
+        res = extract_uniform(fam, 200, zeros(fam))
     finally:
         sys.setrecursionlimit(limit)
     assert res.ok and res.indices.elems == tuple(range(200))
@@ -555,7 +568,7 @@ def _certificates(draw):
 @given(_certificates())
 def test_certificate_json_round_trip_generated(cert):
     again = UniformCertificate.from_json(json.loads(json.dumps(cert.to_json())))
-    assert again == cert and again.is_full == cert.is_full
+    assert again == cert
 
 
 def test_certificate_round_trip():

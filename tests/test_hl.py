@@ -2,7 +2,6 @@
 
 import functools
 import itertools
-import json
 from collections import Counter
 from dataclasses import fields, replace
 from random import Random
@@ -26,7 +25,6 @@ from polygrid.hl import (
     derive_strong_subtrees,
     s_member,
     search_grid,
-    sideways_build,
     sideways_lift,
     surrogate_color,
     surrogate_fn,
@@ -44,6 +42,7 @@ from polygrid.trees import (
     validate_grid_witness,
     words,
 )
+from reference import sideways_build
 
 
 def level_table(pattern, k=2, depth=4):
@@ -907,22 +906,17 @@ def test_verify_height_one():
 
 
 def test_hl_witness_needs_one_node_set_per_level():
-    # the constructor, which from_json goes through too, rejects a witness
-    # with no level and a coordinate with one node set too many or too few
+    # the constructor rejects a witness with no level and a coordinate
+    # with one node set too many or too few
     levels = OrdSet.of([1, 3])
     sets = (frozenset({(0,)}), frozenset({(0, 0, 0), (0, 1, 0)}))
-    w = HLWitness(2, 4, levels, (sets, sets), 0)
-    assert HLWitness.from_json(w.to_json()) == w
+    HLWitness(2, 4, levels, (sets, sets), 0)
     with pytest.raises(ValueError, match="^witness needs at least one level$"):
         HLWitness(2, 4, OrdSet.of([]), ((), ()), 0)
     for wrong in (sets[:1], sets + sets[1:]):
         with pytest.raises(ValueError,
                            match="^one node set per level required$"):
             HLWitness(2, 4, levels, (sets, wrong), 0)
-    data = w.to_json()
-    data["subtrees"][1].pop()
-    with pytest.raises(ValueError, match="^one node set per level required$"):
-        HLWitness.from_json(data)
 
 
 @pytest.mark.parametrize("check, fake, message", [
@@ -1024,50 +1018,6 @@ def test_verify_hl_witness_rejects_one_corruption(gamma, h, data):
         w, color=(w.color + 1) % gamma.r))
 
 
-def test_hl_witness_round_trip():
-    gamma = LevelColoring(k=2, d=2, depth=4, r=2, kind="constant", value=0)
-    res = derive_strong_subtrees(gamma, cone_grid(gamma, [(), ()], 2), 2)
-    again = HLWitness.from_json(res.witness.to_json())
-    assert again == res.witness
-    assert verify_hl_witness(gamma, again)
-
-
-def _assert_json_round_trip(cls, w):
-    data = w.to_json()
-    again = cls.from_json(json.loads(json.dumps(data)))
-    assert again == w
-    assert json.dumps(again.to_json(), sort_keys=True) == json.dumps(
-        data, sort_keys=True)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 2), st.integers(2, 3), st.integers(1, 3),
-       st.integers(0, 2 ** 16), st.data())
-def test_grid_witness_json_round_trip(d, depth, r, seed, data):
-    gamma = LevelColoring(k=2, d=d, depth=depth, r=r, kind="seeded",
-                          seed=seed)
-    density = data.draw(st.integers(1, depth))
-    shapes = [TreeShape(2, depth) for i in range(d)]
-    w = search_grid(functools.partial(surrogate_product, gamma), shapes,
-                    density, cap=8)
-    assume(w is not None)
-    _assert_json_round_trip(GridWitness, w)
-
-
-@settings(max_examples=40, deadline=None)
-@given(level_colorings(), st.integers(1, 3), st.data())
-def test_hl_witness_json_round_trip(gamma, h, data):
-    density = data.draw(st.integers(1, gamma.depth))
-    roots = data.draw(st.tuples(*[
-        st.lists(st.integers(0, gamma.k - 1), max_size=density).map(tuple)
-    ] * gamma.d))
-    grid = cone_grid(gamma, roots, density)
-    assume(grid is not None)
-    res = derive_strong_subtrees(gamma, grid, h)
-    assume(res.witness is not None)
-    _assert_json_round_trip(HLWitness, res.witness)
-
-
 def test_coloring_round_trips():
     colorings = [
         LevelColoring(k=2, d=1, depth=4, r=3, kind="level-parity", value=1),
@@ -1124,7 +1074,7 @@ def test_s_family_meets_and_misses_every_cone():
 
 
 def test_sideways_constant_jmap():
-    color = sideways_build(lambda xs: 0, d=1, j_bound=1, depth=3)
+    color = sideways_build(lambda xs: 0, 1)
     shape = TreeShape(2, 3)
     for x0, x1 in itertools.product(branches(shape), repeat=2):
         assert color((x0, x1)) == (0 if x1[0] == 0 else 1)
@@ -1134,7 +1084,7 @@ def test_sideways_leftmost_always_zero():
     def jmap(xs):
         return (xs[0][0] + xs[0][1]) % 2
 
-    color = sideways_build(jmap, d=1, j_bound=2, depth=4)
+    color = sideways_build(jmap, 1)
     shape = TreeShape(2, 4)
     left = (0, 0, 0, 0)
     for x0 in branches(shape):
@@ -1142,16 +1092,17 @@ def test_sideways_leftmost_always_zero():
 
 
 def test_sideways_depth_guard():
-    with pytest.raises(ParameterError):
-        sideways_build(lambda xs: 0, d=1, j_bound=4, depth=4)
+    # the jmap range 0..j_bound-1 is nonempty and below the branch depth
+    for j_bound in (0, 5):
+        with pytest.raises(ParameterError, match="< branch depth 4$"):
+            sideways_lift(lambda xs: 0, d=1, j_bound=j_bound, depth=4)
 
 
 def test_sideways_checks_jmap_range():
-    color = sideways_build(lambda xs: 5, d=1, j_bound=2, depth=4)
-    shape = TreeShape(2, 4)
-    x = branches(shape)[0]
-    with pytest.raises(ParameterError):
-        color((x, x))
+    # a negative value at the first prefix, before any row is built
+    lift = sideways_lift(lambda xs: -1, d=1, j_bound=2, depth=4)
+    with pytest.raises(ParameterError, match="jmap value -1 outside 0..1"):
+        lift(branches(TreeShape(2, 4)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -1173,7 +1124,7 @@ def test_sideways_lift_is_the_per_tuple_lift(data):
         return table.get(prefix[0][-1], 0) if prefix else len(table) % j_bound
 
     side = branches(TreeShape(k, depth))
-    fn = sideways_build(jmap, d, j_bound, depth)
+    fn = sideways_build(jmap, d)
     want = [fn(xs) for xs in itertools.product(side, repeat=d + 1)]
     calls.clear()
     rows = sideways_lift(jmap, d, j_bound, depth)(side)

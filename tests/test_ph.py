@@ -27,16 +27,17 @@ from polygrid.ph import (
     sigma_pair,
     verify_refutation,
 )
+from reference import cofinal_from_formula
 
 M = 16
 
 
 def _max_fn(bound=M, arity=2):
-    return CofinalFn.from_formula(bound, arity, lambda xs: max(xs))
+    return cofinal_from_formula(bound, arity, lambda xs: max(xs))
 
 
 def _max_len_fn(bound=M, arity=2):
-    return CofinalFn.from_formula(bound, arity, lambda xs: max(xs) + len(xs))
+    return cofinal_from_formula(bound, arity, lambda xs: max(xs) + len(xs))
 
 
 def _table(F):
@@ -120,7 +121,7 @@ def test_max_plus_length_strictly_cofinal():
 
 
 def test_constant_zero_not_cofinal():
-    F = CofinalFn.from_formula(M, 2, lambda xs: 0)
+    F = cofinal_from_formula(M, 2, lambda xs: 0)
     chk = is_cofinal(F, strict=False)
     assert not chk.ok
     # the one-entry clause fails at x = 1
@@ -140,7 +141,7 @@ def _small_tables(draw):
     table = {xs: max(xs) + slope * len(xs) for xs in keys}
     for xs in draw(st.lists(st.sampled_from(keys), max_size=3)):
         table[xs] += draw(st.integers(-2, 2))
-    return CofinalFn.from_formula(bound, arity, table.__getitem__)
+    return cofinal_from_formula(bound, arity, table.__getitem__)
 
 
 @settings(max_examples=400, deadline=None)
@@ -189,7 +190,7 @@ def _planted(bound, arity, slope, plants):
     for ys, i, drop in plants:
         below = ys[0] if len(ys) == 1 else table[ys[:i] + ys[i + 1:]]
         table[ys] = below - drop
-    return CofinalFn.from_formula(bound, arity, table.__getitem__)
+    return cofinal_from_formula(bound, arity, table.__getitem__)
 
 
 @pytest.mark.parametrize("bound", range(1, 7))
@@ -248,7 +249,7 @@ def test_fstar_rejects_bad_sigma():
 
 
 def test_sigma_pair_example():
-    F = CofinalFn.from_formula(M, 2, lambda xs: 5 if xs == (0,) else max(xs))
+    F = cofinal_from_formula(M, 2, lambda xs: 5 if xs == (0,) else max(xs))
     s0, s1 = sigma_pair(F, 0)
     assert s0 == ((0,), (0, 6))
     assert s1 == ((6,), (0, 6))
@@ -267,7 +268,7 @@ def test_sigma_pair_differs_only_at_istar():
 
 
 def test_sigma_pair_overflow():
-    F = CofinalFn.from_formula(M, 2, lambda xs: M - 1)
+    F = cofinal_from_formula(M, 2, lambda xs: M - 1)
     with pytest.raises(ValueError):
         sigma_pair(F, 0)
 
@@ -417,7 +418,7 @@ def _reference_make_cofinal(entry_bound, arity, seed, spread=8,
                     floor = 1 + max(table[xs[:i] + xs[i + 1:]]
                                     for i in range(length))
                 table[xs] = max(raw, floor)
-        fn = CofinalFn.from_formula(entry_bound, arity, table.__getitem__)
+        fn = cofinal_from_formula(entry_bound, arity, table.__getitem__)
         if not _window_fits(fn, entry_bound):
             skips += 1
             continue

@@ -4,8 +4,10 @@ src/polygrid imports only itself and the standard library; it checks with
 raise alone, never with an assert statement or __debug__, so a run under
 python -O checks the same facts; its modules import one another only
 along the graph written out below; it binds no import that it does not
-use; and no function writes to a module-level name or memoises itself
-for the life of the process, so the package keeps no state between calls.
+use; no function writes to a module-level name or memoises itself
+for the life of the process, so the package keeps no state between calls;
+and every module-level function and class is referenced from src outside
+its own body, so no library code is reached only by the tests.
 """
 
 import ast
@@ -41,6 +43,12 @@ TRACER_NAMES = {
 # module-level names that a function may write: the command table, which
 # the _command decorator fills at import
 MODULE_WRITES = {("cli", "_COMMANDS")}
+
+# module-level definitions that src never references, each kept for a
+# caller outside src: bench/tracing.py patches and times
+# verify_product_bound, and criterion 09 checks the DDF bridge
+UNREFERENCED = {("antiramsey", "verify_product_bound"),
+                ("trees", "fpg_witness_sets")}
 
 # method names that change the object they are called on
 MUTATORS = {"add", "append", "appendleft", "clear", "difference_update",
@@ -217,3 +225,44 @@ def test_no_function_writes_module_state():
     # the allowlist stays exact: a write that goes leaves it
     assert {(name, target) for name, target, _ in found} == MODULE_WRITES, (
         sorted(found))
+
+
+def references(name: str, node: ast.AST) -> set[tuple[str, str]]:
+    """The (module, name) pairs that a module-level statement of module
+    `name` may refer to: each bare name, read as the module's own; each
+    attribute of a bare name, read as that module's; and each name
+    imported from a polygrid module."""
+    found = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            found.add((name, child.id))
+        elif (isinstance(child, ast.Attribute)
+              and isinstance(child.value, ast.Name)):
+            found.add((child.value.id, child.attr))
+        elif isinstance(child, ast.ImportFrom) and child.level:
+            found |= {(child.module or alias.name, alias.name)
+                      for alias in child.names}
+    return found
+
+
+def is_command(node: ast.AST) -> bool:
+    """A handler that cli's _command decorator puts in the command table."""
+    return any(isinstance(d, ast.Call) and getattr(d.func, "id", None)
+               == "_command" for d in node.decorator_list)
+
+
+def test_every_definition_is_referenced_in_src():
+    defined, referenced = set(), set()
+    for name, tree in parsed().items():
+        for node in tree.body:
+            found = references(name, node)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                found.discard((name, node.name))  # its own body
+                if not is_command(node):
+                    defined.add((name, node.name))
+            referenced |= found
+    # the allowlist stays exact: a definition that goes, or that gains a
+    # caller in src, leaves it
+    assert defined - referenced == UNREFERENCED, sorted(
+        defined - referenced)

