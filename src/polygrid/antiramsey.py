@@ -95,32 +95,23 @@ class Arena:
         finds a repeated color by identity, before comparing."""
         return {}
 
-    def embed(self, beta: int, alpha: int) -> int:
-        """The beta-th injection applied to alpha; requires alpha < beta."""
-        if not 0 <= alpha < beta < self.size:
-            raise ValueError(f"need 0 <= alpha < beta < size, got {alpha}, {beta}")
-        if self.mode == "identity":
-            return alpha
-        return self._tables[0][beta][alpha]
 
+def _descend(arena: Arena, elems: Sequence[int], level: int) -> tuple[int, int]:
+    """(distinguished element, set color) of a sorted (level+1)-set of the
+    arena.  Each level pulls the set below its maximum back through the
+    embedding at the maximum, and the last pair takes the pair coloring.
+    Checks nothing: its callers pass sets inside the arena.
 
-def c1(arena: Arena, alpha: int, beta: int) -> int:
-    """Injective-in-alpha color of the pair {alpha, beta}, alpha < beta."""
-    if not 0 <= alpha < beta < arena.size:
-        raise ValueError(f"need 0 <= alpha < beta < size, got {alpha}, {beta}")
+    On an identity arena every embedding fixes the set and the pair
+    coloring is the smaller element, so both are the minimum."""
     if arena.mode == "identity":
-        return alpha
-    return arena._tables[1][beta][alpha]
-
-
-def _descend(arena: Arena, elems: tuple[int, ...], level: int) -> tuple[int, int]:
-    """(distinguished element, set color) of a sorted (level+1)-set, by one
-    recursion through the embedding at its maximum."""
+        return elems[0], elems[0]
+    embed_tab, pair_tab = arena._tables
     if level == 1:
-        return elems[0], c1(arena, elems[0], elems[1])
-    beta = elems[-1]
-    back = {arena.embed(beta, x): x for x in elems[:-1]}  # embed is injective
-    inner, color = _descend(arena, tuple(sorted(back)), level - 1)
+        return elems[0], pair_tab[elems[1]][elems[0]]
+    row = embed_tab[elems[-1]]
+    back = {row[x]: x for x in elems[:-1]}  # row is injective
+    inner, color = _descend(arena, sorted(back), level - 1)
     return back[inner], color
 
 
@@ -404,11 +395,11 @@ def ramsey_m_star(n: int, k: int, budget: int = DEFAULT_BUDGET) -> int:
     return threshold(n, k, budget).lower
 
 
-def m_seq(n: int, k: int, budget: int = DEFAULT_BUDGET) -> int:
+def m_seq(n: int, k: int) -> int:
     """Product side length guaranteeing more than k compound colors."""
     if k == 0:
         return 1
-    return (n + 1) * ramsey_m_star(n, k, budget)
+    return (n + 1) * ramsey_m_star(n, k)
 
 
 def verify_product_bound(arena: Arena, sets: Sequence[OrdSet],

@@ -256,7 +256,8 @@ def _write_artifacts(cfg: RunConfig, payload: dict, suffix: str = "",
 
 
 def _parse_words(raw: str, d: int) -> list[tuple[int, ...]]:
-    """Comma-separated digit strings; '.' or an empty segment is the root."""
+    """Comma-separated ASCII digit strings; '.' or an empty segment is the
+    root."""
     parts = raw.split(",")
     if len(parts) != d:
         raise ParameterError(f"expected {d} comma-separated words, got {len(parts)}")
@@ -264,7 +265,7 @@ def _parse_words(raw: str, d: int) -> list[tuple[int, ...]]:
     for part in parts:
         if part in (".", ""):
             out.append(())
-        elif part.isdigit():
+        elif part.isascii() and part.isdigit():  # not '²', which int rejects
             out.append(trees.word_from_str(part))
         else:
             raise ParameterError(f"bad word {part!r}: digit strings only")

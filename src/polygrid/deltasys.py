@@ -15,7 +15,7 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from operator import itemgetter, lt
+from operator import itemgetter
 from random import Random
 from typing import Mapping, Optional, Union
 
@@ -44,15 +44,7 @@ class Family:
         if self.dim < 0:
             raise ValueError("dimension must be >= 0")
         members = set(self.indices.elems)
-        keys = self.umap.keys()
-        # one C-speed pass per check; the loop only names the first bad key
-        if (set(map(len, keys)) <= {self.dim}
-                and all(all(map(lt, map(itemgetter(i), keys),
-                                map(itemgetter(i + 1), keys)))
-                        for i in range(self.dim - 1))
-                and members.issuperset(itertools.chain.from_iterable(keys))):
-            return
-        for b in keys:
+        for b in self.umap:
             if len(b) != self.dim or any(x >= y for x, y in zip(b, b[1:])):
                 raise ValueError(f"bad key {b}: need an increasing {self.dim}-tuple")
             if not set(b) <= members:
@@ -71,16 +63,6 @@ class Family:
 
     def keys(self) -> list[Key]:
         return sorted(self.umap.keys())
-
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "indices": list(self.indices.elems),
-            "umap": {
-                ",".join(map(str, b)): list(u.elems)
-                for b, u in sorted(self.umap.items())
-            },
-        }
 
     @classmethod
     def from_json(cls, data: dict) -> "Family":

@@ -63,10 +63,6 @@ class OrdSet:
             raise IndexError(f"position {eta} out of range for otp {len(self.elems)}")
         return self.elems[eta]
 
-    def select(self, positions: Iterable[int]) -> "OrdSet":
-        """Subset sitting at the given positions: {a(eta) : eta in I}."""
-        return OrdSet(tuple(self.at(eta) for eta in sorted(set(positions))))
-
     def __contains__(self, x: int) -> bool:
         return x in self.elems
 
@@ -99,8 +95,8 @@ def aligned(a: OrdSet, b: OrdSet) -> bool:
 def rset(a: OrdSet, b: OrdSet) -> OrdSet:
     """Positions where two aligned sets carry the same element.
 
-    Postcondition (tested): a.select(rset(a,b)) == b.select(rset(a,b)) ==
-    the intersection of a and b.
+    Postcondition (tested): the elements of a at those positions, those
+    of b at those positions and the common elements of a and b agree.
     """
     if not aligned(a, b):
         raise ValueError("sets are not aligned")

@@ -16,7 +16,6 @@ from polygrid.antiramsey import (
     _c_full,
     _descend,
     _search_bad,
-    c1,
     c_full,
     check_difference_lemma,
     m_seq,
@@ -27,7 +26,7 @@ from polygrid.antiramsey import (
     verify_product_bound,
 )
 from polygrid.ordset import OrdSet, ParameterError
-from reference import cn, find_bad_coloring, star
+from reference import c1, cn, embed, find_bad_coloring, star
 
 ID1 = Arena(size=10, dim=1, mode="identity")
 ID2 = Arena(size=10, dim=2, mode="identity")
@@ -38,18 +37,17 @@ def _cn_oracle(arena: Arena, elems: tuple[int, ...]) -> int:
     xs = list(elems)
     while len(xs) > 2:
         beta = xs[-1]
-        xs = sorted(arena.embed(beta, x) for x in xs[:-1])
+        xs = sorted(embed(arena, beta, x) for x in xs[:-1])
     return c1(arena, xs[0], xs[1])
 
 
 # the distinguished element and the set color as two separate recursions,
-# the reference definition of _descend; c1 is read from the module, so
-# that a patched pair coloring reaches both sides
+# the reference definition of _descend
 def _set_color_ref(arena: Arena, elems: tuple[int, ...], level: int) -> int:
     if level == 1:
-        return antiramsey.c1(arena, elems[0], elems[1])
+        return c1(arena, elems[0], elems[1])
     beta = elems[-1]
-    image = tuple(sorted(arena.embed(beta, x) for x in elems[:-1]))
+    image = tuple(sorted(embed(arena, beta, x) for x in elems[:-1]))
     return _set_color_ref(arena, image, level - 1)
 
 
@@ -57,7 +55,7 @@ def _distinguished_ref(arena: Arena, elems: tuple[int, ...], level: int) -> int:
     if level == 1:
         return elems[0]
     beta = elems[-1]
-    pairs = sorted((arena.embed(beta, x), x) for x in elems[:-1])
+    pairs = sorted((embed(arena, beta, x), x) for x in elems[:-1])
     inner = _distinguished_ref(arena, tuple(v for v, _ in pairs), level - 1)
     return next(x for v, x in pairs if v == inner)
 
@@ -69,13 +67,6 @@ def _distinguished_ref(arena: Arena, elems: tuple[int, ...], level: int) -> int:
 def test_c1_identity_values():
     assert c1(ID1, 2, 9) == 2
     assert c1(ID1, 0, 1) == 0
-
-
-def test_c1_precondition():
-    with pytest.raises(ValueError):
-        c1(ID1, 9, 2)
-    with pytest.raises(ValueError):
-        c1(ID1, 3, 3)
 
 
 def test_c1_injective_per_fiber_seeded():
@@ -142,6 +133,20 @@ def test_c_full_diagonal_iff_repeat():
     for vec in itertools.product(range(5), repeat=3):
         col = c_full(Arena(size=5, dim=2, mode="identity"), vec)
         assert (col == TupleColor(3, 0)) == (len(set(vec)) < 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_c_full_identity_closed_form(n, data):
+    # identity embeddings fix every set and the identity pair coloring is
+    # the smaller element, so c_full of a tuple with no repeat is (index
+    # of its minimum, its minimum), and of a tuple with a repeat (n+1, 0)
+    size = data.draw(st.integers(n + 2, 12))
+    vec = data.draw(st.tuples(*[st.integers(0, size - 1)] * (n + 1)))
+    low = min(vec)
+    closed = (TupleColor(vec.index(low), low) if len(set(vec)) == n + 1
+              else TupleColor(n + 1, 0))
+    assert c_full(Arena(size=size, dim=n, mode="identity"), vec) == closed
 
 
 def test_c_full_slot_is_star_position():
@@ -683,16 +688,22 @@ def _difference_scan_ref(arena: Arena):
     (2, 9, "identity", None),
     (3, 8, "seeded", 7),
 ])
-def test_difference_report_matches_reference_scan(monkeypatch, broken, n,
-                                                  size, mode, seed):
-    if broken:
-        # a pair coloring that is not injective in alpha gives violations,
-        # so that their order is compared too
-        monkeypatch.setattr(antiramsey, "c1", lambda arena, a, b: (a + b) % 3)
-    report = check_difference_lemma(Arena(size=size, dim=n, mode=mode,
-                                          seed=seed))
-    pairs, violations = _difference_scan_ref(
-        Arena(size=size, dim=n, mode=mode, seed=seed))
+def test_difference_report_matches_reference_scan(broken, n, size, mode,
+                                                  seed):
+    if not broken:
+        arena = Arena(size=size, dim=n, mode=mode, seed=seed)
+    else:
+        # a pair table that is not injective in alpha gives violations, so
+        # that their order is compared too; a seeded arena carries it,
+        # with identity embeddings for mode "identity" and drawn ones else
+        arena = Arena(size=size, dim=n, mode="seeded", seed=seed or 0)
+        embed_tab = (arena._tables[0] if mode == "seeded"
+                     else [tuple(range(beta)) for beta in range(size)])
+        arena.__dict__["_tables"] = (embed_tab, [
+            tuple((a + beta) % 3 for a in range(beta))
+            for beta in range(size)])
+    report = check_difference_lemma(arena)
+    pairs, violations = _difference_scan_ref(arena)
     assert report.eligible_pairs == pairs > 0
     assert report.violations == violations
     assert bool(violations) == broken

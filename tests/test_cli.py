@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from polygrid import ParameterError, antiramsey, cli, hl, trees
 from polygrid.deltasys import Family
 from polygrid.ordset import OrdSet
-from reference import sideways_build
+from reference import family_json, sideways_build
 
 
 def run(tmp_path, command, *args):
@@ -205,6 +205,9 @@ def test_usage_exit_code():
     ["grid-search", "--cap", "0"],
     ["grid-search", "--cap", "-3"],
     ["grid-search", "--coloring", "first-letter"],  # top height only
+    # a superscript two passes str.isdigit, but int() rejects it
+    ["hl-derive", "--coloring", "planted-grid", "--roots", "\u00b2"],
+    ["grid-search", "--coloring", "planted-grid", "--roots", "\u00b2"],
 ])
 def test_bad_parameter_is_usage_error(tmp_path, monkeypatch, capsys, args):
     # a bad flag or input file must not read as a result: exit 64, one
@@ -227,12 +230,12 @@ def test_bad_parameter_is_usage_error(tmp_path, monkeypatch, capsys, args):
     Path("flat.json").write_text(json.dumps(["01", "10"]))
     pairs = list(itertools.combinations(range(5), 2))
     Path("lists.json").write_text(json.dumps(
-        {"family": Family(2, OrdSet.of(range(5)),
-                          {b: OrdSet.of(b) for b in pairs}).to_json(),
+        {"family": family_json(Family(2, OrdSet.of(range(5)),
+                                      {b: OrdSet.of(b) for b in pairs})),
          "labels": {f"{a},{b}": [0] for a, b in pairs}}))
     top = tuple(range(24))
     Path("dim24.json").write_text(json.dumps(
-        Family(24, OrdSet(top), {top: OrdSet(top)}).to_json()))
+        family_json(Family(24, OrdSet(top), {top: OrdSet(top)}))))
     out = tmp_path / "out"
     assert run(out, *args) == 64
     assert not out.exists()
@@ -360,7 +363,7 @@ def _write_sweep_family() -> None:
     """The fam.json that the delta-verify base run reads from the cwd."""
     fam = Family(1, OrdSet.of(range(3)),
                  {(i,): OrdSet.of([i]) for i in range(3)})
-    Path("fam.json").write_text(json.dumps(fam.to_json()))
+    Path("fam.json").write_text(json.dumps(family_json(fam)))
 
 
 def _sweep_cases():
@@ -723,7 +726,7 @@ def test_readme_command_lines_run(tmp_path, monkeypatch):
     lines = [shlex.split(line, comments=True) for line in block.splitlines()]
     fam = Family(2, OrdSet.of(range(5)),
                  {b: OrdSet.of(b) for b in itertools.combinations(range(5), 2)})
-    (tmp_path / "fam.json").write_text(json.dumps(fam.to_json()))
+    (tmp_path / "fam.json").write_text(json.dumps(family_json(fam)))
     monkeypatch.chdir(tmp_path)
     for argv in lines:
         assert argv[0] == "polygrid"
@@ -738,7 +741,7 @@ def test_delta_verify_roundtrip(tmp_path):
         {b: OrdSet.of(b) for b in itertools.combinations(range(5), 2)},
     )
     path = tmp_path / "fam.json"
-    path.write_text(json.dumps(fam.to_json()))
+    path.write_text(json.dumps(family_json(fam)))
     assert run(tmp_path, "delta-verify", "--family", str(path)) == 0
     blob = json.loads((tmp_path / "delta-verify.json").read_text())
     assert blob["uniform"] is True
@@ -750,7 +753,7 @@ def test_delta_verify_violation(tmp_path):
     umap[(1, 3)] = OrdSet.of([1, 4])
     fam = Family(2, OrdSet.of(range(5)), umap)
     path = tmp_path / "fam.json"
-    path.write_text(json.dumps(fam.to_json()))
+    path.write_text(json.dumps(family_json(fam)))
     assert run(tmp_path, "delta-verify", "--family", str(path)) == 1
     blob = json.loads((tmp_path / "delta-verify.json").read_text())
     assert blob["uniform"] is False
@@ -778,7 +781,7 @@ def _uniform_family_and_certificate(tmp_path):
         {b: OrdSet.of(b) for b in itertools.combinations(range(5), 2)},
     )
     path = tmp_path / "fam.json"
-    path.write_text(json.dumps(fam.to_json()))
+    path.write_text(json.dumps(family_json(fam)))
     first = tmp_path / "first"
     assert run(first, "delta-verify", "--family", str(path)) == 0
     cert = json.loads((first / "delta-verify.json").read_text())["certificate"]
@@ -1451,7 +1454,7 @@ def test_artifacts_are_canonical_compact_json(tmp_path, argv, code):
     fam = Family(2, OrdSet.of(range(5)), {
         b: OrdSet.of(b) for b in itertools.combinations(range(5), 2)})
     family = tmp_path / "fam.json"
-    family.write_text(json.dumps(fam.to_json()))
+    family.write_text(json.dumps(family_json(fam)))
     out = tmp_path / "out"
     argv = [a.format(family=family) for a in argv]
     assert run(out, *argv) == code

