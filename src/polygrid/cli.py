@@ -19,7 +19,6 @@ import sys
 import traceback
 from collections import Counter
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from random import Random
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -177,75 +176,49 @@ _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                           default=str).encode
 
 
-# a product table: each key prefix + name for each prefix and each name,
-# valued by the prefix's row at the name's place
-Table = tuple[Iterable[str], Sequence[str], Iterable[Sequence[int]]]
+def _sideways_chunks(payload: dict, names: list[str],
+                     rows: list[list[int]]) -> Iterator[str]:
+    """The chunks of _dumps(payload) with the sideways table as its member
+    "table", one chunk per row, without the table's text ever being held.
+    The row of each prefix, names joined by "|" over payload["d"]
+    coordinates in product order, holds the colors of prefix + name.
 
-
-def _table_chunks(payload: dict, table: Table) -> Iterator[str]:
-    """The chunks of _dumps(payload) with the product table as the member
-    "table" of the payload, one chunk per row.  The table's text is never
-    held: its keys must strictly increase, and "table" must sort after
-    every payload key, so that the member streams last in key order.
-
-    JSON escapes character by character, so each name and each prefix is
-    escaped once, and each distinct row object is formatted once, kept for
-    the rest of the table and written for each of its prefixes with one
-    join.  Key order is checked at the row boundaries: at the first row
-    the names strictly increase, and each later row's first key follows
-    the previous row's last."""
-    prefixes, names, rows = table
-    late = [key for key in payload if key >= "table"]
-    if late:
-        raise ValueError(
-            f"payload keys {late} do not sort before the streamed table")
+    The bytes are those of _dumps over the whole table because the names
+    are digit strings of one length in increasing order, so no key needs
+    escaping and the keys come sorted; every payload key sorts before
+    "table"; and payload and names are not empty.  Each distinct row
+    object is formatted once and written for each of its prefixes with
+    one join; rows holds every row, so no id is reused."""
     # reopen the payload's closing brace for the table
-    yield _dumps(payload)[:-1] + ("," if payload else "") + '"table":{'
-    if names:
-        first, last = names[0], names[-1]
-        escaped = [encode_basestring_ascii(name)[1:-1] for name in names]
-        # id(row) -> (row, its '<name>":<color>' cells); holding the row
-        # keeps its id from being reused
-        formatted: dict[int, tuple[Sequence[int], list[str]]] = {}
-        prev, sep = None, ""
-        for prefix, row in zip(prefixes, rows, strict=True):
-            if prev is None:
-                for a, b in zip(names, names[1:]):
-                    if b <= a:
-                        raise ValueError(f"table names must strictly "
-                                         f"increase: {b!r} after {a!r}")
-            elif prefix + first <= prev:
-                raise ValueError(
-                    f"table keys must strictly increase: "
-                    f"{prefix + first!r} after {prev!r}")
-            prev = prefix + last
-            entry = formatted.get(id(row))
-            if entry is None:
-                entry = formatted[id(row)] = row, [
-                    f'{name}":{color:d}'
-                    for name, color in zip(escaped, row, strict=True)]
-            head = '"' + encode_basestring_ascii(prefix)[1:-1]
-            yield sep + head + ("," + head).join(entry[1])
-            sep = ","
+    yield _dumps(payload)[:-1] + ',"table":{'
+    prefixes = map("".join, itertools.product(
+        [name + "|" for name in names], repeat=payload["d"]))
+    cells: dict[int, list[str]] = {}  # id(row) -> '<name>":<color>' cells
+    sep = ""
+    for prefix, row in zip(prefixes, rows, strict=True):
+        if id(row) not in cells:
+            cells[id(row)] = [f'{name}":{color:d}' for name, color
+                              in zip(names, row, strict=True)]
+        head = '"' + prefix
+        yield sep + head + ("," + head).join(cells[id(row)])
+        sep = ","
     yield "}}"
 
 
-def _write_artifacts(cfg: RunConfig, payload: dict, suffix: str = "",
-                     table: Optional[Table] = None) -> None:
-    """Write payload to <command><suffix>.json.
+def _write_artifacts(cfg: RunConfig, payload: dict | Iterator[str],
+                     suffix: str = "") -> None:
+    """Write payload, or the JSON chunks handed in its place, to
+    <command><suffix>.json, with a closing newline.
 
-    The JSON text is json.dumps(payload, sort_keys=True,
-    separators=(",", ":"), default=str) plus a newline, where the
-    (prefixes, names, rows) table, when given, becomes the payload's
-    "table" member.  A payload without a table is encoded in one call
-    before the file is opened: it is already held as Python objects larger
-    than its text.  Only the sideways table, which can outgrow memory,
-    streams row by row without its text ever being held.  A payload that
-    fails to encode, or a table out of key order, leaves no JSON file."""
+    A payload is encoded in one call, json.dumps(payload, sort_keys=True,
+    separators=(",", ":"), default=str), before the file is opened: it is
+    already held as Python objects larger than its text.  Only the
+    sideways table, which can outgrow memory, comes as chunks, streamed
+    one row at a time.  A failure while the chunks are written leaves no
+    JSON file."""
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     path = cfg.outdir / f"{cfg.command}{suffix}.json"
-    chunks = ([_dumps(payload)] if table is None
-              else _table_chunks(payload, table))
+    chunks = payload if isinstance(payload, Iterator) else [_dumps(payload)]
     try:
         with open(path, "w") as fh:
             fh.writelines(chunks)
@@ -261,15 +234,11 @@ def _parse_words(raw: str, d: int) -> list[tuple[int, ...]]:
     parts = raw.split(",")
     if len(parts) != d:
         raise ParameterError(f"expected {d} comma-separated words, got {len(parts)}")
-    out = []
-    for part in parts:
-        if part in (".", ""):
-            out.append(())
-        elif part.isascii() and part.isdigit():  # not '²', which int rejects
-            out.append(trees.word_from_str(part))
-        else:
-            raise ParameterError(f"bad word {part!r}: digit strings only")
-    return out
+    try:
+        return [trees.word_from_str("" if part == "." else part)
+                for part in parts]
+    except ValueError as exc:
+        raise ParameterError(f"bad --roots: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -709,11 +678,10 @@ def _run_sideways(cfg: RunConfig) -> int:
             census[color] += count * uses
     # every name has depth digits and branches() lists words in order, so
     # the keys come sorted, and the table streams from its rows
-    _write_artifacts(cfg, {
+    _write_artifacts(cfg, _sideways_chunks({
         "d": d, "k": k, "depth": depth, "j_bound": j_bound,
         "jmap": kind, "seed": cfg.seed,
-    }, table=(map("".join, itertools.product(
-        [name + "|" for name in names], repeat=d)), names, rows))
+    }, names, rows))
     print(f"sideways-build: {len(rows) * len(names)} tuples, census "
           + ", ".join(f"{c}:{census[c]}" for c in sorted(census)))
     return EXIT_OK

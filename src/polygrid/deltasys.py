@@ -74,7 +74,11 @@ class Family:
 
 
 def _key_from_str(s: str) -> Key:
-    return tuple(int(x) for x in s.split(",")) if s else ()
+    """Comma-separated ASCII digit strings; "" is the dimension-0 key."""
+    parts = s.split(",") if s else []
+    if not all(x.isascii() and x.isdigit() for x in parts):
+        raise ValueError(f"key {s!r} is not comma-separated ASCII digits")
+    return tuple(map(int, parts))
 
 
 def restrict(fam: Family, sub: OrdSet) -> Family:
@@ -289,6 +293,8 @@ def extract_uniform(fam: Family, h: int, labels: Mapping,
     if h < max(1, dim):  # below dim, no key lies inside an h-set
         raise ParameterError(
             f"h = {h} must be >= 1 and >= the family's dimension {dim}")
+    if budget < 0:
+        raise ParameterError(f"budget = {budget} must be >= 0")
     idx = fam.indices.elems
     umap = fam.umap
     if not umap.keys() <= labels.keys():

@@ -273,7 +273,9 @@ def word_to_str(w: Word) -> str:
 
 
 def word_from_str(s: str) -> Word:
-    return tuple(int(ch) for ch in s)
+    if s and not (s.isascii() and s.isdigit()):  # not '²' or '١'
+        raise ValueError(f"word {s!r} is not a string of ASCII digits")
+    return tuple(map(int, s))
 
 
 @dataclass(frozen=True)

@@ -208,6 +208,15 @@ def test_usage_exit_code():
     # a superscript two passes str.isdigit, but int() rejects it
     ["hl-derive", "--coloring", "planted-grid", "--roots", "\u00b2"],
     ["grid-search", "--coloring", "planted-grid", "--roots", "\u00b2"],
+    ["delta-extract", "--budget", "-1"],  # --budget 0 is exit 2
+    # input files with digits other than ASCII 0-9, which int() reads:
+    # Arabic-Indic one-one, keys " 0" and "+0", a superscript two
+    ["ddf-check", "--d", "1", "--depth", "2", "--density", "1",
+     "--mcap", "2", "--zfile", "arabic.json"],
+    ["delta-verify", "--family", "space.json"],
+    ["delta-verify", "--family", "plus.json"],
+    ["grid-search", "--coloring", "table", "--table", "super.table",
+     "--depth", "2", "--density", "1"],
 ])
 def test_bad_parameter_is_usage_error(tmp_path, monkeypatch, capsys, args):
     # a bad flag or input file must not read as a result: exit 64, one
@@ -228,6 +237,15 @@ def test_bad_parameter_is_usage_error(tmp_path, monkeypatch, capsys, args):
         {**table, "table": dict.fromkeys(
             ["", "0", "1", "00", "01", "10", "11"], 5)}))
     Path("flat.json").write_text(json.dumps(["01", "10"]))
+    Path("arabic.json").write_text(json.dumps(
+        [["\u0661\u0661"], ["00"], ["01"], ["10"]]))
+    for name, key in [("space", " 0"), ("plus", "+0")]:
+        Path(f"{name}.json").write_text(json.dumps(
+            {"dim": 1, "indices": [0, 1, 2],
+             "umap": {key: [0], "1": [1], "2": [2]}}))
+    Path("super.table").write_text(json.dumps(
+        {**table, "table": dict.fromkeys(
+            ["", "0", "1", "00", "01", "10", "1\u00b2"], 0)}))
     pairs = list(itertools.combinations(range(5), 2))
     Path("lists.json").write_text(json.dumps(
         {"family": family_json(Family(2, OrdSet.of(range(5)),
@@ -1084,19 +1102,6 @@ def test_sideways_build_matches_the_dict_built_table(args):
                 == (Path(want) / "sideways-build.json").read_bytes())
 
 
-def test_sideways_build_memory_is_bounded(tmp_path):
-    # 2^16 tuples: holding the table as a dict and encoding it peaked at
-    # 10.9 MiB under tracemalloc; streaming it by rows holds the shared
-    # rows, one formatted copy of each and one row's text (0.2 MiB)
-    tracemalloc.start()
-    try:
-        assert run(tmp_path, "sideways-build", "--d", "1", "--depth", "8") == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * 2 ** 20
-
-
 @pytest.mark.parametrize("argv, code, json_digest", [
     # no monochromatic grid: exit 1
     (["grid-search", "--d", "2", "--depth", "3", "--density", "2",
@@ -1276,104 +1281,22 @@ def test_writer_leaves_no_json_when_encoding_fails(tmp_path, bad, error):
     assert list(tmp_path.iterdir()) == []
 
 
-def _write_table(tmp_path, payload, prefixes, names, rows) -> None:
-    cfg = cli.RunConfig("sideways-build", {}, tmp_path, 0)
-    cli._write_artifacts(cfg, payload,
-                         table=(iter(prefixes), names, iter(rows)))
+def test_writer_leaves_no_json_when_a_streamed_row_fails(tmp_path,
+                                                        monkeypatch):
+    # the sideways table streams into the open file; a row that fails to
+    # format after the earlier rows were written (its last color is None)
+    # is a fault, exit 70, and leaves no JSON file
+    lift = hl.sideways_lift
 
+    def broken_lift(*args):
+        rows = lift(*args)
+        return lambda side: [*rows(side)[:-1], [0] * (len(side) - 1) + [None]]
 
-def _dict_table(prefixes, names, rows) -> dict:
-    return {p + n: c for p, row in zip(prefixes, rows)
-            for n, c in zip(names, row)}
-
-
-def _row_table(n_prefixes: int, names: list[str]):
-    """Prefixes "000000|" on, each holding one of two shared rows."""
-    shared = [[i % 2 for i in range(len(names))],
-              [(i + 1) % 2 for i in range(len(names))]]
-    prefixes = [f"{i:06d}|" for i in range(n_prefixes)]
-    return prefixes, names, [shared[i % 3 == 0] for i in range(n_prefixes)]
-
-
-@pytest.mark.parametrize("payload, table", [
-    # names out of order, and repeated
-    ({"d": 1}, (["0|"], ["1", "0"], [[0, 1]])),
-    ({"d": 1}, (["0|"], ["1", "1"], [[0, 1]])),
-    # a drop at a row boundary after three rows: prefixes and names both
-    # increase, yet the third row's last key "ac" is above the fourth
-    # row's first key "ab"
-    ({"d": 1}, (["0|", "1|", "a", "ab"], ["", "c"], [[0, 1]] * 4)),
-    # a repeated prefix
-    ({"d": 1}, (["0|", "1|", "1|"], ["0", "1"], [[0, 1]] * 3)),
-    # payload keys that sort at or after the streamed member
-    ({"d": 1, "tables": 0}, (["0|"], ["0"], [[1]])),
-    ({"table": {}}, (["0|"], ["0"], [[1]])),
-])
-def test_writer_leaves_no_json_when_the_table_is_out_of_order(
-        tmp_path, payload, table):
-    with pytest.raises(ValueError):
-        _write_table(tmp_path, payload, *table)
+    monkeypatch.setattr(hl, "sideways_lift", broken_lift)
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert run(tmp_path, "sideways-build") == 70
+    assert "TypeError" in err.getvalue()
     assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("payload, table", [
-    ({}, ([], ["0"], [])),
-    ({}, (["0|"], [], [[]])),
-    ({}, ([""], ["0"], [[1]])),
-    ({"d": 1, "seed": None}, ([], [], [])),
-    # one row per write, over several writes
-    ({"a": [1, {"b": 2}], "d": {}}, _row_table(_LONG + 1, ["0", "1"])),
-    # escapes, the separator and non-ASCII text in prefixes and names
-    ({"k": 2}, (["", "\u00ff\"", "\u00ff|\\"],
-                ["", "|", "\u00e9\U0001f600"],
-                [[0, 7, -3], [1, 1, 1], [0, 7, -3]])),
-])
-def test_writer_streams_the_table_as_json_dumps_writes_it(
-        tmp_path, payload, table):
-    _write_table(tmp_path, payload, *table)
-    assert ((tmp_path / "sideways-build.json").read_bytes()
-            == _dumped({**payload, "table": _dict_table(*table)}))
-
-
-# escapes, the separator and non-ASCII text, the empty string among them
-_key_parts = st.text(st.sampled_from(
-    ["a", "b", "|", '"', "\\", "\u00e9", "\U0001f600", "\ud800", "\n"]),
-    max_size=3)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_writer_table_bytes_equal_json_dumps_of_the_dict(data):
-    # keys that strictly increase give the bytes of json.dumps over the
-    # whole dict table; any other order, or a payload key at or after
-    # "table", raises ValueError and leaves no JSON file
-    payload = data.draw(st.dictionaries(
-        st.sampled_from(["a", "d", "seed", "table", "tables", "z"]),
-        st.integers(), max_size=3))
-    names = data.draw(st.lists(_key_parts, max_size=4))
-    prefixes = data.draw(st.lists(_key_parts, max_size=4))
-    if data.draw(st.booleans()):
-        names = sorted(set(names))
-        prefixes = sorted(set(prefixes))
-    shared = data.draw(st.lists(
-        st.lists(st.integers(), min_size=len(names), max_size=len(names)),
-        min_size=1, max_size=3))
-    rows = [shared[data.draw(st.integers(0, len(shared) - 1))]
-            for _ in prefixes]
-    keys = [p + n for p in prefixes for n in names]
-    ordered = (all(a < b for a, b in zip(keys, keys[1:]))
-               and all(key < "table" for key in payload))
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp)
-        if ordered:
-            _write_table(out, payload, prefixes, names, rows)
-            assert ((out / "sideways-build.json").read_bytes()
-                    == _dumped({**payload, "table": _dict_table(
-                        prefixes, names, rows)}))
-        else:
-            with pytest.raises(ValueError):
-                _write_table(out, payload, prefixes, names, rows)
-            assert list(out.iterdir()) == []
 
 
 def test_writer_encodes_large_members_as_json_dumps_does(tmp_path):
@@ -1398,36 +1321,29 @@ def test_writer_encodes_large_members_as_json_dumps_does(tmp_path):
 
 
 def test_writer_memory_is_bounded(tmp_path):
-    # a 2^16-entry table in the sideways form (1.4 MB of text): the whole
-    # text, its chunks and its bytes peaked at 8.6 MiB under tracemalloc,
-    # the streamed table at 0.48 MiB, one batch of 4,096 lines, when the
-    # writer streamed (key, color) pairs
-    names = ["".join(w) for w in itertools.product("01", repeat=8)]
-    table = {f"{a}|{b}": int(a[0] == b[-1])
-             for a, b in itertools.product(names, repeat=2)}
-    # one shared row per first letter of the prefix
-    shared = {f: [int(f == b[-1]) for b in names] for f in "01"}
-    prefixes = [f"{a}|" for a in names]
-    rows = [shared[a[0]] for a in names]
-    limit = 6 * 2 ** 20
+    # 2^16 entries (1.4 MB of text): under tracemalloc, json.dumps over
+    # the whole table, held as a dict, peaked at 8.6 MiB; the streamed
+    # run, which holds the shared rows, one formatted copy of each and one
+    # row's text, at 0.11 MiB
+    limit = 2 ** 20
 
-    def peak(write) -> int:
+    def peak(call) -> int:
         tracemalloc.start()
         try:
-            write()
+            call()
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    whole = peak(lambda: (tmp_path / "whole.json").write_text(json.dumps(
-        {"d": 1, "table": table}, sort_keys=True, separators=(",", ":"),
-        default=str) + "\n"))
-    cfg = cli.RunConfig("sideways-build", {}, tmp_path, 0)
-    streamed = peak(lambda: cli._write_artifacts(
-        cfg, {"d": 1}, table=(iter(prefixes), names, iter(rows))))
-    assert whole > limit >= streamed
-    assert ((tmp_path / "sideways-build.json").read_bytes()
-            == (tmp_path / "whole.json").read_bytes())
+    streamed = peak(lambda: cli.main(["sideways-build", "--d", "1",
+                                      "--depth", "8",
+                                      "--out", str(tmp_path)]))
+    data = (tmp_path / "sideways-build.json").read_bytes()
+    content = json.loads(data)
+    assert len(content["table"]) == 2 ** 16
+    whole = peak(lambda: _dumped(content))
+    assert whole > limit > streamed
+    assert data == _dumped(content)
 
 
 # a sideways table of 2^14 entries, streamed in 128 rows

@@ -377,3 +377,7 @@ def test_word_strings():
     assert word_to_str((0, 1, 1)) == "011"
     assert word_from_str("011") == (0, 1, 1)
     assert word_from_str("") == ()
+    # int() reads Arabic-Indic digits; it rejects the superscript two
+    for bad in ["\u0661\u0661", "1\u00b2", "1 "]:
+        with pytest.raises(ValueError, match="ASCII digits"):
+            word_from_str(bad)
