@@ -1102,6 +1102,19 @@ def test_sideways_build_matches_the_dict_built_table(args):
                 == (Path(want) / "sideways-build.json").read_bytes())
 
 
+def test_sideways_build_memory_is_bounded(tmp_path):
+    # 2^16 tuples: holding the table as a dict and encoding it peaked at
+    # 10.9 MiB under tracemalloc; streaming it by rows holds the shared
+    # rows, one formatted copy of each and one row's text (0.2 MiB)
+    tracemalloc.start()
+    try:
+        assert run(tmp_path, "sideways-build", "--d", "1", "--depth", "8") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20
+
+
 @pytest.mark.parametrize("argv, code, json_digest", [
     # no monochromatic grid: exit 1
     (["grid-search", "--d", "2", "--depth", "3", "--density", "2",
@@ -1297,6 +1310,36 @@ def test_writer_leaves_no_json_when_a_streamed_row_fails(tmp_path,
         assert run(tmp_path, "sideways-build") == 70
     assert "TypeError" in err.getvalue()
     assert list(tmp_path.iterdir()) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_writer_table_bytes_equal_json_dumps_of_the_dict(data):
+    # digit-string names of one length in increasing order, d coordinates,
+    # rows shared among prefixes and payload keys that sort before "table"
+    # give the bytes of json.dumps over the whole dict table
+    d = data.draw(st.integers(0, 2))
+    width = data.draw(st.integers(1, 3))
+    names = sorted(data.draw(st.sets(
+        st.text("0123456789", min_size=width, max_size=width),
+        min_size=1, max_size=4)))
+    payload = {"d": d, **data.draw(st.dictionaries(
+        st.sampled_from(["a", "depth", "j_bound", "jmap", "k", "seed"]),
+        st.none() | st.integers() | st.text(max_size=3), max_size=3))}
+    shared = data.draw(st.lists(
+        st.lists(st.integers(), min_size=len(names), max_size=len(names)),
+        min_size=1, max_size=3))
+    prefixes = ["".join(p) for p in itertools.product(
+        [name + "|" for name in names], repeat=d)]
+    rows = [shared[data.draw(st.integers(0, len(shared) - 1))]
+            for _ in prefixes]
+    table = {p + n: c for p, row in zip(prefixes, rows)
+             for n, c in zip(names, row)}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = cli.RunConfig("sideways-build", {}, Path(tmp), 0)
+        cli._write_artifacts(cfg, cli._sideways_chunks(payload, names, rows))
+        assert ((Path(tmp) / "sideways-build.json").read_bytes()
+                == _dumped({**payload, "table": table}))
 
 
 def test_writer_encodes_large_members_as_json_dumps_does(tmp_path):
