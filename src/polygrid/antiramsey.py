@@ -82,11 +82,12 @@ class Arena:
 
     @cached_property
     def _rows(self) -> dict[tuple[int, ...], dict[int, TupleColor]]:
-        """The c_full memo, filled lazily, one row per head: a head (the
-        first dim entries of a tuple) maps x to c_full of head + (x,).
-        Only c_full writes it, so every head has length dim and every
-        stored tuple lies in the arena.  Equal colors in the rows are one
-        object (see _palette)."""
+        """The colors of the product censuses taken on the arena, one row
+        per head: a head (the first dim entries of a tuple) maps x to
+        c_full of head + (x,).  Only product_census writes it, each color
+        through c_full after its checks, so every head has length dim and
+        every stored tuple lies in the arena.  Equal colors in the rows are
+        one object (see _palette)."""
         return {}
 
     @cached_property
@@ -118,25 +119,8 @@ def _descend(arena: Arena, elems: Sequence[int], level: int) -> tuple[int, int]:
 def c_full(arena: Arena, vec: Sequence[int]) -> TupleColor:
     """Compound color of an enumerated tuple: (slot of the distinguished
     element, set color); tuples with repeats collapse to (n+1, 0).
-
-    Colors are memoized per arena in its rows; a tuple that raises is
-    never stored, so it raises again on every call."""
-    key = tuple(vec)
-    head = key[:-1]
-    row = arena._rows.get(head)  # no row has the head of a bad-length tuple
-    if row is not None:
-        col = row.get(key[-1])
-        if col is not None:  # a stored color is never None
-            return col
-    col = _c_full(arena, key)  # checks before anything is stored
-    col = arena._palette.setdefault(col, col)
-    if row is None:
-        row = arena._rows[head] = {}
-    row[key[-1]] = col
-    return col
-
-
-def _c_full(arena: Arena, vec: tuple[int, ...]) -> TupleColor:
+    Keeps nothing: every call colors its tuple afresh."""
+    vec = tuple(vec)
     n = arena.dim
     if len(vec) != n + 1:
         raise ValueError(f"need a tuple of length {n + 1}, got {len(vec)}")
@@ -422,23 +406,25 @@ def product_census(arena: Arena,
                    sides: Sequence[tuple[int, ...]]) -> set[TupleColor]:
     """The c_full colors on the product of sides, sorted element tuples.
 
-    No check of its own: a tuple the rows lack goes through c_full, which
-    checks it before storing it, so a product that reaches outside the
-    arena or has the wrong arity raises ValueError as c_full does."""
+    The one writer of the arena's rows.  No check of its own: a tuple the
+    rows lack is colored by c_full, which checks it before it is stored,
+    so a product that reaches outside the arena or has the wrong arity
+    raises ValueError as c_full does."""
     *heads, last = sides
     if not last:
         return set()
-    rows = arena._rows  # read inline
+    rows, palette = arena._rows, arena._palette  # read inline
     # one color, not a tuple of them, from a last side of one element
     pick = itemgetter(*last)
     try:
         return _census(rows, heads, pick, len(last))
-    except KeyError:  # fill the misses through c_full: it counts, checks, stores
+    except KeyError:  # color the misses and store them, then census again
         for head in itertools.product(*heads):
-            row = rows.get(head, ())
+            row = rows.get(head, {})
             for x in last:
                 if x not in row:
-                    c_full(arena, head + (x,))
+                    col = c_full(arena, head + (x,))  # raises before a store
+                    rows.setdefault(head, row)[x] = palette.setdefault(col, col)
         return _census(rows, heads, pick, len(last))
 
 

@@ -74,10 +74,13 @@ class Family:
 
 
 def _key_from_str(s: str) -> Key:
-    """Comma-separated ASCII digit strings; "" is the dimension-0 key."""
+    """Comma-separated canonical decimals (ASCII digits, no leading zero,
+    so that no two strings name one key); "" is the dimension-0 key."""
     parts = s.split(",") if s else []
-    if not all(x.isascii() and x.isdigit() for x in parts):
-        raise ValueError(f"key {s!r} is not comma-separated ASCII digits")
+    if not all(x.isascii() and x.isdigit() and str(int(x)) == x
+               for x in parts):
+        raise ValueError(f"key {s!r} is not comma-separated canonical "
+                         "decimals")
     return tuple(map(int, parts))
 
 

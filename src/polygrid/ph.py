@@ -352,7 +352,9 @@ def refute(F: CofinalFn, arena: Arena) -> Refutation:
 
 
 def verify_refutation(F: CofinalFn, arena: Arena, r: Refutation) -> bool:
-    """Independent re-check of a refutation report from its chains alone."""
+    """Independent re-check of a refutation report from its chains alone.
+    Both colors are computed afresh by c_full, which keeps nothing, so the
+    check never reads a color that refute computed."""
     if not r.ok:
         return False
     try:

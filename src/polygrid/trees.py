@@ -263,13 +263,11 @@ def fpg_witness_sets(
 # ---------------------------------------------------------------------------
 # grid witnesses
 
-_WORD_JSON_MAX_K = 10
-
-
 def word_to_str(w: Word) -> str:
-    if any(c >= _WORD_JSON_MAX_K for c in w):
-        raise ParameterError("digit-string serialization needs letters < 10")
-    return "".join(str(c) for c in w)
+    s = "".join(map(str, w))
+    if len(s) != len(w):  # a letter above 9 or below 0 takes two characters
+        raise ParameterError("digit-string serialization needs letters 0-9")
+    return s
 
 
 def word_from_str(s: str) -> Word:

@@ -14,7 +14,6 @@ from polygrid import cli
 from polygrid.antiramsey import (
     Arena,
     BudgetError,
-    _c_full,
     c_full,
     check_difference_lemma,
     is_bad_coloring,
@@ -195,7 +194,7 @@ def test_criterion_03_product_bound():
         assert ok and len(census) >= 3
     # seeded arenas at n = 1 and 2 and an identity arena at n = 2: the
     # embedding tables and the recursion, each census re-checked tuple by
-    # tuple with _c_full on a twin arena whose rows stay empty.  A seeded
+    # tuple with c_full on a twin arena whose rows stay empty.  A seeded
     # census that equals the identity arena's may not have read the tables.
     cases = [(1, 1, 12, "seeded", s, 100) for s in (1, 2)]
     cases += [(2, 1, 16, "seeded", s, 20) for s in (1, 2)]
@@ -213,7 +212,7 @@ def test_criterion_03_product_bound():
             ok, census = verify_product_bound(arena, sets, k)
             assert ok and len(census) > k
             assert census == {
-                _c_full(twin, vec)
+                c_full(twin, vec)
                 for vec in itertools.product(*(a.elems for a in sets))}
             if mode == "seeded":
                 apart += census != verify_product_bound(plain, sets, k)[1]

@@ -13,7 +13,6 @@ from polygrid.antiramsey import (
     Arena,
     BudgetError,
     TupleColor,
-    _c_full,
     _descend,
     _search_bad,
     c_full,
@@ -163,12 +162,12 @@ def test_c_full_slot_is_star_position():
     (2, 9, 2, "2526837d2e646cb7"),
 ])
 def test_seeded_arena_colors_pinned(n, size, seed, digest):
-    # the difference lemma and the memo tests hold on the identity
+    # the difference lemma and the census tests hold on the identity
     # coloring too; this pins what a seeded arena's drawn embeddings and
     # pair colorings give every (n+1)-tuple (the identity arena of the
     # same size differs on 114 and 474 of them)
     arena = Arena(size=size, dim=n, mode="seeded", seed=seed)
-    colors = [tuple(_c_full(arena, vec))
+    colors = [tuple(c_full(arena, vec))
               for vec in itertools.product(range(size), repeat=n + 1)]
     assert hashlib.sha256(repr(colors).encode()).hexdigest()[:16] == digest
 
@@ -216,14 +215,16 @@ def test_c_full_memo_matches_cn_and_star(case):
                     c_full(arena, bad)
         assert arena._rows == before
 
-    # a twin with an empty memo
+    # a twin with empty rows
     rejects_unstored(Arena(arena.size, n, arena.mode, arena.seed))
     for vec in vecs:
         assert c_full(arena, vec) == expected(vec)
     for vec in vecs:
         assert c_full(arena, list(vec)) == expected(vec)
-    c_full(arena, too_long[:-1])  # the row that outside and negative reach
-    rejects_unstored(arena)  # a filled memo
+    # a census fills the row that outside and negative reach
+    product_census(arena, [(x,) for x in too_long[:-1]])
+    assert arena._rows
+    rejects_unstored(arena)  # filled rows
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +517,8 @@ def test_product_bound_k2_identity():
 @given(st.sampled_from([(1, 0), (1, 1), (1, 2), (2, 0), (2, 1)]),
        st.booleans(), st.data())
 def test_product_census_matches_unmemoized_colors(nk, seeded, data):
-    # the census reads the memo inline; it must count what _c_full gives
-    # each tuple, whether the memo starts empty or partly filled
+    # the census reads the rows inline; it must count what c_full gives
+    # each tuple, whether the rows start empty or partly filled
     n, k = nk
     need = m_seq(n, k)
     size = data.draw(st.integers(max(need, 2), need + 6))
@@ -530,15 +531,15 @@ def test_product_census_matches_unmemoized_colors(nk, seeded, data):
              for _ in range(n + 1)]
     vecs = list(itertools.product(*(a.elems for a in sides)))
     for vec in data.draw(st.lists(st.sampled_from(vecs), max_size=20)):
-        c_full(arena, vec)
+        product_census(arena, [(x,) for x in vec])
     ok, census = verify_product_bound(arena, sides, k)
-    assert census == {_c_full(arena, vec) for vec in vecs}
+    assert census == {c_full(arena, vec) for vec in vecs}
     assert ok == (len(census) > k)
-    _assert_rows_are_c_full(arena)
+    _assert_rows_agree(arena)
     # the rows are the arena's one store of colors
     assert vars(arena).keys() - {f.name for f in fields(arena)} <= {
         "_tables", "_rows", "_palette"}
-    # the memo now holds the whole product, and a second census reads only it
+    # the rows now hold the whole product, and a second census reads only them
     assert verify_product_bound(arena, sides, k) == (ok, census)
 
 
@@ -546,13 +547,13 @@ def _inside(vec, size):
     return all(0 <= x < size for x in vec)
 
 
-def _assert_rows_are_c_full(arena):
-    """Every stored color is what _c_full gives its tuple, and every
+def _assert_rows_agree(arena):
+    """Every stored color is what c_full gives its tuple, and every
     stored head and x lies inside the arena."""
     for head, row in arena._rows.items():
         assert len(head) == arena.dim
         assert _inside(head, arena.size) and _inside(row, arena.size)
-        assert all(_c_full(arena, head + (x,)) == col
+        assert all(c_full(arena, head + (x,)) == col
                    for x, col in row.items())
 
 
@@ -562,7 +563,7 @@ def _assert_rows_are_c_full(arena):
 def test_row_census_matches_per_tuple_colors(nk, seeded, data):
     # censuses read per-head rows that the censuses before them on the
     # same arena filled in part; each must equal the census taken tuple
-    # by tuple with _c_full.  k = 0 gives sides of one element each.
+    # by tuple with c_full.  k = 0 gives sides of one element each.
     n, k = nk
     need = m_seq(n, k)
     size = data.draw(st.integers(max(need, 2), need + 6))
@@ -573,7 +574,7 @@ def test_row_census_matches_per_tuple_colors(nk, seeded, data):
                     unique=True)
 
     def census_per_tuple(sides):
-        return {_c_full(arena, vec)
+        return {c_full(arena, vec)
                 for vec in itertools.product(*(a.elems for a in sides))}
 
     for _ in range(data.draw(st.integers(1, 4))):
@@ -592,8 +593,8 @@ def test_product_bound_size_guard():
 @given(st.integers(1, 2), st.booleans(), st.data())
 def test_product_census_matches_per_tuple_colors(n, seeded, data):
     # the kernel takes sides of any length and checks nothing itself: over
-    # rows that tuples colored before it filled in part, it must give the
-    # colors _c_full gives each tuple of the product
+    # rows that censuses of single tuples filled in part, it must give the
+    # colors c_full gives each tuple of the product
     size = data.draw(st.integers(2, 12))
     arena = (Arena(size=size, dim=n, mode="seeded",
                    seed=data.draw(st.integers(0, 99)))
@@ -603,15 +604,15 @@ def test_product_census_matches_per_tuple_colors(n, seeded, data):
         lambda xs: tuple(sorted(xs)))
 
     def census_per_tuple(sides):
-        return {_c_full(arena, vec) for vec in itertools.product(*sides)}
+        return {c_full(arena, vec) for vec in itertools.product(*sides)}
 
     for vec in data.draw(st.lists(st.tuples(*[entry] * (n + 1)),
                                   max_size=20)):
-        c_full(arena, vec)
+        product_census(arena, [(x,) for x in vec])
     for _ in range(data.draw(st.integers(1, 3))):
         sides = [data.draw(side) for _ in range(n + 1)]
         assert product_census(arena, sides) == census_per_tuple(sides)
-        _assert_rows_are_c_full(arena)
+        _assert_rows_agree(arena)
     # one entry of one side moved outside the arena: the census raises
     # ValueError, as c_full does, and the rows keep no tuple that
     # reaches outside
@@ -620,7 +621,7 @@ def test_product_census_matches_per_tuple_colors(n, seeded, data):
     sides[bad] = tuple(sorted(sides[bad][1:] + (out,)))
     with pytest.raises(ValueError, match="outside arena"):
         product_census(arena, sides)
-    _assert_rows_are_c_full(arena)
+    _assert_rows_agree(arena)
     # and the rows still serve a census inside the arena
     sides = [data.draw(side) for _ in range(n + 1)]
     assert product_census(arena, sides) == census_per_tuple(sides)

@@ -217,6 +217,9 @@ def test_usage_exit_code():
     ["delta-verify", "--family", "plus.json"],
     ["grid-search", "--coloring", "table", "--table", "super.table",
      "--depth", "2", "--density", "1"],
+    # a key "01", read as (1,), would drop the entry of key "1"
+    ["delta-verify", "--family", "zero.json"],
+    ["delta-verify", "--family", "zero-label.json"],
 ])
 def test_bad_parameter_is_usage_error(tmp_path, monkeypatch, capsys, args):
     # a bad flag or input file must not read as a result: exit 64, one
@@ -243,6 +246,12 @@ def test_bad_parameter_is_usage_error(tmp_path, monkeypatch, capsys, args):
         Path(f"{name}.json").write_text(json.dumps(
             {"dim": 1, "indices": [0, 1, 2],
              "umap": {key: [0], "1": [1], "2": [2]}}))
+    zero = {"dim": 1, "indices": [0, 1, 2],
+            "umap": {"0": [0], "1": [1], "2": [2]}}
+    Path("zero-label.json").write_text(json.dumps(
+        {"family": zero, "labels": {"0": 0, "1": 1, "2": 2, "01": 5}}))
+    zero["umap"]["01"] = [5]
+    Path("zero.json").write_text(json.dumps(zero))
     Path("super.table").write_text(json.dumps(
         {**table, "table": dict.fromkeys(
             ["", "0", "1", "00", "01", "10", "1\u00b2"], 0)}))
@@ -556,7 +565,7 @@ def test_product_bound_says_no_on_a_constant_coloring(tmp_path, monkeypatch):
     # no arena fails the bound at the side size m_seq gives, so the
     # coloring of fresh arenas is made constant: every product has one
     # color, and each is counted as a violation
-    monkeypatch.setattr(antiramsey, "_c_full",
+    monkeypatch.setattr(antiramsey, "c_full",
                         lambda arena, vec: antiramsey.TupleColor(0, 0))
     arena = antiramsey.Arena(size=8, dim=1)
     side = OrdSet.of(range(antiramsey.m_seq(1, 1)))
@@ -604,7 +613,7 @@ def test_product_bound_sampled_stream(tmp_path, monkeypatch, n, k, size,
                                       samples, seed):
     # the artifact's census, recomputed from its argv: product t takes the
     # next n + 1 sides of one Random per run, and every tuple is colored
-    # on its own by _c_full, never through the arena's rows
+    # on its own by c_full, which keeps nothing
     drawn = []
     census = antiramsey.product_census
 
@@ -622,7 +631,7 @@ def test_product_bound_sampled_stream(tmp_path, monkeypatch, n, k, size,
     stream = [tuple(draw() for _ in range(n + 1)) for _ in range(samples)]
     assert drawn == stream
     arena = antiramsey.Arena(size=size, dim=n, mode="identity")
-    censuses = [len({antiramsey._c_full(arena, vec)
+    censuses = [len({antiramsey.c_full(arena, vec)
                      for vec in itertools.product(*sides)})
                 for sides in stream]
     assert blob["min_census"] == min(censuses)
@@ -827,7 +836,8 @@ def test_delta_verify_against_stored_certificate(tmp_path, change, code):
 
 
 @pytest.mark.parametrize("text", ['{"dim": 2, "rho": 2}', "not json",
-                                  '{"dim": 2, "rho": 2, "patterns": {"x": []}}'])
+                                  '{"dim": 2, "rho": 2, "patterns": {"x": []}}',
+                                  '{"dim": 2, "rho": 2, "patterns": {"01": []}}'])
 def test_delta_verify_malformed_certificate_is_usage_error(tmp_path, text):
     fam_path, _ = _uniform_family_and_certificate(tmp_path)
     cert_path = tmp_path / "cert.json"

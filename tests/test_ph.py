@@ -320,6 +320,29 @@ def test_refute_returns_the_probe_when_the_pair_agrees(entry_bound,
     assert not verify_refutation(F, arena, dataclasses.replace(r, ok=False))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2), st.sampled_from([16, 24]), st.booleans(),
+       st.integers(0, 99), st.data())
+def test_c_full_refute_and_verify_keep_no_colors(n, entry_bound, seeded,
+                                                 seed, data):
+    # only product_census stores colors in an arena: c_full keeps nothing,
+    # for a good tuple or a bad one, and neither does refute followed by
+    # its re-check, so the re-check computes every color it compares
+    arena = (Arena(entry_bound, n, "seeded", seed) if seeded
+             else Arena(entry_bound, n, "identity"))
+    entry = st.integers(-2, entry_bound + 1)
+    for vec in data.draw(st.lists(st.lists(entry, min_size=n, max_size=n + 2),
+                                  max_size=12)):
+        if len(vec) == n + 1 and all(0 <= x < entry_bound for x in vec):
+            assert isinstance(c_full(arena, vec), TupleColor)
+        else:
+            with pytest.raises(ValueError):
+                c_full(arena, vec)
+    F = make_cofinal(entry_bound, n + 1, seed, spread=2).fn
+    assert verify_refutation(F, arena, refute(F, arena))
+    assert not arena._rows and not arena._palette
+
+
 def test_refute_rejects_an_arena_of_another_dimension():
     with pytest.raises(ValueError, match="^arena dimension 2 does not match"):
         refute(make_cofinal(16, 2, 0).fn, Arena(16, 2))

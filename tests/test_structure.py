@@ -8,8 +8,9 @@ use; no function writes to a module-level name or memoises itself
 for the life of the process, so the package keeps no state between calls;
 every module-level function and class, and every method of such a class,
 is referenced from src outside its own body, so no library code is
-reached only by the tests; and every module parses at the oldest Python
-that pyproject.toml admits.
+reached only by the tests; only product_census names an arena's color
+store, so nothing else can write it; and every module parses at the
+oldest Python that pyproject.toml admits.
 """
 
 import ast
@@ -299,6 +300,30 @@ def test_every_method_is_referenced_in_src():
                         == attributes(node)[node.name]):
                     unreferenced.append(f"{name}.{cls.name}.{node.name}")
     assert not unreferenced, unreferenced
+
+
+# an Arena's color store: its per-head rows and the palette of their colors
+COLOR_STORE = {"_rows", "_palette"}
+
+
+def test_only_the_census_names_the_color_store():
+    # Arena's own cached properties define the store; every other function
+    # that names it, or module-level code that does, would be a second
+    # writer or a reader of colors another caller computed
+    found = set()
+
+    def visit(node: ast.AST, module: str, scope: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr in COLOR_STORE:
+                found.add((module, scope))
+            visit(child, module, scope)
+
+    for name, tree in parsed().items():
+        visit(tree, name, None)
+    assert found == {("antiramsey", "product_census")}, sorted(found)
 
 
 def python_floor() -> tuple[int, int]:

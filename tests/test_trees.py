@@ -375,6 +375,12 @@ def test_fpg_witness_sets_none_through_the_projection(Z, fam0, fam1):
 
 def test_word_strings():
     assert word_to_str((0, 1, 1)) == "011"
+    assert word_to_str(tuple(range(10))) == "0123456789"
+    # a letter outside 0-9 has no one-digit form: (0, -1, 2) would read
+    # back as "0-12"
+    for bad in [(0, -1, 2), (10,), (1, 10)]:
+        with pytest.raises(ParameterError, match="letters 0-9"):
+            word_to_str(bad)
     assert word_from_str("011") == (0, 1, 1)
     assert word_from_str("") == ()
     # int() reads Arabic-Indic digits; it rejects the superscript two
