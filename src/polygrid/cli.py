@@ -320,31 +320,20 @@ def _sampler(rng: Random, n: int, k: int) -> Callable[[], tuple[int, ...]]:
     """A draw function: each call returns tuple(sorted(rng.sample(range(n),
     k))), read from the same stream, and leaves rng as that sample would.
 
-    Random.sample inlined for a range population, with its _randbelow as
-    getrandbits rejection (as ph._SeededRows._draw inlines randint), and
-    its pool-or-set switch and each step's bit length worked out once.  A
-    population no larger than the set of k picks would be is drawn from a
-    fresh pool, each pick swapped to the end of the items not yet picked;
-    a larger one by rejecting repeats, and then the picks are just the set
-    sorted."""
+    A population past Random.sample's own pool-or-set switch is left to
+    rng.sample.  A smaller one is drawn by Random.sample's pool method
+    inlined, with its _randbelow as getrandbits rejection (as
+    ph._SeededRows._draw inlines randint) and each step's bit length
+    worked out once: a fresh pool, each pick swapped to the end of the
+    items not yet picked."""
     if not 0 <= k <= n:
         raise ValueError("Sample larger than population or is negative")
-    getrandbits = rng.getrandbits
     setsize = 21  # Random.sample's own switch
     if k > 5:
         setsize += 4 ** math.ceil(math.log(k * 3, 4))
     if n > setsize:
-        bits = n.bit_length()
-
-        def draw_set() -> tuple[int, ...]:
-            selected: set[int] = set()
-            add = selected.add
-            while len(selected) < k:
-                j = getrandbits(bits)
-                if j < n:
-                    add(j)
-            return tuple(sorted(selected))
-        return draw_set
+        return lambda: tuple(sorted(rng.sample(range(n), k)))
+    getrandbits = rng.getrandbits
     steps = [(left - 1, left.bit_length()) for left in range(n, n - k, -1)]
     everyone = list(range(n))
 
@@ -371,6 +360,8 @@ def _run_product_bound(cfg: RunConfig) -> int:
     if samples < 0:
         raise ParameterError(
             "--samples must be >= 0 (0 enumerates every product)")
+    # the arena checks --size and --n before the threshold search runs
+    arena = antiramsey.Arena(size=size, dim=n, mode="identity")
     m = antiramsey.m_seq(n, k)
     if m > size:
         raise ParameterError(f"side size {m} does not fit in an arena of {size}")
@@ -380,7 +371,6 @@ def _run_product_bound(cfg: RunConfig) -> int:
     if n_products > CAP:
         raise ParameterError(
             f"the census would exceed the cap of {CAP} products")
-    arena = antiramsey.Arena(size=size, dim=n, mode="identity")
     # the parameters are checked above, so each product goes to the census
     # as plain sorted tuples
     products: Iterable[Sequence[tuple[int, ...]]]

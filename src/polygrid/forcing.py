@@ -39,9 +39,9 @@ Row = tuple[Word, ...]
 class Condition:
     """Finitely many rows, each holding one word per coordinate tree.
 
-    Conditions built by the constructor are validated in full.
-    Conditions derived from valid ones (`with_slot`, `decide_color`) skip
-    that pass: they check only what they write.
+    The constructor validates a condition in full.  A condition changes
+    only through `with_slot`, which checks the one slot it writes and
+    skips the full pass; `decide_color` and `meet_dense` write through it.
     """
 
     k: int
@@ -66,17 +66,6 @@ class Condition:
         object.__setattr__(self, "_index", dict(self.rows))
 
     @classmethod
-    def _derived(cls, k: int, d: int, index: dict[int, Row]) -> "Condition":
-        """Unchecked constructor for a condition derived from valid ones;
-        takes ownership of index."""
-        q = object.__new__(cls)
-        object.__setattr__(q, "k", k)
-        object.__setattr__(q, "d", d)
-        object.__setattr__(q, "rows", tuple(sorted(index.items())))
-        object.__setattr__(q, "_index", index)
-        return q
-
-    @classmethod
     def empty(cls, k: int, d: int) -> "Condition":
         return cls(k, d, ())
 
@@ -84,7 +73,8 @@ class Condition:
         return self._index.get(alpha)
 
     def with_slot(self, alpha: int, i: int, word: Word) -> "Condition":
-        """Replace one slot; the row is created with empty words if new."""
+        """Replace one slot; the row is created with empty words if new.
+        Only that slot is checked, so the constructor's pass is skipped."""
         if alpha < 0:
             raise ValueError(f"row index {alpha} is not a natural")
         if not 0 <= i < self.d:
@@ -95,7 +85,10 @@ class Condition:
         row = list(index.get(alpha, ((),) * self.d))
         row[i] = word
         index[alpha] = tuple(row)
-        return Condition._derived(self.k, self.d, index)
+        q = object.__new__(Condition)
+        vars(q).update(k=self.k, d=self.d, rows=tuple(sorted(index.items())),
+                       _index=index)
+        return q
 
 
 def _prefix(a: Word, b: Word) -> bool:
@@ -142,30 +135,24 @@ def decide_color(
 ) -> tuple[Condition, int]:
     """Extend p so the oracle color of the rows named by a is determined.
 
-    Row a(i) supplies coordinate i.  Each such slot grows to the oracle
-    depth by the leftmost route (letter 0); fresh rows start with empty
-    words elsewhere.  Slots already deep enough are left alone, and p
-    itself is returned when none grows.  `run_pipeline` takes its first
-    h_target indices in closed form because of this leftmost route.
+    Row a(i) supplies coordinate i.  Each such slot shorter than the
+    oracle depth grows to it by the leftmost route (letter 0), one
+    `with_slot` write each; p itself is returned when none is short.
+    `run_pipeline` takes its first indices in closed form by this route.
     """
     if a.otp != p.d:
         raise ValueError(f"need {p.d} row indices, got {a.otp}")
     depth = oracle.depth
-    index: Optional[dict[int, Row]] = None
+    q = p
     picked: list[Word] = []
-    # the indices are distinct, so each row is written at most once
+    # the indices are distinct, so each slot read from p is still q's
     for i, alpha in enumerate(a.elems):
-        row = p._index.get(alpha)
+        row = p.row(alpha)
         w = row[i] if row is not None else ()
         if len(w) < depth:
-            w = w + (0,) * (depth - len(w))
-            if index is None:
-                index = dict(p._index)
-            grown = list(row) if row is not None else [()] * p.d
-            grown[i] = w
-            index[alpha] = tuple(grown)
+            w += (0,) * (depth - len(w))
+            q = q.with_slot(alpha, i, w)
         picked.append(w[:depth])
-    q = p if index is None else Condition._derived(p.k, p.d, index)
     return q, oracle.color(tuple(picked))
 
 

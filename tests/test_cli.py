@@ -220,6 +220,11 @@ def test_usage_exit_code():
     # a key "01", read as (1,), would drop the entry of key "1"
     ["delta-verify", "--family", "zero.json"],
     ["delta-verify", "--family", "zero-label.json"],
+    # an arena too small for any side, checked before the threshold search
+    # that m_seq runs for these (n, k)
+    ["product-bound", "--n", "2", "--k", "2", "--size", "1"],
+    ["product-bound", "--n", "9", "--k", "9", "--size", "0", "--samples",
+     "0"],
 ])
 def test_bad_parameter_is_usage_error(tmp_path, monkeypatch, capsys, args):
     # a bad flag or input file must not read as a result: exit 64, one

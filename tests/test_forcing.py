@@ -180,6 +180,49 @@ def test_decide_color_deep_slot_untouched():
     assert j == 1
 
 
+@st.composite
+def _oracles_for(draw, k, d):
+    depth = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["constant", "first-letter",
+                                 "oracle-seeded"]))
+    r = draw(st.integers(1, 3))
+    return LevelColoring(k=k, d=d, depth=depth, r=r, kind=kind,
+                         value=draw(st.integers(0, r - 1)),
+                         seed=draw(st.integers(0, 9)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3), st.integers(1, 3), st.data())
+def test_decide_color_generated(k, d, data):
+    # row indices 0..7, p's own rows often, against rows drawn from 0..5:
+    # some named rows exist and some are fresh
+    p = data.draw(_conditions(k, d))
+    index = st.one_of(st.sampled_from([alpha for alpha, _ in p.rows] or [0]),
+                      st.integers(0, 7))
+    a = OrdSet(tuple(sorted(data.draw(st.sets(index, min_size=d,
+                                              max_size=d)))))
+    oracle = data.draw(_oracles_for(k, d))
+    q, color = decide_color(p, a, oracle)
+    assert leq(q, p)
+    assert Condition(q.k, q.d, q.rows) == q
+    named = dict(zip(a.elems, range(d)))
+    short = False
+    for alpha, new in q.rows:
+        old = p.row(alpha)
+        assert old is not None or alpha in named  # only named rows are new
+        for i in range(d):
+            w = old[i] if old is not None else ()
+            if named.get(alpha) == i:
+                assert len(new[i]) >= oracle.depth and new[i][:len(w)] == w
+                assert new[i] == w or len(w) < oracle.depth
+                short |= len(w) < oracle.depth
+            else:
+                assert new[i] == w
+    assert (q is p) == (not short)
+    assert color == oracle.color(tuple(
+        q.row(alpha)[i][:oracle.depth] for i, alpha in enumerate(a.elems)))
+
+
 # ---------------------------------------------------------------------------
 # meeting dense sets
 

@@ -9,8 +9,9 @@ for the life of the process, so the package keeps no state between calls;
 every module-level function and class, and every method of such a class,
 is referenced from src outside its own body, so no library code is
 reached only by the tests; only product_census names an arena's color
-store, so nothing else can write it; and every module parses at the
-oldest Python that pyproject.toml admits.
+store, so nothing else can write it; only the two unchecked constructors
+call object.__new__, so nothing else builds an object past its checks;
+and every module parses at the oldest Python that pyproject.toml admits.
 """
 
 import ast
@@ -324,6 +325,35 @@ def test_only_the_census_names_the_color_store():
     for name, tree in parsed().items():
         visit(tree, name, None)
     assert found == {("antiramsey", "product_census")}, sorted(found)
+
+
+# (module, Class.method) of each constructor that skips validation: it
+# builds from a checked object and checks only what it changes
+UNCHECKED_CONSTRUCTORS = {("forcing", "Condition.with_slot"),
+                          ("deltasys", "Family._derived")}
+
+
+def test_only_the_unchecked_constructors_call_object_new():
+    found = set()
+
+    def visit(node: ast.AST, module: str, scope: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+                visit(child, module, inner)
+                continue
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "__new__"
+                    and getattr(child.func.value, "id", None) == "object"):
+                found.add((module, scope))
+            visit(child, module, scope)
+
+    for name, tree in parsed().items():
+        visit(tree, name, None)
+    # the allowlist stays exact: a constructor that goes leaves it
+    assert found == UNCHECKED_CONSTRUCTORS, sorted(found)
 
 
 def python_floor() -> tuple[int, int]:
